@@ -217,6 +217,16 @@ pub fn extract(opts: &Options) -> Result<(), String> {
         r.total_overlap_saved().as_secs_f64() * 1e3,
         max_overlap * 100.0
     );
+    // the read stream: device calls, the contiguous runs they form, and what
+    // was fetched per byte of active record delivered
+    let exec = r.total_exec();
+    println!(
+        "reads: {} calls in {} runs, {} seeks, {:.2} bytes per active byte",
+        exec.read_calls,
+        exec.runs,
+        r.total_io().seeks,
+        r.bytes_per_active_byte()
+    );
     if weld && backend == oociso_march::Backend::Mc {
         let w = r.total_weld();
         println!(

@@ -3,7 +3,7 @@
 use crate::meta::ClusterMeta;
 use crate::timing::{NodeReport, QueryReport};
 use oociso_exio::{BoundedQueue, DiskFarm, RecordStore, WriteAt};
-use oociso_itree::plan::{execute_plan, QueryPlan};
+use oociso_itree::plan::{execute_plan, ExecStats, QueryPlan};
 use oociso_itree::{persist, CompactIntervalTree, MetacellRecordFormat};
 use oociso_march::mc::McStats;
 use oociso_march::weld::WeldStats;
@@ -322,6 +322,13 @@ pub struct Cluster<S: ScalarValue> {
     format: MetacellRecordFormat<S>,
     trees: Vec<CompactIntervalTree>,
     stores: Vec<RecordStore>,
+}
+
+/// The read-stream counters every `execute_plan` span carries.
+fn exec_fields(span: &mut Span, exec: &ExecStats) {
+    span.field("read_calls", exec.read_calls);
+    span.field("runs", exec.runs);
+    span.field("bytes_read", exec.bytes_read);
 }
 
 fn index_path(dir: &Path, node: usize) -> PathBuf {
@@ -822,7 +829,7 @@ impl<S: ScalarValue> Cluster<S> {
             // Producer: phase (i) on this thread. Push can only fail once the
             // queue is closed — after a worker died; the records it would
             // have carried are moot, so the result is ignored.
-            let sp_exec = sp_pipe.child("execute_plan");
+            let mut sp_exec = sp_pipe.child("execute_plan");
             let exec = {
                 let _close = CloseOnDrop(queue);
                 let mut seq = 0u64;
@@ -835,6 +842,9 @@ impl<S: ScalarValue> Cluster<S> {
                 // plan execution, and on unwind alike, so consumers always
                 // drain and exit instead of deadlocking the scope.
             };
+            if let Ok(exec) = &exec {
+                exec_fields(&mut sp_exec, exec);
+            }
             let amc_retrieval = sp_exec.finish();
             let outs: Vec<(Vec<Part>, Duration)> = handles
                 .into_iter()
@@ -913,13 +923,14 @@ impl<S: ScalarValue> Cluster<S> {
         // Phase 1: AMC retrieval — the entire active set is staged in memory
         // (which is what `peak_queue_*` report for this mode).
         let sp_pipe = span.child("pipeline");
-        let sp_exec = sp_pipe.child("execute_plan");
+        let mut sp_exec = sp_pipe.child("execute_plan");
         let mut records: Vec<Vec<u8>> = Vec::new();
         let mut staged_cells = 0u64;
         let exec = execute_plan(plan, store, &self.format, |id, bytes| {
             staged_cells += self.layout.num_cells(id) as u64;
             records.push(bytes.to_vec())
         })?;
+        exec_fields(&mut sp_exec, &exec);
         let amc_retrieval = sp_exec.finish();
         let bytes_read: u64 = records.iter().map(|r| r.len() as u64).sum();
         let backend_impl = backend.instance::<S>();
@@ -1377,32 +1388,50 @@ mod tests {
         // retrieval take real wall-clock. Phase-serially (batch mode) the two
         // costs add; the pipeline must hide most of the shorter phase.
         use oociso_volume::field::GyroidField;
-        let vol: Volume<u8> = GyroidField {
-            cells: 3.0,
-            level: 128.0,
-            amplitude: 70.0,
-        }
-        .sample(Dims3::cube(65));
+        // Both phases must be long enough to measure in this build profile:
+        // an optimized kernel triangulates the 65³ gyroid in under 10 ms, so
+        // grow the volume until the phase-serial triangulation takes 40 ms
+        // (twice the floor asserted below), then throttle the store so
+        // retrieval takes about twice as long as that triangulation did —
+        // the shorter phase is then the one the pipeline can hide entirely.
         let dir = tmpdir("throttle");
-        let (mut c, _) = Cluster::build(&vol, &dir, 1, &ClusterBuildOptions::default()).unwrap();
-        let plain = c.extract_with_workers(128.0, 1).unwrap();
-        let throttle = || throttled_store(&dir, 0, Duration::from_millis(2), 2_000_000.0);
+        let batch_opts = ExtractOptions {
+            workers: Some(1),
+            mode: ExtractMode::Batch,
+            ..Default::default()
+        };
+        let mut n = 65;
+        let (mut c, plain, unthrottled) = loop {
+            let vol: Volume<u8> = GyroidField {
+                cells: 3.0,
+                level: 128.0,
+                amplitude: 70.0,
+            }
+            .sample(Dims3::cube(n));
+            let (c, _) = Cluster::build(&vol, &dir, 1, &ClusterBuildOptions::default()).unwrap();
+            let plain = c.extract_with_workers(128.0, 1).unwrap(); // also warms the store
+            let unthrottled = c
+                .extract_with_options(128.0, &batch_opts)
+                .unwrap()
+                .report
+                .nodes[0];
+            if unthrottled.triangulation >= Duration::from_millis(40) || n >= 257 {
+                break (c, plain, unthrottled);
+            }
+            n += 32;
+        };
+        let bytes_per_sec =
+            unthrottled.exec.bytes_read as f64 / (2.0 * unthrottled.triangulation.as_secs_f64());
+        let throttle = || throttled_store(&dir, 0, Duration::from_micros(200), bytes_per_sec);
 
         c.replace_store(0, throttle());
-        let batch = c
-            .extract_with_options(
-                128.0,
-                &ExtractOptions {
-                    workers: Some(1),
-                    mode: ExtractMode::Batch,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+        let batch = c.extract_with_options(128.0, &batch_opts).unwrap();
 
-        // Queue bound must cover one 32 KB read-chunk's burst of records
-        // (~45 u8 metacells), or the producer blocks mid-burst and the
-        // single-core overlap window shrinks to the bound.
+        // The run reader hands over at most one refill's records between
+        // reads (`STREAM_CHUNK` = 32 KiB ≈ 45 u8 metacells, whatever bricks
+        // or runs they came from). The queue bound must cover that burst, or
+        // the producer blocks mid-refill and the single-core overlap window
+        // shrinks to the bound.
         c.replace_store(0, throttle()); // fresh device, fresh I/O counters
         let streamed = c
             .extract_with_options(
@@ -1475,6 +1504,69 @@ mod tests {
                 )
                 .unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{mode:?}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn corrupt_index_spans_are_err_not_panic_or_hang() {
+        // An index whose brick span ends inside a record header, inside a
+        // record payload, or past the end of the store must surface as `Err`
+        // from the query in both modes — in release builds too, where the
+        // old executor's debug assertions were compiled out and the node
+        // thread indexed past its buffer.
+        let vol = test_volume();
+        let dir = tmpdir("corrupt_index");
+        let (c, _) = Cluster::build(&vol, &dir, 1, &ClusterBuildOptions::default()).unwrap();
+        let tree = c.trees()[0].clone();
+        let store_len = c.stores[0].len();
+        drop(c);
+        // the root's first brick (largest vmax) is a whole Case 1 bulk range
+        // at an isovalue equal to that vmax, so the scan reaches its end
+        let root = tree.root().expect("non-empty tree") as usize;
+        let brick = tree.nodes()[root].entries[0];
+        let iso = brick.vmax_key as f32;
+        let record = MetacellLayout::new(vol.dims(), 9).full_record_len(1) as u64;
+        assert_eq!(
+            brick.span.len,
+            brick.count as u64 * record,
+            "all full metacells"
+        );
+
+        let cases = [
+            (
+                "header",
+                brick.span.len - record + 2,
+                io::ErrorKind::InvalidData,
+            ),
+            ("payload", brick.span.len - 100, io::ErrorKind::InvalidData),
+            // claims more bytes than the store holds: the read itself fails
+            ("store", store_len + 1000, io::ErrorKind::UnexpectedEof),
+        ];
+        for (what, len, kind) in cases {
+            let mut nodes = tree.nodes().to_vec();
+            nodes[root].entries[0].span.len = len;
+            let bad = CompactIntervalTree::from_parts(
+                nodes,
+                tree.root(),
+                tree.num_intervals(),
+                tree.num_endpoints(),
+            );
+            persist::save(&bad, &index_path(&dir, 0)).unwrap();
+            let c = Cluster::<u8>::open(&dir, false).unwrap();
+            for mode in [ExtractMode::default(), ExtractMode::Batch] {
+                let err = c
+                    .extract_with_options(
+                        iso,
+                        &ExtractOptions {
+                            workers: Some(3),
+                            mode,
+                            ..Default::default()
+                        },
+                    )
+                    .expect_err(what);
+                assert_eq!(err.kind(), kind, "{what} {mode:?}: {err}");
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

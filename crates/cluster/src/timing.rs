@@ -57,7 +57,8 @@ pub struct NodeReport {
     /// phases — what the weighted queue admission actually bounds. The batch
     /// path reports the whole staged active set's cell count.
     pub peak_queue_work: u64,
-    /// Plan-execution counters (bulk/prefix actions, rejected records).
+    /// Plan-execution counters: bulk/prefix actions, rejected records, and
+    /// the read stream's shape (`read_calls` in `runs`, `bytes_read`).
     pub exec: ExecStats,
     /// Metacell-seam weld counters for this node's mesh (zeroed when the
     /// query ran with [`crate::ExtractOptions::weld`] off).
@@ -234,6 +235,23 @@ impl QueryReport {
         self.nodes
             .iter()
             .fold(ExecStats::default(), |acc, n| acc.merged(&n.exec))
+    }
+
+    /// Device I/O counters summed across nodes (seeks, forward skips, the
+    /// inputs of [`oociso_exio::IoCostModel::modeled_time`]).
+    pub fn total_io(&self) -> IoSnapshot {
+        self.nodes
+            .iter()
+            .fold(IoSnapshot::default(), |acc, n| acc.merged(&n.io))
+    }
+
+    /// Bytes fetched from the stores per byte of active record delivered
+    /// (1.0 = nothing read that was not emitted; 0 when nothing was active).
+    pub fn bytes_per_active_byte(&self) -> f64 {
+        match self.total_bytes_read() {
+            0 => 0.0,
+            active => self.total_exec().bytes_read as f64 / active as f64,
+        }
     }
 
     /// Weld counters summed over every stage of the query: each node's

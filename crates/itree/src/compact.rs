@@ -233,6 +233,11 @@ impl CompactIntervalTree {
 
     /// Plan the I/O for isovalue key `iso_key`: walk the root→leaf path,
     /// emitting a Case 1 bulk action or Case 2 prefix actions per node (§5).
+    /// A node's bricks are laid out before its left subtree's and those
+    /// before its right subtree's, so the actions come out in increasing
+    /// store offset and neighbours mostly abut — across bricks, cases and
+    /// tree levels; [`QueryPlan::run_ends`] chains them into the runs the
+    /// executor reads as one stream each.
     pub fn plan(&self, iso_key: u32) -> QueryPlan {
         let mut actions = Vec::new();
         let mut cursor = self.root;
@@ -419,9 +424,14 @@ mod tests {
         );
         assert_eq!(bulks[0].0.end(), r0.len() as u64);
         assert_eq!(bulks[1].0.offset, off1);
+        // ... and the gap ends the first run: no read may be carried across it
+        assert_eq!(plan.run_ends(), [r0.len() as u64, store_bytes.len() as u64]);
         let store = RecordStore::in_memory(store_bytes);
-        let ids = plan_active_ids(&plan, &store, &TestFormat).unwrap();
+        let mut ids = Vec::new();
+        let stats = execute_plan(&plan, &store, &TestFormat, |id, _| ids.push(id)).unwrap();
         assert_eq!(ids, vec![10, 11]);
+        assert_eq!((stats.runs, stats.read_calls), (2, 2));
+        assert_eq!(stats.bytes_read, (r0.len() + r1.len()) as u64);
     }
 
     #[test]

@@ -2,32 +2,52 @@
 //!
 //! [`CompactIntervalTree::plan`](crate::CompactIntervalTree::plan) compiles an
 //! isovalue into a [`QueryPlan`]: a list of read actions along the root→leaf
-//! path. Execution then touches the store:
+//! path, in increasing store offset. Two kinds:
 //!
 //! * [`ReadAction::Bulk`] (Case 1) — one contiguous range covering a prefix
 //!   of a node's bricks; *every* record in the range is active ("more
-//!   effective bulk data movement"). The range is read as one sequential run
-//!   of chunk-sized transfers with records emitted per chunk, so a span
-//!   covering a node's whole active set never stages in memory and consumers
-//!   can pipeline against the remaining transfer.
-//! * [`ReadAction::Prefix`] (Case 2) — stream a single brick from its start in
-//!   block-sized chunks, emitting records while `vmin ≤ λ`, stopping at the
-//!   first record with `vmin > λ`. Bricks whose smallest `vmin` exceeds `λ`
-//!   were already dropped at planning time, costing zero I/O.
+//!   effective bulk data movement").
+//! * [`ReadAction::Prefix`] (Case 2) — one brick scanned from its start,
+//!   emitting records while `vmin ≤ λ` and stopping at the first record with
+//!   `vmin > λ`. Bricks whose smallest `vmin` exceeds `λ` were already
+//!   dropped at planning time, costing zero I/O.
+//!
+//! Execution does not read action by action. A node's bricks lie
+//! consecutively on disk and a left child's bricks follow its parent's, so
+//! neighbouring actions usually *abut*; [`QueryPlan::run_ends`] groups them
+//! into **runs** — maximal chains of abutting spans — and [`execute_plan`]
+//! streams each run through one forward-only reader: one buffer and one
+//! store cursor for the whole plan, refilled in [`STREAM_CHUNK`] reads that
+//! stop at the *run* end rather than the brick end. Moving to the next
+//! action advances the cursor when its first byte is already buffered; the
+//! buffer is dropped and the cursor repositioned only when it is not — the
+//! gap before the next run, or the inactive tail of a long brick after an
+//! early Case 2 stop. Records are emitted per refill, in plan order, so a
+//! run covering a node's whole active set never stages in memory and
+//! consumers pipeline against the remaining transfer.
+//!
+//! What the reader guarantees (asserted by `tests/run_reader.rs`): no read
+//! covers a byte outside a planned span's run; every read is a full chunk
+//! except one that ends its run, so `read_calls ≤ runs + bytes_read /
+//! STREAM_CHUNK`; and bytes are fetched without being emitted only behind a
+//! Case 2 stop, at most a chunk and a header per stop record.
 
 use crate::brick::{BrickEntry, RecordFormat};
 use oociso_exio::{RecordStore, Span};
 use std::io;
 
-/// Chunk size for streamed span reads (both cases). Large enough to amortize
-/// per-call overhead, small enough that records flow to the consumer while
-/// the rest of the span is still on disk — a Case 1 span can cover a node's
-/// whole active set, so records must be emitted per chunk, not per span, for
-/// peak memory to stay O(chunk) and for the extraction pipeline to overlap
-/// triangulation with the remaining transfer. Chunked reads are perfectly
-/// sequential, so the I/O model still prices the span as one seek plus
-/// full-bandwidth transfer.
-const STREAM_CHUNK: u64 = 32 * 1024;
+/// Size of one refill of the run reader. Large enough to amortize per-call
+/// overhead, small enough that records flow to the consumer while the rest of
+/// the run is still on disk: peak memory stays O(chunk + one record) however
+/// long the run, and the extraction pipeline overlaps triangulation with the
+/// remaining transfer. Refills within a run are perfectly sequential, so the
+/// I/O model prices a run as one positioning plus full-bandwidth transfer.
+///
+/// Measured on the gated slow-disk sweep (500 µs/call, 25 MB/s;
+/// `docs/perf.md`, "The run reader"): 64 KiB halves the calls for 4 % more
+/// bytes and leaves the sweep's critical path where it was, 128 KiB and up
+/// lengthen it — so this stays one constant at 32 KiB.
+pub const STREAM_CHUNK: u64 = 32 * 1024;
 
 /// One I/O action of a query plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,6 +56,17 @@ pub enum ReadAction {
     Bulk { span: Span, count: u32 },
     /// Case 2: scan one brick from the front until `vmin > λ`.
     Prefix { entry: BrickEntry },
+}
+
+impl ReadAction {
+    /// The store range the action may touch: the bulk range, or the whole
+    /// brick of a prefix scan.
+    pub fn span(&self) -> Span {
+        match self {
+            ReadAction::Bulk { span, .. } => *span,
+            ReadAction::Prefix { entry } => entry.span,
+        }
+    }
 }
 
 /// The compiled I/O plan for one isovalue query.
@@ -73,19 +104,30 @@ impl QueryPlan {
 
     /// Upper bound on bytes any execution may touch (full spans of both cases).
     pub fn max_bytes(&self) -> u64 {
-        self.actions
-            .iter()
-            .map(|a| match a {
-                ReadAction::Bulk { span, .. } => span.len,
-                ReadAction::Prefix { entry } => entry.span.len,
-            })
-            .sum()
+        self.actions.iter().map(|a| a.span().len).sum()
+    }
+
+    /// Per action, the store offset where its *run* ends: the end of the
+    /// maximal chain of abutting action spans ([`Span::abuts`]) the action
+    /// belongs to. A read begun inside the action may continue to that
+    /// offset without touching a byte no action planned.
+    pub fn run_ends(&self) -> Vec<u64> {
+        let mut ends = vec![0u64; self.actions.len()];
+        let mut next: Option<(Span, u64)> = None; // following action's span and run end
+        for (i, action) in self.actions.iter().enumerate().rev() {
+            let span = action.span();
+            let end = match next {
+                Some((after, run_end)) if span.abuts(&after) => run_end,
+                _ => span.end(),
+            };
+            ends[i] = end;
+            next = Some((span, end));
+        }
+        ends
     }
 }
 
-/// Execution counters. Filled in while the plan streams, so a caller's
-/// per-record callback can observe partial values mid-flight (the streaming
-/// extraction pipeline reports them alongside its overlap metrics).
+/// Execution counters of one [`execute_plan`] call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Active records delivered to the callback.
@@ -98,6 +140,11 @@ pub struct ExecStats {
     pub bulk_actions: u64,
     /// Case 2 prefix scans executed.
     pub prefix_actions: u64,
+    /// Store reads issued (refills of the run reader).
+    pub read_calls: u64,
+    /// Physically contiguous read sequences: one per positioning of the
+    /// reader (the plan's first read, then one per dropped buffer).
+    pub runs: u64,
 }
 
 impl ExecStats {
@@ -109,14 +156,125 @@ impl ExecStats {
             records_rejected: self.records_rejected + other.records_rejected,
             bulk_actions: self.bulk_actions + other.bulk_actions,
             prefix_actions: self.prefix_actions + other.prefix_actions,
+            read_calls: self.read_calls + other.read_calls,
+            runs: self.runs + other.runs,
         }
     }
 }
 
+/// The plan's one forward read stream: a reusable buffer holding the store
+/// bytes `[base, base + buf.len())`, consumed up to `base + at`, refilled in
+/// [`STREAM_CHUNK`] reads that never pass `run_end`.
+struct RunReader<'a> {
+    store: &'a RecordStore,
+    buf: Vec<u8>,
+    base: u64,
+    at: usize,
+    run_end: u64,
+    /// Whether the next read continues the previous one (same run).
+    streaming: bool,
+    read_calls: u64,
+    runs: u64,
+    bytes_read: u64,
+}
+
+impl<'a> RunReader<'a> {
+    fn new(store: &'a RecordStore) -> Self {
+        RunReader {
+            store,
+            buf: Vec::with_capacity(STREAM_CHUNK as usize),
+            base: 0,
+            at: 0,
+            run_end: 0,
+            streaming: false,
+            read_calls: 0,
+            runs: 0,
+            bytes_read: 0,
+        }
+    }
+
+    /// Store offset of the cursor.
+    fn pos(&self) -> u64 {
+        self.base + self.at as u64
+    }
+
+    /// Store offset just past the buffered bytes.
+    fn fetched_end(&self) -> u64 {
+        self.base + self.buf.len() as u64
+    }
+
+    /// Move to an action starting at `start` whose run ends at `run_end`.
+    /// A start at or ahead of the cursor and not past the buffered bytes is
+    /// reached by advancing; anything else (a gap, a brick tail the buffer
+    /// does not cover, a backward step in a hand-built plan) drops the
+    /// buffer, and the next read begins a new run at `start`.
+    fn seek(&mut self, start: u64, run_end: u64) {
+        self.run_end = run_end;
+        if (self.pos()..=self.fetched_end()).contains(&start) {
+            self.at = (start - self.base) as usize;
+        } else {
+            self.buf.clear();
+            self.base = start;
+            self.at = 0;
+            self.streaming = false;
+        }
+    }
+
+    /// The buffered bytes at the cursor, at least `need` of them. The caller
+    /// has checked that `need` bytes lie before the end of its span, hence
+    /// before `run_end`; a store shorter than the index claims surfaces as
+    /// the device's read error.
+    fn peek(&mut self, need: usize) -> io::Result<&[u8]> {
+        if self.buf.len() - self.at < need {
+            // compact the consumed prefix, then read whole chunks (the last
+            // one of a run clipped at its end) straight into the tail
+            self.buf.drain(..self.at);
+            self.base += self.at as u64;
+            self.at = 0;
+            while self.buf.len() < need && self.fetched_end() < self.run_end {
+                let span = Span {
+                    offset: self.fetched_end(),
+                    len: STREAM_CHUNK.min(self.run_end - self.fetched_end()),
+                };
+                let old_len = self.buf.len();
+                self.buf.resize(old_len + span.len as usize, 0);
+                self.store.read_span_into(span, &mut self.buf[old_len..])?;
+                self.read_calls += 1;
+                self.runs += u64::from(!self.streaming);
+                self.streaming = true;
+                self.bytes_read += span.len;
+            }
+        }
+        Ok(&self.buf[self.at..])
+    }
+
+    /// Consume `len` buffered bytes.
+    fn advance(&mut self, len: usize) {
+        self.at += len;
+    }
+}
+
+fn corrupt(what: &str, at: u64, span: Span) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!(
+            "{what} at store offset {at}: brick span {}..{} ends inside it",
+            span.offset,
+            span.end()
+        ),
+    )
+}
+
 /// Execute a plan against a record store, invoking `on_record(id, bytes)` for
-/// every active record (header included) *as its chunk arrives* — callers can
-/// pipeline triangulation against the remaining I/O. Returns execution
+/// every active record (header included) *as its chunk arrives*, in plan
+/// order — callers can pipeline triangulation against the remaining I/O. All
+/// actions share one forward read stream (module docs). Returns execution
 /// counters.
+///
+/// A span that ends inside a record, or a bulk range holding a different
+/// number of records than its index entry claims (corrupt or hand-built
+/// index), is [`io::ErrorKind::InvalidData`]; records emitted before the
+/// fault was met stay emitted.
 pub fn execute_plan(
     plan: &QueryPlan,
     store: &RecordStore,
@@ -124,108 +282,60 @@ pub fn execute_plan(
     mut on_record: impl FnMut(u32, &[u8]),
 ) -> io::Result<ExecStats> {
     let mut stats = ExecStats::default();
-    for action in &plan.actions {
-        match action {
-            ReadAction::Bulk { span, count } => {
-                stats.bulk_actions += 1;
-                let emitted =
-                    stream_span_records(*span, None, store, format, &mut on_record, &mut stats)?;
-                debug_assert_eq!(emitted, *count, "bulk count mismatch");
-            }
-            ReadAction::Prefix { entry } => {
-                stats.prefix_actions += 1;
-                stream_span_records(
-                    entry.span,
-                    Some(plan.iso_key),
-                    store,
-                    format,
-                    &mut on_record,
-                    &mut stats,
-                )?;
-            }
-        }
-    }
-    Ok(stats)
-}
-
-/// Stream one span front-to-back in [`STREAM_CHUNK`]-sized reads, emitting
-/// each complete record. With `stop_above = Some(iso_key)` this is Case 2's
-/// prefix scan: stop at the first record with `vmin > iso_key` (ascending
-/// vmin means nothing further can be active); with `None` it is Case 1's bulk
-/// transfer, where every record in the span is known active. Returns the
-/// emitted-record count.
-fn stream_span_records(
-    span: Span,
-    stop_above: Option<u32>,
-    store: &RecordStore,
-    format: &dyn RecordFormat,
-    on_record: &mut impl FnMut(u32, &[u8]),
-    stats: &mut ExecStats,
-) -> io::Result<u32> {
     let header = format.header_len();
-    let mut buf: Vec<u8> = Vec::with_capacity(STREAM_CHUNK as usize);
-    let mut fetched_end = span.offset; // store offset just past the buffered data
-    let mut at = 0usize; // cursor within buf
-    let mut emitted = 0u32;
-
-    // Refill so that at least `need` bytes are available at `at`, bounded by
-    // the span end. Returns available byte count at `at`.
-    let ensure = |buf: &mut Vec<u8>,
-                  fetched_end: &mut u64,
-                  at: &mut usize,
-                  need: usize,
-                  stats: &mut ExecStats|
-     -> io::Result<usize> {
-        let have = buf.len() - *at;
-        if have >= need || *fetched_end >= span.end() {
-            return Ok(have);
-        }
-        // compact consumed prefix
-        if *at > 0 {
-            buf.drain(..*at);
-            *at = 0;
-        }
-        while buf.len() < need && *fetched_end < span.end() {
-            let take = STREAM_CHUNK.min(span.end() - *fetched_end);
-            // read straight into the buffer's tail: no per-chunk allocation
-            // or second copy on the retrieval hot path
-            let old_len = buf.len();
-            buf.resize(old_len + take as usize, 0);
-            store.read_span_into(
-                Span {
-                    offset: *fetched_end,
-                    len: take,
-                },
-                &mut buf[old_len..],
-            )?;
-            stats.bytes_read += take;
-            *fetched_end += take;
-        }
-        Ok(buf.len() - *at)
-    };
-
-    loop {
-        let have = ensure(&mut buf, &mut fetched_end, &mut at, header, stats)?;
-        if have == 0 {
-            break; // span exhausted
-        }
-        debug_assert!(have >= header, "truncated record header");
-        let (id, vmin) = format.parse_header(&buf[at..]);
-        if let Some(iso_key) = stop_above {
-            if vmin > iso_key {
+    let mut reader = RunReader::new(store);
+    for (action, run_end) in plan.actions.iter().zip(plan.run_ends()) {
+        let span = action.span();
+        // Case 2 stops at the first record with `vmin > iso_key` (ascending
+        // vmin: nothing further can be active); Case 1 emits the whole span,
+        // which must hold exactly the records its index entries counted
+        let (stop_above, expected) = match action {
+            ReadAction::Bulk { count, .. } => {
+                stats.bulk_actions += 1;
+                (None, Some(*count))
+            }
+            ReadAction::Prefix { .. } => {
+                stats.prefix_actions += 1;
+                (Some(plan.iso_key), None)
+            }
+        };
+        reader.seek(span.offset, run_end);
+        let mut emitted = 0u32;
+        while reader.pos() < span.end() {
+            let at = reader.pos();
+            let left = span.end() - at;
+            if left < header as u64 {
+                return Err(corrupt("truncated record header", at, span));
+            }
+            let (id, vmin) = format.parse_header(reader.peek(header)?);
+            if stop_above.is_some_and(|iso_key| vmin > iso_key) {
                 stats.records_rejected += 1;
                 break;
             }
+            let len = format.record_len(id);
+            if left < len as u64 {
+                return Err(corrupt("truncated record payload", at, span));
+            }
+            on_record(id, &reader.peek(len)?[..len]);
+            reader.advance(len);
+            stats.records_emitted += 1;
+            emitted += 1;
         }
-        let len = format.record_len(id);
-        let have = ensure(&mut buf, &mut fetched_end, &mut at, len, stats)?;
-        debug_assert!(have >= len, "truncated record payload");
-        on_record(id, &buf[at..at + len]);
-        stats.records_emitted += 1;
-        emitted += 1;
-        at += len;
+        if let Some(count) = expected.filter(|&count| count != emitted) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "bulk range {}..{} holds {emitted} records, index claims {count}",
+                    span.offset,
+                    span.end()
+                ),
+            ));
+        }
     }
-    Ok(emitted)
+    stats.read_calls = reader.read_calls;
+    stats.runs = reader.runs;
+    stats.bytes_read = reader.bytes_read;
+    Ok(stats)
 }
 
 /// Convenience: execute a plan and return the sorted active metacell IDs.
@@ -241,7 +351,7 @@ pub fn plan_active_ids(
 }
 
 /// Test-support record format: `id(4) | vmin(4 LE key) | payload(id % 5 bytes)`.
-/// Variable-length records exercise the chunked prefix reader.
+/// Variable-length records exercise the run reader's refill boundaries.
 #[doc(hidden)]
 pub mod testutil {
     use super::*;
@@ -423,5 +533,104 @@ mod tests {
             assert!(rec[8..].iter().all(|&b| b == 0xEE));
         })
         .unwrap();
+    }
+
+    /// Three always-active records (lengths 8, 9, 10) back to back.
+    fn three_records() -> Vec<u8> {
+        (0..3)
+            .flat_map(|id| TestFormat::encode(&mk(id, 0, 9)))
+            .collect()
+    }
+
+    /// Execute a one-action plan over `store_bytes`, as Case 1 and as Case 2
+    /// (isovalue above every vmin, so the scan runs to the span's end),
+    /// returning each outcome with the ids emitted before it.
+    fn run_both_cases(store_bytes: Vec<u8>, span: Span) -> Vec<(io::Result<ExecStats>, Vec<u32>)> {
+        let entry = BrickEntry {
+            vmax_key: 9,
+            min_vmin_key: 0,
+            span,
+            count: 3,
+        };
+        let store = oociso_exio::RecordStore::in_memory(store_bytes);
+        [
+            ReadAction::Bulk { span, count: 3 },
+            ReadAction::Prefix { entry },
+        ]
+        .into_iter()
+        .map(|action| {
+            let plan = QueryPlan {
+                iso_key: 5,
+                actions: vec![action],
+            };
+            let mut ids = Vec::new();
+            let result = execute_plan(&plan, &store, &TestFormat, |id, _| ids.push(id));
+            (result, ids)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn span_cut_inside_a_record_is_invalid_data_not_a_panic() {
+        // the third record starts at 17: a span ending at 20 cuts its header,
+        // one ending at 26 leaves the header whole and cuts its payload
+        for (len, what) in [(20, "header"), (26, "payload")] {
+            for (result, ids) in run_both_cases(three_records(), Span { offset: 0, len }) {
+                let err = result.expect_err("a cut record must not be emitted");
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                let msg = err.to_string();
+                assert!(msg.contains(what) && msg.contains("offset 17"), "{msg}");
+                assert_eq!(ids, [0, 1], "records before the cut stay emitted");
+            }
+        }
+    }
+
+    #[test]
+    fn index_claiming_more_bytes_than_the_store_holds_is_err() {
+        let bytes = three_records();
+        let span = Span {
+            offset: 0,
+            len: bytes.len() as u64 + 50,
+        };
+        for (result, ids) in run_both_cases(bytes, span) {
+            assert!(result.is_err());
+            assert!(ids.is_empty(), "the failed read delivered nothing");
+        }
+    }
+
+    #[test]
+    fn bulk_count_mismatch_is_invalid_data() {
+        let bytes = three_records();
+        let span = Span {
+            offset: 0,
+            len: bytes.len() as u64,
+        };
+        let plan = QueryPlan {
+            iso_key: 5,
+            actions: vec![ReadAction::Bulk { span, count: 2 }],
+        };
+        let store = oociso_exio::RecordStore::in_memory(bytes);
+        let err = execute_plan(&plan, &store, &TestFormat, |_, _| {}).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("holds 3 records"), "{err}");
+    }
+
+    #[test]
+    fn run_ends_chain_abutting_spans_only() {
+        let bulk = |offset, len| ReadAction::Bulk {
+            span: Span { offset, len },
+            count: 1,
+        };
+        let plan = QueryPlan {
+            iso_key: 0,
+            actions: vec![
+                bulk(0, 10),
+                bulk(10, 5),
+                bulk(20, 5),
+                bulk(25, 1),
+                bulk(3, 2),
+            ],
+        };
+        assert_eq!(plan.run_ends(), [15, 15, 26, 26, 5]);
     }
 }

@@ -104,8 +104,8 @@ proptest! {
         prop_assert_eq!(stats.records_emitted, emitted);
         prop_assert!(emitted >= plan.bulk_records(),
             "bulk records are a lower bound on emissions");
-        // every byte read is within the planned upper bound
-        prop_assert!(stats.bytes_read <= plan.max_bytes() + 32 * 1024);
+        // every byte read lies inside a planned span
+        prop_assert!(stats.bytes_read <= plan.max_bytes());
     }
 
     #[test]

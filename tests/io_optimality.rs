@@ -3,6 +3,7 @@
 
 use oociso::core::{IsoDatabase, PreprocessOptions};
 use oociso::exio::IoCostModel;
+use oociso::itree::plan::STREAM_CHUNK;
 use oociso::volume::{Dims3, RmProxy};
 use std::path::PathBuf;
 
@@ -12,11 +13,15 @@ fn tmpdir(name: &str) -> PathBuf {
     p
 }
 
+/// `id(4) | vmin(1)`: what the executor must fetch to reject a u8 record.
+const U8_HEADER: u64 = 5;
+
 #[test]
 fn bytes_read_proportional_to_output() {
-    // The query must read O(T/B) blocks: bytes read stay within a small
-    // constant of the active metacells' record bytes (Case 2 streaming may
-    // overshoot by at most ~one chunk per active brick).
+    // The query must read O(T/B) blocks. The run reader fetches a byte it
+    // does not deliver only behind a Case 2 stop record — less than one
+    // chunk plus the stop record's header each — so with no stop the bytes
+    // touched *equal* the active metacells' record bytes.
     let vol = RmProxy::with_seed(3).volume(230, Dims3::new(48, 48, 45));
     let dir = tmpdir("prop");
     let db = IsoDatabase::preprocess(&vol, &dir, &PreprocessOptions::default()).unwrap();
@@ -28,10 +33,38 @@ fn bytes_read_proportional_to_output() {
         }
         let active_bytes = n.bytes_read; // record bytes of emitted metacells
         let touched = n.io.bytes_read; // all bytes fetched from the device
+        assert_eq!(touched, n.exec.bytes_read, "executor and device agree");
+        assert!(touched >= active_bytes);
         assert!(
-            touched <= 2 * active_bytes + 64 * 1024,
-            "iso {iso}: touched {touched} vs active {active_bytes}"
+            touched <= active_bytes + n.exec.records_rejected * (STREAM_CHUNK + U8_HEADER),
+            "iso {iso}: touched {touched} vs active {active_bytes}, {:?}",
+            n.exec
         );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn read_calls_bounded_by_runs_and_chunks() {
+    // One forward read stream per node-query: every device call is a full
+    // chunk except the one that ends its run, whatever the number of plan
+    // actions, and the runs are few — the plan's bricks mostly abut.
+    let vol = RmProxy::with_seed(3).volume(230, Dims3::new(48, 48, 45));
+    let dir = tmpdir("calls");
+    let db = IsoDatabase::preprocess(&vol, &dir, &PreprocessOptions::default()).unwrap();
+    for iso in (10..=210).step_by(20) {
+        let r = db.extract(iso as f32).unwrap();
+        let n = &r.report.nodes[0];
+        let actions = n.exec.bulk_actions + n.exec.prefix_actions;
+        assert_eq!(n.io.read_calls, n.exec.read_calls, "iso {iso}");
+        assert!(
+            n.exec.read_calls <= n.exec.runs + n.exec.bytes_read / STREAM_CHUNK,
+            "iso {iso}: {:?}",
+            n.exec
+        );
+        assert!(n.exec.runs <= actions, "iso {iso}: {:?}", n.exec);
+        // the head moves once per run at most, never once per call
+        assert!(n.io.seeks + n.io.forward_skips <= n.exec.runs, "iso {iso}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
