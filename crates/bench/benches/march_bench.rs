@@ -41,6 +41,7 @@ fn bench_extractors(c: &mut Criterion) {
                     Vec3::ZERO,
                     Vec3::new(1.0, 1.0, 1.0),
                     &mut mesh,
+                    &mut Vec::new(),
                     &mut scratch,
                 );
                 mesh
@@ -78,6 +79,7 @@ fn bench_extractors(c: &mut Criterion) {
             Vec3::ZERO,
             Vec3::new(1.0, 1.0, 1.0),
             &mut mc_mesh,
+            &mut Vec::new(),
             &mut SlabScratch::new(),
         );
         let mut sn_mesh = IndexedMesh::new();
@@ -127,6 +129,7 @@ fn bench_metacell_unit(c: &mut Criterion) {
                 Vec3::ZERO,
                 Vec3::new(1.0, 1.0, 1.0),
                 &mut mesh,
+                &mut Vec::new(),
                 &mut scratch,
             );
             mesh

@@ -229,13 +229,17 @@ pub fn extract(opts: &Options) -> Result<(), String> {
     );
     if weld && backend == oociso_march::Backend::Mc {
         let w = r.total_weld();
+        // the node welds overlap one another, so the share of the wall is
+        // the critical path's, not the CPU-style sum's
+        let on_wall = r.weld_critical_path().as_secs_f64();
         println!(
-            "weld: {} seam vertices merged, {} seam edges closed, {} collapsed triangles dropped in {:.1} ms ({:.1}% of extraction wall)",
+            "weld: {} of {} vertices hashed, {} merged, {} collapsed triangles dropped in {:.1} ms ({:.1}% of extraction wall)",
+            w.hashed_vertices,
+            w.input_vertices,
             w.vertices_merged(),
-            w.seam_edges_closed(),
             w.degenerate_dropped,
-            r.total_weld_wall().as_secs_f64() * 1e3,
-            100.0 * r.total_weld_wall().as_secs_f64() / r.total_wall.as_secs_f64().max(1e-9)
+            on_wall * 1e3,
+            100.0 * on_wall / r.total_wall.as_secs_f64().max(1e-9)
         );
     }
     let model = SimulatedTimeModel::paper();

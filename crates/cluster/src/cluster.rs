@@ -167,6 +167,11 @@ pub struct ClusterExtraction {
     /// Per-node deferred seam quads for the SurfaceNets backend (empty for
     /// MC) — resolved by [`ClusterExtraction::into_merged`].
     pub seams: Vec<Vec<SeamQuad>>,
+    /// Per-node weld candidates of a welded MC extraction: the ascending
+    /// ids of each node mesh's vertices that may have a twin in another
+    /// node's mesh ([`MeshWelder::finish_seams`]) — all the cross-node merge
+    /// looks up. Empty for SurfaceNets and when welding is off.
+    pub weld_candidates: Vec<Vec<u32>>,
     /// Per-node and aggregate measurements.
     pub report: QueryReport,
     /// Whether [`ClusterExtraction::into_merged`] welds node seams (set from
@@ -203,16 +208,20 @@ impl ClusterExtraction {
     /// Consume the extraction into the merged mesh plus the report. With
     /// welding enabled (the default), node meshes join through one
     /// deterministic [`MeshWelder`] so vertices fuse across node seams and
-    /// the full-database mesh is watertight wherever the surface is closed;
-    /// the merge stage's [`WeldStats`] land in [`QueryReport::merge_weld`].
-    /// Without welding, indices are rebased and seam vertices stay
-    /// duplicated. The split return lets callers keep the report without
-    /// cloning it.
+    /// the full-database mesh is watertight wherever the surface is closed:
+    /// node 0's welded mesh is adopted as the output as-is, and every
+    /// further node's is joined onto it by its weld candidates and an index
+    /// remap — byte-identical to re-welding the concatenated node meshes,
+    /// without hashing anything but the seam set. The merge stage's
+    /// [`WeldStats`] land in [`QueryReport::merge_weld`]. Without welding,
+    /// indices are rebased and seam vertices stay duplicated. The split
+    /// return lets callers keep the report without cloning it.
     pub fn into_merged(self) -> (IndexedMesh, QueryReport) {
         let ClusterExtraction {
             meshes,
             cells,
             seams,
+            weld_candidates,
             mut report,
             weld,
             lods: _,
@@ -246,23 +255,24 @@ impl ClusterExtraction {
             report.total_wall += report.merge_weld_wall;
             return (out, report);
         }
-        if !weld || meshes.len() <= 1 {
-            // single welded node: already seam-free, skip the re-join pass
-            let mut it = meshes.into_iter();
-            let mut out = it.next().unwrap_or_default();
-            for m in it {
+        let mut nodes = meshes.into_iter().zip(weld_candidates);
+        let (mut out, seed) = nodes.next().unwrap_or_default();
+        if !weld || nodes.len() == 0 {
+            // single welded node: already seam-free, nothing to join
+            for (m, _) in nodes {
                 out.merge(m);
             }
             return (out, report);
         }
-        let sp = trace.span("merge_weld");
-        let total: usize = meshes.iter().map(IndexedMesh::len).sum();
-        let mut out = IndexedMesh::with_capacity(total);
-        let mut welder = MeshWelder::new();
-        for m in &meshes {
-            out.merge_welded(m, &mut welder);
+        let mut sp = trace.span("merge_weld");
+        let mut welder = MeshWelder::adopt(&out, seed);
+        for (m, candidates) in nodes {
+            welder.append_welded(&mut out, &m, &candidates);
         }
         report.merge_weld = welder.finish(&out);
+        for (name, value) in weld_fields(&report.merge_weld) {
+            sp.field(name, value);
+        }
         report.merge_weld_wall = sp.finish();
         // the merge weld is part of producing this result: fold it into the
         // end-to-end wall so downstream ratios (e.g. weld cost vs total)
@@ -322,6 +332,16 @@ pub struct Cluster<S: ScalarValue> {
     format: MetacellRecordFormat<S>,
     trees: Vec<CompactIntervalTree>,
     stores: Vec<RecordStore>,
+}
+
+/// The weld counters every `weld`/`merge_weld` span carries.
+fn weld_fields(weld: &WeldStats) -> [(&'static str, u64); 4] {
+    [
+        ("input", weld.input_vertices),
+        ("hashed", weld.hashed_vertices),
+        ("merged", weld.vertices_merged()),
+        ("dropped", weld.degenerate_dropped),
+    ]
 }
 
 /// The read-stream counters every `execute_plan` span carries.
@@ -631,12 +651,14 @@ impl<S: ScalarValue> Cluster<S> {
         let mut meshes = Vec::with_capacity(self.nodes);
         let mut cells = Vec::with_capacity(self.nodes);
         let mut seams = Vec::with_capacity(self.nodes);
+        let mut weld_candidates = Vec::with_capacity(self.nodes);
         let mut nodes = Vec::with_capacity(self.nodes);
         for r in results {
             let (out, report) = r?;
             meshes.push(out.mesh);
             cells.push(out.cells);
             seams.push(out.seams);
+            weld_candidates.push(out.weld_candidates);
             nodes.push(report);
         }
         let report = QueryReport {
@@ -651,6 +673,7 @@ impl<S: ScalarValue> Cluster<S> {
             meshes,
             cells,
             seams,
+            weld_candidates,
             report,
             weld,
             lods: opts.lods.clone(),
@@ -722,10 +745,12 @@ impl<S: ScalarValue> Cluster<S> {
 
     /// Fold the per-record (or per-chunk) parts into one node output, in
     /// sequence order. With welding, each part joins through one
-    /// deterministic [`MeshWelder`] as it merges — by the welder's split
+    /// deterministic [`MeshWelder`] as it merges, looking up only the
+    /// vertices the kernel named as weld candidates — by the welder's split
     /// invariance this is byte-identical to concatenating everything first
     /// and re-welding the whole node mesh, without that full-mesh pass. The
-    /// merge loop's wall lands in `weld_wall` when welding ran.
+    /// node mesh's own candidates go on in the output for the cross-node
+    /// merge; the merge loop's wall lands in `weld_wall` when welding ran.
     fn merge_parts(
         parts: Vec<(BlockOutput, McStats)>,
         weld: bool,
@@ -738,17 +763,18 @@ impl<S: ScalarValue> Cluster<S> {
         for (part, stats) in parts {
             mc.merge(&stats);
             match &mut welder {
-                Some(w) => out.mesh.merge_welded(&part.mesh, w),
+                Some(w) => w.append_seams(&mut out.mesh, &part.mesh, &part.weld_candidates),
                 None => out.mesh.merge(part.mesh),
             }
             out.cells.extend(part.cells);
             out.seams.extend(part.seams);
         }
-        let (weld_stats, weld_wall) = match welder {
-            Some(w) => (w.finish(&out.mesh), t.elapsed()),
-            None => (WeldStats::default(), Duration::ZERO),
+        let Some(welder) = welder else {
+            return (out, mc, WeldStats::default(), Duration::ZERO);
         };
-        (out, mc, weld_stats, weld_wall)
+        let (weld_stats, candidates) = welder.finish_seams(&out.mesh);
+        out.weld_candidates = candidates;
+        (out, mc, weld_stats, t.elapsed())
     }
 
     /// The streaming pipeline: the calling (node) thread produces — executes
@@ -874,7 +900,7 @@ impl<S: ScalarValue> Cluster<S> {
             &[("pop_wait_us", waits.pop_wait.as_micros() as u64)],
         );
         if weld {
-            sp_pipe.annotate("weld", weld_wall, &[]);
+            sp_pipe.annotate("weld", weld_wall, &weld_fields(&weld_stats));
         }
         // weld_wall is reported separately (and summed back in wall_total),
         // so keep it out of the pipeline wall
@@ -973,7 +999,7 @@ impl<S: ScalarValue> Cluster<S> {
         let (out, mc, weld_stats, weld_wall) = Self::merge_parts(parts, weld);
         let triangulation = t1.elapsed().saturating_sub(weld_wall);
         if weld {
-            sp_pipe.annotate("weld", weld_wall, &[]);
+            sp_pipe.annotate("weld", weld_wall, &weld_fields(&weld_stats));
         }
         let extraction_wall = sp_pipe.finish().saturating_sub(weld_wall);
 
@@ -1330,6 +1356,99 @@ mod tests {
             assert!(mesh.is_empty());
             assert_eq!(report.total_triangles(), 0);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `into_merged` ≡ `welded()` of the concatenated node meshes, byte for
+    /// byte (`==` on floats would let `-0.0` pass for `0.0`), counters too.
+    fn assert_merge_equals_reweld(e: ClusterExtraction, ctx: &str) {
+        let mut concat = IndexedMesh::new();
+        for m in &e.meshes {
+            concat.merge(m.clone());
+        }
+        let (expect, expect_stats) = concat.welded();
+        let joined = e.meshes.len() > 1;
+        let (mesh, report) = e.into_merged();
+        let bits = |m: &IndexedMesh| -> Vec<[u32; 3]> {
+            let p = m.positions().iter();
+            p.map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
+                .collect()
+        };
+        assert_eq!(bits(&mesh), bits(&expect), "{ctx}: positions");
+        assert_eq!(mesh.indices(), expect.indices(), "{ctx}: indices");
+        if joined {
+            let got = report.merge_weld;
+            assert!(got.hashed_vertices <= expect_stats.hashed_vertices);
+            let hashed_vertices = expect_stats.hashed_vertices;
+            let got = WeldStats {
+                hashed_vertices,
+                ..got
+            };
+            assert_eq!(got, expect_stats, "{ctx}: merge counters");
+        }
+    }
+
+    #[test]
+    fn merge_by_remap_equals_rewelding_the_node_meshes() {
+        // iso 128 on u8 samples: crossings land on lattice points, so the
+        // node welds see endpoint snaps and collapsed triangles
+        let vol = test_volume();
+        for nodes in 1..=4 {
+            let dir = tmpdir(&format!("remap{nodes}"));
+            let (c, _) =
+                Cluster::build(&vol, &dir, nodes, &ClusterBuildOptions::default()).unwrap();
+            let mut first: Option<ClusterExtraction> = None;
+            for mode in [ExtractMode::default(), ExtractMode::Batch] {
+                for workers in [1, 2, 3] {
+                    let ctx = format!("{nodes} nodes, {mode:?}, {workers} workers");
+                    let opts = ExtractOptions {
+                        workers: Some(workers),
+                        mode,
+                        ..Default::default()
+                    };
+                    let e = c.extract_with_options(128.0, &opts).unwrap();
+                    assert!(e.report.total_weld().degenerate_dropped > 0, "{ctx}");
+                    // one batch worker accumulates every record into one
+                    // BlockOutput, a streaming worker none: the candidate
+                    // ids are absolute mesh ids or these diverge
+                    let first = first.get_or_insert_with(|| e.clone());
+                    assert_eq!(e.meshes, first.meshes, "{ctx}");
+                    assert_eq!(e.weld_candidates, first.weld_candidates, "{ctx}");
+                    for (m, candidates) in e.meshes.iter().zip(&e.weld_candidates) {
+                        assert!(candidates.windows(2).all(|w| w[0] < w[1]), "{ctx}");
+                        assert!(candidates.len() < m.num_vertices(), "{ctx}: seam set only");
+                    }
+                    assert_merge_equals_reweld(e, &ctx);
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn merge_adopts_or_appends_an_empty_node_mesh() {
+        // a blob straddling a metacell corner: at iso 1 three nodes hold
+        // 4 + 4 + 0 active metacells, with seams between the first two
+        let vol = Volume::<u8>::generate(Dims3::new(33, 33, 17), |x, y, z| {
+            let d = |a: usize, c: f32| (a as f32 - c) * (a as f32 - c);
+            let r = (d(x, 8.6) + d(y, 8.4) + d(z, 9.2)).sqrt();
+            (200.0 - 30.0 * r).max(0.0) as u8
+        });
+        let dir = tmpdir("emptynode");
+        let (c, _) = Cluster::build(&vol, &dir, 3, &ClusterBuildOptions::default()).unwrap();
+        let e = c.extract(1.0).unwrap();
+        let active: Vec<bool> = e.meshes.iter().map(|m| !m.is_empty()).collect();
+        assert_eq!(active, [true, true, false], "fixture drifted");
+        assert!(e.clone().into_merged().1.merge_weld.vertices_merged() > 0);
+        assert_merge_equals_reweld(e.clone(), "empty node last");
+        // the round-robin deal starts every brick at node 0, so an empty
+        // node never *precedes* a busy one in a real query; rotate one there
+        let mut rotated = e;
+        rotated.meshes.rotate_right(1);
+        rotated.weld_candidates.rotate_right(1);
+        rotated.report.nodes.rotate_right(1);
+        assert!(rotated.meshes[0].is_empty());
+        assert_merge_equals_reweld(rotated, "empty node first");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1776,6 +1895,26 @@ mod tests {
                 trace.sum("extract") + trace.sum("merge_weld") + trace.sum("lod"),
                 "{mode:?}"
             );
+            // the weld spans carry their stage's counters, field for field
+            let events = trace.events();
+            let fields_of = |name: &str| -> Vec<Vec<(&'static str, u64)>> {
+                let named = events.iter().filter(|e| e.name == name);
+                named.map(|e| e.fields.clone()).collect()
+            };
+            let weld_spans = fields_of("weld");
+            assert_eq!(weld_spans.len(), 2, "{mode:?}");
+            for n in &nodes {
+                assert!(
+                    weld_spans.contains(&weld_fields(&n.weld).to_vec()),
+                    "{mode:?}"
+                );
+            }
+            assert_eq!(
+                fields_of("merge_weld"),
+                [weld_fields(&report.merge_weld).to_vec()]
+            );
+            let hashed = report.total_weld().hashed_vertices;
+            assert!(0 < hashed && hashed < report.total_weld().input_vertices);
             let tree = trace.render_tree();
             assert!(tree.starts_with("extract "), "unexpected tree:\n{tree}");
             assert!(tree.contains("execute_plan"));

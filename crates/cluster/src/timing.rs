@@ -256,17 +256,27 @@ impl QueryReport {
 
     /// Weld counters summed over every stage of the query: each node's
     /// metacell-seam weld plus the cross-node merge weld. The sums of
-    /// `vertices_merged()`/`degenerate_dropped` are exact totals; the
-    /// boundary gauges are stage sums, not a single mesh's count.
+    /// `vertices_merged()`/`degenerate_dropped`/`hashed_vertices` are exact
+    /// totals; `input_vertices` counts a vertex once per stage it entered.
     pub fn total_weld(&self) -> WeldStats {
         self.nodes
             .iter()
             .fold(self.merge_weld, |acc, n| acc.merged(&n.weld))
     }
 
-    /// Wall-clock spent welding, across nodes and the merge stage.
+    /// Time spent welding, summed over nodes and the merge stage. A
+    /// CPU-style sum: the node welds ran concurrently, so with two or more
+    /// nodes this can exceed the query's wall — compare it with summed busy
+    /// times, and [`QueryReport::weld_critical_path`] with `total_wall`.
     pub fn total_weld_wall(&self) -> Duration {
         self.merge_weld_wall + self.nodes.iter().map(|n| n.weld_wall).sum::<Duration>()
+    }
+
+    /// Wall-clock the weld adds to the query: the slowest node's weld (the
+    /// node welds overlap one another) plus the serial merge stage.
+    pub fn weld_critical_path(&self) -> Duration {
+        let slowest = self.nodes.iter().map(|n| n.weld_wall).max();
+        self.merge_weld_wall + slowest.unwrap_or(Duration::ZERO)
     }
 }
 
@@ -317,6 +327,27 @@ mod tests {
         assert_eq!(r.bottleneck_wall(), Duration::from_millis(38));
         let rate = r.mtris_per_sec();
         assert!((rate - 10_500.0 / 1e6 / 0.040).abs() < 1e-6);
+    }
+
+    #[test]
+    fn weld_share_of_the_wall_uses_the_critical_path_not_the_sum() {
+        // two nodes welding 12 ms each, side by side, then a 22 ms merge in
+        // a 45 ms query: 46 ms of welding was done, 34 ms of it on the wall
+        let welding = |n: usize| NodeReport {
+            weld_wall: Duration::from_millis(12),
+            ..node(n, 1, 1, (0, 0, 0))
+        };
+        let r = QueryReport {
+            nodes: vec![welding(0), welding(1)],
+            merge_weld_wall: Duration::from_millis(22),
+            total_wall: Duration::from_millis(45),
+            ..Default::default()
+        };
+        assert_eq!(r.total_weld_wall(), Duration::from_millis(46));
+        assert!(r.total_weld_wall() > r.total_wall, "a sum, not a share");
+        assert_eq!(r.weld_critical_path(), Duration::from_millis(34));
+        assert!(r.weld_critical_path() <= r.total_wall);
+        assert_eq!(QueryReport::default().weld_critical_path(), Duration::ZERO);
     }
 
     #[test]

@@ -23,7 +23,11 @@
 //!   mapping ([`BlockOutput::cells`]) and the deferred seam quads
 //!   ([`BlockOutput::seams`]) that the merge stage resolves globally. The
 //!   block that owns the *minimum* cell around a crossing edge emits it, so
-//!   every seam quad is emitted exactly once cluster-wide.
+//!   every seam quad is emitted exactly once cluster-wide;
+//! * for kernels that duplicate vertices along block seams (MC emits one
+//!   copy of a face crossing per adjacent block), the ids of the vertices
+//!   that can have such a twin ([`BlockOutput::weld_candidates`]), so the
+//!   weld joins the seam set instead of the whole mesh.
 //!
 //! Backends are **not** required to produce identical geometry to each
 //! other. The cross-backend guarantee is by *topology equivalence class*:
@@ -211,6 +215,13 @@ pub struct BlockOutput {
     /// SurfaceNets: crossing edges whose quad spans block seams, emitted by
     /// the block owning the minimum surrounding cell.
     pub seams: Vec<SeamQuad>,
+    /// MC: ascending ids of the `mesh` vertices that may share a
+    /// [`crate::mesh::weld_key`] with another vertex (see
+    /// [`marching_cubes_indexed`]) — the only ones the seam weld hashes.
+    /// Ids are absolute within `mesh`, so calls accumulating into one output
+    /// keep one valid list. Empty for SurfaceNets, whose vertices are
+    /// globally unique by cell ownership.
+    pub weld_candidates: Vec<u32>,
 }
 
 impl BlockOutput {
@@ -281,6 +292,7 @@ impl<S: ScalarValue> ExtractionBackend<S> for McBackend {
             Vec3::new(x0 as f32, y0 as f32, z0 as f32),
             Vec3::new(1.0, 1.0, 1.0),
             &mut out.mesh,
+            &mut out.weld_candidates,
             &mut scratch.slab,
         )
     }

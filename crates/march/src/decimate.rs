@@ -906,6 +906,7 @@ mod tests {
             Vec3::ZERO,
             Vec3::new(1.0, 1.0, 1.0),
             &mut mesh,
+            &mut Vec::new(),
             &mut scratch,
         );
         let (welded, _) = mesh.welded();

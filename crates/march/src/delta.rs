@@ -147,6 +147,7 @@ mod tests {
             Vec3::ZERO,
             Vec3::new(1.0, 1.0, 1.0),
             &mut mesh,
+            &mut Vec::new(),
             &mut scratch,
         );
         let (welded, _) = mesh.welded();

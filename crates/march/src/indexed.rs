@@ -124,6 +124,20 @@ impl IndexedMesh {
             .extend(other.indices.into_iter().map(|i| i + base));
     }
 
+    /// Append a run of vertices, returning their ids.
+    pub(crate) fn extend_vertices(&mut self, run: &[Vec3]) -> std::ops::Range<u32> {
+        let first = self.positions.len() as u32;
+        self.positions.extend_from_slice(run);
+        first..self.positions.len() as u32
+    }
+
+    /// Append another mesh's triangles with every corner sent through
+    /// `remap` (that mesh's vertex id → this mesh's).
+    pub(crate) fn extend_remapped(&mut self, indices: &[u32], remap: &[u32]) {
+        self.indices
+            .extend(indices.iter().map(|&i| remap[i as usize]));
+    }
+
     /// Absorb `other` through `welder`, fusing vertices that quantize to the
     /// same [`crate::mesh::weld_key`] with vertices already welded into this
     /// mesh. The welder must have produced every prior triangle of `self`

@@ -18,7 +18,7 @@
 //! triangle multisets over the synthetic field zoo.
 
 use crate::indexed::IndexedMesh;
-use crate::mesh::{Triangle, TriangleSoup, Vec3};
+use crate::mesh::{same_weld_key, Triangle, TriangleSoup, Vec3};
 use crate::tables::{tables, EdgeAxis, CORNERS, EDGES, EDGE_CANON};
 use oociso_volume::{Dims3, ScalarValue, Volume};
 
@@ -124,11 +124,36 @@ fn cell_config<S: ScalarValue>(
     config
 }
 
+/// World position of grid vertex `g`. With integer-valued origins (metacell
+/// corners) at unit scale the result is exact, which is what lets adjacent
+/// metacells agree on their shared lattice points bit for bit.
+#[inline(always)]
+fn lattice_point(g: (usize, usize, usize), origin: Vec3, scale: Vec3) -> Vec3 {
+    Vec3::new(
+        origin.x + g.0 as f32 * scale.x,
+        origin.y + g.1 as f32 * scale.y,
+        origin.z + g.2 as f32 * scale.z,
+    )
+}
+
+/// The crossing between world-space edge endpoints `pa` → `pb` carrying
+/// sample values `va`/`vb`.
+#[inline(always)]
+fn lerp_crossing(pa: Vec3, pb: Vec3, va: f32, vb: f32, iso: f32) -> Vec3 {
+    let t = if (vb - va).abs() > 0.0 {
+        ((iso - va) / (vb - va)).clamp(0.0, 1.0)
+    } else {
+        0.5
+    };
+    pa + (pb - pa) * t
+}
+
 /// Interpolate the crossing on the edge from grid vertex `ga` to `gb`
 /// (`ga` must be the global-lexicographically lower endpoint), with sample
-/// values `va`/`vb`. Both kernels funnel through this function, so any two
-/// cells — or metacells, or kernels — interpolating the same global edge
-/// compute bit-identical points.
+/// values `va`/`vb`. Both kernels funnel through this function's two halves
+/// ([`lattice_point`], [`lerp_crossing`]), so any two cells — or metacells,
+/// or kernels — interpolating the same global edge compute bit-identical
+/// points.
 ///
 /// Endpoints are transformed to world space *before* interpolating: with
 /// integer-valued origins (metacell corners) the endpoint positions are
@@ -143,22 +168,13 @@ pub(crate) fn interp_crossing(
     origin: Vec3,
     scale: Vec3,
 ) -> Vec3 {
-    let pa = Vec3::new(
-        origin.x + ga.0 as f32 * scale.x,
-        origin.y + ga.1 as f32 * scale.y,
-        origin.z + ga.2 as f32 * scale.z,
-    );
-    let pb = Vec3::new(
-        origin.x + gb.0 as f32 * scale.x,
-        origin.y + gb.1 as f32 * scale.y,
-        origin.z + gb.2 as f32 * scale.z,
-    );
-    let t = if (vb - va).abs() > 0.0 {
-        ((iso - va) / (vb - va)).clamp(0.0, 1.0)
-    } else {
-        0.5
-    };
-    pa + (pb - pa) * t
+    lerp_crossing(
+        lattice_point(ga, origin, scale),
+        lattice_point(gb, origin, scale),
+        va,
+        vb,
+        iso,
+    )
 }
 
 /// Interpolate the isosurface crossing on cube edge `e` of the cell at `cell`,
@@ -316,6 +332,10 @@ pub struct SlabScratch {
     ye: [Vec<u32>; 2],
     /// z-edge vertices of the current slab: `nx × ny` slots.
     ze: Vec<u32>,
+    /// Weld candidates of the call in progress. Collected here and copied
+    /// out once at the end: a per-record output list would otherwise grow
+    /// from empty, reallocation by reallocation, on every call.
+    tagged: Vec<u32>,
 }
 
 impl SlabScratch {
@@ -362,12 +382,24 @@ impl SlabScratch {
 /// 4. resolve each intersected edge through the rolling caches (`x`/`y`
 ///    edges per vertex layer, `z` edges per slab), interpolating a crossing
 ///    only the first time any cell touches it.
+///
+/// `candidates` receives, in ascending order, the mesh id of every vertex
+/// this call creates that **may share a [`crate::mesh::weld_key`]** with
+/// another vertex, of this block or a neighbouring one: its lattice edge
+/// lies on a face of `vol`, or its position quantizes onto an endpoint of
+/// that edge. Every other vertex is alone under its key, so a seam weld
+/// ([`crate::weld::MeshWelder::append_seams`]) never has to look it up.
+///
+/// Never inlined, like [`crate::surface_nets`]' block kernel: a kernel's
+/// code should not depend on what its caller looks like.
+#[inline(never)]
 pub fn marching_cubes_indexed<S: ScalarValue>(
     vol: &Volume<S>,
     iso: f32,
     origin: Vec3,
     scale: Vec3,
     mesh: &mut IndexedMesh,
+    candidates: &mut Vec<u32>,
     scratch: &mut SlabScratch,
 ) -> McStats {
     let dims = vol.dims();
@@ -384,7 +416,15 @@ pub fn marching_cubes_indexed<S: ScalarValue>(
     let layer_len = nx * ny;
     let data = vol.data();
     scratch.configure(dims);
-    let SlabScratch { m0, m1, xe, ye, ze } = scratch;
+    let SlabScratch {
+        m0,
+        m1,
+        xe,
+        ye,
+        ze,
+        tagged,
+    } = scratch;
+    tagged.clear();
     m0.fill(&data[..layer_len], nx, ny, iso);
     let wpr = m0.words_per_row;
 
@@ -478,22 +518,40 @@ pub fn marching_cubes_indexed<S: ScalarValue>(
                         let mut idx = *slot;
                         if idx == NO_VERTEX {
                             let ga = (cx + bx, cy + by, cz + bz);
-                            let gb = match c.axis {
-                                EdgeAxis::X => (ga.0 + 1, ga.1, ga.2),
-                                EdgeAxis::Y => (ga.0, ga.1 + 1, ga.2),
-                                EdgeAxis::Z => (ga.0, ga.1, ga.2 + 1),
+                            // the far endpoint, and whether the edge lies on
+                            // a face of the block
+                            let rim = |u: usize, nu: usize| u == 0 || u == nu - 1;
+                            let (gb, on_face) = match c.axis {
+                                EdgeAxis::X => {
+                                    ((ga.0 + 1, ga.1, ga.2), rim(ga.1, ny) || rim(ga.2, nz))
+                                }
+                                EdgeAxis::Y => {
+                                    ((ga.0, ga.1 + 1, ga.2), rim(ga.0, nx) || rim(ga.2, nz))
+                                }
+                                EdgeAxis::Z => {
+                                    ((ga.0, ga.1, ga.2 + 1), rim(ga.0, nx) || rim(ga.1, ny))
+                                }
                             };
-                            let p = interp_crossing(
-                                ga,
-                                gb,
+                            let pa = lattice_point(ga, origin, scale);
+                            let pb = lattice_point(gb, origin, scale);
+                            let p = lerp_crossing(
+                                pa,
+                                pb,
                                 vals[c.lo as usize],
                                 vals[c.hi as usize],
                                 iso,
-                                origin,
-                                scale,
                             );
                             idx = mesh.push_vertex(p);
                             *slot = idx;
+                            // Only two kinds of crossing can share a weld
+                            // key with another vertex: one whose edge the
+                            // neighbouring block has too, and one that
+                            // quantizes onto an endpoint of its edge, where
+                            // every other crossed edge meeting at that
+                            // lattice point may land as well.
+                            if on_face || same_weld_key(p, pa) || same_weld_key(p, pb) {
+                                tagged.push(idx);
+                            }
                         }
                         ev[e] = idx;
                     }
@@ -518,6 +576,7 @@ pub fn marching_cubes_indexed<S: ScalarValue>(
         ye[1].fill(NO_VERTEX);
         ze.fill(NO_VERTEX);
     }
+    candidates.extend_from_slice(tagged);
     stats
 }
 
@@ -682,7 +741,15 @@ mod tests {
         let ref_stats = marching_cubes(vol, iso, origin, scale, &mut reference);
         let mut mesh = IndexedMesh::new();
         let mut scratch = SlabScratch::new();
-        let slab_stats = marching_cubes_indexed(vol, iso, origin, scale, &mut mesh, &mut scratch);
+        let slab_stats = marching_cubes_indexed(
+            vol,
+            iso,
+            origin,
+            scale,
+            &mut mesh,
+            &mut Vec::new(),
+            &mut scratch,
+        );
         assert_eq!(ref_stats, slab_stats);
         assert_eq!(canon(&reference), canon(&mesh.to_soup()));
     }
@@ -713,6 +780,7 @@ mod tests {
             Vec3::ZERO,
             Vec3::new(1.0, 1.0, 1.0),
             &mut mesh,
+            &mut Vec::new(),
             &mut scratch,
         );
         // closed surface: V - E + F = 2 with E = 3F/2 ⇒ V ≈ F/2. Any
@@ -743,7 +811,15 @@ mod tests {
             let mut reference = TriangleSoup::new();
             marching_cubes(&vol, 128.0, origin, scale, &mut reference);
             let mut mesh = IndexedMesh::new();
-            marching_cubes_indexed(&vol, 128.0, origin, scale, &mut mesh, &mut scratch);
+            marching_cubes_indexed(
+                &vol,
+                128.0,
+                origin,
+                scale,
+                &mut mesh,
+                &mut Vec::new(),
+                &mut scratch,
+            );
             assert_eq!(canon(&reference), canon(&mesh.to_soup()), "n={n}");
         }
     }
@@ -776,6 +852,7 @@ mod tests {
                 Vec3::new(x0 as f32, y0 as f32, z0 as f32),
                 Vec3::new(1.0, 1.0, 1.0),
                 &mut mesh,
+                &mut Vec::new(),
                 &mut scratch,
             );
         }
@@ -793,6 +870,7 @@ mod tests {
             Vec3::ZERO,
             Vec3::new(1.0, 1.0, 1.0),
             &mut mesh,
+            &mut Vec::new(),
             &mut scratch,
         );
         assert_eq!(stats.triangles, 0);

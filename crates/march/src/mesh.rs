@@ -284,6 +284,17 @@ pub fn weld_key(v: Vec3) -> CanonVertex {
     )
 }
 
+/// `weld_key(a) == weld_key(b)` for finite points, answered without
+/// quantizing (three `roundf` calls a point) for the common case of points
+/// that are nowhere near each other: a coordinate's rounding can agree only
+/// for values less than one quantum apart, so equal keys are less than √3
+/// quanta apart (the test allows 2 for the subtraction's slack).
+#[inline]
+pub(crate) fn same_weld_key(a: Vec3, b: Vec3) -> bool {
+    let d = (a - b) * WELD_SCALE;
+    d.dot(d) < 4.0 && weld_key(a) == weld_key(b)
+}
+
 /// Canonical triangle multiset of a soup: each triangle's vertices quantized
 /// and sorted, then the triangle list sorted. Two extractions produce the
 /// same surface iff their canonical multisets are equal — this is the
@@ -339,6 +350,27 @@ mod tests {
         assert_eq!((a + b).length(), 2.0f32.sqrt());
         assert_eq!((a * 3.0).x, 3.0);
         assert_eq!((-a).x, -1.0);
+    }
+
+    #[test]
+    fn same_weld_key_is_key_equality() {
+        let p = Vec3::new(3.0, -7.25, 100.0);
+        let q = 1.0 / WELD_SCALE;
+        for (dx, dy, dz) in [
+            (0.0, 0.0, 0.0),
+            (0.4 * q, 0.0, 0.0),
+            (0.6 * q, 0.0, 0.0),
+            (0.0, -0.4 * q, 0.4 * q),
+            (0.0, 1.4 * q, 0.0),
+            (0.0, 0.0, 1.9 * q),
+            (2.1 * q, 0.0, 0.0),
+            (0.3, 0.0, 0.0),
+            (0.0, 0.0, -1.0),
+        ] {
+            let r = Vec3::new(p.x + dx, p.y + dy, p.z + dz);
+            assert_eq!(same_weld_key(p, r), weld_key(p) == weld_key(r), "{r:?}");
+            assert_eq!(same_weld_key(r, p), weld_key(p) == weld_key(r), "{r:?}");
+        }
     }
 
     #[test]

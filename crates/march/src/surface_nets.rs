@@ -77,6 +77,11 @@ impl SnScratch {
 /// module docs for the block contract). `world_origin`/`scale` place the
 /// block in world space exactly like the MC kernels; the pipeline passes
 /// the block's integer global origin at unit scale.
+///
+/// Never inlined: whether this body is folded into its one caller (the
+/// backend trait's thin `extract_block`) has swung its measured wall by a
+/// quarter between otherwise unrelated builds.
+#[inline(never)]
 pub(crate) fn sn_block<S: ScalarValue>(
     vol: &Volume<S>,
     iso: f32,
@@ -415,6 +420,7 @@ mod tests {
             Vec3::ZERO,
             Vec3::new(1.0, 1.0, 1.0),
             &mut mc,
+            &mut Vec::new(),
             &mut scratch,
         );
         // SN's primitive is the quad (2 triangles): about one per crossing
@@ -510,7 +516,9 @@ mod tests {
                 mut mesh,
                 cells,
                 mut seams,
+                weld_candidates,
             } = out;
+            assert!(weld_candidates.is_empty(), "SurfaceNets has no weld");
             assert!(!seams.is_empty(), "k={k}: blocks must defer seam quads");
             stitch_seams(&mut mesh, &cells, &mut seams);
 

@@ -313,6 +313,7 @@ mod tests {
             Vec3::ZERO,
             Vec3::new(1.0, 1.0, 1.0),
             &mut mesh,
+            &mut Vec::new(),
             &mut scratch,
         );
         assert!(!mesh.is_empty());
@@ -360,7 +361,7 @@ mod tests {
         assert_eq!(welded.num_vertices(), 4);
         assert_eq!(stats.vertices_merged(), 2);
         // one seam edge = two open sides closed
-        assert_eq!(stats.seam_edges_closed(), 2);
+        assert_eq!(c.boundary_edges - r.boundary_edges, 2);
         assert_eq!(analyze_mesh(&welded), r);
         assert_eq!(analyze_mesh_connectivity(&welded), r);
     }

@@ -3,8 +3,8 @@
 //! The out-of-core pipeline triangulates every metacell (and every cluster
 //! node) independently, so a merged [`IndexedMesh`] carries one copy of each
 //! boundary crossing **per side of the seam** and the surface is watertight
-//! only per metacell. [`MeshWelder`] is the deterministic hash join that
-//! repairs this: vertices are keyed by [`weld_key`] — the workspace's single
+//! only per metacell. [`MeshWelder`] is the deterministic join that repairs
+//! this: vertices are keyed by [`weld_key`] — the workspace's single
 //! quantization rule, shared with [`crate::topology`] and
 //! [`crate::mesh::canonical_triangles`] — and every key keeps its **first
 //! occurrence in triangle-stream order** as the representative. Because the
@@ -13,13 +13,32 @@
 //! per node) produces byte-identical output, which is what keeps the
 //! streaming and batch extraction paths bit-equal after welding.
 //!
+//! # Candidates: hash the seam set, not the mesh
+//!
+//! A vertex needs the hash table only if another vertex can carry its key.
+//! The slab kernel knows which of its vertices can — a crossing whose
+//! lattice edge lies on a block face, or one that quantizes onto an endpoint
+//! of its edge ([`crate::mc::marching_cubes_indexed`]) — and hands their ids
+//! on as the part's *candidates*; they are about a quarter of a welded
+//! isosurface's vertices. [`MeshWelder::append_seams`] looks up candidates
+//! only and gives every other vertex a fresh output id at its first use,
+//! which is exactly what the table would have answered for a key nobody
+//! shares — so the output is byte-identical to the all-vertices join.
+//! [`MeshWelder::append`] is that same routine with every vertex a
+//! candidate, for meshes of unknown origin. The welder carries the candidate
+//! ids of its *output* forward ([`MeshWelder::finish_seams`]), so welded
+//! meshes join each other without being re-welded:
+//! [`MeshWelder::append_welded`] scans a welded part's vertices once
+//! (candidate → look up, else push) and remaps its indices — no triangle of
+//! a welded part can collapse, because keys are unique within it.
+//!
 //! Quantized welding can collapse a triangle whose crossings coincide (an
 //! isosurface passing exactly through a cell corner emits several crossings
 //! at the same lattice point): such exactly-degenerate triangles are dropped
 //! and counted rather than emitted as zero-area slivers.
 
 use crate::indexed::IndexedMesh;
-use crate::mesh::{weld_key, CanonVertex};
+use crate::mesh::{weld_key, CanonVertex, Vec3};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -78,11 +97,10 @@ pub struct WeldStats {
     /// Triangles dropped because welding collapsed two or more of their
     /// corners onto the same quantized vertex (exactly zero area).
     pub degenerate_dropped: u64,
-    /// Boundary edges (odd face count) of the *input* under per-part vertex
-    /// identity — every metacell/node seam edge counts here.
-    pub boundary_edges_before: u64,
-    /// Boundary edges of the welded output. Zero for a closed surface.
-    pub boundary_edges_after: u64,
+    /// Input vertices that went through the hash join — the candidates a
+    /// kept triangle references. The rest of `input_vertices` were placed
+    /// without a lookup (or belonged to dropped triangles only).
+    pub hashed_vertices: u64,
 }
 
 impl WeldStats {
@@ -91,106 +109,39 @@ impl WeldStats {
         self.input_vertices.saturating_sub(self.output_vertices)
     }
 
-    /// Seam edges the weld closed: boundary edges of the input that are
-    /// interior edges of the output. Counted per open side, so a typical
-    /// two-sided seam edge (one copy in each adjacent sub-mesh) contributes
-    /// 2 — the number of open edges eliminated, not of distinct seams.
-    pub fn seam_edges_closed(&self) -> u64 {
-        self.boundary_edges_before
-            .saturating_sub(self.boundary_edges_after)
-    }
-
     /// Component-wise sum — aggregate counters over several weld stages
-    /// (per-node welds plus the cross-node merge weld). The summed boundary
-    /// gauges describe the stages' inputs/outputs added together, not any
-    /// single mesh.
+    /// (per-node welds plus the cross-node merge weld).
     pub fn merged(&self, other: &WeldStats) -> WeldStats {
         WeldStats {
             input_vertices: self.input_vertices + other.input_vertices,
             output_vertices: self.output_vertices + other.output_vertices,
             input_triangles: self.input_triangles + other.input_triangles,
             degenerate_dropped: self.degenerate_dropped + other.degenerate_dropped,
-            boundary_edges_before: self.boundary_edges_before + other.boundary_edges_before,
-            boundary_edges_after: self.boundary_edges_after + other.boundary_edges_after,
+            hashed_vertices: self.hashed_vertices + other.hashed_vertices,
         }
     }
 }
 
-/// Boundary edges (odd face multiplicity) of an indexed triangle stream,
-/// under plain vertex-index identity. Self-edges (`a == b`) are skipped.
-///
-/// Linear-time bucket counting instead of a hash or sort over the whole edge
-/// list: edges bucket by their smaller endpoint (CSR-style count → prefix
-/// sum → scatter), then each bucket — a handful of entries for any real
-/// mesh — is sorted in place to count odd runs. This is what keeps seam
-/// accounting from dominating the weld itself on big meshes.
-fn boundary_edge_count(indices: &[u32], num_vertices: usize) -> u64 {
-    if indices.is_empty() {
-        return 0;
-    }
-    // pass 1: bucket sizes by smaller endpoint
-    let mut starts = vec![0u32; num_vertices + 1];
-    let each_edge = |f: &mut dyn FnMut(u32, u32)| {
-        for tri in indices.chunks_exact(3) {
-            for i in 0..3 {
-                let (a, b) = (tri[i], tri[(i + 1) % 3]);
-                if a != b {
-                    if a < b {
-                        f(a, b)
-                    } else {
-                        f(b, a)
-                    }
-                }
-            }
-        }
-    };
-    each_edge(&mut |lo, _hi| starts[lo as usize + 1] += 1);
-    for i in 0..num_vertices {
-        starts[i + 1] += starts[i];
-    }
-    // pass 2: scatter the larger endpoints into their buckets
-    let total = starts[num_vertices] as usize;
-    let mut others = vec![0u32; total];
-    let mut cursor = starts.clone();
-    each_edge(&mut |lo, hi| {
-        let c = &mut cursor[lo as usize];
-        others[*c as usize] = hi;
-        *c += 1;
-    });
-    // pass 3: per-bucket odd-multiplicity runs
-    let mut odd = 0u64;
-    for v in 0..num_vertices {
-        let bucket = &mut others[starts[v] as usize..starts[v + 1] as usize];
-        bucket.sort_unstable();
-        let mut i = 0usize;
-        while i < bucket.len() {
-            let mut j = i + 1;
-            while j < bucket.len() && bucket[j] == bucket[i] {
-                j += 1;
-            }
-            odd += ((j - i) % 2 == 1) as u64;
-            i = j;
-        }
-    }
-    odd
-}
+/// "This part vertex has no key" / "not resolved yet" in the per-part tables.
+const NONE: u32 = u32::MAX;
 
 /// The deterministic hash-join welder behind [`IndexedMesh::merge_welded`].
 ///
 /// One welder serves one output mesh: create it alongside an (empty) output,
-/// [`MeshWelder::append`] every part in order, then [`MeshWelder::finish`]
-/// for the stats. Vertices the input never references from a kept triangle
-/// are not copied to the output, so a welded mesh has no orphan vertices.
+/// append every part in order, then [`MeshWelder::finish`] for the stats.
+/// Vertices the input never references from a kept triangle are not copied
+/// to the output, so a welded mesh has no orphan vertices and its vertices
+/// are in first-use order.
 #[derive(Debug, Default)]
 pub struct MeshWelder {
     /// Quantized position → output vertex index (first occurrence wins).
+    /// Holds candidates only: a vertex placed without a lookup is never
+    /// looked up by anyone else either.
     ids: HashMap<CanonVertex, u32, FxBuild>,
-    input_vertices: u64,
-    input_triangles: u64,
-    degenerate_dropped: u64,
-    /// Input boundary edges, accumulated per part at `append` (parts share
-    /// no identity vertices, so part-local counts sum exactly).
-    boundary_edges_before: u64,
+    /// Output ids of the vertices in `ids`, ascending (ids are handed out in
+    /// increasing order) — the output's own candidate list.
+    seams: Vec<u32>,
+    stats: WeldStats,
 }
 
 impl MeshWelder {
@@ -199,57 +150,141 @@ impl MeshWelder {
         Self::default()
     }
 
-    /// Weld `part`'s triangles onto `out`. Triangles keep their stream
-    /// order; each quantized position is materialized in `out` at its first
-    /// kept-triangle use; triangles whose corners collapse are dropped.
+    /// A welder whose output so far is `out`, a welded mesh adopted as-is
+    /// with its `candidates` (as [`MeshWelder::finish_seams`] returned
+    /// them): only those enter the table, nothing is copied.
+    pub fn adopt(out: &IndexedMesh, candidates: Vec<u32>) -> Self {
+        let mut welder = MeshWelder::new();
+        welder.ids.reserve(candidates.len());
+        for &v in &candidates {
+            let twin = welder.ids.insert(weld_key(out.positions()[v as usize]), v);
+            debug_assert!(twin.is_none(), "adopted mesh is not welded");
+        }
+        welder.stats = WeldStats {
+            input_vertices: out.num_vertices() as u64,
+            input_triangles: out.len() as u64,
+            hashed_vertices: candidates.len() as u64,
+            ..Default::default()
+        };
+        welder.seams = candidates;
+        welder
+    }
+
+    /// The output id of candidate position `p`: its key's representative,
+    /// which `p` becomes if it is the first to carry the key.
+    #[inline]
+    fn lookup(&mut self, out: &mut IndexedMesh, p: Vec3, key: CanonVertex) -> u32 {
+        self.stats.hashed_vertices += 1;
+        let seams = &mut self.seams;
+        *self.ids.entry(key).or_insert_with(|| {
+            let id = out.push_vertex(p);
+            seams.push(id);
+            id
+        })
+    }
+
+    /// Weld `part`'s triangles onto `out`, every vertex a candidate — the
+    /// general entry, for parts that come with no candidate list. Triangles
+    /// keep their stream order; each quantized position is materialized in
+    /// `out` at its first kept-triangle use; triangles whose corners
+    /// collapse are dropped.
     pub fn append(&mut self, out: &mut IndexedMesh, part: &IndexedMesh) {
+        let all: Vec<u32> = (0..part.num_vertices() as u32).collect();
+        self.append_seams(out, part, &all);
+    }
+
+    /// [`MeshWelder::append`] looking up only `candidates`: the ascending
+    /// ids of the `part` vertices that may share a [`weld_key`] with another
+    /// vertex of any part of this weld. The caller guarantees every other
+    /// vertex is alone under its key (the slab kernel's candidate rule does);
+    /// the output is then byte-identical to [`MeshWelder::append`]'s.
+    pub fn append_seams(&mut self, out: &mut IndexedMesh, part: &IndexedMesh, candidates: &[u32]) {
         let positions = part.positions();
-        let keys: Vec<CanonVertex> = positions.iter().map(|&p| weld_key(p)).collect();
-        // per-part memo of resolved output ids: each part vertex pays for at
-        // most one global hash lookup however many triangles reference it
-        let mut local: Vec<u32> = vec![u32::MAX; positions.len()];
-        // most part vertices are first occurrences (isosurface seams touch a
-        // minority of vertices), so size for all of them up front instead of
-        // paying log₂ growth rehashes of an ever-larger table
-        self.ids.reserve(positions.len());
-        self.input_vertices += positions.len() as u64;
-        self.boundary_edges_before += boundary_edge_count(part.indices(), positions.len());
+        let keys: Vec<CanonVertex> = candidates
+            .iter()
+            .map(|&v| weld_key(positions[v as usize]))
+            .collect();
+        // part vertex → its slot in `keys`, NONE for the key-less majority
+        let mut key_of: Vec<u32> = vec![NONE; positions.len()];
+        for (k, &v) in candidates.iter().enumerate() {
+            key_of[v as usize] = k as u32;
+        }
+        // per-part memo of resolved output ids: each part vertex is placed
+        // (or looked up) at most once however many triangles reference it
+        let mut local: Vec<u32> = vec![NONE; positions.len()];
+        self.ids.reserve(keys.len());
+        self.stats.input_vertices += positions.len() as u64;
+        self.stats.input_triangles += part.len() as u64;
         for tri in part.indices().chunks_exact(3) {
-            self.input_triangles += 1;
-            let (a, b, c) = (tri[0] as usize, tri[1] as usize, tri[2] as usize);
-            if keys[a] == keys[b] || keys[b] == keys[c] || keys[c] == keys[a] {
-                self.degenerate_dropped += 1;
+            let v = [tri[0] as usize, tri[1] as usize, tri[2] as usize];
+            let k = v.map(|v| key_of[v]);
+            // two corners coincide iff they are one vertex or carry one key;
+            // a key-less corner is alone under its key by contract
+            let same = |i: usize, j: usize| {
+                v[i] == v[j]
+                    || (k[i] != NONE && k[j] != NONE && keys[k[i] as usize] == keys[k[j] as usize])
+            };
+            if same(0, 1) || same(1, 2) || same(2, 0) {
+                self.stats.degenerate_dropped += 1;
                 continue;
             }
             let mut ids = [0u32; 3];
-            for (slot, &v) in ids.iter_mut().zip([a, b, c].iter()) {
-                *slot = if local[v] != u32::MAX {
-                    local[v]
-                } else {
-                    let id = *self
-                        .ids
-                        .entry(keys[v])
-                        .or_insert_with(|| out.push_vertex(positions[v]));
-                    local[v] = id;
-                    id
-                };
+            for c in 0..3 {
+                if local[v[c]] == NONE {
+                    let p = positions[v[c]];
+                    local[v[c]] = match k[c] {
+                        NONE => out.push_vertex(p),
+                        slot => self.lookup(out, p, keys[slot as usize]),
+                    };
+                }
+                ids[c] = local[v[c]];
             }
             out.push_triangle(ids[0], ids[1], ids[2]);
         }
     }
 
-    /// Finish the join and report its counters. `out` must be the output
-    /// mesh this welder's appends produced (its edges are what the
-    /// `boundary_edges_after` gauge counts).
-    pub fn finish(self, out: &IndexedMesh) -> WeldStats {
-        WeldStats {
-            input_vertices: self.input_vertices,
-            output_vertices: self.ids.len() as u64,
-            input_triangles: self.input_triangles,
-            degenerate_dropped: self.degenerate_dropped,
-            boundary_edges_before: self.boundary_edges_before,
-            boundary_edges_after: boundary_edge_count(out.indices(), out.num_vertices()),
+    /// Join an already **welded** `part` (in first-use vertex order, no
+    /// orphans, keys unique within it — what this welder's own output is)
+    /// with its `candidates` onto `out` without re-welding it: one ascending
+    /// vertex scan, candidates looked up and the runs between them copied,
+    /// then a straight index remap. Byte-identical to
+    /// [`MeshWelder::append_seams`] on the same input, which would find
+    /// every vertex at its first use in this same order and no triangle to
+    /// drop.
+    pub fn append_welded(&mut self, out: &mut IndexedMesh, part: &IndexedMesh, candidates: &[u32]) {
+        let positions = part.positions();
+        let mut remap: Vec<u32> = Vec::with_capacity(positions.len());
+        self.ids.reserve(candidates.len());
+        let mut run_start = 0usize;
+        for &c in candidates {
+            let c = c as usize;
+            remap.extend(out.extend_vertices(&positions[run_start..c]));
+            remap.push(self.lookup(out, positions[c], weld_key(positions[c])));
+            run_start = c + 1;
         }
+        remap.extend(out.extend_vertices(&positions[run_start..]));
+        out.extend_remapped(part.indices(), &remap);
+        self.stats.input_vertices += positions.len() as u64;
+        self.stats.input_triangles += part.len() as u64;
+    }
+
+    /// Finish the join and report its counters. `out` must be the output
+    /// mesh this welder's appends produced (every vertex of it is one the
+    /// weld emitted).
+    pub fn finish(self, out: &IndexedMesh) -> WeldStats {
+        self.finish_seams(out).0
+    }
+
+    /// [`MeshWelder::finish`] plus the output's candidate list: the
+    /// ascending ids of the `out` vertices that may still share a key with
+    /// a vertex of a mesh welded elsewhere — what
+    /// [`MeshWelder::append_welded`] and [`MeshWelder::adopt`] take.
+    pub fn finish_seams(self, out: &IndexedMesh) -> (WeldStats, Vec<u32>) {
+        let stats = WeldStats {
+            output_vertices: out.num_vertices() as u64,
+            ..self.stats
+        };
+        (stats, self.seams)
     }
 }
 
@@ -289,10 +324,89 @@ mod tests {
         assert_eq!(stats.output_vertices, 4);
         assert_eq!(stats.vertices_merged(), 2);
         assert_eq!(stats.degenerate_dropped, 0);
-        // each lone triangle has 3 boundary edges; the weld closes the seam
-        assert_eq!(stats.boundary_edges_before, 6);
-        assert_eq!(stats.boundary_edges_after, 4);
-        assert_eq!(stats.seam_edges_closed(), 2);
+        assert_eq!(stats.hashed_vertices, 6, "the general entry hashes all");
+    }
+
+    #[test]
+    fn seam_append_hashes_candidates_only_and_equals_the_general_join() {
+        // same two triangles; only the shared edge's endpoints can have a
+        // twin, so only they are named
+        let mut a = IndexedMesh::new();
+        tri(&mut a, 0.0);
+        let mut b = IndexedMesh::new();
+        let r = b.push_vertex(Vec3::new(1.0, -1.0, 0.0));
+        let p = b.push_vertex(Vec3::new(0.0, 0.0, 0.0));
+        let q = b.push_vertex(Vec3::new(1.0, 0.0, 0.0));
+        b.push_triangle(p, r, q);
+
+        let mut general = IndexedMesh::new();
+        let mut w = MeshWelder::new();
+        w.append(&mut general, &a);
+        w.append(&mut general, &b);
+        let general_stats = w.finish(&general);
+
+        let mut seam = IndexedMesh::new();
+        let mut w = MeshWelder::new();
+        w.append_seams(&mut seam, &a, &[0, 1]);
+        w.append_seams(&mut seam, &b, &[1, 2]);
+        let (seam_stats, seams) = w.finish_seams(&seam);
+        assert_eq!(seam, general);
+        assert_eq!(seams, [0, 1], "the output's candidates, as output ids");
+        assert_eq!(seam_stats.hashed_vertices, 4);
+        assert_eq!(
+            WeldStats {
+                hashed_vertices: general_stats.hashed_vertices,
+                ..seam_stats
+            },
+            general_stats
+        );
+    }
+
+    #[test]
+    fn welded_meshes_join_by_remap_exactly_as_by_rewelding() {
+        // two welded quads sharing the x = 1 edge, plus an empty mesh in
+        // front: adopt + append_welded ≡ welding the concatenation
+        let quad = |x: f32| {
+            let mut m = IndexedMesh::new();
+            let a = m.push_vertex(Vec3::new(x, 0.0, 0.0));
+            let b = m.push_vertex(Vec3::new(x + 1.0, 0.0, 0.0));
+            let c = m.push_vertex(Vec3::new(x, 1.0, 0.0));
+            let d = m.push_vertex(Vec3::new(x + 1.0, 1.0, 0.0));
+            m.push_triangle(a, b, c);
+            m.push_triangle(b, d, c);
+            m
+        };
+        let (left, right) = (quad(0.0), quad(1.0));
+        for lead_empty in [false, true] {
+            let mut parts = vec![(left.clone(), vec![1, 3]), (right.clone(), vec![0, 2])];
+            if lead_empty {
+                parts.insert(0, (IndexedMesh::new(), Vec::new()));
+            }
+            let mut concat = IndexedMesh::new();
+            for (m, _) in &parts {
+                concat.merge(m.clone());
+            }
+            let (expect, expect_stats) = concat.welded();
+
+            let mut parts = parts.into_iter();
+            let (mut out, seed) = parts.next().unwrap();
+            let mut w = MeshWelder::adopt(&out, seed);
+            for (m, candidates) in parts {
+                w.append_welded(&mut out, &m, &candidates);
+            }
+            let (stats, seams) = w.finish_seams(&out);
+            assert_eq!(out, expect, "lead_empty={lead_empty}");
+            assert_eq!(out.num_vertices(), 6);
+            assert_eq!(seams, [1, 3], "right's twins resolved onto left's");
+            assert_eq!(stats.hashed_vertices, 4);
+            assert_eq!(
+                WeldStats {
+                    hashed_vertices: expect_stats.hashed_vertices,
+                    ..stats
+                },
+                expect_stats
+            );
+        }
     }
 
     #[test]
@@ -351,7 +465,6 @@ mod tests {
         assert_eq!(out, m);
         assert_eq!(stats.vertices_merged(), 0);
         assert_eq!(stats.degenerate_dropped, 0);
-        assert_eq!(stats.boundary_edges_before, stats.boundary_edges_after);
     }
 
     #[test]

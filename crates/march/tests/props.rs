@@ -186,7 +186,15 @@ fn assert_kernels_equivalent<S: ScalarValue>(vol: &Volume<S>, iso: f32) -> Resul
     let ref_stats = marching_cubes(vol, iso, origin, scale, &mut reference);
     let mut mesh = IndexedMesh::new();
     let mut scratch = SlabScratch::new();
-    let slab_stats = marching_cubes_indexed(vol, iso, origin, scale, &mut mesh, &mut scratch);
+    let slab_stats = marching_cubes_indexed(
+        vol,
+        iso,
+        origin,
+        scale,
+        &mut mesh,
+        &mut Vec::new(),
+        &mut scratch,
+    );
     if ref_stats != slab_stats {
         return Err(format!("stats differ: {ref_stats:?} vs {slab_stats:?}"));
     }
@@ -248,4 +256,179 @@ proptest! {
         let got = assert_kernels_equivalent(&vol, 127.5);
         prop_assert!(got.is_ok(), "{got:?}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Seam-only weld ⇔ the all-candidates join, and the invariant it rests on.
+// ---------------------------------------------------------------------------
+
+use oociso_march::mesh::weld_key;
+use oociso_march::{MeshWelder, WeldStats};
+use oociso_metacell::MetacellLayout;
+
+/// A whole multi-block extraction of `vol`: block size `k`, `per_part`
+/// consecutive blocks accumulated into each part (one mesh, one candidate
+/// list — what the pipeline's batch mode hands the weld).
+fn block_parts(
+    vol: &Volume<u8>,
+    k: usize,
+    per_part: usize,
+    iso: f32,
+) -> Vec<(IndexedMesh, Vec<u32>)> {
+    let layout = MetacellLayout::new(vol.dims(), k);
+    let ids: Vec<u32> = layout.ids().collect();
+    let mut scratch = SlabScratch::new();
+    ids.chunks(per_part)
+        .map(|blocks| {
+            let (mut mesh, mut candidates) = (IndexedMesh::new(), Vec::new());
+            for &id in blocks {
+                let ((x0, y0, z0), hi) = layout.vertex_box(id);
+                marching_cubes_indexed(
+                    &vol.extract_box((x0, y0, z0), hi),
+                    iso,
+                    Vec3::new(x0 as f32, y0 as f32, z0 as f32),
+                    Vec3::new(1.0, 1.0, 1.0),
+                    &mut mesh,
+                    &mut candidates,
+                    &mut scratch,
+                );
+            }
+            (mesh, candidates)
+        })
+        .collect()
+}
+
+/// An isovalue that **equals a sample** of `vol`, so crossings land exactly
+/// on lattice points: endpoint snaps and collapsed triangles occur.
+fn sample_isovalue(vol: &Volume<u8>, pick: usize) -> f32 {
+    vol.data()[pick % vol.data().len()].max(1) as f32
+}
+
+/// Byte-for-byte mesh identity (`==` on floats would let `-0.0` pass for
+/// `0.0`).
+fn mesh_bits(m: &IndexedMesh) -> (Vec<[u32; 3]>, &[u32]) {
+    let bits = |p: &Vec3| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()];
+    (m.positions().iter().map(bits).collect(), m.indices())
+}
+
+/// `stats` with the one counter that legitimately differs between the
+/// seam-only and the all-candidates join blanked.
+fn sans_hashed(stats: WeldStats) -> WeldStats {
+    WeldStats {
+        hashed_vertices: 0,
+        ..stats
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn seam_only_weld_equals_the_all_candidates_join(
+        kind in 0usize..3,
+        seed in any::<u64>(),
+        k in prop::sample::select(vec![3usize, 5, 9]),
+        per_part in 1usize..5,
+        nodes in 1usize..5,
+        pick in any::<usize>(),
+    ) {
+        let vol: Volume<u8> = zoo_volume(kind, seed, Dims3::new(17, 13, 11));
+        let iso = sample_isovalue(&vol, pick);
+        let parts = block_parts(&vol, k, per_part, iso);
+
+        // the oracle: every vertex of every part through the hash join
+        let mut general = IndexedMesh::new();
+        let mut w = MeshWelder::new();
+        for (part, _) in &parts {
+            w.append(&mut general, part);
+        }
+        let general_stats = w.finish(&general);
+
+        let mut seam = IndexedMesh::new();
+        let mut w = MeshWelder::new();
+        for (part, candidates) in &parts {
+            prop_assert!(candidates.windows(2).all(|w| w[0] < w[1]), "ascending ids");
+            prop_assert!(candidates.iter().all(|&c| (c as usize) < part.num_vertices()));
+            w.append_seams(&mut seam, part, candidates);
+        }
+        let (seam_stats, seams) = w.finish_seams(&seam);
+        prop_assert_eq!(mesh_bits(&seam), mesh_bits(&general));
+        prop_assert_eq!(sans_hashed(seam_stats), sans_hashed(general_stats));
+        prop_assert!(seam_stats.hashed_vertices <= general_stats.hashed_vertices);
+        prop_assert!(seams.windows(2).all(|w| w[0] < w[1]));
+
+        // welded meshes join by remap exactly as by re-welding: deal the
+        // parts round-robin onto `nodes` welders, then adopt the first node
+        // mesh and remap the others onto it
+        let mut node_meshes = Vec::new();
+        for n in 0..nodes {
+            let mut mesh = IndexedMesh::new();
+            let mut w = MeshWelder::new();
+            for (part, candidates) in parts.iter().skip(n).step_by(nodes) {
+                w.append_seams(&mut mesh, part, candidates);
+            }
+            let (_, candidates) = w.finish_seams(&mesh);
+            node_meshes.push((mesh, candidates));
+        }
+        let mut concat = IndexedMesh::new();
+        for (mesh, _) in &node_meshes {
+            concat.merge(mesh.clone());
+        }
+        let (rewelded, rewelded_stats) = concat.welded();
+        let mut node_meshes = node_meshes.into_iter();
+        let (mut joined, seed_candidates) = node_meshes.next().unwrap();
+        let mut w = MeshWelder::adopt(&joined, seed_candidates);
+        for (mesh, candidates) in node_meshes {
+            w.append_welded(&mut joined, &mesh, &candidates);
+        }
+        prop_assert_eq!(mesh_bits(&joined), mesh_bits(&rewelded));
+        prop_assert_eq!(sans_hashed(w.finish(&joined)), sans_hashed(rewelded_stats));
+        // and any dealing of the same blocks welds to the same surface
+        prop_assert_eq!(joined.canonical_triangles(), general.canonical_triangles());
+    }
+
+    #[test]
+    fn no_vertex_outside_the_candidates_shares_its_weld_key(
+        kind in 0usize..3,
+        seed in any::<u64>(),
+        k in prop::sample::select(vec![3usize, 5, 9]),
+        pick in any::<usize>(),
+    ) {
+        // the invariant the fast path rests on, over a whole multi-block
+        // extraction: a vertex the kernel did not name is alone under its key
+        let vol: Volume<u8> = zoo_volume(kind, seed, Dims3::new(17, 13, 11));
+        let iso = sample_isovalue(&vol, pick);
+        let parts = block_parts(&vol, k, 1, iso);
+        let mut carriers = std::collections::HashMap::new();
+        for (part, _) in &parts {
+            for &p in part.positions() {
+                *carriers.entry(weld_key(p)).or_insert(0u32) += 1;
+            }
+        }
+        for (part, candidates) in &parts {
+            for (v, &p) in part.positions().iter().enumerate() {
+                if candidates.binary_search(&(v as u32)).is_err() {
+                    prop_assert_eq!(carriers[&weld_key(p)], 1, "vertex {} at {:?}", v, p);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn sample_valued_isovalues_do_exercise_snaps_and_drops() {
+    // the differential tests above are only as good as their inputs: at an
+    // isovalue equal to sample values the weld must see collapsed triangles,
+    // and the candidates must still be a strict subset of the vertices
+    let vol: Volume<u8> = zoo_volume(2, 7, Dims3::new(17, 13, 11));
+    let parts = block_parts(&vol, 5, 2, sample_isovalue(&vol, 123));
+    let mut out = IndexedMesh::new();
+    let mut w = MeshWelder::new();
+    for (part, candidates) in &parts {
+        w.append_seams(&mut out, part, candidates);
+    }
+    let stats = w.finish(&out);
+    assert!(stats.degenerate_dropped > 0, "{stats:?}");
+    assert!(stats.vertices_merged() > 0, "{stats:?}");
+    assert!(0 < stats.hashed_vertices && stats.hashed_vertices < stats.input_vertices);
 }

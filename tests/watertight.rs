@@ -453,15 +453,15 @@ fn print_weld_cost() {
         let w = r.total_weld();
         println!(
             "65^3 gyroid: {} tris, extraction wall {:.3} ms, weld wall {:.3} ms ({:.2}%), \
-             merged {} of {} vertices, closed {} seam edges",
+             hashed {} and merged {} of {} vertices",
             r.total_triangles(),
             r.nodes[0].extraction_wall.as_secs_f64() * 1e3,
             r.total_weld_wall().as_secs_f64() * 1e3,
             100.0 * r.total_weld_wall().as_secs_f64()
                 / r.nodes[0].extraction_wall.as_secs_f64().max(1e-9),
+            w.hashed_vertices,
             w.vertices_merged(),
             w.input_vertices,
-            w.seam_edges_closed(),
         );
     }
     std::fs::remove_dir_all(&dir).ok();
