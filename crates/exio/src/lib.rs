@@ -25,12 +25,16 @@
 //!   test harness.
 //! * **Positioned writes** — [`write_at::WriteAt`]: the portable write-side
 //!   abstraction beneath out-of-core preprocessing.
+//! * **Integrity** — [`crc::crc32`]/[`crc::Crc32`]: the workspace's one
+//!   CRC-32 (sliced tables, carry-less multiply where the CPU has it), the
+//!   serve layer's frame checksum.
 //! * **Readiness** — `poll::Poller`/`poll::EventFd` (Linux): a thin,
 //!   dependency-free epoll + eventfd binding, the substrate of the serve
 //!   layer's nonblocking reactor.
 
 pub mod block;
 pub mod cost;
+pub mod crc;
 pub mod device;
 pub mod farm;
 pub mod faulty;

@@ -34,6 +34,17 @@ impl IndexedMesh {
         }
     }
 
+    /// Adopt whole position and index buffers without copying — how a wire
+    /// decoder that moved both arrays in bulk hands them over. The caller
+    /// has already established the mesh invariants (`indices.len()` a
+    /// multiple of 3, every index `< positions.len()`); they are re-checked
+    /// in debug builds only.
+    pub fn from_parts(positions: Vec<Vec3>, indices: Vec<u32>) -> Self {
+        debug_assert!(indices.len().is_multiple_of(3));
+        debug_assert!(indices.iter().all(|&i| (i as usize) < positions.len()));
+        IndexedMesh { positions, indices }
+    }
+
     /// Number of triangles.
     #[inline]
     pub fn len(&self) -> usize {

@@ -26,7 +26,9 @@
 
 use oociso_march::{IndexedMesh, MeshDelta, Vec3};
 use oociso_render::FrameRegion;
+use std::cell::Cell;
 use std::io::{self, Read, Write};
+use std::time::{Duration, Instant};
 
 /// Frame magic: `"OISO"` read as a little-endian u32.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"OISO");
@@ -144,36 +146,11 @@ pub const NUM_BACKENDS: usize = 2;
 /// when followed by a trace id, i.e. only in a v5-shaped request).
 pub const BACKEND_DEFAULT: u8 = 0xFF;
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) lookup table, built at compile
-/// time — no dependency, no runtime init.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut b = 0;
-        while b < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            b += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
+/// CRC-32 (IEEE) of `bytes` — the frame trailer's checksum. The routine
+/// lives in `oociso-exio` ([`oociso_exio::crc`]: sliced tables, carry-less
+/// multiply where the CPU has it); the polynomial and therefore every byte
+/// on the wire are what v1 shipped.
+pub use oociso_exio::crc::crc32;
 
 /// An axis-aligned query region in mesh (vertex-grid) coordinates.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -405,18 +382,21 @@ pub enum ChunkBody {
     Delta(MeshDelta),
 }
 
+/// The collapse-record delta of `mesh` against `prev`, when there is a
+/// `prev` and the delta is smaller on the wire than the full mesh.
+fn delta_if_smaller(prev: Option<&IndexedMesh>, mesh: &IndexedMesh) -> Option<MeshDelta> {
+    prev.map(|p| MeshDelta::between(p, mesh))
+        .filter(|d| d.wire_bytes() < mesh.num_vertices() * 12 + mesh.indices().len() * 4)
+}
+
 /// Choose the cheaper wire encoding for a chunk: a collapse-record delta
 /// against `prev` when one exists and beats the full mesh, else the full
 /// mesh. The first chunk of a delivery has no `prev` and is always full.
 pub fn chunk_body_for(prev: Option<&IndexedMesh>, mesh: &IndexedMesh) -> ChunkBody {
-    if let Some(prev) = prev {
-        let delta = MeshDelta::between(prev, mesh);
-        let full_bytes = mesh.num_vertices() * 12 + mesh.indices().len() * 4;
-        if delta.wire_bytes() < full_bytes {
-            return ChunkBody::Delta(delta);
-        }
+    match delta_if_smaller(prev, mesh) {
+        Some(delta) => ChunkBody::Delta(delta),
+        None => ChunkBody::Full(mesh.clone()),
     }
-    ChunkBody::Full(mesh.clone())
 }
 
 /// One span event inside a [`Message::TraceResponse`] — the wire twin of
@@ -551,6 +531,26 @@ impl<'a> Rd<'a> {
         Ok(f32::from_bits(self.u32()?))
     }
 
+    /// `n` little-endian `u32`s as one slab: the bounds check happens once
+    /// in [`Rd::take`], so the allocation never exceeds the bytes received.
+    fn u32s(&mut self, n: usize) -> io::Result<Vec<u32>> {
+        let slab = self.take(n.checked_mul(4).ok_or_else(|| malformed("array length"))?)?;
+        Ok(slab
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+            .collect())
+    }
+
+    /// `n` positions (3 × little-endian `f32` bit patterns) as one slab.
+    fn vec3s(&mut self, n: usize) -> io::Result<Vec<Vec3>> {
+        let slab = self.take(n.checked_mul(12).ok_or_else(|| malformed("array length"))?)?;
+        let f = |c: &[u8]| f32::from_le_bytes(c.try_into().unwrap());
+        Ok(slab
+            .chunks_exact(12)
+            .map(|c| Vec3::new(f(&c[0..4]), f(&c[4..8]), f(&c[8..12])))
+            .collect())
+    }
+
     /// Read an element count, requiring the `elem_bytes` each element needs
     /// at minimum to still fit in the unread payload — so a hostile count
     /// can never drive a pre-reservation larger than the bytes actually
@@ -637,19 +637,63 @@ fn read_region(rd: &mut Rd) -> io::Result<FrameRegion> {
     })
 }
 
+/// Append `vals` little-endian as one slab (one resize, one pass).
+fn put_u32s(out: &mut Vec<u8>, vals: &[u32]) {
+    let at = out.len();
+    out.resize(at + std::mem::size_of_val(vals), 0);
+    for (dst, v) in out[at..].chunks_exact_mut(4).zip(vals) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Append positions as one slab of little-endian `f32` bit patterns.
+fn put_vec3s(out: &mut Vec<u8>, ps: &[Vec3]) {
+    let at = out.len();
+    out.resize(at + std::mem::size_of_val(ps), 0);
+    for (dst, p) in out[at..].chunks_exact_mut(12).zip(ps) {
+        dst[0..4].copy_from_slice(&p.x.to_le_bytes());
+        dst[4..8].copy_from_slice(&p.y.to_le_bytes());
+        dst[8..12].copy_from_slice(&p.z.to_le_bytes());
+    }
+}
+
+/// Reject an index buffer that points past `nvert` vertices (one max-scan).
+fn check_indices(indices: &[u32], nvert: usize) -> io::Result<()> {
+    match indices.iter().copied().max() {
+        Some(max) if max as usize >= nvert => Err(malformed("index out of range")),
+        _ => Ok(()),
+    }
+}
+
+/// Encoded size of [`put_mesh_body`]'s output.
+fn mesh_body_bytes(mesh: &IndexedMesh) -> usize {
+    16 + std::mem::size_of_val(mesh.positions()) + std::mem::size_of_val(mesh.indices())
+}
+
 /// The version-independent mesh body shared by mesh responses and full
 /// chunks: vertex/index counts followed by positions and indices.
 fn put_mesh_body(out: &mut Vec<u8>, mesh: &IndexedMesh) {
     put_u64(out, mesh.num_vertices() as u64);
     put_u64(out, mesh.indices().len() as u64);
-    for p in mesh.positions() {
-        put_f32(out, p.x);
-        put_f32(out, p.y);
-        put_f32(out, p.z);
+    put_vec3s(out, mesh.positions());
+    put_u32s(out, mesh.indices());
+}
+
+/// Inverse of [`put_mesh_body`], and the only place a mesh comes off the
+/// wire: both counts are bounded by the unread bytes before anything is
+/// allocated, the two slabs are moved in bulk, and the index buffer is
+/// validated (triangle multiple, every index in range) before the mesh is
+/// assembled.
+fn get_mesh_body(rd: &mut Rd) -> io::Result<IndexedMesh> {
+    let nvert = rd.len("vertex count", 12)?;
+    let nidx = rd.len("index count", 4)?;
+    if nidx % 3 != 0 {
+        return Err(malformed("index count not a triangle multiple"));
     }
-    for &i in mesh.indices() {
-        put_u32(out, i);
-    }
+    let positions = rd.vec3s(nvert)?;
+    let indices = rd.u32s(nidx)?;
+    check_indices(&indices, nvert)?;
+    Ok(IndexedMesh::from_parts(positions, indices))
 }
 
 /// A collapse-record delta body: counts, reuse bitmap, references into the
@@ -665,17 +709,49 @@ fn put_delta_body(out: &mut Vec<u8>, delta: &MeshDelta) {
         }
     }
     out.extend_from_slice(&bitmap);
-    for &r in &delta.refs {
-        put_u32(out, r);
+    put_u32s(out, &delta.refs);
+    put_vec3s(out, &delta.literals);
+    put_u32s(out, &delta.indices);
+}
+
+/// Inverse of [`put_delta_body`]. References are validated against the
+/// *previous* chunk's mesh at apply time — the decoder cannot see it.
+fn get_delta_body(rd: &mut Rd) -> io::Result<MeshDelta> {
+    // every delta vertex costs at least 4 bytes (a reused slot's reference;
+    // literals cost 12), bounding the hostile-count pre-reservation
+    let nvert = rd.len("delta vertex count", 4)?;
+    let nidx = rd.len("delta index count", 4)?;
+    if nidx % 3 != 0 {
+        return Err(malformed("index count not a triangle multiple"));
     }
-    for p in &delta.literals {
-        put_f32(out, p.x);
-        put_f32(out, p.y);
-        put_f32(out, p.z);
+    let nrefs = rd.len("delta ref count", 4)?;
+    if nrefs > nvert {
+        return Err(malformed("delta ref count"));
     }
-    for &i in &delta.indices {
-        put_u32(out, i);
+    let bitmap = rd.take(nvert.div_ceil(8))?;
+    let reused: Vec<bool> = (0..nvert)
+        .map(|i| bitmap[i / 8] >> (i % 8) & 1 != 0)
+        .collect();
+    if reused.iter().filter(|&&r| r).count() != nrefs {
+        return Err(malformed("delta bitmap disagrees with ref count"));
     }
+    let refs = rd.u32s(nrefs)?;
+    let literals = rd.vec3s(nvert - nrefs)?;
+    let indices = rd.u32s(nidx)?;
+    check_indices(&indices, nvert)?;
+    Ok(MeshDelta {
+        reused,
+        refs,
+        literals,
+        indices,
+    })
+}
+
+/// A chunk's mesh by reference, so the serving path can encode a cached
+/// level (or a delta it just computed) without building a [`ChunkBody`].
+enum BodyRef<'a> {
+    Full(&'a IndexedMesh),
+    Delta(&'a MeshDelta),
 }
 
 /// A mesh-chunk payload around either body kind. Chunks only ever travel in
@@ -690,17 +766,26 @@ fn put_mesh_chunk(
     backend: u8,
     active_metacells: u64,
     trace_id: u64,
-    body: &ChunkBody,
+    body: BodyRef,
 ) {
+    // fixed fields: 6 flag/level bytes + active count before the body, the
+    // trace id after it, and room for the frame's checksum trailer so
+    // sealing never regrows a mesh-sized buffer
+    out.reserve(
+        26 + match body {
+            BodyRef::Full(mesh) => mesh_body_bytes(mesh),
+            BodyRef::Delta(delta) => 24 + delta.wire_bytes(),
+        },
+    );
     out.push(last as u8);
     put_u16(out, level);
     out.push(cache_hit as u8);
     out.push(backend);
-    out.push(matches!(body, ChunkBody::Delta(_)) as u8);
+    out.push(matches!(body, BodyRef::Delta(_)) as u8);
     put_u64(out, active_metacells);
     match body {
-        ChunkBody::Full(mesh) => put_mesh_body(out, mesh),
-        ChunkBody::Delta(delta) => put_delta_body(out, delta),
+        BodyRef::Full(mesh) => put_mesh_body(out, mesh),
+        BodyRef::Delta(delta) => put_delta_body(out, delta),
     }
     put_u64(out, trace_id);
 }
@@ -724,22 +809,22 @@ pub fn encode_mesh_chunk_frame(
     mesh: &IndexedMesh,
     version: u16,
 ) -> Vec<u8> {
-    let mut payload = Vec::new();
-    payload.push(last as u8);
-    put_u16(&mut payload, level);
-    payload.push(cache_hit as u8);
-    payload.push(backend);
-    let delta = prev
-        .map(|p| MeshDelta::between(p, mesh))
-        .filter(|d| d.wire_bytes() < mesh.num_vertices() * 12 + mesh.indices().len() * 4);
-    payload.push(delta.is_some() as u8);
-    put_u64(&mut payload, active_metacells);
-    match &delta {
-        Some(d) => put_delta_body(&mut payload, d),
-        None => put_mesh_body(&mut payload, mesh),
-    }
-    put_u64(&mut payload, trace_id);
-    encode_frame_raw(MAGIC, version, MSG_MESH_CHUNK, &payload)
+    let delta = delta_if_smaller(prev, mesh);
+    let mut out = begin_frame(MAGIC, version, MSG_MESH_CHUNK);
+    put_mesh_chunk(
+        &mut out,
+        last,
+        level,
+        cache_hit,
+        backend,
+        active_metacells,
+        trace_id,
+        match &delta {
+            Some(d) => BodyRef::Delta(d),
+            None => BodyRef::Full(mesh),
+        },
+    );
+    seal_frame(out)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -754,10 +839,10 @@ fn put_mesh_response(
     mesh: &IndexedMesh,
     version: u16,
 ) {
-    // fixed prefix: 1 (cache_hit) + 3×8 (active/vertex/index counts)
-    out.reserve(
-        28 + std::mem::size_of_val(mesh.positions()) + std::mem::size_of_val(mesh.indices()),
-    );
+    // fixed fields: 1 (cache_hit) + 8 (active count) before the body, up to
+    // 12 of versioned trailing fields after it, and room for the frame's
+    // checksum trailer so sealing never regrows a mesh-sized buffer
+    out.reserve(25 + mesh_body_bytes(mesh));
     out.push(cache_hit as u8);
     put_u64(out, active_metacells);
     put_mesh_body(out, mesh);
@@ -795,9 +880,9 @@ pub fn encode_mesh_response_frame(
     mesh: &IndexedMesh,
     version: u16,
 ) -> Vec<u8> {
-    let mut payload = Vec::new();
+    let mut out = begin_frame(MAGIC, version, MSG_MESH_RESPONSE);
     put_mesh_response(
-        &mut payload,
+        &mut out,
         cache_hit,
         active_metacells,
         served_lod,
@@ -807,7 +892,7 @@ pub fn encode_mesh_response_frame(
         mesh,
         version,
     );
-    encode_frame_raw(MAGIC, version, MSG_MESH_RESPONSE, &payload)
+    seal_frame(out)
 }
 
 /// Serialize a [`ServerReport`] at the given protocol version: v1 payloads
@@ -853,14 +938,6 @@ fn put_server_report(out: &mut Vec<u8>, s: &ServerReport, version: u16) {
     }
 }
 
-/// Encode a complete `StatsResponse` frame at the client's protocol
-/// `version` — v1 clients get the payload layout they can parse.
-pub fn encode_stats_response_frame(report: &ServerReport, version: u16) -> Vec<u8> {
-    let mut payload = Vec::new();
-    put_server_report(&mut payload, report, version);
-    encode_frame_raw(MAGIC, version, MSG_STATS_RESPONSE, &payload)
-}
-
 /// Encode a message's payload (everything between header and checksum) at
 /// the current protocol [`VERSION`].
 pub fn encode_payload(msg: &Message) -> Vec<u8> {
@@ -874,6 +951,13 @@ pub fn encode_payload(msg: &Message) -> Vec<u8> {
 /// layout.
 pub fn encode_payload_at(version: u16, msg: &Message) -> Vec<u8> {
     let mut out = Vec::new();
+    put_payload(&mut out, version, msg);
+    out
+}
+
+/// Append `msg`'s payload at protocol `version` to `out` — a frame under
+/// assembly ([`encode_frame_at`]) or a bare payload ([`encode_payload_at`]).
+fn put_payload(out: &mut Vec<u8>, version: u16, msg: &Message) {
     match msg {
         Message::MeshRequest {
             iso,
@@ -882,20 +966,20 @@ pub fn encode_payload_at(version: u16, msg: &Message) -> Vec<u8> {
             backend,
             trace_id,
         } => {
-            put_f32(&mut out, *iso);
+            put_f32(out, *iso);
             out.push(region.is_some() as u8);
             if let Some(r) = region {
                 for v in r.lo.iter().chain(&r.hi) {
-                    put_f32(&mut out, *v);
+                    put_f32(out, *v);
                 }
             }
             // v2 trailing field; v1 payloads simply end here (decoded as 0)
-            put_u16(&mut out, *lod);
+            put_u16(out, *lod);
             if version >= 5 {
                 // v5 always writes the backend byte (BACKEND_DEFAULT = let
                 // the server pick) so the trace id after it is unambiguous
                 out.push(backend.unwrap_or(BACKEND_DEFAULT));
-                put_u64(&mut out, *trace_id);
+                put_u64(out, *trace_id);
             } else if version >= 4 {
                 // v4 trailing field; absent = the server's default backend
                 if let Some(b) = backend {
@@ -908,17 +992,17 @@ pub fn encode_payload_at(version: u16, msg: &Message) -> Vec<u8> {
             params,
             trace_id,
         } => {
-            put_f32(&mut out, *iso);
-            put_u32(&mut out, params.width);
-            put_u32(&mut out, params.height);
-            put_f32(&mut out, params.azimuth);
-            put_f32(&mut out, params.elevation);
-            put_f32(&mut out, params.distance);
-            put_u16(&mut out, params.tile_cols);
-            put_u16(&mut out, params.tile_rows);
+            put_f32(out, *iso);
+            put_u32(out, params.width);
+            put_u32(out, params.height);
+            put_f32(out, params.azimuth);
+            put_f32(out, params.elevation);
+            put_f32(out, params.distance);
+            put_u16(out, params.tile_cols);
+            put_u16(out, params.tile_rows);
             // v5 trailing field (absent = untraced)
             if version >= 5 {
-                put_u64(&mut out, *trace_id);
+                put_u64(out, *trace_id);
             }
         }
         Message::StatsRequest => {}
@@ -934,7 +1018,7 @@ pub fn encode_payload_at(version: u16, msg: &Message) -> Vec<u8> {
             trace_id,
             mesh,
         } => put_mesh_response(
-            &mut out,
+            out,
             *cache_hit,
             *active_metacells,
             *served_lod,
@@ -952,39 +1036,39 @@ pub fn encode_payload_at(version: u16, msg: &Message) -> Vec<u8> {
             trace_id,
         } => {
             out.push(*cache_hit as u8);
-            put_u32(&mut out, *width);
-            put_u32(&mut out, *height);
-            put_u64(&mut out, regions.len() as u64);
+            put_u32(out, *width);
+            put_u32(out, *height);
+            put_u64(out, regions.len() as u64);
             for r in regions {
-                put_region(&mut out, r);
+                put_region(out, r);
             }
             // v5 trailing field (absent = untraced)
             if version >= 5 {
-                put_u64(&mut out, *trace_id);
+                put_u64(out, *trace_id);
             }
         }
-        Message::StatsResponse(s) => put_server_report(&mut out, s, version),
+        Message::StatsResponse(s) => put_server_report(out, s, version),
         Message::Error {
             code,
             detail,
             retry_after_ms,
         } => {
-            put_u16(&mut out, *code);
-            put_u64(&mut out, detail.len() as u64);
+            put_u16(out, *code);
+            put_u64(out, detail.len() as u64);
             out.extend_from_slice(detail.as_bytes());
             if version >= 3 {
                 if let Some(ms) = retry_after_ms {
-                    put_u32(&mut out, *ms);
+                    put_u32(out, *ms);
                 }
             }
         }
-        Message::Region(r) => put_region(&mut out, r),
+        Message::Region(r) => put_region(out, r),
         Message::MetricsRequest => {}
         Message::MetricsResponse { text } => {
             out.extend_from_slice(text.as_bytes());
         }
         Message::TraceRequest { id } => {
-            put_u64(&mut out, *id);
+            put_u64(out, *id);
         }
         Message::TraceResponse {
             found,
@@ -994,22 +1078,22 @@ pub fn encode_payload_at(version: u16, msg: &Message) -> Vec<u8> {
             events,
         } => {
             out.push(*found as u8);
-            put_u64(&mut out, *id);
-            put_u64(&mut out, *total_us);
-            put_u64(&mut out, *dropped);
-            put_u64(&mut out, events.len() as u64);
+            put_u64(out, *id);
+            put_u64(out, *total_us);
+            put_u64(out, *dropped);
+            put_u64(out, events.len() as u64);
             for e in events {
-                put_u32(&mut out, e.id);
-                put_u32(&mut out, e.parent);
-                put_u16(&mut out, e.name.len() as u16);
+                put_u32(out, e.id);
+                put_u32(out, e.parent);
+                put_u16(out, e.name.len() as u16);
                 out.extend_from_slice(e.name.as_bytes());
-                put_u64(&mut out, e.start_us);
-                put_u64(&mut out, e.dur_us);
-                put_u16(&mut out, e.fields.len() as u16);
+                put_u64(out, e.start_us);
+                put_u64(out, e.dur_us);
+                put_u16(out, e.fields.len() as u16);
                 for (k, v) in &e.fields {
-                    put_u16(&mut out, k.len() as u16);
+                    put_u16(out, k.len() as u16);
                     out.extend_from_slice(k.as_bytes());
-                    put_u64(&mut out, *v);
+                    put_u64(out, *v);
                 }
             }
         }
@@ -1021,10 +1105,10 @@ pub fn encode_payload_at(version: u16, msg: &Message) -> Vec<u8> {
             backend,
             trace_id,
         } => {
-            put_f32(&mut out, *iso);
-            put_u16(&mut out, *lod);
+            put_f32(out, *iso);
+            put_u16(out, *lod);
             out.push(backend.unwrap_or(BACKEND_DEFAULT));
-            put_u64(&mut out, *trace_id);
+            put_u64(out, *trace_id);
         }
         Message::MeshChunk {
             last,
@@ -1035,17 +1119,19 @@ pub fn encode_payload_at(version: u16, msg: &Message) -> Vec<u8> {
             trace_id,
             body,
         } => put_mesh_chunk(
-            &mut out,
+            out,
             *last,
             *level,
             *cache_hit,
             *backend,
             *active_metacells,
             *trace_id,
-            body,
+            match body {
+                ChunkBody::Full(mesh) => BodyRef::Full(mesh),
+                ChunkBody::Delta(delta) => BodyRef::Delta(delta),
+            },
         ),
     }
-    out
 }
 
 /// Decode a payload of known `msg_type`.
@@ -1113,22 +1199,7 @@ pub fn decode_payload(msg_type: u16, payload: &[u8]) -> io::Result<Message> {
         MSG_MESH_RESPONSE => {
             let cache_hit = rd.u8()? != 0;
             let active_metacells = rd.u64()?;
-            let nvert = rd.len("vertex count", 12)?;
-            let nidx = rd.len("index count", 4)?;
-            if nidx % 3 != 0 {
-                return Err(malformed("index count not a triangle multiple"));
-            }
-            let mut mesh = IndexedMesh::with_capacity(nidx / 3);
-            for _ in 0..nvert {
-                mesh.push_vertex(Vec3::new(rd.f32()?, rd.f32()?, rd.f32()?));
-            }
-            for _ in 0..nidx / 3 {
-                let (a, b, c) = (rd.u32()?, rd.u32()?, rd.u32()?);
-                if a as usize >= nvert || b as usize >= nvert || c as usize >= nvert {
-                    return Err(malformed("index out of range"));
-                }
-                mesh.push_triangle(a, b, c);
-            }
+            let mesh = get_mesh_body(&mut rd)?;
             // v3 appends served_lod + degraded; older payloads end at the
             // indices (a pre-v3 server always served the requested level)
             let (served_lod, degraded) = if rd.remaining() > 0 {
@@ -1310,71 +1381,8 @@ pub fn decode_payload(msg_type: u16, payload: &[u8]) -> io::Result<Message> {
             let encoding = rd.u8()?;
             let active_metacells = rd.u64()?;
             let body = match encoding {
-                0 => {
-                    let nvert = rd.len("chunk vertex count", 12)?;
-                    let nidx = rd.len("chunk index count", 4)?;
-                    if nidx % 3 != 0 {
-                        return Err(malformed("chunk index count not a triangle multiple"));
-                    }
-                    let mut mesh = IndexedMesh::with_capacity(nidx / 3);
-                    for _ in 0..nvert {
-                        mesh.push_vertex(Vec3::new(rd.f32()?, rd.f32()?, rd.f32()?));
-                    }
-                    for _ in 0..nidx / 3 {
-                        let (a, b, c) = (rd.u32()?, rd.u32()?, rd.u32()?);
-                        if a as usize >= nvert || b as usize >= nvert || c as usize >= nvert {
-                            return Err(malformed("chunk index out of range"));
-                        }
-                        mesh.push_triangle(a, b, c);
-                    }
-                    ChunkBody::Full(mesh)
-                }
-                1 => {
-                    // every delta vertex costs at least 4 bytes (a reused
-                    // slot's reference; literals cost 12), bounding the
-                    // hostile-count pre-reservation
-                    let nvert = rd.len("chunk delta vertex count", 4)?;
-                    let nidx = rd.len("chunk delta index count", 4)?;
-                    if nidx % 3 != 0 {
-                        return Err(malformed("chunk index count not a triangle multiple"));
-                    }
-                    let nrefs = rd.len("chunk delta ref count", 4)?;
-                    if nrefs > nvert {
-                        return Err(malformed("chunk delta ref count"));
-                    }
-                    let bitmap = rd.take(nvert.div_ceil(8))?;
-                    let mut reused = Vec::with_capacity(nvert);
-                    for i in 0..nvert {
-                        reused.push(bitmap[i / 8] >> (i % 8) & 1 != 0);
-                    }
-                    if reused.iter().filter(|&&r| r).count() != nrefs {
-                        return Err(malformed("chunk delta bitmap disagrees with ref count"));
-                    }
-                    // references are validated against the *previous* chunk's
-                    // mesh at apply time — the decoder cannot see it
-                    let mut refs = Vec::with_capacity(nrefs);
-                    for _ in 0..nrefs {
-                        refs.push(rd.u32()?);
-                    }
-                    let mut literals = Vec::with_capacity(nvert - nrefs);
-                    for _ in 0..nvert - nrefs {
-                        literals.push(Vec3::new(rd.f32()?, rd.f32()?, rd.f32()?));
-                    }
-                    let mut indices = Vec::with_capacity(nidx);
-                    for _ in 0..nidx {
-                        let i = rd.u32()?;
-                        if i as usize >= nvert {
-                            return Err(malformed("chunk delta index out of range"));
-                        }
-                        indices.push(i);
-                    }
-                    ChunkBody::Delta(MeshDelta {
-                        reused,
-                        refs,
-                        literals,
-                        indices,
-                    })
-                }
+                0 => ChunkBody::Full(get_mesh_body(&mut rd)?),
+                1 => ChunkBody::Delta(get_delta_body(&mut rd)?),
                 _ => return Err(malformed("chunk encoding")),
             };
             let trace_id = rd.u64()?;
@@ -1394,6 +1402,41 @@ pub fn decode_payload(msg_type: u16, payload: &[u8]) -> io::Result<Message> {
     Ok(msg)
 }
 
+/// Start a frame: the 16-byte header with the payload length still zero.
+/// The payload is appended straight behind it and [`seal_frame`] finishes
+/// the frame in place — one buffer, no separate payload vector.
+fn begin_frame(magic: u32, version: u16, msg_type: u16) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_BYTES + 4);
+    put_u32(&mut out, magic);
+    put_u16(&mut out, version);
+    put_u16(&mut out, msg_type);
+    put_u64(&mut out, 0);
+    out
+}
+
+/// Finish a frame started by [`begin_frame`]: patch the payload length into
+/// the header and append the CRC-32 of the payload bytes.
+fn seal_frame(mut out: Vec<u8>) -> Vec<u8> {
+    let len = (out.len() - HEADER_BYTES) as u64;
+    out[8..HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
+    let t_crc = Instant::now();
+    let crc = crc32(&out[HEADER_BYTES..]);
+    CRC_TIME.with(|t| t.set(t.get() + t_crc.elapsed()));
+    put_u32(&mut out, crc);
+    out
+}
+
+thread_local! {
+    static CRC_TIME: Cell<Duration> = const { Cell::new(Duration::ZERO) };
+}
+
+/// Total time the calling thread has spent checksumming frames it encoded.
+/// A reply is encoded on the thread that annotates its `encode` span, so
+/// the difference across an encode is that reply's `crc_us`.
+pub(crate) fn crc_time() -> Duration {
+    CRC_TIME.with(Cell::get)
+}
+
 /// Serialize a whole frame (header + payload + checksum) into a byte vector.
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
     encode_frame_at(VERSION, msg)
@@ -1403,22 +1446,19 @@ pub fn encode_frame(msg: &Message) -> Vec<u8> {
 /// each reply with the version its client spoke. The payload is encoded at
 /// the same version, so the v3 trailing fields never reach a pre-v3 reader.
 pub fn encode_frame_at(version: u16, msg: &Message) -> Vec<u8> {
-    let payload = encode_payload_at(version, msg);
-    encode_frame_raw(MAGIC, version, msg.msg_type(), &payload)
+    let mut out = begin_frame(MAGIC, version, msg.msg_type());
+    put_payload(&mut out, version, msg);
+    seal_frame(out)
 }
 
 /// Serialize a frame with explicit header fields — the doctored-frame hook
 /// the protocol-abuse tests (bad magic, future version, corrupt checksum)
 /// are built on.
 pub fn encode_frame_raw(magic: u32, version: u16, msg_type: u16, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_BYTES + payload.len() + 4);
-    put_u32(&mut out, magic);
-    put_u16(&mut out, version);
-    put_u16(&mut out, msg_type);
-    put_u64(&mut out, payload.len() as u64);
+    let mut out = begin_frame(magic, version, msg_type);
+    out.reserve(payload.len() + 4);
     out.extend_from_slice(payload);
-    put_u32(&mut out, crc32(payload));
-    out
+    seal_frame(out)
 }
 
 /// Write one frame to `w` (single `write_all`, then flush).
@@ -1461,6 +1501,88 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<FrameIn>> {
     read_frame_limited(r, MAX_PAYLOAD)
 }
 
+/// A frame header that passed the checks made before its payload is read.
+struct Header {
+    version: u16,
+    msg_type: u16,
+    len: usize,
+    /// The dialect violations are replied in: the frame's own version when
+    /// it is a supported one, [`VERSION`] otherwise.
+    reply_version: u16,
+}
+
+/// Parse the fixed header, enforcing magic and `min(max_payload,
+/// MAX_PAYLOAD)` **before** any payload byte is buffered. Both failures
+/// lose framing (`close: true`): a wrong magic cannot be re-synchronized,
+/// and an oversized length claim may be hostile and gigabytes long, so it
+/// is never drained.
+#[allow(clippy::result_large_err)] // one per frame read, as `FrameIn` itself
+fn parse_header(h: &[u8; HEADER_BYTES], max_payload: u64) -> Result<Header, FrameIn> {
+    let magic = u32::from_le_bytes(h[0..4].try_into().unwrap());
+    let version = u16::from_le_bytes(h[4..6].try_into().unwrap());
+    let msg_type = u16::from_le_bytes(h[6..8].try_into().unwrap());
+    let len = u64::from_le_bytes(h[8..16].try_into().unwrap());
+    let reply_version = if (MIN_VERSION..=VERSION).contains(&version) {
+        version
+    } else {
+        VERSION
+    };
+    let lost = |code, detail| FrameIn::Violation {
+        code,
+        detail,
+        close: true,
+        version: reply_version,
+    };
+    if magic != MAGIC {
+        return Err(lost(ERR_BAD_MAGIC, format!("bad magic {magic:#x}")));
+    }
+    let cap = max_payload.min(MAX_PAYLOAD);
+    if len > cap {
+        return Err(lost(
+            ERR_MALFORMED,
+            format!("payload length {len} exceeds cap {cap}"),
+        ));
+    }
+    Ok(Header {
+        version,
+        msg_type,
+        len: len as usize,
+        reply_version,
+    })
+}
+
+/// Judge a frame whose payload and trailer are fully in hand. The version
+/// check comes only now, after the frame has been drained, so the
+/// connection stays framed and usable for the error reply; the checksum is
+/// verified before any payload field is interpreted.
+fn decode_body(h: &Header, payload: &[u8], crc: u32) -> FrameIn {
+    let violation = |code, detail| FrameIn::Violation {
+        code,
+        detail,
+        close: false,
+        version: h.reply_version,
+    };
+    if !(MIN_VERSION..=VERSION).contains(&h.version) {
+        return violation(
+            ERR_UNSUPPORTED_VERSION,
+            format!(
+                "protocol version {} not supported (server speaks {MIN_VERSION}..={VERSION})",
+                h.version
+            ),
+        );
+    }
+    if crc != crc32(payload) {
+        return violation(ERR_BAD_CHECKSUM, "payload checksum mismatch".to_string());
+    }
+    match decode_payload(h.msg_type, payload) {
+        Ok(msg) => FrameIn::Ok {
+            msg,
+            version: h.version,
+        },
+        Err(e) => violation(ERR_MALFORMED, e.to_string()),
+    }
+}
+
 /// [`read_frame`] with an explicit payload cap: the length field is checked
 /// against `min(max_payload, MAX_PAYLOAD)` **before** any payload
 /// allocation, so a reader of small messages (the server reading requests)
@@ -1476,72 +1598,15 @@ pub fn read_frame_limited(r: &mut impl Read, max_payload: u64) -> io::Result<Opt
             n => got += n,
         }
     }
-    let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
-    let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
-    let msg_type = u16::from_le_bytes(header[6..8].try_into().unwrap());
-    let len = u64::from_le_bytes(header[8..16].try_into().unwrap());
-    // the dialect violations are replied in: the client's own, when sane
-    let reply_version = if (MIN_VERSION..=VERSION).contains(&version) {
-        version
-    } else {
-        VERSION
+    let h = match parse_header(&header, max_payload) {
+        Ok(h) => h,
+        Err(violation) => return Ok(Some(violation)),
     };
-    if magic != MAGIC {
-        // the stream cannot be re-synchronized: report and hang up
-        return Ok(Some(FrameIn::Violation {
-            code: ERR_BAD_MAGIC,
-            detail: format!("bad magic {magic:#x}"),
-            close: true,
-            version: reply_version,
-        }));
-    }
-    let cap = max_payload.min(MAX_PAYLOAD);
-    if len > cap {
-        // not draining `len` bytes is deliberate: the claim may be hostile
-        // and gigabytes long, so framing is abandoned and the connection
-        // closed after the error reply
-        return Ok(Some(FrameIn::Violation {
-            code: ERR_MALFORMED,
-            detail: format!("payload length {len} exceeds cap {cap}"),
-            close: true,
-            version: reply_version,
-        }));
-    }
-    let mut payload = vec![0u8; len as usize];
+    let mut payload = vec![0u8; h.len];
     r.read_exact(&mut payload)?;
-    let mut crc_buf = [0u8; 4];
-    r.read_exact(&mut crc_buf)?;
-    // the version check comes after draining the frame so the connection
-    // stays framed and usable for the error reply; anything in the
-    // supported window (v1 clients included) is decoded
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Ok(Some(FrameIn::Violation {
-            code: ERR_UNSUPPORTED_VERSION,
-            detail: format!(
-                "protocol version {version} not supported (server speaks {MIN_VERSION}..={VERSION})"
-            ),
-            close: false,
-            version: reply_version,
-        }));
-    }
-    let crc = u32::from_le_bytes(crc_buf);
-    if crc != crc32(&payload) {
-        return Ok(Some(FrameIn::Violation {
-            code: ERR_BAD_CHECKSUM,
-            detail: "payload checksum mismatch".to_string(),
-            close: false,
-            version: reply_version,
-        }));
-    }
-    match decode_payload(msg_type, &payload) {
-        Ok(msg) => Ok(Some(FrameIn::Ok { msg, version })),
-        Err(e) => Ok(Some(FrameIn::Violation {
-            code: ERR_MALFORMED,
-            detail: e.to_string(),
-            close: false,
-            version: reply_version,
-        })),
-    }
+    let mut crc = [0u8; 4];
+    r.read_exact(&mut crc)?;
+    Ok(Some(decode_body(&h, &payload, u32::from_le_bytes(crc))))
 }
 
 /// One step of buffer-based incremental frame decoding — the nonblocking
@@ -1569,84 +1634,26 @@ pub enum FrameStep {
 /// selection. (EOF handling stays with the caller: an empty buffer at peer
 /// close is a clean boundary, a partial frame is a torn one.)
 pub fn decode_frame_bytes(buf: &[u8], max_payload: u64) -> FrameStep {
-    if buf.len() < HEADER_BYTES {
+    let Some(header) = buf.first_chunk::<HEADER_BYTES>() else {
         return FrameStep::NeedMore { need: HEADER_BYTES };
-    }
-    let magic = u32::from_le_bytes(buf[0..4].try_into().unwrap());
-    let version = u16::from_le_bytes(buf[4..6].try_into().unwrap());
-    let msg_type = u16::from_le_bytes(buf[6..8].try_into().unwrap());
-    let len = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-    let reply_version = if (MIN_VERSION..=VERSION).contains(&version) {
-        version
-    } else {
-        VERSION
     };
-    if magic != MAGIC {
-        return FrameStep::Frame {
-            frame: FrameIn::Violation {
-                code: ERR_BAD_MAGIC,
-                detail: format!("bad magic {magic:#x}"),
-                close: true,
-                version: reply_version,
-            },
-            consumed: buf.len(),
-        };
-    }
-    let cap = max_payload.min(MAX_PAYLOAD);
-    if len > cap {
-        // as in the blocking reader: the length claim may be hostile, so
-        // the frame is never buffered out — connection to be closed
-        return FrameStep::Frame {
-            frame: FrameIn::Violation {
-                code: ERR_MALFORMED,
-                detail: format!("payload length {len} exceeds cap {cap}"),
-                close: true,
-                version: reply_version,
-            },
-            consumed: buf.len(),
-        };
-    }
-    let total = HEADER_BYTES + len as usize + 4;
+    let h = match parse_header(header, max_payload) {
+        Ok(h) => h,
+        // framing is lost: nothing behind the poisoned header may be read
+        Err(frame) => {
+            return FrameStep::Frame {
+                frame,
+                consumed: buf.len(),
+            }
+        }
+    };
+    let total = HEADER_BYTES + h.len + 4;
     if buf.len() < total {
         return FrameStep::NeedMore { need: total };
     }
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return FrameStep::Frame {
-            frame: FrameIn::Violation {
-                code: ERR_UNSUPPORTED_VERSION,
-                detail: format!(
-                    "protocol version {version} not supported (server speaks {MIN_VERSION}..={VERSION})"
-                ),
-                close: false,
-                version: reply_version,
-            },
-            consumed: total,
-        };
-    }
-    let payload = &buf[HEADER_BYTES..HEADER_BYTES + len as usize];
-    let crc = u32::from_le_bytes(buf[HEADER_BYTES + len as usize..total].try_into().unwrap());
-    if crc != crc32(payload) {
-        return FrameStep::Frame {
-            frame: FrameIn::Violation {
-                code: ERR_BAD_CHECKSUM,
-                detail: "payload checksum mismatch".to_string(),
-                close: false,
-                version: reply_version,
-            },
-            consumed: total,
-        };
-    }
-    let frame = match decode_payload(msg_type, payload) {
-        Ok(msg) => FrameIn::Ok { msg, version },
-        Err(e) => FrameIn::Violation {
-            code: ERR_MALFORMED,
-            detail: e.to_string(),
-            close: false,
-            version: reply_version,
-        },
-    };
+    let (payload, crc) = buf[HEADER_BYTES..total].split_at(h.len);
     FrameStep::Frame {
-        frame,
+        frame: decode_body(&h, payload, u32::from_le_bytes(crc.try_into().unwrap())),
         consumed: total,
     }
 }
@@ -1654,13 +1661,6 @@ pub fn decode_frame_bytes(buf: &[u8], max_payload: u64) -> FrameStep {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_known_vectors() {
-        // standard IEEE CRC-32 check values
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
 
     fn roundtrip(msg: Message) {
         let frame = encode_frame(&msg);

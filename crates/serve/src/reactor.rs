@@ -6,10 +6,12 @@
 //! Each reactor thread owns one `epoll` instance, an accepted share of the
 //! connections, and everything about them — buffers, in-order pending
 //! replies, deadlines. A connection is touched by exactly one thread for
-//! its whole life (the reactor that accepted it), so per-connection state
+//! its whole life (the reactor it was placed on), so per-connection state
 //! needs no locks. All reactors watch the shared listener (level-triggered)
-//! and drain its backlog on wakeup; whichever loop wakes first takes the
-//! connection.
+//! and drain its backlog on wakeup, but whichever loop wakes first only
+//! *accepts*: each stream is handed to the loop with the fewest live
+//! connections ([`Placement`]) through that loop's mailbox, so clients that
+//! connect together do not queue behind each other on one event loop.
 //!
 //! ## Request lifecycle
 //!
@@ -60,8 +62,8 @@ use crate::protocol::{
 };
 use crate::server::{
     busy_reply, encode_chunk_run, frame_render_reply, internal_error_reply, mesh_outcome_reply,
-    request_trace_id, respond, validate_frame_request, validate_mesh_request, FrameAdmit,
-    MeshAdmit, MeshOutcome, ProgressiveAdmit, Reply, SlotGuard, State,
+    request_trace_id, respond, validate_frame_request, validate_mesh_request, EncodeClock,
+    FrameAdmit, MeshAdmit, MeshOutcome, ProgressiveAdmit, Reply, SlotGuard, State,
 };
 use oociso_exio::poll::{Event, EventFd, Interest, Poller};
 use oociso_march::Backend;
@@ -100,7 +102,65 @@ const TOKEN_FIRST_CONN: u64 = 2;
 /// doorbell (registered in that reactor's poller) announces them.
 struct Mailbox {
     completions: Mutex<Vec<Completion>>,
+    /// Streams another loop accepted and [`Placement`] assigned to this one.
+    accepted: Mutex<Vec<TcpStream>>,
     doorbell: EventFd,
+}
+
+/// Which loop an accepted connection goes to: the one with the fewest live
+/// connections, ties to the lowest index. One small lock makes choosing and
+/// counting a single step, so loops that wake for the same backlog cannot
+/// both pick the same "emptiest" loop.
+struct Placement {
+    loops: Mutex<Vec<LoopLoad>>,
+    mailboxes: Vec<Arc<Mailbox>>,
+}
+
+struct LoopLoad {
+    /// Connections the loop owns, counted from the moment they are assigned
+    /// (a stream still in its mailbox already weighs on the next choice).
+    conns: usize,
+    /// Cleared once the loop stops taking connections (drain or exit).
+    open: bool,
+}
+
+impl Placement {
+    /// Assign `stream`, accepted by loop `me`. Returns it when `me` is the
+    /// chosen loop; otherwise it is in the chosen loop's mailbox and that
+    /// loop's doorbell has been rung.
+    fn place(&self, me: usize, stream: TcpStream) -> Option<TcpStream> {
+        let mut loops = self.loops.lock().expect("placement lock");
+        let target = loops
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.open)
+            .min_by_key(|&(i, l)| (l.conns, i))
+            .map_or(me, |(i, _)| i);
+        loops[target].conns += 1;
+        if target == me {
+            return Some(stream);
+        }
+        // pushed under the placement lock, so `retire` cannot slip between
+        // the choice and the hand-off and strand the stream
+        let mailbox = &self.mailboxes[target];
+        mailbox.accepted.lock().expect("accepted lock").push(stream);
+        drop(loops);
+        let _ = mailbox.doorbell.notify();
+        None
+    }
+
+    /// One of loop `me`'s connections is gone (or never got registered).
+    fn release(&self, me: usize) {
+        self.loops.lock().expect("placement lock")[me].conns -= 1;
+    }
+
+    /// Loop `me` takes no more connections. Returns the streams that were
+    /// assigned to it but not yet picked up (still counted as its own).
+    fn retire(&self, me: usize) -> Vec<TcpStream> {
+        let mut loops = self.loops.lock().expect("placement lock");
+        loops[me].open = false;
+        std::mem::take(&mut *self.mailboxes[me].accepted.lock().expect("accepted lock"))
+    }
 }
 
 /// An encoded reply frame coming back from the worker pool. A progressive
@@ -312,12 +372,28 @@ pub(crate) fn spawn<S: ScalarValue>(
         );
     }
 
+    let mailboxes = (0..reactors)
+        .map(|_| {
+            Ok(Arc::new(Mailbox {
+                completions: Mutex::new(Vec::new()),
+                accepted: Mutex::new(Vec::new()),
+                doorbell: EventFd::new()?,
+            }))
+        })
+        .collect::<io::Result<Vec<_>>>()?;
+    let placement = Arc::new(Placement {
+        loops: Mutex::new(
+            (0..reactors)
+                .map(|_| LoopLoad {
+                    conns: 0,
+                    open: true,
+                })
+                .collect(),
+        ),
+        mailboxes: mailboxes.clone(),
+    });
     let mut reactor_handles = Vec::with_capacity(reactors);
-    for i in 0..reactors {
-        let mailbox = Arc::new(Mailbox {
-            completions: Mutex::new(Vec::new()),
-            doorbell: EventFd::new()?,
-        });
+    for (i, mailbox) in mailboxes.into_iter().enumerate() {
         // drain()/stop() ring every doorbell so parked loops react at once
         {
             let mb = mailbox.clone();
@@ -334,6 +410,9 @@ pub(crate) fn spawn<S: ScalarValue>(
             poller: Poller::new()?,
             listener: listener.clone(),
             accepting: true,
+            index: i,
+            placement: placement.clone(),
+            own_conns: state.metrics.gauge(&format!("reactor_loop{i}_connections")),
             state: state.clone(),
             mailbox,
             jobs: tx.clone(),
@@ -427,9 +506,7 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
         root.field("offloaded", 1);
         match result {
             Err(e) => {
-                let t_enc = Instant::now();
-                let bytes = internal_error_reply(&e).finalize(state, version);
-                root.annotate("encode", t_enc.elapsed(), &[("bytes", bytes.len() as u64)]);
+                let bytes = internal_error_reply(&e).finalize_traced(state, version, &root);
                 post(
                     &mailbox,
                     token,
@@ -448,7 +525,7 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
                 );
             }
             Ok(levels) => {
-                let t_enc = Instant::now();
+                let t_enc = EncodeClock::start();
                 let run: Vec<Arc<CachedSurface>> = (lod..=next_level)
                     .rev()
                     .map(|l| levels[l as usize].clone())
@@ -465,7 +542,7 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
                 );
                 // each chunk is posted (and rung) individually so refinement
                 // starts flowing before the run is fully posted
-                for payload in chunk_payloads(frames, root, trace, trace_id, t_enc.elapsed()) {
+                for payload in chunk_payloads(frames, root, trace, trace_id, t_enc) {
                     let done = !payload.meta.interim;
                     post(&mailbox, token, seq, payload, done);
                 }
@@ -498,7 +575,6 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
                     region,
                     backend,
                     trace_id,
-                    version,
                 )
             }
             Err(e) => internal_error_reply(&e),
@@ -524,9 +600,7 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
         Job::Progressive { .. } => unreachable!("progressive jobs handled above"),
     }))
     .unwrap_or_else(|_| internal_error_reply(&io::Error::other("extraction panicked")));
-    let t_enc = Instant::now();
-    let bytes = reply.finalize(state, version);
-    root.annotate("encode", t_enc.elapsed(), &[("bytes", bytes.len() as u64)]);
+    let bytes = reply.finalize_traced(state, version, &root);
     root.field("offloaded", 1);
     post(
         &mailbox,
@@ -548,17 +622,17 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
 
 /// Turn an encoded chunk run into its per-frame payloads: the request's
 /// span and trace ride the *final* chunk (one request, one accounting),
-/// earlier chunks are marked interim. `enc` is the wall time the encode
-/// took, annotated with the run's total bytes.
+/// earlier chunks are marked interim. `enc` was started before the run was
+/// encoded; it is annotated with the run's total bytes.
 fn chunk_payloads(
     frames: Vec<Vec<u8>>,
     root: Span,
     trace: Trace,
     trace_id: u64,
-    enc: Duration,
+    enc: EncodeClock,
 ) -> Vec<OutPayload> {
     let total: usize = frames.iter().map(|f| f.len()).sum();
-    root.annotate("encode", enc, &[("bytes", total as u64)]);
+    enc.annotate(&root, total);
     let n = frames.len();
     let mut root = Some(root);
     let mut trace = Some(trace);
@@ -586,6 +660,11 @@ struct Reactor<S: ScalarValue> {
     poller: Poller,
     listener: Arc<TcpListener>,
     accepting: bool,
+    /// This loop's slot in `placement` (and its mailbox's index there).
+    index: usize,
+    placement: Arc<Placement>,
+    /// Connections this loop owns — `reactor_connections` split per loop.
+    own_conns: Gauge,
     state: Arc<State<S>>,
     mailbox: Arc<Mailbox>,
     jobs: mpsc::Sender<Envelope<S>>,
@@ -621,6 +700,7 @@ impl<S: ScalarValue> Reactor<S> {
                 match ev.token {
                     TOKEN_DOORBELL => {
                         let _ = self.mailbox.doorbell.drain();
+                        self.adopt_accepted();
                         self.deliver_completions();
                     }
                     TOKEN_LISTENER => self.accept_burst(),
@@ -630,7 +710,9 @@ impl<S: ScalarValue> Reactor<S> {
             self.sweep_deadlines();
             self.meters.loop_us.record_duration(t0.elapsed());
         }
-        // hard stop: every owned connection closes now
+        // hard stop: every owned connection closes now, and streams still
+        // waiting in the mailbox close with it
+        drop(self.placement.retire(self.index));
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for t in tokens {
             self.close(t);
@@ -643,6 +725,11 @@ impl<S: ScalarValue> Reactor<S> {
         if self.accepting {
             let _ = self.poller.deregister(&*self.listener);
             self.accepting = false;
+            // what was already handed over drains like any accepted
+            // connection; nothing more will be
+            for stream in self.placement.retire(self.index) {
+                self.admit(stream);
+            }
         }
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for t in tokens {
@@ -678,7 +765,8 @@ impl<S: ScalarValue> Reactor<S> {
         }
     }
 
-    /// Accept until `WouldBlock` — the whole backlog in one wakeup.
+    /// Accept until `WouldBlock` — the whole backlog in one wakeup — keeping
+    /// only the streams [`Placement`] assigns to this loop.
     fn accept_burst(&mut self) {
         if !self.accepting {
             return;
@@ -687,7 +775,9 @@ impl<S: ScalarValue> Reactor<S> {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     self.fd_starved = false;
-                    self.admit(stream);
+                    if let Some(stream) = self.placement.place(self.index, stream) {
+                        self.admit(stream);
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if crate::server::fd_exhausted(&e) => {
@@ -704,10 +794,20 @@ impl<S: ScalarValue> Reactor<S> {
         }
     }
 
+    /// Take ownership of the streams other loops accepted for this one.
+    fn adopt_accepted(&mut self) {
+        let streams = std::mem::take(&mut *self.mailbox.accepted.lock().expect("accepted lock"));
+        for stream in streams {
+            self.admit(stream);
+        }
+    }
+
+    /// Start serving a stream [`Placement`] has already counted as ours.
     fn admit(&mut self, stream: TcpStream) {
         let state = &self.state;
         state.c.connections.inc();
         if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+            self.placement.release(self.index);
             return;
         }
         let over = state
@@ -746,9 +846,11 @@ impl<S: ScalarValue> Reactor<S> {
             if conn.counted_live {
                 state.ctl.live.fetch_sub(1, Ordering::SeqCst);
             }
+            self.placement.release(self.index);
             return;
         }
         self.meters.conns.add(1);
+        self.own_conns.add(1);
         self.conns.insert(token, conn);
     }
 
@@ -961,9 +1063,7 @@ impl<S: ScalarValue> Reactor<S> {
     ) -> Classified {
         let state = self.state.clone();
         let inline = |reply: Reply, mut root: Span, trace: Trace, trace_id: u64| {
-            let t_enc = Instant::now();
-            let bytes = reply.finalize(&state, version);
-            root.annotate("encode", t_enc.elapsed(), &[("bytes", bytes.len() as u64)]);
+            let bytes = reply.finalize_traced(&state, version, &root);
             let _ = &mut root;
             Classified::Inline(vec![OutPayload {
                 bytes,
@@ -991,7 +1091,7 @@ impl<S: ScalarValue> Reactor<S> {
                 };
                 match state.admit_mesh(iso, backend, lod, &root) {
                     MeshAdmit::Ready(outcome) => inline(
-                        mesh_outcome_reply(outcome, region, backend, trace_id, version),
+                        mesh_outcome_reply(outcome, region, backend, trace_id),
                         root,
                         trace,
                         trace_id,
@@ -1052,17 +1152,11 @@ impl<S: ScalarValue> Reactor<S> {
                     ),
                     ProgressiveAdmit::Ready { levels }
                     | ProgressiveAdmit::Degraded { resident: levels } => {
-                        let t_enc = Instant::now();
+                        let t_enc = EncodeClock::start();
                         let frames = encode_chunk_run(
                             &levels, top, true, backend, trace_id, version, None, true,
                         );
-                        Classified::Inline(chunk_payloads(
-                            frames,
-                            root,
-                            trace,
-                            trace_id,
-                            t_enc.elapsed(),
-                        ))
+                        Classified::Inline(chunk_payloads(frames, root, trace, trace_id, t_enc))
                     }
                     ProgressiveAdmit::Extract { resident, slot } => {
                         // stream what's already cached now; the worker picks
@@ -1169,7 +1263,7 @@ impl<S: ScalarValue> Reactor<S> {
                 // stats/ping/metrics/trace and confused client messages:
                 // the shared respond() path, inline (all sub-millisecond)
                 let trace_id = request_trace_id(&other);
-                let reply = respond(&state, other, version, &trace, &root);
+                let reply = respond(&state, other, &trace, &root);
                 let _ = &mut root;
                 inline(reply, root, trace, trace_id)
             }
@@ -1372,6 +1466,8 @@ impl<S: ScalarValue> Reactor<S> {
                 self.state.ctl.live.fetch_sub(1, Ordering::SeqCst);
             }
             self.meters.conns.add(-1);
+            self.own_conns.add(-1);
+            self.placement.release(self.index);
             if conn.out_bytes > 0 {
                 self.meters.outbound.add(-(conn.out_bytes as i64));
             }

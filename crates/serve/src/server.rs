@@ -36,10 +36,10 @@
 
 use crate::cache::{CachedSurface, ResultCache};
 use crate::protocol::{
-    encode_frame_at, encode_mesh_chunk_frame, encode_mesh_response_frame,
-    encode_stats_response_frame, read_frame_limited, FrameIn, FrameParams, Message, Region,
-    ServerReport, TraceEvent, ERR_BAD_BACKEND, ERR_BAD_LOD, ERR_BUSY, ERR_INTERNAL, ERR_MALFORMED,
-    MAX_LOD_LEVELS, MAX_REQUEST_PAYLOAD, MIN_PROGRESSIVE_VERSION,
+    crc_time, encode_frame_at, encode_mesh_chunk_frame, encode_mesh_response_frame,
+    read_frame_limited, FrameIn, FrameParams, Message, Region, ServerReport, TraceEvent,
+    ERR_BAD_BACKEND, ERR_BAD_LOD, ERR_BUSY, ERR_INTERNAL, ERR_MALFORMED, MAX_LOD_LEVELS,
+    MAX_REQUEST_PAYLOAD, MIN_PROGRESSIVE_VERSION,
 };
 use oociso_cluster::LodSpec;
 use oociso_core::ClusterDatabase;
@@ -553,6 +553,12 @@ impl<S: ScalarValue> State<S> {
         ] {
             out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
         }
+        // which kernel the frame checksum runs on this host — detected, not
+        // configured, so a throughput number from elsewhere is explainable
+        out.push_str(&format!(
+            "# TYPE checksum_path gauge\nchecksum_path{{kernel=\"{}\"}} 1\n",
+            oociso_exio::crc::path()
+        ));
         out.push_str(&oociso_obs::global().render());
         out
     }
@@ -1211,6 +1217,12 @@ impl IsoServer {
         }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        opts.logger.info(
+            "serve",
+            "checksum_path",
+            "frame checksum kernel detected",
+            &[("kernel", oociso_exio::crc::path().to_string())],
+        );
         // polling accept loop: nonblocking listener + short sleep lets
         // `stop()` take effect without a wake-up connection
         listener.set_nonblocking(true)?;
@@ -1510,15 +1522,22 @@ fn shed_connection<S: ScalarValue>(mut stream: TcpStream, state: &State<S>) -> i
     Ok(())
 }
 
-/// A computed response: either a message still to encode, or a frame
-/// pre-encoded from borrowed data (the cache-hit path, which must not clone
-/// the cached mesh; stats, whose payload layout is version-dependent).
+/// A computed response, still to be encoded at the client's dialect by
+/// [`Reply::finalize`]: a message, or a cached surface serialized straight
+/// from the shared mesh (the cache-hit path, which must not clone it).
 // one transient `Reply` per handled request — the `Message` variant's
 // inline size never accumulates, so boxing would only add indirection
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum Reply {
     Msg(Message),
-    Encoded(Vec<u8>),
+    Surface {
+        surface: Arc<CachedSurface>,
+        cache_hit: bool,
+        served_lod: u16,
+        degraded: bool,
+        backend: u8,
+        trace_id: u64,
+    },
 }
 
 impl Reply {
@@ -1530,8 +1549,66 @@ impl Reply {
         }
         match self {
             Reply::Msg(msg) => encode_frame_at(version, &msg),
-            Reply::Encoded(bytes) => bytes,
+            Reply::Surface {
+                surface,
+                cache_hit,
+                served_lod,
+                degraded,
+                backend,
+                trace_id,
+            } => encode_mesh_response_frame(
+                cache_hit,
+                surface.active_metacells,
+                served_lod,
+                degraded,
+                backend,
+                trace_id,
+                &surface.mesh,
+                version,
+            ),
         }
+    }
+
+    /// [`Reply::finalize`] under the request's `encode` span annotation.
+    pub(crate) fn finalize_traced<S: ScalarValue>(
+        self,
+        state: &State<S>,
+        version: u16,
+        root: &Span,
+    ) -> Vec<u8> {
+        let clock = EncodeClock::start();
+        let bytes = self.finalize(state, version);
+        clock.annotate(root, bytes.len());
+        bytes
+    }
+}
+
+/// Stopwatch for a request's `encode` annotation: wall time of the encode,
+/// frame `bytes`, and `crc_us`, the part of that wall the frame checksum
+/// took (read off the encoding thread's [`crc_time`] clock, so start and
+/// annotate on the thread that encodes).
+pub(crate) struct EncodeClock {
+    started: Instant,
+    crc_before: Duration,
+}
+
+impl EncodeClock {
+    pub(crate) fn start() -> Self {
+        EncodeClock {
+            started: Instant::now(),
+            crc_before: crc_time(),
+        }
+    }
+
+    pub(crate) fn annotate(self, root: &Span, bytes: usize) {
+        root.annotate(
+            "encode",
+            self.started.elapsed(),
+            &[
+                ("bytes", bytes as u64),
+                ("crc_us", (crc_time() - self.crc_before).as_micros() as u64),
+            ],
+        );
     }
 }
 
@@ -1759,14 +1836,8 @@ fn handle_connection<S: ScalarValue>(
                         &root,
                     )?
                 } else {
-                    let reply = respond(state, msg, version, &trace, &root);
-                    let t_enc = Instant::now();
-                    let frame_bytes = reply.finalize(state, version);
-                    root.annotate(
-                        "encode",
-                        t_enc.elapsed(),
-                        &[("bytes", frame_bytes.len() as u64)],
-                    );
+                    let reply = respond(state, msg, &trace, &root);
+                    let frame_bytes = reply.finalize_traced(state, version, &root);
                     send_reply(&mut stream, state, &frame_bytes)?
                 };
                 let total = root.finish();
@@ -1895,7 +1966,6 @@ pub(crate) fn mesh_outcome_reply(
     region: Option<Region>,
     backend: Backend,
     trace_id: u64,
-    version: u16,
 ) -> Reply {
     match outcome {
         // no region: serialize straight from the shared cached mesh
@@ -1905,16 +1975,14 @@ pub(crate) fn mesh_outcome_reply(
             served_lod,
             degraded,
         } => match region {
-            None => Reply::Encoded(encode_mesh_response_frame(
+            None => Reply::Surface {
+                surface,
                 cache_hit,
-                surface.active_metacells,
                 served_lod,
                 degraded,
-                backend.id(),
+                backend: backend.id(),
                 trace_id,
-                &surface.mesh,
-                version,
-            )),
+            },
             Some(r) => {
                 let (lo, hi) = r.corners();
                 Reply::Msg(Message::MeshResponse {
@@ -2133,14 +2201,13 @@ fn serve_progressive<S: ScalarValue>(
     }
 }
 
-/// Compute the response for one well-formed request spoken at `version`.
-/// Extraction spans land in `trace`; request-level annotations hang off
-/// `root`. The client's trace id (0 when untraced) is echoed on mesh and
-/// frame responses; pre-v5 encoders drop it on the floor.
+/// Compute the response for one well-formed request. Extraction spans land
+/// in `trace`; request-level annotations hang off `root`. The client's
+/// trace id (0 when untraced) is echoed on mesh and frame responses;
+/// pre-v5 encoders drop it on the floor.
 pub(crate) fn respond<S: ScalarValue>(
     state: &Arc<State<S>>,
     msg: Message,
-    version: u16,
     trace: &Trace,
     root: &Span,
 ) -> Reply {
@@ -2158,7 +2225,7 @@ pub(crate) fn respond<S: ScalarValue>(
                 Err(reply) => return reply,
             };
             match state.surface(iso, backend, lod, trace, root) {
-                Ok(outcome) => mesh_outcome_reply(outcome, region, backend, trace_id, version),
+                Ok(outcome) => mesh_outcome_reply(outcome, region, backend, trace_id),
                 Err(e) => internal_error_reply(&e),
             }
         }
@@ -2181,12 +2248,7 @@ pub(crate) fn respond<S: ScalarValue>(
                 Err(e) => internal_error_reply(&e),
             }
         }
-        Message::StatsRequest => {
-            // stats payloads are version-dependent (v2 appends the per-level
-            // arrays, v3 the robustness counters), so encode directly at the
-            // client's version
-            Reply::Encoded(encode_stats_response_frame(&state.report(), version))
-        }
+        Message::StatsRequest => Reply::Msg(Message::StatsResponse(state.report())),
         Message::Ping { payload } => Reply::Msg(Message::Pong { payload }),
         // exposition text covers this server's registry, the cache counters,
         // and the process-global registry (background queue waits)

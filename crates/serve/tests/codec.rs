@@ -1,0 +1,620 @@
+//! The mesh codec's contract, stated as properties: `decode ∘ encode = id`
+//! bit for bit, hostile bytes end in a structured error (never a panic,
+//! never an allocation larger than the bytes received), and the frame bytes
+//! of a known mesh are pinned — "the same bytes on the wire" is asserted
+//! against frames built by an independent implementation, not assumed.
+
+use oociso_march::{IndexedMesh, MeshDelta, Vec3};
+use oociso_serve::protocol::{
+    chunk_body_for, decode_frame_bytes, decode_payload, encode_frame_at, encode_frame_raw,
+    encode_mesh_chunk_frame, encode_mesh_response_frame, read_frame, ChunkBody, FrameIn, FrameStep,
+    Message, ERR_BAD_CHECKSUM, ERR_MALFORMED, HEADER_BYTES, MAGIC, MAX_PAYLOAD, MIN_VERSION,
+    MSG_MESH_CHUNK, MSG_MESH_RESPONSE, VERSION,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+// ---- a per-thread "largest single allocation" gauge -----------------------
+
+struct Watching;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a write to a const-initialised
+// thread-local `Cell<usize>` (no allocation, no destructor, cannot unwind).
+unsafe impl GlobalAlloc for Watching {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // `try_with`: the slot is gone while a thread tears down
+        let _ = LARGEST.try_with(|m| m.set(m.get().max(layout.size())));
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Watching = Watching;
+
+/// Run `f`, returning its result and the largest single allocation (fresh
+/// or regrown) this thread requested meanwhile.
+fn largest_alloc_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|m| m.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
+}
+
+/// What a decoder may allocate in one piece for `received` input bytes: a
+/// slab no larger than the input, or a short diagnostic string.
+fn alloc_bound(received: usize) -> usize {
+    received.max(256)
+}
+
+// ---- seeded inputs --------------------------------------------------------
+
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
+    }
+    /// Any `f32` bit pattern, with the awkward ones over-represented.
+    fn float(&mut self) -> f32 {
+        match self.below(8) {
+            0 => f32::from_bits(0x7FC0_0001 | (self.next() as u32 & 0x003F_FFFF)), // NaN + payload
+            1 => -0.0,
+            2 => f32::from_bits(self.next() as u32 & 0x007F_FFFF), // subnormal
+            3 => [f32::INFINITY, f32::NEG_INFINITY, f32::MIN_POSITIVE][self.below(3)],
+            _ => f32::from_bits(self.next() as u32),
+        }
+    }
+    fn vec3(&mut self) -> Vec3 {
+        Vec3::new(self.float(), self.float(), self.float())
+    }
+}
+
+/// Round `i` meshes are the edge shapes; later rounds are random.
+fn mesh_for_round(rng: &mut Rng, round: usize) -> IndexedMesh {
+    let (nvert, ntri) = match round {
+        0 => (0, 0), // the empty mesh
+        1 => (5, 0), // vertices nobody references
+        2 => (1, 3), // every corner the same vertex
+        _ => (1 + rng.below(40), rng.below(60)),
+    };
+    let mut mesh = IndexedMesh::new();
+    for _ in 0..nvert {
+        mesh.push_vertex(rng.vec3());
+    }
+    for _ in 0..ntri {
+        let mut corner = || rng.below(nvert) as u32;
+        let (a, b, c) = (corner(), corner(), corner());
+        mesh.push_triangle(a, b, c);
+    }
+    mesh
+}
+
+fn bits(ps: &[Vec3]) -> Vec<[u32; 3]> {
+    ps.iter()
+        .map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
+        .collect()
+}
+
+fn assert_same_mesh(got: &IndexedMesh, want: &IndexedMesh, ctx: &str) {
+    assert_eq!(
+        bits(got.positions()),
+        bits(want.positions()),
+        "{ctx}: positions"
+    );
+    assert_eq!(got.indices(), want.indices(), "{ctx}: indices");
+}
+
+/// Decode `frame` through both readers; they must agree, and each gets the
+/// whole frame consumed.
+fn decode_both(frame: &[u8], ctx: &str) -> (Message, u16) {
+    let blocking = match read_frame(&mut &frame[..]).unwrap().unwrap() {
+        FrameIn::Ok { msg, version } => (msg, version),
+        other => panic!("{ctx}: blocking reader: {other:?}"),
+    };
+    match decode_frame_bytes(frame, MAX_PAYLOAD) {
+        FrameStep::Frame {
+            frame: FrameIn::Ok { version, .. },
+            consumed,
+        } => {
+            assert_eq!(consumed, frame.len(), "{ctx}");
+            assert_eq!(version, blocking.1, "{ctx}");
+        }
+        other => panic!("{ctx}: incremental reader: {other:?}"),
+    }
+    blocking
+}
+
+// ---- decode ∘ encode = id -------------------------------------------------
+
+#[test]
+fn mesh_response_roundtrips_bit_exactly_at_every_version() {
+    let mut rng = Rng(0x5EED_0001);
+    for round in 0..200 {
+        let mesh = mesh_for_round(&mut rng, round);
+        let (hit, active) = (rng.below(2) == 1, rng.next());
+        let (lod, degraded, backend, trace) = (
+            rng.below(4) as u16,
+            rng.below(2) == 1,
+            rng.below(2) as u8,
+            rng.next(),
+        );
+        for version in MIN_VERSION..=VERSION {
+            let ctx = format!("round {round} v{version}");
+            let frame = encode_mesh_response_frame(
+                hit, active, lod, degraded, backend, trace, &mesh, version,
+            );
+            // a NaN never equals itself, so the owned path is compared by bytes
+            let owned = encode_frame_at(
+                version,
+                &Message::MeshResponse {
+                    cache_hit: hit,
+                    active_metacells: active,
+                    served_lod: lod,
+                    degraded,
+                    backend,
+                    trace_id: trace,
+                    mesh: mesh.clone(),
+                },
+            );
+            assert_eq!(frame, owned, "{ctx}: borrowed and owned encoders");
+            let (msg, got_version) = decode_both(&frame, &ctx);
+            assert_eq!(got_version, version);
+            let Message::MeshResponse {
+                cache_hit,
+                active_metacells,
+                served_lod,
+                degraded: got_degraded,
+                backend: got_backend,
+                trace_id,
+                mesh: got,
+            } = msg
+            else {
+                panic!("{ctx}: not a mesh response");
+            };
+            assert_same_mesh(&got, &mesh, &ctx);
+            assert_eq!((cache_hit, active_metacells), (hit, active), "{ctx}");
+            // fields a dialect does not carry decode to their defaults
+            let want_lod = if version >= 3 {
+                (lod, degraded)
+            } else {
+                (0, false)
+            };
+            assert_eq!((served_lod, got_degraded), want_lod, "{ctx}");
+            assert_eq!(got_backend, if version >= 4 { backend } else { 0 }, "{ctx}");
+            assert_eq!(trace_id, if version >= 5 { trace } else { 0 }, "{ctx}");
+        }
+    }
+}
+
+#[test]
+fn mesh_chunks_roundtrip_bit_exactly_full_and_delta() {
+    let mut rng = Rng(0x5EED_0002);
+    let (mut fulls, mut deltas) = (0, 0);
+    for round in 0..200 {
+        let prev = mesh_for_round(&mut rng, round);
+        // the finer level: every third round an unrelated mesh (the full
+        // body wins), otherwise `prev` plus a few vertices and triangles
+        // (most positions recur, so the delta wins)
+        let mesh = if round % 3 == 0 {
+            mesh_for_round(&mut rng, round + 3)
+        } else {
+            let mut mesh = prev.clone();
+            for _ in 0..1 + rng.below(5) {
+                mesh.push_vertex(rng.vec3());
+            }
+            let n = mesh.num_vertices();
+            for _ in 0..rng.below(8) {
+                let mut corner = || rng.below(n) as u32;
+                let (a, b, c) = (corner(), corner(), corner());
+                mesh.push_triangle(a, b, c);
+            }
+            mesh
+        };
+        for prev in [None, Some(&prev)] {
+            let ctx = format!("round {round} prev {}", prev.is_some());
+            let (last, level, trace) = (rng.below(2) == 1, rng.below(4) as u16, rng.next());
+            let frame =
+                encode_mesh_chunk_frame(last, level, true, 1, 99, trace, prev, &mesh, VERSION);
+            let owned = encode_frame_at(
+                VERSION,
+                &Message::MeshChunk {
+                    last,
+                    level,
+                    cache_hit: true,
+                    backend: 1,
+                    active_metacells: 99,
+                    trace_id: trace,
+                    body: chunk_body_for(prev, &mesh),
+                },
+            );
+            assert_eq!(frame, owned, "{ctx}: borrowed and owned encoders");
+            let (msg, _) = decode_both(&frame, &ctx);
+            let Message::MeshChunk {
+                last: got_last,
+                level: got_level,
+                trace_id,
+                body,
+                ..
+            } = msg
+            else {
+                panic!("{ctx}: not a chunk");
+            };
+            assert_eq!(
+                (got_last, got_level, trace_id),
+                (last, level, trace),
+                "{ctx}"
+            );
+            match body {
+                ChunkBody::Full(got) => {
+                    fulls += 1;
+                    assert_same_mesh(&got, &mesh, &ctx);
+                }
+                ChunkBody::Delta(delta) => {
+                    deltas += 1;
+                    let want = MeshDelta::between(prev.expect("a delta needs a prev"), &mesh);
+                    assert_eq!(delta.reused, want.reused, "{ctx}");
+                    assert_eq!(delta.refs, want.refs, "{ctx}");
+                    assert_eq!(bits(&delta.literals), bits(&want.literals), "{ctx}");
+                    assert_eq!(delta.indices, want.indices, "{ctx}");
+                }
+            }
+        }
+    }
+    assert!(
+        fulls > 50 && deltas > 50,
+        "both bodies exercised: {fulls} full, {deltas} delta"
+    );
+}
+
+// ---- hostile bytes --------------------------------------------------------
+
+/// A mesh-response payload whose counts claim `nvert`/`nidx` but which
+/// carries only `tail` bytes behind them.
+fn claimed_mesh_payload(nvert: u64, nidx: u64, tail: usize) -> Vec<u8> {
+    let mut p = vec![1u8];
+    p.extend_from_slice(&7u64.to_le_bytes());
+    p.extend_from_slice(&nvert.to_le_bytes());
+    p.extend_from_slice(&nidx.to_le_bytes());
+    p.resize(p.len() + tail, 0);
+    p
+}
+
+#[test]
+fn huge_claimed_counts_in_a_short_payload_are_malformed_without_allocating() {
+    let huge = [
+        u32::MAX as u64 - 1,
+        u32::MAX as u64,
+        u64::MAX / 12,
+        u64::MAX,
+    ];
+    for &n in &huge {
+        for (nvert, nidx) in [(n, 0), (0, n), (n, n), (3, n), (n, 3)] {
+            let payload = claimed_mesh_payload(nvert, nidx, 36);
+            // full chunk: 14 fixed bytes, then the same body
+            let mut chunk = vec![1, 0, 0, 1, 0, 0];
+            chunk.extend_from_slice(&payload[1..]);
+            // delta chunk: vertex / index / ref counts, all claimed huge
+            let mut delta = vec![1, 0, 0, 1, 0, 1];
+            delta.extend_from_slice(&7u64.to_le_bytes());
+            for c in [nvert, nidx, nvert] {
+                delta.extend_from_slice(&c.to_le_bytes());
+            }
+            delta.resize(delta.len() + 36, 0);
+            for (msg_type, payload) in [
+                (MSG_MESH_RESPONSE, &payload),
+                (MSG_MESH_CHUNK, &chunk),
+                (MSG_MESH_CHUNK, &delta),
+            ] {
+                let ctx = format!("type {msg_type} nvert {nvert} nidx {nidx}");
+                let frame = encode_frame_raw(MAGIC, VERSION, msg_type, payload);
+                let (step, largest) =
+                    largest_alloc_during(|| decode_frame_bytes(&frame, MAX_PAYLOAD));
+                match step {
+                    FrameStep::Frame {
+                        frame: FrameIn::Violation { code, close, .. },
+                        consumed,
+                    } => {
+                        assert_eq!(code, ERR_MALFORMED, "{ctx}");
+                        assert!(!close, "{ctx}: the frame was whole, framing survives");
+                        assert_eq!(consumed, frame.len(), "{ctx}");
+                    }
+                    other => panic!("{ctx}: {other:?}"),
+                }
+                assert!(
+                    largest <= alloc_bound(frame.len()),
+                    "{ctx}: allocated {largest} B"
+                );
+            }
+        }
+    }
+}
+
+fn small_frames() -> Vec<(&'static str, Vec<u8>)> {
+    let mut rng = Rng(0x5EED_0003);
+    let coarse = mesh_for_round(&mut rng, 7);
+    let mut fine = coarse.clone();
+    let v = fine.push_vertex(rng.vec3());
+    fine.push_triangle(0, v, 0);
+    let resp = encode_mesh_response_frame(true, 7, 1, false, 0, 42, &fine, VERSION);
+    let full = encode_mesh_chunk_frame(false, 1, true, 0, 7, 42, None, &coarse, VERSION);
+    let delta = encode_mesh_chunk_frame(true, 0, true, 0, 7, 42, Some(&coarse), &fine, VERSION);
+    assert_eq!(
+        delta[HEADER_BYTES + 5],
+        1,
+        "the delta encoding must have won"
+    );
+    vec![
+        ("response", resp),
+        ("full chunk", full),
+        ("delta chunk", delta),
+    ]
+}
+
+/// Flip every bit of every byte (and the whole byte) of a sealed frame. The
+/// checksum covers the payload, so damage there or in the trailer is always
+/// `ERR_BAD_CHECKSUM`; header fields are outside it and fail — or pass —
+/// on their own terms, but never panic and never over-allocate.
+#[test]
+fn every_single_byte_corruption_of_a_frame_is_contained() {
+    for (name, frame) in small_frames() {
+        for at in 0..frame.len() {
+            for mask in [1u8, 2, 4, 8, 16, 32, 64, 128, 0xFF] {
+                let ctx = format!("{name}: byte {at} ^ {mask:#x}");
+                let mut bad = frame.clone();
+                bad[at] ^= mask;
+                let (step, largest) =
+                    largest_alloc_during(|| decode_frame_bytes(&bad, MAX_PAYLOAD));
+                assert!(
+                    largest <= alloc_bound(bad.len()),
+                    "{ctx}: allocated {largest} B"
+                );
+                let blocking = read_frame(&mut &bad[..]);
+                if at >= HEADER_BYTES {
+                    let FrameStep::Frame {
+                        frame: FrameIn::Violation { code, close, .. },
+                        consumed,
+                    } = step
+                    else {
+                        panic!("{ctx}: {step:?}");
+                    };
+                    assert_eq!(
+                        (code, close, consumed),
+                        (ERR_BAD_CHECKSUM, false, bad.len()),
+                        "{ctx}"
+                    );
+                    assert!(
+                        matches!(
+                            blocking,
+                            Ok(Some(FrameIn::Violation {
+                                code: ERR_BAD_CHECKSUM,
+                                ..
+                            }))
+                        ),
+                        "{ctx}: blocking reader"
+                    );
+                    continue;
+                }
+                // header damage: a longer length claim is a torn stream for
+                // the blocking reader and NeedMore for the incremental one;
+                // anything else is a verdict both readers share
+                match step {
+                    FrameStep::NeedMore { need } => {
+                        assert!(need > bad.len(), "{ctx}");
+                        assert!(
+                            blocking.is_err(),
+                            "{ctx}: blocking reader saw a whole frame"
+                        );
+                    }
+                    FrameStep::Frame { frame: inc, .. } => {
+                        let blk = blocking.expect("whole frame").expect("not EOF");
+                        match (inc, blk) {
+                            (
+                                FrameIn::Violation {
+                                    code: a, close: ca, ..
+                                },
+                                FrameIn::Violation {
+                                    code: b, close: cb, ..
+                                },
+                            ) => assert_eq!((a, ca), (b, cb), "{ctx}"),
+                            (FrameIn::Ok { version: a, .. }, FrameIn::Ok { version: b, .. }) => {
+                                assert_eq!(a, b, "{ctx}")
+                            }
+                            (a, b) => panic!("{ctx}: readers disagree: {a:?} vs {b:?}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The same damage behind a *valid* checksum (what a buggy or hostile peer
+/// sends): the payload decoder alone must hold the line.
+#[test]
+fn corrupted_payloads_behind_a_valid_checksum_never_panic_or_over_allocate() {
+    for (name, frame) in small_frames() {
+        let msg_type = u16::from_le_bytes([frame[6], frame[7]]);
+        let payload = &frame[HEADER_BYTES..frame.len() - 4];
+        let mut rejected = 0;
+        for at in 0..payload.len() {
+            for mask in [1u8, 2, 4, 8, 16, 32, 64, 128, 0xFF] {
+                let mut bad = payload.to_vec();
+                bad[at] ^= mask;
+                let (res, largest) = largest_alloc_during(|| decode_payload(msg_type, &bad));
+                assert!(
+                    largest <= alloc_bound(bad.len()),
+                    "{name}: byte {at} ^ {mask:#x}: allocated {largest} B"
+                );
+                if let Err(e) = res {
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                    rejected += 1;
+                }
+            }
+        }
+        // counts, flags and indices are all load-bearing; float bits are not
+        assert!(
+            rejected > payload.len(),
+            "{name}: only {rejected} rejections"
+        );
+    }
+}
+
+#[test]
+fn every_truncation_point_is_a_torn_stream_or_need_more_never_a_message() {
+    for (name, frame) in small_frames() {
+        for cut in 0..frame.len() {
+            let ctx = format!("{name}: cut at {cut}");
+            let (step, largest) =
+                largest_alloc_during(|| decode_frame_bytes(&frame[..cut], MAX_PAYLOAD));
+            assert!(largest <= alloc_bound(cut), "{ctx}: allocated {largest} B");
+            match step {
+                FrameStep::NeedMore { need } => assert!(need > cut && need <= frame.len(), "{ctx}"),
+                other => panic!("{ctx}: {other:?}"),
+            }
+            match read_frame(&mut &frame[..cut]) {
+                Ok(None) => assert_eq!(cut, 0, "{ctx}: clean EOF only at a frame boundary"),
+                Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{ctx}"),
+                Ok(Some(f)) => panic!("{ctx}: decoded {f:?}"),
+            }
+            // the payload alone, cut anywhere, is malformed — not a panic.
+            // The one exception is by design: a mesh response's trailing
+            // fields are inferred from length, so cutting exactly the v5
+            // (8 B), v4 (1 B) or v3 (3 B) tail off leaves an older dialect.
+            let payload_end = frame.len() - 4;
+            if (HEADER_BYTES..payload_end).contains(&cut) {
+                let msg_type = u16::from_le_bytes([frame[6], frame[7]]);
+                let (res, largest) =
+                    largest_alloc_during(|| decode_payload(msg_type, &frame[HEADER_BYTES..cut]));
+                let older_dialect =
+                    msg_type == MSG_MESH_RESPONSE && [8, 9, 12].contains(&(payload_end - cut));
+                assert_eq!(res.is_ok(), older_dialect, "{ctx}: {res:?}");
+                assert!(largest <= alloc_bound(cut), "{ctx}: allocated {largest} B");
+            }
+        }
+    }
+}
+
+// ---- the bytes themselves -------------------------------------------------
+
+/// One tiny mesh (three vertices incl. −0.0, two triangles), reply fields
+/// `cache_hit = true, active_metacells = 7, served_lod = 1, degraded = true,
+/// backend = 1, trace_id = 0x0102030405060708`. The frames below were built
+/// from `docs/serve.md`'s layout with Python's `struct` and `zlib.crc32`,
+/// not by this crate — a parent-built peer produces and accepts exactly
+/// these bytes.
+fn golden_mesh() -> IndexedMesh {
+    let mut mesh = IndexedMesh::new();
+    mesh.push_vertex(Vec3::new(0.0, 1.0, -2.5));
+    mesh.push_vertex(Vec3::new(-0.0, 3.25, 1e-3));
+    mesh.push_vertex(Vec3::new(7.0, 8.0, 9.0));
+    mesh.push_triangle(0, 1, 2);
+    mesh.push_triangle(2, 1, 0);
+    mesh
+}
+
+#[rustfmt::skip]
+const GOLDEN_MESH_RESPONSE_V6: [u8; 117] = [
+    0x4f, 0x49, 0x53, 0x4f, 0x06, 0x00, 0x05, 0x00, 0x61, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,
+    0x3f, 0x00, 0x00, 0x20, 0xc0, 0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x50,
+    0x40, 0x6f, 0x12, 0x83, 0x3a, 0x00, 0x00, 0xe0, 0x40, 0x00, 0x00, 0x00,
+    0x41, 0x00, 0x00, 0x10, 0x41, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x02, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x01, 0x01, 0x08, 0x07, 0x06,
+    0x05, 0x04, 0x03, 0x02, 0x01, 0x95, 0xcb, 0x80, 0xee,
+];
+
+#[rustfmt::skip]
+const GOLDEN_MESH_RESPONSE_V1: [u8; 105] = [
+    0x4f, 0x49, 0x53, 0x4f, 0x01, 0x00, 0x05, 0x00, 0x55, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,
+    0x3f, 0x00, 0x00, 0x20, 0xc0, 0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x50,
+    0x40, 0x6f, 0x12, 0x83, 0x3a, 0x00, 0x00, 0xe0, 0x40, 0x00, 0x00, 0x00,
+    0x41, 0x00, 0x00, 0x10, 0x41, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x02, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0xbd, 0xfb, 0xf5, 0x8c,
+];
+
+/// The same mesh as a full `MeshChunk` (`last = true, level = 2,
+/// cache_hit = false, backend = 1`).
+#[rustfmt::skip]
+const GOLDEN_MESH_CHUNK_V6: [u8; 118] = [
+    0x4f, 0x49, 0x53, 0x4f, 0x06, 0x00, 0x10, 0x00, 0x62, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x02, 0x00, 0x00, 0x01, 0x00, 0x07, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x20, 0xc0, 0x00, 0x00,
+    0x00, 0x80, 0x00, 0x00, 0x50, 0x40, 0x6f, 0x12, 0x83, 0x3a, 0x00, 0x00,
+    0xe0, 0x40, 0x00, 0x00, 0x00, 0x41, 0x00, 0x00, 0x10, 0x41, 0x00, 0x00,
+    0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x02, 0x00,
+    0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x07,
+    0x06, 0x05, 0x04, 0x03, 0x02, 0x01, 0x34, 0xb7, 0x7e, 0xab,
+];
+
+#[test]
+fn golden_frame_bytes_are_pinned_at_the_current_version_and_at_v1() {
+    let mesh = golden_mesh();
+    let id = 0x0102_0304_0506_0708;
+    assert_eq!(VERSION, 6, "a new dialect needs its own golden frame");
+    assert_eq!(
+        encode_mesh_response_frame(true, 7, 1, true, 1, id, &mesh, VERSION),
+        GOLDEN_MESH_RESPONSE_V6
+    );
+    assert_eq!(
+        encode_mesh_response_frame(true, 7, 1, true, 1, id, &mesh, 1),
+        GOLDEN_MESH_RESPONSE_V1
+    );
+    assert_eq!(
+        encode_mesh_chunk_frame(true, 2, false, 1, 7, id, None, &mesh, VERSION),
+        GOLDEN_MESH_CHUNK_V6
+    );
+    // and the other direction: frames this crate did not build decode to
+    // exactly that mesh
+    for (golden, version) in [
+        (&GOLDEN_MESH_RESPONSE_V6[..], 6),
+        (&GOLDEN_MESH_RESPONSE_V1[..], 1),
+    ] {
+        let (msg, got_version) = decode_both(golden, "golden response");
+        assert_eq!(got_version, version);
+        let Message::MeshResponse {
+            mesh: got,
+            active_metacells: 7,
+            cache_hit: true,
+            ..
+        } = msg
+        else {
+            panic!("golden v{version} decoded to {msg:?}");
+        };
+        assert_same_mesh(&got, &mesh, "golden response");
+    }
+    let (msg, _) = decode_both(&GOLDEN_MESH_CHUNK_V6, "golden chunk");
+    let Message::MeshChunk {
+        body: ChunkBody::Full(got),
+        last: true,
+        level: 2,
+        ..
+    } = msg
+    else {
+        panic!("golden chunk decoded to {msg:?}");
+    };
+    assert_same_mesh(&got, &mesh, "golden chunk");
+}

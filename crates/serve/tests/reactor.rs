@@ -274,6 +274,74 @@ fn burst_connect_drains_backlog_per_wakeup() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The value of a plain `name value` row of the metrics exposition.
+#[cfg(target_os = "linux")]
+fn metric(server: &IsoServer, name: &str) -> i64 {
+    server
+        .metrics()
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no metric row `{name}`"))
+}
+
+/// Clients that connect together must not share one event loop: whichever
+/// loop wakes for the backlog hands each stream to the loop with the fewest
+/// live connections, so 8 simultaneous connects against 2 loops end 4/4 —
+/// and stay balanced as connections come and go.
+#[cfg(target_os = "linux")]
+#[test]
+fn simultaneous_connects_spread_evenly_across_loops() {
+    let (dir, server) = bind("even_accept", Core::Reactor, ServeOptions::default());
+    let addr = server.addr();
+    let mut streams: Vec<TcpStream> = (0..8).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    // a pong on every stream proves its owning loop has admitted it
+    let ping_all = |streams: &mut [TcpStream]| {
+        for (i, s) in streams.iter_mut().enumerate() {
+            write_frame(
+                s,
+                &Message::Ping {
+                    payload: vec![i as u8],
+                },
+            )
+            .unwrap();
+        }
+        for (i, s) in streams.iter_mut().enumerate() {
+            match read_frame(s).unwrap().unwrap() {
+                FrameIn::Ok {
+                    msg: Message::Pong { payload },
+                    ..
+                } => assert_eq!(payload, vec![i as u8]),
+                other => panic!("stream {i}: unexpected reply {other:?}"),
+            }
+        }
+    };
+    ping_all(&mut streams);
+    let per_loop = |server: &IsoServer| {
+        (
+            metric(server, "reactor_loop0_connections"),
+            metric(server, "reactor_loop1_connections"),
+        )
+    };
+    assert_eq!(per_loop(&server), (4, 4), "8 connects over 2 loops");
+    assert_eq!(metric(&server, "reactor_connections"), 8);
+
+    // close three and wait for the loops to notice, then connect three
+    // more: the newcomers must fill the emptier loop back up to 4/4
+    streams.truncate(5);
+    let t0 = Instant::now();
+    while metric(&server, "reactor_connections") != 5 {
+        assert!(t0.elapsed() < Duration::from_secs(5), "closes not noticed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    streams.extend((0..3).map(|_| TcpStream::connect(addr).unwrap()));
+    ping_all(&mut streams);
+    assert_eq!(per_loop(&server), (4, 4), "refill after 3 closes");
+
+    drop(streams);
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Walk `received` as a sequence of reply frames: every frame must be
 /// complete except possibly the last, and nothing may follow a partial
 /// one. Returns (complete, partial_bytes).
