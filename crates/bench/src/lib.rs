@@ -1,9 +1,13 @@
 //! Shared harness for the table/figure regeneration binaries.
 //!
 //! Every table and figure of the paper's evaluation has a binary in
-//! `src/bin/` that regenerates it (see DESIGN.md §5 for the index). This
+//! `src/bin/` that regenerates it: `table1` (index sizes), `table2_5`
+//! (Tables 2–5, Figures 5–6), `tables6_7` (load balance), `table8` (the
+//! time-varying case), and the three `ablation_*` studies (partition, index,
+//! metacell size); each binary's module docs say what it reproduces. This
 //! library holds what they share: dataset construction with on-disk caching,
-//! environment knobs, and plain-text table formatting.
+//! environment knobs, and plain-text table formatting. A cached dataset
+//! that no longer opens (another store format) is rebuilt.
 //!
 //! Environment knobs:
 //!

@@ -138,6 +138,13 @@ pub fn preprocess(opts: &Options) -> Result<(), String> {
         stats.size_ratio() * 100.0,
         db.index_bytes() as f64 / 1024.0
     );
+    // the paper's kept bytes count raw records; the store holds packed ones
+    println!(
+        "stored {:.2} MB packed, {:.0}% of the {:.2} MB of kept records",
+        stats.stored_bytes as f64 / 1e6,
+        stats.stored_ratio() * 100.0,
+        stats.kept_bytes as f64 / 1e6
+    );
     Ok(())
 }
 
@@ -150,13 +157,14 @@ pub fn info(opts: &Options) -> Result<(), String> {
     println!("database:   {db_dir}");
     println!("volume:     {}x{}x{} u8", dims.nx, dims.ny, dims.nz);
     println!(
-        "metacells:  {}^3 vertices ({} B full record), grid {}x{}x{}",
+        "metacells:  {}^3 vertices ({} B full record raw), grid {}x{}x{}",
         layout.k(),
         layout.full_record_len(1),
         layout.grid().nx,
         layout.grid().ny,
         layout.grid().nz
     );
+    println!("format:     {}", oociso_cluster::meta::ClusterMeta::FORMAT);
     println!("nodes:      {}", db.nodes());
     println!(
         "index:      {:.1} KB total",
@@ -164,11 +172,12 @@ pub fn info(opts: &Options) -> Result<(), String> {
     );
     for (i, tree) in db.cluster().trees().iter().enumerate() {
         println!(
-            "  node {i}: {} tree nodes, {} brick entries, {} metacells, height {}",
+            "  node {i}: {} tree nodes, {} brick entries, {} metacells, height {}, store {} B",
             tree.num_nodes(),
             tree.num_entries(),
             tree.num_intervals(),
-            tree.height()
+            tree.height(),
+            db.cluster().store_bytes(i)
         );
     }
     Ok(())

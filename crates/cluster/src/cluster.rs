@@ -3,7 +3,7 @@
 use crate::meta::ClusterMeta;
 use crate::timing::{NodeReport, QueryReport};
 use oociso_exio::{BoundedQueue, DiskFarm, RecordStore, WriteAt};
-use oociso_itree::plan::{execute_plan, ExecStats, QueryPlan};
+use oociso_itree::plan::{execute_plan_at, ExecStats, QueryPlan};
 use oociso_itree::{persist, CompactIntervalTree, MetacellRecordFormat};
 use oociso_march::mc::McStats;
 use oociso_march::weld::WeldStats;
@@ -18,7 +18,7 @@ use oociso_metacell::{
 use oociso_obs::{Span, Trace};
 use oociso_render::{rasterize_mesh, Camera, Framebuffer, LocalTransport, TileLayout, Transport};
 use oociso_volume::{ScalarValue, Volume};
-use std::io;
+use std::io::{self, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -40,10 +40,12 @@ impl Default for ClusterBuildOptions {
     }
 }
 
-/// Default bound (in records) of the retrieval→triangulation queue. Sized so
-/// staging memory stays tens of records (~50 KB of u8 metacells) while giving
-/// the worker pool enough lookahead to ride out bursty bulk reads.
-pub const DEFAULT_QUEUE_RECORDS: usize = 64;
+/// Default bound (in full-metacell records of work) of the
+/// retrieval→triangulation queue. It must hold one run-reader refill's
+/// records (`STREAM_CHUNK`, 32 KiB, is 100–140 packed u8 metacells on smooth
+/// fields), or the producer blocks mid-refill and the device idles while the
+/// workers catch up. Staging stays tens of KB, what 64 raw records took.
+pub const DEFAULT_QUEUE_RECORDS: usize = 192;
 
 /// How active-metacell records flow from retrieval (phase (i)) into
 /// triangulation (phase (ii)).
@@ -355,43 +357,114 @@ fn index_path(dir: &Path, node: usize) -> PathBuf {
     dir.join(format!("node{node:03}.index"))
 }
 
-/// Pass 2 of the out-of-core build: stream the volume file again, encoding
-/// each kept record and writing it at its pre-assigned `(stripe, offset)`.
-/// Generic over the write sinks so failing devices can exercise the error
-/// path; any write failure aborts the scan and surfaces as `Err`.
-fn write_records_pass<S: ScalarValue>(
-    volume_path: &Path,
-    k: usize,
-    intervals: &[MetacellInterval],
-    placement: &[(usize, u64)],
-    sinks: &[&dyn WriteAt],
-) -> io::Result<()> {
-    let mut reader = oociso_volume::io::RawVolumeReader::<S>::open(volume_path)?;
-    let mut kept_cursor = 0usize;
-    oociso_metacell::scan_reader(&mut reader, k, |built| {
-        let Some(&(stripe, offset)) = placement.get(kept_cursor) else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "volume grew between preprocessing passes",
-            ));
-        };
-        debug_assert_eq!(built.interval.id, intervals[kept_cursor].id);
-        kept_cursor += 1;
-        sinks[stripe].write_all_at(&built.record.encode(), offset)
-    })?;
-    if kept_cursor != placement.len() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "volume shrank between preprocessing passes",
-        ));
+/// Where pass 1 of the out-of-core build spills its encoded records.
+fn spill_path(dir: &Path) -> PathBuf {
+    dir.join("preprocess.spill")
+}
+
+/// The spill file of the out-of-core build: every kept record, encoded once,
+/// in scan order. Removed when dropped — after a successful build and on
+/// every error path alike.
+struct Spill {
+    path: PathBuf,
+    file: std::fs::File,
+}
+
+impl Spill {
+    fn create(dir: &Path) -> io::Result<Spill> {
+        let path = spill_path(dir);
+        let file = std::fs::File::options()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&path)?;
+        Ok(Spill { path, file })
     }
-    Ok(())
+}
+
+impl Drop for Spill {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.path).ok();
+    }
+}
+
+/// The out-of-core build up to its index files: one scan of the volume file
+/// and two sequential passes over a spill, peak memory one z-slab plus a
+/// length per kept record.
+///
+/// 1. Scan z-slabs, computing each metacell's `(vmin, vmax)` interval
+///    (constant metacells culled), encoding each kept record once and
+///    appending it to a spill file in `dir`.
+/// 2. Build the striped trees with a *dry-run* sink that only assigns each
+///    record its destination `(stripe, offset)` from the spilled lengths.
+/// 3. Create the stores at their final sizes (`create_stores`, given each
+///    stripe's length) and stream the spill into them, each record written
+///    at its placement.
+///
+/// Generic over the store sinks so failing devices can exercise the error
+/// path; any write failure surfaces as `Err`, and the spill is gone either
+/// way.
+fn write_stores<S: ScalarValue, W: WriteAt>(
+    volume_path: &Path,
+    dir: &Path,
+    nodes: usize,
+    k: usize,
+    create_stores: impl FnOnce(&[u64]) -> io::Result<Vec<W>>,
+) -> io::Result<(Vec<CompactIntervalTree>, PreprocessStats)> {
+    let mut reader = oociso_volume::io::RawVolumeReader::<S>::open(volume_path)?;
+    let spill = Spill::create(dir)?;
+    let mut intervals: Vec<MetacellInterval> = Vec::new();
+    let mut lengths: Vec<u32> = Vec::new();
+    let mut out = io::BufWriter::new(&spill.file);
+    let mut stats = oociso_metacell::scan_reader(&mut reader, k, |built| {
+        let record = built.record.encode();
+        out.write_all(&record)?;
+        intervals.push(built.interval);
+        lengths.push(record.len() as u32);
+        Ok(())
+    })?;
+    out.flush()?;
+    drop(out);
+    stats.stored_bytes = lengths.iter().map(|&len| u64::from(len)).sum();
+
+    // placement[kept_index] = (stripe, offset); intervals are sorted by id
+    let mut cursors = vec![0u64; nodes];
+    let mut placement: Vec<(usize, u64)> = vec![(0, 0); intervals.len()];
+    let trees = CompactIntervalTree::build_striped(&intervals, nodes, &mut |stripe, iv| {
+        let idx = intervals
+            .binary_search_by_key(&iv.id, |v| v.id)
+            .expect("id from this scan");
+        let len = u64::from(lengths[idx]);
+        let offset = cursors[stripe];
+        cursors[stripe] += len;
+        placement[idx] = (stripe, offset);
+        Ok(oociso_exio::Span { offset, len })
+    })?;
+
+    let sinks = create_stores(&cursors)?;
+    let mut spilled = io::BufReader::new(&spill.file);
+    spilled.seek(io::SeekFrom::Start(0))?;
+    let mut record = Vec::new();
+    for (&len, &(stripe, offset)) in lengths.iter().zip(&placement) {
+        record.resize(len as usize, 0);
+        spilled.read_exact(&mut record)?;
+        sinks[stripe].write_all_at(&record, offset)?;
+    }
+    Ok((trees, stats))
+}
+
+/// The store offset one past the last byte a node's index addresses.
+fn index_end(tree: &CompactIntervalTree) -> u64 {
+    let entries = tree.nodes().iter().flat_map(|n| &n.entries);
+    entries.map(|e| e.span.end()).max().unwrap_or(0)
 }
 
 impl<S: ScalarValue> Cluster<S> {
     /// Preprocess `vol` into `dir` for `nodes` nodes: scan metacells, cull
-    /// constants, stripe bricks round-robin across per-node stores, build and
-    /// persist per-node compact interval trees.
+    /// constants, stripe bricks round-robin across per-node stores (each
+    /// record encoded once, as its brick is written), build and persist
+    /// per-node compact interval trees.
     pub fn build(
         vol: &Volume<S>,
         dir: &Path,
@@ -400,7 +473,7 @@ impl<S: ScalarValue> Cluster<S> {
     ) -> io::Result<(Self, PreprocessStats)> {
         assert!(nodes > 0);
         let layout = MetacellLayout::new(vol.dims(), opts.metacell_k);
-        let (built, stats) = scan_volume(vol, &layout);
+        let (built, mut stats) = scan_volume(vol, &layout);
         let intervals: Vec<MetacellInterval> = built.iter().map(|b| b.interval).collect();
 
         let farm = DiskFarm::new(dir, nodes);
@@ -409,51 +482,25 @@ impl<S: ScalarValue> Cluster<S> {
             let idx = built
                 .binary_search_by_key(&iv.id, |b| b.interval.id)
                 .expect("interval id from this build");
-            writers[stripe].append(&built[idx].record.encode())
+            let record = built[idx].record.encode();
+            stats.stored_bytes += record.len() as u64;
+            writers[stripe].append(&record)
         })?;
         for w in writers {
             w.finish()?;
         }
-        for (i, tree) in trees.iter().enumerate() {
-            persist::save(tree, &index_path(dir, i))?;
-        }
-        ClusterMeta {
-            dims: vol.dims(),
-            metacell_k: opts.metacell_k,
-            scalar: S::NAME.to_string(),
-            nodes,
-        }
-        .save(dir)?;
-
-        let stores = farm.open_stores(opts.mmap)?;
-        Ok((
-            Cluster {
-                dir: dir.to_path_buf(),
-                nodes,
-                layout,
-                format: MetacellRecordFormat::new(layout),
-                trees,
-                stores,
-            },
-            stats,
-        ))
+        Self::finish_build(dir, layout, trees, opts.mmap).map(|c| (c, stats))
     }
 
     /// Preprocess a raw volume **file** into `dir` without ever holding the
     /// volume in memory — the true out-of-core preprocessing path.
     ///
-    /// Two streaming passes over the file (the paper likens preprocessing
-    /// cost to an external sort):
-    ///
-    /// 1. stream z-slabs, computing every metacell's `(vmin, vmax)` interval
-    ///    (constant metacells culled); build the striped trees with a
-    ///    *dry-run* sink that only assigns each record its destination
-    ///    `(stripe, offset)` — no payload exists yet;
-    /// 2. stream z-slabs again, encoding each kept record and writing it at
-    ///    its pre-assigned offset via positioned writes.
-    ///
-    /// Peak memory is one slab (`nx × ny × k` samples) plus the interval list
-    /// and index — independent of `nz`.
+    /// One streaming scan of the file encodes every kept record once into a
+    /// spill beside the stores; the striped trees are then built from the
+    /// records' lengths and the spill streamed into place (the paper likens
+    /// preprocessing cost to an external sort). Peak memory is one slab
+    /// (`nx × ny × k` samples) plus the interval list, a length per kept
+    /// record and the index — independent of `nz`.
     pub fn build_from_file(
         volume_path: &Path,
         dir: &Path,
@@ -461,75 +508,57 @@ impl<S: ScalarValue> Cluster<S> {
         opts: &ClusterBuildOptions,
     ) -> io::Result<(Self, PreprocessStats)> {
         assert!(nodes > 0);
-        let mut reader = oociso_volume::io::RawVolumeReader::<S>::open(volume_path)?;
-        let layout = MetacellLayout::new(reader.dims(), opts.metacell_k);
-
-        // Pass 1: intervals only (records dropped immediately).
-        let mut intervals: Vec<MetacellInterval> = Vec::new();
-        let stats = oociso_metacell::scan_reader(&mut reader, opts.metacell_k, |built| {
-            intervals.push(built.interval);
-            Ok(())
-        })?;
-
-        // Dry-run striped build: assign offsets, build trees.
-        let mut cursors = vec![0u64; nodes];
-        // placement[kept_index] = (stripe, offset); intervals are sorted by id
-        let mut placement: Vec<(usize, u64)> = vec![(0, 0); intervals.len()];
-        let trees = CompactIntervalTree::build_striped(&intervals, nodes, &mut |stripe, iv| {
-            let len = layout.record_len(iv.id, S::BYTES) as u64;
-            let offset = cursors[stripe];
-            cursors[stripe] += len;
-            let idx = intervals
-                .binary_search_by_key(&iv.id, |v| v.id)
-                .expect("id from this scan");
-            placement[idx] = (stripe, offset);
-            Ok(oociso_exio::Span { offset, len })
-        })?;
-
-        // Create store files sized up front.
+        let dims = oociso_volume::io::RawVolumeReader::<S>::open(volume_path)?.dims();
+        let layout = MetacellLayout::new(dims, opts.metacell_k);
         std::fs::create_dir_all(dir)?;
         let farm = DiskFarm::new(dir, nodes);
-        let files: Vec<std::fs::File> = (0..nodes)
-            .map(|i| {
-                let f = std::fs::File::create(farm.store_path(i))?;
-                f.set_len(cursors[i])?;
-                Ok(f)
-            })
-            .collect::<io::Result<_>>()?;
+        let (trees, stats) =
+            write_stores::<S, _>(volume_path, dir, nodes, opts.metacell_k, |lens| {
+                lens.iter()
+                    .enumerate()
+                    .map(|(i, &len)| {
+                        let f = std::fs::File::create(farm.store_path(i))?;
+                        f.set_len(len)?;
+                        Ok(f)
+                    })
+                    .collect()
+            })?;
+        Self::finish_build(dir, layout, trees, opts.mmap).map(|c| (c, stats))
+    }
 
-        // Pass 2: stream again, writing each record at its placement through
-        // the portable positioned-write abstraction. Write failures (full
-        // disk, revoked handle) surface as `Err` from the scan.
-        let sinks: Vec<&dyn WriteAt> = files.iter().map(|f| f as &dyn WriteAt).collect();
-        write_records_pass::<S>(volume_path, opts.metacell_k, &intervals, &placement, &sinks)?;
-        drop(files);
-
+    /// Persist the trees and the metadata of freshly written stores, and
+    /// open the result.
+    fn finish_build(
+        dir: &Path,
+        layout: MetacellLayout,
+        trees: Vec<CompactIntervalTree>,
+        mmap: bool,
+    ) -> io::Result<Self> {
         for (i, tree) in trees.iter().enumerate() {
             persist::save(tree, &index_path(dir, i))?;
         }
         ClusterMeta {
             dims: layout.volume_dims(),
-            metacell_k: opts.metacell_k,
+            metacell_k: layout.k(),
             scalar: S::NAME.to_string(),
-            nodes,
+            nodes: trees.len(),
         }
         .save(dir)?;
-
-        let stores = farm.open_stores(opts.mmap)?;
-        Ok((
-            Cluster {
-                dir: dir.to_path_buf(),
-                nodes,
-                layout,
-                format: MetacellRecordFormat::new(layout),
-                trees,
-                stores,
-            },
-            stats,
-        ))
+        let stores = DiskFarm::new(dir, trees.len()).open_stores(mmap)?;
+        Ok(Cluster {
+            dir: dir.to_path_buf(),
+            nodes: trees.len(),
+            layout,
+            format: MetacellRecordFormat::new(layout),
+            trees,
+            stores,
+        })
     }
 
-    /// Open a previously built cluster directory.
+    /// Open a previously built cluster directory. A directory of another
+    /// store format (`cluster.meta`'s `format` line), scalar type, or with a
+    /// node store whose length is not what its index addresses (a truncated
+    /// or foreign `nodeNNN.bricks`) is [`io::ErrorKind::InvalidData`].
     pub fn open(dir: &Path, mmap: bool) -> io::Result<Self> {
         let meta = ClusterMeta::load(dir)?;
         if meta.scalar != S::NAME {
@@ -548,6 +577,19 @@ impl<S: ScalarValue> Cluster<S> {
         let trees = (0..meta.nodes)
             .map(|i| persist::load(&index_path(dir, i)))
             .collect::<io::Result<Vec<_>>>()?;
+        for (node, (tree, store)) in trees.iter().zip(&stores).enumerate() {
+            let end = index_end(tree);
+            if store.len() != end {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "node {node}: store {} holds {} bytes, its index addresses {end}",
+                        farm.store_path(node).display(),
+                        store.len()
+                    ),
+                ));
+            }
+        }
         Ok(Cluster {
             dir: dir.to_path_buf(),
             nodes: meta.nodes,
@@ -576,6 +618,11 @@ impl<S: ScalarValue> Cluster<S> {
     /// Dataset directory.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// Bytes of node `node`'s brick store.
+    pub fn store_bytes(&self, node: usize) -> u64 {
+        self.stores[node].len()
     }
 
     /// Intra-node worker count: divide the machine's cores across the
@@ -723,6 +770,7 @@ impl<S: ScalarValue> Cluster<S> {
         let weld = weld && backend == Backend::Mc;
         let (out, mut report) = match mode {
             ExtractMode::Streaming { queue_records } => self.node_extract_streaming(
+                node,
                 &plan,
                 store,
                 iso,
@@ -733,7 +781,7 @@ impl<S: ScalarValue> Cluster<S> {
                 &span,
             )?,
             ExtractMode::Batch => {
-                self.node_extract_batch(&plan, store, iso, workers, weld, backend, &span)?
+                self.node_extract_batch(node, &plan, store, iso, workers, weld, backend, &span)?
             }
         };
         report.node = node;
@@ -788,6 +836,7 @@ impl<S: ScalarValue> Cluster<S> {
     #[allow(clippy::too_many_arguments)]
     fn node_extract_streaming(
         &self,
+        node: usize,
         plan: &QueryPlan,
         store: &RecordStore,
         iso: f32,
@@ -799,11 +848,12 @@ impl<S: ScalarValue> Cluster<S> {
     ) -> io::Result<(BlockOutput, NodeReport)> {
         type Part = (u64, BlockOutput, McStats);
         /// Closes the queue when dropped. Every pipeline thread holds one, so
-        /// an unwinding producer or worker releases everyone else — workers
-        /// drain and exit, a blocked producer's push fails — instead of
-        /// leaving them parked on a queue nobody will touch again (the scope
-        /// would then never join and the panic would never propagate).
-        /// Closing twice is harmless, so normal exits need no special case.
+        /// an unwinding producer or a worker that met a corrupt record
+        /// releases everyone else — workers drain and exit, a blocked
+        /// producer's push fails — instead of leaving them parked on a queue
+        /// nobody will touch again (the scope would then never join and the
+        /// panic would never propagate). Closing twice is harmless, so
+        /// normal exits need no special case.
         struct CloseOnDrop<'a, T>(&'a BoundedQueue<T>);
         impl<T> Drop for CloseOnDrop<'_, T> {
             fn drop(&mut self) {
@@ -819,7 +869,8 @@ impl<S: ScalarValue> Cluster<S> {
             let span = (self.layout.k() - 1) as u64;
             span * span * span
         };
-        let queue: BoundedQueue<(u64, Vec<u8>)> =
+        // (sequence, store offset, record)
+        let queue: BoundedQueue<(u64, u64, Vec<u8>)> =
             BoundedQueue::weighted((queue_records as u64).saturating_mul(full_cells));
         let backend_impl = backend.instance::<S>();
         let sp_pipe = span.child("pipeline");
@@ -827,27 +878,29 @@ impl<S: ScalarValue> Cluster<S> {
             let queue = &queue;
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    scope.spawn(move || {
-                        let _release_on_panic = CloseOnDrop(queue);
+                    scope.spawn(move || -> io::Result<(Vec<Part>, Duration)> {
+                        let _close = CloseOnDrop(queue);
                         let mut parts: Vec<Part> = Vec::new();
                         let mut busy = Duration::ZERO;
                         let mut scratch = BackendScratch::new();
                         let mut scalars: Vec<S> = Vec::new();
-                        while let Some((seq, rec)) = queue.pop() {
+                        while let Some((seq, offset, rec)) = queue.pop() {
                             let t = Instant::now();
                             let mut out = BlockOutput::default();
                             let mc = self.triangulate_record(
+                                node,
                                 backend_impl,
+                                offset,
                                 &rec,
                                 iso,
                                 &mut out,
                                 &mut scratch,
                                 &mut scalars,
-                            );
+                            )?;
                             busy += t.elapsed();
                             parts.push((seq, out, mc));
                         }
-                        (parts, busy)
+                        Ok((parts, busy))
                     })
                 })
                 .collect();
@@ -859,9 +912,9 @@ impl<S: ScalarValue> Cluster<S> {
             let exec = {
                 let _close = CloseOnDrop(queue);
                 let mut seq = 0u64;
-                execute_plan(plan, store, &self.format, |id, bytes| {
+                execute_plan_at(plan, store, &self.format, |id, offset, bytes| {
                     let work = self.layout.num_cells(id) as u64;
-                    let _ = queue.push((seq, bytes.to_vec()), bytes.len() as u64, work);
+                    let _ = queue.push((seq, offset, bytes.to_vec()), bytes.len() as u64, work);
                     seq += 1;
                 })
                 // _close drops here: the queue closes on success, on a failed
@@ -872,13 +925,14 @@ impl<S: ScalarValue> Cluster<S> {
                 exec_fields(&mut sp_exec, exec);
             }
             let amc_retrieval = sp_exec.finish();
-            let outs: Vec<(Vec<Part>, Duration)> = handles
+            let outs: Vec<io::Result<(Vec<Part>, Duration)>> = handles
                 .into_iter()
                 .map(|h| h.join().expect("extraction worker panicked"))
                 .collect();
             (exec, amc_retrieval, outs)
         });
         let exec = exec?;
+        let outs = outs.into_iter().collect::<io::Result<Vec<_>>>()?;
 
         // Sequence-ordered merge restores the plan's emission order exactly.
         let mut triangulation_busy = Duration::ZERO;
@@ -938,6 +992,7 @@ impl<S: ScalarValue> Cluster<S> {
     #[allow(clippy::too_many_arguments)]
     fn node_extract_batch(
         &self,
+        node: usize,
         plan: &QueryPlan,
         store: &RecordStore,
         iso: f32,
@@ -950,15 +1005,15 @@ impl<S: ScalarValue> Cluster<S> {
         // (which is what `peak_queue_*` report for this mode).
         let sp_pipe = span.child("pipeline");
         let mut sp_exec = sp_pipe.child("execute_plan");
-        let mut records: Vec<Vec<u8>> = Vec::new();
+        let mut records: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut staged_cells = 0u64;
-        let exec = execute_plan(plan, store, &self.format, |id, bytes| {
+        let exec = execute_plan_at(plan, store, &self.format, |id, offset, bytes| {
             staged_cells += self.layout.num_cells(id) as u64;
-            records.push(bytes.to_vec())
+            records.push((offset, bytes.to_vec()))
         })?;
         exec_fields(&mut sp_exec, &exec);
         let amc_retrieval = sp_exec.finish();
-        let bytes_read: u64 = records.iter().map(|r| r.len() as u64).sum();
+        let bytes_read: u64 = records.iter().map(|(_, r)| r.len() as u64).sum();
         let backend_impl = backend.instance::<S>();
 
         // Phase 2: triangulation across contiguous chunks. chunks(per) can
@@ -969,7 +1024,7 @@ impl<S: ScalarValue> Cluster<S> {
         let per = records.len().max(1).div_ceil(workers);
         let workers = records.len().max(1).div_ceil(per);
         let (parts, triangulation_busy) = if workers <= 1 {
-            let part = self.triangulate_batch(backend_impl, &records, iso);
+            let part = self.triangulate_batch(node, backend_impl, &records, iso)?;
             let busy = t1.elapsed();
             sp_pipe.annotate("triangulate", busy, &[("worker", 0)]);
             (vec![part], busy)
@@ -980,16 +1035,17 @@ impl<S: ScalarValue> Cluster<S> {
                     .map(|chunk| {
                         scope.spawn(move || {
                             let t = Instant::now();
-                            let (out, mc) = self.triangulate_batch(backend_impl, chunk, iso);
-                            (out, mc, t.elapsed())
+                            let (out, mc) =
+                                self.triangulate_batch(node, backend_impl, chunk, iso)?;
+                            Ok((out, mc, t.elapsed()))
                         })
                     })
                     .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("extraction worker panicked"))
-                    .collect()
-            });
+                    .collect::<io::Result<_>>()
+            })?;
             let busy = parts.iter().map(|&(_, _, dt)| dt).sum();
             for (w, (_, _, dt)) in parts.iter().enumerate() {
                 sp_pipe.annotate("triangulate", *dt, &[("worker", w as u64)]);
@@ -1030,20 +1086,30 @@ impl<S: ScalarValue> Cluster<S> {
         ))
     }
 
-    /// Extract one encoded record into `out` through the chosen backend,
-    /// reusing the caller's decode buffer and kernel scratch.
+    /// Extract one encoded record, read from store offset `at` of `node`,
+    /// into `out` through the chosen backend, reusing the caller's decode
+    /// buffer and kernel scratch. A record that does not decode is
+    /// [`io::ErrorKind::InvalidData`] naming the node, the offset and what
+    /// the decoder found wrong (the metacell id among it).
+    #[allow(clippy::too_many_arguments)]
     fn triangulate_record(
         &self,
+        node: usize,
         backend: &dyn ExtractionBackend<S>,
+        at: u64,
         rec: &[u8],
         iso: f32,
         out: &mut BlockOutput,
         scratch: &mut BackendScratch,
         scalars: &mut Vec<S>,
-    ) -> McStats {
-        let (id, _vmin, used) =
-            MetacellRecord::<S>::decode_scalars_into(rec, &self.layout, scalars);
-        debug_assert_eq!(used, rec.len());
+    ) -> io::Result<McStats> {
+        let (id, ..) = MetacellRecord::<S>::try_decode_scalars_into(rec, &self.layout, scalars)
+            .map_err(|e| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("node {node}, record at store offset {at}: {e}"),
+                )
+            })?;
         let (origin, _) = self.layout.vertex_box(id);
         let local = Volume::from_vec(self.layout.cell_dims(id), std::mem::take(scalars));
         let domain = BlockDomain {
@@ -1052,7 +1118,7 @@ impl<S: ScalarValue> Cluster<S> {
         };
         let stats = backend.extract_block(&local, iso, &domain, out, scratch);
         *scalars = local.into_vec();
-        stats
+        Ok(stats)
     }
 
     /// Extract one contiguous batch of encoded records into one accumulated
@@ -1060,20 +1126,29 @@ impl<S: ScalarValue> Cluster<S> {
     /// batch.
     fn triangulate_batch(
         &self,
+        node: usize,
         backend: &dyn ExtractionBackend<S>,
-        records: &[Vec<u8>],
+        records: &[(u64, Vec<u8>)],
         iso: f32,
-    ) -> (BlockOutput, McStats) {
+    ) -> io::Result<(BlockOutput, McStats)> {
         let mut out = BlockOutput::default();
         let mut mc = McStats::default();
         let mut scratch = BackendScratch::new();
         let mut scalars: Vec<S> = Vec::new();
-        for rec in records {
-            let stats =
-                self.triangulate_record(backend, rec, iso, &mut out, &mut scratch, &mut scalars);
+        for (at, rec) in records {
+            let stats = self.triangulate_record(
+                node,
+                backend,
+                *at,
+                rec,
+                iso,
+                &mut out,
+                &mut scratch,
+                &mut scalars,
+            )?;
             mc.merge(&stats);
         }
-        (out, mc)
+        Ok((out, mc))
     }
 
     /// Swap one node's record store (I/O-modeling experiments: throttled or
@@ -1547,17 +1622,19 @@ mod tests {
         let batch = c.extract_with_options(128.0, &batch_opts).unwrap();
 
         // The run reader hands over at most one refill's records between
-        // reads (`STREAM_CHUNK` = 32 KiB ≈ 45 u8 metacells, whatever bricks
-        // or runs they came from). The queue bound must cover that burst, or
-        // the producer blocks mid-refill and the single-core overlap window
-        // shrinks to the bound.
+        // reads (`STREAM_CHUNK` = 32 KiB, whatever bricks or runs they came
+        // from). The default queue bound covers that burst of packed
+        // records; a smaller one makes the producer block mid-refill and
+        // shrinks the single-core overlap window to the bound.
         c.replace_store(0, throttle()); // fresh device, fresh I/O counters
         let streamed = c
             .extract_with_options(
                 128.0,
                 &ExtractOptions {
                     workers: Some(1),
-                    mode: ExtractMode::Streaming { queue_records: 64 },
+                    mode: ExtractMode::Streaming {
+                        queue_records: DEFAULT_QUEUE_RECORDS,
+                    },
                     ..Default::default()
                 },
             )
@@ -1595,7 +1672,7 @@ mod tests {
         assert!(ns.overlap_fraction() > 0.0);
         // bounded staging: the queue held at most its bound, far below the
         // batch path's whole-active-set staging
-        assert!(ns.peak_queue_records <= 64);
+        assert!(ns.peak_queue_records <= DEFAULT_QUEUE_RECORDS as u64);
         assert!(ns.peak_queue_bytes < nb.peak_queue_bytes);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1627,42 +1704,70 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn corrupt_index_spans_are_err_not_panic_or_hang() {
-        // An index whose brick span ends inside a record header, inside a
-        // record payload, or past the end of the store must surface as `Err`
-        // from the query in both modes — in release builds too, where the
-        // old executor's debug assertions were compiled out and the node
-        // thread indexed past its buffer.
-        let vol = test_volume();
-        let dir = tmpdir("corrupt_index");
-        let (c, _) = Cluster::build(&vol, &dir, 1, &ClusterBuildOptions::default()).unwrap();
+    /// Extract at `iso` in both modes, expecting `Err` of `kind` from each.
+    fn extract_err(c: &Cluster<u8>, iso: f32, kind: io::ErrorKind, what: &str) -> Vec<String> {
+        [ExtractMode::default(), ExtractMode::Batch]
+            .into_iter()
+            .map(|mode| {
+                let opts = ExtractOptions {
+                    workers: Some(3),
+                    mode,
+                    ..Default::default()
+                };
+                let err = c.extract_with_options(iso, &opts).expect_err(what);
+                assert_eq!(err.kind(), kind, "{what} {mode:?}: {err}");
+                err.to_string()
+            })
+            .collect()
+    }
+
+    /// Build a one-node dataset and return it with its root's first brick
+    /// (largest vmax: a whole Case 1 bulk range at an isovalue equal to that
+    /// vmax, so the scan reaches its end) and the store offsets of that
+    /// brick's records.
+    fn one_node_with_root_brick(
+        dir: &Path,
+    ) -> (CompactIntervalTree, oociso_itree::BrickEntry, Vec<u64>) {
+        let (c, _) =
+            Cluster::build(&test_volume(), dir, 1, &ClusterBuildOptions::default()).unwrap();
         let tree = c.trees()[0].clone();
-        let store_len = c.stores[0].len();
         drop(c);
-        // the root's first brick (largest vmax) is a whole Case 1 bulk range
-        // at an isovalue equal to that vmax, so the scan reaches its end
+        let store = std::fs::read(DiskFarm::new(dir, 1).store_path(0)).unwrap();
         let root = tree.root().expect("non-empty tree") as usize;
         let brick = tree.nodes()[root].entries[0];
-        let iso = brick.vmax_key as f32;
-        let record = MetacellLayout::new(vol.dims(), 9).full_record_len(1) as u64;
-        assert_eq!(
-            brick.span.len,
-            brick.count as u64 * record,
-            "all full metacells"
+        assert!(
+            brick.span.end() < store.len() as u64,
+            "fixture: not the store's last brick"
         );
+        let mut starts = Vec::new();
+        let mut at = brick.span.offset;
+        while at < brick.span.end() {
+            starts.push(at);
+            at += MetacellRecord::<u8>::peek_len(&store[at as usize..]) as u64;
+        }
+        assert_eq!(starts.len(), brick.count as usize);
+        (tree, brick, starts)
+    }
 
+    #[test]
+    fn corrupt_index_spans_are_err_not_panic_or_hang() {
+        // An index whose brick span ends inside a record header or inside a
+        // record payload must surface as `Err` from the query in both modes —
+        // in release builds too, where the old executor's debug assertions
+        // were compiled out and the node thread indexed past its buffer. One
+        // claiming bytes past the store's end is refused by `open`.
+        let dir = tmpdir("corrupt_index");
+        let (tree, brick, starts) = one_node_with_root_brick(&dir);
+        let root = tree.root().unwrap() as usize;
+        let last = starts.last().unwrap() - brick.span.offset;
+        let header = MetacellRecord::<u8>::HEADER_LEN as u64;
+        let store_len = Cluster::<u8>::open(&dir, false).unwrap().store_bytes(0);
         let cases = [
-            (
-                "header",
-                brick.span.len - record + 2,
-                io::ErrorKind::InvalidData,
-            ),
-            ("payload", brick.span.len - 100, io::ErrorKind::InvalidData),
-            // claims more bytes than the store holds: the read itself fails
-            ("store", store_len + 1000, io::ErrorKind::UnexpectedEof),
+            ("header", last + 2),
+            ("payload", last + header + 1),
+            ("store", store_len + 1000),
         ];
-        for (what, len, kind) in cases {
+        for (what, len) in cases {
             let mut nodes = tree.nodes().to_vec();
             nodes[root].entries[0].span.len = len;
             let bad = CompactIntervalTree::from_parts(
@@ -1672,28 +1777,112 @@ mod tests {
                 tree.num_endpoints(),
             );
             persist::save(&bad, &index_path(&dir, 0)).unwrap();
-            let c = Cluster::<u8>::open(&dir, false).unwrap();
-            for mode in [ExtractMode::default(), ExtractMode::Batch] {
-                let err = c
-                    .extract_with_options(
-                        iso,
-                        &ExtractOptions {
-                            workers: Some(3),
-                            mode,
-                            ..Default::default()
-                        },
-                    )
-                    .expect_err(what);
-                assert_eq!(err.kind(), kind, "{what} {mode:?}: {err}");
+            match Cluster::<u8>::open(&dir, false) {
+                Ok(c) => {
+                    let msgs =
+                        extract_err(&c, brick.vmax_key as f32, io::ErrorKind::InvalidData, what);
+                    assert!(msgs.iter().all(|m| m.contains(what)), "{msgs:?}");
+                }
+                Err(err) => {
+                    assert_eq!(what, "store", "{err}");
+                    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                    assert!(err.to_string().contains("index addresses"), "{err}");
+                }
             }
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
+    fn corrupt_record_payload_is_invalid_data_naming_node_id_and_offset() {
+        // a width nibble of 15 in the brick's first record: the index and the
+        // header are intact, only the decoder can tell — in release too
+        let dir = tmpdir("corrupt_payload");
+        let (_, brick, starts) = one_node_with_root_brick(&dir);
+        let path = DiskFarm::new(&dir, 1).store_path(0);
+        let mut store = std::fs::read(&path).unwrap();
+        let at = starts[0] as usize;
+        assert!(
+            !MetacellRecord::<u8>::peek_raw(&store[at..]),
+            "fixture: a packed record"
+        );
+        let (id, _) = MetacellRecord::<u8>::peek_header(&store[at..]);
+        store[at + MetacellRecord::<u8>::HEADER_LEN] = 0xff;
+        std::fs::write(&path, store).unwrap();
+        let c = Cluster::<u8>::open(&dir, false).unwrap();
+        for msg in extract_err(
+            &c,
+            brick.vmax_key as f32,
+            io::ErrorKind::InvalidData,
+            "payload",
+        ) {
+            let want = [
+                "node 0".to_string(),
+                format!("store offset {at}"),
+                format!("metacell {id}"),
+            ];
+            assert!(want.iter().all(|w| msg.contains(w.as_str())), "{msg}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn truncated_store_is_rejected_at_open() {
+        // one byte short of what the index addresses: `open` names the node,
+        // the store bytes and the index end, instead of the first query
+        // failing with a bare read past the end of the device
+        let dir = tmpdir("truncated_store");
+        let (c, _) =
+            Cluster::build(&test_volume(), &dir, 2, &ClusterBuildOptions::default()).unwrap();
+        let len = c.store_bytes(1);
+        drop(c);
+        let f = std::fs::File::options()
+            .write(true)
+            .open(DiskFarm::new(&dir, 2).store_path(1))
+            .unwrap();
+        f.set_len(len - 1).unwrap();
+        drop(f);
+        let err = Cluster::<u8>::open(&dir, true)
+            .err()
+            .expect("a truncated store opened");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        let want = [
+            "node 1".to_string(),
+            format!("holds {} bytes", len - 1),
+            format!("addresses {len}"),
+        ];
+        assert!(want.iter().all(|w| msg.contains(w.as_str())), "{msg}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn v1_store_is_rejected_with_a_re_preprocess_message() {
+        // a hand-written directory of the raw-record format: no dual reader,
+        // just the way forward
+        let dir = tmpdir("v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        let meta =
+            "format=oociso-cluster-v1\nnx=33\nny=33\nnz=33\nmetacell_k=9\nscalar=u8\nnodes=1\n";
+        std::fs::write(dir.join(ClusterMeta::FILE), meta).unwrap();
+        std::fs::write(DiskFarm::new(&dir, 1).store_path(0), [0u8; 734]).unwrap();
+        let err = Cluster::<u8>::open(&dir, false)
+            .err()
+            .expect("a v1 store opened");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("oociso-cluster-v1") && msg.contains("re-run `oociso preprocess`"),
+            "{msg}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn build_write_failure_surfaces_as_err() {
-        // A sink that admits a few records then reports a full disk: pass 2
-        // must abort with Err instead of panicking mid-stream.
+        // A sink that admits a few records then reports a full disk: the
+        // spill's pass into the stores must abort with Err instead of
+        // panicking mid-stream, and leave no spill behind.
         struct FullDisk {
             writes: std::cell::Cell<usize>,
         }
@@ -1712,27 +1901,24 @@ mod tests {
         let vol = test_volume();
         let vol_path = tmpdir("fullvol.vol");
         oociso_volume::io::write_volume(&vol_path, &vol).unwrap();
-        let layout = MetacellLayout::new(vol.dims(), 9);
-        let (built, _) = scan_volume(&vol, &layout);
-        let intervals: Vec<MetacellInterval> = built.iter().map(|b| b.interval).collect();
-        assert!(intervals.len() > 3, "need enough records to pass the fuse");
-        let placement: Vec<(usize, u64)> = intervals
-            .iter()
-            .scan(0u64, |cursor, iv| {
-                let off = *cursor;
-                *cursor += layout.record_len(iv.id, 1) as u64;
-                Some((0usize, off))
-            })
-            .collect();
+        let dir = tmpdir("fulldisk");
+        std::fs::create_dir_all(&dir).unwrap();
         let disk = FullDisk {
             writes: std::cell::Cell::new(0),
         };
-        let sinks: Vec<&dyn oociso_exio::WriteAt> = vec![&disk];
-        let err = write_records_pass::<u8>(&vol_path, 9, &intervals, &placement, &sinks)
-            .expect_err("full disk must fail the pass");
+        let err = write_stores::<u8, _>(&vol_path, &dir, 1, 9, |lens| {
+            assert!(lens[0] > 0, "need records to pass the fuse");
+            Ok(vec![&disk])
+        })
+        .expect_err("full disk must fail the pass");
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
         assert_eq!(disk.writes.get(), 3, "pass must stop at the failing write");
+        assert!(
+            !spill_path(&dir).exists(),
+            "the spill outlived a failed build"
+        );
         std::fs::remove_file(&vol_path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1747,7 +1933,14 @@ mod tests {
         let (c_mem, s_mem) = Cluster::build(&vol, &d_mem, 3, &opts).unwrap();
         let (c_file, s_file) =
             Cluster::<u8>::build_from_file(&vol_path, &d_file, 3, &opts).unwrap();
+        assert!(
+            !spill_path(&d_file).exists(),
+            "the spill outlived the build"
+        );
         assert_eq!(s_mem, s_file);
+        assert!(0 < s_file.stored_bytes && s_file.stored_bytes < s_file.kept_bytes);
+        let stores: u64 = (0..3).map(|i| c_file.store_bytes(i)).sum();
+        assert_eq!(stores, s_file.stored_bytes);
         // store files byte-identical
         for i in 0..3 {
             let a = std::fs::read(d_mem.join(format!("node{i:03}.bricks"))).unwrap();

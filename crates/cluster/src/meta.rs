@@ -4,6 +4,11 @@
 //! (`nodeNNN.bricks`) and an index (`nodeNNN.index`), plus one `cluster.meta`
 //! file recording what produced them. The format is a simple `key=value` text
 //! file so a human can inspect a dataset directory.
+//!
+//! Its `format` line versions the whole directory. `oociso-cluster-v2` stores
+//! packed metacell records (`oociso_metacell::record`) with a length word in
+//! every header; `v1` stored the raw ones. There is one reader, so a `v1`
+//! directory is rejected with a pointer to re-run the preprocessing.
 
 use oociso_volume::Dims3;
 use std::io::{self, Read, Write};
@@ -25,12 +30,14 @@ pub struct ClusterMeta {
 impl ClusterMeta {
     /// File name inside the cluster directory.
     pub const FILE: &'static str = "cluster.meta";
+    /// The store format this build writes and reads.
+    pub const FORMAT: &'static str = "oociso-cluster-v2";
 
     /// Write to `dir/cluster.meta`.
     pub fn save(&self, dir: &Path) -> io::Result<()> {
         std::fs::create_dir_all(dir)?;
         let mut f = std::fs::File::create(dir.join(Self::FILE))?;
-        writeln!(f, "format=oociso-cluster-v1")?;
+        writeln!(f, "format={}", Self::FORMAT)?;
         writeln!(f, "nx={}", self.dims.nx)?;
         writeln!(f, "ny={}", self.dims.ny)?;
         writeln!(f, "nz={}", self.dims.nz)?;
@@ -50,13 +57,13 @@ impl ClusterMeta {
         let mut k = None;
         let mut scalar = None;
         let mut nodes = None;
-        let mut format_ok = false;
+        let mut format = None;
         for line in text.lines() {
             let Some((key, value)) = line.split_once('=') else {
                 continue;
             };
             match key {
-                "format" => format_ok = value == "oociso-cluster-v1",
+                "format" => format = Some(value),
                 "nx" => nx = value.parse().ok(),
                 "ny" => ny = value.parse().ok(),
                 "nz" => nz = value.parse().ok(),
@@ -67,11 +74,25 @@ impl ClusterMeta {
             }
         }
         let missing = || io::Error::new(io::ErrorKind::InvalidData, "incomplete cluster.meta");
-        if !format_ok {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "unknown cluster.meta format",
-            ));
+        match format {
+            Some(Self::FORMAT) => {}
+            Some("oociso-cluster-v1") => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{} holds an oociso-cluster-v1 store (raw metacell records); this \
+                         build reads {} only — re-run `oociso preprocess` on the source volume",
+                        dir.display(),
+                        Self::FORMAT
+                    ),
+                ))
+            }
+            other => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("unknown cluster.meta format {other:?}"),
+                ))
+            }
         }
         Ok(ClusterMeta {
             dims: Dims3::new(
@@ -116,7 +137,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(
             dir.join(ClusterMeta::FILE),
-            "format=oociso-cluster-v1\nnx=8\n",
+            "format=oociso-cluster-v2\nnx=8\n",
         )
         .unwrap();
         assert!(ClusterMeta::load(&dir).is_err());

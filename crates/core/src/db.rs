@@ -11,7 +11,8 @@ use std::path::Path;
 /// Preprocessing options.
 #[derive(Clone, Copy, Debug)]
 pub struct PreprocessOptions {
-    /// Metacell vertices per axis (the paper uses 9 → 734-byte u8 records).
+    /// Metacell vertices per axis (the paper uses 9 → 734-byte raw u8
+    /// records; stored packed).
     pub metacell_k: usize,
     /// Number of cluster nodes / disk stripes (1 = serial).
     pub nodes: usize,
@@ -68,8 +69,8 @@ impl<S: ScalarValue> ClusterDatabase<S> {
         })
     }
 
-    /// Preprocess a raw volume *file* out-of-core (two streaming passes; peak
-    /// memory one z-slab + index).
+    /// Preprocess a raw volume *file* out-of-core (one streaming scan plus a
+    /// spill of the encoded records; peak memory one z-slab + index).
     pub fn preprocess_file(
         volume_path: &Path,
         dir: &Path,

@@ -1,7 +1,7 @@
 //! Brick index entries and the record format abstraction.
 
 use oociso_exio::Span;
-use oociso_metacell::MetacellLayout;
+use oociso_metacell::{MetacellLayout, MetacellRecord};
 use oociso_volume::ScalarValue;
 
 /// One index entry of a compact-interval-tree node: a *brick* of metacells
@@ -25,16 +25,18 @@ pub struct BrickEntry {
     pub count: u32,
 }
 
-/// Knows how to parse record headers and compute record lengths, so the plan
-/// executor can walk a byte run of variable-length records and stop early
-/// (Case 2) without decoding payloads.
+/// Knows how to parse record headers, so the plan executor can walk a byte
+/// run of variable-length records and stop early (Case 2) without decoding
+/// payloads.
 pub trait RecordFormat: Send + Sync {
-    /// Bytes needed to parse `(id, vmin)` from the start of a record.
+    /// Bytes needed to parse a record's header.
     fn header_len(&self) -> usize;
     /// Parse `(id, vmin_key)` from a record's first `header_len()` bytes.
     fn parse_header(&self, bytes: &[u8]) -> (u32, u32);
-    /// Total encoded length of the record with this `id`.
-    fn record_len(&self, id: u32) -> usize;
+    /// Total stored length of the record, read from its first
+    /// `header_len()` bytes. A length below `header_len()` marks the record
+    /// corrupt.
+    fn record_len(&self, header: &[u8]) -> usize;
 }
 
 /// [`RecordFormat`] for `oociso_metacell` records under a given layout.
@@ -53,7 +55,7 @@ impl<S: ScalarValue> MetacellRecordFormat<S> {
         }
     }
 
-    /// The layout this format derives record lengths from.
+    /// The layout of the records' dataset.
     pub fn layout(&self) -> &MetacellLayout {
         &self.layout
     }
@@ -61,24 +63,22 @@ impl<S: ScalarValue> MetacellRecordFormat<S> {
 
 impl<S: ScalarValue> RecordFormat for MetacellRecordFormat<S> {
     fn header_len(&self) -> usize {
-        4 + S::BYTES
+        MetacellRecord::<S>::HEADER_LEN
     }
 
     fn parse_header(&self, bytes: &[u8]) -> (u32, u32) {
-        let id = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-        let vmin = S::read_le(&bytes[4..]);
+        let (id, vmin) = MetacellRecord::<S>::peek_header(bytes);
         (id, vmin.key())
     }
 
-    fn record_len(&self, id: u32) -> usize {
-        self.layout.record_len(id, S::BYTES)
+    fn record_len(&self, header: &[u8]) -> usize {
+        MetacellRecord::<S>::peek_len(header)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oociso_metacell::MetacellRecord;
     use oociso_volume::{Dims3, Volume};
 
     #[test]
@@ -90,8 +90,9 @@ mod tests {
         for id in layout.ids() {
             let rec = MetacellRecord::from_volume(&vol, &layout, id);
             let bytes = rec.encode();
-            assert_eq!(fmt.record_len(id), bytes.len());
-            let (pid, pmin) = fmt.parse_header(&bytes[..fmt.header_len()]);
+            let header = &bytes[..fmt.header_len()];
+            assert_eq!(fmt.record_len(header), bytes.len());
+            let (pid, pmin) = fmt.parse_header(header);
             assert_eq!(pid, id);
             assert_eq!(pmin, rec.vmin.key());
         }
@@ -101,7 +102,10 @@ mod tests {
     fn u16_header_len() {
         let layout = MetacellLayout::new(Dims3::cube(9), 9);
         let fmt = MetacellRecordFormat::<u16>::new(layout);
-        assert_eq!(fmt.header_len(), 6);
-        assert_eq!(fmt.record_len(0), 4 + 2 + 729 * 2);
+        assert_eq!(fmt.header_len(), 4 + 2 + 4);
+        // a raw record: the length word's top bit is the mode, not the length
+        let mut header = vec![0u8; 10];
+        header[6..].copy_from_slice(&(1458u32 | 1 << 31).to_le_bytes());
+        assert_eq!(fmt.record_len(&header), 10 + 729 * 2);
     }
 }

@@ -35,6 +35,6 @@ pub mod striped;
 
 pub use brick::{BrickEntry, MetacellRecordFormat, RecordFormat};
 pub use compact::CompactIntervalTree;
-pub use plan::{execute_plan, plan_active_ids, QueryPlan, ReadAction};
+pub use plan::{execute_plan, execute_plan_at, plan_active_ids, QueryPlan, ReadAction};
 pub use size::IndexSize;
 pub use standard::StandardIntervalTree;

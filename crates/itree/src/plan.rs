@@ -271,15 +271,28 @@ fn corrupt(what: &str, at: u64, span: Span) -> io::Error {
 /// actions share one forward read stream (module docs). Returns execution
 /// counters.
 ///
-/// A span that ends inside a record, or a bulk range holding a different
-/// number of records than its index entry claims (corrupt or hand-built
-/// index), is [`io::ErrorKind::InvalidData`]; records emitted before the
-/// fault was met stay emitted.
+/// A span that ends inside a record, a header whose length is shorter than
+/// the header itself, or a bulk range holding a different number of records
+/// than its index entry claims (corrupt or hand-built index or store) is
+/// [`io::ErrorKind::InvalidData`]; records emitted before the fault was met
+/// stay emitted.
 pub fn execute_plan(
     plan: &QueryPlan,
     store: &RecordStore,
     format: &dyn RecordFormat,
     mut on_record: impl FnMut(u32, &[u8]),
+) -> io::Result<ExecStats> {
+    execute_plan_at(plan, store, format, |id, _, bytes| on_record(id, bytes))
+}
+
+/// [`execute_plan`], also handing every record's store offset to
+/// `on_record(id, offset, bytes)` — what a consumer needs to name a record
+/// it cannot decode.
+pub fn execute_plan_at(
+    plan: &QueryPlan,
+    store: &RecordStore,
+    format: &dyn RecordFormat,
+    mut on_record: impl FnMut(u32, u64, &[u8]),
 ) -> io::Result<ExecStats> {
     let mut stats = ExecStats::default();
     let header = format.header_len();
@@ -307,16 +320,20 @@ pub fn execute_plan(
             if left < header as u64 {
                 return Err(corrupt("truncated record header", at, span));
             }
-            let (id, vmin) = format.parse_header(reader.peek(header)?);
+            let head = reader.peek(header)?;
+            let (id, vmin) = format.parse_header(head);
             if stop_above.is_some_and(|iso_key| vmin > iso_key) {
                 stats.records_rejected += 1;
                 break;
             }
-            let len = format.record_len(id);
+            let len = format.record_len(head);
+            if len < header {
+                return Err(corrupt("record length shorter than its header", at, span));
+            }
             if left < len as u64 {
                 return Err(corrupt("truncated record payload", at, span));
             }
-            on_record(id, &reader.peek(len)?[..len]);
+            on_record(id, at, &reader.peek(len)?[..len]);
             reader.advance(len);
             stats.records_emitted += 1;
             emitted += 1;
@@ -350,8 +367,9 @@ pub fn plan_active_ids(
     Ok(ids)
 }
 
-/// Test-support record format: `id(4) | vmin(4 LE key) | payload(id % 5 bytes)`.
-/// Variable-length records exercise the run reader's refill boundaries.
+/// Test-support record format: `id(4) | vmin(4 LE key) | len(1) |
+/// payload(id % 5 bytes)`, `len` the whole record's. Variable-length records
+/// exercise the run reader's refill boundaries.
 #[doc(hidden)]
 pub mod testutil {
     use super::*;
@@ -364,7 +382,7 @@ pub mod testutil {
     impl TestFormat {
         /// Record length for an id.
         pub fn len_for(id: u32) -> usize {
-            8 + (id as usize % 5)
+            9 + (id as usize % 5)
         }
 
         /// Encode an interval into a test record.
@@ -372,6 +390,7 @@ pub mod testutil {
             let mut v = Vec::with_capacity(Self::len_for(iv.id));
             v.extend_from_slice(&iv.id.to_le_bytes());
             v.extend_from_slice(&iv.min_key.to_le_bytes());
+            v.push(Self::len_for(iv.id) as u8);
             v.resize(Self::len_for(iv.id), 0xEE);
             v
         }
@@ -379,15 +398,15 @@ pub mod testutil {
 
     impl RecordFormat for TestFormat {
         fn header_len(&self) -> usize {
-            8
+            9
         }
         fn parse_header(&self, bytes: &[u8]) -> (u32, u32) {
             let id = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
             let vmin = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
             (id, vmin)
         }
-        fn record_len(&self, id: u32) -> usize {
-            Self::len_for(id)
+        fn record_len(&self, header: &[u8]) -> usize {
+            usize::from(header[8])
         }
     }
 
@@ -530,12 +549,12 @@ mod tests {
             let (pid, _) = TestFormat.parse_header(rec);
             assert_eq!(pid, id);
             // payload filler intact
-            assert!(rec[8..].iter().all(|&b| b == 0xEE));
+            assert!(rec[9..].iter().all(|&b| b == 0xEE));
         })
         .unwrap();
     }
 
-    /// Three always-active records (lengths 8, 9, 10) back to back.
+    /// Three always-active records (lengths 9, 10, 11) back to back.
     fn three_records() -> Vec<u8> {
         (0..3)
             .flat_map(|id| TestFormat::encode(&mk(id, 0, 9)))
@@ -572,16 +591,35 @@ mod tests {
 
     #[test]
     fn span_cut_inside_a_record_is_invalid_data_not_a_panic() {
-        // the third record starts at 17: a span ending at 20 cuts its header,
-        // one ending at 26 leaves the header whole and cuts its payload
-        for (len, what) in [(20, "header"), (26, "payload")] {
+        // the third record starts at 19: a span ending at 21 cuts its header,
+        // one ending at 29 leaves the header whole and cuts its payload
+        for (len, what) in [(21, "header"), (29, "payload")] {
             for (result, ids) in run_both_cases(three_records(), Span { offset: 0, len }) {
                 let err = result.expect_err("a cut record must not be emitted");
                 assert_eq!(err.kind(), io::ErrorKind::InvalidData);
                 let msg = err.to_string();
-                assert!(msg.contains(what) && msg.contains("offset 17"), "{msg}");
+                assert!(msg.contains(what) && msg.contains("offset 19"), "{msg}");
                 assert_eq!(ids, [0, 1], "records before the cut stay emitted");
             }
+        }
+    }
+
+    #[test]
+    fn a_length_shorter_than_the_header_is_invalid_data_not_a_hang() {
+        // a zero length would leave the reader where it is forever
+        let mut bytes = three_records();
+        bytes[9 + 8] = 0;
+        let span = Span {
+            offset: 0,
+            len: bytes.len() as u64,
+        };
+        for (result, ids) in run_both_cases(bytes, span) {
+            let msg = result.expect_err("a zero-length record").to_string();
+            assert!(
+                msg.contains("shorter than its header") && msg.contains("offset 9"),
+                "{msg}"
+            );
+            assert_eq!(ids, [0]);
         }
     }
 

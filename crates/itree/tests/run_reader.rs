@@ -48,7 +48,7 @@ fn naive_execute(plan: &QueryPlan, store: &RecordStore) -> Emitted {
             if matches!(action, ReadAction::Prefix { .. }) && vmin > plan.iso_key {
                 break;
             }
-            let len = TestFormat.record_len(id);
+            let len = TestFormat.record_len(&bytes[at..]);
             out.push((id, bytes[at..at + len].to_vec()));
             at += len;
         }
@@ -184,7 +184,7 @@ fn spread_bricks(
     (tree, moved)
 }
 
-/// Interval sets big enough that stores span several refills (≈ 10 bytes a
+/// Interval sets big enough that stores span several refills (≈ 11 bytes a
 /// record), with few distinct endpoints so bricks are long and both query
 /// cases, early stops included, occur on every path.
 fn intervals_strategy() -> impl Strategy<Value = Vec<MetacellInterval>> {

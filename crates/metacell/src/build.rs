@@ -35,8 +35,12 @@ pub struct PreprocessStats {
     pub kept_metacells: usize,
     /// Metacells culled as constant.
     pub culled_metacells: usize,
-    /// Bytes of the kept records.
+    /// Bytes of the kept records at the paper's raw record size
+    /// ([`MetacellRecord::raw_len`]) — Table 1's figure.
     pub kept_bytes: u64,
+    /// Bytes of the kept records as stored (packed, header with its length
+    /// word included). Set by the store writer; a bare scan leaves it 0.
+    pub stored_bytes: u64,
     /// Bytes of the raw input volume.
     pub raw_bytes: u64,
 }
@@ -57,6 +61,16 @@ impl PreprocessStats {
             0.0
         } else {
             self.kept_bytes as f64 / self.raw_bytes as f64
+        }
+    }
+
+    /// Stored bytes relative to kept bytes: what the packed records save
+    /// over the paper's raw ones.
+    pub fn stored_ratio(&self) -> f64 {
+        if self.kept_bytes == 0 {
+            0.0
+        } else {
+            self.stored_bytes as f64 / self.kept_bytes as f64
         }
     }
 }
@@ -88,7 +102,7 @@ pub fn scan_volume<S: ScalarValue>(
         if built.interval.is_constant() {
             stats.culled_metacells += 1;
         } else {
-            stats.kept_bytes += built.record.encoded_len() as u64;
+            stats.kept_bytes += built.record.raw_len() as u64;
             stats.kept_metacells += 1;
             kept.push(built);
         }
@@ -116,9 +130,9 @@ pub fn scan_volume_par<S: ScalarValue>(
         raw_bytes: vol.dims().raw_bytes::<S>() as u64,
         kept_metacells: kept.len(),
         culled_metacells: layout.num_metacells() - kept.len(),
-        kept_bytes: 0,
+        ..Default::default()
     };
-    stats.kept_bytes = kept.iter().map(|b| b.record.encoded_len() as u64).sum();
+    stats.kept_bytes = kept.iter().map(|b| b.record.raw_len() as u64).sum();
     (kept, stats)
 }
 
@@ -166,7 +180,7 @@ pub fn scan_reader<S: ScalarValue>(
                 if interval.is_constant() {
                     stats.culled_metacells += 1;
                 } else {
-                    stats.kept_bytes += record.encoded_len() as u64;
+                    stats.kept_bytes += record.raw_len() as u64;
                     stats.kept_metacells += 1;
                     sink(BuiltMetacell { interval, record })?;
                 }

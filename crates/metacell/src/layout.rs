@@ -104,8 +104,10 @@ impl MetacellLayout {
         self.cell_dims(id).num_cells()
     }
 
-    /// On-disk record length for a metacell with `scalar_bytes`-wide samples:
-    /// 4-byte ID + one `vmin` sample + the payload.
+    /// The paper's record length for a metacell with `scalar_bytes`-wide
+    /// samples: 4-byte ID + one `vmin` sample + the raw samples. The store
+    /// holds packed records (`record` module), so this is their raw upper
+    /// bound and Table 1's per-record figure, not the bytes on disk.
     pub fn record_len(&self, id: u32, scalar_bytes: usize) -> usize {
         4 + scalar_bytes + self.num_vertices(id) * scalar_bytes
     }

@@ -12,8 +12,10 @@
 //!
 //! * [`layout::MetacellLayout`] — volume ↔ metacell coordinate math with edge
 //!   clamping;
-//! * [`record::MetacellRecord`] — the on-disk record format (byte-identical
-//!   734-byte records for full 9×9×9 u8 metacells);
+//! * [`record::MetacellRecord`] — the on-disk record: the paper's header
+//!   plus a length word, and the scalars as a lossless 3-D Lorenzo residual
+//!   bit-packed per row (raw when that is not smaller; a full 9×9×9 u8
+//!   metacell is 734 bytes raw, about a third of that packed);
 //! * [`interval::MetacellInterval`] — the `(vmin, vmax)` interval fed to the
 //!   indexing structures;
 //! * [`build`] — the preprocessing scan (in-memory volumes or streamed

@@ -1,19 +1,39 @@
 //! On-disk metacell records.
 //!
-//! Record layout (matching section 7 of the paper):
+//! Record layout:
 //!
 //! ```text
-//! [ id: u32 LE ][ vmin: S ][ vertex scalars: S × (cx·cy·cz), x fastest ]
+//! [ id: u32 LE ][ vmin: S ][ len: u32 LE ][ payload: len & 0x7fff_ffff bytes ]
 //! ```
 //!
-//! For the paper's parameters (9×9×9 vertices, one-byte scalars) a full record
-//! is exactly `4 + 1 + 729 = 734` bytes. The record intentionally stores
-//! `vmin` in the header: Case 2 of the query streams a brick front-to-back and
-//! stops at the first record with `vmin > λ` without touching the payload.
-//! `vmax` is *not* stored — the brick it lives in encodes it.
+//! The header keeps the paper's two fields (section 7) and adds the payload
+//! length. Case 2 of the query streams a brick front-to-back and stops at
+//! the first record with `vmin > λ` on the header alone, and `len` lets the
+//! reader step to the next record without decoding this one. `vmax` is
+//! *not* stored — the brick it lives in encodes it.
+//!
+//! The payload holds the vertex scalars of the metacell's vertex box
+//! ([`MetacellLayout::vertex_box`]), x fastest, in one of two modes:
+//!
+//! * **packed** (`len`'s top bit clear): a lossless 3-D Lorenzo residual of
+//!   the scalars' bit patterns, zigzagged and packed at one bit width per
+//!   x-row (the `codec` module's docs give the byte layout);
+//! * **raw** (top bit set): the scalars themselves, `S` little-endian each —
+//!   taken only when packing would not be smaller, as on white noise.
+//!
+//! The mode follows from the data; nothing selects it. A paper record (9³
+//! one-byte scalars) is 734 bytes raw — [`MetacellLayout::record_len`], the
+//! raw upper bound the length word adds 4 bytes to. On smooth fields such
+//! as the Richtmyer–Meshkov proxy the packed form is about a third of that.
+
+mod codec;
 
 use crate::layout::MetacellLayout;
-use oociso_volume::{ScalarValue, Volume};
+use oociso_volume::{Dims3, ScalarValue, Volume};
+use std::io;
+
+/// Top bit of the header's `len` word: the payload is raw scalars.
+const RAW: u32 = 1 << 31;
 
 /// A decoded metacell record.
 #[derive(Clone, Debug, PartialEq)]
@@ -23,11 +43,20 @@ pub struct MetacellRecord<S: ScalarValue> {
     /// Minimum scalar over the payload (redundant with the payload; kept in
     /// the header for streaming early-exit).
     pub vmin: S,
+    /// Dimensions (vertices) of the block, [`MetacellLayout::cell_dims`].
+    pub dims: Dims3,
     /// Vertex scalars, x fastest, matching [`MetacellLayout::vertex_box`].
     pub scalars: Vec<S>,
 }
 
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
 impl<S: ScalarValue> MetacellRecord<S> {
+    /// Bytes of the header: `id`, `vmin`, `len`.
+    pub const HEADER_LEN: usize = 4 + S::BYTES + 4;
+
     /// Cut the record for metacell `id` out of a volume.
     pub fn from_volume(vol: &Volume<S>, layout: &MetacellLayout, id: u32) -> Self {
         let (lo, hi) = layout.vertex_box(id);
@@ -39,6 +68,7 @@ impl<S: ScalarValue> MetacellRecord<S> {
         MetacellRecord {
             id,
             vmin,
+            dims: sub.dims(),
             scalars: sub.into_vec(),
         }
     }
@@ -57,37 +87,55 @@ impl<S: ScalarValue> MetacellRecord<S> {
         self.vmin.key() == self.vmax().key()
     }
 
-    /// Encoded length in bytes.
-    pub fn encoded_len(&self) -> usize {
+    /// The paper's record length: ID, `vmin` and the raw scalars — what
+    /// Table 1's kept bytes count, and [`MetacellLayout::record_len`].
+    pub fn raw_len(&self) -> usize {
         4 + S::BYTES + self.scalars.len() * S::BYTES
     }
 
-    /// Serialize to the on-disk format.
+    /// Serialize to the on-disk format: packed, or raw when packing would
+    /// not be smaller (module docs).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.encoded_len()];
-        out[..4].copy_from_slice(&self.id.to_le_bytes());
-        self.vmin.write_le(&mut out[4..4 + S::BYTES]);
-        let mut at = 4 + S::BYTES;
-        for &s in &self.scalars {
-            s.write_le(&mut out[at..at + S::BYTES]);
-            at += S::BYTES;
-        }
+        let mut out = Vec::with_capacity(Self::HEADER_LEN + self.scalars.len() * S::BYTES);
+        out.extend_from_slice(&self.id.to_le_bytes());
+        out.resize(4 + S::BYTES, 0);
+        self.vmin.write_le(&mut out[4..]);
+        out.extend_from_slice(&[0; 4]);
+        let mode = if codec::pack(&self.scalars, self.dims, &mut out) {
+            0
+        } else {
+            for &s in &self.scalars {
+                let at = out.len();
+                out.resize(at + S::BYTES, 0);
+                s.write_le(&mut out[at..]);
+            }
+            RAW
+        };
+        let len = u32::try_from(out.len() - Self::HEADER_LEN)
+            .ok()
+            .filter(|&len| len < RAW)
+            .expect("a metacell payload fits the 31-bit length field");
+        out[4 + S::BYTES..Self::HEADER_LEN].copy_from_slice(&(len | mode).to_le_bytes());
         out
     }
 
-    /// Deserialize one record; the layout determines the payload length from
+    /// Deserialize one record; the layout gives the block's dimensions from
     /// the decoded ID. Returns the record and the number of bytes consumed.
+    /// Panics on a corrupt record — [`MetacellRecord::try_decode_scalars_into`]
+    /// is the fallible form.
     pub fn decode(bytes: &[u8], layout: &MetacellLayout) -> (Self, usize) {
-        let id = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-        let vmin = S::read_le(&bytes[4..]);
-        let nverts = layout.num_vertices(id);
-        let mut scalars = Vec::with_capacity(nverts);
-        let mut at = 4 + S::BYTES;
-        for _ in 0..nverts {
-            scalars.push(S::read_le(&bytes[at..]));
-            at += S::BYTES;
-        }
-        (MetacellRecord { id, vmin, scalars }, at)
+        let mut scalars = Vec::new();
+        let (id, vmin, used) = Self::decode_scalars_into(bytes, layout, &mut scalars);
+        let dims = layout.cell_dims(id);
+        (
+            MetacellRecord {
+                id,
+                vmin,
+                dims,
+                scalars,
+            },
+            used,
+        )
     }
 
     /// Decode one record's payload into a caller-owned scalar buffer
@@ -96,23 +144,68 @@ impl<S: ScalarValue> MetacellRecord<S> {
     /// This is the zero-allocation twin of [`MetacellRecord::decode`] for hot
     /// extraction loops: a worker decodes every record of its batch into the
     /// same buffer, hands the scalars to the kernel, and takes them back —
-    /// no per-record `Vec` ever hits the allocator.
+    /// no per-record `Vec` ever hits the allocator. Panics on a corrupt
+    /// record; [`MetacellRecord::try_decode_scalars_into`] is the fallible
+    /// form.
     pub fn decode_scalars_into(
         bytes: &[u8],
         layout: &MetacellLayout,
         scalars: &mut Vec<S>,
     ) -> (u32, S, usize) {
-        let id = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-        let vmin = S::read_le(&bytes[4..]);
-        let nverts = layout.num_vertices(id);
-        scalars.clear();
-        scalars.reserve(nverts);
-        let mut at = 4 + S::BYTES;
-        for _ in 0..nverts {
-            scalars.push(S::read_le(&bytes[at..]));
-            at += S::BYTES;
+        Self::try_decode_scalars_into(bytes, layout, scalars).expect("corrupt metacell record")
+    }
+
+    /// [`MetacellRecord::decode_scalars_into`] for bytes that may be corrupt:
+    /// a cut header or payload, an ID outside the layout's grid, or a payload
+    /// whose length disagrees with its mode and the block's dimensions is
+    /// [`io::ErrorKind::InvalidData`] naming the metacell. It never panics,
+    /// and never reserves more than `layout.num_vertices(id)` scalars. Bit
+    /// flips inside a packed payload's residuals decode to a block of the
+    /// right dimensions with wrong values; nothing in the record can tell.
+    pub fn try_decode_scalars_into(
+        bytes: &[u8],
+        layout: &MetacellLayout,
+        scalars: &mut Vec<S>,
+    ) -> io::Result<(u32, S, usize)> {
+        if bytes.len() < Self::HEADER_LEN {
+            return Err(invalid(format!(
+                "metacell record header cut at {} of {} bytes",
+                bytes.len(),
+                Self::HEADER_LEN
+            )));
         }
-        (id, vmin, at)
+        let (id, vmin) = Self::peek_header(bytes);
+        if id as usize >= layout.num_metacells() {
+            return Err(invalid(format!(
+                "metacell id {id} outside the layout's {} metacells",
+                layout.num_metacells()
+            )));
+        }
+        let used = Self::peek_len(bytes);
+        let Some(payload) = bytes.get(Self::HEADER_LEN..used) else {
+            return Err(invalid(format!(
+                "metacell {id}: record of {used} bytes cut at {}",
+                bytes.len()
+            )));
+        };
+        let dims = layout.cell_dims(id);
+        if Self::peek_raw(bytes) {
+            let n = dims.num_vertices();
+            if payload.len() != n * S::BYTES {
+                return Err(invalid(format!(
+                    "metacell {id}: raw payload of {} bytes, {n} scalars need {}",
+                    payload.len(),
+                    n * S::BYTES
+                )));
+            }
+            scalars.clear();
+            scalars.reserve_exact(n);
+            scalars.extend(payload.chunks_exact(S::BYTES).map(S::read_le));
+        } else {
+            codec::unpack(payload, dims, scalars)
+                .map_err(|what| invalid(format!("metacell {id}: packed payload: {what}")))?;
+        }
+        Ok((id, vmin, used))
     }
 
     /// Peek only the header `(id, vmin)` without decoding the payload —
@@ -122,21 +215,36 @@ impl<S: ScalarValue> MetacellRecord<S> {
         (id, S::read_le(&bytes[4..]))
     }
 
+    /// The stored length of the record whose header starts `bytes`, header
+    /// included.
+    pub fn peek_len(bytes: &[u8]) -> usize {
+        Self::HEADER_LEN + (Self::len_word(bytes) & !RAW) as usize
+    }
+
+    /// Whether the record whose header starts `bytes` stores its scalars raw.
+    pub fn peek_raw(bytes: &[u8]) -> bool {
+        Self::len_word(bytes) & RAW != 0
+    }
+
+    fn len_word(bytes: &[u8]) -> u32 {
+        let at = 4 + S::BYTES;
+        u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
+    }
+
     /// Reconstruct the metacell's local volume (for triangulation).
-    pub fn to_volume(&self, layout: &MetacellLayout) -> Volume<S> {
-        Volume::from_vec(layout.cell_dims(self.id), self.scalars.clone())
+    pub fn to_volume(&self) -> Volume<S> {
+        Volume::from_vec(self.dims, self.scalars.clone())
     }
 
     /// Reconstruct the local volume without cloning the payload.
-    pub fn into_volume(self, layout: &MetacellLayout) -> Volume<S> {
-        Volume::from_vec(layout.cell_dims(self.id), self.scalars)
+    pub fn into_volume(self) -> Volume<S> {
+        Volume::from_vec(self.dims, self.scalars)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oociso_volume::Dims3;
 
     fn layout_and_volume() -> (MetacellLayout, Volume<u8>) {
         let dims = Dims3::new(17, 17, 17);
@@ -145,11 +253,15 @@ mod tests {
     }
 
     #[test]
-    fn full_record_is_734_bytes_for_paper_params() {
+    fn paper_record_is_734_bytes_raw_and_packs_smaller() {
         let (layout, vol) = layout_and_volume();
         let rec = MetacellRecord::from_volume(&vol, &layout, 0);
-        assert_eq!(rec.encoded_len(), 734);
-        assert_eq!(rec.encode().len(), 734);
+        assert_eq!(rec.raw_len(), 734);
+        assert_eq!(rec.raw_len(), layout.record_len(0, 1));
+        let bytes = rec.encode();
+        assert!(!MetacellRecord::<u8>::peek_raw(&bytes));
+        assert!(bytes.len() < 734 / 2, "{} bytes", bytes.len());
+        assert_eq!(MetacellRecord::<u8>::peek_len(&bytes), bytes.len());
     }
 
     #[test]
@@ -162,6 +274,21 @@ mod tests {
             assert_eq!(used, bytes.len());
             assert_eq!(back, rec);
         }
+    }
+
+    #[test]
+    fn noise_is_stored_raw() {
+        let dims = Dims3::cube(9);
+        let vol = Volume::<u8>::generate(dims, |x, y, z| {
+            (oociso_volume::noise::splitmix64((x + 9 * y + 81 * z) as u64) >> 56) as u8
+        });
+        let layout = MetacellLayout::new(dims, 9);
+        let rec = MetacellRecord::from_volume(&vol, &layout, 0);
+        let bytes = rec.encode();
+        assert!(MetacellRecord::<u8>::peek_raw(&bytes));
+        assert_eq!(bytes.len(), layout.record_len(0, 1) + 4);
+        assert_eq!(&bytes[MetacellRecord::<u8>::HEADER_LEN..], &rec.scalars[..]);
+        assert_eq!(MetacellRecord::<u8>::decode(&bytes, &layout).0, rec);
     }
 
     #[test]
@@ -219,7 +346,7 @@ mod tests {
         let (layout, vol) = layout_and_volume();
         let id = layout.id(1, 1, 1);
         let rec = MetacellRecord::from_volume(&vol, &layout, id);
-        let local = rec.to_volume(&layout);
+        let local = rec.to_volume();
         let ((x0, y0, z0), _) = layout.vertex_box(id);
         for z in 0..local.dims().nz {
             for y in 0..local.dims().ny {
@@ -237,8 +364,9 @@ mod tests {
         let layout = MetacellLayout::new(dims, 9);
         let rec = MetacellRecord::from_volume(&vol, &layout, 0);
         let bytes = rec.encode();
-        assert_eq!(bytes.len(), 4 + 2 + 729 * 2);
-        let (back, _) = MetacellRecord::<u16>::decode(&bytes, &layout);
+        assert!(bytes.len() < 4 + 2 + 729 * 2);
+        let (back, used) = MetacellRecord::<u16>::decode(&bytes, &layout);
+        assert_eq!(used, bytes.len());
         assert_eq!(back, rec);
     }
 }

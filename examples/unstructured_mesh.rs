@@ -12,9 +12,9 @@ use oociso::metacell::MetacellInterval;
 use oociso::volume::tetmesh::{TetCluster, TetMesh};
 use oociso::volume::{Dims3, RmProxy, ScalarValue};
 
-struct ClusterFormat {
-    lens: Vec<usize>,
-}
+/// Tet-cluster records: `id | vertex count | tet count`, then 16 bytes a
+/// vertex and a tet — the header says how long the record is.
+struct ClusterFormat;
 
 impl RecordFormat for ClusterFormat {
     fn header_len(&self) -> usize {
@@ -23,8 +23,9 @@ impl RecordFormat for ClusterFormat {
     fn parse_header(&self, bytes: &[u8]) -> (u32, u32) {
         (u32::from_le_bytes(bytes[0..4].try_into().unwrap()), 0)
     }
-    fn record_len(&self, id: u32) -> usize {
-        self.lens[id as usize]
+    fn record_len(&self, header: &[u8]) -> usize {
+        let count = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().unwrap());
+        12 + 16 * (count(4) + count(8)) as usize
     }
 }
 
@@ -41,11 +42,9 @@ fn main() -> std::io::Result<()> {
 
     // clusters = unstructured metacells
     let clusters = mesh.clusters(64);
-    let mut lens = vec![0usize; clusters.len()];
     let mut intervals = Vec::new();
     let mut culled = 0;
     for c in &clusters {
-        lens[c.id as usize] = c.encoded_len();
         let (lo, hi) = c.value_interval().unwrap();
         if lo == hi {
             culled += 1;
@@ -80,7 +79,7 @@ fn main() -> std::io::Result<()> {
     let iso = 150.0;
     let mut soup = TriangleSoup::new();
     let plan = tree.plan(f32::query_key(iso));
-    let stats = oociso::itree::execute_plan(&plan, &store, &ClusterFormat { lens }, |_, rec| {
+    let stats = oociso::itree::execute_plan(&plan, &store, &ClusterFormat, |_, rec| {
         let (cluster, _) = TetCluster::decode(rec);
         extract_cluster(&cluster, iso, &mut soup);
     })?;

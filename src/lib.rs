@@ -10,8 +10,9 @@
 //! * [`volume`] — structured grids, synthetic Richtmyer–Meshkov proxy, dataset zoo.
 //! * [`exio`] — block devices, I/O cost model (50 MB/s disk of the paper's
 //!   cluster), brick stores, round-robin striping.
-//! * [`metacell`] — 9×9×9 metacell partitioning and preprocessing (734-byte
-//!   records, constant-metacell culling).
+//! * [`metacell`] — 9×9×9 metacell partitioning and preprocessing (the
+//!   paper's 734-byte records, stored losslessly packed; constant-metacell
+//!   culling).
 //! * [`itree`] — the paper's **compact interval tree** plus the standard
 //!   interval tree and BBIO-style external tree baselines.
 //! * [`march`] — Marching Cubes (validated 256-case tables) and Marching

@@ -4,6 +4,7 @@
 use oociso::core::{IsoDatabase, PreprocessOptions};
 use oociso::exio::IoCostModel;
 use oociso::itree::plan::STREAM_CHUNK;
+use oociso::metacell::MetacellRecord;
 use oociso::volume::{Dims3, RmProxy};
 use std::path::PathBuf;
 
@@ -13,15 +14,16 @@ fn tmpdir(name: &str) -> PathBuf {
     p
 }
 
-/// `id(4) | vmin(1)`: what the executor must fetch to reject a u8 record.
-const U8_HEADER: u64 = 5;
+/// `id(4) | vmin(1) | len(4)`: what the executor must fetch to reject a u8
+/// record.
+const U8_HEADER: u64 = MetacellRecord::<u8>::HEADER_LEN as u64;
 
 #[test]
 fn bytes_read_proportional_to_output() {
     // The query must read O(T/B) blocks. The run reader fetches a byte it
     // does not deliver only behind a Case 2 stop record — less than one
     // chunk plus the stop record's header each — so with no stop the bytes
-    // touched *equal* the active metacells' record bytes.
+    // touched *equal* the active metacells' stored (packed) record bytes.
     let vol = RmProxy::with_seed(3).volume(230, Dims3::new(48, 48, 45));
     let dir = tmpdir("prop");
     let db = IsoDatabase::preprocess(&vol, &dir, &PreprocessOptions::default()).unwrap();
@@ -31,7 +33,7 @@ fn bytes_read_proportional_to_output() {
         if n.active_metacells == 0 {
             continue;
         }
-        let active_bytes = n.bytes_read; // record bytes of emitted metacells
+        let active_bytes = n.bytes_read; // stored bytes of emitted records
         let touched = n.io.bytes_read; // all bytes fetched from the device
         assert_eq!(touched, n.exec.bytes_read, "executor and device agree");
         assert!(touched >= active_bytes);

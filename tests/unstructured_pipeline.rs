@@ -14,9 +14,7 @@ use oociso::volume::{Dims3, ScalarValue, Volume};
 
 /// Record format for serialized tet clusters: variable-length records whose
 /// length is recovered from the header (vertex/tet counts).
-struct ClusterFormat {
-    lens: Vec<usize>, // by cluster id
-}
+struct ClusterFormat;
 
 impl RecordFormat for ClusterFormat {
     fn header_len(&self) -> usize {
@@ -26,8 +24,10 @@ impl RecordFormat for ClusterFormat {
         let id = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
         (id, 0) // vmin unused: Case-2 streaming is exercised by the metacell path
     }
-    fn record_len(&self, id: u32) -> usize {
-        self.lens[id as usize]
+    fn record_len(&self, header: &[u8]) -> usize {
+        // id, vertex count, tet count; 16 bytes a vertex and a tet
+        let count = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().unwrap());
+        12 + 16 * (count(4) + count(8)) as usize
     }
 }
 
@@ -36,10 +36,6 @@ fn build_indexed_clusters(
     tets_per_cluster: usize,
 ) -> (CompactIntervalTree, RecordStore, ClusterFormat, usize) {
     let clusters = mesh.clusters(tets_per_cluster);
-    let mut lens = vec![0usize; clusters.len()];
-    for c in &clusters {
-        lens[c.id as usize] = c.encoded_len();
-    }
     let mut intervals = Vec::new();
     let mut culled = 0usize;
     for c in &clusters {
@@ -61,12 +57,7 @@ fn build_indexed_clusters(
         Ok(span)
     })
     .unwrap();
-    (
-        tree,
-        RecordStore::in_memory(bytes),
-        ClusterFormat { lens },
-        culled,
-    )
+    (tree, RecordStore::in_memory(bytes), ClusterFormat, culled)
 }
 
 #[test]
