@@ -29,6 +29,16 @@ impl Options {
         Ok(Options { map, flags })
     }
 
+    /// The alphabetically first option or flag not in `known`, if any.
+    pub fn unknown(&self, known: &[&str]) -> Option<&str> {
+        self.map
+            .keys()
+            .chain(&self.flags)
+            .map(String::as_str)
+            .filter(|k| !known.contains(k))
+            .min()
+    }
+
     /// Required string option.
     pub fn require(&self, key: &str) -> Result<&str, String> {
         self.map
@@ -121,6 +131,14 @@ mod tests {
         assert_eq!(o.opt_num::<f32>("iso").unwrap(), Some(190.0));
         assert_eq!(o.opt_num::<u32>("slots").unwrap(), None);
         assert!(o.opt_num::<u32>("db").is_err());
+    }
+
+    #[test]
+    fn unknown_names_the_first_undocumented_option_or_flag() {
+        let o = opts(&["--db", "x", "--zeta", "--iso", "1", "--beta", "2"]);
+        assert_eq!(o.unknown(&["db", "iso", "beta", "zeta"]), None);
+        assert_eq!(o.unknown(&["db", "iso"]), Some("beta"));
+        assert_eq!(o.unknown(&["db", "iso", "beta"]), Some("zeta"));
     }
 
     #[test]

@@ -19,14 +19,14 @@ USAGE:
                     [--topology] [--no-weld] [--decimate RATIO]
   oociso render     --db DIR --iso V --out FILE.ppm [--size N] [--tiles CxR]
   oociso serve      --db DIR [--addr 127.0.0.1:7077] [--cache-mb N] [--port-file FILE]
-                    [--backend mc|surfacenets] [--lods R1,R2|none] [--slots N]
+                    [--lods R1,R2|none] [--slots N]
                     [--max-conns N] [--degrade] [--warm-delta D]
                     [--reactor | --threaded] [--reactor-threads N] [--workers N]
                     [--outbound-budget-mb N]
                     [--read-timeout-ms N] [--idle-timeout-ms N]
                     [--slow-ms N] [--trace-buffer N]
   oociso query      --addr HOST:PORT (--iso V | --stats) [--lod N]
-                    [--backend mc|surfacenets] [--obj FILE] [--progressive]
+                    [--obj FILE] [--progressive]
                     [--region x0,y0,z0,x1,y1,z1]
                     [--frame FILE.ppm] [--size N] [--tiles CxR] [--stats]
                     [--timeout MS] [--retries N] [--trace [ID]]
@@ -42,11 +42,10 @@ default levels 100%/25%/6%); `query --lod N` fetches pyramid level N.
 `serve --slots N` bounds concurrent extractions (overflow answers ERR_BUSY
 with a retry hint; add `--degrade` to fall back to a cached coarser LOD);
 `query --timeout MS --retries N` retries busy/torn requests with jittered
-exponential backoff. `--backend` selects the extraction kernel — `mc`
-(Marching Cubes, the default) or `surfacenets` (`sn`): same triangle budget,
-half the primitives, globally vertex-unique; `serve --backend` sets the
-default served to clients that name none, while `query --backend` pins one
-explicitly (per-backend cache slots never alias). `query --trace` stamps
+exponential backoff. `extract --backend` selects the extraction kernel —
+`mc` (Marching Cubes, the default) or `surfacenets` (`sn`): same triangle
+budget, half the primitives, globally vertex-unique; the server always
+extracts with Marching Cubes. `query --trace` stamps
 the request with a trace id and prints the server-side span tree (cache →
 admission → extraction phases → encode); `stats` prints the server
 counters, and `stats --metrics` dumps the raw Prometheus-style exposition
@@ -65,16 +64,45 @@ the coarsest cached level renders immediately and each refinement prints
 with its arrival time; the final mesh equals the plain `--lod` reply.
 ";
 
-fn err(e: impl std::fmt::Display) -> String {
-    e.to_string()
+/// A subcommand's entry point.
+pub type Command = fn(&Options) -> Result<(), String>;
+
+/// Every subcommand with the options and flags its usage line documents;
+/// anything else on its command line is refused, not silently ignored.
+#[rustfmt::skip]
+pub const COMMANDS: &[(&str, Command, &[&str])] = &[
+    ("gen", gen, &["out", "dims", "step", "seed", "field"]),
+    ("preprocess", preprocess, &["volume", "db", "nodes", "metacell"]),
+    ("info", info, &["db"]),
+    ("extract", extract, &["db", "iso", "backend", "obj", "topology", "no-weld", "decimate"]),
+    ("render", render, &["db", "iso", "out", "size", "tiles"]),
+    ("serve", serve, &[
+        "db", "addr", "cache-mb", "port-file", "lods", "slots", "max-conns", "degrade",
+        "warm-delta", "reactor", "threaded", "reactor-threads", "workers", "outbound-budget-mb",
+        "read-timeout-ms", "idle-timeout-ms", "slow-ms", "trace-buffer",
+    ]),
+    ("query", query, &[
+        "addr", "iso", "stats", "lod", "obj", "progressive", "region", "frame", "size", "tiles",
+        "timeout", "retries", "trace",
+    ]),
+    ("stats", stats, &["addr", "metrics"]),
+];
+
+/// Refuse an option `command` does not document. `--backend` anywhere but
+/// `extract` points at the offline path: the server extracts with MC only.
+pub fn check_options(command: &str, opts: &Options, known: &[&str]) -> Result<(), String> {
+    match opts.unknown(known) {
+        None => Ok(()),
+        Some("backend") => Err(format!(
+            "unknown option --backend for {command}: the server extracts with mc only; \
+             SurfaceNets runs offline with `oociso extract --backend surfacenets`"
+        )),
+        Some(key) => Err(format!("unknown option --{key} for {command}")),
+    }
 }
 
-/// `--backend mc|surfacenets` (default MC, matching the library default).
-fn backend_opt(opts: &Options) -> Result<oociso_march::Backend, String> {
-    match opts.get("backend") {
-        None => Ok(oociso_march::Backend::Mc),
-        Some(s) => s.parse().map_err(|e| format!("--backend: {e}")),
-    }
+fn err(e: impl std::fmt::Display) -> String {
+    e.to_string()
 }
 
 /// `oociso gen`: write a synthetic volume file — the RM proxy time step
@@ -195,7 +223,11 @@ pub fn extract(opts: &Options) -> Result<(), String> {
     // metacell and node seams; --no-weld keeps the raw per-metacell merge
     // (SurfaceNets never welds: its vertices are globally unique by cell)
     let weld = !opts.flag("no-weld");
-    let backend = backend_opt(opts)?;
+    // `--backend mc|surfacenets`: default MC, matching the library default
+    let backend: oociso_march::Backend = match opts.get("backend") {
+        None => oociso_march::Backend::Mc,
+        Some(s) => s.parse().map_err(|e| format!("--backend: {e}"))?,
+    };
     let result = db
         .extract_with_options(
             iso,
@@ -343,7 +375,6 @@ pub fn serve(opts: &Options) -> Result<(), String> {
     let extraction_slots: Option<u32> = opts.opt_num("slots")?;
     let max_connections: Option<u32> = opts.opt_num("max-conns")?;
     let degrade = opts.flag("degrade");
-    let backend = backend_opt(opts)?;
     // `--warm-delta D` turns on speculative cache warming: after each
     // cache-miss extraction at isovalue v, idle capacity pre-extracts v±D
     let warm_delta: Option<f32> = opts.opt_num("warm-delta")?;
@@ -353,7 +384,6 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         extraction_slots,
         max_connections,
         degrade,
-        backend,
         warm_delta,
         ..Default::default()
     };
@@ -397,7 +427,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         std::fs::write(port_file, server.addr().port().to_string()).map_err(err)?;
     }
     println!(
-        "serving {db_dir} ({nodes} node(s)) on {} — protocol v{}, cache {cache_mb} MiB, {levels} LOD level(s), default backend {backend}",
+        "serving {db_dir} ({nodes} node(s)) on {} — protocol v{}, cache {cache_mb} MiB, {levels} LOD level(s)",
         server.addr(),
         oociso_serve::VERSION,
     );
@@ -498,15 +528,6 @@ fn query_iso(
         None if opts.flag("trace") => (u64::from(std::process::id()) << 16) | 0x7ACE,
         None => 0,
     };
-    // --backend names an extraction kernel explicitly; without it the
-    // request carries no selector and the server's default answers
-    let backend = match opts.get("backend") {
-        None => None,
-        Some(s) => Some(
-            s.parse::<oociso_march::Backend>()
-                .map_err(|e| format!("--backend: {e}"))?,
-        ),
-    };
     let reply = if opts.flag("progressive") {
         // --progressive streams the LOD pyramid coarsest-first (protocol
         // v6), printing each refinement as it lands
@@ -518,7 +539,7 @@ fn query_iso(
         }
         println!("isovalue {iso}, progressive -> lod {lod}:");
         client
-            .query_mesh_progressive(iso, lod, backend, |u| {
+            .query_mesh_progressive(iso, lod, |u| {
                 println!(
                     "  +{:.3}s  level {}: {} triangles ({} vertices) [{}, {} on the wire]",
                     t.elapsed().as_secs_f64(),
@@ -530,22 +551,13 @@ fn query_iso(
                 );
             })
             .map_err(err)?
-    } else if trace_id != 0 {
-        client
-            .query_mesh_traced(iso, region, lod, backend, trace_id)
-            .map_err(err)?
     } else {
-        match backend {
-            None => client.query_mesh_lod(iso, region, lod).map_err(err)?,
-            Some(b) => client
-                .query_mesh_backend(iso, region, lod, b)
-                .map_err(err)?,
-        }
+        client
+            .query_mesh_traced(iso, region, lod, trace_id)
+            .map_err(err)?
     };
-    let served = oociso_march::Backend::from_id(reply.backend)
-        .map_or_else(|| format!("backend {}", reply.backend), |b| b.to_string());
     println!(
-        "isovalue {iso} (lod {lod}, {served}): {} triangles ({} vertices), {} active metacells, {} in {:.3}s{}",
+        "isovalue {iso} (lod {lod}): {} triangles ({} vertices), {} active metacells, {} in {:.3}s{}",
         reply.mesh.len(),
         reply.mesh.num_vertices(),
         reply.active_metacells,
@@ -665,24 +677,6 @@ fn print_stats(client: &mut oociso_serve::Client) -> Result<(), String> {
     if !per_level.is_empty() {
         println!("cache per lod (hits/misses): {}", per_level.join(", "));
     }
-    let per_backend: Vec<String> = s
-        .backend_hits
-        .iter()
-        .zip(&s.backend_misses)
-        .enumerate()
-        .filter(|(_, (&h, &m))| h + m > 0)
-        .map(|(i, (h, m))| {
-            let name = oociso_march::Backend::from_id(i as u8)
-                .map_or_else(|| i.to_string(), |b| b.to_string());
-            format!("{name} {h}/{m}")
-        })
-        .collect();
-    if !per_backend.is_empty() {
-        println!(
-            "cache per backend (hits/misses): {}",
-            per_backend.join(", ")
-        );
-    }
     println!(
         "overload: shed={} degraded={} timed_out={} drained={} accept_backoffs={} active_conns={}",
         s.shed, s.degraded, s.timed_out, s.drained, s.accept_backoffs, s.active_connections
@@ -718,4 +712,77 @@ pub fn render(opts: &Options) -> Result<(), String> {
         e.report.composite_wire_bytes as f64 / 1e6
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Parse `line` (subcommand first) and run the option check `main` runs.
+    fn check(line: &str) -> Result<(), String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let opts = Options::parse(&argv[1..])?;
+        let (_, _, known) = COMMANDS
+            .iter()
+            .find(|(name, ..)| *name == argv[0])
+            .expect("a known subcommand");
+        check_options(&argv[0], &opts, known)
+    }
+
+    #[test]
+    fn every_documented_command_line_passes() {
+        let lines = [
+            "gen --out v.vol --dims 64x64x60 --step 250 --seed 7 --field ball",
+            "preprocess --volume v.vol --db db --nodes 2 --metacell 9",
+            "info --db db",
+            "extract --db db --iso 190 --backend surfacenets --obj s.obj --topology --no-weld --decimate 0.25",
+            "render --db db --iso 190 --out i.ppm --size 256 --tiles 2x2",
+            "serve --db db --addr 127.0.0.1:0 --cache-mb 64 --port-file p --lods 0.25,0.06 \
+             --slots 2 --max-conns 8 --degrade --warm-delta 10 --reactor \
+             --reactor-threads 2 --workers 4 --outbound-budget-mb 8 --read-timeout-ms 100 \
+             --idle-timeout-ms 100 --slow-ms 0 --trace-buffer 16",
+            "query --addr 127.0.0.1:1 --iso 190 --stats --lod 1 --obj r.obj \
+             --region 0,0,0,1,1,1 --frame f.ppm --size 256 --tiles 2x2 --timeout 5000 \
+             --retries 2 --trace 42",
+            "stats --addr 127.0.0.1:1 --metrics",
+        ];
+        for line in lines {
+            assert_eq!(check(line), Ok(()), "{line}");
+        }
+        // one line per subcommand, and every accepted name is in the usage
+        for (name, _, known) in COMMANDS {
+            assert!(lines.iter().any(|l| l.split(' ').next() == Some(name)));
+            for key in *known {
+                assert!(USAGE.contains(&format!("--{key}")), "{name} --{key}");
+            }
+        }
+    }
+
+    #[test]
+    fn serving_commands_refuse_backend_and_point_at_extract() {
+        for line in [
+            "serve --db db --backend surfacenets",
+            "query --addr 127.0.0.1:1 --iso 190 --backend mc",
+        ] {
+            let e = check(line).unwrap_err();
+            let command = line.split(' ').next().unwrap();
+            assert!(
+                e.starts_with(&format!("unknown option --backend for {command}")),
+                "{e}"
+            );
+            assert!(e.contains("oociso extract --backend surfacenets"), "{e}");
+        }
+    }
+
+    #[test]
+    fn a_misspelt_option_is_refused_by_name() {
+        assert_eq!(
+            check("extract --db db --iso 190 --topolgy"),
+            Err("unknown option --topolgy for extract".into())
+        );
+        assert_eq!(
+            check("serve --db db --slot 2"),
+            Err("unknown option --slot for serve".into())
+        );
+    }
 }

@@ -35,19 +35,14 @@ fn run(argv: &[String]) -> Result<(), String> {
         return Ok(());
     };
     let opts = args::Options::parse(&argv[1..])?;
-    match cmd.as_str() {
-        "gen" => commands::gen(&opts),
-        "preprocess" => commands::preprocess(&opts),
-        "info" => commands::info(&opts),
-        "extract" => commands::extract(&opts),
-        "render" => commands::render(&opts),
-        "serve" => commands::serve(&opts),
-        "query" => commands::query(&opts),
-        "stats" => commands::stats(&opts),
-        "help" | "--help" | "-h" => {
-            print!("{}", commands::USAGE);
-            Ok(())
-        }
-        other => Err(format!("unknown subcommand `{other}` (try `oociso help`)")),
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        print!("{}", commands::USAGE);
+        return Ok(());
     }
+    let Some(&(_, command, known)) = commands::COMMANDS.iter().find(|(name, ..)| name == cmd)
+    else {
+        return Err(format!("unknown subcommand `{cmd}` (try `oociso help`)"));
+    };
+    commands::check_options(cmd, &opts, known)?;
+    command(&opts)
 }

@@ -110,8 +110,13 @@ pub struct Poller {
 
 impl Poller {
     pub fn new() -> io::Result<Poller> {
+        // SAFETY: `epoll_create1` takes a flags integer and touches no
+        // caller memory; failure is a negative return, checked by `cvt`.
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         Ok(Poller {
+            // SAFETY: `cvt` returned, so `fd` is a fresh, open descriptor
+            // the kernel just created; nothing else holds it, so this
+            // `OwnedFd` is its sole owner and the only one to close it.
             ep: unsafe { OwnedFd::from_raw_fd(fd) },
         })
     }
@@ -121,6 +126,10 @@ impl Poller {
             events: interest.mask(),
             data: token,
         };
+        // SAFETY: `&mut ev` points at a live, initialised `EpollEvent` laid
+        // out as the kernel's `epoll_event` (the `repr` above) for the whole
+        // call; the kernel only reads it. A bad `fd` or `op` is an error
+        // return, not undefined behaviour.
         cvt(unsafe { epoll_ctl(self.ep.as_raw_fd(), op, fd, &mut ev) }).map(|_| ())
     }
 
@@ -138,6 +147,8 @@ impl Poller {
     /// explicit removal keeps stale events from firing while it lingers.)
     pub fn deregister(&self, fd: &impl AsRawFd) -> io::Result<()> {
         let mut ev = EpollEvent { events: 0, data: 0 };
+        // SAFETY: as in `ctl`: `&mut ev` is a live `EpollEvent` for the
+        // call (kernels before 2.6.9 required non-null even for DEL).
         cvt(unsafe { epoll_ctl(self.ep.as_raw_fd(), EPOLL_CTL_DEL, fd.as_raw_fd(), &mut ev) })
             .map(|_| ())
     }
@@ -146,15 +157,20 @@ impl Poller {
     /// or a signal. Fills `events` and returns how many fired (0 = timeout).
     pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
         events.clear();
-        // round sub-millisecond remainders up to 1 ms so a deadline of
-        // "200 µs from now" sleeps instead of busy-spinning at timeout 0
+        // round up to whole milliseconds, so a deadline of "1.9 ms from
+        // now" sleeps 2 ms instead of waking at 1 ms to loop for nothing,
+        // and "200 µs" sleeps instead of busy-spinning at timeout 0; a zero
+        // timeout stays 0 (poll), and anything past i32::MAX ms saturates
         let timeout_ms: i32 = match timeout {
-            Some(t) if t.is_zero() => 0,
-            Some(t) => (t.as_millis().max(1)).min(i32::MAX as u128) as i32,
+            Some(t) => t.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32,
             None => -1,
         };
         let mut raw = [EpollEvent { events: 0, data: 0 }; 128];
         let n = loop {
+            // SAFETY: `raw` is a live, writable array of `raw.len()`
+            // `EpollEvent`s and `maxevents` is exactly that length, so the
+            // kernel writes at most `raw.len()` events into it; the return
+            // value (checked by `cvt`) says how many it wrote.
             match cvt(unsafe {
                 epoll_wait(
                     self.ep.as_raw_fd(),
@@ -193,8 +209,13 @@ pub struct EventFd {
 
 impl EventFd {
     pub fn new() -> io::Result<EventFd> {
+        // SAFETY: `eventfd` takes two integers and touches no caller
+        // memory; failure is a negative return, checked by `cvt`.
         let fd = cvt(unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) })?;
         Ok(EventFd {
+            // SAFETY: `cvt` returned, so `fd` is a fresh, open descriptor
+            // the kernel just created and nothing else holds; the `File`
+            // is its sole owner and closes it exactly once.
             file: unsafe { File::from_raw_fd(fd) },
         })
     }
@@ -259,6 +280,24 @@ mod tests {
             .wait(&mut events, Some(Duration::from_millis(5)))
             .unwrap();
         assert_eq!(n, 0, "level-triggered readiness cleared by drain");
+    }
+
+    // a fractional-millisecond deadline must round up: truncating 1.9 ms to
+    // 1 ms wakes an idle loop early, only for it to wait again
+    #[test]
+    fn idle_wait_never_returns_before_its_timeout() {
+        let poller = Poller::new().unwrap();
+        let mut events = Vec::new();
+        let timeout = Duration::from_micros(1900);
+        for _ in 0..5 {
+            let t0 = std::time::Instant::now();
+            assert_eq!(poller.wait(&mut events, Some(timeout)).unwrap(), 0);
+            let waited = t0.elapsed();
+            assert!(
+                waited >= timeout,
+                "woke after {waited:?}, asked {timeout:?}"
+            );
+        }
     }
 
     #[test]

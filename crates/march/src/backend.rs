@@ -2,12 +2,14 @@
 //!
 //! The cluster pipeline decodes active metacell records into dense
 //! sub-volumes and hands each one to an [`ExtractionBackend`] — the only
-//! contract a kernel must satisfy to ride the whole stack (streaming
-//! pipeline, deterministic merge, weld, LOD pyramid, serving). Two backends
-//! ship today: the slab-sliding Marching Cubes kernel
+//! contract a kernel must satisfy to ride the extraction stack (streaming
+//! pipeline, deterministic merge, weld, LOD pyramid). Two backends ship
+//! today: the slab-sliding Marching Cubes kernel
 //! ([`crate::mc::marching_cubes_indexed`]) and Kitware-style SurfaceNets
 //! ([`crate::surface_nets`]); dual contouring or sharp-feature variants slot
-//! in behind the same trait with no further plumbing.
+//! in behind the same trait with no further plumbing. The server extracts
+//! with MC only; SurfaceNets is a library and offline (`oociso extract
+//! --backend surfacenets`) backend.
 //!
 //! # The block contract
 //!
@@ -42,8 +44,9 @@ use crate::surface_nets::{sn_block, SnScratch};
 use oociso_volume::{Dims3, ScalarValue, Volume};
 
 /// Which extraction kernel produces the surface. The enum is the unit of
-/// dispatch everywhere outside `march` (extract options, cache keys, the
-/// wire protocol); [`Backend::instance`] resolves it to the kernel object.
+/// dispatch everywhere outside `march` (extract options, the CLI's
+/// `extract --backend`); [`Backend::instance`] resolves it to the kernel
+/// object.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Backend {
     /// Slab-sliding indexed Marching Cubes — the reference-quality default.
@@ -59,16 +62,15 @@ impl Backend {
     /// Every backend, in wire-id order.
     pub const ALL: [Backend; 2] = [Backend::Mc, Backend::SurfaceNets];
 
-    /// Stable wire/cache identifier (protocol v4, cache keys, stats rows).
-    pub fn id(self) -> u8 {
+    /// Stable wire/cache identifier (protocol v4, cache keys).
+    pub const fn id(self) -> u8 {
         match self {
             Backend::Mc => 0,
             Backend::SurfaceNets => 1,
         }
     }
 
-    /// Inverse of [`Backend::id`]; `None` for unknown identifiers (the
-    /// serve layer maps those to `ERR_BAD_BACKEND`).
+    /// Inverse of [`Backend::id`]; `None` for unknown identifiers.
     pub fn from_id(id: u8) -> Option<Backend> {
         match id {
             0 => Some(Backend::Mc),

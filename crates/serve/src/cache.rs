@@ -1,24 +1,24 @@
-//! Isovalue-, backend-, and LOD-level-keyed LRU result cache.
+//! Isovalue- and LOD-level-keyed LRU result cache.
 //!
 //! Interactive exploration hammers a handful of isovalues (slider scrubbing,
 //! repeated frames of the same surface), so the server memoizes extraction
-//! results keyed by `(isovalue bit pattern, extraction backend, LOD level)`.
-//! Every level of a pyramid is its own entry — a coarse level is a few
-//! percent of the full mesh, so it can stay resident long after its
-//! full-resolution sibling was evicted — and the two extraction backends
-//! (MC, SurfaceNets) produce different geometry for the same isovalue, so
-//! their entries never alias. The cache is **byte-budgeted**, not
+//! results keyed by `(isovalue bit pattern, extraction backend id, LOD
+//! level)`. Every level of a pyramid is its own entry — a coarse level is a
+//! few percent of the full mesh, so it can stay resident long after its
+//! full-resolution sibling was evicted. The server only ever stores MC
+//! surfaces (backend id 0); the id stays in the key because callers outside
+//! the server address entries with it. The cache is **byte-budgeted**, not
 //! entry-counted: meshes vary from empty to hundreds of MB, and the budget
 //! is what bounds server memory. Region-restricted and framebuffer-mode
 //! requests are served by filtering/rasterizing cached meshes, so every
 //! request shape shares the per-level entries.
 //!
-//! Hit/miss/eviction counters — aggregate, per level, *and* per backend —
-//! are surfaced through [`crate::protocol::ServerReport`] the same way
-//! extraction surfaces `NodeReport` rows — observable from any client via a
-//! stats request.
+//! Hit/miss/eviction counters — aggregate and per level — are surfaced
+//! through [`crate::protocol::ServerReport`] the same way extraction
+//! surfaces `NodeReport` rows — observable from any client via a stats
+//! request.
 
-use crate::protocol::{MAX_LOD_LEVELS, NUM_BACKENDS};
+use crate::protocol::MAX_LOD_LEVELS;
 use oociso_march::IndexedMesh;
 use std::sync::Arc;
 
@@ -57,10 +57,6 @@ pub struct CacheStats {
     pub lod_hits: [u64; MAX_LOD_LEVELS],
     /// Misses per LOD level; sums to `misses`.
     pub lod_misses: [u64; MAX_LOD_LEVELS],
-    /// Hits per extraction backend (indexed by backend id); sums to `hits`.
-    pub backend_hits: [u64; NUM_BACKENDS],
-    /// Misses per extraction backend; sums to `misses`.
-    pub backend_misses: [u64; NUM_BACKENDS],
     /// Hits on entries inserted by speculative warming that had not yet
     /// been touched by real traffic — the warming engine's payoff counter
     /// (each warmed entry is counted at most once, on its first hit).
@@ -94,12 +90,6 @@ fn level_slot(lod: u16) -> usize {
     (lod as usize).min(MAX_LOD_LEVELS - 1)
 }
 
-/// Clamp a backend id into the fixed per-backend counter arrays (unknown
-/// ids never reach the cache — the server rejects them first).
-fn backend_slot(backend: u8) -> usize {
-    (backend as usize).min(NUM_BACKENDS - 1)
-}
-
 impl ResultCache {
     /// An empty cache that will hold at most `budget_bytes` of mesh data.
     pub fn new(budget_bytes: u64) -> Self {
@@ -131,16 +121,12 @@ impl ResultCache {
                     entry.2 = false;
                 }
                 self.entries.push(entry);
-                self.stats.hits += 1;
-                self.stats.lod_hits[level_slot(lod)] += 1;
-                self.stats.backend_hits[backend_slot(backend)] += 1;
+                self.account(lod, true);
                 self.refresh_gauges();
                 Some(hit)
             }
             None => {
-                self.stats.misses += 1;
-                self.stats.lod_misses[level_slot(lod)] += 1;
-                self.stats.backend_misses[backend_slot(backend)] += 1;
+                self.account(lod, false);
                 None
             }
         }
@@ -157,20 +143,17 @@ impl ResultCache {
             .map(|(_, e, _)| e.clone())
     }
 
-    /// Count a lookup outcome against `backend`/`lod` without probing
-    /// entries — for the frame path, whose one accounted lookup is decided
-    /// only after peeking the whole pyramid (a pyramid with any level
-    /// missing is one miss, not a hit on the levels that happened to be
-    /// resident).
-    pub fn account(&mut self, backend: u8, lod: u16, hit: bool) {
+    /// Count a lookup outcome against `lod` without probing entries — for
+    /// the frame path, whose one accounted lookup is decided only after
+    /// peeking the whole pyramid (a pyramid with any level missing is one
+    /// miss, not a hit on the levels that happened to be resident).
+    pub fn account(&mut self, lod: u16, hit: bool) {
         if hit {
             self.stats.hits += 1;
             self.stats.lod_hits[level_slot(lod)] += 1;
-            self.stats.backend_hits[backend_slot(backend)] += 1;
         } else {
             self.stats.misses += 1;
             self.stats.lod_misses[level_slot(lod)] += 1;
-            self.stats.backend_misses[backend_slot(backend)] += 1;
         }
     }
 
@@ -415,8 +398,8 @@ mod tests {
         c.insert(1.0, 0, 0, surface(1));
         c.insert(2.0, 0, 0, surface(1));
         // account books counters without probing entries
-        c.account(0, 0, true);
-        c.account(0, 2, false);
+        c.account(0, true);
+        c.account(2, false);
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert_eq!(s.lod_hits, [1, 0, 0, 0]);
@@ -559,25 +542,17 @@ mod tests {
     }
 
     #[test]
-    fn backends_are_distinct_keys_with_exact_per_backend_counters() {
+    fn backend_ids_are_distinct_keys() {
         let mut c = ResultCache::new(10_000);
         c.insert(1.0, 0, 0, surface(4));
         c.insert(1.0, 1, 0, surface(2));
-        // the same (iso, lod) under the other backend must never alias
+        // the same (iso, lod) under another backend id must never alias
         assert_eq!(c.get(1.0, 0, 0).unwrap().mesh.len(), 4);
         assert_eq!(c.get(1.0, 1, 0).unwrap().mesh.len(), 2);
         assert!(c.get(2.0, 1, 0).is_none());
-        let s = c.stats();
-        assert_eq!(s.backend_hits, [1, 1]);
-        assert_eq!(s.backend_misses, [0, 1]);
-        assert_eq!(s.hits, s.backend_hits.iter().sum::<u64>());
-        assert_eq!(s.misses, s.backend_misses.iter().sum::<u64>());
-        // degradation fallback under one backend ignores the other's levels
+        // degradation fallback under one id ignores the other's levels
         c.insert(3.0, 0, 2, surface(1));
-        assert!(
-            c.coarser(3.0, 1, 0, 4).is_none(),
-            "MC's coarse level must not degrade a SurfaceNets request"
-        );
+        assert!(c.coarser(3.0, 1, 0, 4).is_none());
         assert!(c.coarser(3.0, 0, 0, 4).is_some());
     }
 }

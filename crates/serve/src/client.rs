@@ -25,7 +25,7 @@ use crate::protocol::{
     encode_frame_raw, read_frame, write_frame, ChunkBody, FrameIn, FrameParams, Message, Region,
     ServerReport, TraceEvent, ERR_BUSY,
 };
-use oociso_march::{Backend, IndexedMesh};
+use oociso_march::IndexedMesh;
 use oociso_render::Framebuffer;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -46,9 +46,6 @@ pub struct MeshReply {
     /// True when the server satisfied the request from a cached coarser
     /// level under overload instead of shedding it.
     pub degraded: bool,
-    /// The extraction backend id that produced the mesh
-    /// (`oociso_march::Backend::from_id`; always 0/MC from pre-v4 servers).
-    pub backend: u8,
     /// Echo of the trace id this request carried (0 = untraced, and always
     /// 0 from pre-v5 servers). A nonzero echo can be handed to
     /// [`Client::trace`] to pull the request's span tree.
@@ -373,40 +370,14 @@ impl Client {
 
     /// Query LOD pyramid level `lod` of the isosurface at `iso` (0 = full
     /// resolution), optionally restricted to a region. Levels the server
-    /// does not have come back as a structured `ERR_BAD_LOD` error. The
-    /// server extracts with its default backend.
+    /// does not have come back as a structured `ERR_BAD_LOD` error.
     pub fn query_mesh_lod(
         &mut self,
         iso: f32,
         region: Option<Region>,
         lod: u16,
     ) -> io::Result<MeshReply> {
-        self.query(Message::MeshRequest {
-            iso,
-            region,
-            lod,
-            backend: None,
-            trace_id: 0,
-        })
-    }
-
-    /// [`Client::query_mesh_lod`] with an explicit extraction backend
-    /// (protocol v4). A backend the server does not know comes back as a
-    /// structured `ERR_BAD_BACKEND` error.
-    pub fn query_mesh_backend(
-        &mut self,
-        iso: f32,
-        region: Option<Region>,
-        lod: u16,
-        backend: Backend,
-    ) -> io::Result<MeshReply> {
-        self.query(Message::MeshRequest {
-            iso,
-            region,
-            lod,
-            backend: Some(backend.id()),
-            trace_id: 0,
-        })
+        self.query_mesh_traced(iso, region, lod, 0)
     }
 
     /// [`Client::query_mesh_lod`] with a client-supplied trace id (protocol
@@ -418,14 +389,13 @@ impl Client {
         iso: f32,
         region: Option<Region>,
         lod: u16,
-        backend: Option<Backend>,
         trace_id: u64,
     ) -> io::Result<MeshReply> {
         self.query(Message::MeshRequest {
             iso,
             region,
             lod,
-            backend: backend.map(|b| b.id()),
+            backend: None,
             trace_id,
         })
     }
@@ -445,7 +415,6 @@ impl Client {
         &mut self,
         iso: f32,
         lod: u16,
-        backend: Option<Backend>,
         on_level: impl FnMut(&ProgressiveUpdate<'_>),
     ) -> io::Result<MeshReply> {
         write_frame(
@@ -453,7 +422,7 @@ impl Client {
             &Message::ProgressiveRequest {
                 iso,
                 lod,
-                backend: backend.map(|b| b.id()),
+                backend: None,
                 trace_id: 0,
             },
         )
@@ -468,16 +437,15 @@ impl Client {
                 active_metacells,
                 served_lod,
                 degraded,
-                backend,
                 trace_id,
                 mesh,
+                ..
             } => Ok(MeshReply {
                 mesh,
                 cache_hit,
                 active_metacells,
                 served_lod,
                 degraded,
-                backend,
                 trace_id,
             }),
             Message::Error {
@@ -712,10 +680,10 @@ pub fn read_progressive_reply<R: io::Read>(
                 last,
                 level,
                 cache_hit,
-                backend,
                 active_metacells,
                 trace_id,
                 body,
+                ..
             } => {
                 if let Some((prev_level, _)) = &prev {
                     if level >= *prev_level {
@@ -755,7 +723,6 @@ pub fn read_progressive_reply<R: io::Read>(
                         // the server signals a degraded (overload-truncated)
                         // delivery by ending coarser than asked
                         degraded: level > want_lod,
-                        backend,
                         trace_id,
                     });
                 }

@@ -12,7 +12,8 @@
 //!   carry an indexed mesh or tile frames), CRC-32 payload checksums,
 //!   structured errors for version/framing violations.
 //! * [`server`] — [`IsoServer`]: one shared
-//!   [`oociso_core::ClusterDatabase`] behind either serving core — the
+//!   [`oociso_core::ClusterDatabase`], extracted with Marching Cubes (the
+//!   only kernel served), behind either serving core — the
 //!   classic multi-threaded accept loop (thread per connection), or, with
 //!   [`ServeOptions::reactor_threads`] set, the nonblocking reactor below.
 //! * [`reactor`] — the epoll event-loop core (Linux): N reactor threads
@@ -64,7 +65,7 @@ pub use client::{
 pub use protocol::{
     render_trace_events, ChunkBody, FrameParams, Message, Region, ServerReport, TraceEvent,
     ERR_BAD_BACKEND, ERR_BAD_LOD, ERR_BUSY, MAGIC, MAX_LOD_LEVELS, MIN_PROGRESSIVE_VERSION,
-    MIN_VERSION, NUM_BACKENDS, VERSION,
+    MIN_VERSION, VERSION,
 };
 pub use server::{IsoServer, ServeOptions};
 pub use transport::{measure_loopback, TcpLoopbackTransport};

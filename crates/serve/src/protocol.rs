@@ -38,32 +38,34 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"OISO");
 /// retry-after-millis hint on error frames (how [`ERR_BUSY`] tells clients
 /// when to come back), trailing `served_lod`/`degraded` fields on mesh
 /// responses (how a degraded coarser-LOD answer is flagged), and the
-/// robustness counters on stats responses. Version 4 added extraction-backend
-/// selection: a trailing backend id on mesh requests (absent = the server's
-/// default backend), a trailing served-backend id on mesh responses, the
-/// per-backend counters on stats responses, and [`ERR_BAD_BACKEND`]. Version
-/// 5 added wire-propagated request tracing and the observability messages: a
-/// trailing client-supplied trace id on mesh and frame requests (echoed on
-/// the matching responses), the [`MSG_METRICS_REQUEST`] /
-/// [`MSG_METRICS_RESPONSE`] pair carrying the server's metrics exposition
-/// text, and the [`MSG_TRACE_REQUEST`] / [`MSG_TRACE_RESPONSE`] pair
-/// returning a finished request trace's span events. At v5 the mesh-request
-/// backend byte is always present ([`BACKEND_DEFAULT`] = server default), so
-/// the 8-byte trace id that follows is unambiguous by length. Readers accept
-/// Version 6 added progressive (coarse-to-fine) mesh delivery as two *new*
-/// message types — [`MSG_PROGRESSIVE_REQUEST`] and the chunked
-/// [`MSG_MESH_CHUNK`] response it elicits, one frame per LOD level
-/// (coarsest first, refinements optionally encoded as collapse-record
-/// deltas against the previous chunk) — so no existing payload layout
-/// changed at all: every v1–v5 message encodes byte-identically at v6.
-/// Readers accept
-/// any version in [`MIN_VERSION`]`..=`[`VERSION`], and a server answers each
-/// frame at the version the client spoke — a v1 client simply never asks for
-/// (and never hears about) LOD levels, so it gets level 0, exactly as
-/// before, a v2 client never sees the v3 trailing fields, a pre-v4 client
-/// always gets the server's default backend, a pre-v5 client is served
-/// bit-identically, untraced, and a pre-v6 client never learns the
-/// progressive message types exist.
+/// robustness counters on stats responses. Version 4 added an
+/// extraction-backend byte: a trailing backend id on mesh requests, a
+/// trailing served-backend id on mesh responses, two per-backend counter
+/// arrays on stats responses, and [`ERR_BAD_BACKEND`]. The server extracts
+/// with Marching Cubes only, so the request byte is parsed and checked, the
+/// response byte is always 0 (MC), and the arrays are derived from the
+/// aggregate counters. Version 5 added wire-propagated request tracing and
+/// the observability messages: a trailing client-supplied trace id on mesh
+/// and frame requests (echoed on the matching responses), the
+/// [`MSG_METRICS_REQUEST`] / [`MSG_METRICS_RESPONSE`] pair carrying the
+/// server's metrics exposition text, and the [`MSG_TRACE_REQUEST`] /
+/// [`MSG_TRACE_RESPONSE`] pair returning a finished request trace's span
+/// events. At v5 the mesh-request backend byte is always present
+/// ([`BACKEND_DEFAULT`] = no choice), so the 8-byte trace id that follows
+/// is unambiguous by length. Version 6 added progressive (coarse-to-fine)
+/// mesh delivery as two *new* message types — [`MSG_PROGRESSIVE_REQUEST`]
+/// and the chunked [`MSG_MESH_CHUNK`] response it elicits, one frame per
+/// LOD level (coarsest first, refinements optionally encoded as
+/// collapse-record deltas against the previous chunk) — so no existing
+/// payload layout changed at all: every v1–v5 message encodes
+/// byte-identically at v6.
+///
+/// Readers accept any version in [`MIN_VERSION`]`..=`[`VERSION`], and a
+/// server answers each frame at the version the client spoke — a v1 client
+/// simply never asks for (and never hears about) LOD levels, so it gets
+/// level 0, exactly as before, a v2 client never sees the v3 trailing
+/// fields, a pre-v5 client is served bit-identically, untraced, and a
+/// pre-v6 client never learns the progressive message types exist.
 pub const VERSION: u16 = 6;
 /// Oldest protocol version still accepted on the wire.
 pub const MIN_VERSION: u16 = 1;
@@ -129,21 +131,17 @@ pub const ERR_BAD_LOD: u16 = 6;
 /// frames carry a `retry_after_ms` hint for when. The connection stays
 /// usable.
 pub const ERR_BUSY: u16 = 7;
-/// The requested extraction backend id is not one this server knows (the
-/// reply's detail lists the known ids; the connection stays usable). **v4.**
+/// The requested extraction backend id is not served: the server extracts
+/// with MC (id 0) only (the reply's detail names the offline path; the
+/// connection stays usable). **v4.**
 pub const ERR_BAD_BACKEND: u16 = 8;
 
-/// Number of extraction backends the per-backend stats counters can address
-/// (matches `oociso_march::Backend::ALL`).
-pub const NUM_BACKENDS: usize = 2;
-
-/// The mesh-request backend byte a v5 encoder writes when the client wants
-/// the server's default backend. Pre-v5 encoders express "default" by
-/// omitting the byte entirely; v5 must always write one so the trailing
-/// trace id stays unambiguous by length. The value is outside every real
-/// backend id, so a v4 client that somehow sends `0xFF` raw still draws
-/// [`ERR_BAD_BACKEND`]-equivalent treatment (it decodes as "default" only
-/// when followed by a trace id, i.e. only in a v5-shaped request).
+/// The mesh-request backend byte a v5 encoder writes when the client names
+/// no backend. Pre-v5 encoders express that by omitting the byte entirely;
+/// v5 must always write one so the trailing trace id stays unambiguous by
+/// length. It decodes as "no choice" only when followed by a trace id; as a
+/// lone v4 byte it decodes as `Some(0xFF)`, which the server also serves as
+/// MC.
 pub const BACKEND_DEFAULT: u8 = 0xFF;
 
 /// CRC-32 (IEEE) of `bytes` — the frame trailer's checksum. The routine
@@ -230,11 +228,6 @@ pub struct ServerReport {
     pub accept_backoffs: u64,
     /// Connections currently being served (a gauge, not a counter). **v3.**
     pub active_connections: u64,
-    /// Cache hits per extraction backend, indexed by backend id (0 = MC,
-    /// 1 = SurfaceNets). Sums to `cache_hits`. **v4.**
-    pub backend_hits: [u64; NUM_BACKENDS],
-    /// Cache misses per extraction backend. Sums to `cache_misses`. **v4.**
-    pub backend_misses: [u64; NUM_BACKENDS],
 }
 
 /// One decoded protocol message.
@@ -249,10 +242,10 @@ pub enum Message {
         region: Option<Region>,
         lod: u16,
         /// Extraction backend id (`oociso_march::Backend::id`), or `None`
-        /// for the server's default. **v4** trailing field: pre-v4 requests
-        /// carry no backend byte and decode as `None`, so older clients
-        /// always get the server default. The id travels raw so an unknown
-        /// value reaches the server, which answers [`ERR_BAD_BACKEND`]
+        /// when the client names none. **v4** trailing field: pre-v4
+        /// requests carry no backend byte and decode as `None`. The id
+        /// travels raw; the server serves `None`, [`BACKEND_DEFAULT`] and
+        /// MC's id 0, and answers any other id with [`ERR_BAD_BACKEND`]
         /// (mirroring how an out-of-range `lod` draws [`ERR_BAD_LOD`]).
         backend: Option<u8>,
         /// Client-supplied trace id, echoed on the response and used to key
@@ -284,9 +277,9 @@ pub enum Message {
         /// coarser level than requested instead of shedding it. **v3**
         /// trailing field (absent = false).
         degraded: bool,
-        /// Extraction backend id that produced this mesh. **v4** trailing
-        /// field: absent on the wire for pre-v4 speakers, decoded as 0
-        /// (MC — the only backend pre-v4 servers had).
+        /// Extraction backend id that produced this mesh (always 0, MC, from
+        /// this server). **v4** trailing field: absent on the wire for
+        /// pre-v4 speakers, decoded as 0.
         backend: u8,
         /// Echo of the request's trace id. **v5** trailing field (absent =
         /// 0 — pre-v5 responses are bit-identical to v4).
@@ -345,8 +338,9 @@ pub enum Message {
         iso: f32,
         /// The finest level wanted (the delivery ends there).
         lod: u16,
-        /// Extraction backend id, or `None` for the server's default
-        /// (encoded as [`BACKEND_DEFAULT`]).
+        /// Extraction backend id, or `None` when the client names none
+        /// (encoded as [`BACKEND_DEFAULT`]); checked like
+        /// [`Message::MeshRequest`]'s.
         backend: Option<u8>,
         /// Client-supplied trace id, echoed on every chunk (0 = untraced).
         trace_id: u64,
@@ -359,7 +353,7 @@ pub enum Message {
         level: u16,
         /// Whether this level was served from the result cache.
         cache_hit: bool,
-        /// Extraction backend id that produced the level.
+        /// Extraction backend id that produced the level (always 0, MC).
         backend: u8,
         active_metacells: u64,
         /// Echo of the request's trace id.
@@ -897,7 +891,9 @@ pub fn encode_mesh_response_frame(
 
 /// Serialize a [`ServerReport`] at the given protocol version: v1 payloads
 /// carry only the 11 base counters (what v1 clients can parse), v2 appends
-/// the per-LOD-level hit/miss arrays, v3 appends the robustness counters.
+/// the per-LOD-level hit/miss arrays, v3 appends the robustness counters,
+/// v4 appends the per-backend `[MC, SurfaceNets]` hit and miss arrays — all
+/// MC, since MC is the only kernel served.
 fn put_server_report(out: &mut Vec<u8>, s: &ServerReport, version: u16) {
     for v in [
         s.connections,
@@ -932,8 +928,8 @@ fn put_server_report(out: &mut Vec<u8>, s: &ServerReport, version: u16) {
         }
     }
     if version >= 4 {
-        for v in s.backend_hits.iter().chain(&s.backend_misses) {
-            put_u64(out, *v);
+        for v in [s.cache_hits, 0, s.cache_misses, 0] {
+            put_u64(out, v);
         }
     }
 }
@@ -976,12 +972,12 @@ fn put_payload(out: &mut Vec<u8>, version: u16, msg: &Message) {
             // v2 trailing field; v1 payloads simply end here (decoded as 0)
             put_u16(out, *lod);
             if version >= 5 {
-                // v5 always writes the backend byte (BACKEND_DEFAULT = let
-                // the server pick) so the trace id after it is unambiguous
+                // v5 always writes the backend byte (BACKEND_DEFAULT = none
+                // named) so the trace id after it is unambiguous
                 out.push(backend.unwrap_or(BACKEND_DEFAULT));
                 put_u64(out, *trace_id);
             } else if version >= 4 {
-                // v4 trailing field; absent = the server's default backend
+                // v4 trailing field; absent = none named
                 if let Some(b) = backend {
                     out.push(*b);
                 }
@@ -1152,7 +1148,7 @@ pub fn decode_payload(msg_type: u16, payload: &[u8]) -> io::Result<Message> {
             let lod = if rd.remaining() > 0 { rd.u16()? } else { 0 };
             // trailing fields, disambiguated by length: a lone byte is the
             // v4 backend id; a v5 request always carries backend byte (with
-            // BACKEND_DEFAULT standing in for "server default") + trace id
+            // BACKEND_DEFAULT standing in for "none named") + trace id
             let (backend, trace_id) = match rd.remaining() {
                 0 => (None, 0),
                 1 => (Some(rd.u8()?), 0),
@@ -1261,12 +1257,11 @@ pub fn decode_payload(msg_type: u16, payload: &[u8]) -> io::Result<Message> {
                     *slot = rd.u64()?;
                 }
             }
-            // v4 appends the per-backend hit/miss arrays
-            let mut backend_hits = [0u64; NUM_BACKENDS];
-            let mut backend_misses = [0u64; NUM_BACKENDS];
+            // v4 appends the per-backend hit/miss arrays, derived from the
+            // aggregates above: read and discarded
             if rd.remaining() > 0 {
-                for slot in backend_hits.iter_mut().chain(&mut backend_misses) {
-                    *slot = rd.u64()?;
+                for _ in 0..4 {
+                    rd.u64()?;
                 }
             }
             Message::StatsResponse(ServerReport {
@@ -1289,8 +1284,6 @@ pub fn decode_payload(msg_type: u16, payload: &[u8]) -> io::Result<Message> {
                 drained: robust[3],
                 accept_backoffs: robust[4],
                 active_connections: robust[5],
-                backend_hits,
-                backend_misses,
             })
         }
         MSG_ERROR => {
@@ -1776,8 +1769,6 @@ mod tests {
             drained: 15,
             accept_backoffs: 16,
             active_connections: 17,
-            backend_hits: [5, 2],
-            backend_misses: [6, 2],
         }));
         roundtrip(Message::Error {
             code: ERR_MALFORMED,
@@ -2084,7 +2075,7 @@ mod tests {
         assert_eq!(v4.len(), v3.len() + 1, "backend id is a 1-byte v4 trailer");
         match decode_payload(MSG_MESH_REQUEST, &v3).unwrap() {
             Message::MeshRequest { backend, .. } => {
-                assert_eq!(backend, None, "absent selector = server default")
+                assert_eq!(backend, None, "absent selector = none named")
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -2110,21 +2101,27 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        // and the per-backend stats arrays
-        let mut report = ServerReport {
-            backend_hits: [3, 1],
-            backend_misses: [0, 2],
+        // and the per-backend stats arrays: a v4 trailer derived from the
+        // aggregates ([hits, 0] then [misses, 0]), read back and discarded
+        let report = ServerReport {
+            cache_hits: 3,
+            cache_misses: 2,
             ..ServerReport::default()
         };
-        let mut v3_out = Vec::new();
+        let (mut v3_out, mut v4_out) = (Vec::new(), Vec::new());
         put_server_report(&mut v3_out, &report, 3);
-        match decode_payload(MSG_STATS_RESPONSE, &v3_out).unwrap() {
-            Message::StatsResponse(got) => {
-                report.backend_hits = [0; NUM_BACKENDS];
-                report.backend_misses = [0; NUM_BACKENDS];
-                assert_eq!(got, report, "v3 layout zeroes the v4 counters");
+        put_server_report(&mut v4_out, &report, 4);
+        assert_eq!(v4_out[..v3_out.len()], v3_out[..]);
+        let trailer: Vec<u64> = v4_out[v3_out.len()..]
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+            .collect();
+        assert_eq!(trailer, [3, 0, 2, 0]);
+        for payload in [&v3_out, &v4_out] {
+            match decode_payload(MSG_STATS_RESPONSE, payload).unwrap() {
+                Message::StatsResponse(got) => assert_eq!(got, report),
+                other => panic!("unexpected {other:?}"),
             }
-            other => panic!("unexpected {other:?}"),
         }
     }
 
@@ -2159,7 +2156,7 @@ mod tests {
             Message::MeshRequest {
                 backend, trace_id, ..
             } => {
-                assert_eq!(backend, None, "BACKEND_DEFAULT decodes as server default");
+                assert_eq!(backend, None, "BACKEND_DEFAULT decodes as none named");
                 assert_eq!(trace_id, 0xABCD);
             }
             other => panic!("unexpected {other:?}"),

@@ -66,7 +66,6 @@ use crate::server::{
     FrameAdmit, MeshAdmit, MeshOutcome, ProgressiveAdmit, Reply, SlotGuard, State,
 };
 use oociso_exio::poll::{Event, EventFd, Interest, Poller};
-use oociso_march::Backend;
 use oociso_obs::{Counter, Gauge, Histogram, Span, Trace, DEFAULT_TRACE_EVENTS};
 use oociso_volume::ScalarValue;
 use std::collections::{HashMap, VecDeque};
@@ -277,7 +276,6 @@ struct Conn {
 enum Job<S: ScalarValue> {
     Mesh {
         iso: f32,
-        backend: Backend,
         lod: u16,
         region: Option<Region>,
         slot: SlotGuard<S>,
@@ -299,7 +297,6 @@ enum Job<S: ScalarValue> {
     /// `next_level` down to `lod`), delta-continuing from `prev`.
     Progressive {
         iso: f32,
-        backend: Backend,
         lod: u16,
         slot: SlotGuard<S>,
         prev: Option<Arc<CachedSurface>>,
@@ -491,7 +488,6 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
     } = env;
     let job = if let Job::Progressive {
         iso,
-        backend,
         lod,
         slot,
         prev,
@@ -500,7 +496,7 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
     {
         // a panicking extraction surfaces as a final ERR_INTERNAL chunk;
         // the slot guard releases during unwind or on the drop below
-        let result = catch_unwind(AssertUnwindSafe(|| state.pyramid_for(iso, backend, &trace)))
+        let result = catch_unwind(AssertUnwindSafe(|| state.pyramid_for(iso, &trace)))
             .unwrap_or_else(|_| Err(io::Error::other("extraction panicked")));
         drop(slot);
         root.field("offloaded", 1);
@@ -534,7 +530,6 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
                     &run,
                     next_level,
                     false,
-                    backend,
                     trace_id,
                     version,
                     prev.as_ref(),
@@ -558,11 +553,10 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
     let reply = catch_unwind(AssertUnwindSafe(|| match job {
         Job::Mesh {
             iso,
-            backend,
             lod,
             region,
             slot,
-        } => match state.pyramid_for(iso, backend, &trace) {
+        } => match state.pyramid_for(iso, &trace) {
             Ok(levels) => {
                 drop(slot);
                 mesh_outcome_reply(
@@ -573,7 +567,6 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
                         degraded: false,
                     },
                     region,
-                    backend,
                     trace_id,
                 )
             }
@@ -1085,13 +1078,12 @@ impl<S: ScalarValue> Reactor<S> {
                 trace_id,
             } => {
                 state.c.mesh_requests.inc();
-                let backend = match validate_mesh_request(&state, lod, backend) {
-                    Ok(b) => b,
-                    Err(reply) => return inline(reply, root, trace, trace_id),
-                };
-                match state.admit_mesh(iso, backend, lod, &root) {
+                if let Err(reply) = validate_mesh_request(&state, lod, backend) {
+                    return inline(reply, root, trace, trace_id);
+                }
+                match state.admit_mesh(iso, lod, &root) {
                     MeshAdmit::Ready(outcome) => inline(
-                        mesh_outcome_reply(outcome, region, backend, trace_id),
+                        mesh_outcome_reply(outcome, region, trace_id),
                         root,
                         trace,
                         trace_id,
@@ -1100,7 +1092,6 @@ impl<S: ScalarValue> Reactor<S> {
                         self.offload(Envelope {
                             job: Job::Mesh {
                                 iso,
-                                backend,
                                 lod,
                                 region,
                                 slot,
@@ -1138,12 +1129,11 @@ impl<S: ScalarValue> Reactor<S> {
                         trace_id,
                     );
                 }
-                let backend = match validate_mesh_request(&state, lod, backend) {
-                    Ok(b) => b,
-                    Err(reply) => return inline(reply, root, trace, trace_id),
-                };
+                if let Err(reply) = validate_mesh_request(&state, lod, backend) {
+                    return inline(reply, root, trace, trace_id);
+                }
                 let top = state.levels() - 1;
-                match state.admit_progressive(iso, backend, lod, &root) {
+                match state.admit_progressive(iso, lod, &root) {
                     ProgressiveAdmit::Busy { retry_after_ms } => inline(
                         Reply::Msg(busy_reply("extraction slots exhausted", retry_after_ms)),
                         root,
@@ -1153,37 +1143,34 @@ impl<S: ScalarValue> Reactor<S> {
                     ProgressiveAdmit::Ready { levels }
                     | ProgressiveAdmit::Degraded { resident: levels } => {
                         let t_enc = EncodeClock::start();
-                        let frames = encode_chunk_run(
-                            &levels, top, true, backend, trace_id, version, None, true,
-                        );
+                        let frames =
+                            encode_chunk_run(&levels, top, true, trace_id, version, None, true);
                         Classified::Inline(chunk_payloads(frames, root, trace, trace_id, t_enc))
                     }
                     ProgressiveAdmit::Extract { resident, slot } => {
                         // stream what's already cached now; the worker picks
                         // up delta continuity from the finest resident level
                         let t_enc = Instant::now();
-                        let head: Vec<OutPayload> = encode_chunk_run(
-                            &resident, top, true, backend, trace_id, version, None, false,
-                        )
-                        .into_iter()
-                        .map(|bytes| OutPayload {
-                            bytes,
-                            meta: ReplyMeta {
-                                root: None,
-                                trace: None,
-                                trace_id,
-                                close_after: false,
-                                interim: true,
-                            },
-                        })
-                        .collect();
+                        let head: Vec<OutPayload> =
+                            encode_chunk_run(&resident, top, true, trace_id, version, None, false)
+                                .into_iter()
+                                .map(|bytes| OutPayload {
+                                    bytes,
+                                    meta: ReplyMeta {
+                                        root: None,
+                                        trace: None,
+                                        trace_id,
+                                        close_after: false,
+                                        interim: true,
+                                    },
+                                })
+                                .collect();
                         root.annotate("encode", t_enc.elapsed(), &[("head", head.len() as u64)]);
                         let next_level = top - resident.len() as u16;
                         let prev = resident.last().cloned();
                         self.offload(Envelope {
                             job: Job::Progressive {
                                 iso,
-                                backend,
                                 lod,
                                 slot,
                                 prev,

@@ -38,8 +38,8 @@ use crate::cache::{CachedSurface, ResultCache};
 use crate::protocol::{
     crc_time, encode_frame_at, encode_mesh_chunk_frame, encode_mesh_response_frame,
     read_frame_limited, FrameIn, FrameParams, Message, Region, ServerReport, TraceEvent,
-    ERR_BAD_BACKEND, ERR_BAD_LOD, ERR_BUSY, ERR_INTERNAL, ERR_MALFORMED, MAX_LOD_LEVELS,
-    MAX_REQUEST_PAYLOAD, MIN_PROGRESSIVE_VERSION,
+    BACKEND_DEFAULT, ERR_BAD_BACKEND, ERR_BAD_LOD, ERR_BUSY, ERR_INTERNAL, ERR_MALFORMED,
+    MAX_LOD_LEVELS, MAX_REQUEST_PAYLOAD, MIN_PROGRESSIVE_VERSION,
 };
 use oociso_cluster::LodSpec;
 use oociso_core::ClusterDatabase;
@@ -56,6 +56,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// The backend id every served surface is cached and stamped under: the
+/// server extracts with `ExtractOptions::default()`'s kernel, Marching
+/// Cubes. SurfaceNets is offline only (`oociso extract --backend
+/// surfacenets`).
+const MC: u8 = Backend::Mc.id();
 
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
@@ -95,13 +101,6 @@ pub struct ServeOptions {
     /// Close connections that sit idle *between* frames longer than this
     /// (counted `timed_out`). `None` (the default) keeps them forever.
     pub idle_timeout: Option<Duration>,
-    /// Extraction backend for requests that carry no selector — every
-    /// pre-v4 request, and v4 mesh requests with the selector omitted.
-    /// Frame requests always use this backend (they have no wire selector).
-    /// v4 mesh requests may override it per request; each backend's results
-    /// cache under its own keys, so mixed workloads never collide. Default
-    /// [`Backend::Mc`].
-    pub backend: Backend,
     /// Slow-query threshold in milliseconds: a request whose end-to-end
     /// wall time reaches it is logged as a `slow_query` warning and its
     /// trace retained in the slow journal (even when the client sent no
@@ -157,7 +156,6 @@ impl Default for ServeOptions {
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
             idle_timeout: None,
-            backend: Backend::Mc,
             slow_ms: 1000,
             trace_buffer: 64,
             logger: Logger::stderr(),
@@ -262,8 +260,8 @@ const WARM_DEFER_INTERVAL: Duration = Duration::from_millis(20);
 pub(crate) struct WarmQueue {
     /// Scrub-neighbor distance δ.
     delta: f32,
-    /// Pending `(iso bits, backend id)` jobs, oldest first.
-    jobs: Mutex<VecDeque<(u32, u8)>>,
+    /// Pending isovalue bit patterns, oldest first.
+    jobs: Mutex<VecDeque<u32>>,
     /// Rung on push and on drain/shutdown so the warmer parks cheaply.
     cv: Condvar,
 }
@@ -278,7 +276,6 @@ pub(crate) struct State<S: ScalarValue> {
     extraction_slots: Option<u32>,
     pub(crate) max_connections: Option<u32>,
     degrade: bool,
-    pub(crate) default_backend: Backend,
     pub(crate) read_timeout: Option<Duration>,
     pub(crate) write_timeout: Option<Duration>,
     pub(crate) idle_timeout: Option<Duration>,
@@ -471,7 +468,6 @@ impl<S: ScalarValue> State<S> {
             extraction_slots: opts.extraction_slots,
             max_connections: opts.max_connections,
             degrade: opts.degrade,
-            default_backend: opts.backend,
             read_timeout: opts.read_timeout,
             write_timeout: opts.write_timeout,
             idle_timeout: opts.idle_timeout,
@@ -517,8 +513,6 @@ impl<S: ScalarValue> State<S> {
             drained: self.c.drained.get(),
             accept_backoffs: self.c.accept_backoffs.get(),
             active_connections: self.ctl.live.load(Ordering::Relaxed),
-            backend_hits: cache.backend_hits,
-            backend_misses: cache.backend_misses,
         }
     }
 
@@ -667,14 +661,14 @@ impl<S: ScalarValue> State<S> {
     /// queue; overflow drops the oldest job (a stale neighbor of an
     /// isovalue the user already scrubbed past), counted cancelled. No-op
     /// when warming is disabled.
-    fn schedule_warm(&self, iso: f32, backend: Backend) {
+    fn schedule_warm(&self, iso: f32) {
         let Some(q) = &self.warm else { return };
         let mut jobs = q.jobs.lock().expect("warm queue lock");
         for neighbor in [iso - q.delta, iso + q.delta] {
             if !neighbor.is_finite() {
                 continue;
             }
-            let key = (neighbor.to_bits(), backend.id());
+            let key = neighbor.to_bits();
             if jobs.contains(&key) {
                 continue;
             }
@@ -693,14 +687,13 @@ impl<S: ScalarValue> State<S> {
     /// when no spare slot can be won right now. The caller decides whether
     /// to defer or give up on contention; a real request wanting the
     /// capacity always outranks warming.
-    pub(crate) fn warm_one(self: &Arc<Self>, iso_bits: u32, backend_id: u8) -> bool {
+    pub(crate) fn warm_one(self: &Arc<Self>, iso_bits: u32) -> bool {
         let iso = f32::from_bits(iso_bits);
-        let backend = Backend::from_id(backend_id).unwrap_or(self.default_backend);
         if self
             .cache
             .lock()
             .expect("cache lock")
-            .peek(iso, backend.id(), 0)
+            .peek(iso, MC, 0)
             .is_some()
         {
             self.c.spec_cancelled.inc();
@@ -711,7 +704,7 @@ impl<S: ScalarValue> State<S> {
         };
         self.c.spec_started.inc();
         let trace = Trace::detached();
-        match self.warm_extract(iso, backend, &trace) {
+        match self.warm_extract(iso, &trace) {
             Ok(()) => self.c.spec_completed.inc(),
             Err(e) => {
                 self.c.spec_cancelled.inc();
@@ -733,20 +726,16 @@ impl<S: ScalarValue> State<S> {
     /// neither the miss-cost EWMA nor `extract_latency_us` — those describe
     /// what a *client-visible* miss costs — and never schedules further
     /// warming (no speculative cascades).
-    fn warm_extract(&self, iso: f32, backend: Backend, trace: &Trace) -> io::Result<()> {
-        let opts = oociso_cluster::ExtractOptions {
-            lods: self.lods.clone(),
-            backend,
-            trace: trace.clone(),
-            ..Default::default()
-        };
-        let (chain, report) = self.db.extract_lods_opts(iso, &opts)?;
+    fn warm_extract(&self, iso: f32, trace: &Trace) -> io::Result<()> {
+        let (chain, report) = self
+            .db
+            .extract_lods_opts(iso, &self.extract_options(trace))?;
         let active_metacells = report.total_active_metacells();
         let mut cache = self.cache.lock().expect("cache lock");
         for (i, level) in chain.into_levels().into_iter().enumerate() {
             cache.insert_speculative(
                 iso,
-                backend.id(),
+                MC,
                 i as u16,
                 CachedSurface {
                     mesh: level.mesh,
@@ -780,23 +769,24 @@ impl<S: ScalarValue> State<S> {
         }
     }
 
-    /// Extract the full pyramid for `iso` with `backend` and insert every
-    /// level, returning the levels in order. Runs outside the cache lock.
-    /// The extraction's span tree lands in `trace`.
-    fn extract_and_insert(
-        &self,
-        iso: f32,
-        backend: Backend,
-        trace: &Trace,
-    ) -> io::Result<Vec<Arc<CachedSurface>>> {
-        let t0 = Instant::now();
-        let opts = oociso_cluster::ExtractOptions {
+    /// What every cache fill extracts: the server's pyramid with the
+    /// default (MC) kernel, spans landing in `trace`.
+    fn extract_options(&self, trace: &Trace) -> oociso_cluster::ExtractOptions {
+        oociso_cluster::ExtractOptions {
             lods: self.lods.clone(),
-            backend,
             trace: trace.clone(),
             ..Default::default()
-        };
-        let (chain, report) = self.db.extract_lods_opts(iso, &opts)?;
+        }
+    }
+
+    /// Extract the full pyramid for `iso` and insert every level, returning
+    /// the levels in order. Runs outside the cache lock. The extraction's
+    /// span tree lands in `trace`.
+    fn extract_and_insert(&self, iso: f32, trace: &Trace) -> io::Result<Vec<Arc<CachedSurface>>> {
+        let t0 = Instant::now();
+        let (chain, report) = self
+            .db
+            .extract_lods_opts(iso, &self.extract_options(trace))?;
         let wall = t0.elapsed();
         self.extract_latency_us.record_duration(wall);
         self.record_phases(trace);
@@ -811,7 +801,7 @@ impl<S: ScalarValue> State<S> {
                 .map(|(i, level)| {
                     cache.insert(
                         iso,
-                        backend.id(),
+                        MC,
                         i as u16,
                         CachedSurface {
                             mesh: level.mesh,
@@ -824,7 +814,7 @@ impl<S: ScalarValue> State<S> {
         };
         // a real miss at `iso` is the scrub signal: warm its neighbors
         // (outside the cache lock; a no-op when warming is off)
-        self.schedule_warm(iso, backend);
+        self.schedule_warm(iso);
         Ok(levels)
     }
 
@@ -838,7 +828,6 @@ impl<S: ScalarValue> State<S> {
     fn rebuild_from_full(
         &self,
         iso: f32,
-        backend: Backend,
         full: Arc<CachedSurface>,
         trace: &Trace,
     ) -> Vec<Arc<CachedSurface>> {
@@ -866,12 +855,12 @@ impl<S: ScalarValue> State<S> {
         // invite retry stampedes.
         self.rebuild_latency_us.record_duration(sp.finish());
         let mut cache = self.cache.lock().expect("cache lock");
-        cache.touch(iso, backend.id(), 0);
+        cache.touch(iso, MC, 0);
         let mut levels = vec![full.clone()];
         for (i, (mesh, cumulative_error)) in coarse.into_iter().enumerate() {
             levels.push(cache.insert(
                 iso,
-                backend.id(),
+                MC,
                 (i + 1) as u16,
                 CachedSurface {
                     mesh,
@@ -891,17 +880,12 @@ impl<S: ScalarValue> State<S> {
     pub(crate) fn pyramid_for(
         &self,
         iso: f32,
-        backend: Backend,
         trace: &Trace,
     ) -> io::Result<Vec<Arc<CachedSurface>>> {
-        let resident_full = self
-            .cache
-            .lock()
-            .expect("cache lock")
-            .peek(iso, backend.id(), 0);
+        let resident_full = self.cache.lock().expect("cache lock").peek(iso, MC, 0);
         match resident_full {
-            Some(full) => Ok(self.rebuild_from_full(iso, backend, full, trace)),
-            None => self.extract_and_insert(iso, backend, trace),
+            Some(full) => Ok(self.rebuild_from_full(iso, full, trace)),
+            None => self.extract_and_insert(iso, trace),
         }
     }
 
@@ -914,15 +898,14 @@ impl<S: ScalarValue> State<S> {
     fn surface(
         self: &Arc<Self>,
         iso: f32,
-        backend: Backend,
         lod: u16,
         trace: &Trace,
         root: &Span,
     ) -> io::Result<MeshOutcome> {
-        match self.admit_mesh(iso, backend, lod, root) {
+        match self.admit_mesh(iso, lod, root) {
             MeshAdmit::Ready(outcome) => Ok(outcome),
             MeshAdmit::Extract { slot } => {
-                let levels = self.pyramid_for(iso, backend, trace)?;
+                let levels = self.pyramid_for(iso, trace)?;
                 drop(slot);
                 Ok(MeshOutcome::Serve {
                     surface: levels[lod as usize].clone(),
@@ -938,19 +921,9 @@ impl<S: ScalarValue> State<S> {
     /// slot, degrade or shed at capacity. Everything here is cheap (mutexed
     /// lookups and atomics, no extraction), so the reactor runs it inline
     /// on the event loop; only an `Extract` verdict leaves for a worker.
-    pub(crate) fn admit_mesh(
-        self: &Arc<Self>,
-        iso: f32,
-        backend: Backend,
-        lod: u16,
-        root: &Span,
-    ) -> MeshAdmit<S> {
+    pub(crate) fn admit_mesh(self: &Arc<Self>, iso: f32, lod: u16, root: &Span) -> MeshAdmit<S> {
         let t = Instant::now();
-        let hit = self
-            .cache
-            .lock()
-            .expect("cache lock")
-            .get(iso, backend.id(), lod);
+        let hit = self.cache.lock().expect("cache lock").get(iso, MC, lod);
         root.annotate(
             "cache",
             t.elapsed(),
@@ -968,12 +941,11 @@ impl<S: ScalarValue> State<S> {
             Some(slot) => MeshAdmit::Extract { slot },
             None => {
                 if self.degrade {
-                    let coarser = self.cache.lock().expect("cache lock").coarser(
-                        iso,
-                        backend.id(),
-                        lod,
-                        self.levels(),
-                    );
+                    let coarser =
+                        self.cache
+                            .lock()
+                            .expect("cache lock")
+                            .coarser(iso, MC, lod, self.levels());
                     if let Some((level, surface)) = coarser {
                         self.c.degraded.inc();
                         root.annotate("degrade", Duration::ZERO, &[("served_lod", level as u64)]);
@@ -1004,7 +976,6 @@ impl<S: ScalarValue> State<S> {
     pub(crate) fn admit_progressive(
         self: &Arc<Self>,
         iso: f32,
-        backend: Backend,
         lod: u16,
         root: &Span,
     ) -> ProgressiveAdmit<S> {
@@ -1014,7 +985,7 @@ impl<S: ScalarValue> State<S> {
             let mut cache = self.cache.lock().expect("cache lock");
             let mut out = Vec::new();
             for level in (lod..want).rev() {
-                match cache.peek(iso, backend.id(), level) {
+                match cache.peek(iso, MC, level) {
                     Some(s) => out.push(s),
                     None => break,
                 }
@@ -1023,12 +994,12 @@ impl<S: ScalarValue> State<S> {
             if full {
                 // the accounted lookup (also promotes a speculatively
                 // warmed entry, counting `speculative_hits`)
-                let _ = cache.get(iso, backend.id(), lod);
+                let _ = cache.get(iso, MC, lod);
                 for level in lod + 1..want {
-                    cache.touch(iso, backend.id(), level);
+                    cache.touch(iso, MC, level);
                 }
             } else {
-                cache.account(backend.id(), lod, false);
+                cache.account(lod, false);
             }
             (out, full)
         };
@@ -1097,31 +1068,28 @@ impl<S: ScalarValue> State<S> {
     /// for why the split exists).
     pub(crate) fn admit_frame(self: &Arc<Self>, iso: f32, root: &Span) -> FrameAdmit<S> {
         let want = self.levels() as usize;
-        // frame requests carry no backend selector: they render the server's
-        // default backend's pyramid
-        let backend = self.default_backend;
         let t = Instant::now();
         let resident_full = {
             let mut cache = self.cache.lock().expect("cache lock");
             let mut levels = Vec::with_capacity(want);
             for lod in 0..want {
-                match cache.peek(iso, backend.id(), lod as u16) {
+                match cache.peek(iso, MC, lod as u16) {
                     Some(l) => levels.push(l),
                     None => break,
                 }
             }
             if levels.len() == want {
-                cache.account(backend.id(), 0, true);
+                cache.account(0, true);
                 // the request used every level: refresh them all, or the
                 // coarse levels a frame-heavy workload relies on would
                 // decay to LRU victims despite being hot
                 for lod in 0..want {
-                    cache.touch(iso, backend.id(), lod as u16);
+                    cache.touch(iso, MC, lod as u16);
                 }
                 root.annotate("cache", t.elapsed(), &[("hit", 1)]);
                 return FrameAdmit::Hit(levels);
             }
-            cache.account(backend.id(), 0, false);
+            cache.account(0, false);
             levels.into_iter().next() // level 0, if it was resident
         };
         root.annotate("cache", t.elapsed(), &[("hit", 0)]);
@@ -1148,10 +1116,9 @@ impl<S: ScalarValue> State<S> {
         resident_full: Option<Arc<CachedSurface>>,
         trace: &Trace,
     ) -> io::Result<Vec<Arc<CachedSurface>>> {
-        let backend = self.default_backend;
         match resident_full {
-            Some(full) => Ok(self.rebuild_from_full(iso, backend, full, trace)),
-            None => self.extract_and_insert(iso, backend, trace),
+            Some(full) => Ok(self.rebuild_from_full(iso, full, trace)),
+            None => self.extract_and_insert(iso, trace),
         }
     }
 }
@@ -1395,7 +1362,7 @@ fn warmer_loop<S: ScalarValue>(state: Arc<State<S>>) {
         // cancelling on first contact; only sustained contention (real
         // traffic genuinely wanting the capacity) cancels the job.
         let mut deferrals = 0u32;
-        while !state.warm_one(job.0, job.1) {
+        while !state.warm_one(job) {
             deferrals += 1;
             if deferrals >= WARM_DEFER_ATTEMPTS {
                 state.c.spec_cancelled.inc();
@@ -1535,7 +1502,6 @@ pub(crate) enum Reply {
         cache_hit: bool,
         served_lod: u16,
         degraded: bool,
-        backend: u8,
         trace_id: u64,
     },
 }
@@ -1554,14 +1520,13 @@ impl Reply {
                 cache_hit,
                 served_lod,
                 degraded,
-                backend,
                 trace_id,
             } => encode_mesh_response_frame(
                 cache_hit,
                 surface.active_metacells,
                 served_lod,
                 degraded,
-                backend,
+                MC,
                 trace_id,
                 &surface.mesh,
                 version,
@@ -1894,7 +1859,7 @@ pub(crate) fn validate_mesh_request<S: ScalarValue>(
     state: &State<S>,
     lod: u16,
     backend: Option<u8>,
-) -> Result<Backend, Reply> {
+) -> Result<(), Reply> {
     if lod >= state.levels() {
         return Err(Reply::Msg(Message::Error {
             code: ERR_BAD_LOD,
@@ -1905,24 +1870,18 @@ pub(crate) fn validate_mesh_request<S: ScalarValue>(
             retry_after_ms: None,
         }));
     }
-    // absent selector (every pre-v4 request) = the server default;
-    // an unknown id is rejected structurally, connection kept
+    // no selector (every pre-v4 request), "none named" and MC are served;
+    // any other id is rejected structurally, connection kept
     match backend {
-        None => Ok(state.default_backend),
-        Some(id) => Backend::from_id(id).ok_or_else(|| {
-            Reply::Msg(Message::Error {
-                code: ERR_BAD_BACKEND,
-                detail: format!(
-                    "unknown backend id {id}: server knows {}",
-                    Backend::ALL
-                        .iter()
-                        .map(|b| format!("{} ({})", b.id(), b.name()))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-                retry_after_ms: None,
-            })
-        }),
+        None | Some(BACKEND_DEFAULT) | Some(MC) => Ok(()),
+        Some(id) => Err(Reply::Msg(Message::Error {
+            code: ERR_BAD_BACKEND,
+            detail: format!(
+                "backend id {id} is not served: this server serves mc (id {MC}) only; \
+                 `oociso extract --backend surfacenets` is the offline path"
+            ),
+            retry_after_ms: None,
+        })),
     }
 }
 
@@ -1964,7 +1923,6 @@ pub(crate) fn internal_error_reply(e: &io::Error) -> Reply {
 pub(crate) fn mesh_outcome_reply(
     outcome: MeshOutcome,
     region: Option<Region>,
-    backend: Backend,
     trace_id: u64,
 ) -> Reply {
     match outcome {
@@ -1980,7 +1938,6 @@ pub(crate) fn mesh_outcome_reply(
                 cache_hit,
                 served_lod,
                 degraded,
-                backend: backend.id(),
                 trace_id,
             },
             Some(r) => {
@@ -1990,7 +1947,7 @@ pub(crate) fn mesh_outcome_reply(
                     active_metacells: surface.active_metacells,
                     served_lod,
                     degraded,
-                    backend: backend.id(),
+                    backend: MC,
                     trace_id,
                     mesh: surface.mesh.filter_region(lo, hi),
                 })
@@ -2069,12 +2026,10 @@ pub(crate) struct ProgressiveParams {
 /// into the run; within the run each chunk deltas against its predecessor.
 /// `final_run` marks the run's last chunk `last` on the wire. Shared by
 /// both serving cores so chunk framing cannot diverge between them.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn encode_chunk_run(
     surfaces: &[Arc<CachedSurface>],
     top_level: u16,
     cache_hit: bool,
-    backend: Backend,
     trace_id: u64,
     version: u16,
     prev: Option<&Arc<CachedSurface>>,
@@ -2092,7 +2047,7 @@ pub(crate) fn encode_chunk_run(
             last,
             level,
             cache_hit,
-            backend.id(),
+            MC,
             s.active_metacells,
             trace_id,
             prev_mesh,
@@ -2137,21 +2092,18 @@ fn serve_progressive<S: ScalarValue>(
             }),
         );
     }
-    let backend = match validate_mesh_request(state, p.lod, p.backend) {
-        Ok(b) => b,
-        Err(reply) => return send_msg(stream, state, reply),
-    };
+    if let Err(reply) = validate_mesh_request(state, p.lod, p.backend) {
+        return send_msg(stream, state, reply);
+    }
     let top = state.levels() - 1;
-    match state.admit_progressive(p.iso, backend, p.lod, root) {
+    match state.admit_progressive(p.iso, p.lod, root) {
         ProgressiveAdmit::Busy { retry_after_ms } => send_msg(
             stream,
             state,
             Reply::Msg(busy_reply("extraction slots exhausted", retry_after_ms)),
         ),
         ProgressiveAdmit::Ready { levels } | ProgressiveAdmit::Degraded { resident: levels } => {
-            for frame in encode_chunk_run(
-                &levels, top, true, backend, p.trace_id, p.version, None, true,
-            ) {
+            for frame in encode_chunk_run(&levels, top, true, p.trace_id, p.version, None, true) {
                 if matches!(send_reply(stream, state, &frame)?, Sent::PeerGone) {
                     return Ok(Sent::PeerGone);
                 }
@@ -2161,15 +2113,14 @@ fn serve_progressive<S: ScalarValue>(
         ProgressiveAdmit::Extract { resident, slot } => {
             // the cached coarse prefix streams before the extraction runs —
             // the whole point of progressive delivery
-            for frame in encode_chunk_run(
-                &resident, top, true, backend, p.trace_id, p.version, None, false,
-            ) {
+            for frame in encode_chunk_run(&resident, top, true, p.trace_id, p.version, None, false)
+            {
                 if matches!(send_reply(stream, state, &frame)?, Sent::PeerGone) {
                     return Ok(Sent::PeerGone);
                 }
             }
             let next = top - resident.len() as u16;
-            match state.pyramid_for(p.iso, backend, trace) {
+            match state.pyramid_for(p.iso, trace) {
                 Err(e) => send_msg(stream, state, internal_error_reply(&e)),
                 Ok(levels) => {
                     drop(slot);
@@ -2184,7 +2135,6 @@ fn serve_progressive<S: ScalarValue>(
                         &run,
                         next,
                         false,
-                        backend,
                         p.trace_id,
                         p.version,
                         resident.last(),
@@ -2220,12 +2170,11 @@ pub(crate) fn respond<S: ScalarValue>(
             trace_id,
         } => {
             state.c.mesh_requests.inc();
-            let backend = match validate_mesh_request(state, lod, backend) {
-                Ok(b) => b,
-                Err(reply) => return reply,
-            };
-            match state.surface(iso, backend, lod, trace, root) {
-                Ok(outcome) => mesh_outcome_reply(outcome, region, backend, trace_id),
+            if let Err(reply) = validate_mesh_request(state, lod, backend) {
+                return reply;
+            }
+            match state.surface(iso, lod, trace, root) {
+                Ok(outcome) => mesh_outcome_reply(outcome, region, trace_id),
                 Err(e) => internal_error_reply(&e),
             }
         }
@@ -2308,16 +2257,14 @@ mod tests {
             },
         );
         let trace = Trace::detached();
-        let levels = state
-            .extract_and_insert(110.0, Backend::Mc, &trace)
-            .unwrap();
+        let levels = state.extract_and_insert(110.0, &trace).unwrap();
         assert!(
             state.miss_cost_ms.load(Ordering::Relaxed) > 0,
             "a real miss must sample the EWMA"
         );
         // pin the EWMA at a sentinel, run a rebuild, assert it is untouched
         state.miss_cost_ms.store(5000, Ordering::Relaxed);
-        let rebuilt = state.rebuild_from_full(110.0, Backend::Mc, levels[0].clone(), &trace);
+        let rebuilt = state.rebuild_from_full(110.0, levels[0].clone(), &trace);
         assert_eq!(rebuilt.len(), 2);
         assert_eq!(
             state.miss_cost_ms.load(Ordering::Relaxed),
@@ -2345,9 +2292,7 @@ mod tests {
             },
         );
         let trace = Trace::detached();
-        let levels = state
-            .extract_and_insert(110.0, Backend::Mc, &trace)
-            .unwrap();
+        let levels = state.extract_and_insert(110.0, &trace).unwrap();
         assert!(!levels[0].mesh.is_empty(), "the sphere must triangulate");
         let cache = state.cache.lock().unwrap().stats();
         assert_eq!(
@@ -2412,25 +2357,20 @@ mod tests {
             },
         );
         let trace = Trace::detached();
-        state
-            .extract_and_insert(110.0, Backend::Mc, &trace)
-            .unwrap();
-        let queued: Vec<(u32, u8)> = {
+        state.extract_and_insert(110.0, &trace).unwrap();
+        let queued: Vec<u32> = {
             let q = state.warm.as_ref().unwrap();
             q.jobs.lock().unwrap().iter().copied().collect()
         };
         assert_eq!(
             queued,
-            vec![
-                (106.0f32.to_bits(), Backend::Mc.id()),
-                (114.0f32.to_bits(), Backend::Mc.id()),
-            ],
+            vec![106.0f32.to_bits(), 114.0f32.to_bits()],
             "a miss at v enqueues v-δ and v+δ"
         );
         // run one job by hand (no warmer thread in State-only tests), with
         // the EWMA pinned to prove warming never samples it
         state.miss_cost_ms.store(5000, Ordering::Relaxed);
-        state.warm_one(114.0f32.to_bits(), Backend::Mc.id());
+        state.warm_one(114.0f32.to_bits());
         assert_eq!(state.c.spec_started.get(), 1);
         assert_eq!(state.c.spec_completed.get(), 1);
         assert_eq!(state.miss_cost_ms.load(Ordering::Relaxed), 5000);
@@ -2440,11 +2380,11 @@ mod tests {
             "only the real miss samples extract_latency_us"
         );
         // the warmed pyramid is resident; the first real query promotes it
-        let hit = state.cache.lock().unwrap().get(114.0, Backend::Mc.id(), 0);
+        let hit = state.cache.lock().unwrap().get(114.0, MC, 0);
         assert!(hit.is_some(), "warmed level must be resident");
         assert_eq!(state.cache.lock().unwrap().stats().speculative_hits, 1);
         // re-warming a resident isovalue is skipped, counted cancelled
-        state.warm_one(114.0f32.to_bits(), Backend::Mc.id());
+        state.warm_one(114.0f32.to_bits());
         assert_eq!(state.c.spec_cancelled.get(), 1);
         assert_eq!(state.c.spec_started.get(), 1, "a skip never starts");
     }

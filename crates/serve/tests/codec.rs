@@ -618,3 +618,271 @@ fn golden_frame_bytes_are_pinned_at_the_current_version_and_at_v1() {
     };
     assert_same_mesh(&got, &mesh, "golden chunk");
 }
+
+// ---- the request decoders -------------------------------------------------
+
+use oociso_serve::protocol::{
+    read_frame_limited, FrameParams, Region, BACKEND_DEFAULT, MAX_REQUEST_PAYLOAD,
+};
+
+/// A random region, or none.
+fn region_for(rng: &mut Rng) -> Option<Region> {
+    (rng.below(2) == 1).then(|| Region {
+        lo: [rng.float(), rng.float(), rng.float()],
+        hi: [rng.float(), rng.float(), rng.float()],
+    })
+}
+
+/// A backend selector: none, MC, SurfaceNets, "none named", or any byte.
+fn backend_for(rng: &mut Rng) -> Option<u8> {
+    match rng.below(5) {
+        0 => None,
+        1 => Some(0),
+        2 => Some(1),
+        3 => Some(BACKEND_DEFAULT),
+        _ => Some(rng.next() as u8),
+    }
+}
+
+/// A trace id, zero (untraced) a quarter of the time.
+fn trace_for(rng: &mut Rng) -> u64 {
+    if rng.below(4) == 0 {
+        0
+    } else {
+        rng.next()
+    }
+}
+
+/// Frame `sent` at `version` and decode it through both readers: the result
+/// is `want` (`sent` with the fields `version` does not carry at their
+/// defaults) and re-encodes to the very bytes sent. The debug text compares
+/// every NaN equal; the byte check covers NaN payloads.
+fn assert_request_roundtrip(sent: &Message, want: &Message, version: u16, ctx: &str) {
+    let frame = encode_frame_at(version, sent);
+    let (got, got_version) = decode_both(&frame, ctx);
+    assert_eq!(got_version, version, "{ctx}");
+    assert_eq!(format!("{got:?}"), format!("{want:?}"), "{ctx}");
+    assert_eq!(encode_frame_at(version, &got), frame, "{ctx}: re-encoded");
+}
+
+#[test]
+fn mesh_requests_roundtrip_at_every_version() {
+    let mut rng = Rng(0x5EED_0004);
+    let mut shapes = [0usize; 3]; // no byte / lone v4 byte / v5 byte + trace
+    for round in 0..300 {
+        let (iso, region, lod) = (rng.float(), region_for(&mut rng), rng.next() as u16);
+        let (backend, trace) = (backend_for(&mut rng), trace_for(&mut rng));
+        let sent = Message::MeshRequest {
+            iso,
+            region,
+            lod,
+            backend,
+            trace_id: trace,
+        };
+        for version in MIN_VERSION..=VERSION {
+            // at v5+ the byte is always sent, and 0xFF means "none named"
+            let want = Message::MeshRequest {
+                iso,
+                region,
+                lod,
+                backend: match version {
+                    1..=3 => None,
+                    4 => backend,
+                    _ => backend.filter(|&b| b != BACKEND_DEFAULT),
+                },
+                trace_id: if version >= 5 { trace } else { 0 },
+            };
+            assert_request_roundtrip(&sent, &want, version, &format!("round {round} v{version}"));
+            shapes[match (version, backend) {
+                (4, Some(_)) => 1,
+                (5.., _) => 2,
+                _ => 0,
+            }] += 1;
+        }
+    }
+    assert!(shapes.iter().all(|&n| n > 100), "shapes {shapes:?}");
+}
+
+#[test]
+fn progressive_and_frame_requests_roundtrip() {
+    let mut rng = Rng(0x5EED_0005);
+    for round in 0..300 {
+        let (iso, lod) = (rng.float(), rng.next() as u16);
+        let (backend, trace) = (backend_for(&mut rng), trace_for(&mut rng));
+        let sent = Message::ProgressiveRequest {
+            iso,
+            lod,
+            backend,
+            trace_id: trace,
+        };
+        let want = Message::ProgressiveRequest {
+            iso,
+            lod,
+            backend: backend.filter(|&b| b != BACKEND_DEFAULT),
+            trace_id: trace,
+        };
+        assert_request_roundtrip(&sent, &want, VERSION, &format!("round {round}"));
+
+        let params = FrameParams {
+            width: rng.next() as u32,
+            height: rng.next() as u32,
+            azimuth: rng.float(),
+            elevation: rng.float(),
+            distance: rng.float(),
+            tile_cols: rng.next() as u16,
+            tile_rows: rng.next() as u16,
+        };
+        let sent = Message::FrameRequest {
+            iso,
+            params,
+            trace_id: trace,
+        };
+        for version in MIN_VERSION..=VERSION {
+            let want = Message::FrameRequest {
+                iso,
+                params,
+                trace_id: if version >= 5 { trace } else { 0 },
+            };
+            assert_request_roundtrip(&sent, &want, version, &format!("round {round} v{version}"));
+        }
+    }
+}
+
+/// One request frame of every shape the server still parses.
+fn request_frames() -> Vec<(String, Vec<u8>)> {
+    let region = Some(Region {
+        lo: [0.0, -1.5, 2.0],
+        hi: [9.0, 8.5, f32::NAN],
+    });
+    let mesh = |region, backend| Message::MeshRequest {
+        iso: 127.5,
+        region,
+        lod: 2,
+        backend,
+        trace_id: 0x0102_0304_0506_0708,
+    };
+    let frame = Message::FrameRequest {
+        iso: 190.0,
+        params: FrameParams {
+            width: 640,
+            height: 480,
+            azimuth: 0.9,
+            elevation: 0.45,
+            distance: 2.0,
+            tile_cols: 2,
+            tile_rows: 2,
+        },
+        trace_id: 77,
+    };
+    let mut out = Vec::new();
+    for version in MIN_VERSION..=VERSION {
+        for (name, msg) in [
+            ("mesh", mesh(None, None)),
+            ("mesh+region", mesh(region, Some(1))),
+            ("mesh 0xFF", mesh(None, Some(BACKEND_DEFAULT))),
+            ("frame", frame.clone()),
+        ] {
+            out.push((format!("{name} v{version}"), encode_frame_at(version, &msg)));
+        }
+    }
+    let progressive = Message::ProgressiveRequest {
+        iso: 120.0,
+        lod: 1,
+        backend: Some(9),
+        trace_id: 5,
+    };
+    out.push((
+        "progressive".to_string(),
+        encode_frame_at(VERSION, &progressive),
+    ));
+    out
+}
+
+/// Every single-byte corruption and every truncation of every request frame,
+/// through both readers and through the payload decoder alone (behind a
+/// valid checksum): a structured error or a well-formed message, never a
+/// panic. Both readers run under the server's request cap; the incremental
+/// reader and the payload decoder never allocate more than the bytes
+/// received, the blocking reader at most the capped length claim.
+#[test]
+fn request_frames_survive_every_corruption_and_truncation() {
+    for (name, frame) in request_frames() {
+        let msg_type = u16::from_le_bytes([frame[6], frame[7]]);
+        let payload = &frame[HEADER_BYTES..frame.len() - 4];
+        for at in 0..frame.len() {
+            for mask in [1u8, 2, 4, 8, 16, 32, 64, 128, 0xFF] {
+                let ctx = format!("{name}: byte {at} ^ {mask:#x}");
+                let mut bad = frame.clone();
+                bad[at] ^= mask;
+                let (step, largest) =
+                    largest_alloc_during(|| decode_frame_bytes(&bad, MAX_REQUEST_PAYLOAD));
+                assert!(
+                    largest <= alloc_bound(bad.len()),
+                    "{ctx}: allocated {largest} B"
+                );
+                match (step, read_frame_limited(&mut &bad[..], MAX_REQUEST_PAYLOAD)) {
+                    // a payload or trailer byte: the checksum catches it
+                    (
+                        FrameStep::Frame {
+                            frame: FrameIn::Violation { code: a, .. },
+                            ..
+                        },
+                        Ok(Some(FrameIn::Violation { code: b, .. })),
+                    ) => assert_eq!(a, b, "{ctx}"),
+                    // a longer length claim: more bytes wanted / torn stream
+                    (FrameStep::NeedMore { need }, Err(_)) => assert!(need > bad.len(), "{ctx}"),
+                    // a header byte that still names a frame both accept
+                    (
+                        FrameStep::Frame {
+                            frame: FrameIn::Ok { .. },
+                            ..
+                        },
+                        Ok(Some(FrameIn::Ok { .. })),
+                    ) => {
+                        assert!(at < HEADER_BYTES, "{ctx}")
+                    }
+                    (a, b) => panic!("{ctx}: readers disagree: {a:?} vs {b:?}"),
+                }
+            }
+        }
+        for at in 0..payload.len() {
+            for mask in [1u8, 2, 4, 8, 16, 32, 64, 128, 0xFF] {
+                let mut bad = payload.to_vec();
+                bad[at] ^= mask;
+                let (res, largest) = largest_alloc_during(|| decode_payload(msg_type, &bad));
+                assert!(
+                    largest <= alloc_bound(bad.len()),
+                    "{name}: payload byte {at} ^ {mask:#x}: allocated {largest} B"
+                );
+                if let Err(e) = res {
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{name}");
+                }
+            }
+        }
+        for cut in 0..frame.len() {
+            let ctx = format!("{name}: cut at {cut}");
+            let (step, largest) =
+                largest_alloc_during(|| decode_frame_bytes(&frame[..cut], MAX_REQUEST_PAYLOAD));
+            assert!(largest <= alloc_bound(cut), "{ctx}: allocated {largest} B");
+            assert!(
+                matches!(step, FrameStep::NeedMore { need } if need > cut),
+                "{ctx}: {step:?}"
+            );
+            match read_frame_limited(&mut &frame[..cut], MAX_REQUEST_PAYLOAD) {
+                Ok(None) => assert_eq!(cut, 0, "{ctx}: clean EOF only at a frame boundary"),
+                Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{ctx}"),
+                Ok(Some(f)) => panic!("{ctx}: decoded {f:?}"),
+            }
+            if (HEADER_BYTES..frame.len() - 4).contains(&cut) {
+                let (res, largest) =
+                    largest_alloc_during(|| decode_payload(msg_type, &frame[HEADER_BYTES..cut]));
+                assert!(largest <= alloc_bound(cut), "{ctx}: allocated {largest} B");
+                // trailing fields are inferred from length, so a cut can
+                // leave an older dialect's request — never a panic
+                if let Err(e) = res {
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{ctx}");
+                }
+            }
+        }
+    }
+}

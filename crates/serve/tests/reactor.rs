@@ -743,7 +743,7 @@ fn progressive_delivery_scenario(core: Core) {
     // cold: nothing resident, every level rides the one fresh extraction
     let mut cold: Vec<(u16, bool, IndexedMesh)> = Vec::new();
     let reply = client
-        .query_mesh_progressive(iso, 0, None, |u| {
+        .query_mesh_progressive(iso, 0, |u| {
             cold.push((u.level, u.cache_hit, u.mesh.clone()))
         })
         .unwrap();
@@ -771,7 +771,7 @@ fn progressive_delivery_scenario(core: Core) {
     // warm: a second delivery streams entirely from cache
     let mut warm_hits = Vec::new();
     let again = client
-        .query_mesh_progressive(iso, 0, None, |u| warm_hits.push(u.cache_hit))
+        .query_mesh_progressive(iso, 0, |u| warm_hits.push(u.cache_hit))
         .unwrap();
     assert_eq!(warm_hits, vec![true; 3], "{core:?}: warm delivery all hits");
     assert!(again.cache_hit, "{core:?}");

@@ -3,17 +3,17 @@
 //! cache must be visibly doing its job, and protocol abuse must produce
 //! structured errors without wedging the server.
 
-use oociso_cluster::{ExtractOptions, LodSpec};
+use oociso_cluster::LodSpec;
 use oociso_core::{ClusterDatabase, PreprocessOptions};
-use oociso_march::{Backend, IndexedMesh};
+use oociso_march::IndexedMesh;
 use oociso_serve::protocol::{
-    encode_payload, encode_payload_at, read_frame, write_frame, FrameIn, ERR_BAD_CHECKSUM,
-    ERR_MALFORMED, ERR_UNSUPPORTED_VERSION, HEADER_BYTES, MSG_MESH_REQUEST, MSG_MESH_RESPONSE,
-    MSG_PROGRESSIVE_REQUEST, MSG_STATS_REQUEST,
+    encode_frame_raw, encode_payload, encode_payload_at, read_frame, write_frame, FrameIn,
+    ERR_BAD_CHECKSUM, ERR_MALFORMED, ERR_UNSUPPORTED_VERSION, HEADER_BYTES, MSG_MESH_REQUEST,
+    MSG_MESH_RESPONSE, MSG_PROGRESSIVE_REQUEST, MSG_STATS_REQUEST,
 };
 use oociso_serve::{
-    read_progressive_reply, render_trace_events, ChaosStream, Client, ConnFault, FrameParams,
-    IsoServer, Message, Region, ServeOptions, ERR_BAD_BACKEND, ERR_BAD_LOD, MAGIC,
+    read_progressive_reply, render_trace_events, ChaosStream, ChunkBody, Client, ConnFault,
+    FrameParams, IsoServer, Message, Region, ServeOptions, ERR_BAD_BACKEND, ERR_BAD_LOD, MAGIC,
 };
 use oociso_volume::field::{FieldExt, SphereField};
 use oociso_volume::{Dims3, Volume};
@@ -275,7 +275,7 @@ fn malformed_and_wrong_version_requests_get_structured_errors() {
         other => panic!("expected malformed error, got {other:?}"),
     }
 
-    // one byte past the v2 lod field is the v4 backend selector: an unknown
+    // one byte past the v2 lod field is the v4 backend selector: an unserved
     // id must draw the structured ERR_BAD_BACKEND, while junk beyond the
     // selector is still ERR_MALFORMED — a torn field is never misread
     for (extra, want) in [(1usize, ERR_BAD_BACKEND), (3, ERR_MALFORMED)] {
@@ -654,165 +654,154 @@ fn welded_mesh_roundtrips_bit_exact_and_cache_serves_identical_bytes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Ground-truth SurfaceNets extraction via the library, for comparing
-/// against served responses.
-fn sn_truth(direct: &ClusterDatabase<u8>, iso: f32) -> IndexedMesh {
-    direct
-        .extract_with_options(
-            iso,
-            &ExtractOptions {
-                backend: Backend::SurfaceNets,
+/// Send `payload` as a `msg_type` frame at `version` and return the reply.
+fn raw(client: &mut Client, version: u16, msg_type: u16, payload: &[u8]) -> Message {
+    client
+        .roundtrip_raw(MAGIC, version, msg_type, payload, false)
+        .unwrap()
+        .expect("a reply frame")
+}
+
+/// The server extracts with MC only, on both cores: every backend selector
+/// shape (the v4 lone byte, the v5 byte + trace id, a v6 progressive
+/// request) naming another id draws `ERR_BAD_BACKEND` on a connection that
+/// stays usable, while no selector, MC's id 0 and `0xFF` ("none named") all
+/// get the MC mesh of an in-process extraction, stamped backend 0. The v4
+/// stats trailer is the derived `[hits, 0, misses, 0]`.
+#[test]
+fn only_mc_is_served_and_other_backend_ids_are_refused_on_both_cores() {
+    let iso = 127.5f32;
+    for reactor_threads in [0, 2] {
+        let dir = tmpdir(&format!("mc_only_{reactor_threads}"));
+        let opts = PreprocessOptions {
+            nodes: 2,
+            ..Default::default()
+        };
+        let served = ClusterDatabase::preprocess(&test_volume(), &dir, &opts).unwrap();
+        let truth = ClusterDatabase::<u8>::open(&dir, false)
+            .unwrap()
+            .extract(iso)
+            .unwrap()
+            .mesh;
+        let server = IsoServer::bind(
+            served,
+            ("127.0.0.1", 0),
+            ServeOptions {
+                reactor_threads,
                 ..Default::default()
             },
         )
-        .unwrap()
-        .mesh
-}
-
-#[test]
-fn backend_selection_round_trips_with_isolated_cache_slots() {
-    let (dir, server, direct) = serve_fixture("backend", 256 << 20);
-    let addr = server.addr();
-    // half-integer isovalue keeps crossings off the u8 lattice for both
-    // backends
-    let iso = 127.5f32;
-
-    let mc_truth = direct.extract(iso).unwrap().mesh;
-    let sn_truth = sn_truth(&direct, iso);
-    assert!(!mc_truth.is_empty() && !sn_truth.is_empty());
-
-    let mut client = Client::connect(addr).unwrap();
-
-    // a selector-less request gets the server default (MC) and says so
-    let mc = client.query_mesh(iso, None).unwrap();
-    assert!(!mc.cache_hit);
-    assert_eq!(mc.backend, Backend::Mc.id());
-    assert_same_mesh(&mc.mesh, &mc_truth, "default backend");
-
-    // the same isovalue under SurfaceNets lives in a different cache slot:
-    // it must miss, produce the SN surface, and stamp the SN id
-    let sn = client
-        .query_mesh_backend(iso, None, 0, Backend::SurfaceNets)
         .unwrap();
-    assert!(!sn.cache_hit, "per-backend slots must not alias");
-    assert_eq!(sn.backend, Backend::SurfaceNets.id());
-    assert_same_mesh(&sn.mesh, &sn_truth, "surfacenets");
-    let same_geometry = mc.mesh.num_vertices() == sn.mesh.num_vertices()
-        && mc
-            .mesh
-            .positions()
-            .iter()
-            .zip(sn.mesh.positions())
-            .all(|(a, b)| a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits());
-    assert!(
-        !same_geometry,
-        "the two backends must produce distinct surfaces"
-    );
+        let mut client = Client::connect(server.addr()).unwrap();
+        let mesh_request = |backend| Message::MeshRequest {
+            iso,
+            region: None,
+            lod: 0,
+            backend,
+            trace_id: 0,
+        };
+        let progressive = |backend| Message::ProgressiveRequest {
+            iso,
+            lod: 0,
+            backend,
+            trace_id: 0,
+        };
+        // the v4 and v5 selector shapes, then a v6 progressive request
+        let shapes = |backend: Option<u8>| {
+            [
+                (
+                    4,
+                    MSG_MESH_REQUEST,
+                    encode_payload_at(4, &mesh_request(backend)),
+                ),
+                (
+                    5,
+                    MSG_MESH_REQUEST,
+                    encode_payload_at(5, &mesh_request(backend)),
+                ),
+                (
+                    6,
+                    MSG_PROGRESSIVE_REQUEST,
+                    encode_payload_at(6, &progressive(backend)),
+                ),
+            ]
+        };
+        let ctx = format!("reactor_threads {reactor_threads}");
 
-    // repeats hit, each from its own slot, bytes unchanged
-    let mc2 = client
-        .query_mesh_backend(iso, None, 0, Backend::Mc)
-        .unwrap();
-    assert!(mc2.cache_hit);
-    assert_same_mesh(&mc2.mesh, &mc.mesh, "mc cache hit");
-    let sn2 = client
-        .query_mesh_backend(iso, None, 0, Backend::SurfaceNets)
-        .unwrap();
-    assert!(sn2.cache_hit);
-    assert_same_mesh(&sn2.mesh, &sn.mesh, "sn cache hit");
+        for id in [1u8, 9] {
+            for (version, msg_type, payload) in shapes(Some(id)) {
+                match raw(&mut client, version, msg_type, &payload) {
+                    Message::Error { code, detail, .. } => {
+                        assert_eq!(code, ERR_BAD_BACKEND, "{ctx} id {id} v{version}: {detail}");
+                        assert!(detail.contains("mc"), "{detail}");
+                        assert!(
+                            detail.contains("oociso extract --backend surfacenets"),
+                            "{detail}"
+                        );
+                    }
+                    other => panic!("{ctx} id {id} v{version}: {other:?}"),
+                }
+            }
+        }
 
-    // exact per-backend accounting: one miss + one hit each
-    let s = client.stats().unwrap();
-    assert_eq!(s.backend_misses, [1, 1], "{s:?}");
-    assert_eq!(s.backend_hits, [1, 1], "{s:?}");
+        // the connection survived every refusal: a selector-less request is
+        // the miss, then explicit 0 and 0xFF in every shape hit the same MC
+        // surface
+        let plain = client.query_mesh(iso, None).unwrap();
+        assert!(!plain.cache_hit, "{ctx}");
+        assert_same_mesh(&plain.mesh, &truth, &ctx);
+        for id in [0u8, 0xFF] {
+            for (version, msg_type, payload) in shapes(Some(id)) {
+                let ctx = format!("{ctx} id {id} v{version}");
+                match raw(&mut client, version, msg_type, &payload) {
+                    Message::MeshResponse {
+                        mesh,
+                        backend,
+                        cache_hit,
+                        ..
+                    } => {
+                        assert_eq!(backend, 0, "{ctx}");
+                        assert!(cache_hit, "{ctx}");
+                        assert_same_mesh(&mesh, &truth, &ctx);
+                    }
+                    Message::MeshChunk {
+                        last: true,
+                        level: 0,
+                        backend,
+                        body: ChunkBody::Full(mesh),
+                        ..
+                    } => {
+                        assert_eq!(backend, 0, "{ctx}");
+                        assert_same_mesh(&mesh, &truth, &ctx);
+                    }
+                    other => panic!("{ctx}: {other:?}"),
+                }
+            }
+        }
 
-    // an unknown backend id draws the structured error naming the known
-    // ids, and the connection survives
-    let bad = encode_payload(&Message::MeshRequest {
-        iso,
-        region: None,
-        lod: 0,
-        backend: Some(9),
-        trace_id: 0,
-    });
-    match client
-        .roundtrip_raw(
-            oociso_serve::MAGIC,
-            oociso_serve::VERSION,
-            MSG_MESH_REQUEST,
-            &bad,
-            false,
+        // the v4 stats trailer, read off the wire: [hits, 0] then [misses, 0]
+        let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+        std::io::Write::write_all(
+            &mut stream,
+            &encode_frame_raw(MAGIC, 4, MSG_STATS_REQUEST, &[]),
         )
-        .unwrap()
-    {
-        Some(Message::Error { code, detail, .. }) => {
-            assert_eq!(code, ERR_BAD_BACKEND, "{detail}");
-            assert!(detail.contains("surfacenets"), "{detail}");
-        }
-        other => panic!("expected backend error, got {other:?}"),
-    }
-    assert!(client.query_mesh(iso, None).unwrap().cache_hit);
-
-    // a v3-dialect request (no selector byte on the wire) gets the default
-    // backend — old clients keep receiving exactly what they always got
-    let mut v3_payload = Vec::new();
-    v3_payload.extend_from_slice(&iso.to_bits().to_le_bytes());
-    v3_payload.push(0); // no region
-    v3_payload.extend_from_slice(&0u16.to_le_bytes()); // lod 0
-    match client
-        .roundtrip_raw(oociso_serve::MAGIC, 3, MSG_MESH_REQUEST, &v3_payload, false)
-        .unwrap()
-    {
-        Some(Message::MeshResponse { mesh, backend, .. }) => {
-            assert_eq!(backend, 0, "a v3 reply carries no backend byte");
-            assert_same_mesh(&mesh, &mc_truth, "v3 client");
-        }
-        other => panic!("expected mesh response, got {other:?}"),
-    }
-
-    server.stop();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn server_default_backend_applies_to_selector_less_requests() {
-    // a server configured with SurfaceNets as its default serves SN to
-    // every client that names no backend — including pre-v4 dialects —
-    // while an explicit MC request still reaches the MC slot
-    let dir = tmpdir("sndefault");
-    let vol = test_volume();
-    let opts = PreprocessOptions {
-        nodes: 2,
-        ..Default::default()
-    };
-    let served = ClusterDatabase::preprocess(&vol, &dir, &opts).unwrap();
-    let direct = ClusterDatabase::<u8>::open(&dir, false).unwrap();
-    let server = IsoServer::bind(
-        served,
-        ("127.0.0.1", 0),
-        ServeOptions {
-            backend: Backend::SurfaceNets,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let iso = 127.5f32;
-    let truth = sn_truth(&direct, iso);
-
-    let mut client = Client::connect(server.addr()).unwrap();
-    let reply = client.query_mesh(iso, None).unwrap();
-    assert_eq!(reply.backend, Backend::SurfaceNets.id());
-    assert_same_mesh(&reply.mesh, &truth, "sn default");
-
-    let mc = client
-        .query_mesh_backend(iso, None, 0, Backend::Mc)
         .unwrap();
-    assert!(!mc.cache_hit, "MC slot starts cold on an SN-default server");
-    assert_eq!(mc.backend, Backend::Mc.id());
-    assert_same_mesh(&mc.mesh, &direct.extract(iso).unwrap().mesh, "explicit mc");
+        let frame = read_raw_frame(&mut stream);
+        let counters: Vec<u64> = frame[HEADER_BYTES..frame.len() - 4]
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+            .collect();
+        let (hits, misses) = (counters[6], counters[7]);
+        assert_eq!((hits, misses), (6, 1), "{ctx}");
+        assert_eq!(
+            counters[counters.len() - 4..],
+            [hits, 0, misses, 0],
+            "{ctx}"
+        );
 
-    server.stop();
-    std::fs::remove_dir_all(&dir).ok();
+        server.stop();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
@@ -823,9 +812,7 @@ fn trace_ids_round_trip_and_journals_serve_traces() {
 
     // a traced cold query: the id is echoed and the retained span tree
     // shows the extraction actually happening under the request root
-    let cold = client
-        .query_mesh_traced(iso, None, 0, None, 0xDEAD_BEEF)
-        .unwrap();
+    let cold = client.query_mesh_traced(iso, None, 0, 0xDEAD_BEEF).unwrap();
     assert!(!cold.cache_hit);
     assert_eq!(cold.trace_id, 0xDEAD_BEEF, "id echoed on the reply");
     let t = client.trace(0xDEAD_BEEF).unwrap();
@@ -838,7 +825,7 @@ fn trace_ids_round_trip_and_journals_serve_traces() {
     }
 
     // a traced warm query: cache annotate says hit, no extract span
-    let warm = client.query_mesh_traced(iso, None, 0, None, 77).unwrap();
+    let warm = client.query_mesh_traced(iso, None, 0, 77).unwrap();
     assert!(warm.cache_hit);
     assert_eq!(warm.trace_id, 77);
     let t = client.trace(77).unwrap();
@@ -946,7 +933,7 @@ fn pre_v5_dialects_are_served_untraced() {
         }
     }
     // ...and a v5 traced request on the same connection still works
-    let traced = client.query_mesh_traced(iso, None, 0, None, 5).unwrap();
+    let traced = client.query_mesh_traced(iso, None, 0, 5).unwrap();
     assert_eq!(traced.trace_id, 5);
 
     server.stop();
@@ -1084,7 +1071,7 @@ fn pre_v6_frames_cannot_carry_progressive_requests() {
 
     let mut levels = Vec::new();
     let reply = client
-        .query_mesh_progressive(120.0, 0, None, |u| levels.push(u.level))
+        .query_mesh_progressive(120.0, 0, |u| levels.push(u.level))
         .unwrap();
     assert_eq!(levels, vec![2, 1, 0]);
     assert!(!reply.degraded);
