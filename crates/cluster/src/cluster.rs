@@ -9,8 +9,8 @@ use oociso_march::mc::McStats;
 use oociso_march::weld::WeldStats;
 use oociso_march::{
     smooth_surface_nets, stitch_seams, Backend, BackendScratch, BlockDomain, BlockOutput,
-    ExtractionBackend, IndexedMesh, LodChain, MeshWelder, SeamQuad, TriangleSoup, Vec3,
-    SN_SMOOTH_PASSES,
+    DecimateStats, ExtractionBackend, IndexedMesh, LodChain, MeshWelder, SeamQuad, TriangleSoup,
+    Vec3, SN_SMOOTH_PASSES,
 };
 use oociso_metacell::{
     scan_volume, MetacellInterval, MetacellLayout, MetacellRecord, PreprocessStats,
@@ -297,11 +297,7 @@ impl ClusterExtraction {
         let (mesh, mut report) = self.into_merged();
         let sp = trace.span("lod");
         let chain = LodChain::build_observed(mesh, &ratios, |level, wall, stats| {
-            sp.annotate(
-                "decimate",
-                wall,
-                &[("level", level as u64), ("collapses", stats.collapses)],
-            );
+            sp.annotate("decimate", wall, &decimate_fields(level, stats));
         });
         report.lod_wall = sp.finish();
         report.lod_levels = chain
@@ -343,6 +339,18 @@ fn weld_fields(weld: &WeldStats) -> [(&'static str, u64); 4] {
         ("hashed", weld.hashed_vertices),
         ("merged", weld.vertices_merged()),
         ("dropped", weld.degenerate_dropped),
+    ]
+}
+
+/// The counters every per-level `decimate` span annotation carries: the
+/// level, its collapses over both phases, the tiles the parallel phase
+/// used and the collapses the global finishing heap applied.
+pub fn decimate_fields(level: usize, stats: &DecimateStats) -> [(&'static str, u64); 4] {
+    [
+        ("level", level as u64),
+        ("collapses", stats.collapses),
+        ("tiles", stats.tiles),
+        ("finish_collapses", stats.finish_collapses),
     ]
 }
 
@@ -2080,7 +2088,7 @@ mod tests {
             );
             assert_eq!(trace.sum("extract"), e.report.total_wall, "{mode:?}");
 
-            let (_chain, report) = e.into_lod_chain();
+            let (chain, report) = e.into_lod_chain();
             assert_eq!(trace.sum("merge_weld"), report.merge_weld_wall, "{mode:?}");
             assert_eq!(trace.sum("lod"), report.lod_wall, "{mode:?}");
             assert_eq!(
@@ -2106,6 +2114,13 @@ mod tests {
                 fields_of("merge_weld"),
                 [weld_fields(&report.merge_weld).to_vec()]
             );
+            // one decimate annotation per coarse level, carrying its stats
+            let decimate_spans = fields_of("decimate");
+            assert_eq!(decimate_spans.len(), chain.len() - 1, "{mode:?}");
+            for (i, fields) in decimate_spans.iter().enumerate() {
+                let level = &chain.levels()[i + 1];
+                assert_eq!(fields, &decimate_fields(i + 1, &level.stats).to_vec());
+            }
             let hashed = report.total_weld().hashed_vertices;
             assert!(0 < hashed && hashed < report.total_weld().input_vertices);
             let tree = trace.render_tree();

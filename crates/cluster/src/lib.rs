@@ -27,8 +27,8 @@ pub mod model;
 pub mod timing;
 
 pub use cluster::{
-    Cluster, ClusterBuildOptions, ClusterExtraction, ExtractMode, ExtractOptions, LodSpec,
-    DEFAULT_QUEUE_RECORDS,
+    decimate_fields, Cluster, ClusterBuildOptions, ClusterExtraction, ExtractMode, ExtractOptions,
+    LodSpec, DEFAULT_QUEUE_RECORDS,
 };
 pub use model::SimulatedTimeModel;
 pub use timing::{LodReport, NodeReport, QueryReport};

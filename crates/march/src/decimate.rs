@@ -9,6 +9,17 @@
 //! heap retires the cheapest collapses until a vertex target or an error
 //! bound is reached.
 //!
+//! The pass is **tiled** so it uses every core. The faces are cut into
+//! [`TILES`] slabs at equal-count quantiles of their centroids along the
+//! mesh's longest axis (at most one tile per [`MIN_TILE_FACES`] faces, so
+//! small meshes get one). A vertex whose faces all lie in one tile is that
+//! tile's *interior*; any other vertex is a *seam* vertex and is pinned
+//! during the first phase. Tiles are decimated in parallel, collapsing
+//! interior edges only, each until [`SLACK`] × the final ratio of its
+//! collapsible (unpinned) vertices is left. The tiles are then merged, every vertex carrying its accumulated
+//! quadric (a seam vertex's summed over its tiles), and one global heap
+//! finishes the job — seams included — down to the exact target.
+//!
 //! Simplification for a *serving* pipeline has two extra obligations the
 //! textbook algorithm does not:
 //!
@@ -20,13 +31,24 @@
 //!   A closed manifold input therefore stays a closed manifold with the same
 //!   Euler characteristic, and an open mesh never loses (or moves) a
 //!   boundary vertex.
-//! * **Determinism** — results must be byte-identical across runs and across
-//!   the cluster's worker counts, or LOD levels could not be cached,
-//!   diffed, or served bit-exactly. The heap orders candidates by
-//!   `(error, edge)` under `f64::total_cmp`, every fallback scan breaks ties
-//!   by fixed evaluation order, and the output is compacted in first-use
-//!   order — the same rule [`IndexedMesh::filter_triangles`] uses — so equal
-//!   inputs always decimate to equal outputs.
+//! * **Determinism** — results must be byte-identical across runs, across
+//!   the cluster's worker counts and across this host's thread count, or
+//!   LOD levels could not be cached, diffed, or served bit-exactly. The
+//!   tiles are a pure function of the mesh (the tile count is a constant,
+//!   never the thread count, and quantile ties break by face id); each tile
+//!   is decimated by the same sequential heap whichever thread runs it, and
+//!   the merge and the finishing heap run in tile order on one thread. A
+//!   tile's collapses are legal on the global mesh, not just on the tile:
+//!   both endpoints are interior, so every face the link, flip and
+//!   multiplicity guards read — the faces incident to either endpoint — is
+//!   in the tile, and the tile sees exactly the neighbourhood the global
+//!   mesh has. Every heap orders candidates by `(error, edge)` under
+//!   `f64::total_cmp`, every fallback scan breaks ties by fixed evaluation
+//!   order, and the output is compacted in first-use order over the input's
+//!   face order — the same rule [`IndexedMesh::filter_triangles`] uses — so
+//!   equal inputs always decimate to equal outputs. Carried quadrics keep
+//!   [`DecimateStats::max_error`] honest: every collapse, in either phase,
+//!   is priced against all of the original planes its endpoints absorbed.
 //!
 //! [`LodChain`] stacks decimation into a pyramid (e.g. 100 % / 25 % / 6 %):
 //! each level is decimated from the previous one, and the accumulated
@@ -38,6 +60,24 @@ use crate::indexed::IndexedMesh;
 use crate::mesh::Vec3;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+
+/// Tiles the first phase cuts a mesh into. A constant, so the output never
+/// depends on the host: threads only decide which tile runs where.
+pub const TILES: usize = 8;
+
+/// The fewest faces a tile may hold: a mesh gets `faces / MIN_TILE_FACES`
+/// tiles, at most [`TILES`] and at least one. Below it the seams would be a
+/// large share of each tile and the finishing heap would redo most of the
+/// work.
+pub const MIN_TILE_FACES: usize = 4096;
+
+/// How far above the final vertex ratio the tile phase stops: a tile keeps
+/// `SLACK × ratio` of its interior and leaves the rest to the global heap,
+/// which then chooses the last collapses in global error order. At 1.3 the
+/// coarsest level's error was 1.5× the single-heap builder's; at 1.6 it is
+/// within about 1 % (`docs/perf.md`, "Tiled decimation").
+pub const SLACK: f64 = 1.6;
 
 /// A symmetric 4×4 error quadric: `error(v) = vᵀ Q v` with `v = (x, y, z, 1)`
 /// is the sum of squared distances from `v` to the accumulated planes.
@@ -182,8 +222,14 @@ pub struct DecimateStats {
     pub output_vertices: u64,
     /// Triangles of the decimated mesh.
     pub output_triangles: u64,
-    /// Edge collapses applied.
+    /// Edge collapses applied, by both phases.
     pub collapses: u64,
+    /// Of [`DecimateStats::collapses`], those the global finishing heap
+    /// applied (all of them when the mesh got one tile).
+    pub finish_collapses: u64,
+    /// Tiles the parallel phase decimated (1: the mesh was too small to
+    /// tile, or the target too close to the input to need it).
+    pub tiles: u64,
     /// Candidates rejected by the link (manifoldness) condition.
     pub rejected_link: u64,
     /// Candidates rejected because a surviving face would flip or collapse.
@@ -191,7 +237,8 @@ pub struct DecimateStats {
     /// Candidates rejected by [`DecimateOptions::max_error`].
     pub rejected_error: u64,
     /// Vertices pinned because they lie on a boundary or non-manifold edge
-    /// (never collapsed, never moved).
+    /// of the input (never collapsed, never moved). Tile seams are not
+    /// counted: they are pinned in the parallel phase only.
     pub pinned_vertices: u64,
     /// Largest quadric error of any applied collapse (a squared world-space
     /// distance; `sqrt` of it is the pass's world-error gauge).
@@ -296,43 +343,54 @@ struct Decimator {
     scratch: Scratch,
 }
 
-impl Decimator {
-    fn new(mesh: &IndexedMesh, opts: DecimateOptions) -> Decimator {
-        let nv = mesh.num_vertices();
-        let positions: Vec<Vec3> = mesh.positions().to_vec();
-        let faces: Vec<[u32; 3]> = mesh
-            .indices()
-            .chunks_exact(3)
-            .map(|t| [t[0], t[1], t[2]])
-            .collect();
+/// The plane quadric of every face, accumulated onto its corners in face
+/// order (degenerate faces contribute no plane).
+fn plane_quadrics(positions: &[Vec3], faces: &[[u32; 3]]) -> Vec<Quadric> {
+    let mut quadrics = vec![Quadric::default(); positions.len()];
+    for f in faces {
+        let (p0, p1, p2) = (
+            v3(positions[f[0] as usize]),
+            v3(positions[f[1] as usize]),
+            v3(positions[f[2] as usize]),
+        );
+        let e1 = [p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]];
+        let e2 = [p2[0] - p0[0], p2[1] - p0[1], p2[2] - p0[2]];
+        let n = [
+            e1[1] * e2[2] - e1[2] * e2[1],
+            e1[2] * e2[0] - e1[0] * e2[2],
+            e1[0] * e2[1] - e1[1] * e2[0],
+        ];
+        let len = (n[0] * n[0] + n[1] * n[1] + n[2] * n[2]).sqrt();
+        if len <= 1e-20 {
+            continue;
+        }
+        let n = [n[0] / len, n[1] / len, n[2] / len];
+        let d = -(n[0] * p0[0] + n[1] * p0[1] + n[2] * p0[2]);
+        let q = Quadric::from_plane(n, d);
+        for &c in f {
+            quadrics[c as usize].add(&q);
+        }
+    }
+    quadrics
+}
 
-        let mut quadrics = vec![Quadric::default(); nv];
+impl Decimator {
+    /// Working state over `faces` (corners index `positions`), each vertex
+    /// starting from its accumulated quadric. `seam` pins vertices on top
+    /// of the boundary/non-manifold pins (a tile's seam vertices; empty for
+    /// no extra pins); only the latter are counted in the stats.
+    fn new(
+        positions: Vec<Vec3>,
+        faces: Vec<[u32; 3]>,
+        quadrics: Vec<Quadric>,
+        seam: &[bool],
+        opts: DecimateOptions,
+    ) -> Decimator {
+        let nv = positions.len();
         let mut vertex_faces: Vec<Vec<u32>> = vec![Vec::new(); nv];
         for (fi, f) in faces.iter().enumerate() {
-            let (p0, p1, p2) = (
-                v3(positions[f[0] as usize]),
-                v3(positions[f[1] as usize]),
-                v3(positions[f[2] as usize]),
-            );
-            let e1 = [p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]];
-            let e2 = [p2[0] - p0[0], p2[1] - p0[1], p2[2] - p0[2]];
-            let n = [
-                e1[1] * e2[2] - e1[2] * e2[1],
-                e1[2] * e2[0] - e1[0] * e2[2],
-                e1[0] * e2[1] - e1[1] * e2[0],
-            ];
-            let len = (n[0] * n[0] + n[1] * n[1] + n[2] * n[2]).sqrt();
             for &c in f {
                 vertex_faces[c as usize].push(fi as u32);
-            }
-            if len <= 1e-20 {
-                continue; // degenerate face contributes no plane
-            }
-            let n = [n[0] / len, n[1] / len, n[2] / len];
-            let d = -(n[0] * p0[0] + n[1] * p0[1] + n[2] * p0[2]);
-            let q = Quadric::from_plane(n, d);
-            for &c in f {
-                quadrics[c as usize].add(&q);
             }
         }
 
@@ -365,6 +423,9 @@ impl Decimator {
             i = j;
         }
         let pinned_count = pinned.iter().filter(|&&p| p).count() as u64;
+        for (p, &s) in pinned.iter_mut().zip(seam) {
+            *p |= s;
+        }
 
         // A vertex is alive iff some face references it; orphans never
         // counted (they are dropped by output compaction regardless).
@@ -381,8 +442,6 @@ impl Decimator {
             heap: BinaryHeap::new(),
             alive_vertices,
             stats: DecimateStats {
-                input_vertices: mesh.num_vertices() as u64,
-                input_triangles: mesh.len() as u64,
                 pinned_vertices: pinned_count,
                 ..Default::default()
             },
@@ -548,7 +607,7 @@ impl Decimator {
     /// error) and only edges incident to the kept vertex re-enter the heap.
     /// Ring edges not touching `a` keep their still-correct prices, and any
     /// legality change in their neighborhood is caught by the pop-time
-    /// guards (or recovered by a reseed round — see [`Decimator::run`]).
+    /// guards (or recovered by a reseed round — see [`Decimator::simplify`]).
     /// Eagerly re-pricing the whole one-ring costs ~20× more heap traffic
     /// for identical output quality.
     fn apply_collapse(&mut self, a: u32, b: u32, pos: Vec3) {
@@ -672,8 +731,10 @@ impl Decimator {
         }
     }
 
-    fn run(mut self) -> (IndexedMesh, DecimateStats) {
-        let target = self.opts.target_vertices;
+    /// Drain and reseed until `target` alive vertices remain (0 = no
+    /// target), the error bound stops progress, or a whole round finds
+    /// nothing legal.
+    fn simplify(&mut self, target: usize) {
         loop {
             let (applied, error_stop) = self.drain_heap(target);
             if self.stats.reached_target || error_stop {
@@ -686,9 +747,11 @@ impl Decimator {
             // now; reseed and keep going until a round makes no progress
             self.reseed();
         }
+    }
 
-        // Compact the surviving faces into a fresh mesh, remapping vertices
-        // in first-use order (deterministic; orphans drop out).
+    /// Compact the surviving faces into a fresh mesh, remapping vertices
+    /// in first-use order (deterministic; orphans drop out).
+    fn into_mesh(mut self) -> (IndexedMesh, DecimateStats) {
         let mut remap = vec![u32::MAX; self.positions.len()];
         let mut out = IndexedMesh::with_capacity(self.alive.iter().filter(|&&a| a).count());
         for (fi, f) in self.faces.iter().enumerate() {
@@ -715,8 +778,236 @@ enum Rejection {
     Flip,
 }
 
-/// Decimate `mesh` under `opts`. Deterministic: equal meshes (and options)
-/// always yield byte-identical outputs.
+/// [`Tiling::owner`] of a vertex no face references.
+const UNSEEN: u32 = u32::MAX;
+/// [`Tiling::owner`] of a vertex whose faces span more than one tile.
+const SEAM: u32 = u32::MAX - 1;
+
+/// The parallel phase's partition of a mesh's faces.
+struct Tiling {
+    /// Each tile's faces, in ascending face id.
+    faces: Vec<Vec<u32>>,
+    /// Per vertex: the tile holding every face it touches, or [`SEAM`] /
+    /// [`UNSEEN`].
+    owner: Vec<u32>,
+}
+
+impl Tiling {
+    /// Cut `faces` into `tiles` equal-count slabs by centroid along the
+    /// longest axis of the vertex bounding box, ties broken by face id.
+    fn new(positions: &[Vec3], faces: &[[u32; 3]], tiles: usize) -> Tiling {
+        let (mut lo, mut hi) = ([f32::INFINITY; 3], [f32::NEG_INFINITY; 3]);
+        for p in positions {
+            for (k, c) in [p.x, p.y, p.z].into_iter().enumerate() {
+                lo[k] = lo[k].min(c);
+                hi[k] = hi[k].max(c);
+            }
+        }
+        let axis = (0..3)
+            .max_by(|&i, &j| (hi[i] - lo[i]).total_cmp(&(hi[j] - lo[j])).then(j.cmp(&i)))
+            .expect("three axes");
+        let coord = |c: u32| {
+            let p = positions[c as usize];
+            [p.x, p.y, p.z][axis]
+        };
+        // (centroid, face id) packed so that integer order is the wanted
+        // order: the f32 sum mapped to an order-preserving u32, id below
+        let mut keys: Vec<u64> = faces
+            .iter()
+            .enumerate()
+            .map(|(i, f)| {
+                let b = (coord(f[0]) + coord(f[1]) + coord(f[2])).to_bits();
+                let ordered = if b >> 31 == 1 { !b } else { b | 1 << 31 };
+                (ordered as u64) << 32 | i as u64
+            })
+            .collect();
+        let n = keys.len();
+        let mut tile_of = vec![0u32; n];
+        let mut start = 0;
+        for t in 0..tiles {
+            let end = (t + 1) * n / tiles;
+            if end < n {
+                keys[start..].select_nth_unstable(end - start);
+            }
+            for &k in &keys[start..end] {
+                tile_of[k as u32 as usize] = t as u32;
+            }
+            start = end;
+        }
+
+        let mut tile_faces: Vec<Vec<u32>> = vec![Vec::with_capacity(n / tiles + 1); tiles];
+        let mut owner = vec![UNSEEN; positions.len()];
+        for (fi, f) in faces.iter().enumerate() {
+            let t = tile_of[fi];
+            tile_faces[t as usize].push(fi as u32);
+            for &c in f {
+                let o = &mut owner[c as usize];
+                *o = match *o {
+                    UNSEEN => t,
+                    o if o == t => t,
+                    _ => SEAM,
+                };
+            }
+        }
+        Tiling {
+            faces: tile_faces,
+            owner,
+        }
+    }
+}
+
+/// One tile after the parallel phase, in tile-local vertex indices.
+struct TileOut {
+    /// Global id of each local vertex.
+    vertices: Vec<u32>,
+    positions: Vec<Vec3>,
+    quadrics: Vec<Quadric>,
+    /// Parallel to the tile's entry in [`Tiling::faces`].
+    faces: Vec<[u32; 3]>,
+    alive: Vec<bool>,
+    stats: DecimateStats,
+}
+
+/// Decimate tile `t`'s interior down to `SLACK × ratio` of it, its seam
+/// vertices pinned. `local` is an all-`u32::MAX` global→local scratch map,
+/// left that way on return.
+fn decimate_tile(
+    positions: &[Vec3],
+    faces: &[[u32; 3]],
+    tiling: &Tiling,
+    t: usize,
+    ratio: f64,
+    opts: &DecimateOptions,
+    local: &mut [u32],
+) -> TileOut {
+    let mut vertices: Vec<u32> = Vec::new();
+    let tile_faces: Vec<[u32; 3]> = tiling.faces[t]
+        .iter()
+        .map(|&f| {
+            faces[f as usize].map(|c| {
+                let l = &mut local[c as usize];
+                if *l == u32::MAX {
+                    *l = vertices.len() as u32;
+                    vertices.push(c);
+                }
+                *l
+            })
+        })
+        .collect();
+    for &g in &vertices {
+        local[g as usize] = u32::MAX;
+    }
+    // A seam vertex is mostly pinned by the multiplicity rule already (an
+    // edge at the tile cut has one face in the tile); the explicit pin also
+    // covers one whose faces here form whole fans, e.g. two sheets touching
+    // at the vertex, with the rest of it in another tile.
+    let seam: Vec<bool> = vertices
+        .iter()
+        .map(|&g| tiling.owner[g as usize] != t as u32)
+        .collect();
+    let tile_positions: Vec<Vec3> = vertices.iter().map(|&g| positions[g as usize]).collect();
+    let quadrics = plane_quadrics(&tile_positions, &tile_faces);
+    let mut dec = Decimator::new(tile_positions, tile_faces, quadrics, &seam, *opts);
+    // the ratio applies to the vertices the tile may collapse: seam and
+    // boundary vertices all survive, and charging them to the budget would
+    // drive a boundary-heavy tile far deeper than the global heap would
+    let fixed = dec.pinned.iter().filter(|&&p| p).count();
+    let target = match opts.target_vertices {
+        0 => 0,
+        _ => fixed + ((vertices.len() - fixed) as f64 * ratio * SLACK).ceil() as usize,
+    };
+    dec.simplify(target);
+    let Decimator {
+        positions,
+        quadrics,
+        faces,
+        alive,
+        stats,
+        ..
+    } = dec;
+    TileOut {
+        vertices,
+        positions,
+        quadrics,
+        faces,
+        alive,
+        stats,
+    }
+}
+
+/// The parallel phase: decimate every tile's interior on `threads` scoped
+/// threads, then merge the tiles back into `positions`/`faces` (dead faces
+/// dropped, input face order kept) in tile order. Returns each vertex's
+/// carried quadric and the phase's counters.
+fn tile_phase(
+    positions: &mut [Vec3],
+    faces: &mut Vec<[u32; 3]>,
+    ratio: f64,
+    opts: &DecimateOptions,
+    tiles: usize,
+    threads: usize,
+) -> (Vec<Quadric>, DecimateStats) {
+    let tiling = Tiling::new(positions, faces, tiles);
+    let mut outs: Vec<Option<TileOut>> = (0..tiles).map(|_| None).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        let (positions, faces, tiling, next): (&[Vec3], &[[u32; 3]], _, _) =
+            (positions, faces, &tiling, &next);
+        let workers: Vec<_> = (0..threads.clamp(1, tiles))
+            .map(|_| {
+                s.spawn(move || {
+                    let mut local = vec![u32::MAX; positions.len()];
+                    let mut done = Vec::new();
+                    loop {
+                        let t = next.fetch_add(1, AtomicOrdering::Relaxed);
+                        if t >= tiles {
+                            return done;
+                        }
+                        let out =
+                            decimate_tile(positions, faces, tiling, t, ratio, opts, &mut local);
+                        done.push((t, out));
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            for (t, out) in w.join().expect("tile worker panicked") {
+                outs[t] = Some(out);
+            }
+        }
+    });
+
+    let mut quadrics = vec![Quadric::default(); positions.len()];
+    let mut alive = vec![true; faces.len()];
+    let mut stats = DecimateStats {
+        tiles: tiles as u64,
+        ..Default::default()
+    };
+    for (tile_faces, out) in tiling.faces.iter().zip(outs) {
+        let out = out.expect("every tile was decimated");
+        for (l, &g) in out.vertices.iter().enumerate() {
+            positions[g as usize] = out.positions[l];
+            quadrics[g as usize].add(&out.quadrics[l]);
+        }
+        for (l, &f) in tile_faces.iter().enumerate() {
+            alive[f as usize] = out.alive[l];
+            faces[f as usize] = out.faces[l].map(|c| out.vertices[c as usize]);
+        }
+        stats.collapses += out.stats.collapses;
+        stats.rejected_link += out.stats.rejected_link;
+        stats.rejected_flip += out.stats.rejected_flip;
+        stats.rejected_error += out.stats.rejected_error;
+        stats.max_error = stats.max_error.max(out.stats.max_error);
+    }
+    let mut alive = alive.into_iter();
+    faces.retain(|_| alive.next().expect("one flag per face"));
+    (quadrics, stats)
+}
+
+/// Decimate `mesh` under `opts`: tile interiors in parallel, then the
+/// global finishing heap (see the module docs). Deterministic: equal meshes
+/// (and options) always yield byte-identical outputs, whatever the
+/// thread count.
 pub fn decimate(mesh: &IndexedMesh, opts: &DecimateOptions) -> (IndexedMesh, DecimateStats) {
     if mesh.is_empty() {
         return (
@@ -728,7 +1019,55 @@ pub fn decimate(mesh: &IndexedMesh, opts: &DecimateOptions) -> (IndexedMesh, Dec
             },
         );
     }
-    Decimator::new(mesh, *opts).run()
+    let tiles = (mesh.len() / MIN_TILE_FACES).clamp(1, TILES);
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    decimate_tiled(mesh, opts, tiles, threads)
+}
+
+/// [`decimate`] with the tile and thread counts given. `tiles` decides the
+/// output; `threads` only how fast it comes.
+fn decimate_tiled(
+    mesh: &IndexedMesh,
+    opts: &DecimateOptions,
+    tiles: usize,
+    threads: usize,
+) -> (IndexedMesh, DecimateStats) {
+    let mut positions = mesh.positions().to_vec();
+    let mut faces: Vec<[u32; 3]> = mesh
+        .indices()
+        .chunks_exact(3)
+        .map(|t| [t[0], t[1], t[2]])
+        .collect();
+    let ratio = opts.target_vertices as f64 / mesh.num_vertices() as f64;
+    // a target within SLACK of the input leaves the tiles nothing to do
+    let (quadrics, tiled) = if tiles > 1 && ratio * SLACK < 1.0 {
+        tile_phase(&mut positions, &mut faces, ratio, opts, tiles, threads)
+    } else {
+        let quadrics = plane_quadrics(&positions, &faces);
+        (
+            quadrics,
+            DecimateStats {
+                tiles: 1,
+                ..Default::default()
+            },
+        )
+    };
+    let mut dec = Decimator::new(positions, faces, quadrics, &[], *opts);
+    dec.simplify(opts.target_vertices);
+    let (out, finish) = dec.into_mesh();
+    let stats = DecimateStats {
+        input_vertices: mesh.num_vertices() as u64,
+        input_triangles: mesh.len() as u64,
+        collapses: tiled.collapses + finish.collapses,
+        finish_collapses: finish.collapses,
+        tiles: tiled.tiles,
+        rejected_link: tiled.rejected_link + finish.rejected_link,
+        rejected_flip: tiled.rejected_flip + finish.rejected_flip,
+        rejected_error: tiled.rejected_error + finish.rejected_error,
+        max_error: tiled.max_error.max(finish.max_error),
+        ..finish
+    };
+    (out, stats)
 }
 
 /// Decimate until at most `ratio ×` the input vertices survive (clamped to
@@ -798,15 +1137,33 @@ impl LodChain {
     pub fn build_observed(
         base: IndexedMesh,
         ratios: &[f64],
-        mut observe: impl FnMut(usize, std::time::Duration, &DecimateStats),
+        observe: impl FnMut(usize, std::time::Duration, &DecimateStats),
     ) -> LodChain {
-        let base_vertices = base.num_vertices();
+        let coarse = Self::coarse_levels(&base, ratios, observe);
         let mut levels = vec![LodLevel {
             target_ratio: 1.0,
             mesh: base,
             stats: DecimateStats::default(),
             cumulative_error: 0.0,
         }];
+        levels.extend(coarse);
+        LodChain { levels }
+    }
+
+    /// The decimated levels (1, 2, …) of the chain [`LodChain::build_observed`]
+    /// builds from `full`, decimating **by reference** so a caller holding
+    /// level 0 elsewhere (the serving cache) never clones it. Each level is
+    /// decimated from the previous one to its ratio of `full`'s vertex
+    /// count, and carries the error accumulated along the ladder. This is
+    /// the one ladder: equal inputs give byte-identical levels wherever
+    /// they are rebuilt.
+    pub fn coarse_levels(
+        full: &IndexedMesh,
+        ratios: &[f64],
+        mut observe: impl FnMut(usize, std::time::Duration, &DecimateStats),
+    ) -> Vec<LodLevel> {
+        let base_vertices = full.num_vertices();
+        let mut levels: Vec<LodLevel> = Vec::with_capacity(ratios.len());
         let mut prev_ratio = 1.0;
         for (i, &ratio) in ratios.iter().enumerate() {
             assert!(
@@ -814,26 +1171,26 @@ impl LodChain {
                 "LOD ratios must be strictly decreasing in (0, 1): {ratios:?}"
             );
             prev_ratio = ratio;
-            let target = (base_vertices as f64 * ratio).ceil() as usize;
-            let prev = levels.last().expect("level 0 exists");
+            let (prev_mesh, prev_error) = levels
+                .last()
+                .map_or((full, 0.0), |l| (&l.mesh, l.cumulative_error));
             let t = std::time::Instant::now();
             let (mesh, stats) = decimate(
-                &prev.mesh,
+                prev_mesh,
                 &DecimateOptions {
-                    target_vertices: target,
+                    target_vertices: (base_vertices as f64 * ratio).ceil() as usize,
                     max_error: f64::INFINITY,
                 },
             );
             observe(i + 1, t.elapsed(), &stats);
-            let cumulative_error = prev.cumulative_error + stats.max_error;
             levels.push(LodLevel {
                 target_ratio: ratio,
                 mesh,
+                cumulative_error: prev_error + stats.max_error,
                 stats,
-                cumulative_error,
             });
         }
-        LodChain { levels }
+        levels
     }
 
     /// Wrap an already-built level list (level 0 first). Used when levels
@@ -893,8 +1250,10 @@ mod tests {
     use super::*;
     use crate::mc::{marching_cubes_indexed, SlabScratch};
     use crate::topology::{analyze_mesh_connectivity, TopologyReport};
-    use oociso_volume::field::{FieldExt, SphereField};
+    use oociso_volume::field::{FieldExt, GyroidField, NoiseField, SphereField, TorusField};
     use oociso_volume::{Dims3, Volume};
+    use proptest::prelude::*;
+    use std::collections::{HashMap, HashSet};
 
     fn sphere_mesh(n: usize) -> IndexedMesh {
         let vol: Volume<f32> = SphereField::centered(0.33, 128.0).sample(Dims3::cube(n));
@@ -1051,6 +1410,204 @@ mod tests {
                 chain.level(*i).unwrap().stats.collapses,
                 "observer stats must match the built level"
             );
+        }
+    }
+
+    /// A welded MC mesh of one of the zoo fields (0 sphere, 1 torus, both
+    /// closed; 2 gyroid, 3 noise, both open) at a size that tiles.
+    fn zoo_mesh(field: usize, iso: f32) -> IndexedMesh {
+        let vol: Volume<u8> = match field {
+            0 => SphereField::centered(0.31, 128.0).sample(Dims3::cube(64)),
+            1 => TorusField {
+                major: 0.3,
+                minor: 0.12,
+                level: 128.0,
+                slope: 300.0,
+            }
+            .sample(Dims3::cube(64)),
+            2 => GyroidField {
+                cells: 2.5,
+                level: 128.0,
+                amplitude: 70.0,
+            }
+            .sample(Dims3::cube(32)),
+            _ => NoiseField {
+                seed: 9,
+                frequency: 4.0,
+                octaves: 3,
+                lo: 40.0,
+                hi: 215.0,
+            }
+            .sample(Dims3::cube(32)),
+        };
+        let mut mesh = IndexedMesh::new();
+        marching_cubes_indexed(
+            &vol,
+            iso,
+            Vec3::ZERO,
+            Vec3::new(1.0, 1.0, 1.0),
+            &mut mesh,
+            &mut Vec::new(),
+            &mut SlabScratch::new(),
+        );
+        mesh.welded().0
+    }
+
+    fn to_target(target: usize) -> DecimateOptions {
+        DecimateOptions {
+            target_vertices: target,
+            max_error: f64::INFINITY,
+        }
+    }
+
+    /// Distance from `p` to triangle `(a, b, c)` (Ericson's closest point).
+    fn dist_point_tri(p: Vec3, [a, b, c]: [Vec3; 3]) -> f32 {
+        let (ab, ac, ap) = (b - a, c - a, p - a);
+        let (d1, d2) = (ab.dot(ap), ac.dot(ap));
+        if d1 <= 0.0 && d2 <= 0.0 {
+            return ap.length();
+        }
+        let bp = p - b;
+        let (d3, d4) = (ab.dot(bp), ac.dot(bp));
+        if d3 >= 0.0 && d4 <= d3 {
+            return bp.length();
+        }
+        let vc = d1 * d4 - d3 * d2;
+        if vc <= 0.0 && d1 >= 0.0 && d3 <= 0.0 {
+            return (p - (a + ab * (d1 / (d1 - d3)))).length();
+        }
+        let cp = p - c;
+        let (d5, d6) = (ab.dot(cp), ac.dot(cp));
+        if d6 >= 0.0 && d5 <= d6 {
+            return cp.length();
+        }
+        let vb = d5 * d2 - d1 * d6;
+        if vb <= 0.0 && d2 >= 0.0 && d6 <= 0.0 {
+            return (p - (a + ac * (d2 / (d2 - d6)))).length();
+        }
+        let va = d3 * d6 - d5 * d4;
+        if va <= 0.0 && d4 - d3 >= 0.0 && d5 - d6 >= 0.0 {
+            let w = (d4 - d3) / ((d4 - d3) + (d5 - d6));
+            return (p - (b + (c - b) * w)).length();
+        }
+        let denom = 1.0 / (va + vb + vc);
+        (p - (a + ab * (vb * denom) + ac * (vc * denom))).length()
+    }
+
+    /// Max distance from a fixed-stride sample of `dec`'s vertices to `orig`.
+    fn max_deviation(dec: &IndexedMesh, orig: &IndexedMesh) -> f64 {
+        let p = orig.positions();
+        let tris: Vec<[Vec3; 3]> = orig
+            .indices()
+            .chunks_exact(3)
+            .map(|t| [p[t[0] as usize], p[t[1] as usize], p[t[2] as usize]])
+            .collect();
+        let stride = (dec.num_vertices() / 200).max(1);
+        dec.positions()
+            .iter()
+            .step_by(stride)
+            .map(|&v| {
+                tris.iter()
+                    .map(|&t| dist_point_tri(v, t))
+                    .fold(f32::INFINITY, f32::min)
+            })
+            .fold(0.0f32, f32::max) as f64
+    }
+
+    /// Bit-keyed positions of the vertices on a boundary or non-manifold
+    /// edge — the ones every pass must keep in place.
+    fn pinned_positions(mesh: &IndexedMesh) -> HashSet<[u32; 3]> {
+        let mut count: HashMap<(u32, u32), u32> = HashMap::new();
+        for t in mesh.indices().chunks_exact(3) {
+            for i in 0..3 {
+                let (a, b) = (t[i], t[(i + 1) % 3]);
+                *count.entry((a.min(b), a.max(b))).or_default() += 1;
+            }
+        }
+        let key = |v: u32| {
+            let p = mesh.positions()[v as usize];
+            [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()]
+        };
+        count
+            .into_iter()
+            .filter(|&(_, n)| n != 2)
+            .flat_map(|((a, b), _)| [key(a), key(b)])
+            .collect()
+    }
+
+    #[test]
+    fn tiled_output_is_identical_for_any_thread_count() {
+        let mesh = zoo_mesh(2, 128.5);
+        let opts = to_target((mesh.num_vertices() as f64 * 0.25).ceil() as usize);
+        let tiles = (mesh.len() / MIN_TILE_FACES).clamp(1, TILES);
+        let (one, one_stats) = decimate_tiled(&mesh, &opts, tiles, 1);
+        assert!(one_stats.tiles >= 2, "{one_stats:?}");
+        assert!(0 < one_stats.finish_collapses && one_stats.finish_collapses < one_stats.collapses);
+        for threads in [2, 3, 8] {
+            let (out, stats) = decimate_tiled(&mesh, &opts, tiles, threads);
+            assert_eq!(out, one, "threads={threads}: decimated bytes differ");
+            assert_eq!(stats, one_stats, "threads={threads}");
+        }
+        // the public entry takes the host's thread count and nothing else
+        assert_eq!(decimate(&mesh, &opts), (one, one_stats));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// The pyramid's two passes (25 % of the input, then 6 % of it from
+        /// the 25 % level, as [`LodChain`] builds them) over a tiled zoo
+        /// mesh keep the decimator's contract, and tiling costs at most 10 %
+        /// of world error against the same pass run as one tile.
+        #[test]
+        fn tiled_zoo_passes_keep_the_contract(field in 0usize..4, iso_step in 110u32..146) {
+            let base = zoo_mesh(field, iso_step as f32 + 0.5);
+            let diag = (base.bounds().hi - base.bounds().lo).length() as f64;
+            let mut input = base.clone();
+            for ratio in [0.25f64, 0.06] {
+                let ctx = format!("field {field} iso {iso_step}.5 ratio {ratio}");
+                let target = (base.num_vertices() as f64 * ratio).ceil() as usize;
+                let (out, stats) = decimate_tiled(&input, &to_target(target), TILES, 2);
+                prop_assert!(stats.tiles >= 2, "{ctx}: {stats:?}");
+
+                // topology: closed manifolds stay so, χ and boundary kept
+                let (before, after) = (topo(&input), topo(&out));
+                prop_assert_eq!(after.euler_characteristic(), before.euler_characteristic(), "{}", ctx);
+                prop_assert_eq!(after.boundary_edges, before.boundary_edges, "{}", ctx);
+                prop_assert_eq!(after.non_manifold_edges, before.non_manifold_edges, "{}", ctx);
+                prop_assert_eq!(after.is_closed_manifold(), before.is_closed_manifold(), "{}", ctx);
+                let kept: HashSet<[u32; 3]> = out
+                    .positions()
+                    .iter()
+                    .map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
+                    .collect();
+                prop_assert!(pinned_positions(&input).is_subset(&kept), "{}: a boundary vertex moved", ctx);
+
+                // budget: met, or floored by the pinned vertices
+                if stats.reached_target {
+                    prop_assert!(out.num_vertices() <= target, "{}: {:?}", ctx, stats);
+                } else {
+                    prop_assert!(stats.pinned_vertices > 0, "{}: unexplained miss", ctx);
+                    prop_assert!(out.num_vertices() as u64 <= (2 * stats.pinned_vertices).max(target as u64), "{}: {:?}", ctx, stats);
+                }
+                prop_assert_eq!(stats.input_triangles - stats.output_triangles, 2 * stats.collapses, "{}", ctx);
+
+                // fidelity: the gauge bounds the true deviation …
+                let dev = max_deviation(&out, &input);
+                prop_assert!(dev <= stats.world_error().max(1e-3), "{}: deviation {} > gauge {}", ctx, dev, stats.world_error());
+                // … and tiling barely moves it. A single-tile gauge past 5 %
+                // of the diagonal means the budget tore the mesh apart (the
+                // open fields near their pinned floor at 6 %): the last
+                // forced collapse is then arbitrary, not a quality measure.
+                let (_, single) = decimate_tiled(&input, &to_target(target), 1, 1);
+                if single.reached_target && single.world_error() < 0.05 * diag {
+                    prop_assert!(
+                        stats.world_error() <= 1.10 * single.world_error(),
+                        "{}: tiled {} vs one tile {}", ctx, stats.world_error(), single.world_error()
+                    );
+                }
+                input = out;
+            }
         }
     }
 }

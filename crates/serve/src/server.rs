@@ -41,9 +41,9 @@ use crate::protocol::{
     BACKEND_DEFAULT, ERR_BAD_BACKEND, ERR_BAD_LOD, ERR_BUSY, ERR_INTERNAL, ERR_MALFORMED,
     MAX_LOD_LEVELS, MAX_REQUEST_PAYLOAD, MIN_PROGRESSIVE_VERSION,
 };
-use oociso_cluster::LodSpec;
+use oociso_cluster::{decimate_fields, LodSpec};
 use oociso_core::ClusterDatabase;
-use oociso_march::Backend;
+use oociso_march::{Backend, LodChain};
 use oociso_obs::{
     Counter, Histogram, Logger, Registry, Span, Trace, TraceJournal, DEFAULT_TRACE_EVENTS,
 };
@@ -819,12 +819,12 @@ impl<S: ScalarValue> State<S> {
     }
 
     /// Re-decimate the pyramid from an already-resident full-resolution
-    /// mesh (deterministic, so byte-identical to the original levels) and
-    /// insert the rebuilt coarse levels — the no-disk path when only they
-    /// were evicted. Decimates **by reference** from the resident entry
-    /// (same ladder `LodChain::build` walks: each level from the previous,
-    /// targets as fractions of level 0), so the full mesh is never cloned
-    /// and its cache entry is reused as level 0 untouched.
+    /// mesh and insert the rebuilt coarse levels — the no-disk path when
+    /// only they were evicted. It walks the one ladder,
+    /// [`LodChain::coarse_levels`], that built the original levels, so the
+    /// rebuilt ones are byte-identical to them; it decimates **by
+    /// reference**, so the full mesh is never cloned and its cache entry is
+    /// reused as level 0 untouched.
     fn rebuild_from_full(
         &self,
         iso: f32,
@@ -833,21 +833,10 @@ impl<S: ScalarValue> State<S> {
     ) -> Vec<Arc<CachedSurface>> {
         let mut sp = trace.span("rebuild");
         sp.field("levels", self.lods.ratios.len() as u64);
-        let base_vertices = full.mesh.num_vertices();
-        let mut coarse: Vec<(oociso_march::IndexedMesh, f64)> = Vec::new();
-        let mut cumulative = 0.0;
-        for &ratio in &self.lods.ratios {
-            let prev = coarse.last().map_or(&full.mesh, |(m, _)| m);
-            let (mesh, stats) = oociso_march::decimate(
-                prev,
-                &oociso_march::DecimateOptions {
-                    target_vertices: (base_vertices as f64 * ratio).ceil() as usize,
-                    max_error: f64::INFINITY,
-                },
-            );
-            cumulative += stats.max_error;
-            coarse.push((mesh, cumulative));
-        }
+        let coarse =
+            LodChain::coarse_levels(&full.mesh, &self.lods.ratios, |level, wall, stats| {
+                sp.annotate("decimate", wall, &decimate_fields(level, stats));
+            });
         // NOT a `note_miss_cost` sample: a re-decimation costs a fraction
         // of a disk-backed extraction, and during degraded storms rebuilds
         // dominate the miss stream — sampling them would drag the
@@ -857,15 +846,15 @@ impl<S: ScalarValue> State<S> {
         let mut cache = self.cache.lock().expect("cache lock");
         cache.touch(iso, MC, 0);
         let mut levels = vec![full.clone()];
-        for (i, (mesh, cumulative_error)) in coarse.into_iter().enumerate() {
+        for (i, level) in coarse.into_iter().enumerate() {
             levels.push(cache.insert(
                 iso,
                 MC,
                 (i + 1) as u16,
                 CachedSurface {
-                    mesh,
+                    mesh: level.mesh,
                     active_metacells: full.active_metacells,
-                    world_error: cumulative_error.sqrt(),
+                    world_error: level.cumulative_error.sqrt(),
                 },
             ));
         }
