@@ -21,8 +21,7 @@ USAGE:
   oociso serve      --db DIR [--addr 127.0.0.1:7077] [--cache-mb N] [--port-file FILE]
                     [--lods R1,R2|none] [--slots N]
                     [--max-conns N] [--degrade] [--warm-delta D]
-                    [--reactor | --threaded] [--reactor-threads N] [--workers N]
-                    [--outbound-budget-mb N]
+                    [--reactor-threads N] [--workers N] [--outbound-budget-mb N]
                     [--read-timeout-ms N] [--idle-timeout-ms N]
                     [--slow-ms N] [--trace-buffer N]
   oociso query      --addr HOST:PORT (--iso V | --stats) [--lod N]
@@ -51,11 +50,9 @@ admission → extraction phases → encode); `stats` prints the server
 counters, and `stats --metrics` dumps the raw Prometheus-style exposition
 (counters, gauges, latency histograms). `serve --slow-ms N` logs and
 retains a trace for any request slower than N ms; `--trace-buffer N` sizes
-the journal `query --trace` reads from. On Linux `serve` runs the epoll
-reactor core by default (`--reactor-threads N` event loops, request
-pipelining, bounded per-client outbound queues — `--outbound-budget-mb`);
-`--threaded` falls back to the classic thread-per-connection core, the
-only core on other platforms. `--workers N` sizes the reactor's
+the journal `query --trace` reads from. `serve` runs `--reactor-threads N`
+event loops (default 2) with request pipelining and bounded per-client
+outbound queues (`--outbound-budget-mb`); `--workers N` sizes their
 extraction pool. `serve --warm-delta D` speculatively pre-extracts v±D
 after each cache-miss at v, using only otherwise-idle extraction slots —
 an isovalue scrub hits the warmed cache instead of extracting. `query
@@ -78,7 +75,7 @@ pub const COMMANDS: &[(&str, Command, &[&str])] = &[
     ("render", render, &["db", "iso", "out", "size", "tiles"]),
     ("serve", serve, &[
         "db", "addr", "cache-mb", "port-file", "lods", "slots", "max-conns", "degrade",
-        "warm-delta", "reactor", "threaded", "reactor-threads", "workers", "outbound-budget-mb",
+        "warm-delta", "reactor-threads", "workers", "outbound-budget-mb",
         "read-timeout-ms", "idle-timeout-ms", "slow-ms", "trace-buffer",
     ]),
     ("query", query, &[
@@ -399,26 +396,9 @@ pub fn serve(opts: &Options) -> Result<(), String> {
     // finished request traces `query --trace` can fetch back
     serve_opts.slow_ms = opts.num("slow-ms", serve_opts.slow_ms)?;
     serve_opts.trace_buffer = opts.num("trace-buffer", serve_opts.trace_buffer)?;
-    // serving core: the reactor is the default on Linux; `--threaded`
-    // opts out, and the reactor flags are rejected elsewhere rather than
-    // silently ignored
-    let reactor_supported = cfg!(target_os = "linux");
-    let threaded = opts.flag("threaded");
-    let reactor = opts.flag("reactor") || (reactor_supported && !threaded);
-    if threaded && opts.flag("reactor") {
-        return Err("--reactor and --threaded are mutually exclusive".into());
-    }
-    if reactor && !reactor_supported {
-        return Err("--reactor requires Linux (epoll); use --threaded".into());
-    }
-    if reactor {
-        serve_opts.reactor_threads = opts.num("reactor-threads", 2)?;
-        if serve_opts.reactor_threads == 0 {
-            return Err("--reactor-threads must be at least 1".into());
-        }
-        serve_opts.reactor_workers = opts.num("workers", 0)?;
-        serve_opts.outbound_budget = (opts.num::<usize>("outbound-budget-mb", 8)?).max(1) << 20;
-    }
+    serve_opts.reactor_threads = opts.num("reactor-threads", serve_opts.reactor_threads)?;
+    serve_opts.reactor_workers = opts.num("workers", 0)?;
+    serve_opts.outbound_budget = (opts.num::<usize>("outbound-budget-mb", 8)?).max(1) << 20;
     let db = ClusterDatabase::<u8>::open(Path::new(db_dir), true).map_err(err)?;
     let nodes = db.nodes();
     let (reactor_threads, outbound_budget) =
@@ -433,15 +413,10 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         server.addr(),
         oociso_serve::VERSION,
     );
-    if reactor_threads > 0 {
-        println!(
-            "core: reactor ({} event loop(s), outbound budget {} MiB/conn)",
-            reactor_threads,
-            outbound_budget >> 20
-        );
-    } else {
-        println!("core: threaded (one handler thread per connection)");
-    }
+    println!(
+        "core: reactor ({reactor_threads} event loop(s), outbound budget {} MiB/conn)",
+        outbound_budget >> 20
+    );
     if extraction_slots.is_some() || max_connections.is_some() || degrade {
         println!(
             "admission: {} extraction slot(s), {} connection cap, degraded fallback {}",
@@ -740,7 +715,7 @@ mod tests {
             "extract --db db --iso 190 --backend surfacenets --obj s.obj --topology --no-weld --decimate 0.25",
             "render --db db --iso 190 --out i.ppm --size 256 --tiles 2x2",
             "serve --db db --addr 127.0.0.1:0 --cache-mb 64 --port-file p --lods 0.25,0.06 \
-             --slots 2 --max-conns 8 --degrade --warm-delta 10 --reactor \
+             --slots 2 --max-conns 8 --degrade --warm-delta 10 \
              --reactor-threads 2 --workers 4 --outbound-budget-mb 8 --read-timeout-ms 100 \
              --idle-timeout-ms 100 --slow-ms 0 --trace-buffer 16",
             "query --addr 127.0.0.1:1 --iso 190 --stats --lod 1 --obj r.obj \
@@ -785,6 +760,11 @@ mod tests {
         assert_eq!(
             check("serve --db db --slot 2"),
             Err("unknown option --slot for serve".into())
+        );
+        // there is one serving core: the old core selectors are refused
+        assert_eq!(
+            check("serve --db db --threaded"),
+            Err("unknown option --threaded for serve".into())
         );
     }
 }

@@ -28,9 +28,9 @@
 //! * **Integrity** — [`crc::crc32`]/[`crc::Crc32`]: the workspace's one
 //!   CRC-32 (sliced tables, carry-less multiply where the CPU has it), the
 //!   serve layer's frame checksum.
-//! * **Readiness** — `poll::Poller`/`poll::EventFd` (Linux): a thin,
-//!   dependency-free epoll + eventfd binding, the substrate of the serve
-//!   layer's nonblocking reactor.
+//! * **Readiness** — `poll::Poller`/`poll::Doorbell` (every unix): a thin,
+//!   dependency-free `poll(2)` binding plus a socket-pair doorbell, the
+//!   substrate of the serve layer's nonblocking reactor.
 
 pub mod block;
 pub mod cost;

@@ -1,13 +1,13 @@
-//! The nonblocking serving core: N epoll event loops, request pipelining,
+//! The serving core: N event loops over `poll(2)`, request pipelining,
 //! bounded outbound queues, and an off-loop extraction worker pool.
 //!
 //! ## Ownership model
 //!
-//! Each reactor thread owns one `epoll` instance, an accepted share of the
+//! Each event-loop thread owns one [`Poller`], an accepted share of the
 //! connections, and everything about them — buffers, in-order pending
 //! replies, deadlines. A connection is touched by exactly one thread for
-//! its whole life (the reactor it was placed on), so per-connection state
-//! needs no locks. All reactors watch the shared listener (level-triggered)
+//! its whole life (the loop it was placed on), so per-connection state
+//! needs no locks. All loops watch the shared listener (level-triggered)
 //! and drain its backlog on wakeup, but whichever loop wakes first only
 //! *accepts*: each stream is handed to the loop with the fewest live
 //! connections ([`Placement`]) through that loop's mailbox, so clients that
@@ -19,12 +19,12 @@
 //! decoded incrementally ([`crate::protocol::decode_frame_bytes`]). Each
 //! decoded request is **dispatched in arrival order**: validation, cache
 //! probes, and admission control run inline on the event loop (they cost
-//! microseconds), so shed/degrade decisions happen at the same instant
-//! they would on a connection thread. Work that costs milliseconds —
-//! extraction, pyramid rebuild, rasterization, and the encode of those
-//! large replies — ships to the worker pool together with the extraction
-//! slot it won; the worker posts the encoded frame to the owning reactor's
-//! completion queue and rings its eventfd doorbell.
+//! microseconds), so shed/degrade decisions happen the instant a request
+//! arrives. Work that costs milliseconds — extraction, pyramid rebuild,
+//! rasterization, and the encode of those large replies — ships to the
+//! worker pool together with the extraction slot it won; the worker posts
+//! the encoded frame to the owning loop's completion queue and rings its
+//! [`Doorbell`].
 //!
 //! ## Pipelining and ordering
 //!
@@ -40,20 +40,20 @@
 //!
 //! Completed replies enter a per-connection outbound queue written out
 //! incrementally as the socket accepts bytes. When queued-but-unsent bytes
-//! exceed [`crate::server::ServeOptions::outbound_budget`], the reactor
-//! stops *reading* that connection (drops its `EPOLLIN` interest) until
-//! the queue drains below half the budget — a client that pipelines
-//! requests but never reads responses stalls itself, not the server.
+//! exceed [`crate::server::ServeOptions::outbound_budget`], the loop stops
+//! *reading* that connection (drops its read interest) until the queue
+//! drains below half the budget — a client that pipelines requests but
+//! never reads responses stalls itself, not the server.
 //!
-//! ## Equivalence with the threaded core
+//! ## Deadlines and descriptor exhaustion
 //!
-//! Overload and fault semantics are shared with the threaded core by
-//! construction: both call the same admission (`State::admit_mesh`/
-//! `admit_frame`), the same extraction (`State::pyramid_for`), the same
-//! reply builders, and the same counters. The chaos suite runs its
-//! unmodified assertions against both cores.
+//! Read, write, idle and shed deadlines are checked on every wakeup, and
+//! each `wait` sleeps no longer than the nearest one. When `accept` runs out
+//! of file descriptors, every loop stops watching the listener for
+//! [`ACCEPT_BACKOFF`] — the pending backlog would otherwise wake them on
+//! every wait — and watches it again once the back-off expires.
 
-#![cfg(target_os = "linux")]
+#![cfg(unix)]
 
 use crate::cache::CachedSurface;
 use crate::protocol::{
@@ -65,8 +65,8 @@ use crate::server::{
     request_trace_id, respond, validate_frame_request, validate_mesh_request, EncodeClock,
     FrameAdmit, MeshAdmit, MeshOutcome, ProgressiveAdmit, Reply, SlotGuard, State,
 };
-use oociso_exio::poll::{Event, EventFd, Interest, Poller};
-use oociso_obs::{Counter, Gauge, Histogram, Span, Trace, DEFAULT_TRACE_EVENTS};
+use oociso_exio::poll::{Doorbell, Event, Interest, Poller};
+use oociso_obs::{Counter, Gauge, Histogram, Logger, Span, Trace, DEFAULT_TRACE_EVENTS};
 use oociso_volume::ScalarValue;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -90,8 +90,12 @@ pub(crate) struct ReactorConfig {
 const IDLE_POLL: Duration = Duration::from_millis(1000);
 
 /// Over-cap connections get at most this long to present the one frame
-/// their `ERR_BUSY` reply is versioned from (the threaded shed path's cap).
+/// their `ERR_BUSY` reply is versioned from.
 const SHED_DEADLINE: Duration = Duration::from_secs(2);
+
+/// How long every loop leaves the listener alone once `accept` runs out of
+/// file descriptors.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
 
 const TOKEN_DOORBELL: u64 = 0;
 const TOKEN_LISTENER: u64 = 1;
@@ -103,7 +107,53 @@ struct Mailbox {
     completions: Mutex<Vec<Completion>>,
     /// Streams another loop accepted and [`Placement`] assigned to this one.
     accepted: Mutex<Vec<TcpStream>>,
-    doorbell: EventFd,
+    doorbell: Doorbell,
+}
+
+/// The listening socket every loop watches, and the descriptor-exhaustion
+/// back-off they share. Out of descriptors, the pending backlog keeps the
+/// level-triggered listener readable, so a loop that kept watching it would
+/// wake, fail to accept, and wake again at full speed.
+struct Listener {
+    socket: TcpListener,
+    backoff: Mutex<AcceptBackoff>,
+}
+
+#[derive(Default)]
+struct AcceptBackoff {
+    /// No loop watches the listener before this instant.
+    until: Option<Instant>,
+    /// Out of descriptors since the last successful accept: the warning
+    /// fires once per episode.
+    starved: bool,
+}
+
+/// `EMFILE`/`ENFILE`: the process or system is out of file descriptors.
+/// Accepting will keep failing until something closes.
+pub(crate) fn fd_exhausted(e: &io::Error) -> bool {
+    matches!(e.raw_os_error(), Some(23) | Some(24)) // ENFILE | EMFILE
+}
+
+/// Book one fd-exhausted accept failure: the backoff counter ticks on every
+/// back-off, but the structured warning fires once per starvation *episode*
+/// — `starved` stays set until a successful accept resets it, so a wedged
+/// process emits one log line, not one per back-off.
+pub(crate) fn note_fd_exhaustion(
+    backoffs: &Counter,
+    logger: &Logger,
+    e: &io::Error,
+    starved: &mut bool,
+) {
+    backoffs.inc();
+    if !*starved {
+        *starved = true;
+        logger.warn(
+            "serve",
+            "accept_backoff",
+            "accept failed; backing off until fds free up",
+            &[("error", e.to_string())],
+        );
+    }
 }
 
 /// Which loop an accepted connection goes to: the one with the fewest live
@@ -173,7 +223,7 @@ struct Completion {
 }
 
 /// Everything needed to account a reply when its last byte reaches the
-/// kernel — the reactor's analogue of the tail of the threaded handler.
+/// kernel ([`finish_reply`]).
 struct ReplyMeta {
     root: Option<Span>,
     trace: Option<Trace>,
@@ -271,8 +321,8 @@ struct Conn {
 }
 
 /// Work shipped to the extraction/render pool. Every variant carries the
-/// request's span + trace (extraction phases land in them, exactly as on a
-/// connection thread) and its reply slot coordinates.
+/// request's span + trace (extraction phases land in them) and its reply
+/// slot coordinates.
 enum Job<S: ScalarValue> {
     Mesh {
         iso: f32,
@@ -335,8 +385,11 @@ pub(crate) fn spawn<S: ScalarValue>(
     state: Arc<State<S>>,
     cfg: ReactorConfig,
 ) -> io::Result<JoinHandle<()>> {
-    let listener = Arc::new(listener);
-    let reactors = cfg.reactors.max(1);
+    let listener = Arc::new(Listener {
+        socket: listener,
+        backoff: Mutex::new(AcceptBackoff::default()),
+    });
+    let reactors = cfg.reactors;
     let workers = if cfg.workers == 0 {
         // extraction fans out internally; a handful of workers keeps misses
         // and rasterization flowing without oversubscribing small hosts
@@ -374,7 +427,7 @@ pub(crate) fn spawn<S: ScalarValue>(
             Ok(Arc::new(Mailbox {
                 completions: Mutex::new(Vec::new()),
                 accepted: Mutex::new(Vec::new()),
-                doorbell: EventFd::new()?,
+                doorbell: Doorbell::new()?,
             }))
         })
         .collect::<io::Result<Vec<_>>>()?;
@@ -404,9 +457,11 @@ pub(crate) fn spawn<S: ScalarValue>(
                 }));
         }
         let mut reactor = Reactor {
-            poller: Poller::new()?,
+            poller: Poller::default(),
             listener: listener.clone(),
             accepting: true,
+            listening: true,
+            rearm_at: None,
             index: i,
             placement: placement.clone(),
             own_conns: state.metrics.gauge(&format!("reactor_loop{i}_connections")),
@@ -417,7 +472,6 @@ pub(crate) fn spawn<S: ScalarValue>(
             next_token: TOKEN_FIRST_CONN,
             budget: cfg.outbound_budget,
             meters: meters.clone(),
-            fd_starved: false,
         };
         reactor.poller.register(
             &reactor.mailbox.doorbell,
@@ -426,7 +480,7 @@ pub(crate) fn spawn<S: ScalarValue>(
         )?;
         reactor
             .poller
-            .register(&*reactor.listener, TOKEN_LISTENER, Interest::READABLE)?;
+            .register(&reactor.listener.socket, TOKEN_LISTENER, Interest::READABLE)?;
         reactor_handles.push(
             std::thread::Builder::new()
                 .name(format!("oociso-reactor-{i}"))
@@ -436,7 +490,7 @@ pub(crate) fn spawn<S: ScalarValue>(
     drop(tx); // workers exit once every reactor (sender) is gone
 
     std::thread::Builder::new()
-        .name("oociso-accept".to_string()) // what IsoServer::drain joins
+        .name("oociso-serve".to_string()) // what IsoServer::drain joins
         .spawn(move || {
             for h in reactor_handles {
                 let _ = h.join();
@@ -651,8 +705,13 @@ fn chunk_payloads(
 /// One event-loop thread.
 struct Reactor<S: ScalarValue> {
     poller: Poller,
-    listener: Arc<TcpListener>,
+    listener: Arc<Listener>,
+    /// Cleared for good when the graceful drain starts.
     accepting: bool,
+    /// The listener is in this loop's poller.
+    listening: bool,
+    /// When a running accept back-off ends: the listener is watched again.
+    rearm_at: Option<Instant>,
     /// This loop's slot in `placement` (and its mailbox's index there).
     index: usize,
     placement: Arc<Placement>,
@@ -665,7 +724,6 @@ struct Reactor<S: ScalarValue> {
     next_token: u64,
     budget: usize,
     meters: Meters,
-    fd_starved: bool,
 }
 
 impl<S: ScalarValue> Reactor<S> {
@@ -683,9 +741,10 @@ impl<S: ScalarValue> Reactor<S> {
                     break;
                 }
             }
+            self.sync_listener();
             let timeout = self.next_deadline().min(IDLE_POLL);
             if self.poller.wait(&mut events, Some(timeout)).is_err() {
-                break; // a broken epoll fd is unrecoverable
+                break; // poll(2) failing on its own table is unrecoverable
             }
             let t0 = Instant::now();
             self.meters.wakeups.inc();
@@ -716,8 +775,8 @@ impl<S: ScalarValue> Reactor<S> {
     /// their already-dispatched requests are answered and flushed.
     fn enter_drain(&mut self) {
         if self.accepting {
-            let _ = self.poller.deregister(&*self.listener);
             self.accepting = false;
+            self.sync_listener();
             // what was already handed over drains like any accepted
             // connection; nothing more will be
             for stream in self.placement.retire(self.index) {
@@ -749,8 +808,7 @@ impl<S: ScalarValue> Reactor<S> {
                 }
             }
             // connection already closed: the reply is dropped (its span
-            // finalizes via Drop) — same as a threaded handler finding the
-            // peer gone
+            // finalizes via Drop)
         }
         touched.dedup();
         for t in touched {
@@ -761,29 +819,72 @@ impl<S: ScalarValue> Reactor<S> {
     /// Accept until `WouldBlock` — the whole backlog in one wakeup — keeping
     /// only the streams [`Placement`] assigns to this loop.
     fn accept_burst(&mut self) {
-        if !self.accepting {
-            return;
+        if !self.listening {
+            return; // unwatched earlier in this batch
         }
         loop {
-            match self.listener.accept() {
+            match self.listener.socket.accept() {
                 Ok((stream, _peer)) => {
-                    self.fd_starved = false;
+                    self.listener.backoff.lock().expect("backoff lock").starved = false;
                     if let Some(stream) = self.placement.place(self.index, stream) {
                         self.admit(stream);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if crate::server::fd_exhausted(&e) => {
-                    crate::server::note_fd_exhaustion(
-                        &self.state.c.accept_backoffs,
-                        &self.state.logger,
-                        &e,
-                        &mut self.fd_starved,
-                    );
-                    break; // level-triggered epoll re-reports pending accepts
+                Err(e) if fd_exhausted(&e) => {
+                    self.back_off(&e);
+                    break;
                 }
                 Err(_) => break,
             }
+        }
+    }
+
+    /// Out of descriptors: start the shared back-off, unless another loop
+    /// already did (one back-off, one counter tick, however many loops
+    /// failed), and stop watching the listener until it ends.
+    fn back_off(&mut self, e: &io::Error) {
+        let now = Instant::now();
+        {
+            let mut backoff = self.listener.backoff.lock().expect("backoff lock");
+            if backoff.until.is_none_or(|t| t <= now) {
+                backoff.until = Some(now + ACCEPT_BACKOFF);
+                note_fd_exhaustion(
+                    &self.state.c.accept_backoffs,
+                    &self.state.logger,
+                    e,
+                    &mut backoff.starved,
+                );
+            }
+        }
+        self.sync_listener();
+    }
+
+    /// Watch the listener exactly when this loop accepts and no back-off is
+    /// running; remember when a running one ends, so the wait wakes to
+    /// watch it again.
+    fn sync_listener(&mut self) {
+        let now = Instant::now();
+        self.rearm_at = self
+            .listener
+            .backoff
+            .lock()
+            .expect("backoff lock")
+            .until
+            .filter(|&t| t > now);
+        let want = self.accepting && self.rearm_at.is_none();
+        if want == self.listening {
+            return;
+        }
+        let socket = &self.listener.socket;
+        let changed = if want {
+            self.poller
+                .register(socket, TOKEN_LISTENER, Interest::READABLE)
+        } else {
+            self.poller.deregister(socket)
+        };
+        if changed.is_ok() {
+            self.listening = want;
         }
     }
 
@@ -945,7 +1046,7 @@ impl<S: ScalarValue> Reactor<S> {
 
         if conn.shed {
             // over the connection cap: one ERR_BUSY in the client's own
-            // dialect, then close — the threaded shed path, pipelined
+            // dialect, then close
             let version = match &frame {
                 FrameIn::Ok { version, .. } => *version,
                 FrameIn::Violation { version, .. } => *version,
@@ -1052,12 +1153,11 @@ impl<S: ScalarValue> Reactor<S> {
         msg: Message,
         version: u16,
         trace: Trace,
-        mut root: Span,
+        root: Span,
     ) -> Classified {
         let state = self.state.clone();
-        let inline = |reply: Reply, mut root: Span, trace: Trace, trace_id: u64| {
+        let inline = |reply: Reply, root: Span, trace: Trace, trace_id: u64| {
             let bytes = reply.finalize_traced(&state, version, &root);
-            let _ = &mut root;
             Classified::Inline(vec![OutPayload {
                 bytes,
                 meta: ReplyMeta {
@@ -1246,14 +1346,7 @@ impl<S: ScalarValue> Reactor<S> {
                     }
                 }
             }
-            other => {
-                // stats/ping/metrics/trace and confused client messages:
-                // the shared respond() path, inline (all sub-millisecond)
-                let trace_id = request_trace_id(&other);
-                let reply = respond(&state, other, &trace, &root);
-                let _ = &mut root;
-                inline(reply, root, trace, trace_id)
-            }
+            other => inline(respond(&state, other), root, trace, 0),
         }
     }
 
@@ -1348,10 +1441,9 @@ impl<S: ScalarValue> Reactor<S> {
         }
     }
 
-    /// Enforce per-connection deadlines (the reactor's replacement for
-    /// `SO_RCVTIMEO`/`SO_SNDTIMEO`): mid-frame read stalls, write stalls,
-    /// idle connections, and over-cap connections that never sent their
-    /// first frame.
+    /// Enforce per-connection deadlines: mid-frame read stalls (the read
+    /// timeout), write stalls (the write timeout), idle connections, and
+    /// over-cap connections that never sent their first frame.
     fn sweep_deadlines(&mut self) {
         let now = Instant::now();
         let state = self.state.clone();
@@ -1363,8 +1455,7 @@ impl<S: ScalarValue> Reactor<S> {
                     .unwrap_or(SHED_DEADLINE)
                     .min(SHED_DEADLINE);
                 if conn.pending.is_empty() && now.duration_since(conn.accepted_at) >= cap {
-                    doomed.push(token); // never presented a frame: no counter,
-                                        // exactly like the threaded shed path
+                    doomed.push(token); // never presented a frame: no counter
                 }
                 continue;
             }
@@ -1406,8 +1497,8 @@ impl<S: ScalarValue> Reactor<S> {
         }
     }
 
-    /// How long the next `epoll_wait` may sleep before some deadline needs
-    /// enforcement.
+    /// How long the next wait may sleep before some deadline needs
+    /// enforcement or the listener needs watching again.
     fn next_deadline(&self) -> Duration {
         let now = Instant::now();
         let state = &self.state;
@@ -1418,6 +1509,9 @@ impl<S: ScalarValue> Reactor<S> {
                 min = left;
             }
         };
+        if let Some(t) = self.rearm_at {
+            consider(t);
+        }
         for conn in self.conns.values() {
             if conn.shed {
                 let cap = state
@@ -1463,8 +1557,7 @@ impl<S: ScalarValue> Reactor<S> {
 }
 
 /// Account one fully written reply — byte counters, latency histogram,
-/// journals, slow-query log, drain bookkeeping. The mirror of the tail of
-/// the threaded `handle_connection`.
+/// journals, slow-query log, drain bookkeeping.
 fn finish_reply<S: ScalarValue>(
     state: &Arc<State<S>>,
     frame_len: usize,
@@ -1502,5 +1595,41 @@ fn finish_reply<S: ScalarValue>(
     if meta.close_after {
         conn.finished = true;
         conn.stop_reading = true;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use oociso_obs::{CaptureSink, Level};
+
+    // the chaos contract for fd starvation: the backoff counter ticks on
+    // every back-off, the structured warning fires exactly once per
+    // episode, and a fresh episode warns again
+    #[test]
+    fn fd_exhaustion_warns_once_per_episode() {
+        let sink = Arc::new(CaptureSink::new());
+        let logger = Logger::new(sink.clone());
+        let backoffs = Counter::new();
+        let emfile = || io::Error::from_raw_os_error(24);
+        assert!(fd_exhausted(&emfile()));
+
+        let mut starved = false;
+        for _ in 0..5 {
+            note_fd_exhaustion(&backoffs, &logger, &emfile(), &mut starved);
+        }
+        assert_eq!(backoffs.get(), 5, "every back-off ticks the counter");
+        assert_eq!(
+            sink.named("accept_backoff").len(),
+            1,
+            "one warn per episode"
+        );
+
+        // a successful accept resets the flag; the next starvation warns anew
+        starved = false;
+        note_fd_exhaustion(&backoffs, &logger, &emfile(), &mut starved);
+        assert_eq!(backoffs.get(), 6);
+        assert_eq!(sink.named("accept_backoff").len(), 2);
+        assert_eq!(sink.count_at(Level::Warn), 2);
     }
 }

@@ -1,9 +1,8 @@
-//! The multi-threaded TCP query server.
+//! The TCP query server: its options, its shared state, and the admission,
+//! extraction and reply logic the serving core ([`crate::reactor`]) runs.
 //!
-//! One accept loop, one OS thread per connection (the paper's cluster serves
-//! a handful of display clients; thread-per-connection keeps the handler a
-//! plain blocking loop). Every handler shares one [`oociso_core::ClusterDatabase`]
-//! — extraction already fans out across node threads and per-node worker
+//! Every connection shares one [`oociso_core::ClusterDatabase`] —
+//! extraction already fans out across node threads and per-node worker
 //! pools internally, so concurrent requests ride the existing streaming
 //! extraction path — plus one [`ResultCache`] behind a mutex (held only for
 //! lookup/insert, never across an extraction).
@@ -36,22 +35,19 @@
 
 use crate::cache::{CachedSurface, ResultCache};
 use crate::protocol::{
-    crc_time, encode_frame_at, encode_mesh_chunk_frame, encode_mesh_response_frame,
-    read_frame_limited, FrameIn, FrameParams, Message, Region, ServerReport, TraceEvent,
-    BACKEND_DEFAULT, ERR_BAD_BACKEND, ERR_BAD_LOD, ERR_BUSY, ERR_INTERNAL, ERR_MALFORMED,
-    MAX_LOD_LEVELS, MAX_REQUEST_PAYLOAD, MIN_PROGRESSIVE_VERSION,
+    crc_time, encode_frame_at, encode_mesh_chunk_frame, encode_mesh_response_frame, FrameParams,
+    Message, Region, ServerReport, TraceEvent, BACKEND_DEFAULT, ERR_BAD_BACKEND, ERR_BAD_LOD,
+    ERR_BUSY, ERR_INTERNAL, ERR_MALFORMED, MAX_LOD_LEVELS,
 };
 use oociso_cluster::{decimate_fields, LodSpec};
 use oociso_core::ClusterDatabase;
 use oociso_march::{Backend, LodChain};
-use oociso_obs::{
-    Counter, Histogram, Logger, Registry, Span, Trace, TraceJournal, DEFAULT_TRACE_EVENTS,
-};
+use oociso_obs::{Counter, Histogram, Logger, Registry, Span, Trace, TraceJournal};
 use oociso_render::{rasterize_mesh, select_tile_levels, Camera, Framebuffer, TileLayout};
 use oociso_volume::ScalarValue;
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -95,8 +91,9 @@ pub struct ServeOptions {
     /// stalls (slowloris) is disconnected and counted `timed_out`. Default
     /// 30 s; `None` waits forever (the pre-v3 behavior).
     pub read_timeout: Option<Duration>,
-    /// Socket write deadline for responses (a reader that stops draining a
-    /// multi-hundred-MB mesh can't pin a handler forever). Default 30 s.
+    /// Write deadline for responses: a connection whose queued reply makes
+    /// no write progress this long (a reader that stopped draining a
+    /// multi-hundred-MB mesh) is cut and counted `timed_out`. Default 30 s.
     pub write_timeout: Option<Duration>,
     /// Close connections that sit idle *between* frames longer than this
     /// (counted `timed_out`). `None` (the default) keeps them forever.
@@ -113,20 +110,16 @@ pub struct ServeOptions {
     /// `slow_query`, `drain_timeout`). Default logs to stderr; tests
     /// install an `oociso_obs::CaptureSink` to assert on events.
     pub logger: Logger,
-    /// Nonblocking reactor core: `N > 0` serves with `N` epoll event-loop
-    /// threads (Linux only), each owning a set of connections — request
-    /// pipelining, bounded outbound queues, no per-connection thread. `0`
-    /// (the library default) keeps the classic thread-per-connection core.
-    /// The CLI defaults to the reactor (`serve --threaded` opts out). On
-    /// non-Linux targets a nonzero value falls back to the threaded core.
+    /// Event-loop threads of the serving core, each owning a set of
+    /// connections — request pipelining, bounded outbound queues, no
+    /// per-connection thread. Default 2; [`IsoServer::bind`] rejects 0.
     pub reactor_threads: usize,
-    /// Extraction/render worker threads behind the reactor (cache misses
-    /// and rasterization run here; the event loops never block on them).
-    /// `0` (the default) sizes the pool automatically. Ignored by the
-    /// threaded core, whose connection threads do their own work.
+    /// Extraction/render worker threads behind the event loops (cache
+    /// misses and rasterization run here; the loops never block on them).
+    /// `0` (the default) sizes the pool automatically.
     pub reactor_workers: usize,
-    /// Per-connection outbound byte budget (reactor only): once a client's
-    /// queued-but-unsent responses exceed it, the reactor stops *reading*
+    /// Per-connection outbound byte budget: once a client's
+    /// queued-but-unsent responses exceed it, the server stops *reading*
     /// that client until the queue drains below half — backpressure, so a
     /// pipelining client that never reads cannot balloon server memory.
     /// Default 8 MiB.
@@ -159,7 +152,7 @@ impl Default for ServeOptions {
             slow_ms: 1000,
             trace_buffer: 64,
             logger: Logger::stderr(),
-            reactor_threads: 0,
+            reactor_threads: 2,
             reactor_workers: 0,
             outbound_budget: 8 << 20,
             warm_delta: None,
@@ -168,20 +161,19 @@ impl Default for ServeOptions {
 }
 
 /// Shared shutdown/drain flags and the live-connection gauge — what
-/// [`IsoServer::drain`] coordinates with the accept loop and every handler.
+/// [`IsoServer::drain`] coordinates with the event loops.
 pub(crate) struct Control {
-    /// Hard stop: accept loop exits, handlers close at the next frame
-    /// boundary or poll tick.
+    /// Hard stop: every event loop closes its connections and exits.
     pub(crate) shutdown: AtomicBool,
-    /// Graceful phase: accept loop exits, handlers finish the request they
-    /// are on (replies counted `drained`) and close at the frame boundary.
+    /// Graceful phase: the loops stop accepting and parsing, finish the
+    /// requests already dispatched (replies counted `drained`), then close.
     pub(crate) draining: AtomicBool,
-    /// Connections currently inside a handler (the admission-cap gauge and
-    /// what drain waits on).
+    /// Connections currently admitted (the admission-cap gauge and what
+    /// drain waits on).
     pub(crate) live: AtomicU64,
-    /// Out-of-band wakeups registered by blocking serving cores (the
-    /// reactor's eventfd doorbells), rung whenever a flag above flips so a
-    /// parked event loop notices immediately instead of at its next tick.
+    /// Out-of-band wakeups (the event loops' doorbells, the warmer's
+    /// condvar), rung whenever a flag above flips so a parked thread
+    /// notices immediately instead of at its next tick.
     pub(crate) wakers: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
 }
 
@@ -266,7 +258,7 @@ pub(crate) struct WarmQueue {
     cv: Condvar,
 }
 
-/// Shared state behind every connection handler.
+/// Shared state behind every connection.
 pub(crate) struct State<S: ScalarValue> {
     db: ClusterDatabase<S>,
     lods: LodSpec,
@@ -359,27 +351,13 @@ pub(crate) enum MeshOutcome {
     },
 }
 
-/// What admission control decided for one frame request.
-pub(crate) enum FrameOutcome {
-    Serve {
-        levels: Vec<Arc<CachedSurface>>,
-        cache_hit: bool,
-    },
-    Busy {
-        retry_after_ms: u32,
-    },
-}
-
 /// A mesh request's admission verdict with the *work* still unexecuted —
-/// what the reactor dispatches on. [`State::surface`] (the threaded path)
-/// and the reactor worker both complete an `Extract` through
-/// [`State::pyramid_for`], so the two cores share admission and extraction
-/// semantics by construction, not by parallel maintenance.
+/// what the event loop dispatches on. A worker completes an `Extract`
+/// through [`State::pyramid_for`].
 pub(crate) enum MeshAdmit<S: ScalarValue> {
     /// Hit, degraded serve, or busy: the outcome is already in hand.
     Ready(MeshOutcome),
-    /// Miss that won a slot: extraction still to run (off-loop, for the
-    /// reactor; inline, for a connection thread).
+    /// Miss that won a slot: extraction still to run, off the event loop.
     Extract { slot: SlotGuard<S> },
 }
 
@@ -878,38 +856,14 @@ impl<S: ScalarValue> State<S> {
         }
     }
 
-    /// Level `lod` of the surface at `iso`, under admission control. A
-    /// cache hit is always served (one accounted lookup against `lod`,
-    /// exactly as before). A miss must win an extraction slot; at capacity
-    /// the request degrades to the finest cached coarser level (when
-    /// [`ServeOptions::degrade`] is set and one is resident — booked as a
-    /// hit on the level actually served) or is shed with a retry hint.
-    fn surface(
-        self: &Arc<Self>,
-        iso: f32,
-        lod: u16,
-        trace: &Trace,
-        root: &Span,
-    ) -> io::Result<MeshOutcome> {
-        match self.admit_mesh(iso, lod, root) {
-            MeshAdmit::Ready(outcome) => Ok(outcome),
-            MeshAdmit::Extract { slot } => {
-                let levels = self.pyramid_for(iso, trace)?;
-                drop(slot);
-                Ok(MeshOutcome::Serve {
-                    surface: levels[lod as usize].clone(),
-                    cache_hit: false,
-                    served_lod: lod,
-                    degraded: false,
-                })
-            }
-        }
-    }
-
-    /// The admission half of [`State::surface`]: probe the cache, try for a
-    /// slot, degrade or shed at capacity. Everything here is cheap (mutexed
-    /// lookups and atomics, no extraction), so the reactor runs it inline
-    /// on the event loop; only an `Extract` verdict leaves for a worker.
+    /// Admission for level `lod` of the surface at `iso`. A cache hit is
+    /// always served (one accounted lookup against `lod`). A miss must win
+    /// an extraction slot; at capacity the request degrades to the finest
+    /// cached coarser level (when [`ServeOptions::degrade`] is set and one
+    /// is resident — booked as a hit on the level actually served) or is
+    /// shed with a retry hint. Everything here is cheap (mutexed lookups
+    /// and atomics, no extraction), so it runs inline on the event loop;
+    /// only an `Extract` verdict leaves for a worker.
     pub(crate) fn admit_mesh(self: &Arc<Self>, iso: f32, lod: u16, root: &Span) -> MeshAdmit<S> {
         let t = Instant::now();
         let hit = self.cache.lock().expect("cache lock").get(iso, MC, lod);
@@ -1017,44 +971,17 @@ impl<S: ScalarValue> State<S> {
         }
     }
 
-    /// Every pyramid level at `iso` for the frame path, under admission
-    /// control. The request is accounted as exactly one lookup against
-    /// level 0 (what a v1 frame request cost): a hit only when the *whole*
+    /// Admission for a frame request, which needs every pyramid level at
+    /// `iso`. The request is accounted as exactly one lookup against level
+    /// 0 (what a v1 frame request cost): a hit only when the *whole*
     /// pyramid is resident, a miss otherwise — the levels are peeked first,
     /// so a partially evicted pyramid never books a hit for a request that
     /// still has to rebuild. When level 0 survived but a coarser level was
-    /// evicted, the pyramid is re-decimated from the resident full mesh —
-    /// deterministic, so byte-identical to the original levels — without
-    /// touching disk. A miss that can't win a slot is shed (frames have no
-    /// degraded form: per-tile LOD selection needs the whole pyramid).
-    fn all_levels(
-        self: &Arc<Self>,
-        iso: f32,
-        trace: &Trace,
-        root: &Span,
-    ) -> io::Result<FrameOutcome> {
-        match self.admit_frame(iso, root) {
-            FrameAdmit::Hit(levels) => Ok(FrameOutcome::Serve {
-                levels,
-                cache_hit: true,
-            }),
-            FrameAdmit::Busy { retry_after_ms } => Ok(FrameOutcome::Busy { retry_after_ms }),
-            FrameAdmit::Extract {
-                slot,
-                resident_full,
-            } => {
-                let levels = self.complete_frame_extract(iso, resident_full, trace)?;
-                drop(slot);
-                Ok(FrameOutcome::Serve {
-                    levels,
-                    cache_hit: false,
-                })
-            }
-        }
-    }
-
-    /// The admission half of [`State::all_levels`] (see [`State::admit_mesh`]
-    /// for why the split exists).
+    /// evicted, [`State::complete_frame_extract`] re-decimates from the
+    /// resident full mesh — deterministic, so byte-identical to the
+    /// original levels — without touching disk. A miss that can't win a
+    /// slot is shed (frames have no degraded form: per-tile LOD selection
+    /// needs the whole pyramid).
     pub(crate) fn admit_frame(self: &Arc<Self>, iso: f32, root: &Span) -> FrameAdmit<S> {
         let want = self.levels() as usize;
         let t = Instant::now();
@@ -1112,15 +1039,16 @@ impl<S: ScalarValue> State<S> {
     }
 }
 
-/// A running server: the bound address plus the accept-loop handle.
+/// A running server: the bound address plus the serving core's handle.
 ///
-/// Dropping the handle without calling [`IsoServer::stop`] leaves the accept
-/// loop running detached until the process exits (what the CLI's foreground
-/// `serve` does by parking forever).
+/// Dropping the handle without calling [`IsoServer::stop`] leaves the event
+/// loops running detached until the process exits (what the CLI's
+/// foreground `serve` does by parking forever).
 pub struct IsoServer {
     addr: SocketAddr,
     ctl: Arc<Control>,
-    accept_loop: Option<JoinHandle<()>>,
+    /// Joins every event loop and worker once they exit.
+    core: Option<JoinHandle<()>>,
     /// The speculative-warming thread, when warming is enabled (exits on
     /// drain/shutdown; joined so its extraction finishes before teardown).
     warmer: Option<JoinHandle<()>>,
@@ -1171,6 +1099,12 @@ impl IsoServer {
                 ));
             }
         }
+        if opts.reactor_threads == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "reactor_threads must be at least 1",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         opts.logger.info(
@@ -1179,53 +1113,45 @@ impl IsoServer {
             "frame checksum kernel detected",
             &[("kernel", oociso_exio::crc::path().to_string())],
         );
-        // polling accept loop: nonblocking listener + short sleep lets
-        // `stop()` take effect without a wake-up connection
+        // the event loops drain the backlog until `WouldBlock`
         listener.set_nonblocking(true)?;
         let state = State::new(db, &opts);
         let ctl = state.ctl.clone();
-        let warmer = match state.warm.is_some() {
-            true => Some(
-                std::thread::Builder::new()
-                    .name("oociso-warm".to_string())
-                    .spawn({
-                        let state = state.clone();
-                        move || warmer_loop(state)
-                    })?,
-            ),
-            false => None,
-        };
         let report_state = state.clone();
         let metrics_state = state.clone();
-        let logger = opts.logger.clone();
-        #[cfg(target_os = "linux")]
-        let accept_loop = if opts.reactor_threads > 0 {
-            crate::reactor::spawn(
-                listener,
-                state,
-                crate::reactor::ReactorConfig {
-                    reactors: opts.reactor_threads,
-                    workers: opts.reactor_workers,
-                    outbound_budget: opts.outbound_budget.max(1),
-                },
-            )?
-        } else {
-            std::thread::Builder::new()
-                .name("oociso-accept".to_string())
-                .spawn(move || accept_loop(listener, state))?
+        let warm_state = state.warm.is_some().then(|| state.clone());
+        #[cfg(unix)]
+        let core = crate::reactor::spawn(
+            listener,
+            state,
+            crate::reactor::ReactorConfig {
+                reactors: opts.reactor_threads,
+                workers: opts.reactor_workers,
+                outbound_budget: opts.outbound_budget.max(1),
+            },
+        )?;
+        // the event loops wait on poll(2) and ring socket-pair doorbells
+        #[cfg(not(unix))]
+        let core = return Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "the serving core runs on poll(2): unix targets only",
+        ));
+        let warmer = match warm_state {
+            Some(state) => Some(
+                std::thread::Builder::new()
+                    .name("oociso-warm".to_string())
+                    .spawn(move || warmer_loop(state))?,
+            ),
+            None => None,
         };
-        #[cfg(not(target_os = "linux"))]
-        let accept_loop = std::thread::Builder::new()
-            .name("oociso-accept".to_string())
-            .spawn(move || accept_loop(listener, state))?;
         Ok(IsoServer {
             addr,
             ctl,
-            accept_loop: Some(accept_loop),
+            core: Some(core),
             warmer,
             report: Arc::new(move || report_state.report()),
             metrics: Arc::new(move || metrics_state.metrics_text()),
-            logger,
+            logger: opts.logger,
         })
     }
 
@@ -1252,7 +1178,7 @@ impl IsoServer {
     /// Graceful drain: stop accepting, let every in-flight request finish
     /// (replies completed during the drain are counted `drained`), then
     /// hard-close whatever is left when `deadline` expires and join the
-    /// accept loop. Returns the final counters.
+    /// serving core. Returns the final counters.
     pub fn drain(mut self, deadline: Duration) -> ServerReport {
         self.ctl.draining.store(true, Ordering::SeqCst);
         self.ctl.wake_all();
@@ -1274,7 +1200,7 @@ impl IsoServer {
         }
         self.ctl.shutdown.store(true, Ordering::SeqCst);
         self.ctl.wake_all();
-        if let Some(h) = self.accept_loop.take() {
+        if let Some(h) = self.core.take() {
             let _ = h.join();
         }
         if let Some(h) = self.warmer.take() {
@@ -1288,35 +1214,6 @@ impl IsoServer {
         loop {
             std::thread::park();
         }
-    }
-}
-
-/// `EMFILE`/`ENFILE`: the process or system is out of file descriptors.
-/// Accepting will keep failing until something closes, so the loop must back
-/// off instead of spinning at full speed burning the log and the CPU.
-pub(crate) fn fd_exhausted(e: &io::Error) -> bool {
-    matches!(e.raw_os_error(), Some(23) | Some(24)) // ENFILE | EMFILE
-}
-
-/// Book one fd-exhausted accept failure: the backoff counter ticks on every
-/// failure, but the structured warning fires once per starvation *episode* —
-/// `starved` stays set until a successful accept resets it, so a wedged
-/// process emits one log line, not one per 100 ms of backoff.
-pub(crate) fn note_fd_exhaustion(
-    backoffs: &Counter,
-    logger: &Logger,
-    e: &io::Error,
-    starved: &mut bool,
-) {
-    backoffs.inc();
-    if !*starved {
-        *starved = true;
-        logger.warn(
-            "serve",
-            "accept_backoff",
-            "accept failed; backing off until fds free up",
-            &[("error", e.to_string())],
-        );
     }
 }
 
@@ -1367,117 +1264,6 @@ fn warmer_loop<S: ScalarValue>(state: Arc<State<S>>) {
     }
 }
 
-fn accept_loop<S: ScalarValue>(listener: TcpListener, state: Arc<State<S>>) {
-    let ctl = state.ctl.clone();
-    let mut fd_starved = false;
-    while !ctl.shutdown.load(Ordering::SeqCst) && !ctl.draining.load(Ordering::SeqCst) {
-        // drain the whole backlog before parking: a burst of K simultaneous
-        // connects is accepted in one pass, not serialized behind one 2 ms
-        // park per connection
-        loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    fd_starved = false;
-                    accept_one(stream, &state);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if fd_exhausted(&e) => {
-                    note_fd_exhaustion(
-                        &state.c.accept_backoffs,
-                        &state.logger,
-                        &e,
-                        &mut fd_starved,
-                    );
-                    std::thread::park_timeout(Duration::from_millis(100));
-                    break;
-                }
-                Err(_) => {
-                    std::thread::park_timeout(Duration::from_millis(10));
-                    break;
-                }
-            }
-        }
-        std::thread::park_timeout(Duration::from_millis(2));
-    }
-}
-
-/// Hand one freshly accepted connection to its handler thread (or the shed
-/// path when over the connection cap).
-fn accept_one<S: ScalarValue>(stream: TcpStream, state: &Arc<State<S>>) {
-    let ctl = &state.ctl;
-    state.c.connections.inc();
-    let over = state
-        .max_connections
-        .is_some_and(|cap| ctl.live.load(Ordering::SeqCst) >= cap as u64);
-    if over {
-        // over the cap: a short-lived handler answers one ERR_BUSY (at
-        // whatever version the client speaks) and closes — honest
-        // shedding, not a silent drop. It does not count toward `live`,
-        // so shed handlers can never starve real ones.
-        let state = state.clone();
-        let _ = std::thread::Builder::new()
-            .name("oociso-shed".to_string())
-            .spawn(move || {
-                let _ = shed_connection(stream, &state);
-            });
-        return;
-    }
-    ctl.live.fetch_add(1, Ordering::SeqCst);
-    let state = state.clone();
-    let spawned = std::thread::Builder::new()
-        .name("oociso-conn".to_string())
-        .spawn({
-            let state = state.clone();
-            move || {
-                // connection errors (peer vanished mid-frame) end the
-                // handler; the server itself is unaffected
-                let _ = handle_connection(stream, &state);
-                state.ctl.live.fetch_sub(1, Ordering::SeqCst);
-            }
-        });
-    if spawned.is_err() {
-        // thread exhaustion: the connection is dropped, but the
-        // gauge must not leak or the cap wedges shut
-        state.ctl.live.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Answer one over-capacity connection: read its first frame (under the
-/// request cap and a short deadline — a shed slot must not be holdable
-/// open), reply `ERR_BUSY` in the client's own dialect, close.
-fn shed_connection<S: ScalarValue>(mut stream: TcpStream, state: &State<S>) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    let deadline = Some(
-        state
-            .read_timeout
-            .unwrap_or(Duration::from_secs(2))
-            .min(Duration::from_secs(2)),
-    );
-    stream.set_read_timeout(deadline)?;
-    stream.set_write_timeout(deadline)?;
-    let version = match read_frame_limited(&mut stream, MAX_REQUEST_PAYLOAD)? {
-        None => return Ok(()),
-        Some(FrameIn::Ok { version, .. }) => version,
-        Some(FrameIn::Violation { version, .. }) => version,
-    };
-    state.c.shed.inc();
-    state.c.requests.inc();
-    state.c.errors.inc();
-    let hint = state.retry_hint_ms();
-    let frame = encode_frame_at(
-        version,
-        &Message::Error {
-            code: ERR_BUSY,
-            detail: format!("connection limit reached; retry in {hint} ms"),
-            retry_after_ms: Some(hint),
-        },
-    );
-    stream.write_all(&frame)?;
-    stream.flush()?;
-    state.c.bytes_out.add(frame.len() as u64);
-    Ok(())
-}
-
 /// A computed response, still to be encoded at the client's dialect by
 /// [`Reply::finalize`]: a message, or a cached surface serialized straight
 /// from the shared mesh (the cache-hit path, which must not clone it).
@@ -1496,8 +1282,8 @@ pub(crate) enum Reply {
 }
 
 impl Reply {
-    /// Encode at the client's dialect, booking the error counter exactly as
-    /// the threaded core does — both serving cores finish a reply here.
+    /// Encode at the client's dialect, booking the error counter — every
+    /// reply but a protocol violation's or a shed connection's ends here.
     pub(crate) fn finalize<S: ScalarValue>(self, state: &State<S>, version: u16) -> Vec<u8> {
         if matches!(self, Reply::Msg(Message::Error { .. })) {
             state.c.errors.inc();
@@ -1566,34 +1352,6 @@ impl EncodeClock {
     }
 }
 
-/// Granularity at which a parked handler re-checks the drain/shutdown
-/// flags while waiting for the next frame. This tick bounds only how fast a
-/// *drain* takes effect on an idle connection — never data latency: the
-/// blocking read below returns the moment a byte arrives, and the idle
-/// deadline is enforced from its true remainder, not quantized to ticks.
-/// (The previous 25 ms tick was also harmless to data latency for the same
-/// reason, but computing the real remainder makes that property explicit
-/// and lets the flag tick be coarse.)
-const FLAG_TICK: Duration = Duration::from_millis(100);
-
-/// Why the frame-boundary wait ended without a frame.
-enum Boundary {
-    /// The first byte of a new frame arrived.
-    Frame(u8),
-    /// Clean close: peer EOF, drain/shutdown, or idle timeout (the latter
-    /// already counted).
-    Close,
-}
-
-/// `SO_RCVTIMEO`/`SO_SNDTIMEO` expiry surfaces as `WouldBlock` on Unix and
-/// `TimedOut` on Windows; treat both as the deadline firing.
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
 /// The wire trace id a request carries, if its type can carry one.
 pub(crate) fn request_trace_id(msg: &Message) -> u64 {
     match msg {
@@ -1601,225 +1359,6 @@ pub(crate) fn request_trace_id(msg: &Message) -> u64 {
         | Message::FrameRequest { trace_id, .. }
         | Message::ProgressiveRequest { trace_id, .. } => *trace_id,
         _ => 0,
-    }
-}
-
-/// How one reply write ended.
-enum Sent {
-    Ok,
-    /// The peer stopped draining (write deadline fired): counted
-    /// `timed_out`, connection to be closed.
-    PeerGone,
-}
-
-/// Write one reply frame under the write deadline, booking `bytes_out`.
-fn send_reply<S: ScalarValue>(
-    stream: &mut TcpStream,
-    state: &State<S>,
-    bytes: &[u8],
-) -> io::Result<Sent> {
-    match stream.write_all(bytes).and_then(|_| stream.flush()) {
-        Ok(()) => {
-            state.c.bytes_out.add(bytes.len() as u64);
-            Ok(Sent::Ok)
-        }
-        Err(e) if is_timeout(&e) => {
-            state.c.timed_out.inc();
-            Ok(Sent::PeerGone)
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// Park at a frame boundary until the next request's first byte arrives.
-/// The socket read blocks for the *true* remaining idle budget (capped by
-/// [`FLAG_TICK`] only so drain/shutdown stay responsive): data wakes it
-/// immediately, the idle deadline fires at its actual remainder. Returns
-/// the byte so the frame reader can prepend it.
-fn wait_for_frame<S: ScalarValue>(
-    stream: &mut TcpStream,
-    state: &State<S>,
-) -> io::Result<Boundary> {
-    let parked = Instant::now();
-    let mut byte = [0u8; 1];
-    loop {
-        if state.ctl.shutdown.load(Ordering::SeqCst) || state.ctl.draining.load(Ordering::SeqCst) {
-            return Ok(Boundary::Close);
-        }
-        let wait = match state.idle_timeout {
-            Some(idle) => {
-                let remaining = idle.saturating_sub(parked.elapsed());
-                if remaining.is_zero() {
-                    state.c.timed_out.inc();
-                    return Ok(Boundary::Close);
-                }
-                remaining.min(FLAG_TICK)
-            }
-            None => FLAG_TICK,
-        };
-        // set_read_timeout(0) would mean "block forever"; floor at 1 ms
-        stream.set_read_timeout(Some(wait.max(Duration::from_millis(1))))?;
-        match stream.read(&mut byte) {
-            Ok(0) => return Ok(Boundary::Close),
-            Ok(_) => return Ok(Boundary::Frame(byte[0])),
-            Err(e) if is_timeout(&e) => {}
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// A reader that replays the frame's first byte (consumed by the boundary
-/// poll) before handing through to the socket.
-struct Prefixed<'a> {
-    first: Option<u8>,
-    inner: &'a mut TcpStream,
-}
-
-impl Read for Prefixed<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if let Some(b) = self.first.take() {
-            if buf.is_empty() {
-                self.first = Some(b);
-                return Ok(0);
-            }
-            buf[0] = b;
-            return Ok(1);
-        }
-        self.inner.read(buf)
-    }
-}
-
-/// Serve one connection until EOF, a deadline, a drain, a hard I/O error,
-/// or an unrecoverable protocol violation. Requests are read under
-/// [`MAX_REQUEST_PAYLOAD`]: a hostile length header is rejected before any
-/// payload allocation. Every reply frame is stamped with the protocol
-/// version the request spoke, so older clients keep parsing a v3 server's
-/// answers.
-fn handle_connection<S: ScalarValue>(
-    mut stream: TcpStream,
-    state: &Arc<State<S>>,
-) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_write_timeout(state.write_timeout)?;
-    loop {
-        // between frames: poll so drain/shutdown/idle are honored...
-        let first = match wait_for_frame(&mut stream, state)? {
-            Boundary::Close => return Ok(()),
-            Boundary::Frame(b) => b,
-        };
-        // ...inside a frame: the full read deadline applies — a peer that
-        // stalls mid-frame (slowloris) is cut, not waited on forever
-        stream.set_read_timeout(state.read_timeout)?;
-        let mut reader = Prefixed {
-            first: Some(first),
-            inner: &mut stream,
-        };
-        let frame = match read_frame_limited(&mut reader, MAX_REQUEST_PAYLOAD) {
-            Ok(None) => return Ok(()), // EOF exactly at the boundary byte
-            Ok(Some(f)) => f,
-            Err(e) if is_timeout(&e) => {
-                state.c.timed_out.inc();
-                return Ok(());
-            }
-            // peer vanished mid-frame: close without ceremony
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        state.c.requests.inc();
-        match frame {
-            FrameIn::Violation {
-                code,
-                detail,
-                close,
-                version,
-            } => {
-                state.c.errors.inc();
-                let bytes = encode_frame_at(
-                    version,
-                    &Message::Error {
-                        code,
-                        detail,
-                        retry_after_ms: None,
-                    },
-                );
-                if matches!(send_reply(&mut stream, state, &bytes)?, Sent::PeerGone) {
-                    return Ok(());
-                }
-                if state.ctl.draining.load(Ordering::SeqCst) {
-                    state.c.drained.inc();
-                }
-                if close {
-                    return Ok(());
-                }
-            }
-            FrameIn::Ok { msg, version } => {
-                // every well-formed request gets a trace; only requests that
-                // carried a wire id land in the recent journal (slow ones are
-                // retained regardless)
-                let trace_id = request_trace_id(&msg);
-                let trace = if trace_id != 0 {
-                    Trace::new(trace_id, DEFAULT_TRACE_EVENTS)
-                } else {
-                    Trace::detached()
-                };
-                let mut root = trace.span("request");
-                root.field("msg_type", msg.msg_type() as u64);
-                root.field("version", version as u64);
-                // progressive requests write several reply frames, so they
-                // bypass the single-`Reply` funnel; everything else is
-                // unchanged
-                let sent = if let Message::ProgressiveRequest {
-                    iso,
-                    lod,
-                    backend,
-                    trace_id: wire_id,
-                } = msg
-                {
-                    serve_progressive(
-                        &mut stream,
-                        state,
-                        ProgressiveParams {
-                            iso,
-                            lod,
-                            backend,
-                            trace_id: wire_id,
-                            version,
-                        },
-                        &trace,
-                        &root,
-                    )?
-                } else {
-                    let reply = respond(state, msg, &trace, &root);
-                    let frame_bytes = reply.finalize_traced(state, version, &root);
-                    send_reply(&mut stream, state, &frame_bytes)?
-                };
-                let total = root.finish();
-                state.request_latency_us.record_duration(total);
-                if trace_id != 0 {
-                    state.recent.push(&trace, total);
-                }
-                if state.slow_ms > 0 && total >= Duration::from_millis(state.slow_ms) {
-                    state.slow.push(&trace, total);
-                    state.logger.warn(
-                        "serve",
-                        "slow_query",
-                        format!("request took {} ms", total.as_millis()),
-                        &[
-                            ("trace_id", trace_id.to_string()),
-                            ("threshold_ms", state.slow_ms.to_string()),
-                        ],
-                    );
-                }
-                if matches!(sent, Sent::PeerGone) {
-                    return Ok(());
-                }
-                if state.ctl.draining.load(Ordering::SeqCst) {
-                    // this reply completed during the graceful drain
-                    state.c.drained.inc();
-                }
-            }
-        }
     }
 }
 
@@ -1906,9 +1445,9 @@ pub(crate) fn internal_error_reply(e: &io::Error) -> Reply {
     })
 }
 
-/// Turn a decided mesh outcome into its reply — both serving cores funnel
-/// through here, so region filtering, the borrowed-mesh encode path, and
-/// the trace-id echo cannot diverge between them.
+/// Turn a decided mesh outcome into its reply — hits on the event loop and
+/// misses on a worker funnel through here, so region filtering, the
+/// borrowed-mesh encode path, and the trace-id echo cannot diverge.
 pub(crate) fn mesh_outcome_reply(
     outcome: MeshOutcome,
     region: Option<Region>,
@@ -1948,9 +1487,8 @@ pub(crate) fn mesh_outcome_reply(
     }
 }
 
-/// Rasterize an admitted frame request from its resident pyramid — the
-/// render half shared by the threaded core (inline on the connection
-/// thread) and the reactor (on a worker, never the event loop).
+/// Rasterize an admitted frame request from its resident pyramid (on a
+/// worker, never the event loop).
 pub(crate) fn frame_render_reply<S: ScalarValue>(
     state: &State<S>,
     levels: &[Arc<CachedSurface>],
@@ -1999,22 +1537,13 @@ pub(crate) fn frame_render_reply<S: ScalarValue>(
     })
 }
 
-/// The wire parameters of one v6 progressive request, plus the dialect it
-/// arrived in.
-pub(crate) struct ProgressiveParams {
-    pub(crate) iso: f32,
-    pub(crate) lod: u16,
-    pub(crate) backend: Option<u8>,
-    pub(crate) trace_id: u64,
-    pub(crate) version: u16,
-}
-
 /// Encode one run of progressive chunk frames for `surfaces` (in stream
 /// order: the first chunk is pyramid level `top_level`, counting down one
 /// per chunk). `prev` is the previously sent surface for delta continuity
 /// into the run; within the run each chunk deltas against its predecessor.
-/// `final_run` marks the run's last chunk `last` on the wire. Shared by
-/// both serving cores so chunk framing cannot diverge between them.
+/// `final_run` marks the run's last chunk `last` on the wire. Shared by the
+/// event loop (resident prefix) and the worker (extracted tail) so chunk
+/// framing cannot diverge between them.
 pub(crate) fn encode_chunk_run(
     surfaces: &[Arc<CachedSurface>],
     top_level: u16,
@@ -2047,145 +1576,12 @@ pub(crate) fn encode_chunk_run(
     frames
 }
 
-/// Serve one v6 progressive request on the threaded core: admit, then write
-/// chunk frames directly (coarsest first), running an admitted extraction
-/// inline between the resident prefix and the fresh levels. An extraction
-/// failure after chunks have gone out surfaces as a trailing `ERR_INTERNAL`
-/// frame — the client discards the partial refinement cleanly.
-fn serve_progressive<S: ScalarValue>(
-    stream: &mut TcpStream,
-    state: &Arc<State<S>>,
-    p: ProgressiveParams,
-    trace: &Trace,
-    root: &Span,
-) -> io::Result<Sent> {
-    state.c.mesh_requests.inc();
-    let send_msg =
-        |stream: &mut TcpStream, state: &Arc<State<S>>, reply: Reply| -> io::Result<Sent> {
-            let bytes = reply.finalize(state, p.version);
-            send_reply(stream, state, &bytes)
-        };
-    if p.version < MIN_PROGRESSIVE_VERSION {
-        // the decoder accepts the payload at any version; the *request* is
-        // still a v6 feature — a pre-v6 frame smuggling one in is malformed
-        return send_msg(
-            stream,
-            state,
-            Reply::Msg(Message::Error {
-                code: ERR_MALFORMED,
-                detail: format!(
-                    "progressive requests need protocol v{MIN_PROGRESSIVE_VERSION} (frame spoke v{})",
-                    p.version
-                ),
-                retry_after_ms: None,
-            }),
-        );
-    }
-    if let Err(reply) = validate_mesh_request(state, p.lod, p.backend) {
-        return send_msg(stream, state, reply);
-    }
-    let top = state.levels() - 1;
-    match state.admit_progressive(p.iso, p.lod, root) {
-        ProgressiveAdmit::Busy { retry_after_ms } => send_msg(
-            stream,
-            state,
-            Reply::Msg(busy_reply("extraction slots exhausted", retry_after_ms)),
-        ),
-        ProgressiveAdmit::Ready { levels } | ProgressiveAdmit::Degraded { resident: levels } => {
-            for frame in encode_chunk_run(&levels, top, true, p.trace_id, p.version, None, true) {
-                if matches!(send_reply(stream, state, &frame)?, Sent::PeerGone) {
-                    return Ok(Sent::PeerGone);
-                }
-            }
-            Ok(Sent::Ok)
-        }
-        ProgressiveAdmit::Extract { resident, slot } => {
-            // the cached coarse prefix streams before the extraction runs —
-            // the whole point of progressive delivery
-            for frame in encode_chunk_run(&resident, top, true, p.trace_id, p.version, None, false)
-            {
-                if matches!(send_reply(stream, state, &frame)?, Sent::PeerGone) {
-                    return Ok(Sent::PeerGone);
-                }
-            }
-            let next = top - resident.len() as u16;
-            match state.pyramid_for(p.iso, trace) {
-                Err(e) => send_msg(stream, state, internal_error_reply(&e)),
-                Ok(levels) => {
-                    drop(slot);
-                    // `levels` is indexed by lod (0 = full); stream `next`
-                    // down to the requested lod, delta-continuing from the
-                    // last resident chunk
-                    let run: Vec<Arc<CachedSurface>> = (p.lod..=next)
-                        .rev()
-                        .map(|l| levels[l as usize].clone())
-                        .collect();
-                    for frame in encode_chunk_run(
-                        &run,
-                        next,
-                        false,
-                        p.trace_id,
-                        p.version,
-                        resident.last(),
-                        true,
-                    ) {
-                        if matches!(send_reply(stream, state, &frame)?, Sent::PeerGone) {
-                            return Ok(Sent::PeerGone);
-                        }
-                    }
-                    Ok(Sent::Ok)
-                }
-            }
-        }
-    }
-}
-
-/// Compute the response for one well-formed request. Extraction spans land
-/// in `trace`; request-level annotations hang off `root`. The client's
-/// trace id (0 when untraced) is echoed on mesh and frame responses;
-/// pre-v5 encoders drop it on the floor.
-pub(crate) fn respond<S: ScalarValue>(
-    state: &Arc<State<S>>,
-    msg: Message,
-    trace: &Trace,
-    root: &Span,
-) -> Reply {
+/// Answer a request that needs no admission — stats, ping, metrics, trace
+/// lookups, and client messages of a server-to-client type — inline on the
+/// event loop (all sub-millisecond). Mesh, frame and progressive requests
+/// go through admission in [`crate::reactor`] and never reach here.
+pub(crate) fn respond<S: ScalarValue>(state: &State<S>, msg: Message) -> Reply {
     match msg {
-        Message::MeshRequest {
-            iso,
-            region,
-            lod,
-            backend,
-            trace_id,
-        } => {
-            state.c.mesh_requests.inc();
-            if let Err(reply) = validate_mesh_request(state, lod, backend) {
-                return reply;
-            }
-            match state.surface(iso, lod, trace, root) {
-                Ok(outcome) => mesh_outcome_reply(outcome, region, trace_id),
-                Err(e) => internal_error_reply(&e),
-            }
-        }
-        Message::FrameRequest {
-            iso,
-            params,
-            trace_id,
-        } => {
-            state.c.frame_requests.inc();
-            if let Some(reply) = validate_frame_request(&params) {
-                return reply;
-            }
-            match state.all_levels(iso, trace, root) {
-                Ok(FrameOutcome::Serve { levels, cache_hit }) => {
-                    frame_render_reply(state, &levels, cache_hit, &params, trace_id)
-                }
-                Ok(FrameOutcome::Busy { retry_after_ms }) => {
-                    Reply::Msg(busy_reply("extraction slots exhausted", retry_after_ms))
-                }
-                Err(e) => internal_error_reply(&e),
-            }
-        }
         Message::StatsRequest => Reply::Msg(Message::StatsResponse(state.report())),
         Message::Ping { payload } => Reply::Msg(Message::Pong { payload }),
         // exposition text covers this server's registry, the cache counters,
@@ -2208,7 +1604,6 @@ pub(crate) fn respond<S: ScalarValue>(
 mod tests {
     use super::*;
     use oociso_core::PreprocessOptions;
-    use oociso_obs::{CaptureSink, Level};
     use oociso_volume::field::{FieldExt, SphereField};
     use oociso_volume::{Dims3, Volume};
     use std::sync::Arc;
@@ -2376,36 +1771,6 @@ mod tests {
         state.warm_one(114.0f32.to_bits());
         assert_eq!(state.c.spec_cancelled.get(), 1);
         assert_eq!(state.c.spec_started.get(), 1, "a skip never starts");
-    }
-
-    // the chaos contract for fd starvation: the backoff counter ticks on
-    // every failed accept, the structured warning fires exactly once per
-    // episode, and a fresh episode warns again
-    #[test]
-    fn fd_exhaustion_warns_once_per_episode() {
-        let sink = Arc::new(CaptureSink::new());
-        let logger = Logger::new(sink.clone());
-        let backoffs = Counter::new();
-        let emfile = || io::Error::from_raw_os_error(24);
-        assert!(fd_exhausted(&emfile()));
-
-        let mut starved = false;
-        for _ in 0..5 {
-            note_fd_exhaustion(&backoffs, &logger, &emfile(), &mut starved);
-        }
-        assert_eq!(backoffs.get(), 5, "every failure ticks the counter");
-        assert_eq!(
-            sink.named("accept_backoff").len(),
-            1,
-            "one warn per episode"
-        );
-
-        // a successful accept resets the flag; the next starvation warns anew
-        starved = false;
-        note_fd_exhaustion(&backoffs, &logger, &emfile(), &mut starved);
-        assert_eq!(backoffs.get(), 6);
-        assert_eq!(sink.named("accept_backoff").len(), 2);
-        assert_eq!(sink.count_at(Level::Warn), 2);
     }
 
     // the cold-start contract: with no miss samples the EWMA reads 0, and a

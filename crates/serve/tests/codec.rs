@@ -886,3 +886,354 @@ fn request_frames_survive_every_corruption_and_truncation() {
         }
     }
 }
+
+// ---- the response decoders ------------------------------------------------
+
+use oociso_render::FrameRegion;
+use oociso_serve::protocol::{encode_payload_at, ServerReport, TraceEvent, ERR_BUSY};
+
+/// Any short string, with multi-byte UTF-8 now and then.
+fn text_for(rng: &mut Rng) -> String {
+    (0..rng.below(24))
+        .map(|_| match rng.below(6) {
+            0 => 'µ',
+            1 => '→',
+            _ => (b'a' + rng.below(26) as u8) as char,
+        })
+        .collect()
+}
+
+fn report_for(rng: &mut Rng) -> ServerReport {
+    let mut lod = || [0; 4].map(|_: u64| rng.next());
+    let (lod_hits, lod_misses) = (lod(), lod());
+    ServerReport {
+        connections: rng.next(),
+        requests: rng.next(),
+        mesh_requests: rng.next(),
+        frame_requests: rng.next(),
+        errors: rng.next(),
+        bytes_out: rng.next(),
+        cache_hits: rng.next(),
+        cache_misses: rng.next(),
+        cache_evictions: rng.next(),
+        cache_resident_bytes: rng.next(),
+        cache_resident_entries: rng.next(),
+        lod_hits,
+        lod_misses,
+        shed: rng.next(),
+        degraded: rng.next(),
+        timed_out: rng.next(),
+        drained: rng.next(),
+        accept_backoffs: rng.next(),
+        active_connections: rng.next(),
+    }
+}
+
+fn region_of(rng: &mut Rng, w: usize, h: usize) -> FrameRegion {
+    FrameRegion {
+        origin: (rng.below(4096), rng.below(4096)),
+        size: (w, h),
+        color: (0..w * h)
+            .map(|_| (rng.next() as u32).to_le_bytes())
+            .collect(),
+        depth: (0..w * h).map(|_| rng.float()).collect(),
+    }
+}
+
+fn frame_response_for(rng: &mut Rng) -> Message {
+    Message::FrameResponse {
+        cache_hit: rng.below(2) == 1,
+        width: rng.next() as u32,
+        height: rng.next() as u32,
+        regions: (0..rng.below(4))
+            .map(|_| {
+                let (w, h) = (rng.below(5), rng.below(5));
+                region_of(rng, w, h)
+            })
+            .collect(),
+        trace_id: trace_for(rng),
+    }
+}
+
+fn trace_response_for(rng: &mut Rng) -> Message {
+    Message::TraceResponse {
+        found: rng.below(2) == 1,
+        id: rng.next(),
+        total_us: rng.next(),
+        dropped: rng.next(),
+        events: (0..rng.below(5))
+            .map(|i| TraceEvent {
+                id: i as u32,
+                parent: if i == 0 {
+                    u32::MAX
+                } else {
+                    rng.below(i) as u32
+                },
+                name: text_for(rng),
+                start_us: rng.next(),
+                dur_us: rng.next(),
+                fields: (0..rng.below(4))
+                    .map(|_| (text_for(rng), rng.next()))
+                    .collect(),
+            })
+            .collect(),
+    }
+}
+
+/// What decoding a response may allocate in one piece. Frame regions, span
+/// events and span fields are larger in memory than their smallest wire
+/// form (a region 80 B against 32, an event 72 against 28, a field 32
+/// against 10), so their vectors may take that ratio — at most 4× — of the
+/// bytes received; everything else is held to [`alloc_bound`].
+fn response_alloc_bound(msg: &Message, received: usize) -> usize {
+    match msg {
+        Message::FrameResponse { .. } | Message::TraceResponse { .. } => 4 * alloc_bound(received),
+        _ => alloc_bound(received),
+    }
+}
+
+/// `msg` as a client of `version` decodes it: the fields that dialect
+/// does not carry at their defaults.
+fn response_at(msg: &Message, version: u16) -> Message {
+    match msg.clone() {
+        Message::StatsResponse(mut r) => {
+            if version < 2 {
+                r.lod_hits = [0; 4];
+                r.lod_misses = [0; 4];
+            }
+            if version < 3 {
+                (r.shed, r.degraded, r.timed_out) = (0, 0, 0);
+                (r.drained, r.accept_backoffs, r.active_connections) = (0, 0, 0);
+            }
+            Message::StatsResponse(r)
+        }
+        Message::Error {
+            code,
+            detail,
+            retry_after_ms,
+        } => Message::Error {
+            code,
+            detail,
+            retry_after_ms: retry_after_ms.filter(|_| version >= 3),
+        },
+        Message::FrameResponse {
+            cache_hit,
+            width,
+            height,
+            regions,
+            trace_id,
+        } => Message::FrameResponse {
+            cache_hit,
+            width,
+            height,
+            regions,
+            trace_id: if version >= 5 { trace_id } else { 0 },
+        },
+        other => other,
+    }
+}
+
+#[test]
+fn response_messages_roundtrip_at_every_layout() {
+    let mut rng = Rng(0x5EED_0006);
+    for round in 0..200 {
+        let hint = (rng.below(2) == 1).then(|| rng.next() as u32);
+        let messages = [
+            Message::StatsResponse(report_for(&mut rng)),
+            Message::Error {
+                code: rng.next() as u16,
+                detail: text_for(&mut rng),
+                retry_after_ms: hint,
+            },
+            frame_response_for(&mut rng),
+        ];
+        for msg in &messages {
+            for version in MIN_VERSION..=VERSION {
+                let ctx = format!("round {round} v{version} type {}", msg.msg_type());
+                assert_request_roundtrip(msg, &response_at(msg, version), version, &ctx);
+            }
+        }
+        // the v5 message pairs: one layout, whatever the header says
+        for msg in [
+            trace_response_for(&mut rng),
+            Message::MetricsResponse {
+                text: text_for(&mut rng),
+            },
+        ] {
+            for version in 5..=VERSION {
+                let ctx = format!("round {round} v{version} type {}", msg.msg_type());
+                assert_request_roundtrip(&msg, &msg, version, &ctx);
+            }
+        }
+    }
+}
+
+/// One frame of every response layout a client still parses: stats at
+/// v1–v4+, errors with and without a retry hint at v2 and v3+, frame
+/// responses at v4 and v5+, a trace and a metrics response.
+fn response_frames() -> Vec<(String, Message, u16)> {
+    let mut rng = Rng(0x5EED_0007);
+    let stats = Message::StatsResponse(report_for(&mut rng));
+    let busy = |retry_after_ms| Message::Error {
+        code: ERR_BUSY,
+        detail: "extraction slots exhausted; retry in 40 ms".into(),
+        retry_after_ms,
+    };
+    let frame = Message::FrameResponse {
+        cache_hit: true,
+        width: 8,
+        height: 4,
+        regions: vec![region_of(&mut rng, 4, 4), region_of(&mut rng, 4, 4)],
+        trace_id: 0x0102_0304_0506_0708,
+    };
+    let trace = Message::TraceResponse {
+        found: true,
+        id: 42,
+        total_us: 1234,
+        dropped: 0,
+        events: vec![
+            TraceEvent {
+                id: 0,
+                parent: u32::MAX,
+                name: "request".into(),
+                start_us: 0,
+                dur_us: 1234,
+                fields: vec![("msg_type".into(), 1), ("version".into(), 6)],
+            },
+            TraceEvent {
+                id: 1,
+                parent: 0,
+                name: "cache".into(),
+                start_us: 3,
+                dur_us: 2,
+                fields: vec![("hit".into(), 1)],
+            },
+        ],
+    };
+    let metrics = Message::MetricsResponse {
+        text: "# TYPE requests_total counter\nrequests_total 5\n".into(),
+    };
+    let mut out = Vec::new();
+    for version in 1..=4 {
+        out.push((format!("stats v{version}"), stats.clone(), version));
+    }
+    out.push(("stats v6".into(), stats, VERSION));
+    for version in [2, 3, VERSION] {
+        out.push((format!("busy+hint v{version}"), busy(Some(40)), version));
+        out.push((format!("busy v{version}"), busy(None), version));
+    }
+    for version in [4, 5, VERSION] {
+        out.push((format!("frame v{version}"), frame.clone(), version));
+    }
+    out.push(("trace".into(), trace, VERSION));
+    out.push(("metrics".into(), metrics, VERSION));
+    out
+}
+
+/// Every single-byte corruption and every truncation of every response
+/// frame, through both readers and through the payload decoder alone
+/// (behind a valid checksum): a structured error or a well-formed message,
+/// never a panic, never an allocation past [`response_alloc_bound`]. A
+/// truncated payload decodes only where it ends exactly at an older
+/// dialect's layout (or, for free-form metrics text, anywhere).
+#[test]
+fn response_frames_survive_every_corruption_and_truncation() {
+    for (name, msg, version) in response_frames() {
+        let frame = encode_frame_at(version, &msg);
+        let msg_type = msg.msg_type();
+        let payload = &frame[HEADER_BYTES..frame.len() - 4];
+        let dialect_lens: Vec<usize> = (MIN_VERSION..=version)
+            .map(|v| encode_payload_at(v, &msg).len())
+            .collect();
+        // the debug text compares every NaN depth equal
+        let decoded = decode_both(&frame, &name).0;
+        assert_eq!(
+            format!("{decoded:?}"),
+            format!("{:?}", response_at(&msg, version)),
+            "{name}"
+        );
+        for at in 0..frame.len() {
+            for mask in [1u8, 2, 4, 8, 16, 32, 64, 128, 0xFF] {
+                let ctx = format!("{name}: byte {at} ^ {mask:#x}");
+                let mut bad = frame.clone();
+                bad[at] ^= mask;
+                let (step, largest) =
+                    largest_alloc_during(|| decode_frame_bytes(&bad, MAX_PAYLOAD));
+                assert!(
+                    largest <= response_alloc_bound(&msg, bad.len()),
+                    "{ctx}: allocated {largest} B"
+                );
+                match (step, read_frame(&mut &bad[..])) {
+                    // a payload or trailer byte: the checksum catches it
+                    (
+                        FrameStep::Frame {
+                            frame: FrameIn::Violation { code: a, .. },
+                            ..
+                        },
+                        Ok(Some(FrameIn::Violation { code: b, .. })),
+                    ) => assert_eq!(a, b, "{ctx}"),
+                    // a longer length claim: more bytes wanted / torn stream
+                    (FrameStep::NeedMore { need }, Err(_)) => assert!(need > bad.len(), "{ctx}"),
+                    // a header byte that still names a frame both accept
+                    (
+                        FrameStep::Frame {
+                            frame: FrameIn::Ok { .. },
+                            ..
+                        },
+                        Ok(Some(FrameIn::Ok { .. })),
+                    ) => assert!(at < HEADER_BYTES, "{ctx}"),
+                    (a, b) => panic!("{ctx}: readers disagree: {a:?} vs {b:?}"),
+                }
+            }
+        }
+        for at in 0..payload.len() {
+            for mask in [1u8, 2, 4, 8, 16, 32, 64, 128, 0xFF] {
+                let mut bad = payload.to_vec();
+                bad[at] ^= mask;
+                let (res, largest) = largest_alloc_during(|| decode_payload(msg_type, &bad));
+                assert!(
+                    largest <= response_alloc_bound(&msg, bad.len()),
+                    "{name}: payload byte {at} ^ {mask:#x}: allocated {largest} B"
+                );
+                if let Err(e) = res {
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{name}");
+                }
+            }
+        }
+        for cut in 0..frame.len() {
+            let ctx = format!("{name}: cut at {cut}");
+            let (step, largest) =
+                largest_alloc_during(|| decode_frame_bytes(&frame[..cut], MAX_PAYLOAD));
+            assert!(
+                largest <= response_alloc_bound(&msg, cut),
+                "{ctx}: allocated {largest} B"
+            );
+            assert!(
+                matches!(step, FrameStep::NeedMore { need } if need > cut),
+                "{ctx}: {step:?}"
+            );
+            match read_frame(&mut &frame[..cut]) {
+                Ok(None) => assert_eq!(cut, 0, "{ctx}: clean EOF only at a frame boundary"),
+                Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{ctx}"),
+                Ok(Some(f)) => panic!("{ctx}: decoded {f:?}"),
+            }
+            if (HEADER_BYTES..frame.len() - 4).contains(&cut) {
+                let body = &frame[HEADER_BYTES..cut];
+                let (res, largest) = largest_alloc_during(|| decode_payload(msg_type, body));
+                assert!(
+                    largest <= response_alloc_bound(&msg, cut),
+                    "{ctx}: allocated {largest} B"
+                );
+                let legal = dialect_lens.contains(&body.len())
+                    || matches!(msg, Message::MetricsResponse { .. });
+                match res {
+                    Ok(_) => assert!(legal, "{ctx}: a torn payload decoded"),
+                    Err(e) => {
+                        assert!(!legal, "{ctx}: an older dialect's layout refused: {e}");
+                        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+}

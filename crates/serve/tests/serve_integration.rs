@@ -504,6 +504,30 @@ fn malformed_lod_ladders_are_rejected_at_bind_not_per_request() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// There is one serving core, and it needs at least one event loop: zero
+/// is an invalid option at bind, not a core selector.
+#[test]
+fn zero_event_loops_are_rejected_at_bind() {
+    let dir = tmpdir("zero_loops");
+    let db =
+        ClusterDatabase::preprocess(&test_volume(), &dir, &PreprocessOptions::default()).unwrap();
+    match IsoServer::bind(
+        db,
+        ("127.0.0.1", 0),
+        ServeOptions {
+            reactor_threads: 0,
+            ..Default::default()
+        },
+    ) {
+        Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}"),
+        Ok(server) => {
+            server.stop();
+            panic!("reactor_threads: 0 must be rejected at bind");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn v1_clients_still_get_full_resolution() {
     // a v1 client's mesh request has no lod field and its frames say
@@ -662,146 +686,136 @@ fn raw(client: &mut Client, version: u16, msg_type: u16, payload: &[u8]) -> Mess
         .expect("a reply frame")
 }
 
-/// The server extracts with MC only, on both cores: every backend selector
+/// The server extracts with MC only: every backend selector
 /// shape (the v4 lone byte, the v5 byte + trace id, a v6 progressive
 /// request) naming another id draws `ERR_BAD_BACKEND` on a connection that
 /// stays usable, while no selector, MC's id 0 and `0xFF` ("none named") all
 /// get the MC mesh of an in-process extraction, stamped backend 0. The v4
 /// stats trailer is the derived `[hits, 0, misses, 0]`.
 #[test]
-fn only_mc_is_served_and_other_backend_ids_are_refused_on_both_cores() {
+fn only_mc_is_served_and_other_backend_ids_are_refused() {
     let iso = 127.5f32;
-    for reactor_threads in [0, 2] {
-        let dir = tmpdir(&format!("mc_only_{reactor_threads}"));
-        let opts = PreprocessOptions {
-            nodes: 2,
-            ..Default::default()
-        };
-        let served = ClusterDatabase::preprocess(&test_volume(), &dir, &opts).unwrap();
-        let truth = ClusterDatabase::<u8>::open(&dir, false)
-            .unwrap()
-            .extract(iso)
-            .unwrap()
-            .mesh;
-        let server = IsoServer::bind(
-            served,
-            ("127.0.0.1", 0),
-            ServeOptions {
-                reactor_threads,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mut client = Client::connect(server.addr()).unwrap();
-        let mesh_request = |backend| Message::MeshRequest {
-            iso,
-            region: None,
-            lod: 0,
-            backend,
-            trace_id: 0,
-        };
-        let progressive = |backend| Message::ProgressiveRequest {
-            iso,
-            lod: 0,
-            backend,
-            trace_id: 0,
-        };
-        // the v4 and v5 selector shapes, then a v6 progressive request
-        let shapes = |backend: Option<u8>| {
-            [
-                (
-                    4,
-                    MSG_MESH_REQUEST,
-                    encode_payload_at(4, &mesh_request(backend)),
-                ),
-                (
-                    5,
-                    MSG_MESH_REQUEST,
-                    encode_payload_at(5, &mesh_request(backend)),
-                ),
-                (
-                    6,
-                    MSG_PROGRESSIVE_REQUEST,
-                    encode_payload_at(6, &progressive(backend)),
-                ),
-            ]
-        };
-        let ctx = format!("reactor_threads {reactor_threads}");
+    let dir = tmpdir("mc_only");
+    let opts = PreprocessOptions {
+        nodes: 2,
+        ..Default::default()
+    };
+    let served = ClusterDatabase::preprocess(&test_volume(), &dir, &opts).unwrap();
+    let truth = ClusterDatabase::<u8>::open(&dir, false)
+        .unwrap()
+        .extract(iso)
+        .unwrap()
+        .mesh;
+    let server = IsoServer::bind(served, ("127.0.0.1", 0), ServeOptions::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mesh_request = |backend| Message::MeshRequest {
+        iso,
+        region: None,
+        lod: 0,
+        backend,
+        trace_id: 0,
+    };
+    let progressive = |backend| Message::ProgressiveRequest {
+        iso,
+        lod: 0,
+        backend,
+        trace_id: 0,
+    };
+    // the v4 and v5 selector shapes, then a v6 progressive request
+    let shapes = |backend: Option<u8>| {
+        [
+            (
+                4,
+                MSG_MESH_REQUEST,
+                encode_payload_at(4, &mesh_request(backend)),
+            ),
+            (
+                5,
+                MSG_MESH_REQUEST,
+                encode_payload_at(5, &mesh_request(backend)),
+            ),
+            (
+                6,
+                MSG_PROGRESSIVE_REQUEST,
+                encode_payload_at(6, &progressive(backend)),
+            ),
+        ]
+    };
+    let ctx = "mc only";
 
-        for id in [1u8, 9] {
-            for (version, msg_type, payload) in shapes(Some(id)) {
-                match raw(&mut client, version, msg_type, &payload) {
-                    Message::Error { code, detail, .. } => {
-                        assert_eq!(code, ERR_BAD_BACKEND, "{ctx} id {id} v{version}: {detail}");
-                        assert!(detail.contains("mc"), "{detail}");
-                        assert!(
-                            detail.contains("oociso extract --backend surfacenets"),
-                            "{detail}"
-                        );
-                    }
-                    other => panic!("{ctx} id {id} v{version}: {other:?}"),
+    for id in [1u8, 9] {
+        for (version, msg_type, payload) in shapes(Some(id)) {
+            match raw(&mut client, version, msg_type, &payload) {
+                Message::Error { code, detail, .. } => {
+                    assert_eq!(code, ERR_BAD_BACKEND, "{ctx} id {id} v{version}: {detail}");
+                    assert!(detail.contains("mc"), "{detail}");
+                    assert!(
+                        detail.contains("oociso extract --backend surfacenets"),
+                        "{detail}"
+                    );
                 }
+                other => panic!("{ctx} id {id} v{version}: {other:?}"),
             }
         }
-
-        // the connection survived every refusal: a selector-less request is
-        // the miss, then explicit 0 and 0xFF in every shape hit the same MC
-        // surface
-        let plain = client.query_mesh(iso, None).unwrap();
-        assert!(!plain.cache_hit, "{ctx}");
-        assert_same_mesh(&plain.mesh, &truth, &ctx);
-        for id in [0u8, 0xFF] {
-            for (version, msg_type, payload) in shapes(Some(id)) {
-                let ctx = format!("{ctx} id {id} v{version}");
-                match raw(&mut client, version, msg_type, &payload) {
-                    Message::MeshResponse {
-                        mesh,
-                        backend,
-                        cache_hit,
-                        ..
-                    } => {
-                        assert_eq!(backend, 0, "{ctx}");
-                        assert!(cache_hit, "{ctx}");
-                        assert_same_mesh(&mesh, &truth, &ctx);
-                    }
-                    Message::MeshChunk {
-                        last: true,
-                        level: 0,
-                        backend,
-                        body: ChunkBody::Full(mesh),
-                        ..
-                    } => {
-                        assert_eq!(backend, 0, "{ctx}");
-                        assert_same_mesh(&mesh, &truth, &ctx);
-                    }
-                    other => panic!("{ctx}: {other:?}"),
-                }
-            }
-        }
-
-        // the v4 stats trailer, read off the wire: [hits, 0] then [misses, 0]
-        let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-        std::io::Write::write_all(
-            &mut stream,
-            &encode_frame_raw(MAGIC, 4, MSG_STATS_REQUEST, &[]),
-        )
-        .unwrap();
-        let frame = read_raw_frame(&mut stream);
-        let counters: Vec<u64> = frame[HEADER_BYTES..frame.len() - 4]
-            .chunks_exact(8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-            .collect();
-        let (hits, misses) = (counters[6], counters[7]);
-        assert_eq!((hits, misses), (6, 1), "{ctx}");
-        assert_eq!(
-            counters[counters.len() - 4..],
-            [hits, 0, misses, 0],
-            "{ctx}"
-        );
-
-        server.stop();
-        std::fs::remove_dir_all(&dir).ok();
     }
+
+    // the connection survived every refusal: a selector-less request is
+    // the miss, then explicit 0 and 0xFF in every shape hit the same MC
+    // surface
+    let plain = client.query_mesh(iso, None).unwrap();
+    assert!(!plain.cache_hit, "{ctx}");
+    assert_same_mesh(&plain.mesh, &truth, ctx);
+    for id in [0u8, 0xFF] {
+        for (version, msg_type, payload) in shapes(Some(id)) {
+            let ctx = format!("{ctx} id {id} v{version}");
+            match raw(&mut client, version, msg_type, &payload) {
+                Message::MeshResponse {
+                    mesh,
+                    backend,
+                    cache_hit,
+                    ..
+                } => {
+                    assert_eq!(backend, 0, "{ctx}");
+                    assert!(cache_hit, "{ctx}");
+                    assert_same_mesh(&mesh, &truth, &ctx);
+                }
+                Message::MeshChunk {
+                    last: true,
+                    level: 0,
+                    backend,
+                    body: ChunkBody::Full(mesh),
+                    ..
+                } => {
+                    assert_eq!(backend, 0, "{ctx}");
+                    assert_same_mesh(&mesh, &truth, &ctx);
+                }
+                other => panic!("{ctx}: {other:?}"),
+            }
+        }
+    }
+
+    // the v4 stats trailer, read off the wire: [hits, 0] then [misses, 0]
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    std::io::Write::write_all(
+        &mut stream,
+        &encode_frame_raw(MAGIC, 4, MSG_STATS_REQUEST, &[]),
+    )
+    .unwrap();
+    let frame = read_raw_frame(&mut stream);
+    let counters: Vec<u64> = frame[HEADER_BYTES..frame.len() - 4]
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+        .collect();
+    let (hits, misses) = (counters[6], counters[7]);
+    assert_eq!((hits, misses), (6, 1), "{ctx}");
+    assert_eq!(
+        counters[counters.len() - 4..],
+        [hits, 0, misses, 0],
+        "{ctx}"
+    );
+
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -32,41 +32,6 @@ fn test_volume() -> Volume<u8> {
     SphereField::centered(0.32, 128.0).sample(Dims3::cube(29))
 }
 
-/// Which serving core a scenario exercises. Every server-side fault
-/// scenario in this suite runs against both cores with the *same*
-/// assertions — the reactor's overload/fault semantics are required to be
-/// indistinguishable from the threaded core's.
-#[derive(Clone, Copy, Debug)]
-enum Core {
-    Threaded,
-    #[cfg(target_os = "linux")]
-    Reactor,
-}
-
-impl Core {
-    fn options(self, opts: ServeOptions) -> ServeOptions {
-        match self {
-            Core::Threaded => ServeOptions {
-                reactor_threads: 0,
-                ..opts
-            },
-            #[cfg(target_os = "linux")]
-            Core::Reactor => ServeOptions {
-                reactor_threads: 2,
-                ..opts
-            },
-        }
-    }
-
-    fn suffix(self) -> &'static str {
-        match self {
-            Core::Threaded => "threaded",
-            #[cfg(target_os = "linux")]
-            Core::Reactor => "reactor",
-        }
-    }
-}
-
 /// A 1-node database on disk plus an independent direct-access handle on
 /// the same directory for ground truth.
 fn build_db(name: &str) -> (PathBuf, ClusterDatabase<u8>, ClusterDatabase<u8>) {
@@ -111,15 +76,16 @@ fn assert_same_mesh(a: &IndexedMesh, b: &IndexedMesh, ctx: &str) {
 /// reply must be a bit-correct mesh or an honest `ERR_BUSY` carrying a
 /// retry hint — and the server's shed counter must reconcile exactly with
 /// the busy replies the clients counted.
-fn storm_with_two_slots_scenario(core: Core) {
-    let (dir, served, direct) = build_db(&format!("chaos_storm_{}", core.suffix()));
+#[test]
+fn storm_with_two_slots_never_serves_a_wrong_mesh() {
+    let (dir, served, direct) = build_db("chaos_storm");
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        core.options(ServeOptions {
+        ServeOptions {
             extraction_slots: Some(2),
             ..Default::default()
-        }),
+        },
     )
     .unwrap();
     let addr = server.addr();
@@ -176,30 +142,20 @@ fn storm_with_two_slots_scenario(core: Core) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn storm_with_two_slots_never_serves_a_wrong_mesh() {
-    storm_with_two_slots_scenario(Core::Threaded);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn storm_with_two_slots_never_serves_a_wrong_mesh_reactor() {
-    storm_with_two_slots_scenario(Core::Reactor);
-}
-
 /// `extraction_slots: Some(0)` sheds every miss deterministically — the
 /// read-only-replica configuration, and the exact-count anchor for the
 /// shed counter and the retry hint's clamp window (which the cold-start
 /// hint, EWMA with zero samples, must sit at the floor of).
-fn zero_slots_scenario(core: Core) {
-    let (dir, served, _direct) = build_db(&format!("chaos_zeroslots_{}", core.suffix()));
+#[test]
+fn zero_slots_shed_every_miss_with_retry_hint() {
+    let (dir, served, _direct) = build_db("chaos_zeroslots");
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        core.options(ServeOptions {
+        ServeOptions {
             extraction_slots: Some(0),
             ..Default::default()
-        }),
+        },
     )
     .unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
@@ -222,23 +178,13 @@ fn zero_slots_scenario(core: Core) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn zero_slots_shed_every_miss_with_retry_hint() {
-    zero_slots_scenario(Core::Threaded);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn zero_slots_shed_every_miss_with_retry_hint_reactor() {
-    zero_slots_scenario(Core::Reactor);
-}
-
 /// Graceful degradation: a miss that cannot win the (single, occupied)
 /// extraction slot is served from the cached coarser LOD of the same
 /// isovalue — flagged `degraded`, with the `served_lod` it actually got,
 /// and bit-identical to what that level serves normally.
-fn degraded_fallback_scenario(core: Core) {
-    let (dir, mut served, direct) = build_db(&format!("chaos_degrade_{}", core.suffix()));
+#[test]
+fn degraded_fallback_serves_flagged_cached_coarser_lod() {
+    let (dir, mut served, direct) = build_db("chaos_degrade");
     // slow extraction (~0.5 s) so another request reliably arrives while
     // the only slot is held
     throttle_db(&dir, &mut served, 1.0);
@@ -251,13 +197,13 @@ fn degraded_fallback_scenario(core: Core) {
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        core.options(ServeOptions {
+        ServeOptions {
             cache_bytes: full_bytes - 1,
             lod_ratios: vec![0.25, 0.06],
             extraction_slots: Some(1),
             degrade: true,
             ..Default::default()
-        }),
+        },
     )
     .unwrap();
     let addr = server.addr();
@@ -295,29 +241,19 @@ fn degraded_fallback_scenario(core: Core) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn degraded_fallback_serves_flagged_cached_coarser_lod() {
-    degraded_fallback_scenario(Core::Threaded);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn degraded_fallback_serves_flagged_cached_coarser_lod_reactor() {
-    degraded_fallback_scenario(Core::Reactor);
-}
-
 /// The connection cap: an over-cap connection gets one structured
 /// `ERR_BUSY` and a close — never a silent drop — and the capped server
 /// keeps serving its admitted client.
-fn connection_cap_scenario(core: Core) {
-    let (dir, served, _direct) = build_db(&format!("chaos_conncap_{}", core.suffix()));
+#[test]
+fn connection_cap_sheds_overflow_with_busy() {
+    let (dir, served, _direct) = build_db("chaos_conncap");
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        core.options(ServeOptions {
+        ServeOptions {
             max_connections: Some(1),
             ..Default::default()
-        }),
+        },
     )
     .unwrap();
     let addr = server.addr();
@@ -343,22 +279,12 @@ fn connection_cap_scenario(core: Core) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn connection_cap_sheds_overflow_with_busy() {
-    connection_cap_scenario(Core::Threaded);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn connection_cap_sheds_overflow_with_busy_reactor() {
-    connection_cap_scenario(Core::Reactor);
-}
-
 /// A disk fault mid-extraction surfaces as a structured `ERR_INTERNAL` —
 /// and the server stays healthy: the connection survives, the extraction
 /// slot is released, and the same query succeeds once the disk heals.
-fn disk_fault_scenario(core: Core) {
-    let (dir, mut served, direct) = build_db(&format!("chaos_diskfault_{}", core.suffix()));
+#[test]
+fn injected_disk_fault_surfaces_as_err_internal_and_server_heals() {
+    let (dir, mut served, direct) = build_db("chaos_diskfault");
     let bricks = std::fs::read(DiskFarm::new(&dir, 1).store_path(0)).unwrap();
     served.replace_store(
         0,
@@ -370,11 +296,11 @@ fn disk_fault_scenario(core: Core) {
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        core.options(ServeOptions {
+        ServeOptions {
             // a single slot proves the failed extraction released it
             extraction_slots: Some(1),
             ..Default::default()
-        }),
+        },
     )
     .unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
@@ -394,31 +320,16 @@ fn disk_fault_scenario(core: Core) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn injected_disk_fault_surfaces_as_err_internal_and_server_heals() {
-    disk_fault_scenario(Core::Threaded);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn injected_disk_fault_surfaces_as_err_internal_and_server_heals_reactor() {
-    disk_fault_scenario(Core::Reactor);
-}
-
 /// Drain under load: every request accepted before the drain started gets
 /// its full, bit-correct reply — zero are dropped, shed, or timed out —
 /// and the listener is gone afterwards.
-fn drain_under_load_scenario(core: Core) {
-    let (dir, mut served, direct) = build_db(&format!("chaos_drain_{}", core.suffix()));
+#[test]
+fn drain_under_load_completes_all_accepted_requests() {
+    let (dir, mut served, direct) = build_db("chaos_drain");
     // ~0.5 s per extraction: all six requests are still in flight when
     // the drain begins
     throttle_db(&dir, &mut served, 1.0);
-    let server = IsoServer::bind(
-        served,
-        ("127.0.0.1", 0),
-        core.options(ServeOptions::default()),
-    )
-    .unwrap();
+    let server = IsoServer::bind(served, ("127.0.0.1", 0), ServeOptions::default()).unwrap();
     let addr = server.addr();
     let isovalues = [80.0f32, 90.0, 100.0, 110.0, 120.0, 130.0];
 
@@ -455,28 +366,13 @@ fn drain_under_load_scenario(core: Core) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn drain_under_load_completes_all_accepted_requests() {
-    drain_under_load_scenario(Core::Threaded);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn drain_under_load_completes_all_accepted_requests_reactor() {
-    drain_under_load_scenario(Core::Reactor);
-}
-
 /// The retrying client converges through a scripted flaky transport: a
 /// mid-frame truncation, then a refused connection, then a clean one —
 /// one `query_mesh` call, a bit-correct result, exactly three connections.
-fn retrying_client_scenario(core: Core) {
-    let (dir, served, direct) = build_db(&format!("chaos_retry_{}", core.suffix()));
-    let server = IsoServer::bind(
-        served,
-        ("127.0.0.1", 0),
-        core.options(ServeOptions::default()),
-    )
-    .unwrap();
+#[test]
+fn retrying_client_converges_through_flaky_transport() {
+    let (dir, served, direct) = build_db("chaos_retry");
+    let server = IsoServer::bind(served, ("127.0.0.1", 0), ServeOptions::default()).unwrap();
     // warm the cache through a direct connection so proxied attempts are fast
     let truth = direct.extract(120.0).unwrap().mesh;
     Client::connect(server.addr())
@@ -515,17 +411,6 @@ fn retrying_client_scenario(core: Core) {
     proxy.stop();
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn retrying_client_converges_through_flaky_transport() {
-    retrying_client_scenario(Core::Threaded);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn retrying_client_converges_through_flaky_transport_reactor() {
-    retrying_client_scenario(Core::Reactor);
 }
 
 /// `ERR_BUSY` replies drive the client's backoff (honoring the server's
@@ -630,15 +515,16 @@ fn request_deadline_surfaces_as_timed_out() {
 /// Slowloris defense: a peer that starts a frame and stalls is cut off by
 /// the read deadline (counted `timed_out`), and the server keeps serving
 /// well-behaved clients.
-fn slowloris_scenario(core: Core) {
-    let (dir, served, _direct) = build_db(&format!("chaos_slowloris_{}", core.suffix()));
+#[test]
+fn slowloris_peer_is_disconnected_and_server_keeps_serving() {
+    let (dir, served, _direct) = build_db("chaos_slowloris");
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        core.options(ServeOptions {
+        ServeOptions {
             read_timeout: Some(Duration::from_millis(100)),
             ..Default::default()
-        }),
+        },
     )
     .unwrap();
     let addr = server.addr();
@@ -670,17 +556,6 @@ fn slowloris_scenario(core: Core) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn slowloris_peer_is_disconnected_and_server_keeps_serving() {
-    slowloris_scenario(Core::Threaded);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn slowloris_peer_is_disconnected_and_server_keeps_serving_reactor() {
-    slowloris_scenario(Core::Reactor);
-}
-
 /// Exact-token lookup in a Prometheus text exposition: `name value` lines
 /// only, so `speculative_hits_total` never matches a longer sibling.
 fn metric_value(exposition: &str, name: &str) -> u64 {
@@ -697,16 +572,17 @@ fn metric_value(exposition: &str, name: &str) -> u64 {
 /// warms `v ± δ` on idle slots, so the next scrub stops are cache hits —
 /// bit-identical to direct extraction — and the warming added zero sheds
 /// and zero degraded serves.
-fn warmed_scrub_scenario(core: Core) {
-    let (dir, served, direct) = build_db(&format!("chaos_warmscrub_{}", core.suffix()));
+#[test]
+fn warmed_scrub_hits_speculative_entries_without_shedding() {
+    let (dir, served, direct) = build_db("chaos_warmscrub");
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        core.options(ServeOptions {
+        ServeOptions {
             warm_delta: Some(10.0),
             extraction_slots: Some(2),
             ..Default::default()
-        }),
+        },
     )
     .unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
@@ -757,17 +633,6 @@ fn warmed_scrub_scenario(core: Core) {
     assert_eq!(report.degraded, 0);
     assert_eq!(report.errors, 0);
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn warmed_scrub_hits_speculative_entries_without_shedding() {
-    warmed_scrub_scenario(Core::Threaded);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn warmed_scrub_hits_speculative_entries_without_shedding_reactor() {
-    warmed_scrub_scenario(Core::Reactor);
 }
 
 /// Regression: a busy reply hinting `retry_after_ms: 0` (or carrying no
