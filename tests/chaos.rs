@@ -32,6 +32,37 @@ fn test_volume() -> Volume<u8> {
     SphereField::centered(0.32, 128.0).sample(Dims3::cube(29))
 }
 
+/// Which event-loop layout a scenario's server runs. Every server-side
+/// fault scenario in this suite runs under both layouts with the *same*
+/// assertions: a single event loop that owns every connection, and the
+/// default two loops that share one listener (the `_reactor` tests).
+/// Overload and fault semantics must not depend on how connections are
+/// spread across loops.
+#[derive(Clone, Copy, Debug)]
+enum Loops {
+    One,
+    Two,
+}
+
+impl Loops {
+    fn options(self, opts: ServeOptions) -> ServeOptions {
+        ServeOptions {
+            reactor_threads: match self {
+                Loops::One => 1,
+                Loops::Two => 2,
+            },
+            ..opts
+        }
+    }
+
+    fn suffix(self) -> &'static str {
+        match self {
+            Loops::One => "oneloop",
+            Loops::Two => "twoloops",
+        }
+    }
+}
+
 /// A 1-node database on disk plus an independent direct-access handle on
 /// the same directory for ground truth.
 fn build_db(name: &str) -> (PathBuf, ClusterDatabase<u8>, ClusterDatabase<u8>) {
@@ -76,16 +107,15 @@ fn assert_same_mesh(a: &IndexedMesh, b: &IndexedMesh, ctx: &str) {
 /// reply must be a bit-correct mesh or an honest `ERR_BUSY` carrying a
 /// retry hint — and the server's shed counter must reconcile exactly with
 /// the busy replies the clients counted.
-#[test]
-fn storm_with_two_slots_never_serves_a_wrong_mesh() {
-    let (dir, served, direct) = build_db("chaos_storm");
+fn storm_with_two_slots_scenario(loops: Loops) {
+    let (dir, served, direct) = build_db(&format!("chaos_storm_{}", loops.suffix()));
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        ServeOptions {
+        loops.options(ServeOptions {
             extraction_slots: Some(2),
             ..Default::default()
-        },
+        }),
     )
     .unwrap();
     let addr = server.addr();
@@ -142,20 +172,29 @@ fn storm_with_two_slots_never_serves_a_wrong_mesh() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn storm_with_two_slots_never_serves_a_wrong_mesh() {
+    storm_with_two_slots_scenario(Loops::One);
+}
+
+#[test]
+fn storm_with_two_slots_never_serves_a_wrong_mesh_reactor() {
+    storm_with_two_slots_scenario(Loops::Two);
+}
+
 /// `extraction_slots: Some(0)` sheds every miss deterministically — the
 /// read-only-replica configuration, and the exact-count anchor for the
 /// shed counter and the retry hint's clamp window (which the cold-start
 /// hint, EWMA with zero samples, must sit at the floor of).
-#[test]
-fn zero_slots_shed_every_miss_with_retry_hint() {
-    let (dir, served, _direct) = build_db("chaos_zeroslots");
+fn zero_slots_scenario(loops: Loops) {
+    let (dir, served, _direct) = build_db(&format!("chaos_zeroslots_{}", loops.suffix()));
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        ServeOptions {
+        loops.options(ServeOptions {
             extraction_slots: Some(0),
             ..Default::default()
-        },
+        }),
     )
     .unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
@@ -178,13 +217,22 @@ fn zero_slots_shed_every_miss_with_retry_hint() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn zero_slots_shed_every_miss_with_retry_hint() {
+    zero_slots_scenario(Loops::One);
+}
+
+#[test]
+fn zero_slots_shed_every_miss_with_retry_hint_reactor() {
+    zero_slots_scenario(Loops::Two);
+}
+
 /// Graceful degradation: a miss that cannot win the (single, occupied)
 /// extraction slot is served from the cached coarser LOD of the same
 /// isovalue — flagged `degraded`, with the `served_lod` it actually got,
 /// and bit-identical to what that level serves normally.
-#[test]
-fn degraded_fallback_serves_flagged_cached_coarser_lod() {
-    let (dir, mut served, direct) = build_db("chaos_degrade");
+fn degraded_fallback_scenario(loops: Loops) {
+    let (dir, mut served, direct) = build_db(&format!("chaos_degrade_{}", loops.suffix()));
     // slow extraction (~0.5 s) so another request reliably arrives while
     // the only slot is held
     throttle_db(&dir, &mut served, 1.0);
@@ -197,13 +245,13 @@ fn degraded_fallback_serves_flagged_cached_coarser_lod() {
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        ServeOptions {
+        loops.options(ServeOptions {
             cache_bytes: full_bytes - 1,
             lod_ratios: vec![0.25, 0.06],
             extraction_slots: Some(1),
             degrade: true,
             ..Default::default()
-        },
+        }),
     )
     .unwrap();
     let addr = server.addr();
@@ -241,19 +289,28 @@ fn degraded_fallback_serves_flagged_cached_coarser_lod() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn degraded_fallback_serves_flagged_cached_coarser_lod() {
+    degraded_fallback_scenario(Loops::One);
+}
+
+#[test]
+fn degraded_fallback_serves_flagged_cached_coarser_lod_reactor() {
+    degraded_fallback_scenario(Loops::Two);
+}
+
 /// The connection cap: an over-cap connection gets one structured
 /// `ERR_BUSY` and a close — never a silent drop — and the capped server
 /// keeps serving its admitted client.
-#[test]
-fn connection_cap_sheds_overflow_with_busy() {
-    let (dir, served, _direct) = build_db("chaos_conncap");
+fn connection_cap_scenario(loops: Loops) {
+    let (dir, served, _direct) = build_db(&format!("chaos_conncap_{}", loops.suffix()));
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        ServeOptions {
+        loops.options(ServeOptions {
             max_connections: Some(1),
             ..Default::default()
-        },
+        }),
     )
     .unwrap();
     let addr = server.addr();
@@ -279,12 +336,21 @@ fn connection_cap_sheds_overflow_with_busy() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn connection_cap_sheds_overflow_with_busy() {
+    connection_cap_scenario(Loops::One);
+}
+
+#[test]
+fn connection_cap_sheds_overflow_with_busy_reactor() {
+    connection_cap_scenario(Loops::Two);
+}
+
 /// A disk fault mid-extraction surfaces as a structured `ERR_INTERNAL` —
 /// and the server stays healthy: the connection survives, the extraction
 /// slot is released, and the same query succeeds once the disk heals.
-#[test]
-fn injected_disk_fault_surfaces_as_err_internal_and_server_heals() {
-    let (dir, mut served, direct) = build_db("chaos_diskfault");
+fn disk_fault_scenario(loops: Loops) {
+    let (dir, mut served, direct) = build_db(&format!("chaos_diskfault_{}", loops.suffix()));
     let bricks = std::fs::read(DiskFarm::new(&dir, 1).store_path(0)).unwrap();
     served.replace_store(
         0,
@@ -296,11 +362,11 @@ fn injected_disk_fault_surfaces_as_err_internal_and_server_heals() {
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        ServeOptions {
+        loops.options(ServeOptions {
             // a single slot proves the failed extraction released it
             extraction_slots: Some(1),
             ..Default::default()
-        },
+        }),
     )
     .unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
@@ -320,16 +386,30 @@ fn injected_disk_fault_surfaces_as_err_internal_and_server_heals() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn injected_disk_fault_surfaces_as_err_internal_and_server_heals() {
+    disk_fault_scenario(Loops::One);
+}
+
+#[test]
+fn injected_disk_fault_surfaces_as_err_internal_and_server_heals_reactor() {
+    disk_fault_scenario(Loops::Two);
+}
+
 /// Drain under load: every request accepted before the drain started gets
 /// its full, bit-correct reply — zero are dropped, shed, or timed out —
 /// and the listener is gone afterwards.
-#[test]
-fn drain_under_load_completes_all_accepted_requests() {
-    let (dir, mut served, direct) = build_db("chaos_drain");
+fn drain_under_load_scenario(loops: Loops) {
+    let (dir, mut served, direct) = build_db(&format!("chaos_drain_{}", loops.suffix()));
     // ~0.5 s per extraction: all six requests are still in flight when
     // the drain begins
     throttle_db(&dir, &mut served, 1.0);
-    let server = IsoServer::bind(served, ("127.0.0.1", 0), ServeOptions::default()).unwrap();
+    let server = IsoServer::bind(
+        served,
+        ("127.0.0.1", 0),
+        loops.options(ServeOptions::default()),
+    )
+    .unwrap();
     let addr = server.addr();
     let isovalues = [80.0f32, 90.0, 100.0, 110.0, 120.0, 130.0];
 
@@ -366,13 +446,27 @@ fn drain_under_load_completes_all_accepted_requests() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn drain_under_load_completes_all_accepted_requests() {
+    drain_under_load_scenario(Loops::One);
+}
+
+#[test]
+fn drain_under_load_completes_all_accepted_requests_reactor() {
+    drain_under_load_scenario(Loops::Two);
+}
+
 /// The retrying client converges through a scripted flaky transport: a
 /// mid-frame truncation, then a refused connection, then a clean one —
 /// one `query_mesh` call, a bit-correct result, exactly three connections.
-#[test]
-fn retrying_client_converges_through_flaky_transport() {
-    let (dir, served, direct) = build_db("chaos_retry");
-    let server = IsoServer::bind(served, ("127.0.0.1", 0), ServeOptions::default()).unwrap();
+fn retrying_client_scenario(loops: Loops) {
+    let (dir, served, direct) = build_db(&format!("chaos_retry_{}", loops.suffix()));
+    let server = IsoServer::bind(
+        served,
+        ("127.0.0.1", 0),
+        loops.options(ServeOptions::default()),
+    )
+    .unwrap();
     // warm the cache through a direct connection so proxied attempts are fast
     let truth = direct.extract(120.0).unwrap().mesh;
     Client::connect(server.addr())
@@ -411,6 +505,16 @@ fn retrying_client_converges_through_flaky_transport() {
     proxy.stop();
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn retrying_client_converges_through_flaky_transport() {
+    retrying_client_scenario(Loops::One);
+}
+
+#[test]
+fn retrying_client_converges_through_flaky_transport_reactor() {
+    retrying_client_scenario(Loops::Two);
 }
 
 /// `ERR_BUSY` replies drive the client's backoff (honoring the server's
@@ -515,16 +619,15 @@ fn request_deadline_surfaces_as_timed_out() {
 /// Slowloris defense: a peer that starts a frame and stalls is cut off by
 /// the read deadline (counted `timed_out`), and the server keeps serving
 /// well-behaved clients.
-#[test]
-fn slowloris_peer_is_disconnected_and_server_keeps_serving() {
-    let (dir, served, _direct) = build_db("chaos_slowloris");
+fn slowloris_scenario(loops: Loops) {
+    let (dir, served, _direct) = build_db(&format!("chaos_slowloris_{}", loops.suffix()));
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        ServeOptions {
+        loops.options(ServeOptions {
             read_timeout: Some(Duration::from_millis(100)),
             ..Default::default()
-        },
+        }),
     )
     .unwrap();
     let addr = server.addr();
@@ -556,6 +659,16 @@ fn slowloris_peer_is_disconnected_and_server_keeps_serving() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn slowloris_peer_is_disconnected_and_server_keeps_serving() {
+    slowloris_scenario(Loops::One);
+}
+
+#[test]
+fn slowloris_peer_is_disconnected_and_server_keeps_serving_reactor() {
+    slowloris_scenario(Loops::Two);
+}
+
 /// Exact-token lookup in a Prometheus text exposition: `name value` lines
 /// only, so `speculative_hits_total` never matches a longer sibling.
 fn metric_value(exposition: &str, name: &str) -> u64 {
@@ -572,17 +685,16 @@ fn metric_value(exposition: &str, name: &str) -> u64 {
 /// warms `v ± δ` on idle slots, so the next scrub stops are cache hits —
 /// bit-identical to direct extraction — and the warming added zero sheds
 /// and zero degraded serves.
-#[test]
-fn warmed_scrub_hits_speculative_entries_without_shedding() {
-    let (dir, served, direct) = build_db("chaos_warmscrub");
+fn warmed_scrub_scenario(loops: Loops) {
+    let (dir, served, direct) = build_db(&format!("chaos_warmscrub_{}", loops.suffix()));
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        ServeOptions {
+        loops.options(ServeOptions {
             warm_delta: Some(10.0),
             extraction_slots: Some(2),
             ..Default::default()
-        },
+        }),
     )
     .unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
@@ -633,6 +745,16 @@ fn warmed_scrub_hits_speculative_entries_without_shedding() {
     assert_eq!(report.degraded, 0);
     assert_eq!(report.errors, 0);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn warmed_scrub_hits_speculative_entries_without_shedding() {
+    warmed_scrub_scenario(Loops::One);
+}
+
+#[test]
+fn warmed_scrub_hits_speculative_entries_without_shedding_reactor() {
+    warmed_scrub_scenario(Loops::Two);
 }
 
 /// Regression: a busy reply hinting `retry_after_ms: 0` (or carrying no
