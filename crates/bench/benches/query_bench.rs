@@ -1,8 +1,7 @@
 //! Criterion: end-to-end cluster extraction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use oociso_cluster::{Cluster, ClusterBuildOptions, ExtractMode, ExtractOptions};
-use oociso_exio::{DiskFarm, MemDevice, RecordStore, ThrottledDevice};
+use oociso_cluster::{Cluster, ClusterBuildOptions};
 use oociso_volume::{Dims3, RmProxy};
 use std::time::Duration;
 
@@ -86,66 +85,6 @@ fn bench_worker_scaling(c: &mut Criterion) {
             BenchmarkId::new("extract_1node", workers),
             &workers,
             |b, &w| b.iter(|| cluster.extract_with_workers(110.0, w).unwrap()),
-        );
-    }
-    group.finish();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-fn bench_pipeline_overlap(c: &mut Criterion) {
-    // streaming vs batch over a throttled store (paper-ish slow disk): the
-    // streaming pipeline hides triangulation inside the transfer time, so its
-    // wall-clock approaches max(retrieval, triangulation) while the batch
-    // path pays the phase-serial sum
-    let dims = Dims3::new(96, 96, 90);
-    let vol = RmProxy::with_seed(7).volume(200, dims);
-    let dir = std::env::temp_dir().join(format!("oociso_qbench_ov_{}", std::process::id()));
-    let (mut cluster, _) = Cluster::build(
-        &vol,
-        &dir,
-        1,
-        &ClusterBuildOptions {
-            metacell_k: 9,
-            mmap: false,
-        },
-    )
-    .unwrap();
-    let bricks = std::fs::read(DiskFarm::new(&dir, 1).store_path(0)).unwrap();
-    // ~25 MB/s + 0.5 ms/call keeps a full sample run in seconds while still
-    // dominating the measured extraction
-    cluster.replace_store(
-        0,
-        RecordStore::from_device(Box::new(ThrottledDevice::new(
-            MemDevice::new(bricks),
-            Duration::from_micros(500),
-            25.0e6,
-        ))),
-    );
-    let tris = cluster.extract(110.0).unwrap().report.total_triangles();
-    let mut group = c.benchmark_group("pipeline_overlap");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(tris));
-    for (name, mode) in [
-        ("batch", ExtractMode::Batch),
-        ("streaming", ExtractMode::default()),
-    ] {
-        group.bench_with_input(
-            BenchmarkId::new("throttled_extract", name),
-            &mode,
-            |b, &mode| {
-                b.iter(|| {
-                    cluster
-                        .extract_with_options(
-                            110.0,
-                            &ExtractOptions {
-                                workers: Some(1),
-                                mode,
-                                ..Default::default()
-                            },
-                        )
-                        .unwrap()
-                })
-            },
         );
     }
     group.finish();
@@ -439,7 +378,6 @@ criterion_group!(
     bench_extract,
     bench_isovalue_sensitivity,
     bench_worker_scaling,
-    bench_pipeline_overlap,
     bench_decimate,
     bench_admission_storm,
     bench_metrics_overhead,

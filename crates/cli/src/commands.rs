@@ -16,7 +16,7 @@ USAGE:
   oociso preprocess --volume FILE --db DIR [--nodes N] [--metacell K]
   oociso info       --db DIR
   oociso extract    --db DIR --iso V [--backend mc|surfacenets] [--obj FILE]
-                    [--topology] [--no-weld] [--decimate RATIO]
+                    [--topology] [--decimate RATIO]
   oociso render     --db DIR --iso V --out FILE.ppm [--size N] [--tiles CxR]
   oociso serve      --db DIR [--addr 127.0.0.1:7077] [--cache-mb N] [--port-file FILE]
                     [--lods R1,R2|none] [--slots N]
@@ -71,7 +71,7 @@ pub const COMMANDS: &[(&str, Command, &[&str])] = &[
     ("gen", gen, &["out", "dims", "step", "seed", "field"]),
     ("preprocess", preprocess, &["volume", "db", "nodes", "metacell"]),
     ("info", info, &["db"]),
-    ("extract", extract, &["db", "iso", "backend", "obj", "topology", "no-weld", "decimate"]),
+    ("extract", extract, &["db", "iso", "backend", "obj", "topology", "decimate"]),
     ("render", render, &["db", "iso", "out", "size", "tiles"]),
     ("serve", serve, &[
         "db", "addr", "cache-mb", "port-file", "lods", "slots", "max-conns", "degrade",
@@ -216,10 +216,6 @@ pub fn extract(opts: &Options) -> Result<(), String> {
         return Err("missing required option --iso".into());
     }
     let db = ClusterDatabase::<u8>::open(Path::new(db_dir), true).map_err(err)?;
-    // welding is the default: the exported/analyzed mesh is watertight across
-    // metacell and node seams; --no-weld keeps the raw per-metacell merge
-    // (SurfaceNets never welds: its vertices are globally unique by cell)
-    let weld = !opts.flag("no-weld");
     // `--backend mc|surfacenets`: default MC, matching the library default
     let backend: oociso_march::Backend = match opts.get("backend") {
         None => oociso_march::Backend::Mc,
@@ -229,7 +225,6 @@ pub fn extract(opts: &Options) -> Result<(), String> {
         .extract_with_options(
             iso,
             &oociso_cluster::ExtractOptions {
-                weld,
                 backend,
                 ..Default::default()
             },
@@ -265,7 +260,9 @@ pub fn extract(opts: &Options) -> Result<(), String> {
         r.total_io().seeks,
         r.bytes_per_active_byte()
     );
-    if weld && backend == oociso_march::Backend::Mc {
+    // MC welds metacell and node seams, so the exported/analyzed mesh is
+    // watertight; SurfaceNets never welds (its vertices are unique by cell)
+    if backend == oociso_march::Backend::Mc {
         let w = r.total_weld();
         // the node welds overlap one another, so the share of the wall is
         // the critical path's, not the CPU-style sum's
@@ -712,7 +709,7 @@ mod tests {
             "gen --out v.vol --dims 64x64x60 --step 250 --seed 7 --field ball",
             "preprocess --volume v.vol --db db --nodes 2 --metacell 9",
             "info --db db",
-            "extract --db db --iso 190 --backend surfacenets --obj s.obj --topology --no-weld --decimate 0.25",
+            "extract --db db --iso 190 --backend surfacenets --obj s.obj --topology --decimate 0.25",
             "render --db db --iso 190 --out i.ppm --size 256 --tiles 2x2",
             "serve --db db --addr 127.0.0.1:0 --cache-mb 64 --port-file p --lods 0.25,0.06 \
              --slots 2 --max-conns 8 --degrade --warm-delta 10 \
@@ -761,10 +758,15 @@ mod tests {
             check("serve --db db --slot 2"),
             Err("unknown option --slot for serve".into())
         );
-        // there is one serving core: the old core selectors are refused
+        // there is one serving core and one extraction path: the old
+        // selectors are refused
         assert_eq!(
             check("serve --db db --threaded"),
             Err("unknown option --threaded for serve".into())
+        );
+        assert_eq!(
+            check("extract --db db --iso 190 --no-weld"),
+            Err("unknown option --no-weld for extract".into())
         );
     }
 }

@@ -3,7 +3,7 @@
 use crate::meta::ClusterMeta;
 use crate::timing::{NodeReport, QueryReport};
 use oociso_exio::{BoundedQueue, DiskFarm, RecordStore, WriteAt};
-use oociso_itree::plan::{execute_plan_at, ExecStats, QueryPlan};
+use oociso_itree::plan::{execute_plan_at, ExecStats};
 use oociso_itree::{persist, CompactIntervalTree, MetacellRecordFormat};
 use oociso_march::mc::McStats;
 use oociso_march::weld::WeldStats;
@@ -40,39 +40,12 @@ impl Default for ClusterBuildOptions {
     }
 }
 
-/// Default bound (in full-metacell records of work) of the
-/// retrieval→triangulation queue. It must hold one run-reader refill's
-/// records (`STREAM_CHUNK`, 32 KiB, is 100–140 packed u8 metacells on smooth
-/// fields), or the producer blocks mid-refill and the device idles while the
-/// workers catch up. Staging stays tens of KB, what 64 raw records took.
-pub const DEFAULT_QUEUE_RECORDS: usize = 192;
-
-/// How active-metacell records flow from retrieval (phase (i)) into
-/// triangulation (phase (ii)).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExtractMode {
-    /// Stream each record into the worker pool through a bounded queue as the
-    /// plan executes: disk and cores overlap, peak staging memory is the
-    /// queue bound, and per-record granularity load-balances dense metacells
-    /// across workers. Output is bit-identical to [`ExtractMode::Batch`] via
-    /// sequence-ordered merging.
-    Streaming {
-        /// Queue bound in records (`usize::MAX` ≈ unbounded).
-        queue_records: usize,
-    },
-    /// Retrieve the whole record batch into memory, then split it into
-    /// contiguous per-worker chunks — the phase-serial reference path, kept
-    /// for equivalence tests and overlap benchmarks.
-    Batch,
-}
-
-impl Default for ExtractMode {
-    fn default() -> Self {
-        ExtractMode::Streaming {
-            queue_records: DEFAULT_QUEUE_RECORDS,
-        }
-    }
-}
+/// Bound (in full-metacell records of work) of the retrieval→triangulation
+/// queue. It must hold one run-reader refill's records (`STREAM_CHUNK`,
+/// 32 KiB, is 100–140 packed u8 metacells on smooth fields), or the producer
+/// blocks mid-refill and the device idles while the workers catch up.
+/// Staging stays tens of KB, what 64 raw records took.
+pub const QUEUE_RECORDS: usize = 192;
 
 /// LOD pyramid request: vertex-count targets of the extra levels, each a
 /// fraction of the full-resolution vertex count, strictly decreasing (the
@@ -109,24 +82,16 @@ pub struct ExtractOptions {
     /// Per-node worker count (`None` → cores ÷ nodes, see
     /// [`Cluster::extract`]).
     pub workers: Option<usize>,
-    /// Record flow between the pipeline phases.
-    pub mode: ExtractMode,
-    /// Weld vertices across metacell seams in each node mesh, and across
-    /// node seams in [`ClusterExtraction::into_merged`] (default) — the
-    /// merged surface is watertight wherever the isosurface is closed.
-    /// `false` keeps the legacy blind concatenation (duplicated seam
-    /// vertices, boundary edges along every metacell face), which the
-    /// topology test suites use as the open-seam reference.
-    pub weld: bool,
     /// LOD pyramid to build from the merged welded mesh — consumed by
     /// [`ClusterExtraction::into_lod_chain`]; empty (the default) skips
     /// decimation entirely.
     pub lods: LodSpec,
     /// Extraction kernel. [`Backend::Mc`] (default) triangulates per cell
-    /// and welds seams; [`Backend::SurfaceNets`] emits one vertex per active
-    /// cell with deferred seam quads stitched during
-    /// [`ClusterExtraction::into_merged`] — vertices are globally unique by
-    /// construction, so [`ExtractOptions::weld`] does not apply to it.
+    /// and welds vertices across metacell and node seams, so the merged
+    /// surface is watertight wherever the isosurface is closed;
+    /// [`Backend::SurfaceNets`] emits one vertex per active cell with
+    /// deferred seam quads stitched during [`ClusterExtraction::into_merged`]
+    /// — vertices are globally unique by construction, so it never welds.
     pub backend: Backend,
     /// Request trace the extraction records its phase spans into
     /// (`extract` → per-node `node` → `pipeline` with `execute_plan`,
@@ -143,8 +108,6 @@ impl Default for ExtractOptions {
     fn default() -> Self {
         ExtractOptions {
             workers: None,
-            mode: ExtractMode::default(),
-            weld: true,
             lods: LodSpec::none(),
             backend: Backend::Mc,
             trace: Trace::detached(),
@@ -157,10 +120,8 @@ impl Default for ExtractOptions {
 #[derive(Clone, Debug)]
 pub struct ClusterExtraction {
     /// One indexed mesh per node (local geometry, already in global
-    /// coordinates). With welding (the default) each node mesh is fully
-    /// welded — one vertex per distinct quantized position across all of the
-    /// node's metacells; otherwise vertices are deduplicated only within
-    /// each metacell.
+    /// coordinates). An MC node mesh is fully welded — one vertex per
+    /// distinct quantized position across all of the node's metacells.
     pub meshes: Vec<IndexedMesh>,
     /// Per-node vertex→cell tables for the SurfaceNets backend (parallel to
     /// each node mesh's vertices; empty for MC). The cell key is the global
@@ -169,16 +130,13 @@ pub struct ClusterExtraction {
     /// Per-node deferred seam quads for the SurfaceNets backend (empty for
     /// MC) — resolved by [`ClusterExtraction::into_merged`].
     pub seams: Vec<Vec<SeamQuad>>,
-    /// Per-node weld candidates of a welded MC extraction: the ascending
-    /// ids of each node mesh's vertices that may have a twin in another
-    /// node's mesh ([`MeshWelder::finish_seams`]) — all the cross-node merge
-    /// looks up. Empty for SurfaceNets and when welding is off.
+    /// Per-node weld candidates of an MC extraction: the ascending ids of
+    /// each node mesh's vertices that may have a twin in another node's
+    /// mesh ([`MeshWelder::finish_seams`]) — all the cross-node merge looks
+    /// up. Empty for SurfaceNets.
     pub weld_candidates: Vec<Vec<u32>>,
     /// Per-node and aggregate measurements.
     pub report: QueryReport,
-    /// Whether [`ClusterExtraction::into_merged`] welds node seams (set from
-    /// [`ExtractOptions::weld`]; MC only).
-    pub weld: bool,
     /// LOD pyramid [`ClusterExtraction::into_lod_chain`] will build from the
     /// merged mesh (set from [`ExtractOptions::lods`]).
     pub lods: LodSpec,
@@ -207,17 +165,15 @@ impl ClusterExtraction {
         out
     }
 
-    /// Consume the extraction into the merged mesh plus the report. With
-    /// welding enabled (the default), node meshes join through one
-    /// deterministic [`MeshWelder`] so vertices fuse across node seams and
-    /// the full-database mesh is watertight wherever the surface is closed:
-    /// node 0's welded mesh is adopted as the output as-is, and every
-    /// further node's is joined onto it by its weld candidates and an index
-    /// remap — byte-identical to re-welding the concatenated node meshes,
-    /// without hashing anything but the seam set. The merge stage's
-    /// [`WeldStats`] land in [`QueryReport::merge_weld`]. Without welding,
-    /// indices are rebased and seam vertices stay duplicated. The split
-    /// return lets callers keep the report without cloning it.
+    /// Consume the extraction into the merged mesh plus the report. MC node
+    /// meshes join through one deterministic [`MeshWelder`] so vertices fuse
+    /// across node seams and the full-database mesh is watertight wherever
+    /// the surface is closed: node 0's welded mesh is adopted as the output
+    /// as-is, and every further node's is joined onto it by its weld
+    /// candidates and an index remap — byte-identical to re-welding the
+    /// concatenated node meshes, without hashing anything but the seam set.
+    /// The merge stage's [`WeldStats`] land in [`QueryReport::merge_weld`].
+    /// The split return lets callers keep the report without cloning it.
     pub fn into_merged(self) -> (IndexedMesh, QueryReport) {
         let ClusterExtraction {
             meshes,
@@ -225,7 +181,6 @@ impl ClusterExtraction {
             seams,
             weld_candidates,
             mut report,
-            weld,
             lods: _,
             backend,
             trace,
@@ -259,11 +214,8 @@ impl ClusterExtraction {
         }
         let mut nodes = meshes.into_iter().zip(weld_candidates);
         let (mut out, seed) = nodes.next().unwrap_or_default();
-        if !weld || nodes.len() == 0 {
+        if nodes.len() == 0 {
             // single welded node: already seam-free, nothing to join
-            for (m, _) in nodes {
-                out.merge(m);
-            }
             return (out, report);
         }
         let mut sp = trace.span("merge_weld");
@@ -670,7 +622,8 @@ impl<S: ScalarValue> Cluster<S> {
         )
     }
 
-    /// [`Cluster::extract`] with full control over workers and record flow.
+    /// [`Cluster::extract`] with explicit options (workers, kernel, LOD
+    /// pyramid, trace).
     pub fn extract_with_options(
         &self,
         iso: f32,
@@ -680,8 +633,6 @@ impl<S: ScalarValue> Cluster<S> {
             .workers
             .unwrap_or_else(|| self.default_workers())
             .max(1);
-        let mode = opts.mode;
-        let weld = opts.weld;
         let backend = opts.backend;
         let mut sp_extract = opts.trace.span("extract");
         sp_extract.field("iso_millis", (iso as f64 * 1e3) as u64);
@@ -689,13 +640,9 @@ impl<S: ScalarValue> Cluster<S> {
         let results: Vec<io::Result<(BlockOutput, NodeReport)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.nodes)
                 .map(|i| {
-                    let tree = &self.trees[i];
-                    let store = &self.stores[i];
                     let mut nspan = sp_extract.child("node");
                     nspan.field("node", i as u64);
-                    scope.spawn(move || {
-                        self.node_extract(i, tree, store, iso, workers, mode, weld, backend, nspan)
-                    })
+                    scope.spawn(move || self.node_extract(i, iso, workers, backend, nspan))
                 })
                 .collect();
             handles
@@ -730,83 +677,21 @@ impl<S: ScalarValue> Cluster<S> {
             seams,
             weld_candidates,
             report,
-            weld,
             lods: opts.lods.clone(),
             backend,
             trace: opts.trace.clone(),
         })
     }
 
-    /// One node's extraction work (runs on the node's thread).
-    #[allow(clippy::too_many_arguments)]
-    fn node_extract(
-        &self,
-        node: usize,
-        tree: &CompactIntervalTree,
-        store: &RecordStore,
-        iso: f32,
-        workers: usize,
-        mode: ExtractMode,
-        weld: bool,
-        backend: Backend,
-        span: Span,
-    ) -> io::Result<(BlockOutput, NodeReport)> {
-        let mut span = span;
-        let io_before = store.device().io_snapshot();
-        let t0 = Instant::now();
-        let plan = tree.plan(S::query_key(iso));
-        if plan.actions.is_empty() {
-            // Nothing can be active at this isovalue on this node (the tree
-            // pruned every brick): skip the pipeline entirely — no worker
-            // threads spawn, so the report states 0 workers.
-            let elapsed = t0.elapsed();
-            span.annotate("execute_plan", elapsed, &[]);
-            return Ok((
-                BlockOutput::default(),
-                NodeReport {
-                    node,
-                    workers: 0,
-                    amc_retrieval: elapsed,
-                    extraction_wall: elapsed,
-                    io: store.device().io_snapshot().since(&io_before),
-                    ..Default::default()
-                },
-            ));
-        }
-        // Welding fuses duplicated MC seam vertices; SurfaceNets vertices
-        // are globally unique by cell ownership, so there is nothing to weld.
-        let weld = weld && backend == Backend::Mc;
-        let (out, mut report) = match mode {
-            ExtractMode::Streaming { queue_records } => self.node_extract_streaming(
-                node,
-                &plan,
-                store,
-                iso,
-                workers,
-                queue_records,
-                weld,
-                backend,
-                &span,
-            )?,
-            ExtractMode::Batch => {
-                self.node_extract_batch(node, &plan, store, iso, workers, weld, backend, &span)?
-            }
-        };
-        report.node = node;
-        report.io = store.device().io_snapshot().since(&io_before);
-        span.field("active_metacells", report.active_metacells);
-        span.field("triangles", report.triangles);
-        Ok((out, report))
-    }
-
-    /// Fold the per-record (or per-chunk) parts into one node output, in
-    /// sequence order. With welding, each part joins through one
-    /// deterministic [`MeshWelder`] as it merges, looking up only the
-    /// vertices the kernel named as weld candidates — by the welder's split
-    /// invariance this is byte-identical to concatenating everything first
-    /// and re-welding the whole node mesh, without that full-mesh pass. The
-    /// node mesh's own candidates go on in the output for the cross-node
-    /// merge; the merge loop's wall lands in `weld_wall` when welding ran.
+    /// Fold the per-record parts into one node output, in sequence order.
+    /// With welding (MC), each part joins through one deterministic
+    /// [`MeshWelder`] as it merges, looking up only the vertices the kernel
+    /// named as weld candidates — by the welder's split invariance this is
+    /// byte-identical to concatenating everything first and re-welding the
+    /// whole node mesh, without that full-mesh pass. The node mesh's own
+    /// candidates go on in the output for the cross-node merge; the merge
+    /// loop's wall lands in `weld_wall` when welding ran. SurfaceNets parts
+    /// concatenate: their vertex order is the order of their cell table.
     fn merge_parts(
         parts: Vec<(BlockOutput, McStats)>,
         weld: bool,
@@ -833,26 +718,22 @@ impl<S: ScalarValue> Cluster<S> {
         (out, mc, weld_stats, t.elapsed())
     }
 
-    /// The streaming pipeline: the calling (node) thread produces — executes
+    /// One node's extraction work, run on the node's thread: the paper's
+    /// phases (i) and (ii) as one pipeline. This thread produces — executes
     /// the plan, pushing each active record into a bounded queue as it is
     /// decoded from disk — while `workers` consumers triangulate records as
     /// they arrive, each reusing one decode buffer and one slab scratch.
     /// Every record carries its emission sequence number and becomes its own
     /// mesh part; parts merge in sequence order, so the output is
-    /// bit-identical to the batch path for any worker count or queue bound,
-    /// and per-record granularity load-balances dense metacells for free.
-    #[allow(clippy::too_many_arguments)]
-    fn node_extract_streaming(
+    /// bit-identical for any worker count, and per-record granularity
+    /// load-balances dense metacells for free.
+    fn node_extract(
         &self,
         node: usize,
-        plan: &QueryPlan,
-        store: &RecordStore,
         iso: f32,
         workers: usize,
-        queue_records: usize,
-        weld: bool,
         backend: Backend,
-        span: &Span,
+        mut span: Span,
     ) -> io::Result<(BlockOutput, NodeReport)> {
         type Part = (u64, BlockOutput, McStats);
         /// Closes the queue when dropped. Every pipeline thread holds one, so
@@ -869,17 +750,40 @@ impl<S: ScalarValue> Cluster<S> {
             }
         }
 
+        let store = &self.stores[node];
+        let io_before = store.device().io_snapshot();
+        let t0 = Instant::now();
+        let plan = self.trees[node].plan(S::query_key(iso));
+        if plan.actions.is_empty() {
+            // Nothing can be active at this isovalue on this node (the tree
+            // pruned every brick): skip the pipeline entirely — no worker
+            // threads spawn, so the report states 0 workers.
+            let elapsed = t0.elapsed();
+            span.annotate("execute_plan", elapsed, &[]);
+            return Ok((
+                BlockOutput::default(),
+                NodeReport {
+                    node,
+                    workers: 0,
+                    amc_retrieval: elapsed,
+                    extraction_wall: elapsed,
+                    io: store.device().io_snapshot().since(&io_before),
+                    ..Default::default()
+                },
+            ));
+        }
+
         // Admission is weighted by the planner's per-record cell count, so
-        // the bound caps queued *work*: `queue_records` is interpreted as a
-        // budget of that many full metacells' worth of cells — a few dense
-        // (full) records fill it while many clamped edge slivers share it.
+        // the bound caps queued *work*: `QUEUE_RECORDS` is a budget of that
+        // many full metacells' worth of cells — a few dense (full) records
+        // fill it while many clamped edge slivers share it.
         let full_cells = {
             let span = (self.layout.k() - 1) as u64;
             span * span * span
         };
         // (sequence, store offset, record)
         let queue: BoundedQueue<(u64, u64, Vec<u8>)> =
-            BoundedQueue::weighted((queue_records as u64).saturating_mul(full_cells));
+            BoundedQueue::weighted(QUEUE_RECORDS as u64 * full_cells);
         let backend_impl = backend.instance::<S>();
         let sp_pipe = span.child("pipeline");
         let (exec, amc_retrieval, outs) = std::thread::scope(|scope| {
@@ -920,7 +824,7 @@ impl<S: ScalarValue> Cluster<S> {
             let exec = {
                 let _close = CloseOnDrop(queue);
                 let mut seq = 0u64;
-                execute_plan_at(plan, store, &self.format, |id, offset, bytes| {
+                execute_plan_at(&plan, store, &self.format, |id, offset, bytes| {
                     let work = self.layout.num_cells(id) as u64;
                     let _ = queue.push((seq, offset, bytes.to_vec()), bytes.len() as u64, work);
                     seq += 1;
@@ -953,6 +857,9 @@ impl<S: ScalarValue> Cluster<S> {
         parts.sort_unstable_by_key(|&(seq, _, _)| seq);
         let parts: Vec<(BlockOutput, McStats)> =
             parts.into_iter().map(|(_, o, mc)| (o, mc)).collect();
+        // Welding fuses duplicated MC seam vertices; SurfaceNets vertices
+        // are globally unique by cell ownership, so there is nothing to weld.
+        let weld = backend == Backend::Mc;
         let (out, mc, weld_stats, weld_wall) = Self::merge_parts(parts, weld);
         let qstats = queue.stats();
         let waits = queue.waits();
@@ -967,11 +874,13 @@ impl<S: ScalarValue> Cluster<S> {
         // weld_wall is reported separately (and summed back in wall_total),
         // so keep it out of the pipeline wall
         let extraction_wall = sp_pipe.finish().saturating_sub(weld_wall);
+        span.field("active_metacells", exec.records_emitted);
+        span.field("triangles", mc.triangles);
 
         Ok((
             out,
             NodeReport {
-                node: 0, // filled by node_extract
+                node,
                 workers,
                 active_metacells: exec.records_emitted,
                 cells_visited: mc.cells_visited,
@@ -979,7 +888,6 @@ impl<S: ScalarValue> Cluster<S> {
                 triangles: mc.triangles,
                 bytes_read: qstats.pushed_bytes,
                 amc_retrieval,
-                triangulation: extraction_wall,
                 extraction_wall,
                 retrieval_busy: amc_retrieval.saturating_sub(waits.push_wait),
                 triangulation_busy,
@@ -990,106 +898,7 @@ impl<S: ScalarValue> Cluster<S> {
                 weld: weld_stats,
                 weld_wall,
                 rendering: Duration::ZERO,
-                io: Default::default(), // filled by node_extract
-            },
-        ))
-    }
-
-    /// The phase-serial reference path: buffer the whole record batch, then
-    /// split it into contiguous per-worker chunks that merge in order.
-    #[allow(clippy::too_many_arguments)]
-    fn node_extract_batch(
-        &self,
-        node: usize,
-        plan: &QueryPlan,
-        store: &RecordStore,
-        iso: f32,
-        workers: usize,
-        weld: bool,
-        backend: Backend,
-        span: &Span,
-    ) -> io::Result<(BlockOutput, NodeReport)> {
-        // Phase 1: AMC retrieval — the entire active set is staged in memory
-        // (which is what `peak_queue_*` report for this mode).
-        let sp_pipe = span.child("pipeline");
-        let mut sp_exec = sp_pipe.child("execute_plan");
-        let mut records: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut staged_cells = 0u64;
-        let exec = execute_plan_at(plan, store, &self.format, |id, offset, bytes| {
-            staged_cells += self.layout.num_cells(id) as u64;
-            records.push((offset, bytes.to_vec()))
-        })?;
-        exec_fields(&mut sp_exec, &exec);
-        let amc_retrieval = sp_exec.finish();
-        let bytes_read: u64 = records.iter().map(|(_, r)| r.len() as u64).sum();
-        let backend_impl = backend.instance::<S>();
-
-        // Phase 2: triangulation across contiguous chunks. chunks(per) can
-        // yield fewer chunks than requested (e.g. 10 records across 8 workers
-        // → 5 chunks of 2); report the count actually spawned.
-        let t1 = Instant::now();
-        let workers = workers.clamp(1, records.len().max(1));
-        let per = records.len().max(1).div_ceil(workers);
-        let workers = records.len().max(1).div_ceil(per);
-        let (parts, triangulation_busy) = if workers <= 1 {
-            let part = self.triangulate_batch(node, backend_impl, &records, iso)?;
-            let busy = t1.elapsed();
-            sp_pipe.annotate("triangulate", busy, &[("worker", 0)]);
-            (vec![part], busy)
-        } else {
-            let parts: Vec<(BlockOutput, McStats, Duration)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = records
-                    .chunks(per)
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            let t = Instant::now();
-                            let (out, mc) =
-                                self.triangulate_batch(node, backend_impl, chunk, iso)?;
-                            Ok((out, mc, t.elapsed()))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("extraction worker panicked"))
-                    .collect::<io::Result<_>>()
-            })?;
-            let busy = parts.iter().map(|&(_, _, dt)| dt).sum();
-            for (w, (_, _, dt)) in parts.iter().enumerate() {
-                sp_pipe.annotate("triangulate", *dt, &[("worker", w as u64)]);
-            }
-            (parts.into_iter().map(|(o, mc, _)| (o, mc)).collect(), busy)
-        };
-        let (out, mc, weld_stats, weld_wall) = Self::merge_parts(parts, weld);
-        let triangulation = t1.elapsed().saturating_sub(weld_wall);
-        if weld {
-            sp_pipe.annotate("weld", weld_wall, &weld_fields(&weld_stats));
-        }
-        let extraction_wall = sp_pipe.finish().saturating_sub(weld_wall);
-
-        Ok((
-            out,
-            NodeReport {
-                node: 0, // filled by node_extract
-                workers,
-                active_metacells: records.len() as u64,
-                cells_visited: mc.cells_visited,
-                active_cells: mc.active_cells,
-                triangles: mc.triangles,
-                bytes_read,
-                amc_retrieval,
-                triangulation,
-                extraction_wall,
-                retrieval_busy: amc_retrieval,
-                triangulation_busy,
-                peak_queue_records: records.len() as u64,
-                peak_queue_bytes: bytes_read,
-                peak_queue_work: staged_cells,
-                exec,
-                weld: weld_stats,
-                weld_wall,
-                rendering: Duration::ZERO,
-                io: Default::default(), // filled by node_extract
+                io: store.device().io_snapshot().since(&io_before),
             },
         ))
     }
@@ -1127,36 +936,6 @@ impl<S: ScalarValue> Cluster<S> {
         let stats = backend.extract_block(&local, iso, &domain, out, scratch);
         *scalars = local.into_vec();
         Ok(stats)
-    }
-
-    /// Extract one contiguous batch of encoded records into one accumulated
-    /// block output, reusing a single decode buffer and scratch across the
-    /// batch.
-    fn triangulate_batch(
-        &self,
-        node: usize,
-        backend: &dyn ExtractionBackend<S>,
-        records: &[(u64, Vec<u8>)],
-        iso: f32,
-    ) -> io::Result<(BlockOutput, McStats)> {
-        let mut out = BlockOutput::default();
-        let mut mc = McStats::default();
-        let mut scratch = BackendScratch::new();
-        let mut scalars: Vec<S> = Vec::new();
-        for (at, rec) in records {
-            let stats = self.triangulate_record(
-                node,
-                backend,
-                *at,
-                rec,
-                iso,
-                &mut out,
-                &mut scratch,
-                &mut scalars,
-            )?;
-            mc.merge(&stats);
-        }
-        Ok((out, mc))
     }
 
     /// Swap one node's record store (I/O-modeling experiments: throttled or
@@ -1311,7 +1090,7 @@ mod tests {
         let base_soup = base.merged_soup();
         assert!(!base_soup.is_empty());
         for workers in [2, 3, 8] {
-            // streaming (default mode): spawns exactly the requested pool
+            // spawns exactly the requested pool
             let e = c.extract_with_workers(128.0, workers).unwrap();
             assert_eq!(e.report.nodes[0].workers, workers, "workers={workers}");
             // per-record parts merged by sequence number → the triangle
@@ -1319,91 +1098,16 @@ mod tests {
             assert_same_triangle_stream(
                 &e.merged_soup(),
                 &base_soup,
-                &format!("streaming workers={workers}"),
+                &format!("workers={workers}"),
             );
             assert_eq!(e.report.total_triangles(), base.report.total_triangles());
-
-            // batch mode: reported workers = chunks actually spawned, never
-            // the raw request
-            let b = c
-                .extract_with_options(
-                    128.0,
-                    &ExtractOptions {
-                        workers: Some(workers),
-                        mode: ExtractMode::Batch,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-            let amc = b.report.nodes[0].active_metacells as usize;
-            let expected = amc.div_ceil(amc.div_ceil(workers));
-            assert_eq!(
-                b.report.nodes[0].workers, expected,
-                "batch workers={workers}"
-            );
-            assert_same_triangle_stream(
-                &b.merged_soup(),
-                &base_soup,
-                &format!("batch workers={workers}"),
-            );
+            let n = &e.report.nodes[0];
+            assert!(n.peak_queue_bytes > 0);
+            assert!(n.bytes_read >= n.peak_queue_bytes);
+            assert!(n.peak_queue_work <= QUEUE_RECORDS as u64 * 512);
+            assert_eq!(n.exec.records_emitted, n.active_metacells);
+            assert!(n.exec.bulk_actions + n.exec.prefix_actions > 0);
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn queue_bound_does_not_change_output_and_caps_memory() {
-        let vol = test_volume();
-        let dir = tmpdir("bounds");
-        let (c, _) = Cluster::build(&vol, &dir, 1, &ClusterBuildOptions::default()).unwrap();
-        let base = c
-            .extract_with_options(
-                128.0,
-                &ExtractOptions {
-                    workers: Some(1),
-                    mode: ExtractMode::Batch,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        let base_soup = base.merged_soup();
-        for bound in [1usize, 4, usize::MAX] {
-            for workers in [1usize, 3] {
-                let e = c
-                    .extract_with_options(
-                        128.0,
-                        &ExtractOptions {
-                            workers: Some(workers),
-                            mode: ExtractMode::Streaming {
-                                queue_records: bound,
-                            },
-                            ..Default::default()
-                        },
-                    )
-                    .unwrap();
-                assert_same_triangle_stream(
-                    &e.merged_soup(),
-                    &base_soup,
-                    &format!("bound={bound} workers={workers}"),
-                );
-                let n = &e.report.nodes[0];
-                if bound != usize::MAX {
-                    assert!(
-                        n.peak_queue_records <= bound as u64,
-                        "bound={bound}: peak {} records",
-                        n.peak_queue_records
-                    );
-                }
-                assert!(n.peak_queue_bytes > 0);
-                assert!(n.bytes_read >= n.peak_queue_bytes);
-                assert_eq!(n.exec.records_emitted, n.active_metacells);
-                assert!(n.exec.bulk_actions + n.exec.prefix_actions > 0);
-            }
-        }
-        // the batch path reports the whole staged active set as its peak
-        assert_eq!(
-            base.report.nodes[0].peak_queue_bytes,
-            base.report.nodes[0].bytes_read
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1414,31 +1118,20 @@ mod tests {
         let vol = test_volume();
         let dir = tmpdir("empty_iso");
         let (c, _) = Cluster::build(&vol, &dir, 2, &ClusterBuildOptions::default()).unwrap();
-        for mode in [ExtractMode::default(), ExtractMode::Batch] {
-            let e = c
-                .extract_with_options(
-                    250.0,
-                    &ExtractOptions {
-                        workers: Some(4),
-                        mode,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-            assert!(e.merged_soup().is_empty(), "{mode:?}");
-            assert_eq!(e.report.total_triangles(), 0);
-            assert_eq!(e.report.total_active_metacells(), 0);
-            for n in &e.report.nodes {
-                assert_eq!(n.workers, 0, "{mode:?}: empty node must spawn no pool");
-                assert_eq!(n.bytes_read, 0);
-                assert_eq!(n.io.read_calls, 0, "{mode:?}: empty plan reads nothing");
-                assert_eq!(n.peak_queue_records, 0);
-            }
-            // merged report stays usable downstream
-            let (mesh, report) = e.into_merged();
-            assert!(mesh.is_empty());
-            assert_eq!(report.total_triangles(), 0);
+        let e = c.extract_with_workers(250.0, 4).unwrap();
+        assert!(e.merged_soup().is_empty());
+        assert_eq!(e.report.total_triangles(), 0);
+        assert_eq!(e.report.total_active_metacells(), 0);
+        for n in &e.report.nodes {
+            assert_eq!(n.workers, 0, "empty node must spawn no pool");
+            assert_eq!(n.bytes_read, 0);
+            assert_eq!(n.io.read_calls, 0, "empty plan reads nothing");
+            assert_eq!(n.peak_queue_records, 0);
         }
+        // merged report stays usable downstream
+        let (mesh, report) = e.into_merged();
+        assert!(mesh.is_empty());
+        assert_eq!(report.total_triangles(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1481,28 +1174,18 @@ mod tests {
             let (c, _) =
                 Cluster::build(&vol, &dir, nodes, &ClusterBuildOptions::default()).unwrap();
             let mut first: Option<ClusterExtraction> = None;
-            for mode in [ExtractMode::default(), ExtractMode::Batch] {
-                for workers in [1, 2, 3] {
-                    let ctx = format!("{nodes} nodes, {mode:?}, {workers} workers");
-                    let opts = ExtractOptions {
-                        workers: Some(workers),
-                        mode,
-                        ..Default::default()
-                    };
-                    let e = c.extract_with_options(128.0, &opts).unwrap();
-                    assert!(e.report.total_weld().degenerate_dropped > 0, "{ctx}");
-                    // one batch worker accumulates every record into one
-                    // BlockOutput, a streaming worker none: the candidate
-                    // ids are absolute mesh ids or these diverge
-                    let first = first.get_or_insert_with(|| e.clone());
-                    assert_eq!(e.meshes, first.meshes, "{ctx}");
-                    assert_eq!(e.weld_candidates, first.weld_candidates, "{ctx}");
-                    for (m, candidates) in e.meshes.iter().zip(&e.weld_candidates) {
-                        assert!(candidates.windows(2).all(|w| w[0] < w[1]), "{ctx}");
-                        assert!(candidates.len() < m.num_vertices(), "{ctx}: seam set only");
-                    }
-                    assert_merge_equals_reweld(e, &ctx);
+            for workers in [1, 2, 3] {
+                let ctx = format!("{nodes} nodes, {workers} workers");
+                let e = c.extract_with_workers(128.0, workers).unwrap();
+                assert!(e.report.total_weld().degenerate_dropped > 0, "{ctx}");
+                let first = first.get_or_insert_with(|| e.clone());
+                assert_eq!(e.meshes, first.meshes, "{ctx}");
+                assert_eq!(e.weld_candidates, first.weld_candidates, "{ctx}");
+                for (m, candidates) in e.meshes.iter().zip(&e.weld_candidates) {
+                    assert!(candidates.windows(2).all(|w| w[0] < w[1]), "{ctx}");
+                    assert!(candidates.len() < m.num_vertices(), "{ctx}: seam set only");
                 }
+                assert_merge_equals_reweld(e, &ctx);
             }
             std::fs::remove_dir_all(&dir).ok();
         }
@@ -1587,23 +1270,18 @@ mod tests {
     #[test]
     fn streaming_overlaps_retrieval_with_triangulation() {
         // A dense gyroid keeps triangulation busy; the throttled device makes
-        // retrieval take real wall-clock. Phase-serially (batch mode) the two
-        // costs add; the pipeline must hide most of the shorter phase.
+        // retrieval take real wall-clock. Phase-serially the two costs add;
+        // the pipeline must hide most of the shorter phase.
         use oociso_volume::field::GyroidField;
         // Both phases must be long enough to measure in this build profile:
         // an optimized kernel triangulates the 65³ gyroid in under 10 ms, so
-        // grow the volume until the phase-serial triangulation takes 40 ms
-        // (twice the floor asserted below), then throttle the store so
-        // retrieval takes about twice as long as that triangulation did —
-        // the shorter phase is then the one the pipeline can hide entirely.
+        // grow the volume until triangulation alone takes 40 ms (twice the
+        // floor asserted below), then throttle the store so retrieval takes
+        // about twice as long as that triangulation did — the shorter phase
+        // is then the one the pipeline can hide entirely.
         let dir = tmpdir("throttle");
-        let batch_opts = ExtractOptions {
-            workers: Some(1),
-            mode: ExtractMode::Batch,
-            ..Default::default()
-        };
         let mut n = 65;
-        let (mut c, plain, unthrottled) = loop {
+        let (mut c, plain) = loop {
             let vol: Volume<u8> = GyroidField {
                 cells: 3.0,
                 level: 128.0,
@@ -1612,76 +1290,66 @@ mod tests {
             .sample(Dims3::cube(n));
             let (c, _) = Cluster::build(&vol, &dir, 1, &ClusterBuildOptions::default()).unwrap();
             let plain = c.extract_with_workers(128.0, 1).unwrap(); // also warms the store
-            let unthrottled = c
-                .extract_with_options(128.0, &batch_opts)
-                .unwrap()
-                .report
-                .nodes[0];
-            if unthrottled.triangulation >= Duration::from_millis(40) || n >= 257 {
-                break (c, plain, unthrottled);
+            if plain.report.nodes[0].triangulation_busy >= Duration::from_millis(40) || n >= 257 {
+                break (c, plain);
             }
             n += 32;
         };
-        let bytes_per_sec =
-            unthrottled.exec.bytes_read as f64 / (2.0 * unthrottled.triangulation.as_secs_f64());
+        let np = plain.report.nodes[0];
+        // triangulation alone: one worker's busy time on the unthrottled run
+        let triangulation = np.triangulation_busy;
+        let bytes_per_sec = np.exec.bytes_read as f64 / (2.0 * triangulation.as_secs_f64());
         let throttle = || throttled_store(&dir, 0, Duration::from_micros(200), bytes_per_sec);
 
-        c.replace_store(0, throttle());
-        let batch = c.extract_with_options(128.0, &batch_opts).unwrap();
+        // retrieval alone: the same plan over a fresh throttled device into a
+        // sink that discards every record
+        let plan = c.trees()[0].plan(u8::query_key(128.0));
+        let t = Instant::now();
+        oociso_itree::plan::execute_plan(&plan, &throttle(), &c.format, |_, _| {}).unwrap();
+        let retrieval = t.elapsed();
 
         // The run reader hands over at most one refill's records between
         // reads (`STREAM_CHUNK` = 32 KiB, whatever bricks or runs they came
-        // from). The default queue bound covers that burst of packed
-        // records; a smaller one makes the producer block mid-refill and
-        // shrinks the single-core overlap window to the bound.
+        // from). The queue bound covers that burst of packed records; a
+        // smaller one makes the producer block mid-refill and shrinks the
+        // single-core overlap window to the bound.
         c.replace_store(0, throttle()); // fresh device, fresh I/O counters
-        let streamed = c
-            .extract_with_options(
-                128.0,
-                &ExtractOptions {
-                    workers: Some(1),
-                    mode: ExtractMode::Streaming {
-                        queue_records: DEFAULT_QUEUE_RECORDS,
-                    },
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+        let streamed = c.extract_with_workers(128.0, 1).unwrap();
 
         // throttling must not change the geometry
         assert_same_triangle_stream(&streamed.merged_soup(), &plain.merged_soup(), "throttled");
-        assert_same_triangle_stream(&batch.merged_soup(), &plain.merged_soup(), "batch");
 
-        let nb = &batch.report.nodes[0];
         let ns = &streamed.report.nodes[0];
-        let serial = nb.amc_retrieval + nb.triangulation;
-        let shorter = nb.amc_retrieval.min(nb.triangulation);
+        let serial = retrieval + triangulation;
+        let shorter = retrieval.min(triangulation);
         assert!(
             shorter > Duration::from_millis(20),
-            "phases too short to measure overlap: retrieval {:?}, triangulation {:?}",
-            nb.amc_retrieval,
-            nb.triangulation
+            "phases too short to measure overlap: retrieval {retrieval:?}, triangulation {triangulation:?}"
         );
         // the pipeline must beat phase-serial execution by a real margin —
         // at least a third of the shorter phase hidden (generous to absorb
         // scheduler noise; ideal overlap hides all of it)
         assert!(
             ns.extraction_wall + shorter / 3 < serial,
-            "no overlap: streamed wall {:?} vs phase-serial {:?} (retrieval {:?} + triangulation {:?})",
+            "no overlap: streamed wall {:?} vs phase-serial {serial:?} (retrieval {retrieval:?} + triangulation {triangulation:?})",
             ns.extraction_wall,
-            serial,
-            nb.amc_retrieval,
-            nb.triangulation
         );
         assert!(
             ns.overlap_saved() > Duration::ZERO,
             "report must show saved wall-clock: {ns:?}"
         );
         assert!(ns.overlap_fraction() > 0.0);
-        // bounded staging: the queue held at most its bound, far below the
-        // batch path's whole-active-set staging
-        assert!(ns.peak_queue_records <= DEFAULT_QUEUE_RECORDS as u64);
-        assert!(ns.peak_queue_bytes < nb.peak_queue_bytes);
+        // bounded staging: the queue held at most its bound of work, while
+        // the active set it streamed is larger than the bound
+        let full_cells = (c.layout().k() as u64 - 1).pow(3);
+        for n in [&np, ns] {
+            assert!(n.active_metacells > QUEUE_RECORDS as u64, "{n:?}");
+            assert!(
+                n.peak_queue_work <= QUEUE_RECORDS as u64 * full_cells,
+                "{n:?}"
+            );
+            assert!(n.peak_queue_bytes < n.bytes_read, "{n:?}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1696,37 +1364,16 @@ mod tests {
         let full = std::fs::read(DiskFarm::new(&dir, 1).store_path(0)).unwrap();
         let sliver = full[..4].to_vec();
         c.replace_store(0, RecordStore::in_memory(sliver));
-        for mode in [ExtractMode::default(), ExtractMode::Batch] {
-            let err = c
-                .extract_with_options(
-                    128.0,
-                    &ExtractOptions {
-                        workers: Some(3),
-                        mode,
-                        ..Default::default()
-                    },
-                )
-                .unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{mode:?}");
-        }
+        let err = c.extract_with_workers(128.0, 3).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Extract at `iso` in both modes, expecting `Err` of `kind` from each.
-    fn extract_err(c: &Cluster<u8>, iso: f32, kind: io::ErrorKind, what: &str) -> Vec<String> {
-        [ExtractMode::default(), ExtractMode::Batch]
-            .into_iter()
-            .map(|mode| {
-                let opts = ExtractOptions {
-                    workers: Some(3),
-                    mode,
-                    ..Default::default()
-                };
-                let err = c.extract_with_options(iso, &opts).expect_err(what);
-                assert_eq!(err.kind(), kind, "{what} {mode:?}: {err}");
-                err.to_string()
-            })
-            .collect()
+    /// Extract at `iso` on 3 workers, expecting `Err` of `kind`.
+    fn extract_err(c: &Cluster<u8>, iso: f32, kind: io::ErrorKind, what: &str) -> String {
+        let err = c.extract_with_workers(iso, 3).expect_err(what);
+        assert_eq!(err.kind(), kind, "{what}: {err}");
+        err.to_string()
     }
 
     /// Build a one-node dataset and return it with its root's first brick
@@ -1760,8 +1407,8 @@ mod tests {
     #[test]
     fn corrupt_index_spans_are_err_not_panic_or_hang() {
         // An index whose brick span ends inside a record header or inside a
-        // record payload must surface as `Err` from the query in both modes —
-        // in release builds too, where the old executor's debug assertions
+        // record payload must surface as `Err` from the query — in release
+        // builds too, where the old executor's debug assertions
         // were compiled out and the node thread indexed past its buffer. One
         // claiming bytes past the store's end is refused by `open`.
         let dir = tmpdir("corrupt_index");
@@ -1787,9 +1434,9 @@ mod tests {
             persist::save(&bad, &index_path(&dir, 0)).unwrap();
             match Cluster::<u8>::open(&dir, false) {
                 Ok(c) => {
-                    let msgs =
+                    let msg =
                         extract_err(&c, brick.vmax_key as f32, io::ErrorKind::InvalidData, what);
-                    assert!(msgs.iter().all(|m| m.contains(what)), "{msgs:?}");
+                    assert!(msg.contains(what), "{msg}");
                 }
                 Err(err) => {
                     assert_eq!(what, "store", "{err}");
@@ -1818,19 +1465,18 @@ mod tests {
         store[at + MetacellRecord::<u8>::HEADER_LEN] = 0xff;
         std::fs::write(&path, store).unwrap();
         let c = Cluster::<u8>::open(&dir, false).unwrap();
-        for msg in extract_err(
+        let msg = extract_err(
             &c,
             brick.vmax_key as f32,
             io::ErrorKind::InvalidData,
             "payload",
-        ) {
-            let want = [
-                "node 0".to_string(),
-                format!("store offset {at}"),
-                format!("metacell {id}"),
-            ];
-            assert!(want.iter().all(|w| msg.contains(w.as_str())), "{msg}");
-        }
+        );
+        let want = [
+            "node 0".to_string(),
+            format!("store offset {at}"),
+            format!("metacell {id}"),
+        ];
+        assert!(want.iter().all(|w| msg.contains(w.as_str())), "{msg}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2049,86 +1695,70 @@ mod tests {
         let vol = test_volume();
         let dir = tmpdir("trace_equiv");
         let (c, _) = Cluster::build(&vol, &dir, 2, &ClusterBuildOptions::default()).unwrap();
-        for mode in [ExtractMode::default(), ExtractMode::Batch] {
-            let trace = Trace::new(42, 4096);
-            let e = c
-                .extract_with_options(
-                    128.0,
-                    &ExtractOptions {
-                        workers: Some(2),
-                        mode,
-                        lods: LodSpec::pyramid(),
-                        trace: trace.clone(),
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-            let nodes = e.report.nodes.clone();
-            assert!(
-                nodes.iter().all(|n| n.active_metacells > 0),
-                "equivalence needs every node active"
-            );
-            let sum = |f: fn(&NodeReport) -> Duration| nodes.iter().map(f).sum::<Duration>();
-            assert_eq!(
-                trace.sum("execute_plan"),
-                sum(|n| n.amc_retrieval),
-                "{mode:?}"
-            );
-            assert_eq!(
-                trace.sum("triangulate"),
-                sum(|n| n.triangulation_busy),
-                "{mode:?}"
-            );
-            assert_eq!(trace.sum("weld"), sum(|n| n.weld_wall), "{mode:?}");
-            // extraction_wall is the pipeline span minus the weld it covers
-            assert_eq!(
-                trace.sum("pipeline"),
-                sum(|n| n.extraction_wall + n.weld_wall),
-                "{mode:?}"
-            );
-            assert_eq!(trace.sum("extract"), e.report.total_wall, "{mode:?}");
+        let trace = Trace::new(42, 4096);
+        let e = c
+            .extract_with_options(
+                128.0,
+                &ExtractOptions {
+                    workers: Some(2),
+                    lods: LodSpec::pyramid(),
+                    trace: trace.clone(),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        let nodes = e.report.nodes.clone();
+        assert!(
+            nodes.iter().all(|n| n.active_metacells > 0),
+            "equivalence needs every node active"
+        );
+        let sum = |f: fn(&NodeReport) -> Duration| nodes.iter().map(f).sum::<Duration>();
+        assert_eq!(trace.sum("execute_plan"), sum(|n| n.amc_retrieval));
+        assert_eq!(trace.sum("triangulate"), sum(|n| n.triangulation_busy));
+        assert_eq!(trace.sum("weld"), sum(|n| n.weld_wall));
+        // extraction_wall is the pipeline span minus the weld it covers
+        assert_eq!(
+            trace.sum("pipeline"),
+            sum(|n| n.extraction_wall + n.weld_wall)
+        );
+        assert_eq!(trace.sum("extract"), e.report.total_wall);
 
-            let (chain, report) = e.into_lod_chain();
-            assert_eq!(trace.sum("merge_weld"), report.merge_weld_wall, "{mode:?}");
-            assert_eq!(trace.sum("lod"), report.lod_wall, "{mode:?}");
-            assert_eq!(
-                report.total_wall,
-                trace.sum("extract") + trace.sum("merge_weld") + trace.sum("lod"),
-                "{mode:?}"
-            );
-            // the weld spans carry their stage's counters, field for field
-            let events = trace.events();
-            let fields_of = |name: &str| -> Vec<Vec<(&'static str, u64)>> {
-                let named = events.iter().filter(|e| e.name == name);
-                named.map(|e| e.fields.clone()).collect()
-            };
-            let weld_spans = fields_of("weld");
-            assert_eq!(weld_spans.len(), 2, "{mode:?}");
-            for n in &nodes {
-                assert!(
-                    weld_spans.contains(&weld_fields(&n.weld).to_vec()),
-                    "{mode:?}"
-                );
-            }
-            assert_eq!(
-                fields_of("merge_weld"),
-                [weld_fields(&report.merge_weld).to_vec()]
-            );
-            // one decimate annotation per coarse level, carrying its stats
-            let decimate_spans = fields_of("decimate");
-            assert_eq!(decimate_spans.len(), chain.len() - 1, "{mode:?}");
-            for (i, fields) in decimate_spans.iter().enumerate() {
-                let level = &chain.levels()[i + 1];
-                assert_eq!(fields, &decimate_fields(i + 1, &level.stats).to_vec());
-            }
-            let hashed = report.total_weld().hashed_vertices;
-            assert!(0 < hashed && hashed < report.total_weld().input_vertices);
-            let tree = trace.render_tree();
-            assert!(tree.starts_with("extract "), "unexpected tree:\n{tree}");
-            assert!(tree.contains("execute_plan"));
-            assert!(tree.contains("queue_wait") || mode == ExtractMode::Batch);
-            assert!(tree.contains("decimate"));
+        let (chain, report) = e.into_lod_chain();
+        assert_eq!(trace.sum("merge_weld"), report.merge_weld_wall);
+        assert_eq!(trace.sum("lod"), report.lod_wall);
+        assert_eq!(
+            report.total_wall,
+            trace.sum("extract") + trace.sum("merge_weld") + trace.sum("lod")
+        );
+        // the weld spans carry their stage's counters, field for field
+        let events = trace.events();
+        let fields_of = |name: &str| -> Vec<Vec<(&'static str, u64)>> {
+            let named = events.iter().filter(|e| e.name == name);
+            named.map(|e| e.fields.clone()).collect()
+        };
+        let weld_spans = fields_of("weld");
+        assert_eq!(weld_spans.len(), 2);
+        for n in &nodes {
+            assert!(weld_spans.contains(&weld_fields(&n.weld).to_vec()));
         }
+        assert_eq!(
+            fields_of("merge_weld"),
+            [weld_fields(&report.merge_weld).to_vec()]
+        );
+        // one decimate annotation per coarse level, carrying its stats
+        let decimate_spans = fields_of("decimate");
+        assert_eq!(decimate_spans.len(), chain.len() - 1);
+        for (i, fields) in decimate_spans.iter().enumerate() {
+            let level = &chain.levels()[i + 1];
+            assert_eq!(fields, &decimate_fields(i + 1, &level.stats).to_vec());
+        }
+        let hashed = report.total_weld().hashed_vertices;
+        assert!(0 < hashed && hashed < report.total_weld().input_vertices);
+        let tree = trace.render_tree();
+        assert!(tree.starts_with("extract "), "unexpected tree:\n{tree}");
+        assert!(tree.contains("execute_plan"));
+        assert!(tree.contains("queue_wait"));
+        assert!(tree.contains("decimate"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

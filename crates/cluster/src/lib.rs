@@ -10,8 +10,8 @@
 //!
 //! * [`cluster::Cluster`] — build (stripe + index per node), open, and query;
 //!   each node runs in its own thread against its own store file, streaming
-//!   records through a bounded queue into its triangulation workers so the
-//!   paper's phases (i) and (ii) overlap ([`cluster::ExtractMode`]).
+//!   records through a bounded queue ([`cluster::QUEUE_RECORDS`]) into its
+//!   triangulation workers so the paper's phases (i) and (ii) overlap.
 //! * [`timing`] — per-node, per-phase reports: Active MetaCell (AMC) retrieval
 //!   I/O, triangulation, rendering — the three metrics of Tables 2–5.
 //! * [`model`] — the simulated-time composition: measured CPU phases combined
@@ -27,8 +27,8 @@ pub mod model;
 pub mod timing;
 
 pub use cluster::{
-    decimate_fields, Cluster, ClusterBuildOptions, ClusterExtraction, ExtractMode, ExtractOptions,
-    LodSpec, DEFAULT_QUEUE_RECORDS,
+    decimate_fields, Cluster, ClusterBuildOptions, ClusterExtraction, ExtractOptions, LodSpec,
+    QUEUE_RECORDS,
 };
 pub use model::SimulatedTimeModel;
 pub use timing::{LodReport, NodeReport, QueryReport};

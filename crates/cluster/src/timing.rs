@@ -7,8 +7,8 @@ use std::time::Duration;
 
 /// One node's measurements for one isosurface query — the row format of the
 /// paper's Tables 2–5 (AMC retrieval, triangulation, rendering) plus I/O
-/// counters for the modeled times and, for the streaming pipeline, overlap
-/// metrics showing how much of phase (i) hid behind phase (ii).
+/// counters for the modeled times and overlap metrics showing how much of
+/// phase (i) hid behind phase (ii).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NodeReport {
     /// Node index.
@@ -27,18 +27,12 @@ pub struct NodeReport {
     /// Bytes of metacell records read.
     pub bytes_read: u64,
     /// Measured wall-clock of AMC retrieval (the paper's metric (i)): time
-    /// until the plan finished executing. Under the streaming pipeline this
-    /// includes time blocked on queue backpressure and runs concurrently with
-    /// triangulation.
+    /// until the plan finished executing. This includes time blocked on
+    /// queue backpressure and runs concurrently with triangulation.
     pub amc_retrieval: Duration,
-    /// Measured wall-clock of triangle generation (metric (ii)): under the
-    /// streaming pipeline, from pipeline start until the last worker mesh is
-    /// merged (overlapping `amc_retrieval`); under the batch path, the
-    /// phase-serial triangulation time.
-    pub triangulation: Duration,
     /// Measured wall-clock of the whole extraction pipeline (retrieval and
-    /// triangulation, overlapped). For the batch path this is the serial sum
-    /// of the two phases.
+    /// triangulation, overlapped): from pipeline start until the last worker
+    /// part is merged, without the node weld.
     pub extraction_wall: Duration,
     /// Producer time actually retrieving/decoding records — `amc_retrieval`
     /// minus time blocked pushing into a full queue.
@@ -46,24 +40,21 @@ pub struct NodeReport {
     /// Summed worker time spent triangulating (CPU-busy, so with `w` workers
     /// this can exceed `extraction_wall` by up to `w×`).
     pub triangulation_busy: Duration,
-    /// High-water mark of records queued between the phases. The batch path
-    /// reports the whole staged active set (its true high-water mark).
+    /// High-water mark of records queued between the phases.
     pub peak_queue_records: u64,
     /// High-water mark of record bytes queued between the phases — the
-    /// pipeline's actual staging memory, vs. the whole active set for the
-    /// batch path.
+    /// pipeline's actual staging memory.
     pub peak_queue_bytes: u64,
     /// High-water mark of queued *work* (planner cell estimates) between the
-    /// phases — what the weighted queue admission actually bounds. The batch
-    /// path reports the whole staged active set's cell count.
+    /// phases — what the weighted queue admission actually bounds.
     pub peak_queue_work: u64,
     /// Plan-execution counters: bulk/prefix actions, rejected records, and
     /// the read stream's shape (`read_calls` in `runs`, `bytes_read`).
     pub exec: ExecStats,
-    /// Metacell-seam weld counters for this node's mesh (zeroed when the
-    /// query ran with [`crate::ExtractOptions::weld`] off).
+    /// Metacell-seam weld counters for this node's mesh (zeroed for
+    /// SurfaceNets, which never welds).
     pub weld: WeldStats,
-    /// Measured wall-clock of the node's seam weld (zero when welding off).
+    /// Measured wall-clock of the node's seam weld (zero for SurfaceNets).
     pub weld_wall: Duration,
     /// Measured wall-clock time rasterizing locally (zero if not rendering).
     pub rendering: Duration,
@@ -72,15 +63,10 @@ pub struct NodeReport {
 }
 
 impl NodeReport {
-    /// Measured total for this node. Uses the overlapped pipeline wall when
-    /// one was recorded; otherwise (hand-built reports, older callers) falls
-    /// back to the phase-serial sum.
+    /// Measured total for this node: the overlapped pipeline wall plus the
+    /// node weld and local rendering.
     pub fn wall_total(&self) -> Duration {
-        if self.extraction_wall > Duration::ZERO {
-            self.extraction_wall + self.weld_wall + self.rendering
-        } else {
-            self.amc_retrieval + self.triangulation + self.weld_wall + self.rendering
-        }
+        self.extraction_wall + self.weld_wall + self.rendering
     }
 
     /// Per-worker triangulation time (`triangulation_busy / workers`): the
@@ -93,7 +79,7 @@ impl NodeReport {
 
     /// Wall-clock the pipeline saved versus running its phases back-to-back:
     /// `(retrieval_busy + triangulation_busy/workers) − extraction_wall`
-    /// (≈ zero when nothing overlapped, e.g. the batch path).
+    /// (≈ zero when nothing overlapped).
     pub fn overlap_saved(&self) -> Duration {
         (self.retrieval_busy + self.triangulation_phase()).saturating_sub(self.extraction_wall)
     }
@@ -141,7 +127,7 @@ pub struct QueryReport {
     pub nodes: Vec<NodeReport>,
     /// Weld counters of the cross-node merge stage
     /// ([`oociso_march::MeshWelder`] run by `ClusterExtraction::into_merged`;
-    /// zeroed until that merge happens, or when welding is off / the cluster
+    /// zeroed until that merge happens, for SurfaceNets, or when the cluster
     /// has a single node).
     pub merge_weld: WeldStats,
     /// Measured wall-clock of the cross-node merge stage (the merge weld
@@ -212,9 +198,9 @@ impl QueryReport {
     }
 
     /// Largest per-node staging high-water mark: the most record bytes any
-    /// node held queued between retrieval and triangulation. For the
-    /// streaming pipeline this is the actual peak extraction memory per node
-    /// (bounded by the queue), not the whole active set.
+    /// node held queued between retrieval and triangulation — the actual
+    /// peak extraction memory per node (bounded by the queue), not the whole
+    /// active set.
     pub fn max_peak_queue_bytes(&self) -> u64 {
         self.nodes
             .iter()
@@ -297,13 +283,14 @@ fn imbalance(counts: impl Iterator<Item = u64>) -> f64 {
 mod tests {
     use super::*;
 
+    /// A node row with `ms` = (amc_retrieval, extraction_wall, rendering).
     fn node(n: usize, amc: u64, tris: u64, ms: (u64, u64, u64)) -> NodeReport {
         NodeReport {
             node: n,
             active_metacells: amc,
             triangles: tris,
             amc_retrieval: Duration::from_millis(ms.0),
-            triangulation: Duration::from_millis(ms.1),
+            extraction_wall: Duration::from_millis(ms.1),
             rendering: Duration::from_millis(ms.2),
             ..Default::default()
         }
@@ -314,8 +301,8 @@ mod tests {
         let r = QueryReport {
             isovalue: 70.0,
             nodes: vec![
-                node(0, 100, 5000, (10, 20, 5)),
-                node(1, 110, 5500, (11, 22, 5)),
+                node(0, 100, 5000, (10, 30, 5)),
+                node(1, 110, 5500, (11, 33, 5)),
             ],
             composite_wire_bytes: 1024,
             composite_wall: Duration::from_millis(2),
@@ -378,7 +365,6 @@ mod tests {
         // 50 ms hidden = 5/6 of the shorter phase.
         let n = NodeReport {
             amc_retrieval: Duration::from_millis(100),
-            triangulation: Duration::from_millis(110),
             extraction_wall: Duration::from_millis(110),
             retrieval_busy: Duration::from_millis(100),
             triangulation_busy: Duration::from_millis(60),
@@ -399,8 +385,8 @@ mod tests {
         assert_eq!(serial.overlap_saved(), Duration::ZERO);
         assert_eq!(serial.overlap_fraction(), 0.0);
 
-        // batch path, 4 workers: triangulation_busy is a CPU-time sum (~4×
-        // the phase wall); plain parallelism must not read as overlap
+        // 4 workers, phases back to back: triangulation_busy is a CPU-time
+        // sum (~4× the phase wall); plain parallelism must not read as overlap
         let batch = NodeReport {
             workers: 4,
             extraction_wall: Duration::from_millis(160), // 100 retrieval + 60 tri wall
@@ -410,9 +396,5 @@ mod tests {
         };
         assert_eq!(batch.overlap_saved(), Duration::ZERO);
         assert_eq!(batch.overlap_fraction(), 0.0);
-
-        // no extraction_wall recorded → wall_total falls back to phase sums
-        let legacy = node(0, 1, 1, (10, 20, 5));
-        assert_eq!(legacy.wall_total(), Duration::from_millis(35));
     }
 }

@@ -1,4 +1,4 @@
-//! Single-volume databases: serial and clustered.
+//! The single-volume database: one to `p` simulated cluster nodes.
 
 use oociso_cluster::{Cluster, ClusterBuildOptions, ClusterExtraction, QueryReport};
 use oociso_march::IndexedMesh;
@@ -14,7 +14,7 @@ pub struct PreprocessOptions {
     /// Metacell vertices per axis (the paper uses 9 → 734-byte raw u8
     /// records; stored packed).
     pub metacell_k: usize,
-    /// Number of cluster nodes / disk stripes (1 = serial).
+    /// Number of cluster nodes / disk stripes (1 = serial, the default).
     pub nodes: usize,
     /// Memory-map the brick stores for reading.
     pub mmap: bool,
@@ -43,17 +43,18 @@ impl PreprocessOptions {
 #[derive(Clone, Debug)]
 pub struct ExtractResult {
     /// The isosurface as an indexed mesh (global coordinates, vertex units).
-    /// By default vertices are **welded across metacell and node seams**, so
-    /// wherever the isosurface is closed the mesh is watertight
-    /// (`oociso_march::topology::analyze_mesh` reports zero boundary edges);
-    /// pass `ExtractOptions { weld: false, .. }` for the legacy per-metacell
-    /// dedup. Call [`IndexedMesh::to_soup`] for an unindexed triangle list.
+    /// Marching Cubes vertices are **welded across metacell and node
+    /// seams**, so wherever the isosurface is closed the mesh is watertight
+    /// (`oociso_march::topology::analyze_mesh` reports zero boundary edges).
+    /// Call [`IndexedMesh::to_soup`] for an unindexed triangle list.
     pub mesh: IndexedMesh,
     /// Phase timings, I/O counters, per-node rows.
     pub report: QueryReport,
 }
 
-/// A `p`-node out-of-core isosurface database.
+/// A `p`-node out-of-core isosurface database. With
+/// [`PreprocessOptions::default`] `p = 1`: the serial workstation case, and
+/// the baseline the speedup tables divide by.
 pub struct ClusterDatabase<S: ScalarValue> {
     cluster: Cluster<S>,
     preprocess_stats: Option<PreprocessStats>,
@@ -100,9 +101,8 @@ impl<S: ScalarValue> ClusterDatabase<S> {
         self.extract_with_options(iso, &oociso_cluster::ExtractOptions::default())
     }
 
-    /// [`ClusterDatabase::extract`] with explicit worker-count and
-    /// record-flow control (streaming queue bound, or the phase-serial batch
-    /// reference path).
+    /// [`ClusterDatabase::extract`] with explicit options (worker count,
+    /// extraction kernel, trace).
     pub fn extract_with_options(
         &self,
         iso: f32,
@@ -113,7 +113,7 @@ impl<S: ScalarValue> ClusterDatabase<S> {
         Ok(ExtractResult { mesh, report })
     }
 
-    /// Extract without merging: per-node soups plus report (what the
+    /// Extract without merging: per-node meshes plus report (what the
     /// rendering path and the balance tables consume).
     pub fn extract_per_node(&self, iso: f32) -> io::Result<ClusterExtraction> {
         self.cluster.extract(iso)
@@ -130,30 +130,18 @@ impl<S: ScalarValue> ClusterDatabase<S> {
         iso: f32,
         lods: &oociso_cluster::LodSpec,
     ) -> io::Result<(oociso_march::LodChain, QueryReport)> {
-        self.extract_lods_with(iso, lods, oociso_march::Backend::Mc)
-    }
-
-    /// [`ClusterDatabase::extract_lods`] with an explicit extraction
-    /// [`Backend`](oociso_march::Backend). SurfaceNets pyramids build from
-    /// the seam-stitched, smoothed mesh (already vertex-unique by cell
-    /// ownership, so no weld pass runs first).
-    pub fn extract_lods_with(
-        &self,
-        iso: f32,
-        lods: &oociso_cluster::LodSpec,
-        backend: oociso_march::Backend,
-    ) -> io::Result<(oociso_march::LodChain, QueryReport)> {
         let opts = oociso_cluster::ExtractOptions {
             lods: lods.clone(),
-            backend,
             ..Default::default()
         };
         self.extract_lods_opts(iso, &opts)
     }
 
-    /// [`ClusterDatabase::extract_lods_with`] under full extraction options
-    /// — how the query server threads its per-request trace (and any other
-    /// extraction tuning) into the pipeline. The extraction's span tree
+    /// [`ClusterDatabase::extract_lods`] under full extraction options —
+    /// how the query server threads its per-request trace into the
+    /// pipeline. A SurfaceNets pyramid builds from the seam-stitched,
+    /// smoothed mesh (vertex-unique by cell ownership, so no weld pass runs
+    /// first). The extraction's span tree
     /// (`extract`/`node`/`pipeline`/... plus the `merge_weld`/`stitch` and
     /// `lod` roots) lands in `opts.trace`.
     pub fn extract_lods_opts(
@@ -224,83 +212,6 @@ impl<S: ScalarValue> ClusterDatabase<S> {
     }
 }
 
-/// A serial (single-node) out-of-core isosurface database — the common case
-/// for a workstation, and the baseline the speedup tables divide by.
-pub struct IsoDatabase<S: ScalarValue> {
-    inner: ClusterDatabase<S>,
-}
-
-impl<S: ScalarValue> IsoDatabase<S> {
-    /// Preprocess an in-memory volume into `dir` (forces `nodes = 1`).
-    pub fn preprocess(vol: &Volume<S>, dir: &Path, opts: &PreprocessOptions) -> io::Result<Self> {
-        let opts = PreprocessOptions { nodes: 1, ..*opts };
-        Ok(IsoDatabase {
-            inner: ClusterDatabase::preprocess(vol, dir, &opts)?,
-        })
-    }
-
-    /// Preprocess a raw volume file out-of-core (forces `nodes = 1`).
-    pub fn preprocess_file(
-        volume_path: &Path,
-        dir: &Path,
-        opts: &PreprocessOptions,
-    ) -> io::Result<Self> {
-        let opts = PreprocessOptions { nodes: 1, ..*opts };
-        Ok(IsoDatabase {
-            inner: ClusterDatabase::preprocess_file(volume_path, dir, &opts)?,
-        })
-    }
-
-    /// Open a previously preprocessed single-node directory.
-    pub fn open(dir: &Path, mmap: bool) -> io::Result<Self> {
-        let inner = ClusterDatabase::open(dir, mmap)?;
-        if inner.nodes() != 1 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "directory holds a multi-node dataset; use ClusterDatabase::open",
-            ));
-        }
-        Ok(IsoDatabase { inner })
-    }
-
-    /// Extract the isosurface at `iso`.
-    pub fn extract(&self, iso: f32) -> io::Result<ExtractResult> {
-        self.inner.extract(iso)
-    }
-
-    /// Render the isosurface from `camera` into a single framebuffer.
-    pub fn render(
-        &self,
-        iso: f32,
-        camera: &Camera,
-        width: usize,
-        height: usize,
-        base_color: [f32; 3],
-    ) -> io::Result<(Framebuffer, ExtractResult)> {
-        let tiles = TileLayout::new(1, 1, width, height);
-        let (fb, e) = self
-            .inner
-            .extract_and_render(iso, camera, &tiles, base_color)?;
-        let (mesh, report) = e.into_merged();
-        Ok((fb, ExtractResult { mesh, report }))
-    }
-
-    /// Preprocessing statistics (only right after building).
-    pub fn preprocess_stats(&self) -> Option<&PreprocessStats> {
-        self.inner.preprocess_stats()
-    }
-
-    /// Index size in bytes.
-    pub fn index_bytes(&self) -> u64 {
-        self.inner.index_bytes()
-    }
-
-    /// Access the underlying cluster database.
-    pub fn as_cluster(&self) -> &ClusterDatabase<S> {
-        &self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,7 +232,7 @@ mod tests {
     #[test]
     fn quickstart_flow() {
         let dir = tmpdir("quick");
-        let db = IsoDatabase::preprocess(&vol(), &dir, &PreprocessOptions::default()).unwrap();
+        let db = ClusterDatabase::preprocess(&vol(), &dir, &PreprocessOptions::default()).unwrap();
         let surface = db.extract(120.0).unwrap();
         assert!(surface.mesh.len() > 100);
         // the kernel's triangle count covers welded-away collapses too (the
@@ -340,7 +251,7 @@ mod tests {
         let v = vol();
         let d1 = tmpdir("serial");
         let d4 = tmpdir("cluster");
-        let serial = IsoDatabase::preprocess(&v, &d1, &PreprocessOptions::default()).unwrap();
+        let serial = ClusterDatabase::preprocess(&v, &d1, &PreprocessOptions::default()).unwrap();
         let opts = PreprocessOptions {
             nodes: 4,
             ..Default::default()
@@ -356,24 +267,10 @@ mod tests {
     }
 
     #[test]
-    fn open_serial_rejects_multinode_dir() {
+    fn worker_counts_agree_and_empty_iso_is_sane() {
+        use oociso_cluster::ExtractOptions;
         let v = vol();
-        let d = tmpdir("multi");
-        let opts = PreprocessOptions {
-            nodes: 2,
-            ..Default::default()
-        };
-        let _ = ClusterDatabase::preprocess(&v, &d, &opts).unwrap();
-        assert!(IsoDatabase::<u8>::open(&d, false).is_err());
-        assert!(ClusterDatabase::<u8>::open(&d, false).is_ok());
-        std::fs::remove_dir_all(&d).ok();
-    }
-
-    #[test]
-    fn extraction_modes_agree_and_empty_iso_is_sane() {
-        use oociso_cluster::{ExtractMode, ExtractOptions};
-        let v = vol();
-        let d = tmpdir("modes");
+        let d = tmpdir("workers");
         let db = ClusterDatabase::preprocess(
             &v,
             &d,
@@ -383,20 +280,19 @@ mod tests {
             },
         )
         .unwrap();
-        let streaming = db.extract(120.0).unwrap();
-        let batch = db
+        let default = db.extract(120.0).unwrap();
+        let one = db
             .extract_with_options(
                 120.0,
                 &ExtractOptions {
-                    workers: Some(2),
-                    mode: ExtractMode::Batch,
+                    workers: Some(1),
                     ..Default::default()
                 },
             )
             .unwrap();
-        assert_eq!(streaming.mesh.positions(), batch.mesh.positions());
-        assert_eq!(streaming.mesh.indices(), batch.mesh.indices());
-        for n in &streaming.report.nodes {
+        assert_eq!(default.mesh.positions(), one.mesh.positions());
+        assert_eq!(default.mesh.indices(), one.mesh.indices());
+        for n in &default.report.nodes {
             assert!(n.workers > 0);
             assert_eq!(n.exec.records_emitted, n.active_metacells);
         }
@@ -415,10 +311,13 @@ mod tests {
     fn render_produces_pixels() {
         let v = vol();
         let d = tmpdir("render");
-        let db = IsoDatabase::preprocess(&v, &d, &PreprocessOptions::default()).unwrap();
+        let db = ClusterDatabase::preprocess(&v, &d, &PreprocessOptions::default()).unwrap();
         let surface = db.extract(120.0).unwrap();
         let camera = oociso_render::Camera::orbiting(&surface.mesh.bounds(), 0.7, 0.4, 2.5);
-        let (fb, res) = db.render(120.0, &camera, 96, 96, [0.8, 0.8, 0.9]).unwrap();
+        let tiles = TileLayout::new(1, 1, 96, 96);
+        let (fb, res) = db
+            .extract_and_render(120.0, &camera, &tiles, [0.8, 0.8, 0.9])
+            .unwrap();
         assert!(fb.covered_pixels() > 50);
         assert!(res.report.nodes[0].rendering > std::time::Duration::ZERO);
         std::fs::remove_dir_all(&d).ok();

@@ -3,23 +3,22 @@
 //! Out-of-core isosurface extraction and rendering for large (time-varying)
 //! structured scalar fields, after Wang, JaJa & Varshney (IPDPS 2006).
 //!
-//! Three entry points, in increasing generality:
+//! Two entry points:
 //!
-//! * [`IsoDatabase`] — preprocess one volume once, extract isosurfaces for
-//!   any isovalue in output-sensitive I/O time.
-//! * [`ClusterDatabase`] — the same over `p` simulated cluster nodes with
-//!   striped bricks, per-node indexes, local rendering and sort-last
-//!   compositing. (`IsoDatabase` is the `p = 1` case.)
+//! * [`ClusterDatabase`] — preprocess one volume once, then extract
+//!   isosurfaces for any isovalue in output-sensitive I/O time, over `p`
+//!   simulated cluster nodes with striped bricks, per-node indexes, local
+//!   rendering and sort-last compositing (`p = 1` by default).
 //! * [`TimeVaryingDatabase`] — one index per time step (§5.2): the whole
 //!   index set stays in memory while the data stays on disk.
 //!
 //! ```no_run
-//! use oociso_core::{IsoDatabase, PreprocessOptions};
+//! use oociso_core::{ClusterDatabase, PreprocessOptions};
 //! use oociso_volume::{RmProxy, Dims3};
 //!
 //! let vol = RmProxy::with_seed(1).volume(250, Dims3::new(64, 64, 60));
-//! let db = IsoDatabase::preprocess(&vol, std::path::Path::new("/tmp/demo"),
-//!                                  &PreprocessOptions::default()).unwrap();
+//! let db = ClusterDatabase::preprocess(&vol, std::path::Path::new("/tmp/demo"),
+//!                                      &PreprocessOptions::default()).unwrap();
 //! let surface = db.extract(128.0).unwrap();
 //! println!("{} triangles", surface.mesh.len());
 //! ```
@@ -27,9 +26,9 @@
 pub mod db;
 pub mod tv;
 
-pub use db::{ClusterDatabase, ExtractResult, IsoDatabase, PreprocessOptions};
+pub use db::{ClusterDatabase, ExtractResult, PreprocessOptions};
 pub use oociso_cluster::{
-    ExtractMode, ExtractOptions, LodReport, LodSpec, NodeReport, QueryReport, SimulatedTimeModel,
+    ExtractOptions, LodReport, LodSpec, NodeReport, QueryReport, SimulatedTimeModel,
 };
 pub use oociso_march::LodChain;
 pub use tv::TimeVaryingDatabase;

@@ -3,8 +3,8 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use oociso::core::{IsoDatabase, PreprocessOptions};
-use oociso::render::Camera;
+use oociso::core::{ClusterDatabase, PreprocessOptions};
+use oociso::render::{Camera, TileLayout};
 use oociso::volume::{Dims3, RmProxy};
 
 fn main() -> std::io::Result<()> {
@@ -22,7 +22,7 @@ fn main() -> std::io::Result<()> {
     // 2. Preprocess into an on-disk database: 9×9×9 metacells, constant
     //    metacells culled, bricks laid out by the compact interval tree.
     let dir = std::env::temp_dir().join("oociso-quickstart");
-    let db = IsoDatabase::preprocess(&volume, &dir, &PreprocessOptions::default())?;
+    let db = ClusterDatabase::preprocess(&volume, &dir, &PreprocessOptions::default())?;
     let stats = db.preprocess_stats().unwrap();
     println!(
         "preprocessed: {} metacells kept, {} culled ({:.0}% of raw size), index {} bytes",
@@ -45,9 +45,10 @@ fn main() -> std::io::Result<()> {
         node.io.seeks,
     );
 
-    // 4. Render to an image.
+    // 4. Render to an image: one 800×800 tile.
     let camera = Camera::orbiting(&surface.mesh.bounds(), 0.65, 0.35, 2.2);
-    let (fb, _) = db.render(iso, &camera, 800, 800, [0.85, 0.75, 0.55])?;
+    let tiles = TileLayout::new(1, 1, 800, 800);
+    let (fb, _) = db.extract_and_render(iso, &camera, &tiles, [0.85, 0.75, 0.55])?;
     let out = std::env::temp_dir().join("oociso-quickstart.ppm");
     fb.write_ppm(&out)?;
     println!(

@@ -21,20 +21,20 @@
 //!   interconnect model.
 //! * [`cluster`] — simulated visualization cluster: p nodes × (local disk +
 //!   local index + local framebuffer), phase timings.
-//! * [`core`] — the public API: [`core::IsoDatabase`],
-//!   [`core::TimeVaryingDatabase`], [`core::ClusterDatabase`].
+//! * [`core`] — the public API: [`core::ClusterDatabase`],
+//!   [`core::TimeVaryingDatabase`].
 //! * [`serve`] — TCP query server (versioned wire protocol, LRU result
 //!   cache), blocking client, and the real-socket compositing transport.
 //!
 //! ## Quickstart
 //!
 //! ```no_run
-//! use oociso::core::{IsoDatabase, PreprocessOptions};
+//! use oociso::core::{ClusterDatabase, PreprocessOptions};
 //! use oociso::volume::{RmProxy, Dims3};
 //!
 //! let vol = RmProxy::with_seed(1).volume(250, Dims3::new(64, 64, 60));
 //! let dir = std::env::temp_dir().join("oociso-quickstart");
-//! let db = IsoDatabase::preprocess(&vol, &dir, &PreprocessOptions::default()).unwrap();
+//! let db = ClusterDatabase::preprocess(&vol, &dir, &PreprocessOptions::default()).unwrap();
 //! let surface = db.extract(128.0).unwrap();
 //! println!("{} triangles", surface.mesh.len());
 //! ```

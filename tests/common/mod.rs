@@ -7,7 +7,10 @@
 //! it.
 #![allow(dead_code)]
 
-use oociso::march::{marching_cubes, TriangleSoup, Vec3};
+use oociso::march::{
+    marching_cubes, marching_cubes_indexed, IndexedMesh, SlabScratch, TriangleSoup, Vec3,
+};
+use oociso::metacell::MetacellLayout;
 use oociso::volume::field::{
     AnalyticField, FieldExt, GyroidField, NoiseField, SphereField, TorusField,
 };
@@ -26,6 +29,34 @@ pub fn truth(vol: &Volume<u8>, iso: f32) -> TriangleSoup {
     let mut soup = TriangleSoup::new();
     marching_cubes(vol, iso, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut soup);
     soup
+}
+
+/// An unwelded surface: every 9³-vertex metacell of `vol` extracted on its
+/// own by the slab kernel, and the block meshes concatenated with
+/// [`IndexedMesh::merge`] and no welder. Vertices are shared only within a
+/// block, so index connectivity is open along every metacell seam.
+pub fn unwelded_blocks(vol: &Volume<u8>, iso: f32) -> IndexedMesh {
+    let layout = MetacellLayout::new(vol.dims(), 9);
+    let mut scratch = SlabScratch::new();
+    let mut out = IndexedMesh::new();
+    for id in layout.ids() {
+        let (lo, hi) = layout.vertex_box(id);
+        let origin = Vec3::new(lo.0 as f32, lo.1 as f32, lo.2 as f32);
+        let mut block = IndexedMesh::new();
+        let one = Vec3::new(1.0, 1.0, 1.0);
+        let block_vol = vol.extract_box(lo, hi);
+        marching_cubes_indexed(
+            &block_vol,
+            iso,
+            origin,
+            one,
+            &mut block,
+            &mut Vec::new(),
+            &mut scratch,
+        );
+        out.merge(block);
+    }
+    out
 }
 
 /// The zoo sphere: radius 0.31 of the unit cube, level 128.

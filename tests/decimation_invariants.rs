@@ -21,7 +21,7 @@
 //!
 //! Plus the degenerate inputs a serving decimator must survive: empty
 //! meshes, a single triangle, all-collinear (singular) quadrics, and an
-//! unwelded `--no-weld` mesh whose every metacell seam is boundary.
+//! unwelded mesh whose every metacell seam is boundary.
 
 mod common;
 
@@ -458,34 +458,14 @@ fn all_collinear_quadrics_use_the_fallback_and_stay_planar() {
     assert_eq!(dec, dec2);
 }
 
-/// An unwelded (`--no-weld`) extraction leaves every metacell seam open:
+/// Per-metacell meshes concatenated without a weld leave every seam open:
 /// under index connectivity the mesh is a pile of bounded fragments. The
 /// decimator must pin all of those boundaries — never collapse through a
 /// seam — while still simplifying fragment interiors.
 #[test]
 fn open_unwelded_mesh_keeps_every_seam_vertex() {
     let vol: Volume<u8> = common::sphere_vol(Dims3::cube(30));
-    let dir = common::tmpdir("dec_noweld");
-    let db = ClusterDatabase::preprocess(
-        &vol,
-        &dir,
-        &PreprocessOptions {
-            nodes: 2,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let mesh = db
-        .extract_with_options(
-            128.5,
-            &ExtractOptions {
-                weld: false,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .mesh;
-    std::fs::remove_dir_all(&dir).ok();
+    let mesh = common::unwelded_blocks(&vol, 128.5);
     let before = analyze_mesh_connectivity(&mesh);
     assert!(before.boundary_edges > 0, "unwelded mesh must be open");
 

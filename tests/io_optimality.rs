@@ -1,7 +1,7 @@
 //! I/O behaviour of the compact-interval-tree query (§5's optimality claims),
 //! measured end-to-end through the database.
 
-use oociso::core::{IsoDatabase, PreprocessOptions};
+use oociso::core::{ClusterDatabase, PreprocessOptions};
 use oociso::exio::IoCostModel;
 use oociso::itree::plan::STREAM_CHUNK;
 use oociso::metacell::MetacellRecord;
@@ -26,7 +26,7 @@ fn bytes_read_proportional_to_output() {
     // touched *equal* the active metacells' stored (packed) record bytes.
     let vol = RmProxy::with_seed(3).volume(230, Dims3::new(48, 48, 45));
     let dir = tmpdir("prop");
-    let db = IsoDatabase::preprocess(&vol, &dir, &PreprocessOptions::default()).unwrap();
+    let db = ClusterDatabase::preprocess(&vol, &dir, &PreprocessOptions::default()).unwrap();
     for iso in [30.0, 90.0, 150.0, 210.0] {
         let r = db.extract(iso).unwrap();
         let n = &r.report.nodes[0];
@@ -53,7 +53,7 @@ fn read_calls_bounded_by_runs_and_chunks() {
     // actions, and the runs are few — the plan's bricks mostly abut.
     let vol = RmProxy::with_seed(3).volume(230, Dims3::new(48, 48, 45));
     let dir = tmpdir("calls");
-    let db = IsoDatabase::preprocess(&vol, &dir, &PreprocessOptions::default()).unwrap();
+    let db = ClusterDatabase::preprocess(&vol, &dir, &PreprocessOptions::default()).unwrap();
     for iso in (10..=210).step_by(20) {
         let r = db.extract(iso as f32).unwrap();
         let n = &r.report.nodes[0];
@@ -75,7 +75,7 @@ fn read_calls_bounded_by_runs_and_chunks() {
 fn io_grows_monotonically_with_surface_size() {
     let vol = RmProxy::with_seed(3).volume(230, Dims3::new(48, 48, 45));
     let dir = tmpdir("mono");
-    let db = IsoDatabase::preprocess(&vol, &dir, &PreprocessOptions::default()).unwrap();
+    let db = ClusterDatabase::preprocess(&vol, &dir, &PreprocessOptions::default()).unwrap();
     // collect (active, touched_bytes) over the sweep; Spearman-ish check:
     // sorting by active must sort touched within tolerance
     let mut points: Vec<(u64, u64)> = Vec::new();
@@ -102,7 +102,7 @@ fn reads_are_mostly_sequential() {
     // prior metacell schemes paid a random read per metacell).
     let vol = RmProxy::with_seed(3).volume(230, Dims3::new(48, 48, 45));
     let dir = tmpdir("seq");
-    let db = IsoDatabase::preprocess(&vol, &dir, &PreprocessOptions::default()).unwrap();
+    let db = ClusterDatabase::preprocess(&vol, &dir, &PreprocessOptions::default()).unwrap();
     let r = db.extract(130.0).unwrap();
     let n = &r.report.nodes[0];
     assert!(n.active_metacells > 50, "need a meaningful surface");
@@ -119,7 +119,7 @@ fn reads_are_mostly_sequential() {
 fn modeled_time_matches_fifty_mbps_hand_calc() {
     let vol = RmProxy::with_seed(3).volume(230, Dims3::new(48, 48, 45));
     let dir = tmpdir("model");
-    let db = IsoDatabase::preprocess(&vol, &dir, &PreprocessOptions::default()).unwrap();
+    let db = ClusterDatabase::preprocess(&vol, &dir, &PreprocessOptions::default()).unwrap();
     let r = db.extract(130.0).unwrap();
     let n = &r.report.nodes[0];
     let model = IoCostModel::paper_disk();
@@ -135,7 +135,7 @@ fn out_of_range_isovalue_costs_nothing() {
     // metacells read, no triangles
     let vol = RmProxy::with_seed(3).volume(230, Dims3::new(48, 48, 45));
     let dir = tmpdir("empty");
-    let db = IsoDatabase::preprocess(&vol, &dir, &PreprocessOptions::default()).unwrap();
+    let db = ClusterDatabase::preprocess(&vol, &dir, &PreprocessOptions::default()).unwrap();
     let r = db.extract(300.0).unwrap();
     let n = &r.report.nodes[0];
     assert_eq!(r.mesh.len(), 0);

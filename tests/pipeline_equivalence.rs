@@ -1,14 +1,14 @@
 //! Cross-crate integration: the out-of-core parallel pipeline must produce
 //! exactly the geometry a direct in-memory marching-cubes pass produces,
 //! for every node count — and the streaming retrieval→triangulation
-//! pipeline must be *bit-identical* to the retained batch path for every
-//! worker count and queue bound.
+//! pipeline must be *bit-identical* across worker counts, for every
+//! extraction backend.
 
 mod common;
 
 use common::{tmpdir, truth};
-use oociso::cluster::{Cluster, ClusterBuildOptions, ExtractMode, ExtractOptions};
-use oociso::core::{ClusterDatabase, IsoDatabase, PreprocessOptions};
+use oociso::cluster::{Cluster, ClusterBuildOptions, ExtractOptions, QUEUE_RECORDS};
+use oociso::core::{ClusterDatabase, PreprocessOptions};
 use oociso::march::{Backend, IndexedMesh, Vec3};
 use oociso::volume::{Dims3, RmProxy, Volume};
 use proptest::prelude::*;
@@ -29,7 +29,7 @@ fn database_extraction_equals_direct_marching_cubes() {
     for (name, vol) in &fields {
         let reference = truth(vol, 128.0);
         let dir = tmpdir(&format!("eq_{name}"));
-        let db = IsoDatabase::preprocess(vol, &dir, &PreprocessOptions::default()).unwrap();
+        let db = ClusterDatabase::preprocess(vol, &dir, &PreprocessOptions::default()).unwrap();
         let got = db.extract(128.0).unwrap();
         // the integer isovalue lands some crossings exactly on cell corners
         // of the u8 lattice; the weld drops those collapsed triangles and
@@ -86,7 +86,7 @@ fn extraction_sweep_is_superset_free() {
     // spurious geometry)
     let vol = common::gyroid_vol(Dims3::cube(28));
     let dir = tmpdir("sweep");
-    let db = IsoDatabase::preprocess(&vol, &dir, &PreprocessOptions::default()).unwrap();
+    let db = ClusterDatabase::preprocess(&vol, &dir, &PreprocessOptions::default()).unwrap();
     for iso in (40..=215).step_by(25) {
         let iso = iso as f32;
         let got = db.extract(iso).unwrap();
@@ -150,63 +150,32 @@ fn assert_meshes_bit_identical(a: &IndexedMesh, b: &IndexedMesh, ctx: &str) {
     assert_eq!(a.indices(), b.indices(), "{ctx}: index stream differs");
 }
 
-/// Streaming extraction (any worker count × any queue bound) must emit the
-/// byte-for-byte same mesh as the retained batch path, for **every**
-/// extraction backend: per-record parts merge by plan-emission sequence
-/// number, which is also the batch path's record order, and the SurfaceNets
-/// seam stitch + smoothing run over that same deterministic merge.
-fn check_streaming_equals_batch(name: &str, vol: &Volume<u8>, iso: f32) {
+/// Extract `iso` from `cluster` with `workers` per node through `backend`,
+/// merged.
+fn extract(cluster: &Cluster<u8>, iso: f32, workers: usize, backend: Backend) -> IndexedMesh {
+    let opts = ExtractOptions {
+        workers: Some(workers),
+        backend,
+        ..Default::default()
+    };
+    let e = cluster.extract_with_options(iso, &opts).unwrap();
+    e.into_merged().0
+}
+
+/// Streaming extraction at any worker count must emit the byte-for-byte
+/// same mesh as one worker, for **every** extraction backend: per-record
+/// parts merge by plan-emission sequence number, whatever worker
+/// triangulated them, and the SurfaceNets seam stitch + smoothing run over
+/// that same deterministic merge.
+fn check_worker_counts_agree(name: &str, vol: &Volume<u8>, iso: f32) {
     let dir = tmpdir(&format!("sb_{name}_{}", (iso * 10.0) as i32));
     let (cluster, _) = Cluster::build(vol, &dir, 1, &ClusterBuildOptions::default()).unwrap();
     for backend in Backend::ALL {
-        let batch = cluster
-            .extract_with_options(
-                iso,
-                &ExtractOptions {
-                    workers: Some(1),
-                    mode: ExtractMode::Batch,
-                    backend,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        let (batch_mesh, batch_report) = batch.into_merged();
-        for workers in [1usize, 2, 3, 8] {
-            for queue_records in [1usize, 4, usize::MAX] {
-                let e = cluster
-                    .extract_with_options(
-                        iso,
-                        &ExtractOptions {
-                            workers: Some(workers),
-                            mode: ExtractMode::Streaming { queue_records },
-                            backend,
-                            ..Default::default()
-                        },
-                    )
-                    .unwrap();
-                let ctx =
-                    format!("{name} iso={iso} {backend} workers={workers} bound={queue_records}");
-                assert_eq!(
-                    e.report.total_active_metacells(),
-                    batch_report.total_active_metacells(),
-                    "{ctx}"
-                );
-                let n = &e.report.nodes[0];
-                if queue_records != usize::MAX {
-                    // admission is weighted by planner cell estimates: the bound
-                    // caps queued *work* at `queue_records` full metacells' worth
-                    // of cells (default k = 9 → 8³ per full record), so clamped
-                    // edge records may exceed the bound in record count but never
-                    // in cells
-                    assert!(
-                        n.peak_queue_work <= queue_records as u64 * 512,
-                        "{ctx}: peak work {} cells",
-                        n.peak_queue_work
-                    );
-                }
-                let (mesh, _) = e.into_merged();
-                assert_meshes_bit_identical(&mesh, &batch_mesh, &ctx);
-            }
+        let base = extract(&cluster, iso, 1, backend);
+        for workers in [2usize, 3, 8] {
+            let ctx = format!("{name} iso={iso} {backend} workers={workers}");
+            let mesh = extract(&cluster, iso, workers, backend);
+            assert_meshes_bit_identical(&mesh, &base, &ctx);
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -215,10 +184,10 @@ fn check_streaming_equals_batch(name: &str, vol: &Volume<u8>, iso: f32) {
 /// Weighted-admission regression on a dense tiling: 33³ splits into 9³-vertex
 /// metacells exactly (4 × 8 cells per axis), so every record carries the full
 /// 8³ = 512-cell weight and the gyroid keeps essentially all of them active.
-/// The tightest bounds must still cap queued work at `bound × 512` cells —
+/// The queue bound must cap queued work at `QUEUE_RECORDS × 512` cells —
 /// admission cannot over-admit full-weight records the way it deliberately
 /// over-admits clamped edge records — and the stream must stay bit-identical
-/// to batch under both backends.
+/// to one worker under both backends.
 #[test]
 fn weighted_admission_caps_queued_work_on_dense_metacells() {
     let vol: Volume<u8> = common::gyroid_vol(Dims3::cube(33));
@@ -226,46 +195,30 @@ fn weighted_admission_caps_queued_work_on_dense_metacells() {
     let dir = tmpdir("dense_admission");
     let (cluster, _) = Cluster::build(&vol, &dir, 1, &ClusterBuildOptions::default()).unwrap();
     for backend in Backend::ALL {
-        let (batch_mesh, _) = cluster
+        let base = extract(&cluster, iso, 1, backend);
+        let e = cluster
             .extract_with_options(
                 iso,
                 &ExtractOptions {
-                    workers: Some(1),
-                    mode: ExtractMode::Batch,
+                    workers: Some(4),
                     backend,
                     ..Default::default()
                 },
             )
-            .unwrap()
-            .into_merged();
-        for queue_records in [1usize, 2] {
-            let e = cluster
-                .extract_with_options(
-                    iso,
-                    &ExtractOptions {
-                        workers: Some(4),
-                        mode: ExtractMode::Streaming { queue_records },
-                        backend,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-            let ctx = format!("{backend} bound={queue_records}");
-            let n = &e.report.nodes[0];
-            assert!(
-                n.peak_queue_work <= queue_records as u64 * 512,
-                "{ctx}: peak work {} cells exceeds the weighted bound",
-                n.peak_queue_work
-            );
-            assert!(
-                n.peak_queue_work >= 512,
-                "{ctx}: at least one full record must have been admitted \
-                 (admit-at-least-one prevents deadlock), got {}",
-                n.peak_queue_work
-            );
-            let (mesh, _) = e.into_merged();
-            assert_meshes_bit_identical(&mesh, &batch_mesh, &ctx);
-        }
+            .unwrap();
+        let n = &e.report.nodes[0];
+        assert!(
+            n.peak_queue_work <= QUEUE_RECORDS as u64 * 512,
+            "{backend}: peak work {} cells exceeds the weighted bound",
+            n.peak_queue_work
+        );
+        assert!(
+            n.peak_queue_work >= 512,
+            "{backend}: at least one full record must have been admitted, got {}",
+            n.peak_queue_work
+        );
+        let (mesh, _) = e.into_merged();
+        assert_meshes_bit_identical(&mesh, &base, &format!("{backend} workers=4"));
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -279,7 +232,7 @@ proptest! {
         dim in 25usize..34,
     ) {
         let vol: Volume<u8> = common::sphere_vol_r(0.33, Dims3::new(dim, dim, dim - 2));
-        check_streaming_equals_batch("sphere", &vol, iso);
+        check_worker_counts_agree("sphere", &vol, iso);
     }
 
     #[test]
@@ -288,6 +241,6 @@ proptest! {
         dim in 24usize..32,
     ) {
         let vol: Volume<u8> = common::gyroid_vol(Dims3::cube(dim));
-        check_streaming_equals_batch("gyroid", &vol, iso);
+        check_worker_counts_agree("gyroid", &vol, iso);
     }
 }

@@ -7,47 +7,28 @@
 //!
 //! * **closure** — for closed synthetic fields the welded full-database mesh
 //!   has zero boundary edges, zero non-manifold edges, and the ground-truth
-//!   Euler characteristic, across extraction modes × worker counts ×
-//!   metacell sizes × node counts (while the unwelded merge is provably
-//!   open along every seam);
+//!   Euler characteristic, across worker counts × metacell sizes × node
+//!   counts (while per-metacell meshes concatenated without a weld are
+//!   provably open along every seam);
 //! * **topology-only** — welding never moves geometry: the canonical
-//!   triangle multiset is identical to the unwelded merge (minus exactly
-//!   the counted collapsed triangles when the isosurface passes through
-//!   cell corners).
+//!   triangle multiset is identical to a direct marching-cubes pass (minus
+//!   exactly the counted collapsed triangles when the isosurface passes
+//!   through cell corners).
 
 mod common;
 
 use common::{tmpdir, truth};
-use oociso::cluster::{Cluster, ClusterBuildOptions, ExtractMode, ExtractOptions};
+use oociso::cluster::{Cluster, ClusterBuildOptions, ExtractOptions};
 use oociso::core::{ClusterDatabase, PreprocessOptions};
-use oociso::march::{analyze, analyze_mesh, analyze_mesh_connectivity, Backend, IndexedMesh};
+use oociso::march::{
+    analyze, analyze_mesh, analyze_mesh_connectivity, canonical_triangles, Backend, IndexedMesh,
+};
 use oociso::volume::field::{FieldExt, GyroidField, SphereField};
 use oociso::volume::{Dims3, Volume};
 use proptest::prelude::*;
 
-fn extract_with(
-    cluster: &Cluster<u8>,
-    iso: f32,
-    workers: usize,
-    mode: ExtractMode,
-    weld: bool,
-) -> (oociso::march::IndexedMesh, oociso::cluster::QueryReport) {
-    cluster
-        .extract_with_options(
-            iso,
-            &ExtractOptions {
-                workers: Some(workers),
-                mode,
-                weld,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .into_merged()
-}
-
-/// The property behind the suite: for a closed field, every (mode × workers
-/// × metacell size) combination of the welded out-of-core extraction yields
+/// The property behind the suite: for a closed field, every (workers ×
+/// metacell size) combination of the welded out-of-core extraction yields
 /// the exact topology of a direct in-memory marching-cubes pass — closed,
 /// manifold, same Euler characteristic — on a 3-node cluster whose striping
 /// puts node seams everywhere. The same matrix also covers LOD determinism:
@@ -86,63 +67,62 @@ fn check_watertight_everywhere(
         // decimation baseline for this metacell size (triangle stream order
         // differs across k, so bit-identity is asserted within each k)
         let mut decimated_baseline: Option<IndexedMesh> = None;
-        for mode in [ExtractMode::default(), ExtractMode::Batch] {
-            for workers in [1usize, 2, 8] {
-                let ctx = format!("{name} iso={iso} k={metacell_k} {mode:?} workers={workers}");
-                let (mesh, report) = extract_with(&cluster, iso, workers, mode, true);
-                // the strong form of watertight: closed by *raw index
-                // connectivity*, not just after analysis-time welding
-                let topo = analyze_mesh_connectivity(&mesh);
-                assert!(topo.is_closed(), "{ctx}: boundary edges: {topo:?}");
-                // non-manifold pinches only where the quantized field truly
-                // self-touches — i.e. exactly where direct MC has them too
-                assert_eq!(topo, reference, "{ctx}: topology must match direct MC");
-                assert_eq!(analyze_mesh(&mesh), reference, "{ctx}");
-                assert_eq!(
-                    topo.euler_characteristic(),
-                    reference.euler_characteristic(),
-                    "{ctx}"
-                );
-                // the welded mesh carries no duplicate or orphan vertices
-                assert_eq!(topo.vertices, mesh.num_vertices(), "{ctx}");
-                // off-lattice isovalue: nothing may collapse
-                assert_eq!(report.total_weld().degenerate_dropped, 0, "{ctx}");
-                assert!(
-                    report.total_weld().vertices_merged() > 0,
-                    "{ctx}: seams must exist for the weld to close"
-                );
+        for workers in [1usize, 2, 8] {
+            let ctx = format!("{name} iso={iso} k={metacell_k} workers={workers}");
+            let e = cluster.extract_with_workers(iso, workers).unwrap();
+            let (mesh, report) = e.into_merged();
+            // the strong form of watertight: closed by *raw index
+            // connectivity*, not just after analysis-time welding
+            let topo = analyze_mesh_connectivity(&mesh);
+            assert!(topo.is_closed(), "{ctx}: boundary edges: {topo:?}");
+            // non-manifold pinches only where the quantized field truly
+            // self-touches — i.e. exactly where direct MC has them too
+            assert_eq!(topo, reference, "{ctx}: topology must match direct MC");
+            assert_eq!(analyze_mesh(&mesh), reference, "{ctx}");
+            assert_eq!(
+                topo.euler_characteristic(),
+                reference.euler_characteristic(),
+                "{ctx}"
+            );
+            // the welded mesh carries no duplicate or orphan vertices
+            assert_eq!(topo.vertices, mesh.num_vertices(), "{ctx}");
+            // off-lattice isovalue: nothing may collapse
+            assert_eq!(report.total_weld().degenerate_dropped, 0, "{ctx}");
+            assert!(
+                report.total_weld().vertices_merged() > 0,
+                "{ctx}: seams must exist for the weld to close"
+            );
 
-                // LOD determinism rides the same matrix: decimation is a
-                // pure function of the welded mesh, so every mode/worker
-                // combination must decimate to the same bytes and keep the
-                // closed-manifold topology class
-                let (decimated, dstats) = oociso::march::decimate_to_ratio(&mesh, 0.25);
-                let dtopo = analyze_mesh_connectivity(&decimated);
-                assert!(dtopo.is_closed(), "{ctx}: decimated: {dtopo:?}");
-                // where the quantized field genuinely self-touches the
-                // reference already has a non-manifold pinch; decimation
-                // pins it — the count must carry over exactly, never grow
-                assert_eq!(
-                    dtopo.non_manifold_edges, reference.non_manifold_edges,
-                    "{ctx}: decimated: {dtopo:?}"
-                );
-                assert_eq!(
-                    dtopo.euler_characteristic(),
-                    reference.euler_characteristic(),
-                    "{ctx}: decimation changed the Euler characteristic"
-                );
-                assert_eq!(dtopo.components, reference.components, "{ctx}");
-                assert!(
-                    dstats.output_vertices < dstats.input_vertices,
-                    "{ctx}: {dstats:?}"
-                );
-                match &decimated_baseline {
-                    None => decimated_baseline = Some(decimated),
-                    Some(base) => assert_eq!(
-                        &decimated, base,
-                        "{ctx}: decimated mesh must be bit-identical across modes/workers"
-                    ),
-                }
+            // LOD determinism rides the same matrix: decimation is a
+            // pure function of the welded mesh, so every worker count
+            // must decimate to the same bytes and keep the
+            // closed-manifold topology class
+            let (decimated, dstats) = oociso::march::decimate_to_ratio(&mesh, 0.25);
+            let dtopo = analyze_mesh_connectivity(&decimated);
+            assert!(dtopo.is_closed(), "{ctx}: decimated: {dtopo:?}");
+            // where the quantized field genuinely self-touches the
+            // reference already has a non-manifold pinch; decimation
+            // pins it — the count must carry over exactly, never grow
+            assert_eq!(
+                dtopo.non_manifold_edges, reference.non_manifold_edges,
+                "{ctx}: decimated: {dtopo:?}"
+            );
+            assert_eq!(
+                dtopo.euler_characteristic(),
+                reference.euler_characteristic(),
+                "{ctx}: decimation changed the Euler characteristic"
+            );
+            assert_eq!(dtopo.components, reference.components, "{ctx}");
+            assert!(
+                dstats.output_vertices < dstats.input_vertices,
+                "{ctx}: {dstats:?}"
+            );
+            match &decimated_baseline {
+                None => decimated_baseline = Some(decimated),
+                Some(base) => assert_eq!(
+                    &decimated, base,
+                    "{ctx}: decimated mesh must be bit-identical across workers"
+                ),
             }
         }
 
@@ -150,55 +130,52 @@ fn check_watertight_everywhere(
         // globally unique by cell ownership), bit-identical within a
         // decomposition, and closed with the reference's topology class
         let mut sn_baseline: Option<IndexedMesh> = None;
-        for mode in [ExtractMode::default(), ExtractMode::Batch] {
-            for workers in [1usize, 2, 8] {
-                let ctx = format!("{name} sn iso={iso} k={metacell_k} {mode:?} workers={workers}");
-                let (mesh, _report) = cluster
-                    .extract_with_options(
-                        iso,
-                        &ExtractOptions {
-                            workers: Some(workers),
-                            mode,
-                            backend: Backend::SurfaceNets,
-                            ..Default::default()
-                        },
-                    )
-                    .unwrap()
-                    .into_merged();
-                let topo = analyze_mesh_connectivity(&mesh);
-                assert!(topo.is_closed(), "{ctx}: boundary edges: {topo:?}");
-                // no duplicate or orphan vertices — without any weld pass
-                assert_eq!(topo.vertices, mesh.num_vertices(), "{ctx}");
-                // topology-class equivalence with slab MC: on a
-                // well-resolved manifold surface the two discretizations of
-                // the same level set must agree on components and genus.
-                // Thin features (tunnels ~1 cell wide, as on the clipped
-                // gyroid at these dims) are a genuine discretization
-                // difference — SN's one-vertex-per-cell can merge or close
-                // them — so callers opt out there and rely on the closure,
-                // bit-identity, and cross-k invariants instead
-                if sn_matches_reference && reference.non_manifold_edges == 0 {
-                    assert_eq!(topo.components, reference.components, "{ctx}");
-                    assert_eq!(
-                        topo.euler_characteristic(),
-                        reference.euler_characteristic(),
-                        "{ctx}"
-                    );
-                }
-                match &sn_baseline {
-                    None => sn_baseline = Some(mesh),
-                    Some(base) => assert_eq!(
-                        &mesh, base,
-                        "{ctx}: SurfaceNets must be bit-identical across modes/workers"
-                    ),
-                }
-                match &sn_topo_across_k {
-                    None => sn_topo_across_k = Some(topo),
-                    Some(base) => assert_eq!(
-                        &topo, base,
-                        "{ctx}: SurfaceNets topology must not depend on metacell size"
-                    ),
-                }
+        for workers in [1usize, 2, 8] {
+            let ctx = format!("{name} sn iso={iso} k={metacell_k} workers={workers}");
+            let (mesh, _report) = cluster
+                .extract_with_options(
+                    iso,
+                    &ExtractOptions {
+                        workers: Some(workers),
+                        backend: Backend::SurfaceNets,
+                        ..Default::default()
+                    },
+                )
+                .unwrap()
+                .into_merged();
+            let topo = analyze_mesh_connectivity(&mesh);
+            assert!(topo.is_closed(), "{ctx}: boundary edges: {topo:?}");
+            // no duplicate or orphan vertices — without any weld pass
+            assert_eq!(topo.vertices, mesh.num_vertices(), "{ctx}");
+            // topology-class equivalence with slab MC: on a
+            // well-resolved manifold surface the two discretizations of
+            // the same level set must agree on components and genus.
+            // Thin features (tunnels ~1 cell wide, as on the clipped
+            // gyroid at these dims) are a genuine discretization
+            // difference — SN's one-vertex-per-cell can merge or close
+            // them — so callers opt out there and rely on the closure,
+            // bit-identity, and cross-k invariants instead
+            if sn_matches_reference && reference.non_manifold_edges == 0 {
+                assert_eq!(topo.components, reference.components, "{ctx}");
+                assert_eq!(
+                    topo.euler_characteristic(),
+                    reference.euler_characteristic(),
+                    "{ctx}"
+                );
+            }
+            match &sn_baseline {
+                None => sn_baseline = Some(mesh),
+                Some(base) => assert_eq!(
+                    &mesh, base,
+                    "{ctx}: SurfaceNets must be bit-identical across workers"
+                ),
+            }
+            match &sn_topo_across_k {
+                None => sn_topo_across_k = Some(topo),
+                Some(base) => assert_eq!(
+                    &topo, base,
+                    "{ctx}: SurfaceNets topology must not depend on metacell size"
+                ),
             }
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -235,9 +212,10 @@ proptest! {
 }
 
 /// The acceptance invariant, pinned as a plain test: a welded multi-node
-/// sphere extraction is closed where the unwelded merge of the very same
-/// extraction is open along every metacell/node seam — and the two meshes
-/// are the same surface (identical canonical triangle multisets).
+/// sphere extraction is closed where the same metacells' meshes
+/// concatenated without a weld are open along every seam — and the welded
+/// mesh is the surface a direct marching-cubes pass produces (identical
+/// canonical triangle multisets and topology).
 #[test]
 fn welding_closes_node_seams_that_unwelded_merge_leaves_open() {
     let vol: Volume<u8> = SphereField::centered(0.3, 128.0).sample(Dims3::cube(33));
@@ -253,15 +231,8 @@ fn welding_closes_node_seams_that_unwelded_merge_leaves_open() {
     .unwrap();
     let iso = 128.5f32;
     let welded = db.extract(iso).unwrap();
-    let unwelded = db
-        .extract_with_options(
-            iso,
-            &ExtractOptions {
-                weld: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+    let unwelded = common::unwelded_blocks(&vol, iso);
+    let reference = truth(&vol, iso);
 
     let wt = analyze_mesh(&welded.mesh);
     assert!(wt.is_closed(), "welded sphere must be closed: {wt:?}");
@@ -271,37 +242,38 @@ fn welding_closes_node_seams_that_unwelded_merge_leaves_open() {
     // closed by raw index connectivity too — the property decimation needs
     assert_eq!(analyze_mesh_connectivity(&welded.mesh), wt);
 
-    // the unwelded path duplicates every seam vertex: its index connectivity
-    // is open along every metacell/node seam and shatters into pieces …
-    let open = analyze_mesh_connectivity(&unwelded.mesh);
+    // without a weld every seam vertex is duplicated: index connectivity
+    // is open along every metacell seam and shatters into pieces …
+    let open = analyze_mesh_connectivity(&unwelded);
     assert!(
         !open.is_closed() && open.boundary_edges > 0,
-        "unwelded merge must be open along metacell seams: {open:?}"
+        "unwelded blocks must be open along metacell seams: {open:?}"
     );
     assert!(open.components > 1, "{open:?}");
     assert!(
-        welded.mesh.num_vertices() < unwelded.mesh.num_vertices(),
+        welded.mesh.num_vertices() < unwelded.num_vertices(),
         "weld must shrink the vertex table: {} vs {}",
         welded.mesh.num_vertices(),
-        unwelded.mesh.num_vertices()
+        unwelded.num_vertices()
     );
     // … while `analyze_mesh` (which welds internally) agrees the *surface*
     // is the same: the unwelded mesh is open only by representation
-    assert_eq!(analyze_mesh(&unwelded.mesh), wt);
+    assert_eq!(analyze_mesh(&unwelded), wt);
+    assert_eq!(analyze(&reference), wt);
 
-    // welding is topology-only: same canonical triangle multiset
+    // welding is topology-only: the canonical triangle multiset of direct MC
     assert_eq!(
         welded.mesh.canonical_triangles(),
-        unwelded.mesh.canonical_triangles()
+        canonical_triangles(&reference)
     );
     assert_eq!(welded.report.total_weld().degenerate_dropped, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Welding never moves geometry for any zoo field — closed or open, smooth
-/// or noisy: welded vs unwelded extraction of the same database produce the
-/// identical canonical triangle multiset, and the analyzed topology (which
-/// is weld-agnostic by construction) is unchanged.
+/// or noisy: the welded extraction and a direct marching-cubes pass produce
+/// the identical canonical triangle multiset, and the analyzed topology
+/// (which is weld-agnostic by construction) is the same.
 #[test]
 fn welding_is_topology_only_across_the_field_zoo() {
     for (name, vol) in &common::zoo() {
@@ -317,31 +289,18 @@ fn welding_is_topology_only_across_the_field_zoo() {
         .unwrap();
         for iso in [96.5f32, 128.5, 160.5] {
             let welded = db.extract(iso).unwrap();
-            let unwelded = db
-                .extract_with_options(
-                    iso,
-                    &ExtractOptions {
-                        weld: false,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
+            let reference = truth(vol, iso);
             let ctx = format!("{name} iso={iso}");
             assert_eq!(
                 welded.mesh.canonical_triangles(),
-                unwelded.mesh.canonical_triangles(),
+                canonical_triangles(&reference),
                 "{ctx}: weld moved geometry"
             );
             assert_eq!(welded.report.total_weld().degenerate_dropped, 0, "{ctx}");
             assert_eq!(
                 analyze_mesh(&welded.mesh),
-                analyze_mesh(&unwelded.mesh),
+                analyze(&reference),
                 "{ctx}: weld changed topology"
-            );
-            assert!(
-                welded.mesh.is_empty()
-                    || welded.mesh.num_vertices() <= unwelded.mesh.num_vertices(),
-                "{ctx}"
             );
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -384,24 +343,12 @@ fn corner_crossings_collapse_and_are_dropped_with_a_counter() {
     )
     .unwrap();
     let welded = db.extract(iso).unwrap();
-    let unwelded = db
-        .extract_with_options(
-            iso,
-            &ExtractOptions {
-                weld: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
 
     // the 8 cells around the spike each emit one point-collapsed triangle
     let dropped = welded.report.total_weld().degenerate_dropped;
     assert_eq!(dropped, 8, "{:?}", welded.report.total_weld());
-    assert_eq!(
-        welded.mesh.len() as u64 + dropped,
-        unwelded.mesh.len() as u64
-    );
-    assert_eq!(unwelded.mesh.len(), reference.len());
+    assert_eq!(welded.mesh.len() as u64 + dropped, reference.len() as u64);
+    assert_eq!(welded.report.total_triangles(), reference.len() as u64);
 
     // the kept multiset is exactly the reference minus its collapsed entries
     let (kept, collapsed) =
