@@ -572,15 +572,7 @@ fn query_iso(
     if let Some(frame) = opts.get("frame") {
         let size: u32 = opts.num("size", 512)?;
         let (cols, rows) = opts.tiles("tiles", (1, 1))?;
-        if cols == 0
-            || rows == 0
-            || !(size as usize).is_multiple_of(cols)
-            || !(size as usize).is_multiple_of(rows)
-        {
-            return Err(format!(
-                "--size {size} must divide evenly into {cols}x{rows} tiles"
-            ));
-        }
+        TileLayout::try_new(cols, rows, size as usize, size as usize)?;
         let f = client
             .query_frame(
                 iso,
@@ -668,13 +660,13 @@ pub fn render(opts: &Options) -> Result<(), String> {
     let out = opts.require("out")?;
     let size: usize = opts.num("size", 1024)?;
     let (cols, rows) = opts.tiles("tiles", (2, 2))?;
+    let tiles = TileLayout::try_new(cols, rows, size, size)?;
     let db = ClusterDatabase::<u8>::open(Path::new(db_dir), true).map_err(err)?;
     let probe = db.extract(iso).map_err(err)?;
     if probe.mesh.is_empty() {
         return Err(format!("isovalue {iso} produces an empty surface"));
     }
     let camera = Camera::orbiting(&probe.mesh.bounds(), 0.9, 0.45, 2.0);
-    let tiles = TileLayout::new(cols, rows, size, size);
     let (fb, e) = db
         .extract_and_render(iso, &camera, &tiles, [0.9, 0.78, 0.5])
         .map_err(err)?;
@@ -729,6 +721,20 @@ mod tests {
             for key in *known {
                 assert!(USAGE.contains(&format!("--{key}")), "{name} --{key}");
             }
+        }
+    }
+
+    #[test]
+    fn a_tile_grid_that_does_not_divide_the_image_is_refused_before_the_database_opens() {
+        for (size, tiles) in [("100", "3x3"), ("64", "0x2")] {
+            let argv: Vec<String> = format!(
+                "--db /nonexistent/oociso-db --iso 190 --out i.ppm --size {size} --tiles {tiles}"
+            )
+            .split_whitespace()
+            .map(String::from)
+            .collect();
+            let e = render(&Options::parse(&argv).unwrap()).unwrap_err();
+            assert!(e.contains(&format!("into {tiles} tiles")), "{e}");
         }
     }
 

@@ -16,7 +16,7 @@ use oociso_metacell::{
     scan_volume, MetacellInterval, MetacellLayout, MetacellRecord, PreprocessStats,
 };
 use oociso_obs::{Span, Trace};
-use oociso_render::{rasterize_mesh, Camera, Framebuffer, LocalTransport, TileLayout, Transport};
+use oociso_render::{rasterize_mesh, Camera, Framebuffer, TileLayout};
 use oociso_volume::{ScalarValue, Volume};
 use std::io::{self, Read, Seek, Write};
 use std::path::{Path, PathBuf};
@@ -948,31 +948,14 @@ impl<S: ScalarValue> Cluster<S> {
 
     /// Extract, render locally on every node, and sort-last composite onto
     /// the tiled display (§5.1's full pipeline, metric (iii) included). The
-    /// shuffle is handed off in-process; use
-    /// [`Cluster::extract_and_render_via`] to route it through an explicit
-    /// compositing transport.
+    /// report's `composite_wire_bytes` is what the shuffle would move;
+    /// [`crate::SimulatedTimeModel::composite_time`] prices it.
     pub fn extract_and_render(
         &self,
         iso: f32,
         camera: &Camera,
         tiles: &TileLayout,
         base_color: [f32; 3],
-    ) -> io::Result<(Framebuffer, ClusterExtraction)> {
-        self.extract_and_render_via(iso, camera, tiles, base_color, &mut LocalTransport)
-    }
-
-    /// [`Cluster::extract_and_render`] with the region shuffle routed
-    /// through `transport` (the modeled interconnect, a real TCP socket —
-    /// any [`Transport`]). The composited framebuffer is bit-identical for
-    /// every lossless transport; only the transport's accounted cost
-    /// differs.
-    pub fn extract_and_render_via(
-        &self,
-        iso: f32,
-        camera: &Camera,
-        tiles: &TileLayout,
-        base_color: [f32; 3],
-        transport: &mut dyn Transport,
     ) -> io::Result<(Framebuffer, ClusterExtraction)> {
         let t_total = Instant::now();
         let mut extraction = self.extract(iso)?;
@@ -1004,7 +987,7 @@ impl<S: ScalarValue> Cluster<S> {
 
         // Sort-last composite: the only communication of the whole query.
         let t_comp = Instant::now();
-        let (wall, wire_bytes) = tiles.composite_via(&buffers, transport)?;
+        let (wall, wire_bytes) = tiles.composite(&buffers);
         extraction.report.composite_wall = t_comp.elapsed();
         extraction.report.composite_wire_bytes = wire_bytes;
         extraction.report.total_wall = t_total.elapsed();

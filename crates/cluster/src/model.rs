@@ -13,8 +13,47 @@
 
 use crate::timing::{NodeReport, QueryReport};
 use oociso_exio::IoCostModel;
-use oociso_render::InterconnectModel;
 use std::time::Duration;
+
+/// The interconnect the composite shuffle crosses, as bandwidth plus a
+/// per-message latency: `time = messages × latency + bytes / bandwidth`.
+///
+/// The shuffle is the only communication of the whole parallel algorithm
+/// (§5.1: "no communication is required except for the final phase of
+/// compositing the frame buffers"); the paper reports it "doesn't cause a
+/// noticeable overhead" on 10 Gbps InfiniBand.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct InterconnectModel {
+    /// Usable bandwidth, bytes per second.
+    pub bytes_per_sec: f64,
+    /// Per-message latency.
+    pub latency: Duration,
+}
+
+impl InterconnectModel {
+    /// The paper's 10 Gbps Topspin InfiniBand (≈ 1.25 GB/s raw; ~1 GB/s
+    /// usable) with a few microseconds of RDMA latency.
+    pub fn infiniband_10g() -> Self {
+        InterconnectModel {
+            bytes_per_sec: 1.0e9,
+            latency: Duration::from_micros(5),
+        }
+    }
+
+    /// Time to deliver `messages` totalling `bytes` (serialized on one link —
+    /// a conservative upper bound for the all-to-all shuffle).
+    pub fn transfer_time(&self, messages: u64, bytes: u64) -> Duration {
+        let t = self.latency.as_secs_f64() * messages as f64 + bytes as f64 / self.bytes_per_sec;
+        Duration::from_secs_f64(t)
+    }
+
+    /// Shuffle time for a sort-last composite: `nodes × (tiles - 1)` regions
+    /// of `region_bytes` each (each node keeps its own tile's region local).
+    pub fn composite_time(&self, nodes: usize, tiles: usize, region_bytes: u64) -> Duration {
+        let messages = nodes as u64 * (tiles as u64).saturating_sub(1);
+        self.transfer_time(messages, messages * region_bytes)
+    }
+}
 
 /// Rates used to convert counters into simulated seconds.
 #[derive(Clone, Copy, Debug)]
@@ -104,6 +143,38 @@ impl SimulatedTimeModel {
 mod tests {
     use super::*;
     use oociso_exio::IoSnapshot;
+
+    #[test]
+    fn paper_shuffle_is_milliseconds() {
+        // 8 nodes, 4 tiles, 1024×1024 display → region = (1024×1024/4) px × 8 B
+        let m = InterconnectModel::infiniband_10g();
+        let region_bytes = (1024u64 * 1024 / 4) * 8;
+        let t = m.composite_time(8, 4, region_bytes);
+        // the paper: compositing "doesn't cause a noticeable overhead" —
+        // tens of milliseconds against multi-second extraction times
+        assert!(t < Duration::from_millis(100), "shuffle took {t:?}");
+        assert!(t > Duration::from_micros(100));
+    }
+
+    #[test]
+    fn bandwidth_dominates_large_transfers() {
+        let m = InterconnectModel::infiniband_10g();
+        let t = m.transfer_time(1, 1_000_000_000);
+        assert!((t.as_secs_f64() - 1.0).abs() < 0.01);
+    }
+
+    #[test]
+    fn latency_dominates_tiny_messages() {
+        let m = InterconnectModel::infiniband_10g();
+        let t = m.transfer_time(1000, 1000);
+        assert!(t >= Duration::from_millis(5));
+    }
+
+    #[test]
+    fn single_node_single_tile_is_free() {
+        let m = InterconnectModel::infiniband_10g();
+        assert_eq!(m.composite_time(1, 1, 1 << 20), Duration::ZERO);
+    }
 
     fn node(triangles: u64, bytes: u64, seeks: u64) -> NodeReport {
         NodeReport {

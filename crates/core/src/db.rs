@@ -3,7 +3,7 @@
 use oociso_cluster::{Cluster, ClusterBuildOptions, ClusterExtraction, QueryReport};
 use oociso_march::IndexedMesh;
 use oociso_metacell::PreprocessStats;
-use oociso_render::{Camera, Framebuffer, TileLayout, Transport};
+use oociso_render::{Camera, Framebuffer, TileLayout};
 use oociso_volume::{ScalarValue, Volume};
 use std::io;
 use std::path::Path;
@@ -163,21 +163,6 @@ impl<S: ScalarValue> ClusterDatabase<S> {
     ) -> io::Result<(Framebuffer, ClusterExtraction)> {
         self.cluster
             .extract_and_render(iso, camera, tiles, base_color)
-    }
-
-    /// [`ClusterDatabase::extract_and_render`] with the compositing shuffle
-    /// routed through an explicit [`Transport`] (modeled interconnect or
-    /// real sockets) — bit-identical output either way.
-    pub fn extract_and_render_via(
-        &self,
-        iso: f32,
-        camera: &Camera,
-        tiles: &TileLayout,
-        base_color: [f32; 3],
-        transport: &mut dyn Transport,
-    ) -> io::Result<(Framebuffer, ClusterExtraction)> {
-        self.cluster
-            .extract_and_render_via(iso, camera, tiles, base_color, transport)
     }
 
     /// Preprocessing statistics (only available right after building).

@@ -9,8 +9,6 @@
 //! [`TileLayout`] carves framebuffers into per-server regions.
 
 use crate::framebuffer::Framebuffer;
-use crate::transport::{LocalTransport, Transport};
-use std::io;
 
 /// Merge `src` into `dst`, keeping the nearer fragment per pixel.
 pub fn z_merge(dst: &mut Framebuffer, src: &Framebuffer) {
@@ -97,16 +95,31 @@ pub struct TileLayout {
 
 impl TileLayout {
     /// Layout for a `width × height` display split into `cols × rows` tiles.
+    /// Panics where [`TileLayout::try_new`] errs; for grids the caller built.
     pub fn new(cols: usize, rows: usize, width: usize, height: usize) -> Self {
-        assert!(cols > 0 && rows > 0);
-        assert_eq!(width % cols, 0, "width must divide evenly");
-        assert_eq!(height % rows, 0, "height must divide evenly");
-        TileLayout {
+        Self::try_new(cols, rows, width, height).expect("invalid tile layout")
+    }
+
+    /// [`TileLayout::new`] for a grid from outside the program: the display
+    /// must be non-empty and every tile the same whole number of pixels.
+    pub fn try_new(cols: usize, rows: usize, width: usize, height: usize) -> Result<Self, String> {
+        if width == 0
+            || height == 0
+            || cols == 0
+            || rows == 0
+            || !width.is_multiple_of(cols)
+            || !height.is_multiple_of(rows)
+        {
+            return Err(format!(
+                "a {width}x{height} display does not divide into {cols}x{rows} tiles"
+            ));
+        }
+        Ok(TileLayout {
             cols,
             rows,
             width,
             height,
-        }
+        })
     }
 
     /// The paper's four-way tiled wall.
@@ -142,26 +155,10 @@ impl TileLayout {
 
     /// Full sort-last composite: shard every node framebuffer, route regions
     /// to their tiles, depth-merge per tile, and reassemble the final image.
-    /// Returns the composited display plus total bytes moved on the wire.
-    ///
-    /// Equivalent to [`TileLayout::composite_via`] over the zero-cost
-    /// in-process [`LocalTransport`].
+    /// Returns the composited display plus the bytes that crossed the
+    /// interconnect: a region bound for the tile its own node owns never
+    /// does.
     pub fn composite(&self, node_buffers: &[Framebuffer]) -> (Framebuffer, u64) {
-        self.composite_via(node_buffers, &mut LocalTransport)
-            .expect("LocalTransport is infallible")
-    }
-
-    /// [`TileLayout::composite`] with the region shuffle routed through an
-    /// explicit [`Transport`]: each node's framebuffer is sharded, every
-    /// region travels through `transport.send_region` to the compositor
-    /// owning its tile, and the received copies are depth-merged. The result
-    /// is bit-identical for any lossless transport; only the transport's
-    /// accounted cost differs.
-    pub fn composite_via(
-        &self,
-        node_buffers: &[Framebuffer],
-        transport: &mut dyn Transport,
-    ) -> io::Result<(Framebuffer, u64)> {
         let (tw, th) = self.tile_size();
         let mut tiles: Vec<Framebuffer> = (0..self.num_tiles())
             .map(|_| Framebuffer::new(tw, th))
@@ -172,12 +169,10 @@ impl TileLayout {
                 // a region destined for a tile the node itself owns would not
                 // cross the network; the paper's compositing nodes are a
                 // subset of the render nodes, so charge only remote routes
-                let local = t == node % self.num_tiles();
-                if !local {
+                if t != node % self.num_tiles() {
                     wire_bytes += region.wire_bytes();
                 }
-                let received = transport.send_region(node, t, local, region)?;
-                received.merge_into(&mut tiles[t], self.tile_origin(t));
+                region.merge_into(&mut tiles[t], self.tile_origin(t));
             }
         }
         // assemble the wall image
@@ -193,7 +188,7 @@ impl TileLayout {
                 }
             }
         }
-        Ok((out, wire_bytes))
+        (out, wire_bytes)
     }
 }
 
@@ -265,6 +260,10 @@ mod tests {
         assert_eq!(l.tile_origin(1), (100, 0));
         assert_eq!(l.tile_origin(2), (0, 50));
         assert_eq!(l.tile_origin(3), (100, 50));
+        assert_eq!(TileLayout::try_new(2, 2, 200, 100), Ok(l));
+        for (cols, rows, w, h) in [(3, 3, 100, 100), (0, 2, 64, 64), (1, 1, 0, 64)] {
+            assert!(TileLayout::try_new(cols, rows, w, h).is_err());
+        }
     }
 
     #[test]

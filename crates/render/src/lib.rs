@@ -13,27 +13,23 @@
 //! * [`camera`] — look-at/perspective transforms;
 //! * [`composite`] — z-based sort-last merge of per-node framebuffers and the
 //!   tiled-display region shuffle;
-//! * [`net`] — the interconnect cost model (10 Gbps, per-message latency)
-//!   that prices the composite phase — the only communication in the whole
-//!   parallel algorithm;
-//! * [`transport`] — the pluggable region-shuffle transport behind
-//!   compositing: the same composite runs over a zero-cost local hand-off,
-//!   the modeled interconnect, or a real TCP socket (`oociso-serve`).
+//! * [`lod`] — per-tile level-of-detail selection by screen-space error.
+//!
+//! This crate holds pixels only. The shuffle is the only communication of
+//! the whole parallel algorithm; [`TileLayout::composite`] reports the bytes
+//! it moves, and `oociso_cluster::model` prices them at the paper's
+//! interconnect.
 
 pub mod camera;
 pub mod composite;
 pub mod framebuffer;
 pub mod lod;
 pub mod math;
-pub mod net;
 pub mod raster;
-pub mod transport;
 
 pub use camera::Camera;
 pub use composite::{z_merge, FrameRegion, TileLayout};
 pub use framebuffer::Framebuffer;
 pub use lod::{screen_space_error, select_tile_levels};
 pub use math::Mat4;
-pub use net::InterconnectModel;
 pub use raster::{rasterize_mesh, rasterize_soup, RasterStats};
-pub use transport::{LocalTransport, SimTransport, Transport};

@@ -547,8 +547,7 @@ impl Client {
     }
 
     /// Round-trip a payload of `bytes` zeros through the server's echo,
-    /// returning the measured wall-clock (the calibration probe behind
-    /// [`crate::measure_loopback`]).
+    /// returning the measured wall-clock.
     pub fn ping(&mut self, bytes: usize) -> io::Result<Duration> {
         let payload = vec![0u8; bytes];
         let t0 = Instant::now();

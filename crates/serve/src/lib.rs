@@ -26,10 +26,6 @@
 //!   the stats message, `NodeReport`-style.
 //! * [`client`] — [`Client`]: the blocking client library behind the CLI's
 //!   `query` subcommand (and the serve tests).
-//! * [`transport`] — [`TcpLoopbackTransport`]: the real-socket
-//!   implementation of [`oociso_render::Transport`], plus
-//!   [`measure_loopback`] to calibrate
-//!   [`oociso_render::InterconnectModel::loopback`] live.
 //! * [`chaos`] — [`ChaosProxy`]/[`ChaosStream`]: scripted transport faults
 //!   (truncation, stalls, refused connections) for the chaos test harness.
 //!
@@ -51,7 +47,6 @@ pub mod client;
 pub mod protocol;
 pub mod reactor;
 pub mod server;
-pub mod transport;
 
 pub use cache::{CacheStats, CachedSurface, ResultCache};
 pub use chaos::{ChaosProxy, ChaosStream, ConnFault};
@@ -65,4 +60,3 @@ pub use protocol::{
     MIN_VERSION, VERSION,
 };
 pub use server::{IsoServer, ServeOptions};
-pub use transport::{measure_loopback, TcpLoopbackTransport};

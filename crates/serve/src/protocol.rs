@@ -95,7 +95,8 @@ pub const MSG_FRAME_RESPONSE: u16 = 6;
 pub const MSG_STATS_RESPONSE: u16 = 7;
 pub const MSG_ERROR: u16 = 8;
 pub const MSG_PONG: u16 = 9;
-pub const MSG_REGION: u16 = 10;
+// Tag 10 carried the retired compositing `Region` message. It decodes as an
+// unknown type; do not reuse it, old peers may still send it.
 /// Ask the server for its metrics registry exposition. **v5.**
 pub const MSG_METRICS_REQUEST: u16 = 11;
 /// Metrics exposition text (UTF-8, Prometheus text format). **v5.**
@@ -309,8 +310,6 @@ pub enum Message {
     },
     /// Echo of a `Ping` payload.
     Pong { payload: Vec<u8> },
-    /// One compositing frame region (the TCP transport's unit of transfer).
-    Region(FrameRegion),
     /// Ask the server for its metrics registry exposition. **v5.**
     MetricsRequest,
     /// The server's metrics exposition (Prometheus text format). **v5.**
@@ -465,7 +464,6 @@ impl Message {
             Message::StatsResponse(_) => MSG_STATS_RESPONSE,
             Message::Error { .. } => MSG_ERROR,
             Message::Pong { .. } => MSG_PONG,
-            Message::Region(_) => MSG_REGION,
             Message::MetricsRequest => MSG_METRICS_REQUEST,
             Message::MetricsResponse { .. } => MSG_METRICS_RESPONSE,
             Message::TraceRequest { .. } => MSG_TRACE_REQUEST,
@@ -1058,7 +1056,6 @@ fn put_payload(out: &mut Vec<u8>, version: u16, msg: &Message) {
                 }
             }
         }
-        Message::Region(r) => put_region(out, r),
         Message::MetricsRequest => {}
         Message::MetricsResponse { text } => {
             out.extend_from_slice(text.as_bytes());
@@ -1303,7 +1300,6 @@ pub fn decode_payload(msg_type: u16, payload: &[u8]) -> io::Result<Message> {
                 retry_after_ms,
             }
         }
-        MSG_REGION => Message::Region(read_region(&mut rd)?),
         MSG_METRICS_REQUEST => Message::MetricsRequest,
         MSG_METRICS_RESPONSE => Message::MetricsResponse {
             text: String::from_utf8(rd.take(payload.len())?.to_vec())
@@ -1780,7 +1776,6 @@ mod tests {
             detail: "server busy".to_string(),
             retry_after_ms: Some(75),
         });
-        roundtrip(Message::Region(sample_region()));
         roundtrip(Message::MetricsRequest);
         roundtrip(Message::MetricsResponse {
             text: "# TYPE requests_total counter\nrequests_total 3\n".to_string(),
@@ -2396,15 +2391,22 @@ mod tests {
         assert!(read_frame(&mut &frame[..7]).is_err());
         // header promises more payload than the stream holds
         assert!(read_frame(&mut &frame[..HEADER_BYTES]).is_err());
-        // unknown message type decodes to a violation, not a panic
-        let junk = encode_frame_raw(MAGIC, VERSION, 999, b"junk");
-        assert!(matches!(
-            read_frame(&mut &junk[..]).unwrap().unwrap(),
-            FrameIn::Violation {
-                code: ERR_MALFORMED,
-                ..
-            }
-        ));
+        // unknown message types — including 10, the retired `Region` —
+        // decode to a violation that keeps the connection, not a panic
+        for tag in [999, 10] {
+            let junk = encode_frame_raw(MAGIC, VERSION, tag, b"junk");
+            assert!(
+                matches!(
+                    read_frame(&mut &junk[..]).unwrap().unwrap(),
+                    FrameIn::Violation {
+                        code: ERR_MALFORMED,
+                        close: false,
+                        ..
+                    }
+                ),
+                "tag {tag}"
+            );
+        }
         // absurd length field is capped, not allocated
         let mut huge = encode_frame_raw(MAGIC, VERSION, MSG_PING, b"");
         huge[8..16].copy_from_slice(&(u64::MAX).to_le_bytes());

@@ -1417,23 +1417,18 @@ pub(crate) fn validate_mesh_request<S: ScalarValue>(
 pub(crate) fn validate_frame_request(params: &FrameParams) -> Option<Reply> {
     let (w, h) = (params.width as usize, params.height as usize);
     let (cols, rows) = (params.tile_cols as usize, params.tile_rows as usize);
-    if w == 0
-        || h == 0
-        || w.saturating_mul(h) > MAX_FRAME_PIXELS
-        || cols == 0
-        || rows == 0
-        || w % cols != 0
-        || h % rows != 0
-    {
-        return Some(Reply::Msg(Message::Error {
-            code: ERR_MALFORMED,
-            detail: format!(
-                "bad viewport {w}x{h} in {cols}x{rows} tiles (pixel cap {MAX_FRAME_PIXELS})"
-            ),
-            retry_after_ms: None,
-        }));
-    }
-    None
+    let problem = match TileLayout::try_new(cols, rows, w, h) {
+        Err(e) => e,
+        Ok(_) if w.saturating_mul(h) > MAX_FRAME_PIXELS => {
+            format!("a {w}x{h} viewport is over the pixel cap {MAX_FRAME_PIXELS}")
+        }
+        Ok(_) => return None,
+    };
+    Some(Reply::Msg(Message::Error {
+        code: ERR_MALFORMED,
+        detail: format!("bad viewport: {problem}"),
+        retry_after_ms: None,
+    }))
 }
 
 /// The `ERR_INTERNAL` reply for a failed extraction.

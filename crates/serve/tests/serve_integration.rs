@@ -321,6 +321,32 @@ fn malformed_and_wrong_version_requests_get_structured_errors() {
         other => panic!("expected malformed error, got {other:?}"),
     }
 
+    // tag 10, the retired compositing `Region` message, with a well-formed
+    // old payload (origin, size, RGBA8 pixels, f32 depths) → ERR_MALFORMED,
+    // and the connection still answers a ping
+    let mut old_region = Vec::new();
+    for v in [5u64, 9, 2, 1] {
+        old_region.extend_from_slice(&v.to_le_bytes());
+    }
+    old_region.extend_from_slice(&[255, 0, 127, 1, 255, 0, 127, 1]);
+    for d in [0.5f32, f32::INFINITY] {
+        old_region.extend_from_slice(&d.to_bits().to_le_bytes());
+    }
+    match client
+        .roundtrip_raw(
+            oociso_serve::MAGIC,
+            oociso_serve::VERSION,
+            10,
+            &old_region,
+            false,
+        )
+        .unwrap()
+    {
+        Some(Message::Error { code, .. }) => assert_eq!(code, ERR_MALFORMED),
+        other => panic!("expected malformed error for tag 10, got {other:?}"),
+    }
+    client.ping(16).unwrap();
+
     // wrong magic: the server replies (if it can) and hangs up
     let mut bad_magic = Client::connect(addr).unwrap();
     match bad_magic.roundtrip_raw(

@@ -3,19 +3,14 @@
 //!
 //! Four simulated cluster nodes each hold a stripe of every brick on their
 //! own store, extract and rasterize locally, then sort-last composite onto a
-//! 2×2 tiled display wall. The compositing shuffle runs through the
-//! pluggable [`Transport`] trait: by default the modeled 10 Gbps
-//! interconnect; set `OOCISO_TRANSPORT=tcp` to push every remote region
-//! through real loopback TCP sockets instead — the image is bit-identical,
-//! only the (modeled vs measured) shuffle cost changes.
+//! 2×2 tiled display wall. The shuffle's bytes are priced at the paper's
+//! 10 Gbps interconnect by [`SimulatedTimeModel::composite_time`].
 //!
 //! Run: `cargo run --release --example cluster_wall_display`
-//! (set OOCISO_FULL=1 for the paper's full 256×256×240 demo grid,
-//!  OOCISO_TRANSPORT=tcp for real sockets)
+//! (set OOCISO_FULL=1 for the paper's full 256×256×240 demo grid)
 
 use oociso::core::{ClusterDatabase, PreprocessOptions, SimulatedTimeModel};
-use oociso::render::{Camera, InterconnectModel, SimTransport, TileLayout, Transport};
-use oociso::serve::TcpLoopbackTransport;
+use oociso::render::{Camera, TileLayout};
 use oociso::volume::{Dims3, RmProxy};
 
 fn main() -> std::io::Result<()> {
@@ -43,20 +38,11 @@ fn main() -> std::io::Result<()> {
         },
     )?;
 
-    // pick the compositing transport: modeled interconnect or real sockets
-    let use_tcp = std::env::var("OOCISO_TRANSPORT").is_ok_and(|v| v == "tcp");
-    let mut transport: Box<dyn Transport> = if use_tcp {
-        Box::new(TcpLoopbackTransport::new()?)
-    } else {
-        Box::new(SimTransport::new(InterconnectModel::infiniband_10g()))
-    };
-
     // the paper's four-way tiled wall
     let wall = TileLayout::paper_wall(1024, 1024);
     let probe = db.extract(iso)?;
     let camera = Camera::orbiting(&probe.mesh.bounds(), 0.9, 0.45, 1.9);
-    let (image, extraction) =
-        db.extract_and_render_via(iso, &camera, &wall, [0.9, 0.78, 0.5], transport.as_mut())?;
+    let (image, extraction) = db.extract_and_render(iso, &camera, &wall, [0.9, 0.78, 0.5])?;
 
     let out = std::env::temp_dir().join("oociso-figure4-wall.ppm");
     image.write_ppm(&out)?;
@@ -80,11 +66,12 @@ fn main() -> std::io::Result<()> {
         );
     }
     println!(
-        "\ncomposite moved {:.1} MB through the `{}` transport in {:.1} {} ms —",
-        transport.bytes_moved() as f64 / 1e6,
-        transport.name(),
-        transport.cost().as_secs_f64() * 1e3,
-        if use_tcp { "measured" } else { "modeled" },
+        "\ncomposite moved {:.1} MB, modeled at {:.1} ms over 10 Gbps InfiniBand —",
+        extraction.report.composite_wire_bytes as f64 / 1e6,
+        model
+            .composite_time(nodes, wall.num_tiles(), (wall.width, wall.height))
+            .as_secs_f64()
+            * 1e3,
     );
     println!("orders of magnitude below the extraction time, as the paper observes.");
     Ok(())

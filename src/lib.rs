@@ -17,14 +17,14 @@
 //!   interval tree and BBIO-style external tree baselines.
 //! * [`march`] — Marching Cubes (validated 256-case tables) and Marching
 //!   Tetrahedra.
-//! * [`render`] — software rasterizer, z-buffer, sort-last compositing, 10 Gbps
-//!   interconnect model.
+//! * [`render`] — software rasterizer, z-buffer, sort-last compositing.
 //! * [`cluster`] — simulated visualization cluster: p nodes × (local disk +
-//!   local index + local framebuffer), phase timings.
+//!   local index + local framebuffer), phase timings, and the simulated-time
+//!   model that prices disk, triangulation and the 10 Gbps composite shuffle.
 //! * [`core`] — the public API: [`core::ClusterDatabase`],
 //!   [`core::TimeVaryingDatabase`].
 //! * [`serve`] — TCP query server (versioned wire protocol, LRU result
-//!   cache), blocking client, and the real-socket compositing transport.
+//!   cache) and blocking client.
 //!
 //! ## Quickstart
 //!

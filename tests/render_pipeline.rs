@@ -1,11 +1,10 @@
 //! Rendering-path integration: sort-last compositing across simulated nodes
 //! must be pixel-equivalent to rendering everything on one node.
 
-use oociso::core::{ClusterDatabase, PreprocessOptions};
-use oociso::render::{
-    rasterize_mesh, Camera, Framebuffer, InterconnectModel, SimTransport, TileLayout, Transport,
-};
-use oociso::serve::TcpLoopbackTransport;
+use oociso::core::{ClusterDatabase, PreprocessOptions, SimulatedTimeModel};
+use oociso::render::{rasterize_mesh, Camera, Framebuffer, TileLayout};
+use oociso::serve::protocol::{read_frame, write_frame, FrameIn};
+use oociso::serve::Message;
 use oociso::volume::field::{AnalyticField, FieldExt, SphereField, TorusField};
 use oociso::volume::Dims3;
 
@@ -52,18 +51,17 @@ fn cluster_composite_equals_single_node_render() {
 
 #[test]
 fn composite_bit_identical_across_simulated_and_tcp_transports() {
-    // the acceptance test for the pluggable compositing transport: the same
-    // scene composited through the modeled interconnect (in-process) and
-    // through real TCP loopback sockets (every remote region serialized,
-    // checksummed, and decoded on the far side) must produce byte-identical
-    // framebuffers — transports move pixels, they never transform them
+    // one composite, one cost model: the wall `extract_and_render` builds is
+    // the composite of the per-node buffers, it survives the socket's frame
+    // codec bit for bit, and the model prices exactly the bytes it moved
     let vol = SphereField::centered(0.32, 128.0).sample::<u8>(Dims3::cube(33));
     let dir = tmpdir("transports");
+    let nodes = 4;
     let db = ClusterDatabase::preprocess(
         &vol,
         &dir,
         &PreprocessOptions {
-            nodes: 4,
+            nodes,
             ..Default::default()
         },
     )
@@ -71,61 +69,71 @@ fn composite_bit_identical_across_simulated_and_tcp_transports() {
     let probe = db.extract(128.0).unwrap();
     let camera = Camera::orbiting(&probe.mesh.bounds(), 0.5, 0.6, 2.4);
     let tiles = TileLayout::paper_wall(96, 96);
+    let color = [0.7, 0.8, 0.9];
 
-    // per-node render once, composite the same buffers three ways
-    let e = db.extract_per_node(128.0).unwrap();
-    let buffers: Vec<Framebuffer> = e
+    // (a) the pipeline's wall is the composite of the per-node buffers
+    let buffers: Vec<Framebuffer> = db
+        .extract_per_node(128.0)
+        .unwrap()
         .meshes
         .iter()
         .map(|mesh| {
             let mut fb = Framebuffer::new(96, 96);
-            rasterize_mesh(mesh, &camera, [0.7, 0.8, 0.9], &mut fb);
+            rasterize_mesh(mesh, &camera, color, &mut fb);
             fb
         })
         .collect();
-
+    assert_eq!(buffers.len(), nodes);
     let (reference, wire_ref) = tiles.composite(&buffers);
-    let mut sim = SimTransport::new(InterconnectModel::loopback());
-    let (via_sim, wire_sim) = tiles.composite_via(&buffers, &mut sim).unwrap();
-    let mut tcp = TcpLoopbackTransport::new().unwrap();
-    let (via_tcp, wire_tcp) = tiles.composite_via(&buffers, &mut tcp).unwrap();
-
-    assert_eq!(via_sim, reference, "simulated transport changed pixels");
-    assert_eq!(via_tcp, reference, "TCP transport changed pixels");
+    let (wall, e) = db
+        .extract_and_render(128.0, &camera, &tiles, color)
+        .unwrap();
+    assert_eq!(wall, reference, "extract_and_render changed pixels");
     assert!(
         reference.covered_pixels() > 300,
         "scene too empty to prove much"
     );
 
-    // identical accounting of what crossed the wire
-    assert_eq!(wire_ref, wire_sim);
-    assert_eq!(wire_ref, wire_tcp);
-    assert_eq!(sim.bytes_moved(), wire_ref);
-    assert!(
-        tcp.bytes_moved() > wire_ref,
-        "TCP moves the regions plus framing overhead"
-    );
-    // the simulator modeled a cost; the socket measured one
-    assert!(sim.cost() > std::time::Duration::ZERO);
-    assert!(tcp.cost() > std::time::Duration::ZERO);
+    // (b) the wall, sharded into regions and sent as one frame response,
+    // merges back into the same wall: pixels and depths travel bit-exactly
+    let mut socket = Vec::new();
+    write_frame(
+        &mut socket,
+        &Message::FrameResponse {
+            cache_hit: false,
+            width: 96,
+            height: 96,
+            regions: tiles.shard(&wall),
+            trace_id: 0,
+        },
+    )
+    .unwrap();
+    let regions = match read_frame(&mut &socket[..]).unwrap() {
+        Some(FrameIn::Ok {
+            msg: Message::FrameResponse { regions, .. },
+            ..
+        }) => regions,
+        _ => panic!("frame response did not survive the codec"),
+    };
+    let mut received = Framebuffer::new(96, 96);
+    for region in &regions {
+        region.merge_into(&mut received, (0, 0));
+    }
+    assert_eq!(received, wall, "the wire changed pixels");
 
-    // the full pipeline entrypoint routes through the same trait
-    let (wall_sim, _) = db
-        .extract_and_render_via(
-            128.0,
-            &camera,
-            &tiles,
-            [0.7, 0.8, 0.9],
-            &mut SimTransport::new(InterconnectModel::infiniband_10g()),
-        )
-        .unwrap();
-    let mut tcp2 = TcpLoopbackTransport::new().unwrap();
-    let (wall_tcp, _) = db
-        .extract_and_render_via(128.0, &camera, &tiles, [0.7, 0.8, 0.9], &mut tcp2)
-        .unwrap();
+    // (c) every node ships its region of every tile but its own
+    let region_bytes = regions[0].wire_bytes();
+    let remote_routes = (nodes * (tiles.num_tiles() - 1)) as u64;
+    assert_eq!(e.report.composite_wire_bytes, remote_routes * region_bytes);
+    assert_eq!(wire_ref, e.report.composite_wire_bytes);
+
+    // (d) the cost model prices exactly those bytes, one message per route
+    let model = SimulatedTimeModel::paper();
     assert_eq!(
-        wall_sim, wall_tcp,
-        "end-to-end walls differ across transports"
+        model.composite_time(nodes, tiles.num_tiles(), (96, 96)),
+        model
+            .net
+            .transfer_time(remote_routes, e.report.composite_wire_bytes)
     );
     std::fs::remove_dir_all(&dir).ok();
 }
