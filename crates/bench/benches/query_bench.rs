@@ -91,36 +91,6 @@ fn bench_worker_scaling(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-fn bench_decimate(c: &mut Criterion) {
-    // quadric edge-collapse over the welded gyroid surfaces the LOD pyramid
-    // simplifies in production: throughput is input vertices retired per
-    // second (collapse loop + output compaction, heap included)
-    use oociso_volume::field::{FieldExt, GyroidField};
-    let mut group = c.benchmark_group("decimate");
-    group.sample_size(10);
-    for dim in [48usize, 65] {
-        let vol: oociso_volume::Volume<u8> = GyroidField {
-            cells: 3.0,
-            level: 128.0,
-            amplitude: 70.0,
-        }
-        .sample(Dims3::cube(dim));
-        let dir = std::env::temp_dir().join(format!("oociso_qbench_d{dim}_{}", std::process::id()));
-        let (cluster, _) = Cluster::build(&vol, &dir, 1, &ClusterBuildOptions::default()).unwrap();
-        let (mesh, _) = cluster.extract(128.5).unwrap().into_merged();
-        std::fs::remove_dir_all(&dir).ok();
-        group.throughput(criterion::Throughput::Elements(mesh.num_vertices() as u64));
-        for ratio in [0.25f64, 0.06] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("gyroid{dim}"), format!("r{ratio}")),
-                &ratio,
-                |b, &ratio| b.iter(|| oociso_march::decimate_to_ratio(&mesh, ratio)),
-            );
-        }
-    }
-    group.finish();
-}
-
 fn bench_admission_storm(c: &mut Criterion) {
     // an 8-client miss storm against a live TCP server: unbounded admission
     // vs 2 extraction slots with busy-retrying clients. The 1-byte cache
@@ -378,7 +348,6 @@ criterion_group!(
     bench_extract,
     bench_isovalue_sensitivity,
     bench_worker_scaling,
-    bench_decimate,
     bench_admission_storm,
     bench_metrics_overhead,
     bench_client_storm,

@@ -298,7 +298,7 @@ pub fn extract(opts: &Options) -> Result<(), String> {
         let t = std::time::Instant::now();
         let (decimated, stats) = oociso_march::decimate_to_ratio(&mesh, ratio);
         println!(
-            "decimate {ratio}: {} -> {} vertices ({} -> {} triangles), {} collapses (tiles {}, finish_collapses {}), max error {:.3e} (world {:.4}), {:.1} ms{}",
+            "decimate {ratio}: {} -> {} vertices ({} -> {} triangles), {} collapses (tiles {}, finish_collapses {}, passes {}), max error {:.3e} (world {:.4}), {:.1} ms{}",
             stats.input_vertices,
             stats.output_vertices,
             stats.input_triangles,
@@ -306,6 +306,7 @@ pub fn extract(opts: &Options) -> Result<(), String> {
             stats.collapses,
             stats.tiles,
             stats.finish_collapses,
+            stats.passes,
             stats.max_error,
             stats.world_error(),
             t.elapsed().as_secs_f64() * 1e3,

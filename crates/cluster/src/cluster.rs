@@ -296,13 +296,15 @@ fn weld_fields(weld: &WeldStats) -> [(&'static str, u64); 4] {
 
 /// The counters every per-level `decimate` span annotation carries: the
 /// level, its collapses over both phases, the tiles the parallel phase
-/// used and the collapses the global finishing heap applied.
-pub fn decimate_fields(level: usize, stats: &DecimateStats) -> [(&'static str, u64); 4] {
+/// used, the collapses the global finishing phase applied and the
+/// collapse passes walked in all of them.
+pub fn decimate_fields(level: usize, stats: &DecimateStats) -> [(&'static str, u64); 5] {
     [
         ("level", level as u64),
         ("collapses", stats.collapses),
         ("tiles", stats.tiles),
         ("finish_collapses", stats.finish_collapses),
+        ("passes", stats.passes),
     ]
 }
 

@@ -4,21 +4,34 @@
 //! with true shared-vertex connectivity — exactly what edge-collapse
 //! simplification needs. [`decimate`] is the Garland–Heckbert quadric error
 //! metric: every vertex accumulates the squared-distance quadric of its
-//! incident face planes, every interior edge becomes a collapse candidate
-//! priced at the quadric error of its optimal merged position, and a priority
-//! heap retires the cheapest collapses until a vertex target or an error
-//! bound is reached.
+//! incident face planes, every interior edge is priced at the quadric error
+//! of its optimal merged position, and the cheapest collapses are applied in
+//! **error-ordered passes** until a vertex target or an error bound is
+//! reached.
 //!
-//! The pass is **tiled** so it uses every core. The faces are cut into
+//! A pass takes the `alive − target` cheapest priced edges (all of them when
+//! there is no vertex target), sorts them by `(error, a, b)` and walks them
+//! in that order, stopping at the target or at the error bound. It skips an
+//! edge when either endpoint was already an endpoint of a collapse applied in
+//! the same pass. An edge's price depends only on its two endpoints'
+//! quadrics and positions, so these endpoint locks keep every price a pass
+//! walks exact, and the guards below read the live mesh. Between passes only
+//! the edges around the vertices the last pass kept are re-priced. A pass
+//! that applies nothing widens its window ×4; once the window holds every
+//! priced edge and still nothing is legal, the mesh is as coarse as the
+//! guards allow.
+//!
+//! The work is **tiled** so it uses every core. The faces are cut into
 //! [`TILES`] slabs at equal-count quantiles of their centroids along the
 //! mesh's longest axis (at most one tile per [`MIN_TILE_FACES`] faces, so
 //! small meshes get one). A vertex whose faces all lie in one tile is that
 //! tile's *interior*; any other vertex is a *seam* vertex and is pinned
 //! during the first phase. Tiles are decimated in parallel, collapsing
 //! interior edges only, each until [`SLACK`] × the final ratio of its
-//! collapsible (unpinned) vertices is left. The tiles are then merged, every vertex carrying its accumulated
-//! quadric (a seam vertex's summed over its tiles), and one global heap
-//! finishes the job — seams included — down to the exact target.
+//! collapsible (unpinned) vertices is left. The tiles are then merged, every
+//! vertex carrying its accumulated quadric (a seam vertex's summed over its
+//! tiles), and a global finishing phase of the same passes does the rest —
+//! seams included — down to the exact target.
 //!
 //! Simplification for a *serving* pipeline has two extra obligations the
 //! textbook algorithm does not:
@@ -36,17 +49,19 @@
 //!   LOD levels could not be cached, diffed, or served bit-exactly. The
 //!   tiles are a pure function of the mesh (the tile count is a constant,
 //!   never the thread count, and quantile ties break by face id); each tile
-//!   is decimated by the same sequential heap whichever thread runs it, and
-//!   the merge and the finishing heap run in tile order on one thread. A
-//!   tile's collapses are legal on the global mesh, not just on the tile:
+//!   is decimated by the same sequential passes whichever thread runs it,
+//!   and the merge and the finishing phase run in tile order on one thread.
+//!   A tile's collapses are legal on the global mesh, not just on the tile:
 //!   both endpoints are interior, so every face the link, flip and
 //!   multiplicity guards read — the faces incident to either endpoint — is
 //!   in the tile, and the tile sees exactly the neighbourhood the global
-//!   mesh has. Every heap orders candidates by `(error, edge)` under
-//!   `f64::total_cmp`, every fallback scan breaks ties by fixed evaluation
-//!   order, and the output is compacted in first-use order over the input's
-//!   face order — the same rule [`IndexedMesh::filter_triangles`] uses — so
-//!   equal inputs always decimate to equal outputs. Carried quadrics keep
+//!   mesh has. Every pass orders its edges by the total order `(error, a,
+//!   b)` under `f64::total_cmp`, and its locks are on endpoints only, so
+//!   which collapses a pass applies depends on the mesh alone; every
+//!   fallback scan breaks ties by fixed evaluation order, and the output is
+//!   compacted in first-use order over the input's face order — the same
+//!   rule [`IndexedMesh::filter_triangles`] uses — so equal inputs always
+//!   decimate to equal outputs. Carried quadrics keep
 //!   [`DecimateStats::max_error`] honest: every collapse, in either phase,
 //!   is priced against all of the original planes its endpoints absorbed.
 //!
@@ -59,7 +74,6 @@
 use crate::indexed::IndexedMesh;
 use crate::mesh::Vec3;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
 /// Tiles the first phase cuts a mesh into. A constant, so the output never
@@ -68,22 +82,22 @@ pub const TILES: usize = 8;
 
 /// The fewest faces a tile may hold: a mesh gets `faces / MIN_TILE_FACES`
 /// tiles, at most [`TILES`] and at least one. Below it the seams would be a
-/// large share of each tile and the finishing heap would redo most of the
+/// large share of each tile and the finishing phase would redo most of the
 /// work.
 pub const MIN_TILE_FACES: usize = 4096;
 
 /// How far above the final vertex ratio the tile phase stops: a tile keeps
-/// `SLACK × ratio` of its interior and leaves the rest to the global heap,
-/// which then chooses the last collapses in global error order. At 1.3 the
-/// coarsest level's error was 1.5× the single-heap builder's; at 1.6 it is
-/// within about 1 % (`docs/perf.md`, "Tiled decimation").
+/// `SLACK × ratio` of its interior and leaves the rest to the finishing
+/// phase, which then chooses the last collapses in global error order. At
+/// 1.3 the coarsest level's error was 1.5× the untiled builder's; at 1.6 it
+/// is within about 1 % (`docs/perf.md`, "Tiled decimation").
 pub const SLACK: f64 = 1.6;
 
 /// A symmetric 4×4 error quadric: `error(v) = vᵀ Q v` with `v = (x, y, z, 1)`
 /// is the sum of squared distances from `v` to the accumulated planes.
 /// Stored as the 10 unique coefficients, in `f64` — collapse errors are tiny
 /// differences of large products and `f32` accumulation visibly misorders
-/// the heap.
+/// the collapses.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Quadric {
     a00: f64,
@@ -224,17 +238,23 @@ pub struct DecimateStats {
     pub output_triangles: u64,
     /// Edge collapses applied, by both phases.
     pub collapses: u64,
-    /// Of [`DecimateStats::collapses`], those the global finishing heap
+    /// Of [`DecimateStats::collapses`], those the global finishing phase
     /// applied (all of them when the mesh got one tile).
     pub finish_collapses: u64,
     /// Tiles the parallel phase decimated (1: the mesh was too small to
     /// tile, or the target too close to the input to need it).
     pub tiles: u64,
-    /// Candidates rejected by the link (manifoldness) condition.
+    /// Error-ordered collapse passes walked, summed over the tiles and the
+    /// finishing phase (a pass that applied nothing and widened its window
+    /// counts too).
+    pub passes: u64,
+    /// Collapse checks the link (manifoldness) condition rejected; an edge
+    /// retried by a later pass counts again.
     pub rejected_link: u64,
-    /// Candidates rejected because a surviving face would flip or collapse.
+    /// Collapse checks rejected because a surviving face would flip or
+    /// collapse.
     pub rejected_flip: u64,
-    /// Candidates rejected by [`DecimateOptions::max_error`].
+    /// Passes stopped by [`DecimateOptions::max_error`].
     pub rejected_error: u64,
     /// Vertices pinned because they lie on a boundary or non-manifold edge
     /// of the input (never collapsed, never moved). Tile seams are not
@@ -244,8 +264,8 @@ pub struct DecimateStats {
     /// distance; `sqrt` of it is the pass's world-error gauge).
     pub max_error: f64,
     /// True when the pass stopped at [`DecimateOptions::target_vertices`];
-    /// false when the candidate heap ran dry first (every remaining collapse
-    /// rejected by a guard or the error bound).
+    /// false when the finishing phase ran out of collapses first (every
+    /// priced edge rejected by a guard or the error bound).
     pub reached_target: bool,
 }
 
@@ -264,48 +284,30 @@ impl DecimateStats {
     }
 }
 
-/// A heap candidate: collapse edge `(a, b)` to `pos` at `error`. Min-ordered
-/// by `(error, a, b)` under total float order, so two runs over the same
-/// mesh always retire collapses in the same sequence.
-struct Candidate {
+/// A priced edge: collapsing `(a, b)` (`a < b`) to `pos` costs `error`.
+#[derive(Clone, Copy)]
+struct Collapse {
     error: f64,
     a: u32,
     b: u32,
     pos: Vec3,
-    /// Version stamps of both endpoints at push time; a mismatch at pop time
-    /// means the neighborhood changed and the entry is stale.
-    va: u32,
-    vb: u32,
 }
 
-impl PartialEq for Candidate {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Candidate {}
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: reverse for cheapest-first
-        other
-            .error
-            .total_cmp(&self.error)
-            .then_with(|| other.a.cmp(&self.a))
-            .then_with(|| other.b.cmp(&self.b))
-    }
+/// The order every pass walks in: cheapest first, ties by edge. Total, and
+/// no two priced edges share `(a, b)`, so it never calls two of them equal.
+fn by_cost(x: &Collapse, y: &Collapse) -> Ordering {
+    x.error
+        .total_cmp(&y.error)
+        .then(x.a.cmp(&y.a))
+        .then(x.b.cmp(&y.b))
 }
 
 fn v3(p: Vec3) -> [f64; 3] {
     [p.x as f64, p.y as f64, p.z as f64]
 }
 
-/// Reusable per-pop scratch: every buffer the collapse guards and the
-/// apply step need, allocated once and recycled across heap pops. After the
+/// Reusable per-collapse scratch: every buffer the collapse guards and the
+/// apply step need, allocated once and recycled across the walk. After the
 /// first few collapses warm the capacities, the hot loop allocates nothing.
 #[derive(Default)]
 struct Scratch {
@@ -318,8 +320,6 @@ struct Scratch {
     nb: Vec<u32>,
     /// Snapshot of `b`'s surviving incident faces during the merge.
     fb: Vec<u32>,
-    /// Edges incident to the kept vertex, re-priced after a collapse.
-    repush: Vec<(u32, u32)>,
 }
 
 /// The in-progress decimation state over index-stable working arrays.
@@ -334,9 +334,13 @@ struct Decimator {
     vertex_faces: Vec<Vec<u32>>,
     /// Boundary/non-manifold vertices — pinned.
     pinned: Vec<bool>,
-    /// Bumped whenever a vertex's position/quadric/neighborhood changes.
-    versions: Vec<u32>,
-    heap: BinaryHeap<Candidate>,
+    /// Every alive edge with both endpoints unpinned, priced, in no order.
+    priced: Vec<Collapse>,
+    /// Per vertex: the last pass in which it was an endpoint of an applied
+    /// collapse (0 = none yet). Equal to `pass` means locked for this pass.
+    touched: Vec<u32>,
+    /// The current pass, counting from 1.
+    pass: u32,
     alive_vertices: usize,
     stats: DecimateStats,
     opts: DecimateOptions,
@@ -438,8 +442,9 @@ impl Decimator {
             faces,
             vertex_faces,
             pinned,
-            versions: vec![0; nv],
-            heap: BinaryHeap::new(),
+            priced: Vec::new(),
+            touched: vec![0; nv],
+            pass: 0,
             alive_vertices,
             stats: DecimateStats {
                 pinned_vertices: pinned_count,
@@ -448,18 +453,18 @@ impl Decimator {
             opts,
             scratch: Scratch::default(),
         };
-        for (a, b) in uniq_edges {
-            dec.push_candidate(a, b);
-        }
+        dec.priced = uniq_edges
+            .into_iter()
+            .filter_map(|(a, b)| dec.price(a, b))
+            .collect();
         dec
     }
 
-    /// Price edge `(a, b)` and push it (skipped when an endpoint is pinned —
-    /// boundary edges are never collapse candidates at all).
-    fn push_candidate(&mut self, a: u32, b: u32) {
-        let (a, b) = if a < b { (a, b) } else { (b, a) };
+    /// Price edge `(a, b)`, `a < b`: `None` when an endpoint is pinned —
+    /// boundary edges are never collapse candidates at all.
+    fn price(&self, a: u32, b: u32) -> Option<Collapse> {
         if self.pinned[a as usize] || self.pinned[b as usize] {
-            return;
+            return None;
         }
         let q = self.quadrics[a as usize].sum(&self.quadrics[b as usize]);
         let (pa, pb) = (self.positions[a as usize], self.positions[b as usize]);
@@ -484,14 +489,7 @@ impl Decimator {
                 best
             }
         };
-        self.heap.push(Candidate {
-            error,
-            a,
-            b,
-            pos,
-            va: self.versions[a as usize],
-            vb: self.versions[b as usize],
-        });
+        Some(Collapse { error, a, b, pos })
     }
 
     /// Drop `v`'s dead incident faces in place (cheap once compacted).
@@ -601,15 +599,6 @@ impl Decimator {
     }
 
     /// Apply the collapse `(a, b) → pos`: `b` merges into `a`.
-    ///
-    /// Re-pricing is **lazy**: only the endpoints' versions bump (their
-    /// quadric/position changed — the only inputs to a candidate's priced
-    /// error) and only edges incident to the kept vertex re-enter the heap.
-    /// Ring edges not touching `a` keep their still-correct prices, and any
-    /// legality change in their neighborhood is caught by the pop-time
-    /// guards (or recovered by a reseed round — see [`Decimator::simplify`]).
-    /// Eagerly re-pricing the whole one-ring costs ~20× more heap traffic
-    /// for identical output quality.
     fn apply_collapse(&mut self, a: u32, b: u32, pos: Vec3) {
         self.compact_faces(a);
         self.compact_faces(b);
@@ -643,51 +632,68 @@ impl Decimator {
         let qb = self.quadrics[b as usize];
         self.quadrics[a as usize].add(&qb);
         self.alive_vertices -= 1;
-        self.versions[a as usize] += 1;
-        self.versions[b as usize] += 1;
-
-        // re-price the edges incident to the kept vertex
-        self.compact_faces(a);
-        s.repush.clear();
-        for &f in &self.vertex_faces[a as usize] {
-            let tri = self.faces[f as usize];
-            for i in 0..3 {
-                let (x, y) = (tri[i], tri[(i + 1) % 3]);
-                if (x == a || y == a) && x != y {
-                    s.repush.push(if x < y { (x, y) } else { (y, x) });
-                }
-            }
-        }
-        s.repush.sort_unstable();
-        s.repush.dedup();
-        for i in 0..s.repush.len() {
-            let (x, y) = s.repush[i];
-            self.push_candidate(x, y);
-        }
         self.scratch = s;
     }
 
-    /// Drain the heap until the target is reached, the error bound stops
-    /// progress, or the heap runs dry. Returns `(collapses, error_stop)`.
-    fn drain_heap(&mut self, target: usize) -> (u64, bool) {
-        let mut applied = 0u64;
+    /// Collapse in error-ordered passes (see the module docs) until `target`
+    /// alive vertices remain (0 = no target), the error bound stops
+    /// progress, or no priced edge is legal any more.
+    fn simplify(&mut self, target: usize) {
+        let mut window = 1;
+        let mut kept: Vec<u32> = Vec::new();
+        let mut ring: Vec<u32> = Vec::new();
         loop {
             if target > 0 && self.alive_vertices <= target {
                 self.stats.reached_target = true;
-                return (applied, false);
+                return;
             }
-            let Some(c) = self.heap.pop() else {
-                return (applied, false);
+            let len = self.priced.len();
+            let need = match target {
+                0 => len,
+                _ => self.alive_vertices - target,
             };
-            let (a, b) = (c.a as usize, c.b as usize);
-            if self.versions[a] != c.va || self.versions[b] != c.vb {
-                continue; // stale
+            let k = need.saturating_mul(window).min(len);
+            if k == 0 {
+                return;
             }
+            if k < len {
+                self.priced.select_nth_unstable_by(k - 1, by_cost);
+            }
+            self.priced[..k].sort_unstable_by(by_cost);
+            let error_stop = self.walk(k, target, &mut kept);
+            if kept.is_empty() {
+                if error_stop || k == len {
+                    return; // no priced edge is both legal and within the bound
+                }
+                window *= 4;
+                continue;
+            }
+            window = 1;
+            self.reprice(&kept, &mut ring);
+        }
+    }
+
+    /// One pass over the `k` cheapest priced edges, sorted at the front of
+    /// `priced`: apply every legal one whose endpoints are unlocked, until
+    /// `target` or the error bound. The kept vertex of each applied
+    /// collapse lands in `kept`. Returns whether the error bound stopped it.
+    fn walk(&mut self, k: usize, target: usize, kept: &mut Vec<u32>) -> bool {
+        self.pass += 1;
+        self.stats.passes += 1;
+        kept.clear();
+        for i in 0..k {
+            if target > 0 && self.alive_vertices <= target {
+                break;
+            }
+            let c = self.priced[i];
             if c.error > self.opts.max_error {
-                // the heap is min-ordered: every remaining candidate at the
-                // current versions is at least this expensive
+                // sorted: every later edge in this pass costs at least as much
                 self.stats.rejected_error += 1;
-                return (applied, true);
+                return true;
+            }
+            let (a, b) = (c.a as usize, c.b as usize);
+            if self.touched[a] == self.pass || self.touched[b] == self.pass {
+                continue;
             }
             match self.check_collapse(c.a, c.b, c.pos) {
                 Some(Rejection::Link) => {
@@ -701,51 +707,39 @@ impl Decimator {
                 None => {}
             }
             self.apply_collapse(c.a, c.b, c.pos);
-            applied += 1;
+            self.touched[a] = self.pass;
+            self.touched[b] = self.pass;
+            kept.push(c.a);
             self.stats.collapses += 1;
             self.stats.max_error = self.stats.max_error.max(c.error);
         }
+        false
     }
 
-    /// Rebuild the candidate heap from every alive edge — recovers
-    /// candidates that were rejected (and dropped) earlier but became legal
-    /// after nearby collapses. Deterministic: seeded in sorted edge order.
-    fn reseed(&mut self) {
-        self.heap.clear();
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for (fi, f) in self.faces.iter().enumerate() {
-            if !self.alive[fi] {
-                continue;
+    /// After a pass: drop every priced edge touching a vertex the pass
+    /// changed, then price the edges around each vertex it kept. No other
+    /// edge's endpoints moved, so every other price is still exact.
+    fn reprice(&mut self, kept: &[u32], ring: &mut Vec<u32>) {
+        let (pass, touched) = (self.pass, &self.touched);
+        self.priced
+            .retain(|c| touched[c.a as usize] != pass && touched[c.b as usize] != pass);
+        for &a in kept {
+            self.compact_faces(a);
+            ring.clear();
+            for &f in &self.vertex_faces[a as usize] {
+                ring.extend(self.faces[f as usize].iter().filter(|&&c| c != a));
             }
-            for i in 0..3 {
-                let (x, y) = (f[i], f[(i + 1) % 3]);
-                if x != y {
-                    edges.push(if x < y { (x, y) } else { (y, x) });
+            ring.sort_unstable();
+            ring.dedup();
+            for &x in ring.iter() {
+                // an edge between two kept vertices is priced from its lower end
+                if self.touched[x as usize] == pass && x < a {
+                    continue;
+                }
+                if let Some(c) = self.price(a.min(x), a.max(x)) {
+                    self.priced.push(c);
                 }
             }
-        }
-        edges.sort_unstable();
-        edges.dedup();
-        for (x, y) in edges {
-            self.push_candidate(x, y);
-        }
-    }
-
-    /// Drain and reseed until `target` alive vertices remain (0 = no
-    /// target), the error bound stops progress, or a whole round finds
-    /// nothing legal.
-    fn simplify(&mut self, target: usize) {
-        loop {
-            let (applied, error_stop) = self.drain_heap(target);
-            if self.stats.reached_target || error_stop {
-                break;
-            }
-            if applied == 0 {
-                break; // a whole round found nothing legal: truly done
-            }
-            // lazy re-pricing may have dropped candidates that are legal
-            // now; reseed and keep going until a round makes no progress
-            self.reseed();
         }
     }
 
@@ -910,7 +904,7 @@ fn decimate_tile(
     let mut dec = Decimator::new(tile_positions, tile_faces, quadrics, &seam, *opts);
     // the ratio applies to the vertices the tile may collapse: seam and
     // boundary vertices all survive, and charging them to the budget would
-    // drive a boundary-heavy tile far deeper than the global heap would
+    // drive a boundary-heavy tile far deeper than the finishing phase would
     let fixed = dec.pinned.iter().filter(|&&p| p).count();
     let target = match opts.target_vertices {
         0 => 0,
@@ -994,6 +988,7 @@ fn tile_phase(
             faces[f as usize] = out.faces[l].map(|c| out.vertices[c as usize]);
         }
         stats.collapses += out.stats.collapses;
+        stats.passes += out.stats.passes;
         stats.rejected_link += out.stats.rejected_link;
         stats.rejected_flip += out.stats.rejected_flip;
         stats.rejected_error += out.stats.rejected_error;
@@ -1005,7 +1000,7 @@ fn tile_phase(
 }
 
 /// Decimate `mesh` under `opts`: tile interiors in parallel, then the
-/// global finishing heap (see the module docs). Deterministic: equal meshes
+/// global finishing phase (see the module docs). Deterministic: equal meshes
 /// (and options) always yield byte-identical outputs, whatever the
 /// thread count.
 pub fn decimate(mesh: &IndexedMesh, opts: &DecimateOptions) -> (IndexedMesh, DecimateStats) {
@@ -1061,6 +1056,7 @@ fn decimate_tiled(
         collapses: tiled.collapses + finish.collapses,
         finish_collapses: finish.collapses,
         tiles: tiled.tiles,
+        passes: tiled.passes + finish.passes,
         rejected_link: tiled.rejected_link + finish.rejected_link,
         rejected_flip: tiled.rejected_flip + finish.rejected_flip,
         rejected_error: tiled.rejected_error + finish.rejected_error,

@@ -1607,9 +1607,14 @@ mod tests {
     /// directory — lets unit tests drive extraction, rebuild, and warming
     /// directly, without a socket in the way.
     fn test_state(name: &str, opts: ServeOptions) -> Arc<State<u8>> {
+        sphere_state(name, opts, 17)
+    }
+
+    /// [`test_state`] over a sphere sampled on an `n`³ grid.
+    fn sphere_state(name: &str, opts: ServeOptions, n: usize) -> Arc<State<u8>> {
         let mut dir = std::env::temp_dir();
         dir.push(format!("oociso_server_unit_{}_{name}", std::process::id()));
-        let vol: Volume<u8> = SphereField::centered(0.32, 128.0).sample(Dims3::cube(17));
+        let vol: Volume<u8> = SphereField::centered(0.32, 128.0).sample(Dims3::cube(n));
         let db = ClusterDatabase::preprocess(
             &vol,
             &dir,
@@ -1655,6 +1660,39 @@ mod tests {
             1,
             "rebuild wall time still lands in its own histogram"
         );
+    }
+
+    // `rebuild_from_full` walks the ladder a miss walks, so a pyramid rebuilt
+    // from a resident level 0 is the miss pyramid, bit for bit — on a
+    // sphere big enough that the decimator tiles its first level
+    #[test]
+    fn rebuilt_pyramid_is_the_miss_pyramid_bit_for_bit() {
+        let state = sphere_state(
+            "rebuild_bits",
+            ServeOptions {
+                lod_ratios: vec![0.25, 0.06],
+                ..Default::default()
+            },
+            64,
+        );
+        let trace = Trace::detached();
+        let missed = state.extract_and_insert(110.0, &trace).unwrap();
+        assert_eq!(missed.len(), 3);
+        assert!(
+            missed[0].mesh.len() >= 2 * oociso_march::decimate::MIN_TILE_FACES,
+            "level 0 must be big enough to tile"
+        );
+        let rebuilt = state.rebuild_from_full(110.0, missed[0].clone(), &trace);
+        assert_eq!(rebuilt.len(), missed.len());
+        assert!(Arc::ptr_eq(&rebuilt[0], &missed[0]), "level 0 is reused");
+        for (lod, (a, b)) in missed.iter().zip(&rebuilt).enumerate().skip(1) {
+            assert_eq!(a.mesh, b.mesh, "level {lod} mesh differs");
+            assert_eq!(
+                a.world_error.to_bits(),
+                b.world_error.to_bits(),
+                "level {lod} world error differs"
+            );
+        }
     }
 
     // the satellite-3 contract: an extraction whose result is too big to

@@ -178,7 +178,7 @@ fn check_decimation(name: &str, mesh: &IndexedMesh, ratio: f64) {
     } else {
         // the only legitimate miss is the boundary-pinning floor: every
         // pinned vertex must survive, so the output can never go below
-        // them — and a guarded heap exhaustion must land in their vicinity
+        // them — and a guarded exhaustion must land in their vicinity
         assert!(
             stats.output_vertices <= (2 * stats.pinned_vertices).max(target),
             "{ctx}: target missed but output {} is far above the pinned floor {}",
@@ -360,6 +360,13 @@ fn gyroid_65_quarter_ratio_acceptance() {
     assert!(
         stats.world_error() < 0.02 * diag,
         "world error {} vs diagonal {diag}",
+        stats.world_error()
+    );
+    // … within 3 % of the priority-queue decimator the error-ordered passes
+    // replaced (0.2565 on this mesh at commit 74d9aa2) …
+    assert!(
+        stats.world_error() <= 1.03 * 0.2565,
+        "world error {} vs the priority-queue decimator's 0.2565",
         stats.world_error()
     );
     // … and honest: true deviation stays within the gauge
