@@ -41,20 +41,20 @@ pub struct MeshReply {
     /// Active metacells of the producing extraction.
     pub active_metacells: u64,
     /// The LOD level the server actually served (equals the requested
-    /// level unless `degraded`; always 0 from pre-v3 servers).
+    /// level unless `degraded`).
     pub served_lod: u16,
     /// True when the server satisfied the request from a cached coarser
     /// level under overload instead of shedding it.
     pub degraded: bool,
-    /// Echo of the trace id this request carried (0 = untraced, and always
-    /// 0 from pre-v5 servers). A nonzero echo can be handed to
+    /// Echo of the trace id this request carried (0 = untraced). A nonzero
+    /// echo can be handed to
     /// [`Client::trace`] to pull the request's span tree.
     pub trace_id: u64,
 }
 
-/// One refinement step of a progressive mesh delivery (protocol v6),
-/// handed to the [`Client::query_mesh_progressive`] callback as each chunk
-/// arrives and is reconstructed.
+/// One refinement step of a progressive mesh delivery, handed to the
+/// [`Client::query_mesh_progressive`] callback as each chunk arrives and is
+/// reconstructed.
 #[derive(Debug)]
 pub struct ProgressiveUpdate<'a> {
     /// The LOD pyramid level this chunk refined the surface to.
@@ -106,7 +106,7 @@ pub struct ServerError {
     pub code: u16,
     /// Human-readable detail from the server.
     pub detail: String,
-    /// The server's retry-after hint, when it sent one (`ERR_BUSY` on v3).
+    /// The server's retry-after hint, when it sent one (`ERR_BUSY`).
     pub retry_after_ms: Option<u32>,
 }
 
@@ -298,9 +298,9 @@ impl Client {
     /// `[base/2, base)` so synchronized clients spread out.
     ///
     /// Never below [`BACKOFF_FLOOR`]: a server whose hint EWMA reads 0 ms
-    /// (or a pre-v3 server sending hintless `ERR_BUSY`, combined with
-    /// `opts.backoff` configured to zero) must not spin the client into a
-    /// hot retry loop against a peer that just declared itself overloaded.
+    /// (or a hintless `ERR_BUSY`, combined with `opts.backoff` configured to
+    /// zero) must not spin the client into a hot retry loop against a peer
+    /// that just declared itself overloaded.
     fn backoff_delay(&mut self, attempt: u32, hint_ms: Option<u32>) -> Duration {
         let exp = self
             .opts
@@ -380,10 +380,10 @@ impl Client {
         self.query_mesh_traced(iso, region, lod, 0)
     }
 
-    /// [`Client::query_mesh_lod`] with a client-supplied trace id (protocol
-    /// v5). The server records the request's span tree under `trace_id` in
-    /// its trace journal and echoes the id on the reply; fetch the tree
-    /// afterwards with [`Client::trace`]. Id 0 means untraced.
+    /// [`Client::query_mesh_lod`] with a client-supplied trace id. The
+    /// server records the request's span tree under `trace_id` in its trace
+    /// journal and echoes the id on the reply; fetch the tree afterwards
+    /// with [`Client::trace`]. Id 0 means untraced.
     pub fn query_mesh_traced(
         &mut self,
         iso: f32,
@@ -400,7 +400,7 @@ impl Client {
         })
     }
 
-    /// Query the isosurface at `iso` progressively (protocol v6): the
+    /// Query the isosurface at `iso` progressively: the
     /// server streams the LOD pyramid coarsest-first down to level `lod`,
     /// and `on_level` observes every reconstructed refinement as it
     /// arrives — render each one and the surface sharpens while the
@@ -506,7 +506,7 @@ impl Client {
     }
 
     /// Fetch the server's metrics registry exposition (Prometheus text
-    /// format, protocol v5).
+    /// format).
     pub fn metrics(&mut self) -> io::Result<String> {
         match self.roundtrip(&Message::MetricsRequest)? {
             Message::MetricsResponse { text } => Ok(text),
@@ -519,9 +519,9 @@ impl Client {
         }
     }
 
-    /// Fetch a finished request trace from the server's journal (protocol
-    /// v5). Id 0 asks for the most recent trace; `found` is false when the
-    /// journal no longer holds the id.
+    /// Fetch a finished request trace from the server's journal. Id 0 asks
+    /// for the most recent trace; `found` is false when the journal no
+    /// longer holds the id.
     pub fn trace(&mut self, id: u64) -> io::Result<TraceReply> {
         match self.roundtrip(&Message::TraceRequest { id })? {
             Message::TraceResponse {

@@ -32,8 +32,8 @@
 //! Every server additionally owns an observability surface (`oociso-obs`):
 //! a per-server metrics registry with latency histograms exposed as
 //! Prometheus text via a metrics request, structured warn/info log events
-//! instead of raw stderr writes, and per-request span traces — a v5 client
-//! may stamp requests with a trace id, which the server echoes on the reply
+//! instead of raw stderr writes, and per-request span traces — a client may
+//! stamp requests with a trace id, which the server echoes on the reply
 //! and uses to retain the request's span tree for retrieval over the wire.
 //! See `docs/observability.md` for the metric catalog and span naming.
 //!
@@ -56,7 +56,6 @@ pub use client::{
 };
 pub use protocol::{
     render_trace_events, ChunkBody, FrameParams, Message, Region, ServerReport, TraceEvent,
-    ERR_BAD_BACKEND, ERR_BAD_LOD, ERR_BUSY, MAGIC, MAX_LOD_LEVELS, MIN_PROGRESSIVE_VERSION,
-    MIN_VERSION, VERSION,
+    ERR_BAD_BACKEND, ERR_BAD_LOD, ERR_BUSY, MAGIC, MAX_LOD_LEVELS, VERSION,
 };
 pub use server::{IsoServer, ServeOptions};

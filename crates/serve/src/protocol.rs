@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       4     magic       0x4F49534F ("OISO", little-endian u32)
-//! 4       2     version     protocol version (currently 1)
+//! 0       4     magic       the bytes "OISO" (0x4F53494F, little-endian u32)
+//! 4       2     version     protocol version (always 6, [`VERSION`])
 //! 6       2     msg type    see the `MSG_*` constants
 //! 8       8     payload len bytes that follow the header
 //! 16      n     payload     message-specific little-endian encoding
@@ -14,9 +14,9 @@
 //!
 //! The header is fixed-size so a reader always knows how much to pull next
 //! (length-prefixed framing — no delimiters, binary-safe payloads). The
-//! version rides in *every* frame: a server can reject a client from the
-//! future with a structured [`Message::Error`] instead of misparsing it. The
-//! checksum closes the loop on torn or corrupted writes: a payload that does
+//! version rides in *every* frame: a reader refuses any other version with a
+//! structured [`Message::Error`] instead of misparsing it. The checksum
+//! closes the loop on torn or corrupted writes: a payload that does
 //! not hash to its trailer is rejected as [`ERR_BAD_CHECKSUM`] before any
 //! field of it is interpreted.
 //!
@@ -32,43 +32,12 @@ use std::time::{Duration, Instant};
 
 /// Frame magic: `"OISO"` read as a little-endian u32.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"OISO");
-/// Current protocol version. Version 2 added the optional trailing `lod`
-/// field to mesh requests and the per-level cache counters to stats
-/// responses. Version 3 added the overload vocabulary: a trailing
-/// retry-after-millis hint on error frames (how [`ERR_BUSY`] tells clients
-/// when to come back), trailing `served_lod`/`degraded` fields on mesh
-/// responses (how a degraded coarser-LOD answer is flagged), and the
-/// robustness counters on stats responses. Version 4 added an
-/// extraction-backend byte: a trailing backend id on mesh requests, a
-/// trailing served-backend id on mesh responses, two per-backend counter
-/// arrays on stats responses, and [`ERR_BAD_BACKEND`]. The server extracts
-/// with Marching Cubes only, so the request byte is parsed and checked, the
-/// response byte is always 0 (MC), and the arrays are derived from the
-/// aggregate counters. Version 5 added wire-propagated request tracing and
-/// the observability messages: a trailing client-supplied trace id on mesh
-/// and frame requests (echoed on the matching responses), the
-/// [`MSG_METRICS_REQUEST`] / [`MSG_METRICS_RESPONSE`] pair carrying the
-/// server's metrics exposition text, and the [`MSG_TRACE_REQUEST`] /
-/// [`MSG_TRACE_RESPONSE`] pair returning a finished request trace's span
-/// events. At v5 the mesh-request backend byte is always present
-/// ([`BACKEND_DEFAULT`] = no choice), so the 8-byte trace id that follows
-/// is unambiguous by length. Version 6 added progressive (coarse-to-fine)
-/// mesh delivery as two *new* message types — [`MSG_PROGRESSIVE_REQUEST`]
-/// and the chunked [`MSG_MESH_CHUNK`] response it elicits, one frame per
-/// LOD level (coarsest first, refinements optionally encoded as
-/// collapse-record deltas against the previous chunk) — so no existing
-/// payload layout changed at all: every v1–v5 message encodes
-/// byte-identically at v6.
-///
-/// Readers accept any version in [`MIN_VERSION`]`..=`[`VERSION`], and a
-/// server answers each frame at the version the client spoke — a v1 client
-/// simply never asks for (and never hears about) LOD levels, so it gets
-/// level 0, exactly as before, a v2 client never sees the v3 trailing
-/// fields, a pre-v5 client is served bit-identically, untraced, and a
-/// pre-v6 client never learns the progressive message types exist.
+/// The protocol version, the only one spoken. Every frame header carries
+/// it, and a reader answers a frame stamped with any other version
+/// [`ERR_UNSUPPORTED_VERSION`] (the connection stays usable). Every payload
+/// has one fixed layout; the only optional field is the error frame's
+/// trailing retry-after hint.
 pub const VERSION: u16 = 6;
-/// Oldest protocol version still accepted on the wire.
-pub const MIN_VERSION: u16 = 1;
 /// Most LOD pyramid levels the protocol (and the per-level stats counters)
 /// can address, level 0 included.
 pub const MAX_LOD_LEVELS: usize = 4;
@@ -97,25 +66,21 @@ pub const MSG_ERROR: u16 = 8;
 pub const MSG_PONG: u16 = 9;
 // Tag 10 carried the retired compositing `Region` message. It decodes as an
 // unknown type; do not reuse it, old peers may still send it.
-/// Ask the server for its metrics registry exposition. **v5.**
+/// Ask the server for its metrics registry exposition.
 pub const MSG_METRICS_REQUEST: u16 = 11;
-/// Metrics exposition text (UTF-8, Prometheus text format). **v5.**
+/// Metrics exposition text (UTF-8, Prometheus text format).
 pub const MSG_METRICS_RESPONSE: u16 = 12;
 /// Ask the server for a finished request trace by id (0 = most recent).
-/// **v5.**
 pub const MSG_TRACE_REQUEST: u16 = 13;
-/// A finished request trace's span events. **v5.**
+/// A finished request trace's span events.
 pub const MSG_TRACE_RESPONSE: u16 = 14;
 /// Ask for a progressive (coarse-to-fine) mesh delivery: the server answers
-/// with one [`MSG_MESH_CHUNK`] frame per LOD level, coarsest first. **v6.**
+/// with one [`MSG_MESH_CHUNK`] frame per LOD level, coarsest first.
 pub const MSG_PROGRESSIVE_REQUEST: u16 = 15;
 /// One level of a progressive mesh delivery. The final chunk of a delivery
 /// sets its `last` flag; refinement chunks may carry a collapse-record
-/// delta against the previous chunk instead of a full mesh. **v6.**
+/// delta against the previous chunk instead of a full mesh.
 pub const MSG_MESH_CHUNK: u16 = 16;
-/// Oldest protocol version whose frames may carry the progressive message
-/// types above — a pre-v6 frame smuggling one in is rejected as malformed.
-pub const MIN_PROGRESSIVE_VERSION: u16 = 6;
 
 /// Error codes carried by [`Message::Error`].
 pub const ERR_UNSUPPORTED_VERSION: u16 = 1;
@@ -128,27 +93,23 @@ pub const ERR_INTERNAL: u16 = 5;
 pub const ERR_BAD_LOD: u16 = 6;
 /// The server is at capacity and shed this request instead of queueing it
 /// behind an unbounded backlog. The reply is honest overload, not failure:
-/// the request was never started, so retrying is always safe, and v3 error
-/// frames carry a `retry_after_ms` hint for when. The connection stays
+/// the request was never started, so retrying is always safe, and the error
+/// frame carries a `retry_after_ms` hint for when. The connection stays
 /// usable.
 pub const ERR_BUSY: u16 = 7;
 /// The requested extraction backend id is not served: the server extracts
 /// with MC (id 0) only (the reply's detail names the offline path; the
-/// connection stays usable). **v4.**
+/// connection stays usable).
 pub const ERR_BAD_BACKEND: u16 = 8;
 
-/// The mesh-request backend byte a v5 encoder writes when the client names
-/// no backend. Pre-v5 encoders express that by omitting the byte entirely;
-/// v5 must always write one so the trailing trace id stays unambiguous by
-/// length. It decodes as "no choice" only when followed by a trace id; as a
-/// lone v4 byte it decodes as `Some(0xFF)`, which the server also serves as
-/// MC.
+/// The backend byte of a mesh or progressive request that names no
+/// backend: `None` encodes as it, and it decodes as `None`.
 pub const BACKEND_DEFAULT: u8 = 0xFF;
 
 /// CRC-32 (IEEE) of `bytes` — the frame trailer's checksum. The routine
 /// lives in `oociso-exio` ([`oociso_exio::crc`]: sliced tables, carry-less
 /// multiply where the CPU has it); the polynomial and therefore every byte
-/// on the wire are what v1 shipped.
+/// on the wire are what the protocol has always shipped.
 pub use oociso_exio::crc::crc32;
 
 /// An axis-aligned query region in mesh (vertex-grid) coordinates.
@@ -214,20 +175,19 @@ pub struct ServerReport {
     /// Cache misses per LOD level. Sums to `cache_misses`.
     pub lod_misses: [u64; MAX_LOD_LEVELS],
     /// Requests answered with [`ERR_BUSY`] by admission control (no
-    /// extraction slot / connection cap reached). **v3.**
+    /// extraction slot / connection cap reached).
     pub shed: u64,
     /// Mesh requests satisfied from a cached coarser LOD level instead of
-    /// being shed (graceful-degradation mode). **v3.**
+    /// being shed (graceful-degradation mode).
     pub degraded: u64,
     /// Connections closed by a read/write deadline (slowloris defense) or
-    /// the idle timeout. **v3.**
+    /// the idle timeout.
     pub timed_out: u64,
-    /// Requests that completed during a graceful drain. **v3.**
+    /// Requests that completed during a graceful drain.
     pub drained: u64,
     /// Accept-loop backoffs taken on fd exhaustion (`EMFILE`/`ENFILE`).
-    /// **v3.**
     pub accept_backoffs: u64,
-    /// Connections currently being served (a gauge, not a counter). **v3.**
+    /// Connections currently being served (a gauge, not a counter).
     pub active_connections: u64,
 }
 
@@ -236,29 +196,26 @@ pub struct ServerReport {
 pub enum Message {
     /// Extract (or serve from cache) the isosurface at `iso`, optionally
     /// restricted to triangles intersecting `region`, at LOD pyramid level
-    /// `lod` (0 = full resolution — the only level v1 clients, whose
-    /// requests carry no `lod` field, can address).
+    /// `lod` (0 = full resolution).
     MeshRequest {
         iso: f32,
         region: Option<Region>,
         lod: u16,
         /// Extraction backend id (`oociso_march::Backend::id`), or `None`
-        /// when the client names none. **v4** trailing field: pre-v4
-        /// requests carry no backend byte and decode as `None`. The id
-        /// travels raw; the server serves `None`, [`BACKEND_DEFAULT`] and
-        /// MC's id 0, and answers any other id with [`ERR_BAD_BACKEND`]
-        /// (mirroring how an out-of-range `lod` draws [`ERR_BAD_LOD`]).
+        /// when the client names none (encoded as [`BACKEND_DEFAULT`]). The
+        /// id travels raw; the server serves `None` and MC's id 0, and
+        /// answers any other id with [`ERR_BAD_BACKEND`] (mirroring how an
+        /// out-of-range `lod` draws [`ERR_BAD_LOD`]).
         backend: Option<u8>,
         /// Client-supplied trace id, echoed on the response and used to key
-        /// the server's trace journal. **v5** trailing field: pre-v5
-        /// requests carry no id and decode as 0 (= untraced).
+        /// the server's trace journal (0 = untraced).
         trace_id: u64,
     },
     /// Extract, rasterize, and return the framebuffer as tile frames.
     FrameRequest {
         iso: f32,
         params: FrameParams,
-        /// Client-supplied trace id. **v5** trailing field (absent = 0).
+        /// Client-supplied trace id (0 = untraced).
         trace_id: u64,
     },
     /// Ask for the server's counters.
@@ -271,19 +228,15 @@ pub enum Message {
         cache_hit: bool,
         active_metacells: u64,
         /// The LOD level actually served — equal to the requested level
-        /// unless `degraded`. **v3** trailing field: absent on the wire for
-        /// v1/v2 speakers, decoded as 0.
+        /// unless `degraded`.
         served_lod: u16,
         /// True when admission control satisfied this request from a cached
-        /// coarser level than requested instead of shedding it. **v3**
-        /// trailing field (absent = false).
+        /// coarser level than requested instead of shedding it.
         degraded: bool,
         /// Extraction backend id that produced this mesh (always 0, MC, from
-        /// this server). **v4** trailing field: absent on the wire for
-        /// pre-v4 speakers, decoded as 0.
+        /// this server).
         backend: u8,
-        /// Echo of the request's trace id. **v5** trailing field (absent =
-        /// 0 — pre-v5 responses are bit-identical to v4).
+        /// Echo of the request's trace id.
         trace_id: u64,
         mesh: IndexedMesh,
     },
@@ -293,7 +246,7 @@ pub enum Message {
         width: u32,
         height: u32,
         regions: Vec<FrameRegion>,
-        /// Echo of the request's trace id. **v5** trailing field (absent = 0).
+        /// Echo of the request's trace id.
         trace_id: u64,
     },
     /// Server counters.
@@ -303,23 +256,23 @@ pub enum Message {
         code: u16,
         detail: String,
         /// For [`ERR_BUSY`]: how long the client should wait before
-        /// retrying, in milliseconds. **v3** trailing field — v1/v2 error
-        /// frames never carry it (the hint rides in the detail text
-        /// instead), and it decodes as `None` when absent.
+        /// retrying, in milliseconds. The protocol's one optional field: a
+        /// trailing `u32` when present, `None` when the payload ends at the
+        /// detail.
         retry_after_ms: Option<u32>,
     },
     /// Echo of a `Ping` payload.
     Pong { payload: Vec<u8> },
-    /// Ask the server for its metrics registry exposition. **v5.**
+    /// Ask the server for its metrics registry exposition.
     MetricsRequest,
-    /// The server's metrics exposition (Prometheus text format). **v5.**
+    /// The server's metrics exposition (Prometheus text format).
     MetricsResponse { text: String },
-    /// Ask for a finished request trace by id (0 = most recent). **v5.**
+    /// Ask for a finished request trace by id (0 = most recent).
     TraceRequest { id: u64 },
     /// A finished request trace: its span events, total wall time, and how
     /// many events overflowed the trace's bounded buffer. `found` is false
     /// (and everything else zero/empty) when the journal no longer holds the
-    /// requested id. **v5.**
+    /// requested id.
     TraceResponse {
         found: bool,
         id: u64,
@@ -330,21 +283,18 @@ pub enum Message {
     /// Ask for a progressive (coarse-to-fine) mesh delivery down to LOD
     /// pyramid level `lod` (0 = full resolution). The server streams one
     /// [`Message::MeshChunk`] per level, coarsest first, on this
-    /// connection, in request order relative to every other reply. **v6** —
-    /// unlike the trailing-field extensions of v2–v5 this is a new message
-    /// type, so every pre-v6 payload layout is untouched.
+    /// connection, in request order relative to every other reply.
     ProgressiveRequest {
         iso: f32,
         /// The finest level wanted (the delivery ends there).
         lod: u16,
-        /// Extraction backend id, or `None` when the client names none
-        /// (encoded as [`BACKEND_DEFAULT`]); checked like
-        /// [`Message::MeshRequest`]'s.
+        /// Extraction backend id, or `None` when the client names none;
+        /// encoded and checked like [`Message::MeshRequest`]'s.
         backend: Option<u8>,
         /// Client-supplied trace id, echoed on every chunk (0 = untraced).
         trace_id: u64,
     },
-    /// One level of a progressive mesh delivery. **v6.**
+    /// One level of a progressive mesh delivery.
     MeshChunk {
         /// True on the delivery's final (finest) chunk.
         last: bool,
@@ -557,8 +507,7 @@ impl<'a> Rd<'a> {
         Ok(n as usize)
     }
 
-    /// Unread bytes left in the payload — how optional trailing fields
-    /// (added by later protocol versions) detect their presence.
+    /// Unread bytes left in the payload.
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -662,8 +611,8 @@ fn mesh_body_bytes(mesh: &IndexedMesh) -> usize {
     16 + std::mem::size_of_val(mesh.positions()) + std::mem::size_of_val(mesh.indices())
 }
 
-/// The version-independent mesh body shared by mesh responses and full
-/// chunks: vertex/index counts followed by positions and indices.
+/// The mesh body shared by mesh responses and full chunks: vertex/index
+/// counts followed by positions and indices.
 fn put_mesh_body(out: &mut Vec<u8>, mesh: &IndexedMesh) {
     put_u64(out, mesh.num_vertices() as u64);
     put_u64(out, mesh.indices().len() as u64);
@@ -746,9 +695,7 @@ enum BodyRef<'a> {
     Delta(&'a MeshDelta),
 }
 
-/// A mesh-chunk payload around either body kind. Chunks only ever travel in
-/// v6+ frames, so unlike the trailing-field messages nothing here is
-/// version-gated.
+/// A mesh-chunk payload around either body kind.
 #[allow(clippy::too_many_arguments)]
 fn put_mesh_chunk(
     out: &mut Vec<u8>,
@@ -787,8 +734,6 @@ fn put_mesh_chunk(
 /// levels. The body is the cheaper of the full mesh and a collapse-record
 /// delta against `prev` (the mesh the previous chunk of this delivery
 /// reconstructed); the first chunk passes `prev = None` and is always full.
-/// `version` stamps the frame header (v6+ in practice — pre-v6 clients
-/// cannot ask for chunks).
 #[allow(clippy::too_many_arguments)]
 pub fn encode_mesh_chunk_frame(
     last: bool,
@@ -799,10 +744,9 @@ pub fn encode_mesh_chunk_frame(
     trace_id: u64,
     prev: Option<&IndexedMesh>,
     mesh: &IndexedMesh,
-    version: u16,
 ) -> Vec<u8> {
     let delta = delta_if_smaller(prev, mesh);
-    let mut out = begin_frame(MAGIC, version, MSG_MESH_CHUNK);
+    let mut out = begin_frame(MAGIC, VERSION, MSG_MESH_CHUNK);
     put_mesh_chunk(
         &mut out,
         last,
@@ -829,38 +773,24 @@ fn put_mesh_response(
     backend: u8,
     trace_id: u64,
     mesh: &IndexedMesh,
-    version: u16,
 ) {
-    // fixed fields: 1 (cache_hit) + 8 (active count) before the body, up to
-    // 12 of versioned trailing fields after it, and room for the frame's
-    // checksum trailer so sealing never regrows a mesh-sized buffer
+    // fixed fields: 1 (cache_hit) + 8 (active count) before the body, 12
+    // after it, and room for the frame's checksum trailer so sealing never
+    // regrows a mesh-sized buffer
     out.reserve(25 + mesh_body_bytes(mesh));
     out.push(cache_hit as u8);
     put_u64(out, active_metacells);
     put_mesh_body(out, mesh);
-    // v3 trailing fields; older dialects end at the indices (decoded as
-    // served_lod 0 / not degraded — pre-v3 servers could not degrade)
-    if version >= 3 {
-        put_u16(out, served_lod);
-        out.push(degraded as u8);
-    }
-    // v4 trailing field: which extraction backend produced the mesh
-    // (pre-v4 servers only had MC, so absent decodes as id 0)
-    if version >= 4 {
-        out.push(backend);
-    }
-    // v5 trailing field: echo of the request's trace id (0 = untraced)
-    if version >= 5 {
-        put_u64(out, trace_id);
-    }
+    put_u16(out, served_lod);
+    out.push(degraded as u8);
+    out.push(backend);
+    put_u64(out, trace_id);
 }
 
 /// Encode a complete `MeshResponse` frame from a **borrowed** mesh — the
 /// server's cache-hit hot path, which must not deep-clone a
 /// hundreds-of-MB cached mesh just to hand `Message` an owned copy for
-/// serialization. `version` stamps the frame header so the reply speaks the
-/// client's dialect, and gates the v3 trailing `served_lod`/`degraded`
-/// fields (the rest of the mesh payload layout is version-independent).
+/// serialization. `version` must be [`VERSION`], the only one spoken.
 #[allow(clippy::too_many_arguments)]
 pub fn encode_mesh_response_frame(
     cache_hit: bool,
@@ -872,7 +802,8 @@ pub fn encode_mesh_response_frame(
     mesh: &IndexedMesh,
     version: u16,
 ) -> Vec<u8> {
-    let mut out = begin_frame(MAGIC, version, MSG_MESH_RESPONSE);
+    assert_eq!(version, VERSION, "only protocol v{VERSION} is spoken");
+    let mut out = begin_frame(MAGIC, VERSION, MSG_MESH_RESPONSE);
     put_mesh_response(
         &mut out,
         cache_hit,
@@ -882,17 +813,15 @@ pub fn encode_mesh_response_frame(
         backend,
         trace_id,
         mesh,
-        version,
     );
     seal_frame(out)
 }
 
-/// Serialize a [`ServerReport`] at the given protocol version: v1 payloads
-/// carry only the 11 base counters (what v1 clients can parse), v2 appends
-/// the per-LOD-level hit/miss arrays, v3 appends the robustness counters,
-/// v4 appends the per-backend `[MC, SurfaceNets]` hit and miss arrays — all
-/// MC, since MC is the only kernel served.
-fn put_server_report(out: &mut Vec<u8>, s: &ServerReport, version: u16) {
+/// Serialize a [`ServerReport`]: the 11 base counters, the per-LOD-level
+/// hit/miss arrays, the robustness counters, then the per-backend
+/// `[MC, SurfaceNets]` hit and miss arrays — all MC, since MC is the only
+/// kernel served.
+fn put_server_report(out: &mut Vec<u8>, s: &ServerReport) {
     for v in [
         s.connections,
         s.requests,
@@ -908,50 +837,35 @@ fn put_server_report(out: &mut Vec<u8>, s: &ServerReport, version: u16) {
     ] {
         put_u64(out, v);
     }
-    if version >= 2 {
-        for v in s.lod_hits.iter().chain(&s.lod_misses) {
-            put_u64(out, *v);
-        }
+    for v in s.lod_hits.iter().chain(&s.lod_misses) {
+        put_u64(out, *v);
     }
-    if version >= 3 {
-        for v in [
-            s.shed,
-            s.degraded,
-            s.timed_out,
-            s.drained,
-            s.accept_backoffs,
-            s.active_connections,
-        ] {
-            put_u64(out, v);
-        }
-    }
-    if version >= 4 {
-        for v in [s.cache_hits, 0, s.cache_misses, 0] {
-            put_u64(out, v);
-        }
+    for v in [
+        s.shed,
+        s.degraded,
+        s.timed_out,
+        s.drained,
+        s.accept_backoffs,
+        s.active_connections,
+        s.cache_hits,
+        0,
+        s.cache_misses,
+        0,
+    ] {
+        put_u64(out, v);
     }
 }
 
-/// Encode a message's payload (everything between header and checksum) at
-/// the current protocol [`VERSION`].
+/// Encode a message's payload (everything between header and checksum).
 pub fn encode_payload(msg: &Message) -> Vec<u8> {
-    encode_payload_at(VERSION, msg)
-}
-
-/// [`encode_payload`] at an explicit protocol version: the v3 trailing
-/// fields (mesh-response `served_lod`/`degraded`, error `retry_after_ms`,
-/// stats robustness counters) are emitted only for v3 speakers, so a reply
-/// stamped with an older client's version also *encodes* in that client's
-/// layout.
-pub fn encode_payload_at(version: u16, msg: &Message) -> Vec<u8> {
     let mut out = Vec::new();
-    put_payload(&mut out, version, msg);
+    put_payload(&mut out, msg);
     out
 }
 
-/// Append `msg`'s payload at protocol `version` to `out` — a frame under
-/// assembly ([`encode_frame_at`]) or a bare payload ([`encode_payload_at`]).
-fn put_payload(out: &mut Vec<u8>, version: u16, msg: &Message) {
+/// Append `msg`'s payload to `out` — a frame under assembly
+/// ([`encode_frame`]) or a bare payload ([`encode_payload`]).
+fn put_payload(out: &mut Vec<u8>, msg: &Message) {
     match msg {
         Message::MeshRequest {
             iso,
@@ -967,19 +881,9 @@ fn put_payload(out: &mut Vec<u8>, version: u16, msg: &Message) {
                     put_f32(out, *v);
                 }
             }
-            // v2 trailing field; v1 payloads simply end here (decoded as 0)
             put_u16(out, *lod);
-            if version >= 5 {
-                // v5 always writes the backend byte (BACKEND_DEFAULT = none
-                // named) so the trace id after it is unambiguous
-                out.push(backend.unwrap_or(BACKEND_DEFAULT));
-                put_u64(out, *trace_id);
-            } else if version >= 4 {
-                // v4 trailing field; absent = none named
-                if let Some(b) = backend {
-                    out.push(*b);
-                }
-            }
+            out.push(backend.unwrap_or(BACKEND_DEFAULT));
+            put_u64(out, *trace_id);
         }
         Message::FrameRequest {
             iso,
@@ -994,10 +898,7 @@ fn put_payload(out: &mut Vec<u8>, version: u16, msg: &Message) {
             put_f32(out, params.distance);
             put_u16(out, params.tile_cols);
             put_u16(out, params.tile_rows);
-            // v5 trailing field (absent = untraced)
-            if version >= 5 {
-                put_u64(out, *trace_id);
-            }
+            put_u64(out, *trace_id);
         }
         Message::StatsRequest => {}
         Message::Ping { payload } | Message::Pong { payload } => {
@@ -1020,7 +921,6 @@ fn put_payload(out: &mut Vec<u8>, version: u16, msg: &Message) {
             *backend,
             *trace_id,
             mesh,
-            version,
         ),
         Message::FrameResponse {
             cache_hit,
@@ -1036,12 +936,9 @@ fn put_payload(out: &mut Vec<u8>, version: u16, msg: &Message) {
             for r in regions {
                 put_region(out, r);
             }
-            // v5 trailing field (absent = untraced)
-            if version >= 5 {
-                put_u64(out, *trace_id);
-            }
+            put_u64(out, *trace_id);
         }
-        Message::StatsResponse(s) => put_server_report(out, s, version),
+        Message::StatsResponse(s) => put_server_report(out, s),
         Message::Error {
             code,
             detail,
@@ -1050,10 +947,8 @@ fn put_payload(out: &mut Vec<u8>, version: u16, msg: &Message) {
             put_u16(out, *code);
             put_u64(out, detail.len() as u64);
             out.extend_from_slice(detail.as_bytes());
-            if version >= 3 {
-                if let Some(ms) = retry_after_ms {
-                    put_u32(out, *ms);
-                }
+            if let Some(ms) = retry_after_ms {
+                put_u32(out, *ms);
             }
         }
         Message::MetricsRequest => {}
@@ -1090,8 +985,6 @@ fn put_payload(out: &mut Vec<u8>, version: u16, msg: &Message) {
                 }
             }
         }
-        // v6 message types: these never travel in pre-v6 frames, so their
-        // payloads need no version gates at all.
         Message::ProgressiveRequest {
             iso,
             lod,
@@ -1127,6 +1020,12 @@ fn put_payload(out: &mut Vec<u8>, version: u16, msg: &Message) {
     }
 }
 
+/// A request's backend byte: [`BACKEND_DEFAULT`] is "none named".
+fn get_backend(rd: &mut Rd) -> io::Result<Option<u8>> {
+    let b = rd.u8()?;
+    Ok((b != BACKEND_DEFAULT).then_some(b))
+}
+
 /// Decode a payload of known `msg_type`.
 pub fn decode_payload(msg_type: u16, payload: &[u8]) -> io::Result<Message> {
     let mut rd = Rd::new(payload);
@@ -1141,26 +1040,12 @@ pub fn decode_payload(msg_type: u16, payload: &[u8]) -> io::Result<Message> {
                 }),
                 _ => return Err(malformed("region flag")),
             };
-            // v1 requests end here; absent lod means full resolution
-            let lod = if rd.remaining() > 0 { rd.u16()? } else { 0 };
-            // trailing fields, disambiguated by length: a lone byte is the
-            // v4 backend id; a v5 request always carries backend byte (with
-            // BACKEND_DEFAULT standing in for "none named") + trace id
-            let (backend, trace_id) = match rd.remaining() {
-                0 => (None, 0),
-                1 => (Some(rd.u8()?), 0),
-                _ => {
-                    let b = rd.u8()?;
-                    let t = rd.u64()?;
-                    (if b == BACKEND_DEFAULT { None } else { Some(b) }, t)
-                }
-            };
             Message::MeshRequest {
                 iso,
                 region,
-                lod,
-                backend,
-                trace_id,
+                lod: rd.u16()?,
+                backend: get_backend(&mut rd)?,
+                trace_id: rd.u64()?,
             }
         }
         MSG_FRAME_REQUEST => {
@@ -1174,12 +1059,10 @@ pub fn decode_payload(msg_type: u16, payload: &[u8]) -> io::Result<Message> {
                 tile_cols: rd.u16()?,
                 tile_rows: rd.u16()?,
             };
-            // v5 appends the trace id; absent = untraced
-            let trace_id = if rd.remaining() > 0 { rd.u64()? } else { 0 };
             Message::FrameRequest {
                 iso,
                 params,
-                trace_id,
+                trace_id: rd.u64()?,
             }
         }
         MSG_STATS_REQUEST => Message::StatsRequest,
@@ -1193,24 +1076,13 @@ pub fn decode_payload(msg_type: u16, payload: &[u8]) -> io::Result<Message> {
             let cache_hit = rd.u8()? != 0;
             let active_metacells = rd.u64()?;
             let mesh = get_mesh_body(&mut rd)?;
-            // v3 appends served_lod + degraded; older payloads end at the
-            // indices (a pre-v3 server always served the requested level)
-            let (served_lod, degraded) = if rd.remaining() > 0 {
-                (rd.u16()?, rd.u8()? != 0)
-            } else {
-                (0, false)
-            };
-            // v4 appends the served backend id (pre-v4 servers: MC = 0)
-            let backend = if rd.remaining() > 0 { rd.u8()? } else { 0 };
-            // v5 appends the echoed trace id (absent = untraced)
-            let trace_id = if rd.remaining() > 0 { rd.u64()? } else { 0 };
             Message::MeshResponse {
                 cache_hit,
                 active_metacells,
-                served_lod,
-                degraded,
-                backend,
-                trace_id,
+                served_lod: rd.u16()?,
+                degraded: rd.u8()? != 0,
+                backend: rd.u8()?,
+                trace_id: rd.u64()?,
                 mesh,
             }
         }
@@ -1224,42 +1096,30 @@ pub fn decode_payload(msg_type: u16, payload: &[u8]) -> io::Result<Message> {
             for _ in 0..n {
                 regions.push(read_region(&mut rd)?);
             }
-            // v5 appends the echoed trace id (absent = untraced)
-            let trace_id = if rd.remaining() > 0 { rd.u64()? } else { 0 };
             Message::FrameResponse {
                 cache_hit,
                 width,
                 height,
                 regions,
-                trace_id,
+                trace_id: rd.u64()?,
             }
         }
         MSG_STATS_RESPONSE => {
             let mut v = [0u64; 11];
-            for slot in &mut v {
-                *slot = rd.u64()?;
-            }
-            // v2 appends the per-level arrays; a v1 payload ends here
             let mut lod_hits = [0u64; MAX_LOD_LEVELS];
             let mut lod_misses = [0u64; MAX_LOD_LEVELS];
-            if rd.remaining() > 0 {
-                for slot in lod_hits.iter_mut().chain(&mut lod_misses) {
-                    *slot = rd.u64()?;
-                }
-            }
-            // v3 appends the robustness counters; a v2 payload ends above
             let mut robust = [0u64; 6];
-            if rd.remaining() > 0 {
-                for slot in &mut robust {
-                    *slot = rd.u64()?;
-                }
-            }
-            // v4 appends the per-backend hit/miss arrays, derived from the
-            // aggregates above: read and discarded
-            if rd.remaining() > 0 {
-                for _ in 0..4 {
-                    rd.u64()?;
-                }
+            // the per-backend hit/miss arrays come last, derived from the
+            // aggregates: read and discarded
+            let mut per_backend = [0u64; 4];
+            for slot in v
+                .iter_mut()
+                .chain(&mut lod_hits)
+                .chain(&mut lod_misses)
+                .chain(&mut robust)
+                .chain(&mut per_backend)
+            {
+                *slot = rd.u64()?;
             }
             Message::StatsResponse(ServerReport {
                 connections: v[0],
@@ -1288,8 +1148,8 @@ pub fn decode_payload(msg_type: u16, payload: &[u8]) -> io::Result<Message> {
             let n = rd.len("detail length", 1)?;
             let detail = String::from_utf8(rd.take(n)?.to_vec())
                 .map_err(|_| malformed("detail not UTF-8"))?;
-            // v3 may append a retry-after hint (ERR_BUSY); absent = none
-            let retry_after_ms = if rd.remaining() >= 4 {
+            // the one optional field: a trailing retry-after hint
+            let retry_after_ms = if rd.remaining() > 0 {
                 Some(rd.u32()?)
             } else {
                 None
@@ -1352,14 +1212,11 @@ pub fn decode_payload(msg_type: u16, payload: &[u8]) -> io::Result<Message> {
         }
         MSG_PROGRESSIVE_REQUEST => {
             let iso = rd.f32()?;
-            let lod = rd.u16()?;
-            let b = rd.u8()?;
-            let trace_id = rd.u64()?;
             Message::ProgressiveRequest {
                 iso,
-                lod,
-                backend: if b == BACKEND_DEFAULT { None } else { Some(b) },
-                trace_id,
+                lod: rd.u16()?,
+                backend: get_backend(&mut rd)?,
+                trace_id: rd.u64()?,
             }
         }
         MSG_MESH_CHUNK => {
@@ -1428,15 +1285,8 @@ pub(crate) fn crc_time() -> Duration {
 
 /// Serialize a whole frame (header + payload + checksum) into a byte vector.
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
-    encode_frame_at(VERSION, msg)
-}
-
-/// [`encode_frame`] with an explicit header version — how the server stamps
-/// each reply with the version its client spoke. The payload is encoded at
-/// the same version, so the v3 trailing fields never reach a pre-v3 reader.
-pub fn encode_frame_at(version: u16, msg: &Message) -> Vec<u8> {
-    let mut out = begin_frame(MAGIC, version, msg.msg_type());
-    put_payload(&mut out, version, msg);
+    let mut out = begin_frame(MAGIC, VERSION, msg.msg_type());
+    put_payload(&mut out, msg);
     seal_frame(out)
 }
 
@@ -1467,20 +1317,15 @@ pub fn write_frame(w: &mut impl Write, msg: &Message) -> io::Result<usize> {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum FrameIn {
-    /// A well-formed frame carrying `msg`, spoken at protocol `version`
-    /// (any accepted version in [`MIN_VERSION`]`..=`[`VERSION`]) — the
-    /// version a server echoes in its reply so older clients can parse it.
-    Ok { msg: Message, version: u16 },
-    /// The header or checksum was unacceptable; `close` means framing is
-    /// lost (wrong magic) and the connection cannot continue. `version` is
-    /// the dialect to *reply* in: the frame's own version when it parsed to
-    /// a supported one, [`VERSION`] otherwise — so a v1 client's corrupted
-    /// frame still gets an error reply it can decode.
+    /// A well-formed [`VERSION`] frame carrying `msg`.
+    Ok { msg: Message },
+    /// The header, version, checksum or payload was unacceptable; `close`
+    /// means framing is lost (wrong magic, oversized length) and the
+    /// connection cannot continue.
     Violation {
         code: u16,
         detail: String,
         close: bool,
-        version: u16,
     },
 }
 
@@ -1495,9 +1340,6 @@ struct Header {
     version: u16,
     msg_type: u16,
     len: usize,
-    /// The dialect violations are replied in: the frame's own version when
-    /// it is a supported one, [`VERSION`] otherwise.
-    reply_version: u16,
 }
 
 /// Parse the fixed header, enforcing magic and `min(max_payload,
@@ -1511,16 +1353,10 @@ fn parse_header(h: &[u8; HEADER_BYTES], max_payload: u64) -> Result<Header, Fram
     let version = u16::from_le_bytes(h[4..6].try_into().unwrap());
     let msg_type = u16::from_le_bytes(h[6..8].try_into().unwrap());
     let len = u64::from_le_bytes(h[8..16].try_into().unwrap());
-    let reply_version = if (MIN_VERSION..=VERSION).contains(&version) {
-        version
-    } else {
-        VERSION
-    };
     let lost = |code, detail| FrameIn::Violation {
         code,
         detail,
         close: true,
-        version: reply_version,
     };
     if magic != MAGIC {
         return Err(lost(ERR_BAD_MAGIC, format!("bad magic {magic:#x}")));
@@ -1536,7 +1372,6 @@ fn parse_header(h: &[u8; HEADER_BYTES], max_payload: u64) -> Result<Header, Fram
         version,
         msg_type,
         len: len as usize,
-        reply_version,
     })
 }
 
@@ -1549,13 +1384,12 @@ fn decode_body(h: &Header, payload: &[u8], crc: u32) -> FrameIn {
         code,
         detail,
         close: false,
-        version: h.reply_version,
     };
-    if !(MIN_VERSION..=VERSION).contains(&h.version) {
+    if h.version != VERSION {
         return violation(
             ERR_UNSUPPORTED_VERSION,
             format!(
-                "protocol version {} not supported (server speaks {MIN_VERSION}..={VERSION})",
+                "protocol version {} not supported: only v{VERSION} is spoken",
                 h.version
             ),
         );
@@ -1564,10 +1398,7 @@ fn decode_body(h: &Header, payload: &[u8], crc: u32) -> FrameIn {
         return violation(ERR_BAD_CHECKSUM, "payload checksum mismatch".to_string());
     }
     match decode_payload(h.msg_type, payload) {
-        Ok(msg) => FrameIn::Ok {
-            msg,
-            version: h.version,
-        },
+        Ok(msg) => FrameIn::Ok { msg },
         Err(e) => violation(ERR_MALFORMED, e.to_string()),
     }
 }
@@ -1619,9 +1450,9 @@ pub enum FrameStep {
 /// Decode one frame from the front of `buf` without consuming input — the
 /// caller drains `consumed` bytes after acting on the result. Semantics
 /// mirror [`read_frame_limited`] exactly: same payload cap enforced before
-/// the payload is even buffered, same violation codes, same reply-version
-/// selection. (EOF handling stays with the caller: an empty buffer at peer
-/// close is a clean boundary, a partial frame is a torn one.)
+/// the payload is even buffered, same violation codes. (EOF handling stays
+/// with the caller: an empty buffer at peer close is a clean boundary, a
+/// partial frame is a torn one.)
 pub fn decode_frame_bytes(buf: &[u8], max_payload: u64) -> FrameStep {
     let Some(header) = buf.first_chunk::<HEADER_BYTES>() else {
         return FrameStep::NeedMore { need: HEADER_BYTES };
@@ -1655,10 +1486,7 @@ mod tests {
         let frame = encode_frame(&msg);
         let mut cursor = &frame[..];
         match read_frame(&mut cursor).unwrap().unwrap() {
-            FrameIn::Ok { msg: got, version } => {
-                assert_eq!(got, msg);
-                assert_eq!(version, VERSION);
-            }
+            FrameIn::Ok { msg: got } => assert_eq!(got, msg),
             FrameIn::Violation { detail, .. } => panic!("rejected own frame: {detail}"),
         }
         assert!(cursor.is_empty(), "frame not fully consumed");
@@ -1867,7 +1695,7 @@ mod tests {
         let d = fine.push_vertex(Vec3::new(4.0, 4.0, 4.0));
         fine.push_triangle(0, 1, d);
         for (prev, mesh) in [(None, &coarse), (Some(&coarse), &fine)] {
-            let borrowed = encode_mesh_chunk_frame(true, 0, false, 1, 9, 77, prev, mesh, VERSION);
+            let borrowed = encode_mesh_chunk_frame(true, 0, false, 1, 9, 77, prev, mesh);
             let owned = encode_frame(&Message::MeshChunk {
                 last: true,
                 level: 0,
@@ -1889,7 +1717,7 @@ mod tests {
         fine.push_triangle(0, 1, d);
         // all of `coarse`'s positions recur in `fine`, so the delta encoding
         // must win and survive the wire intact
-        let frame = encode_mesh_chunk_frame(true, 0, false, 0, 0, 0, Some(&coarse), &fine, VERSION);
+        let frame = encode_mesh_chunk_frame(true, 0, false, 0, 0, 0, Some(&coarse), &fine);
         let mut cursor = &frame[..];
         match read_frame(&mut cursor).unwrap().unwrap() {
             FrameIn::Ok {
@@ -1973,268 +1801,17 @@ mod tests {
     #[test]
     fn borrowed_mesh_encode_matches_owned_message_encode() {
         let mesh = sample_mesh();
-        for version in MIN_VERSION..=VERSION {
-            let borrowed = encode_mesh_response_frame(true, 42, 1, true, 1, 77, &mesh, version);
-            let owned = encode_frame_at(
-                version,
-                &Message::MeshResponse {
-                    cache_hit: true,
-                    active_metacells: 42,
-                    served_lod: 1,
-                    degraded: true,
-                    backend: 1,
-                    trace_id: 77,
-                    mesh: mesh.clone(),
-                },
-            );
-            assert_eq!(
-                borrowed, owned,
-                "hot path must emit identical bytes at v{version}"
-            );
-        }
-    }
-
-    #[test]
-    fn v3_trailing_fields_never_reach_older_dialects() {
-        // a reply encoded for a v2 speaker must not carry the v3 fields...
-        let busy = Message::Error {
-            code: ERR_BUSY,
-            detail: "busy".to_string(),
-            retry_after_ms: Some(120),
-        };
-        let v2 = encode_payload_at(2, &busy);
-        let v3 = encode_payload_at(3, &busy);
-        assert_eq!(v3.len(), v2.len() + 4, "hint is a 4-byte v3 trailer");
-        // ...and the v2 payload decodes with the hint absent, v3 with it
-        match decode_payload(MSG_ERROR, &v2).unwrap() {
-            Message::Error { retry_after_ms, .. } => assert_eq!(retry_after_ms, None),
-            other => panic!("unexpected {other:?}"),
-        }
-        match decode_payload(MSG_ERROR, &v3).unwrap() {
-            Message::Error { retry_after_ms, .. } => assert_eq!(retry_after_ms, Some(120)),
-            other => panic!("unexpected {other:?}"),
-        }
-        // same story for the mesh-response served_lod/degraded trailer
-        let resp = Message::MeshResponse {
+        let borrowed = encode_mesh_response_frame(true, 42, 1, true, 1, 77, &mesh, VERSION);
+        let owned = encode_frame(&Message::MeshResponse {
             cache_hit: true,
-            active_metacells: 7,
-            served_lod: 2,
+            active_metacells: 42,
+            served_lod: 1,
             degraded: true,
-            backend: 0,
-            trace_id: 0,
-            mesh: sample_mesh(),
-        };
-        let v2 = encode_payload_at(2, &resp);
-        assert_eq!(encode_payload_at(3, &resp).len(), v2.len() + 3);
-        match decode_payload(MSG_MESH_RESPONSE, &v2).unwrap() {
-            Message::MeshResponse {
-                served_lod,
-                degraded,
-                ..
-            } => {
-                assert_eq!(served_lod, 0, "absent trailer decodes as level 0");
-                assert!(!degraded, "absent trailer decodes as not degraded");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // and the stats robustness counters
-        let mut report = ServerReport {
-            shed: 3,
-            degraded: 2,
-            ..ServerReport::default()
-        };
-        let mut v2_out = Vec::new();
-        put_server_report(&mut v2_out, &report, 2);
-        match decode_payload(MSG_STATS_RESPONSE, &v2_out).unwrap() {
-            Message::StatsResponse(got) => {
-                report.shed = 0;
-                report.degraded = 0;
-                assert_eq!(got, report, "v2 layout zeroes the v3 counters");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn v4_backend_fields_never_reach_older_dialects() {
-        // the request's backend selector is a 1-byte v4 trailer
-        let req = Message::MeshRequest {
-            iso: 1.5,
-            region: None,
-            lod: 1,
-            backend: Some(1),
-            trace_id: 0,
-        };
-        let v3 = encode_payload_at(3, &req);
-        let v4 = encode_payload_at(4, &req);
-        assert_eq!(v4.len(), v3.len() + 1, "backend id is a 1-byte v4 trailer");
-        match decode_payload(MSG_MESH_REQUEST, &v3).unwrap() {
-            Message::MeshRequest { backend, .. } => {
-                assert_eq!(backend, None, "absent selector = none named")
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match decode_payload(MSG_MESH_REQUEST, &v4).unwrap() {
-            Message::MeshRequest { backend, .. } => assert_eq!(backend, Some(1)),
-            other => panic!("unexpected {other:?}"),
-        }
-        // the response's served-backend id likewise
-        let resp = Message::MeshResponse {
-            cache_hit: false,
-            active_metacells: 3,
-            served_lod: 0,
-            degraded: false,
             backend: 1,
-            trace_id: 0,
-            mesh: sample_mesh(),
-        };
-        let v3 = encode_payload_at(3, &resp);
-        assert_eq!(encode_payload_at(4, &resp).len(), v3.len() + 1);
-        match decode_payload(MSG_MESH_RESPONSE, &v3).unwrap() {
-            Message::MeshResponse { backend, .. } => {
-                assert_eq!(backend, 0, "absent trailer decodes as MC")
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // and the per-backend stats arrays: a v4 trailer derived from the
-        // aggregates ([hits, 0] then [misses, 0]), read back and discarded
-        let report = ServerReport {
-            cache_hits: 3,
-            cache_misses: 2,
-            ..ServerReport::default()
-        };
-        let (mut v3_out, mut v4_out) = (Vec::new(), Vec::new());
-        put_server_report(&mut v3_out, &report, 3);
-        put_server_report(&mut v4_out, &report, 4);
-        assert_eq!(v4_out[..v3_out.len()], v3_out[..]);
-        let trailer: Vec<u64> = v4_out[v3_out.len()..]
-            .chunks_exact(8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-            .collect();
-        assert_eq!(trailer, [3, 0, 2, 0]);
-        for payload in [&v3_out, &v4_out] {
-            match decode_payload(MSG_STATS_RESPONSE, payload).unwrap() {
-                Message::StatsResponse(got) => assert_eq!(got, report),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn v5_trace_fields_never_reach_older_dialects() {
-        // the request's trace id rides behind an always-present backend
-        // byte at v5; a v4 encoding of the same message carries neither
-        let req = Message::MeshRequest {
-            iso: 1.5,
-            region: None,
-            lod: 1,
-            backend: None,
-            trace_id: 0xABCD,
-        };
-        let v4 = encode_payload_at(4, &req);
-        let v5 = encode_payload_at(5, &req);
-        assert_eq!(
-            v5.len(),
-            v4.len() + 9,
-            "v5 trailer is backend byte + 8-byte trace id"
-        );
-        match decode_payload(MSG_MESH_REQUEST, &v4).unwrap() {
-            Message::MeshRequest {
-                backend, trace_id, ..
-            } => {
-                assert_eq!(backend, None);
-                assert_eq!(trace_id, 0, "absent trailer decodes as untraced");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match decode_payload(MSG_MESH_REQUEST, &v5).unwrap() {
-            Message::MeshRequest {
-                backend, trace_id, ..
-            } => {
-                assert_eq!(backend, None, "BACKEND_DEFAULT decodes as none named");
-                assert_eq!(trace_id, 0xABCD);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // an explicit backend survives alongside the trace id at v5
-        let req = Message::MeshRequest {
-            iso: 1.5,
-            region: None,
-            lod: 1,
-            backend: Some(1),
-            trace_id: 7,
-        };
-        match decode_payload(MSG_MESH_REQUEST, &encode_payload_at(5, &req)).unwrap() {
-            Message::MeshRequest {
-                backend, trace_id, ..
-            } => {
-                assert_eq!(backend, Some(1));
-                assert_eq!(trace_id, 7);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // a v4 backend-only trailer (one lone byte) still decodes as v4
-        let v4_with_backend = encode_payload_at(4, &req);
-        match decode_payload(MSG_MESH_REQUEST, &v4_with_backend).unwrap() {
-            Message::MeshRequest {
-                backend, trace_id, ..
-            } => {
-                assert_eq!(backend, Some(1));
-                assert_eq!(trace_id, 0);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // frame requests: the id is a plain 8-byte v5 trailer
-        let freq = Message::FrameRequest {
-            iso: 2.0,
-            params: FrameParams {
-                width: 64,
-                height: 64,
-                azimuth: 0.0,
-                elevation: 0.0,
-                distance: 2.0,
-                tile_cols: 1,
-                tile_rows: 1,
-            },
-            trace_id: 99,
-        };
-        let v4 = encode_payload_at(4, &freq);
-        assert_eq!(encode_payload_at(5, &freq).len(), v4.len() + 8);
-        match decode_payload(MSG_FRAME_REQUEST, &v4).unwrap() {
-            Message::FrameRequest { trace_id, .. } => assert_eq!(trace_id, 0),
-            other => panic!("unexpected {other:?}"),
-        }
-        // responses: the echoed id is a v5 trailer on mesh + frame replies
-        let resp = Message::MeshResponse {
-            cache_hit: true,
-            active_metacells: 7,
-            served_lod: 0,
-            degraded: false,
-            backend: 0,
-            trace_id: 0xABCD,
-            mesh: sample_mesh(),
-        };
-        let v4 = encode_payload_at(4, &resp);
-        assert_eq!(encode_payload_at(5, &resp).len(), v4.len() + 8);
-        match decode_payload(MSG_MESH_RESPONSE, &v4).unwrap() {
-            Message::MeshResponse { trace_id, .. } => {
-                assert_eq!(trace_id, 0, "pre-v5 replies stay bit-identical")
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let fresp = Message::FrameResponse {
-            cache_hit: false,
-            width: 4,
-            height: 4,
-            regions: vec![],
-            trace_id: 3,
-        };
-        let v4 = encode_payload_at(4, &fresp);
-        assert_eq!(encode_payload_at(5, &fresp).len(), v4.len() + 8);
-        match decode_payload(MSG_FRAME_RESPONSE, &v4).unwrap() {
-            Message::FrameResponse { trace_id, .. } => assert_eq!(trace_id, 0),
-            other => panic!("unexpected {other:?}"),
-        }
+            trace_id: 77,
+            mesh: mesh.clone(),
+        });
+        assert_eq!(borrowed, owned);
     }
 
     #[test]
@@ -2304,28 +1881,24 @@ mod tests {
     }
 
     #[test]
-    fn violations_carry_the_client_dialect_for_the_reply() {
-        // a corrupt v1 frame must be answered in v1, not the server's
-        // current version — the reader reports which dialect to reply in
+    fn every_other_version_is_refused_and_the_frame_drained() {
         let payload = encode_payload(&Message::StatsRequest);
-        let mut v1 = encode_frame_raw(MAGIC, 1, MSG_STATS_REQUEST, &payload);
-        let n = v1.len();
-        v1[n - 1] ^= 0x01;
-        match read_frame(&mut &v1[..]).unwrap().unwrap() {
-            FrameIn::Violation { code, version, .. } => {
-                assert_eq!(code, ERR_BAD_CHECKSUM);
-                assert_eq!(version, 1, "reply must speak the client's v1");
+        for version in [0, 1, 5, VERSION + 1, u16::MAX] {
+            let frame = encode_frame_raw(MAGIC, version, MSG_STATS_REQUEST, &payload);
+            let mut cursor = &frame[..];
+            match read_frame(&mut cursor).unwrap().unwrap() {
+                FrameIn::Violation {
+                    code,
+                    detail,
+                    close,
+                } => {
+                    assert_eq!(code, ERR_UNSUPPORTED_VERSION, "v{version}");
+                    assert!(detail.contains("v6"), "v{version}: {detail}");
+                    assert!(!close, "v{version}: framing survives");
+                }
+                FrameIn::Ok { .. } => panic!("v{version} accepted"),
             }
-            FrameIn::Ok { .. } => panic!("corrupt frame accepted"),
-        }
-        // an insane header version falls back to the server's own dialect
-        let future = encode_frame_raw(MAGIC, 999, MSG_STATS_REQUEST, &payload);
-        match read_frame(&mut &future[..]).unwrap().unwrap() {
-            FrameIn::Violation { code, version, .. } => {
-                assert_eq!(code, ERR_UNSUPPORTED_VERSION);
-                assert_eq!(version, VERSION);
-            }
-            FrameIn::Ok { .. } => panic!("future version accepted"),
+            assert!(cursor.is_empty(), "v{version}: frame not drained");
         }
     }
 
@@ -2444,8 +2017,8 @@ mod tests {
             trace_id: 0,
             mesh,
         });
-        // the last index sits just before the 12-byte v3+v4+v5 trailer
-        // (served_lod u16 + degraded u8 + backend u8 + trace id u64)
+        // the last index sits just before the 12-byte trailer (served_lod
+        // u16 + degraded u8 + backend u8 + trace id u64)
         let off = payload.len() - 12 - 4;
         payload[off..off + 4].copy_from_slice(&99u32.to_le_bytes());
         assert!(decode_payload(MSG_MESH_RESPONSE, &payload).is_err());
@@ -2490,10 +2063,7 @@ mod tests {
         assert_eq!(decoded.len(), msgs.len());
         for (frame, want) in decoded.iter().zip(&msgs) {
             match frame {
-                FrameIn::Ok { msg, version } => {
-                    assert_eq!(msg, want);
-                    assert_eq!(*version, VERSION);
-                }
+                FrameIn::Ok { msg } => assert_eq!(msg, want),
                 FrameIn::Violation { detail, .. } => panic!("rejected own frame: {detail}"),
             }
         }
@@ -2535,8 +2105,7 @@ mod tests {
                 ..
             }
         ));
-        // future version: full frame consumed, connection survives, and the
-        // reply dialect falls back to the server's current version
+        // future version: full frame consumed, connection survives
         let fut = encode_frame_raw(MAGIC, VERSION + 10, MSG_PING, b"");
         match decode_frame_bytes(&fut, MAX_REQUEST_PAYLOAD) {
             FrameStep::Frame {
@@ -2544,14 +2113,10 @@ mod tests {
                     FrameIn::Violation {
                         code: ERR_UNSUPPORTED_VERSION,
                         close: false,
-                        version,
                         ..
                     },
                 consumed,
-            } => {
-                assert_eq!(consumed, fut.len());
-                assert_eq!(version, VERSION);
-            }
+            } => assert_eq!(consumed, fut.len()),
             other => panic!("future version not flagged: {other:?}"),
         }
         // corrupt checksum: full frame consumed, connection survives

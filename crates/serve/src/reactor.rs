@@ -57,8 +57,8 @@
 
 use crate::cache::CachedSurface;
 use crate::protocol::{
-    decode_frame_bytes, encode_frame_at, FrameIn, FrameParams, FrameStep, Message, Region,
-    ERR_BUSY, ERR_MALFORMED, MAX_REQUEST_PAYLOAD, MIN_PROGRESSIVE_VERSION,
+    decode_frame_bytes, encode_frame, FrameIn, FrameParams, FrameStep, Message, Region, ERR_BUSY,
+    MAX_REQUEST_PAYLOAD,
 };
 use crate::server::{
     busy_reply, encode_chunk_run, frame_render_reply, internal_error_reply, mesh_outcome_reply,
@@ -90,7 +90,7 @@ pub(crate) struct ReactorConfig {
 const IDLE_POLL: Duration = Duration::from_millis(1000);
 
 /// Over-cap connections get at most this long to present the one frame
-/// their `ERR_BUSY` reply is versioned from.
+/// their `ERR_BUSY` reply answers.
 const SHED_DEADLINE: Duration = Duration::from_secs(2);
 
 /// How long every loop leaves the listener alone once `accept` runs out of
@@ -361,7 +361,6 @@ struct Envelope<S: ScalarValue> {
     token: u64,
     seq: u64,
     trace_id: u64,
-    version: u16,
     trace: Trace,
     root: Span,
 }
@@ -536,7 +535,6 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
         token,
         seq,
         trace_id,
-        version,
         trace,
         mut root,
     } = env;
@@ -556,7 +554,7 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
         root.field("offloaded", 1);
         match result {
             Err(e) => {
-                let bytes = internal_error_reply(&e).finalize_traced(state, version, &root);
+                let bytes = internal_error_reply(&e).finalize_traced(state, &root);
                 post(
                     &mailbox,
                     token,
@@ -580,15 +578,8 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
                     .rev()
                     .map(|l| levels[l as usize].clone())
                     .collect();
-                let frames = encode_chunk_run(
-                    &run,
-                    next_level,
-                    false,
-                    trace_id,
-                    version,
-                    prev.as_ref(),
-                    true,
-                );
+                let frames =
+                    encode_chunk_run(&run, next_level, false, trace_id, prev.as_ref(), true);
                 // each chunk is posted (and rung) individually so refinement
                 // starts flowing before the run is fully posted
                 for payload in chunk_payloads(frames, root, trace, trace_id, t_enc) {
@@ -647,7 +638,7 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
         Job::Progressive { .. } => unreachable!("progressive jobs handled above"),
     }))
     .unwrap_or_else(|_| internal_error_reply(&io::Error::other("extraction panicked")));
-    let bytes = reply.finalize_traced(state, version, &root);
+    let bytes = reply.finalize_traced(state, &root);
     root.field("offloaded", 1);
     post(
         &mailbox,
@@ -1045,23 +1036,15 @@ impl<S: ScalarValue> Reactor<S> {
         conn.next_seq += 1;
 
         if conn.shed {
-            // over the connection cap: one ERR_BUSY in the client's own
-            // dialect, then close
-            let version = match &frame {
-                FrameIn::Ok { version, .. } => *version,
-                FrameIn::Violation { version, .. } => *version,
-            };
+            // over the connection cap: one ERR_BUSY, then close
             state.c.shed.inc();
             state.c.errors.inc();
             let hint = state.retry_hint_ms();
-            let bytes = encode_frame_at(
-                version,
-                &Message::Error {
-                    code: ERR_BUSY,
-                    detail: format!("connection limit reached; retry in {hint} ms"),
-                    retry_after_ms: Some(hint),
-                },
-            );
+            let bytes = encode_frame(&Message::Error {
+                code: ERR_BUSY,
+                detail: format!("connection limit reached; retry in {hint} ms"),
+                retry_after_ms: Some(hint),
+            });
             conn.stop_reading = true;
             conn.pending.push_back(Pending::answered(
                 seq,
@@ -1084,17 +1067,13 @@ impl<S: ScalarValue> Reactor<S> {
                 code,
                 detail,
                 close,
-                version,
             } => {
                 state.c.errors.inc();
-                let bytes = encode_frame_at(
-                    version,
-                    &Message::Error {
-                        code,
-                        detail,
-                        retry_after_ms: None,
-                    },
-                );
+                let bytes = encode_frame(&Message::Error {
+                    code,
+                    detail,
+                    retry_after_ms: None,
+                });
                 if close {
                     conn.stop_reading = true;
                 }
@@ -1112,7 +1091,7 @@ impl<S: ScalarValue> Reactor<S> {
                     },
                 ));
             }
-            FrameIn::Ok { msg, version } => {
+            FrameIn::Ok { msg } => {
                 let trace_id = request_trace_id(&msg);
                 let trace = if trace_id != 0 {
                     Trace::new(trace_id, DEFAULT_TRACE_EVENTS)
@@ -1121,9 +1100,8 @@ impl<S: ScalarValue> Reactor<S> {
                 };
                 let mut root = trace.span("request");
                 root.field("msg_type", msg.msg_type() as u64);
-                root.field("version", version as u64);
                 conn.pending.push_back(Pending::open(seq));
-                let verdict = self.classify(token, seq, msg, version, trace, root);
+                let verdict = self.classify(token, seq, msg, trace, root);
                 if let Some(conn) = self.conns.get_mut(&token) {
                     if let Some(p) = conn.pending.iter_mut().find(|p| p.seq == seq) {
                         match verdict {
@@ -1145,19 +1123,17 @@ impl<S: ScalarValue> Reactor<S> {
     /// Decide one well-formed request: answer inline (cache hits, shed and
     /// degraded verdicts, stats/ping/metrics/trace, validation errors,
     /// fully cached progressive streams) or ship an envelope to the pool.
-    #[allow(clippy::too_many_arguments)]
     fn classify(
         &mut self,
         token: u64,
         seq: u64,
         msg: Message,
-        version: u16,
         trace: Trace,
         root: Span,
     ) -> Classified {
         let state = self.state.clone();
         let inline = |reply: Reply, root: Span, trace: Trace, trace_id: u64| {
-            let bytes = reply.finalize_traced(&state, version, &root);
+            let bytes = reply.finalize_traced(&state, &root);
             Classified::Inline(vec![OutPayload {
                 bytes,
                 meta: ReplyMeta {
@@ -1200,7 +1176,6 @@ impl<S: ScalarValue> Reactor<S> {
                             token,
                             seq,
                             trace_id,
-                            version,
                             trace,
                             root,
                         });
@@ -1215,20 +1190,6 @@ impl<S: ScalarValue> Reactor<S> {
                 trace_id,
             } => {
                 state.c.mesh_requests.inc();
-                if version < MIN_PROGRESSIVE_VERSION {
-                    return inline(
-                        Reply::Msg(Message::Error {
-                            code: ERR_MALFORMED,
-                            detail: format!(
-                                "progressive requests need protocol v{MIN_PROGRESSIVE_VERSION} (frame spoke v{version})"
-                            ),
-                            retry_after_ms: None,
-                        }),
-                        root,
-                        trace,
-                        trace_id,
-                    );
-                }
                 if let Err(reply) = validate_mesh_request(&state, lod, backend) {
                     return inline(reply, root, trace, trace_id);
                 }
@@ -1243,8 +1204,7 @@ impl<S: ScalarValue> Reactor<S> {
                     ProgressiveAdmit::Ready { levels }
                     | ProgressiveAdmit::Degraded { resident: levels } => {
                         let t_enc = EncodeClock::start();
-                        let frames =
-                            encode_chunk_run(&levels, top, true, trace_id, version, None, true);
+                        let frames = encode_chunk_run(&levels, top, true, trace_id, None, true);
                         Classified::Inline(chunk_payloads(frames, root, trace, trace_id, t_enc))
                     }
                     ProgressiveAdmit::Extract { resident, slot } => {
@@ -1252,7 +1212,7 @@ impl<S: ScalarValue> Reactor<S> {
                         // up delta continuity from the finest resident level
                         let t_enc = Instant::now();
                         let head: Vec<OutPayload> =
-                            encode_chunk_run(&resident, top, true, trace_id, version, None, false)
+                            encode_chunk_run(&resident, top, true, trace_id, None, false)
                                 .into_iter()
                                 .map(|bytes| OutPayload {
                                     bytes,
@@ -1280,7 +1240,6 @@ impl<S: ScalarValue> Reactor<S> {
                             token,
                             seq,
                             trace_id,
-                            version,
                             trace,
                             root,
                         });
@@ -1317,7 +1276,6 @@ impl<S: ScalarValue> Reactor<S> {
                             token,
                             seq,
                             trace_id,
-                            version,
                             trace,
                             root,
                         });
@@ -1338,7 +1296,6 @@ impl<S: ScalarValue> Reactor<S> {
                             token,
                             seq,
                             trace_id,
-                            version,
                             trace,
                             root,
                         });

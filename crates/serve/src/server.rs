@@ -35,9 +35,9 @@
 
 use crate::cache::{CachedSurface, ResultCache};
 use crate::protocol::{
-    crc_time, encode_frame_at, encode_mesh_chunk_frame, encode_mesh_response_frame, FrameParams,
-    Message, Region, ServerReport, TraceEvent, BACKEND_DEFAULT, ERR_BAD_BACKEND, ERR_BAD_LOD,
-    ERR_BUSY, ERR_INTERNAL, ERR_MALFORMED, MAX_LOD_LEVELS,
+    crc_time, encode_frame, encode_mesh_chunk_frame, encode_mesh_response_frame, FrameParams,
+    Message, Region, ServerReport, TraceEvent, ERR_BAD_BACKEND, ERR_BAD_LOD, ERR_BUSY,
+    ERR_INTERNAL, ERR_MALFORMED, MAX_LOD_LEVELS, VERSION,
 };
 use oociso_cluster::{decimate_fields, LodSpec};
 use oociso_core::ClusterDatabase;
@@ -376,7 +376,7 @@ pub(crate) enum FrameAdmit<S: ScalarValue> {
     },
 }
 
-/// A v6 progressive request's admission verdict. A progressive serve
+/// A progressive request's admission verdict. A progressive serve
 /// streams the pyramid **coarsest-first** down to the requested `lod`;
 /// `resident`/`levels` vectors here are always in that stream order
 /// (level `levels()-1` first), each a maximal contiguous cached prefix so
@@ -908,7 +908,7 @@ impl<S: ScalarValue> State<S> {
         }
     }
 
-    /// The admission half of a v6 progressive serve. Accounted as exactly
+    /// The admission half of a progressive serve. Accounted as exactly
     /// one lookup against the requested `lod` — a hit only when *every*
     /// level from the coarsest down to `lod` is resident (all of them are
     /// streamed, so all must be in hand; the coarser levels are touched so
@@ -973,10 +973,10 @@ impl<S: ScalarValue> State<S> {
 
     /// Admission for a frame request, which needs every pyramid level at
     /// `iso`. The request is accounted as exactly one lookup against level
-    /// 0 (what a v1 frame request cost): a hit only when the *whole*
-    /// pyramid is resident, a miss otherwise — the levels are peeked first,
-    /// so a partially evicted pyramid never books a hit for a request that
-    /// still has to rebuild. When level 0 survived but a coarser level was
+    /// 0: a hit only when the *whole* pyramid is resident, a miss
+    /// otherwise — the levels are peeked first, so a partially evicted
+    /// pyramid never books a hit for a request that still has to rebuild.
+    /// When level 0 survived but a coarser level was
     /// evicted, [`State::complete_frame_extract`] re-decimates from the
     /// resident full mesh — deterministic, so byte-identical to the
     /// original levels — without touching disk. A miss that can't win a
@@ -1264,9 +1264,9 @@ fn warmer_loop<S: ScalarValue>(state: Arc<State<S>>) {
     }
 }
 
-/// A computed response, still to be encoded at the client's dialect by
-/// [`Reply::finalize`]: a message, or a cached surface serialized straight
-/// from the shared mesh (the cache-hit path, which must not clone it).
+/// A computed response, still to be encoded by [`Reply::finalize`]: a
+/// message, or a cached surface serialized straight from the shared mesh
+/// (the cache-hit path, which must not clone it).
 // one transient `Reply` per handled request — the `Message` variant's
 // inline size never accumulates, so boxing would only add indirection
 #[allow(clippy::large_enum_variant)]
@@ -1282,14 +1282,14 @@ pub(crate) enum Reply {
 }
 
 impl Reply {
-    /// Encode at the client's dialect, booking the error counter — every
-    /// reply but a protocol violation's or a shed connection's ends here.
-    pub(crate) fn finalize<S: ScalarValue>(self, state: &State<S>, version: u16) -> Vec<u8> {
+    /// Encode, booking the error counter — every reply but a protocol
+    /// violation's or a shed connection's ends here.
+    pub(crate) fn finalize<S: ScalarValue>(self, state: &State<S>) -> Vec<u8> {
         if matches!(self, Reply::Msg(Message::Error { .. })) {
             state.c.errors.inc();
         }
         match self {
-            Reply::Msg(msg) => encode_frame_at(version, &msg),
+            Reply::Msg(msg) => encode_frame(&msg),
             Reply::Surface {
                 surface,
                 cache_hit,
@@ -1304,20 +1304,15 @@ impl Reply {
                 MC,
                 trace_id,
                 &surface.mesh,
-                version,
+                VERSION,
             ),
         }
     }
 
     /// [`Reply::finalize`] under the request's `encode` span annotation.
-    pub(crate) fn finalize_traced<S: ScalarValue>(
-        self,
-        state: &State<S>,
-        version: u16,
-        root: &Span,
-    ) -> Vec<u8> {
+    pub(crate) fn finalize_traced<S: ScalarValue>(self, state: &State<S>, root: &Span) -> Vec<u8> {
         let clock = EncodeClock::start();
-        let bytes = self.finalize(state, version);
+        let bytes = self.finalize(state);
         clock.annotate(root, bytes.len());
         bytes
     }
@@ -1368,8 +1363,8 @@ pub(crate) fn request_trace_id(msg: &Message) -> u64 {
 /// allocations to ~200 MB instead of letting a 16384² ask commit gigabytes.
 const MAX_FRAME_PIXELS: usize = 8 << 20;
 
-/// The structured overload reply (v3 clients additionally get the hint as a
-/// typed field; for older dialects it survives in the detail text).
+/// The structured overload reply: the hint rides as a typed field and in
+/// the detail text.
 pub(crate) fn busy_reply(context: &str, retry_after_ms: u32) -> Message {
     Message::Error {
         code: ERR_BUSY,
@@ -1398,10 +1393,10 @@ pub(crate) fn validate_mesh_request<S: ScalarValue>(
             retry_after_ms: None,
         }));
     }
-    // no selector (every pre-v4 request), "none named" and MC are served;
-    // any other id is rejected structurally, connection kept
+    // "none named" (0xFF on the wire) and MC are served; any other id is
+    // rejected structurally, connection kept
     match backend {
-        None | Some(BACKEND_DEFAULT) | Some(MC) => Ok(()),
+        None | Some(MC) => Ok(()),
         Some(id) => Err(Reply::Msg(Message::Error {
             code: ERR_BAD_BACKEND,
             detail: format!(
@@ -1544,7 +1539,6 @@ pub(crate) fn encode_chunk_run(
     top_level: u16,
     cache_hit: bool,
     trace_id: u64,
-    version: u16,
     prev: Option<&Arc<CachedSurface>>,
     final_run: bool,
 ) -> Vec<Vec<u8>> {
@@ -1565,7 +1559,6 @@ pub(crate) fn encode_chunk_run(
             trace_id,
             prev_mesh,
             &s.mesh,
-            version,
         ));
     }
     frames

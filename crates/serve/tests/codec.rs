@@ -1,15 +1,16 @@
 //! The mesh codec's contract, stated as properties: `decode ∘ encode = id`
 //! bit for bit, hostile bytes end in a structured error (never a panic,
 //! never an allocation larger than the bytes received), and the frame bytes
-//! of a known mesh are pinned — "the same bytes on the wire" is asserted
-//! against frames built by an independent implementation, not assumed.
+//! of a known mesh and of one request of each kind are pinned — "the same
+//! bytes on the wire" is asserted against frames built by an independent
+//! implementation, not assumed.
 
 use oociso_march::{IndexedMesh, MeshDelta, Vec3};
 use oociso_serve::protocol::{
-    chunk_body_for, decode_frame_bytes, decode_payload, encode_frame_at, encode_frame_raw,
+    chunk_body_for, decode_frame_bytes, decode_payload, encode_frame, encode_frame_raw,
     encode_mesh_chunk_frame, encode_mesh_response_frame, read_frame, ChunkBody, FrameIn, FrameStep,
-    Message, ERR_BAD_CHECKSUM, ERR_MALFORMED, HEADER_BYTES, MAGIC, MAX_PAYLOAD, MIN_VERSION,
-    MSG_MESH_CHUNK, MSG_MESH_RESPONSE, VERSION,
+    Message, ERR_BAD_CHECKSUM, ERR_MALFORMED, ERR_UNSUPPORTED_VERSION, HEADER_BYTES, MAGIC,
+    MAX_PAYLOAD, MSG_MESH_CHUNK, MSG_MESH_RESPONSE, VERSION,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -121,18 +122,19 @@ fn assert_same_mesh(got: &IndexedMesh, want: &IndexedMesh, ctx: &str) {
 
 /// Decode `frame` through both readers; they must agree, and each gets the
 /// whole frame consumed.
-fn decode_both(frame: &[u8], ctx: &str) -> (Message, u16) {
+fn decode_both(frame: &[u8], ctx: &str) -> Message {
     let blocking = match read_frame(&mut &frame[..]).unwrap().unwrap() {
-        FrameIn::Ok { msg, version } => (msg, version),
+        FrameIn::Ok { msg } => msg,
         other => panic!("{ctx}: blocking reader: {other:?}"),
     };
     match decode_frame_bytes(frame, MAX_PAYLOAD) {
         FrameStep::Frame {
-            frame: FrameIn::Ok { version, .. },
+            frame: FrameIn::Ok { msg },
             consumed,
         } => {
             assert_eq!(consumed, frame.len(), "{ctx}");
-            assert_eq!(version, blocking.1, "{ctx}");
+            // a NaN never equals itself, so the two decodes compare as text
+            assert_eq!(format!("{msg:?}"), format!("{blocking:?}"), "{ctx}");
         }
         other => panic!("{ctx}: incremental reader: {other:?}"),
     }
@@ -142,7 +144,7 @@ fn decode_both(frame: &[u8], ctx: &str) -> (Message, u16) {
 // ---- decode ∘ encode = id -------------------------------------------------
 
 #[test]
-fn mesh_response_roundtrips_bit_exactly_at_every_version() {
+fn mesh_response_roundtrips_bit_exactly() {
     let mut rng = Rng(0x5EED_0001);
     for round in 0..200 {
         let mesh = mesh_for_round(&mut rng, round);
@@ -153,51 +155,39 @@ fn mesh_response_roundtrips_bit_exactly_at_every_version() {
             rng.below(2) as u8,
             rng.next(),
         );
-        for version in MIN_VERSION..=VERSION {
-            let ctx = format!("round {round} v{version}");
-            let frame = encode_mesh_response_frame(
-                hit, active, lod, degraded, backend, trace, &mesh, version,
-            );
-            // a NaN never equals itself, so the owned path is compared by bytes
-            let owned = encode_frame_at(
-                version,
-                &Message::MeshResponse {
-                    cache_hit: hit,
-                    active_metacells: active,
-                    served_lod: lod,
-                    degraded,
-                    backend,
-                    trace_id: trace,
-                    mesh: mesh.clone(),
-                },
-            );
-            assert_eq!(frame, owned, "{ctx}: borrowed and owned encoders");
-            let (msg, got_version) = decode_both(&frame, &ctx);
-            assert_eq!(got_version, version);
-            let Message::MeshResponse {
-                cache_hit,
-                active_metacells,
-                served_lod,
-                degraded: got_degraded,
-                backend: got_backend,
-                trace_id,
-                mesh: got,
-            } = msg
-            else {
-                panic!("{ctx}: not a mesh response");
-            };
-            assert_same_mesh(&got, &mesh, &ctx);
-            assert_eq!((cache_hit, active_metacells), (hit, active), "{ctx}");
-            // fields a dialect does not carry decode to their defaults
-            let want_lod = if version >= 3 {
-                (lod, degraded)
-            } else {
-                (0, false)
-            };
-            assert_eq!((served_lod, got_degraded), want_lod, "{ctx}");
-            assert_eq!(got_backend, if version >= 4 { backend } else { 0 }, "{ctx}");
-            assert_eq!(trace_id, if version >= 5 { trace } else { 0 }, "{ctx}");
-        }
+        let ctx = format!("round {round}");
+        let frame =
+            encode_mesh_response_frame(hit, active, lod, degraded, backend, trace, &mesh, VERSION);
+        // a NaN never equals itself, so the owned path is compared by bytes
+        let owned = encode_frame(&Message::MeshResponse {
+            cache_hit: hit,
+            active_metacells: active,
+            served_lod: lod,
+            degraded,
+            backend,
+            trace_id: trace,
+            mesh: mesh.clone(),
+        });
+        assert_eq!(frame, owned, "{ctx}: borrowed and owned encoders");
+        let Message::MeshResponse {
+            cache_hit,
+            active_metacells,
+            served_lod,
+            degraded: got_degraded,
+            backend: got_backend,
+            trace_id,
+            mesh: got,
+        } = decode_both(&frame, &ctx)
+        else {
+            panic!("{ctx}: not a mesh response");
+        };
+        assert_same_mesh(&got, &mesh, &ctx);
+        assert_eq!(
+            (cache_hit, active_metacells, served_lod, got_degraded),
+            (hit, active, lod, degraded),
+            "{ctx}"
+        );
+        assert_eq!((got_backend, trace_id), (backend, trace), "{ctx}");
     }
 }
 
@@ -228,22 +218,18 @@ fn mesh_chunks_roundtrip_bit_exactly_full_and_delta() {
         for prev in [None, Some(&prev)] {
             let ctx = format!("round {round} prev {}", prev.is_some());
             let (last, level, trace) = (rng.below(2) == 1, rng.below(4) as u16, rng.next());
-            let frame =
-                encode_mesh_chunk_frame(last, level, true, 1, 99, trace, prev, &mesh, VERSION);
-            let owned = encode_frame_at(
-                VERSION,
-                &Message::MeshChunk {
-                    last,
-                    level,
-                    cache_hit: true,
-                    backend: 1,
-                    active_metacells: 99,
-                    trace_id: trace,
-                    body: chunk_body_for(prev, &mesh),
-                },
-            );
+            let frame = encode_mesh_chunk_frame(last, level, true, 1, 99, trace, prev, &mesh);
+            let owned = encode_frame(&Message::MeshChunk {
+                last,
+                level,
+                cache_hit: true,
+                backend: 1,
+                active_metacells: 99,
+                trace_id: trace,
+                body: chunk_body_for(prev, &mesh),
+            });
             assert_eq!(frame, owned, "{ctx}: borrowed and owned encoders");
-            let (msg, _) = decode_both(&frame, &ctx);
+            let msg = decode_both(&frame, &ctx);
             let Message::MeshChunk {
                 last: got_last,
                 level: got_level,
@@ -351,8 +337,8 @@ fn small_frames() -> Vec<(&'static str, Vec<u8>)> {
     let v = fine.push_vertex(rng.vec3());
     fine.push_triangle(0, v, 0);
     let resp = encode_mesh_response_frame(true, 7, 1, false, 0, 42, &fine, VERSION);
-    let full = encode_mesh_chunk_frame(false, 1, true, 0, 7, 42, None, &coarse, VERSION);
-    let delta = encode_mesh_chunk_frame(true, 0, true, 0, 7, 42, Some(&coarse), &fine, VERSION);
+    let full = encode_mesh_chunk_frame(false, 1, true, 0, 7, 42, None, &coarse);
+    let delta = encode_mesh_chunk_frame(true, 0, true, 0, 7, 42, Some(&coarse), &fine);
     assert_eq!(
         delta[HEADER_BYTES + 5],
         1,
@@ -431,9 +417,7 @@ fn every_single_byte_corruption_of_a_frame_is_contained() {
                                     code: b, close: cb, ..
                                 },
                             ) => assert_eq!((a, ca), (b, cb), "{ctx}"),
-                            (FrameIn::Ok { version: a, .. }, FrameIn::Ok { version: b, .. }) => {
-                                assert_eq!(a, b, "{ctx}")
-                            }
+                            (FrameIn::Ok { .. }, FrameIn::Ok { .. }) => {}
                             (a, b) => panic!("{ctx}: readers disagree: {a:?} vs {b:?}"),
                         }
                     }
@@ -491,18 +475,13 @@ fn every_truncation_point_is_a_torn_stream_or_need_more_never_a_message() {
                 Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{ctx}"),
                 Ok(Some(f)) => panic!("{ctx}: decoded {f:?}"),
             }
-            // the payload alone, cut anywhere, is malformed — not a panic.
-            // The one exception is by design: a mesh response's trailing
-            // fields are inferred from length, so cutting exactly the v5
-            // (8 B), v4 (1 B) or v3 (3 B) tail off leaves an older dialect.
-            let payload_end = frame.len() - 4;
-            if (HEADER_BYTES..payload_end).contains(&cut) {
+            // the payload alone, cut anywhere, is malformed — not a panic:
+            // every field of a mesh payload is required
+            if (HEADER_BYTES..frame.len() - 4).contains(&cut) {
                 let msg_type = u16::from_le_bytes([frame[6], frame[7]]);
                 let (res, largest) =
                     largest_alloc_during(|| decode_payload(msg_type, &frame[HEADER_BYTES..cut]));
-                let older_dialect =
-                    msg_type == MSG_MESH_RESPONSE && [8, 9, 12].contains(&(payload_end - cut));
-                assert_eq!(res.is_ok(), older_dialect, "{ctx}: {res:?}");
+                assert!(res.is_err(), "{ctx}: {res:?}");
                 assert!(largest <= alloc_bound(cut), "{ctx}: allocated {largest} B");
             }
         }
@@ -515,8 +494,9 @@ fn every_truncation_point_is_a_torn_stream_or_need_more_never_a_message() {
 /// `cache_hit = true, active_metacells = 7, served_lod = 1, degraded = true,
 /// backend = 1, trace_id = 0x0102030405060708`. The frames below were built
 /// from `docs/serve.md`'s layout with Python's `struct` and `zlib.crc32`,
-/// not by this crate — a parent-built peer produces and accepts exactly
-/// these bytes.
+/// not by this crate — a peer built from an older revision produces and
+/// accepts exactly the v6 bytes. The v1 frame, the same reply in the
+/// retired first layout, is kept as input that must be refused.
 fn golden_mesh() -> IndexedMesh {
     let mut mesh = IndexedMesh::new();
     mesh.push_vertex(Vec3::new(0.0, 1.0, -2.5));
@@ -571,42 +551,35 @@ const GOLDEN_MESH_CHUNK_V6: [u8; 118] = [
 ];
 
 #[test]
-fn golden_frame_bytes_are_pinned_at_the_current_version_and_at_v1() {
+fn golden_frame_bytes_are_pinned_at_v6_and_v1_is_refused() {
     let mesh = golden_mesh();
     let id = 0x0102_0304_0506_0708;
-    assert_eq!(VERSION, 6, "a new dialect needs its own golden frame");
+    assert_eq!(VERSION, 6, "a new version needs its own golden frames");
     assert_eq!(
         encode_mesh_response_frame(true, 7, 1, true, 1, id, &mesh, VERSION),
         GOLDEN_MESH_RESPONSE_V6
     );
     assert_eq!(
-        encode_mesh_response_frame(true, 7, 1, true, 1, id, &mesh, 1),
-        GOLDEN_MESH_RESPONSE_V1
-    );
-    assert_eq!(
-        encode_mesh_chunk_frame(true, 2, false, 1, 7, id, None, &mesh, VERSION),
+        encode_mesh_chunk_frame(true, 2, false, 1, 7, id, None, &mesh),
         GOLDEN_MESH_CHUNK_V6
     );
     // and the other direction: frames this crate did not build decode to
     // exactly that mesh
-    for (golden, version) in [
-        (&GOLDEN_MESH_RESPONSE_V6[..], 6),
-        (&GOLDEN_MESH_RESPONSE_V1[..], 1),
-    ] {
-        let (msg, got_version) = decode_both(golden, "golden response");
-        assert_eq!(got_version, version);
-        let Message::MeshResponse {
-            mesh: got,
-            active_metacells: 7,
-            cache_hit: true,
-            ..
-        } = msg
-        else {
-            panic!("golden v{version} decoded to {msg:?}");
-        };
-        assert_same_mesh(&got, &mesh, "golden response");
-    }
-    let (msg, _) = decode_both(&GOLDEN_MESH_CHUNK_V6, "golden chunk");
+    let Message::MeshResponse {
+        mesh: got,
+        active_metacells: 7,
+        cache_hit: true,
+        served_lod: 1,
+        degraded: true,
+        backend: 1,
+        trace_id,
+    } = decode_both(&GOLDEN_MESH_RESPONSE_V6, "golden response")
+    else {
+        panic!("golden response decoded to something else");
+    };
+    assert_eq!(trace_id, id);
+    assert_same_mesh(&got, &mesh, "golden response");
+    let msg = decode_both(&GOLDEN_MESH_CHUNK_V6, "golden chunk");
     let Message::MeshChunk {
         body: ChunkBody::Full(got),
         last: true,
@@ -617,6 +590,111 @@ fn golden_frame_bytes_are_pinned_at_the_current_version_and_at_v1() {
         panic!("golden chunk decoded to {msg:?}");
     };
     assert_same_mesh(&got, &mesh, "golden chunk");
+    // a v1 frame is well framed but no longer spoken: both readers refuse
+    // it with the version error and keep the connection
+    let refused = |frame: FrameIn| match frame {
+        FrameIn::Violation {
+            code,
+            detail,
+            close,
+        } => {
+            assert_eq!((code, close), (ERR_UNSUPPORTED_VERSION, false), "{detail}");
+            assert!(detail.contains("v6"), "{detail}");
+        }
+        other => panic!("v1 frame accepted: {other:?}"),
+    };
+    refused(
+        read_frame(&mut &GOLDEN_MESH_RESPONSE_V1[..])
+            .unwrap()
+            .unwrap(),
+    );
+    match decode_frame_bytes(&GOLDEN_MESH_RESPONSE_V1, MAX_PAYLOAD) {
+        FrameStep::Frame { frame, consumed } => {
+            assert_eq!(consumed, GOLDEN_MESH_RESPONSE_V1.len());
+            refused(frame);
+        }
+        other => panic!("v1 frame not judged: {other:?}"),
+    }
+}
+
+/// One request of each kind, built like the response frames above with
+/// Python's `struct` and `zlib.crc32` from `docs/serve.md`'s layout: a mesh
+/// request (iso 127.5, region (0, −1.5, 2)–(9, 8.5, 28), lod 2, backend
+/// `0xFF` = none named, trace id `0x0102030405060708`), a progressive
+/// request (iso 120, lod 1, backend 0, trace id 5) and a frame request (iso
+/// 190, 640×480, azimuth 0.75, elevation 0.5, distance 2.25, 2×2 tiles,
+/// trace id 77).
+#[rustfmt::skip]
+const GOLDEN_MESH_REQUEST_V6: [u8; 60] = [
+    0x4f, 0x49, 0x53, 0x4f, 0x06, 0x00, 0x01, 0x00, 0x28, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0x42, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0xc0, 0xbf, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x10,
+    0x41, 0x00, 0x00, 0x08, 0x41, 0x00, 0x00, 0xe0, 0x41, 0x02, 0x00, 0xff,
+    0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, 0xa4, 0x92, 0xd2, 0xad,
+];
+#[rustfmt::skip]
+const GOLDEN_PROGRESSIVE_REQUEST_V6: [u8; 35] = [
+    0x4f, 0x49, 0x53, 0x4f, 0x06, 0x00, 0x0f, 0x00, 0x0f, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x42, 0x01, 0x00, 0x00, 0x05,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xbf, 0xa2, 0x7b, 0x98,
+];
+#[rustfmt::skip]
+const GOLDEN_FRAME_REQUEST_V6: [u8; 56] = [
+    0x4f, 0x49, 0x53, 0x4f, 0x06, 0x00, 0x02, 0x00, 0x24, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3e, 0x43, 0x80, 0x02, 0x00, 0x00,
+    0xe0, 0x01, 0x00, 0x00, 0x00, 0x00, 0x40, 0x3f, 0x00, 0x00, 0x00, 0x3f,
+    0x00, 0x00, 0x10, 0x40, 0x02, 0x00, 0x02, 0x00, 0x4d, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x37, 0xa2, 0x03, 0x96,
+];
+
+#[test]
+fn golden_request_bytes_are_pinned() {
+    let mesh = |backend| Message::MeshRequest {
+        iso: 127.5,
+        region: Some(Region {
+            lo: [0.0, -1.5, 2.0],
+            hi: [9.0, 8.5, 28.0],
+        }),
+        lod: 2,
+        backend,
+        trace_id: 0x0102_0304_0506_0708,
+    };
+    let progressive = Message::ProgressiveRequest {
+        iso: 120.0,
+        lod: 1,
+        backend: Some(0),
+        trace_id: 5,
+    };
+    let frame = Message::FrameRequest {
+        iso: 190.0,
+        params: FrameParams {
+            width: 640,
+            height: 480,
+            azimuth: 0.75,
+            elevation: 0.5,
+            distance: 2.25,
+            tile_cols: 2,
+            tile_rows: 2,
+        },
+        trace_id: 77,
+    };
+    for (name, msg, golden) in [
+        ("mesh", mesh(None), &GOLDEN_MESH_REQUEST_V6[..]),
+        (
+            "progressive",
+            progressive,
+            &GOLDEN_PROGRESSIVE_REQUEST_V6[..],
+        ),
+        ("frame", frame, &GOLDEN_FRAME_REQUEST_V6[..]),
+    ] {
+        assert_eq!(encode_frame(&msg), golden, "{name}: encoder");
+        assert_eq!(decode_both(golden, name), msg, "{name}: readers");
+    }
+    // an explicit 0xFF is the same bytes as naming no backend
+    assert_eq!(
+        encode_frame(&mesh(Some(BACKEND_DEFAULT))),
+        GOLDEN_MESH_REQUEST_V6
+    );
 }
 
 // ---- the request decoders -------------------------------------------------
@@ -653,22 +731,20 @@ fn trace_for(rng: &mut Rng) -> u64 {
     }
 }
 
-/// Frame `sent` at `version` and decode it through both readers: the result
-/// is `want` (`sent` with the fields `version` does not carry at their
-/// defaults) and re-encodes to the very bytes sent. The debug text compares
-/// every NaN equal; the byte check covers NaN payloads.
-fn assert_request_roundtrip(sent: &Message, want: &Message, version: u16, ctx: &str) {
-    let frame = encode_frame_at(version, sent);
-    let (got, got_version) = decode_both(&frame, ctx);
-    assert_eq!(got_version, version, "{ctx}");
+/// Frame `sent` and decode it through both readers: the result is `want`
+/// (`sent` as the wire carries it) and re-encodes to the very bytes sent.
+/// The debug text compares every NaN equal; the byte check covers NaN
+/// payloads.
+fn assert_roundtrip(sent: &Message, want: &Message, ctx: &str) {
+    let frame = encode_frame(sent);
+    let got = decode_both(&frame, ctx);
     assert_eq!(format!("{got:?}"), format!("{want:?}"), "{ctx}");
-    assert_eq!(encode_frame_at(version, &got), frame, "{ctx}: re-encoded");
+    assert_eq!(encode_frame(&got), frame, "{ctx}: re-encoded");
 }
 
 #[test]
-fn mesh_requests_roundtrip_at_every_version() {
+fn mesh_requests_roundtrip() {
     let mut rng = Rng(0x5EED_0004);
-    let mut shapes = [0usize; 3]; // no byte / lone v4 byte / v5 byte + trace
     for round in 0..300 {
         let (iso, region, lod) = (rng.float(), region_for(&mut rng), rng.next() as u16);
         let (backend, trace) = (backend_for(&mut rng), trace_for(&mut rng));
@@ -679,28 +755,16 @@ fn mesh_requests_roundtrip_at_every_version() {
             backend,
             trace_id: trace,
         };
-        for version in MIN_VERSION..=VERSION {
-            // at v5+ the byte is always sent, and 0xFF means "none named"
-            let want = Message::MeshRequest {
-                iso,
-                region,
-                lod,
-                backend: match version {
-                    1..=3 => None,
-                    4 => backend,
-                    _ => backend.filter(|&b| b != BACKEND_DEFAULT),
-                },
-                trace_id: if version >= 5 { trace } else { 0 },
-            };
-            assert_request_roundtrip(&sent, &want, version, &format!("round {round} v{version}"));
-            shapes[match (version, backend) {
-                (4, Some(_)) => 1,
-                (5.., _) => 2,
-                _ => 0,
-            }] += 1;
-        }
+        // 0xFF on the wire means "none named"
+        let want = Message::MeshRequest {
+            iso,
+            region,
+            lod,
+            backend: backend.filter(|&b| b != BACKEND_DEFAULT),
+            trace_id: trace,
+        };
+        assert_roundtrip(&sent, &want, &format!("round {round}"));
     }
-    assert!(shapes.iter().all(|&n| n > 100), "shapes {shapes:?}");
 }
 
 #[test]
@@ -721,7 +785,7 @@ fn progressive_and_frame_requests_roundtrip() {
             backend: backend.filter(|&b| b != BACKEND_DEFAULT),
             trace_id: trace,
         };
-        assert_request_roundtrip(&sent, &want, VERSION, &format!("round {round}"));
+        assert_roundtrip(&sent, &want, &format!("round {round}"));
 
         let params = FrameParams {
             width: rng.next() as u32,
@@ -737,19 +801,12 @@ fn progressive_and_frame_requests_roundtrip() {
             params,
             trace_id: trace,
         };
-        for version in MIN_VERSION..=VERSION {
-            let want = Message::FrameRequest {
-                iso,
-                params,
-                trace_id: if version >= 5 { trace } else { 0 },
-            };
-            assert_request_roundtrip(&sent, &want, version, &format!("round {round} v{version}"));
-        }
+        assert_roundtrip(&sent, &sent, &format!("round {round}"));
     }
 }
 
-/// One request frame of every shape the server still parses.
-fn request_frames() -> Vec<(String, Vec<u8>)> {
+/// One request frame of every shape the server parses.
+fn request_frames() -> Vec<(&'static str, Vec<u8>)> {
     let region = Some(Region {
         lo: [0.0, -1.5, 2.0],
         hi: [9.0, 8.5, f32::NAN],
@@ -774,28 +831,21 @@ fn request_frames() -> Vec<(String, Vec<u8>)> {
         },
         trace_id: 77,
     };
-    let mut out = Vec::new();
-    for version in MIN_VERSION..=VERSION {
-        for (name, msg) in [
-            ("mesh", mesh(None, None)),
-            ("mesh+region", mesh(region, Some(1))),
-            ("mesh 0xFF", mesh(None, Some(BACKEND_DEFAULT))),
-            ("frame", frame.clone()),
-        ] {
-            out.push((format!("{name} v{version}"), encode_frame_at(version, &msg)));
-        }
-    }
     let progressive = Message::ProgressiveRequest {
         iso: 120.0,
         lod: 1,
         backend: Some(9),
         trace_id: 5,
     };
-    out.push((
-        "progressive".to_string(),
-        encode_frame_at(VERSION, &progressive),
-    ));
-    out
+    [
+        ("mesh", mesh(None, None)),
+        ("mesh+region", mesh(region, Some(1))),
+        ("frame", frame),
+        ("progressive", progressive),
+    ]
+    .into_iter()
+    .map(|(name, msg)| (name, encode_frame(&msg)))
+    .collect()
 }
 
 /// Every single-byte corruption and every truncation of every request frame,
@@ -877,11 +927,9 @@ fn request_frames_survive_every_corruption_and_truncation() {
                 let (res, largest) =
                     largest_alloc_during(|| decode_payload(msg_type, &frame[HEADER_BYTES..cut]));
                 assert!(largest <= alloc_bound(cut), "{ctx}: allocated {largest} B");
-                // trailing fields are inferred from length, so a cut can
-                // leave an older dialect's request — never a panic
-                if let Err(e) = res {
-                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{ctx}");
-                }
+                // every request field is required: any cut is malformed
+                let e = res.expect_err(&ctx);
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{ctx}");
             }
         }
     }
@@ -890,7 +938,7 @@ fn request_frames_survive_every_corruption_and_truncation() {
 // ---- the response decoders ------------------------------------------------
 
 use oociso_render::FrameRegion;
-use oociso_serve::protocol::{encode_payload_at, ServerReport, TraceEvent, ERR_BUSY};
+use oociso_serve::protocol::{ServerReport, TraceEvent, ERR_BUSY};
 
 /// Any short string, with multi-byte UTF-8 now and then.
 fn text_for(rng: &mut Rng) -> String {
@@ -992,49 +1040,8 @@ fn response_alloc_bound(msg: &Message, received: usize) -> usize {
     }
 }
 
-/// `msg` as a client of `version` decodes it: the fields that dialect
-/// does not carry at their defaults.
-fn response_at(msg: &Message, version: u16) -> Message {
-    match msg.clone() {
-        Message::StatsResponse(mut r) => {
-            if version < 2 {
-                r.lod_hits = [0; 4];
-                r.lod_misses = [0; 4];
-            }
-            if version < 3 {
-                (r.shed, r.degraded, r.timed_out) = (0, 0, 0);
-                (r.drained, r.accept_backoffs, r.active_connections) = (0, 0, 0);
-            }
-            Message::StatsResponse(r)
-        }
-        Message::Error {
-            code,
-            detail,
-            retry_after_ms,
-        } => Message::Error {
-            code,
-            detail,
-            retry_after_ms: retry_after_ms.filter(|_| version >= 3),
-        },
-        Message::FrameResponse {
-            cache_hit,
-            width,
-            height,
-            regions,
-            trace_id,
-        } => Message::FrameResponse {
-            cache_hit,
-            width,
-            height,
-            regions,
-            trace_id: if version >= 5 { trace_id } else { 0 },
-        },
-        other => other,
-    }
-}
-
 #[test]
-fn response_messages_roundtrip_at_every_layout() {
+fn response_messages_roundtrip() {
     let mut rng = Rng(0x5EED_0006);
     for round in 0..200 {
         let hint = (rng.below(2) == 1).then(|| rng.next() as u32);
@@ -1046,32 +1053,20 @@ fn response_messages_roundtrip_at_every_layout() {
                 retry_after_ms: hint,
             },
             frame_response_for(&mut rng),
-        ];
-        for msg in &messages {
-            for version in MIN_VERSION..=VERSION {
-                let ctx = format!("round {round} v{version} type {}", msg.msg_type());
-                assert_request_roundtrip(msg, &response_at(msg, version), version, &ctx);
-            }
-        }
-        // the v5 message pairs: one layout, whatever the header says
-        for msg in [
             trace_response_for(&mut rng),
             Message::MetricsResponse {
                 text: text_for(&mut rng),
             },
-        ] {
-            for version in 5..=VERSION {
-                let ctx = format!("round {round} v{version} type {}", msg.msg_type());
-                assert_request_roundtrip(&msg, &msg, version, &ctx);
-            }
+        ];
+        for msg in &messages {
+            assert_roundtrip(msg, msg, &format!("round {round} type {}", msg.msg_type()));
         }
     }
 }
 
-/// One frame of every response layout a client still parses: stats at
-/// v1–v4+, errors with and without a retry hint at v2 and v3+, frame
-/// responses at v4 and v5+, a trace and a metrics response.
-fn response_frames() -> Vec<(String, Message, u16)> {
+/// One frame of every response layout: stats, errors with and without a
+/// retry hint, a frame response, a trace and a metrics response.
+fn response_frames() -> Vec<(&'static str, Message)> {
     let mut rng = Rng(0x5EED_0007);
     let stats = Message::StatsResponse(report_for(&mut rng));
     let busy = |retry_after_ms| Message::Error {
@@ -1098,7 +1093,7 @@ fn response_frames() -> Vec<(String, Message, u16)> {
                 name: "request".into(),
                 start_us: 0,
                 dur_us: 1234,
-                fields: vec![("msg_type".into(), 1), ("version".into(), 6)],
+                fields: vec![("msg_type".into(), 1), ("lod".into(), 2)],
             },
             TraceEvent {
                 id: 1,
@@ -1113,45 +1108,39 @@ fn response_frames() -> Vec<(String, Message, u16)> {
     let metrics = Message::MetricsResponse {
         text: "# TYPE requests_total counter\nrequests_total 5\n".into(),
     };
-    let mut out = Vec::new();
-    for version in 1..=4 {
-        out.push((format!("stats v{version}"), stats.clone(), version));
-    }
-    out.push(("stats v6".into(), stats, VERSION));
-    for version in [2, 3, VERSION] {
-        out.push((format!("busy+hint v{version}"), busy(Some(40)), version));
-        out.push((format!("busy v{version}"), busy(None), version));
-    }
-    for version in [4, 5, VERSION] {
-        out.push((format!("frame v{version}"), frame.clone(), version));
-    }
-    out.push(("trace".into(), trace, VERSION));
-    out.push(("metrics".into(), metrics, VERSION));
-    out
+    vec![
+        ("stats", stats),
+        ("busy+hint", busy(Some(40))),
+        ("busy", busy(None)),
+        ("frame", frame),
+        ("trace", trace),
+        ("metrics", metrics),
+    ]
 }
 
 /// Every single-byte corruption and every truncation of every response
 /// frame, through both readers and through the payload decoder alone
 /// (behind a valid checksum): a structured error or a well-formed message,
 /// never a panic, never an allocation past [`response_alloc_bound`]. A
-/// truncated payload decodes only where it ends exactly at an older
-/// dialect's layout (or, for free-form metrics text, anywhere).
+/// truncated payload decodes only where it ends exactly before the error
+/// frame's optional retry hint (or, for free-form metrics text, anywhere).
 #[test]
 fn response_frames_survive_every_corruption_and_truncation() {
-    for (name, msg, version) in response_frames() {
-        let frame = encode_frame_at(version, &msg);
+    for (name, msg) in response_frames() {
+        let frame = encode_frame(&msg);
         let msg_type = msg.msg_type();
         let payload = &frame[HEADER_BYTES..frame.len() - 4];
-        let dialect_lens: Vec<usize> = (MIN_VERSION..=version)
-            .map(|v| encode_payload_at(v, &msg).len())
-            .collect();
+        // the one optional field: the error frame's trailing retry hint
+        let hint_cut = match msg {
+            Message::Error {
+                retry_after_ms: Some(_),
+                ..
+            } => Some(payload.len() - 4),
+            _ => None,
+        };
         // the debug text compares every NaN depth equal
-        let decoded = decode_both(&frame, &name).0;
-        assert_eq!(
-            format!("{decoded:?}"),
-            format!("{:?}", response_at(&msg, version)),
-            "{name}"
-        );
+        let decoded = decode_both(&frame, name);
+        assert_eq!(format!("{decoded:?}"), format!("{msg:?}"), "{name}");
         for at in 0..frame.len() {
             for mask in [1u8, 2, 4, 8, 16, 32, 64, 128, 0xFF] {
                 let ctx = format!("{name}: byte {at} ^ {mask:#x}");
@@ -1224,12 +1213,12 @@ fn response_frames_survive_every_corruption_and_truncation() {
                     largest <= response_alloc_bound(&msg, cut),
                     "{ctx}: allocated {largest} B"
                 );
-                let legal = dialect_lens.contains(&body.len())
-                    || matches!(msg, Message::MetricsResponse { .. });
+                let legal =
+                    hint_cut == Some(body.len()) || matches!(msg, Message::MetricsResponse { .. });
                 match res {
                     Ok(_) => assert!(legal, "{ctx}: a torn payload decoded"),
                     Err(e) => {
-                        assert!(!legal, "{ctx}: an older dialect's layout refused: {e}");
+                        assert!(!legal, "{ctx}: a hint-less error refused: {e}");
                         assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{ctx}");
                     }
                 }

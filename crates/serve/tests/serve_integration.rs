@@ -7,13 +7,14 @@ use oociso_cluster::LodSpec;
 use oociso_core::{ClusterDatabase, PreprocessOptions};
 use oociso_march::IndexedMesh;
 use oociso_serve::protocol::{
-    encode_frame_raw, encode_payload, encode_payload_at, read_frame, write_frame, FrameIn,
-    ERR_BAD_CHECKSUM, ERR_MALFORMED, ERR_UNSUPPORTED_VERSION, HEADER_BYTES, MSG_MESH_REQUEST,
-    MSG_MESH_RESPONSE, MSG_PROGRESSIVE_REQUEST, MSG_STATS_REQUEST,
+    encode_frame_raw, encode_payload, read_frame, write_frame, FrameIn, ERR_BAD_CHECKSUM,
+    ERR_MALFORMED, ERR_UNSUPPORTED_VERSION, HEADER_BYTES, MSG_FRAME_REQUEST, MSG_MESH_REQUEST,
+    MSG_MESH_RESPONSE, MSG_PING, MSG_PROGRESSIVE_REQUEST, MSG_STATS_REQUEST,
 };
 use oociso_serve::{
     read_progressive_reply, render_trace_events, ChaosStream, ChunkBody, Client, ConnFault,
     FrameParams, IsoServer, Message, Region, ServeOptions, ERR_BAD_BACKEND, ERR_BAD_LOD, MAGIC,
+    VERSION,
 };
 use oociso_volume::field::{FieldExt, SphereField};
 use oociso_volume::{Dims3, Volume};
@@ -211,18 +212,15 @@ fn region_and_frame_requests_match_direct_calls() {
 fn malformed_and_wrong_version_requests_get_structured_errors() {
     let (dir, server, _direct) = serve_fixture("abuse", 256 << 20);
     let addr = server.addr();
-    // encoded at v4 so the payload ends at the lod field (no backend byte,
-    // no trace id) — the torn-field cases below append bytes one at a time
-    let good_payload = encode_payload_at(
-        4,
-        &Message::MeshRequest {
-            iso: 120.0,
-            region: None,
-            lod: 0,
-            backend: None,
-            trace_id: 0,
-        },
-    );
+    // iso, region flag, lod, backend byte, 8-byte trace id: the torn-field
+    // cases below cut or extend it
+    let good_payload = encode_payload(&Message::MeshRequest {
+        iso: 120.0,
+        region: None,
+        lod: 0,
+        backend: None,
+        trace_id: 0,
+    });
 
     // future protocol version → ERR_UNSUPPORTED_VERSION, connection survives
     let mut client = Client::connect(addr).unwrap();
@@ -275,12 +273,24 @@ fn malformed_and_wrong_version_requests_get_structured_errors() {
         other => panic!("expected malformed error, got {other:?}"),
     }
 
-    // one byte past the v2 lod field is the v4 backend selector: an unserved
-    // id must draw the structured ERR_BAD_BACKEND, while junk beyond the
-    // selector is still ERR_MALFORMED — a torn field is never misread
-    for (extra, want) in [(1usize, ERR_BAD_BACKEND), (3, ERR_MALFORMED)] {
-        let mut torn = good_payload.clone();
-        torn.extend(std::iter::repeat_n(0xEEu8, extra));
+    // every field is required and nothing may follow the last: a truncated
+    // trace id and trailing junk are ERR_MALFORMED, while a well-formed
+    // request naming an unserved backend draws the structured
+    // ERR_BAD_BACKEND — a torn field is never misread
+    let n = good_payload.len();
+    let mut junk = good_payload.clone();
+    junk.push(0xEE);
+    let mut unserved = good_payload.clone();
+    unserved[n - 9] = 0xEE; // the backend byte, just before the trace id
+    for (torn, want, what) in [
+        (
+            good_payload[..n - 3].to_vec(),
+            ERR_MALFORMED,
+            "truncated trace id",
+        ),
+        (junk, ERR_MALFORMED, "trailing junk"),
+        (unserved, ERR_BAD_BACKEND, "unserved backend"),
+    ] {
         match client
             .roundtrip_raw(
                 oociso_serve::MAGIC,
@@ -291,9 +301,7 @@ fn malformed_and_wrong_version_requests_get_structured_errors() {
             )
             .unwrap()
         {
-            Some(Message::Error { code, .. }) => {
-                assert_eq!(code, want, "{extra} trailing bytes")
-            }
+            Some(Message::Error { code, .. }) => assert_eq!(code, want, "{what}"),
             other => panic!("expected error for torn request, got {other:?}"),
         }
     }
@@ -554,48 +562,80 @@ fn zero_event_loops_are_rejected_at_bind() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Only v6 is spoken: a frame of any older version — mesh, frame, stats,
+/// ping or progressive — draws `ERR_UNSUPPORTED_VERSION` naming v6, starts
+/// no extraction, and leaves the connection serving v6 queries.
 #[test]
-fn v1_clients_still_get_full_resolution() {
-    // a v1 client's mesh request has no lod field and its frames say
-    // version 1: the server must decode it as level 0, reply with frames
-    // stamped v1, and keep the v1 stats payload layout parseable
-    let (dir, server, direct) = lod_fixture("v1compat");
+fn pre_v6_frames_are_refused_and_the_connection_survives() {
+    let (dir, server, direct) = lod_fixture("prev6");
     let iso = 120.0f32;
     let truth = direct.extract(iso).unwrap().mesh;
-
-    // hand-built v1 MeshRequest payload: f32 iso + region flag 0, no lod
-    let mut v1_payload = Vec::new();
-    v1_payload.extend_from_slice(&iso.to_bits().to_le_bytes());
-    v1_payload.push(0);
-
     let mut client = Client::connect(server.addr()).unwrap();
-    match client
-        .roundtrip_raw(oociso_serve::MAGIC, 1, MSG_MESH_REQUEST, &v1_payload, false)
-        .unwrap()
-    {
-        Some(Message::MeshResponse { mesh, .. }) => {
-            assert_same_mesh(&mesh, &truth, "v1 request must get LOD 0");
+    let requests = [
+        (
+            MSG_MESH_REQUEST,
+            encode_payload(&Message::MeshRequest {
+                iso,
+                region: None,
+                lod: 0,
+                backend: None,
+                trace_id: 0,
+            }),
+        ),
+        (
+            MSG_FRAME_REQUEST,
+            encode_payload(&Message::FrameRequest {
+                iso,
+                params: FrameParams {
+                    width: 64,
+                    height: 64,
+                    azimuth: 0.9,
+                    elevation: 0.45,
+                    distance: 2.0,
+                    tile_cols: 1,
+                    tile_rows: 1,
+                },
+                trace_id: 0,
+            }),
+        ),
+        (MSG_STATS_REQUEST, Vec::new()),
+        (MSG_PING, vec![7; 16]),
+        (
+            MSG_PROGRESSIVE_REQUEST,
+            encode_payload(&Message::ProgressiveRequest {
+                iso,
+                lod: 0,
+                backend: None,
+                trace_id: 0,
+            }),
+        ),
+    ];
+    for version in 1u16..=5 {
+        for (msg_type, payload) in &requests {
+            let ctx = format!("v{version} type {msg_type}");
+            match raw(&mut client, version, *msg_type, payload) {
+                Message::Error { code, detail, .. } => {
+                    assert_eq!(code, ERR_UNSUPPORTED_VERSION, "{ctx}: {detail}");
+                    assert!(detail.contains("v6"), "{ctx}: {detail}");
+                }
+                other => panic!("{ctx}: {other:?}"),
+            }
         }
-        other => panic!("expected a mesh response, got {other:?}"),
     }
+    let s = client.stats().unwrap();
+    assert_eq!(s.cache_misses, 0, "a refused frame extracts nothing: {s:?}");
+    assert_eq!(s.errors, 25, "{s:?}");
 
-    // v1 stats: the reply must parse (11-counter layout) with the per-level
-    // arrays absent → zeroed, while aggregates are live
-    match client
-        .roundtrip_raw(oociso_serve::MAGIC, 1, MSG_STATS_REQUEST, &[], false)
-        .unwrap()
-    {
-        Some(Message::StatsResponse(s)) => {
-            assert!(s.cache_misses > 0, "{s:?}");
-            assert_eq!(s.lod_hits, [0; 4], "v1 payload carries no lod arrays");
-            assert_eq!(s.lod_misses, [0; 4]);
-        }
-        other => panic!("expected stats, got {other:?}"),
-    }
-
-    // ...whereas the v2 view of the same counters has the per-level rows
-    let s2 = client.stats().unwrap();
-    assert_eq!(s2.lod_misses[0], 1, "{s2:?}");
+    // the same connection still serves v6: the full-resolution mesh of an
+    // in-process extraction, then a progressive delivery of the pyramid
+    let reply = client.query_mesh(iso, None).unwrap();
+    assert_same_mesh(&reply.mesh, &truth, "v6 after refusals");
+    let mut levels = Vec::new();
+    let reply = client
+        .query_mesh_progressive(iso, 0, |u| levels.push(u.level))
+        .unwrap();
+    assert_eq!(levels, vec![2, 1, 0]);
+    assert_same_mesh(&reply.mesh, &truth, "progressive after refusals");
 
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
@@ -712,12 +752,11 @@ fn raw(client: &mut Client, version: u16, msg_type: u16, payload: &[u8]) -> Mess
         .expect("a reply frame")
 }
 
-/// The server extracts with MC only: every backend selector
-/// shape (the v4 lone byte, the v5 byte + trace id, a v6 progressive
-/// request) naming another id draws `ERR_BAD_BACKEND` on a connection that
-/// stays usable, while no selector, MC's id 0 and `0xFF` ("none named") all
-/// get the MC mesh of an in-process extraction, stamped backend 0. The v4
-/// stats trailer is the derived `[hits, 0, misses, 0]`.
+/// The server extracts with MC only: a mesh or progressive request naming
+/// another backend id draws `ERR_BAD_BACKEND` on a connection that stays
+/// usable, while MC's id 0 and `0xFF` ("none named") both get the MC mesh
+/// of an in-process extraction, stamped backend 0. The stats payload's
+/// per-backend trailer is the derived `[hits, 0, misses, 0]`.
 #[test]
 fn only_mc_is_served_and_other_backend_ids_are_refused() {
     let iso = 127.5f32;
@@ -747,54 +786,45 @@ fn only_mc_is_served_and_other_backend_ids_are_refused() {
         backend,
         trace_id: 0,
     };
-    // the v4 and v5 selector shapes, then a v6 progressive request
     let shapes = |backend: Option<u8>| {
         [
+            (MSG_MESH_REQUEST, encode_payload(&mesh_request(backend))),
             (
-                4,
-                MSG_MESH_REQUEST,
-                encode_payload_at(4, &mesh_request(backend)),
-            ),
-            (
-                5,
-                MSG_MESH_REQUEST,
-                encode_payload_at(5, &mesh_request(backend)),
-            ),
-            (
-                6,
                 MSG_PROGRESSIVE_REQUEST,
-                encode_payload_at(6, &progressive(backend)),
+                encode_payload(&progressive(backend)),
             ),
         ]
     };
     let ctx = "mc only";
 
     for id in [1u8, 9] {
-        for (version, msg_type, payload) in shapes(Some(id)) {
-            match raw(&mut client, version, msg_type, &payload) {
+        for (msg_type, payload) in shapes(Some(id)) {
+            match raw(&mut client, VERSION, msg_type, &payload) {
                 Message::Error { code, detail, .. } => {
-                    assert_eq!(code, ERR_BAD_BACKEND, "{ctx} id {id} v{version}: {detail}");
+                    assert_eq!(
+                        code, ERR_BAD_BACKEND,
+                        "{ctx} id {id} type {msg_type}: {detail}"
+                    );
                     assert!(detail.contains("mc"), "{detail}");
                     assert!(
                         detail.contains("oociso extract --backend surfacenets"),
                         "{detail}"
                     );
                 }
-                other => panic!("{ctx} id {id} v{version}: {other:?}"),
+                other => panic!("{ctx} id {id} type {msg_type}: {other:?}"),
             }
         }
     }
 
-    // the connection survived every refusal: a selector-less request is
-    // the miss, then explicit 0 and 0xFF in every shape hit the same MC
-    // surface
+    // the connection survived every refusal: a plain request is the miss,
+    // then explicit 0 and 0xFF in both shapes hit the same MC surface
     let plain = client.query_mesh(iso, None).unwrap();
     assert!(!plain.cache_hit, "{ctx}");
     assert_same_mesh(&plain.mesh, &truth, ctx);
     for id in [0u8, 0xFF] {
-        for (version, msg_type, payload) in shapes(Some(id)) {
-            let ctx = format!("{ctx} id {id} v{version}");
-            match raw(&mut client, version, msg_type, &payload) {
+        for (msg_type, payload) in shapes(Some(id)) {
+            let ctx = format!("{ctx} id {id} type {msg_type}");
+            match raw(&mut client, VERSION, msg_type, &payload) {
                 Message::MeshResponse {
                     mesh,
                     backend,
@@ -820,11 +850,11 @@ fn only_mc_is_served_and_other_backend_ids_are_refused() {
         }
     }
 
-    // the v4 stats trailer, read off the wire: [hits, 0] then [misses, 0]
+    // the stats trailer, read off the wire: [hits, 0] then [misses, 0]
     let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
     std::io::Write::write_all(
         &mut stream,
-        &encode_frame_raw(MAGIC, 4, MSG_STATS_REQUEST, &[]),
+        &encode_frame_raw(MAGIC, VERSION, MSG_STATS_REQUEST, &[]),
     )
     .unwrap();
     let frame = read_raw_frame(&mut stream);
@@ -833,7 +863,7 @@ fn only_mc_is_served_and_other_backend_ids_are_refused() {
         .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
         .collect();
     let (hits, misses) = (counters[6], counters[7]);
-    assert_eq!((hits, misses), (6, 1), "{ctx}");
+    assert_eq!((hits, misses), (4, 1), "{ctx}");
     assert_eq!(
         counters[counters.len() - 4..],
         [hits, 0, misses, 0],
@@ -931,50 +961,6 @@ fn metrics_exposition_agrees_with_stats() {
 
     // the in-process view matches too
     assert!(server.metrics().contains("mesh_requests_total"));
-
-    server.stop();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn pre_v5_dialects_are_served_untraced() {
-    let (dir, server, direct) = serve_fixture("prev5", 256 << 20);
-    let iso = 120.0f32;
-    let truth = direct.extract(iso).unwrap().mesh;
-    let mut client = Client::connect(server.addr()).unwrap();
-
-    // the same logical request spoken at v2, v3, and v4 — none carry a
-    // trace id, every one gets the full mesh and decodes trace_id as 0,
-    // and the connection survives for the next dialect
-    let req = Message::MeshRequest {
-        iso,
-        region: None,
-        lod: 0,
-        backend: None,
-        trace_id: 0xFFFF_FFFF, // must never reach a pre-v5 wire
-    };
-    for version in 2u16..=4 {
-        let payload = encode_payload_at(version, &req);
-        match client
-            .roundtrip_raw(
-                oociso_serve::MAGIC,
-                version,
-                MSG_MESH_REQUEST,
-                &payload,
-                false,
-            )
-            .unwrap()
-        {
-            Some(Message::MeshResponse { mesh, trace_id, .. }) => {
-                assert_eq!(trace_id, 0, "v{version} reply must carry no trace id");
-                assert_same_mesh(&mesh, &truth, "pre-v5 dialect");
-            }
-            other => panic!("v{version}: expected mesh response, got {other:?}"),
-        }
-    }
-    // ...and a v5 traced request on the same connection still works
-    let traced = client.query_mesh_traced(iso, None, 0, 5).unwrap();
-    assert_eq!(traced.trace_id, 5);
 
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
@@ -1081,41 +1067,5 @@ fn progressive_reassembly_survives_truncation_at_every_boundary() {
             assert_same_mesh(mesh, want_mesh, &format!("cut {cut} level {lvl}"));
         }
     }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A pre-v6 frame smuggling the v6 progressive message type draws a
-/// structured `ERR_MALFORMED` — and the connection survives to serve a
-/// well-formed v6 delivery right after.
-#[test]
-fn pre_v6_frames_cannot_carry_progressive_requests() {
-    let (dir, server, _direct) = lod_fixture("prog_v5gate");
-    let mut client = Client::connect(server.addr()).unwrap();
-
-    // hand-rolled ProgressiveRequest payload inside a v5 frame
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&120.0f32.to_le_bytes());
-    payload.extend_from_slice(&0u16.to_le_bytes());
-    payload.push(0xFF); // BACKEND_DEFAULT
-    payload.extend_from_slice(&0u64.to_le_bytes());
-    match client
-        .roundtrip_raw(MAGIC, 5, MSG_PROGRESSIVE_REQUEST, &payload, false)
-        .unwrap()
-    {
-        Some(Message::Error { code, detail, .. }) => {
-            assert_eq!(code, ERR_MALFORMED, "{detail}");
-            assert!(detail.contains("v6"), "{detail}");
-        }
-        other => panic!("expected a structured error, got {other:?}"),
-    }
-
-    let mut levels = Vec::new();
-    let reply = client
-        .query_mesh_progressive(120.0, 0, |u| levels.push(u.level))
-        .unwrap();
-    assert_eq!(levels, vec![2, 1, 0]);
-    assert!(!reply.degraded);
-
-    server.stop();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -16,7 +16,7 @@ use oociso::core::{ClusterDatabase, PreprocessOptions};
 use oociso::exio::{DiskFarm, FaultPlan, FaultyDevice, MemDevice, RecordStore, ThrottledDevice};
 use oociso::march::IndexedMesh;
 use oociso::serve::protocol::{
-    self, encode_frame_at, read_frame_limited, FrameIn, ERR_INTERNAL, MAX_REQUEST_PAYLOAD,
+    self, encode_frame, read_frame_limited, FrameIn, ERR_INTERNAL, MAX_REQUEST_PAYLOAD,
 };
 use oociso::serve::{
     ChaosProxy, Client, ClientOptions, ConnFault, IsoServer, Message, ServeOptions, ServerError,
@@ -529,7 +529,7 @@ fn busy_replies_back_off_and_then_succeed() {
         let (mut stream, _) = listener.accept().unwrap();
         let mut replies = 0u32;
         while let Ok(Some(frame)) = read_frame_limited(&mut stream, MAX_REQUEST_PAYLOAD) {
-            let FrameIn::Ok { version, .. } = frame else {
+            let FrameIn::Ok { .. } = frame else {
                 panic!("client sent a malformed frame")
             };
             let msg = if replies < served_after {
@@ -550,7 +550,7 @@ fn busy_replies_back_off_and_then_succeed() {
                 }
             };
             use std::io::Write;
-            stream.write_all(&encode_frame_at(version, &msg)).unwrap();
+            stream.write_all(&encode_frame(&msg)).unwrap();
             replies += 1;
             if replies > served_after {
                 break;
@@ -770,7 +770,7 @@ fn zero_and_absent_busy_hints_are_floored_not_hot_looped() {
         let script = [Some(0u32), None];
         let mut replies = 0usize;
         while let Ok(Some(frame)) = read_frame_limited(&mut stream, MAX_REQUEST_PAYLOAD) {
-            let FrameIn::Ok { version, .. } = frame else {
+            let FrameIn::Ok { .. } = frame else {
                 panic!("client sent a malformed frame")
             };
             let msg = match script.get(replies) {
@@ -790,7 +790,7 @@ fn zero_and_absent_busy_hints_are_floored_not_hot_looped() {
                 },
             };
             use std::io::Write;
-            stream.write_all(&encode_frame_at(version, &msg)).unwrap();
+            stream.write_all(&encode_frame(&msg)).unwrap();
             replies += 1;
             if replies > script.len() {
                 break;
