@@ -25,7 +25,7 @@ USAGE:
                     [--read-timeout-ms N] [--idle-timeout-ms N]
                     [--slow-ms N] [--trace-buffer N]
   oociso query      --addr HOST:PORT (--iso V | --stats) [--lod N]
-                    [--obj FILE] [--progressive]
+                    [--obj FILE]
                     [--region x0,y0,z0,x1,y1,z1]
                     [--frame FILE.ppm] [--size N] [--tiles CxR] [--stats]
                     [--timeout MS] [--retries N] [--trace [ID]]
@@ -54,11 +54,10 @@ the journal `query --trace` reads from. `serve` runs `--reactor-threads N`
 event loops (default 2) with request pipelining and bounded per-client
 outbound queues (`--outbound-budget-mb`); `--workers N` sizes their
 extraction pool. `serve --warm-delta D` speculatively pre-extracts v±D
-after each cache-miss at v, using only otherwise-idle extraction slots —
-an isovalue scrub hits the warmed cache instead of extracting. `query
---progressive` asks for a coarse-to-fine streamed delivery (protocol v6):
-the coarsest cached level renders immediately and each refinement prints
-with its arrival time; the final mesh equals the plain `--lod` reply.
+after each cache-miss at v: a scrub that pauses between stops hits the
+warmed cache instead of extracting, but warm extractions never take the
+last `--slots` slot and, without `--slots`, compete with real misses — a
+scrub with no pause between stops gets slower (docs/serve.md).
 ";
 
 /// A subcommand's entry point.
@@ -79,8 +78,8 @@ pub const COMMANDS: &[(&str, Command, &[&str])] = &[
         "read-timeout-ms", "idle-timeout-ms", "slow-ms", "trace-buffer",
     ]),
     ("query", query, &[
-        "addr", "iso", "stats", "lod", "obj", "progressive", "region", "frame", "size", "tiles",
-        "timeout", "retries", "trace",
+        "addr", "iso", "stats", "lod", "obj", "region", "frame", "size", "tiles", "timeout",
+        "retries", "trace",
     ]),
     ("stats", stats, &["addr", "metrics"]),
 ];
@@ -503,34 +502,9 @@ fn query_iso(
         None if opts.flag("trace") => (u64::from(std::process::id()) << 16) | 0x7ACE,
         None => 0,
     };
-    let reply = if opts.flag("progressive") {
-        // --progressive streams the LOD pyramid coarsest-first (protocol
-        // v6), printing each refinement as it lands
-        if region.is_some() {
-            return Err("--progressive cannot be combined with --region".into());
-        }
-        if trace_id != 0 {
-            return Err("--progressive cannot be combined with --trace".into());
-        }
-        println!("isovalue {iso}, progressive -> lod {lod}:");
-        client
-            .query_mesh_progressive(iso, lod, |u| {
-                println!(
-                    "  +{:.3}s  level {}: {} triangles ({} vertices) [{}, {} on the wire]",
-                    t.elapsed().as_secs_f64(),
-                    u.level,
-                    u.mesh.len(),
-                    u.mesh.num_vertices(),
-                    if u.cache_hit { "cached" } else { "extracted" },
-                    if u.delta { "delta" } else { "full" },
-                );
-            })
-            .map_err(err)?
-    } else {
-        client
-            .query_mesh_traced(iso, region, lod, trace_id)
-            .map_err(err)?
-    };
+    let reply = client
+        .query_mesh_traced(iso, region, lod, trace_id)
+        .map_err(err)?;
     println!(
         "isovalue {iso} (lod {lod}): {} triangles ({} vertices), {} active metacells, {} in {:.3}s{}",
         reply.mesh.len(),

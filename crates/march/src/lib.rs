@@ -29,9 +29,6 @@
 //!   [`IndexedMesh`] with topology guards (boundary pinning, link
 //!   condition, normal-flip rejection) and deterministic tie-breaking, plus
 //!   the [`LodChain`] pyramid the serving layer exposes per level.
-//! * [`delta`] — [`MeshDelta`]: bit-exact collapse-record deltas between
-//!   adjacent LOD levels, the refinement encoding behind the serving
-//!   layer's progressive (coarse-to-fine) responses.
 //! * [`backend`] — the [`ExtractionBackend`] trait that makes the kernel
 //!   pluggable: both the slab MC kernel and SurfaceNets implement the same
 //!   block contract, so the out-of-core pipeline extracts with either.
@@ -42,7 +39,6 @@
 
 pub mod backend;
 pub mod decimate;
-pub mod delta;
 pub mod indexed;
 pub mod mc;
 pub mod mesh;
@@ -61,7 +57,6 @@ pub use decimate::{
     decimate, decimate_to_error, decimate_to_ratio, DecimateOptions, DecimateStats, LodChain,
     LodLevel, Quadric,
 };
-pub use delta::MeshDelta;
 pub use indexed::IndexedMesh;
 pub use mc::{count_active_cells, marching_cubes, marching_cubes_indexed, McStats, SlabScratch};
 pub use mesh::{canonical_triangles, split_collapsed, Aabb, Triangle, TriangleSoup, Vec3};

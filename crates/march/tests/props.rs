@@ -432,109 +432,3 @@ fn sample_valued_isovalues_do_exercise_snaps_and_drops() {
     assert!(stats.vertices_merged() > 0, "{stats:?}");
     assert!(0 < stats.hashed_vertices && stats.hashed_vertices < stats.input_vertices);
 }
-
-// ---------------------------------------------------------------------------
-// `MeshDelta::apply` under abuse: a torn or hostile delta over a real
-// decimated pair yields `None` or a mesh whose indices are all in range.
-// ---------------------------------------------------------------------------
-
-use oociso_march::{LodChain, MeshDelta};
-
-/// The adjacent `(coarser, finer)` level pairs of the `[0.25, 0.06]`
-/// pyramids of three welded zoo surfaces (sphere, gyroid, noise), as a
-/// progressive reply refines them. Built once: decimation dominates the
-/// cost, and the mutations are what vary. Every survivor of the sphere's
-/// collapses moved, so its deltas are all literals; the open surfaces'
-/// deltas carry both refs and literals.
-fn decimated_pairs() -> &'static [(IndexedMesh, IndexedMesh)] {
-    static PAIRS: std::sync::OnceLock<Vec<(IndexedMesh, IndexedMesh)>> = std::sync::OnceLock::new();
-    PAIRS.get_or_init(|| {
-        let mut pairs = Vec::new();
-        for kind in 0..3 {
-            let vol: Volume<u8> = zoo_volume(kind, 7, Dims3::cube(24));
-            let mut mesh = IndexedMesh::new();
-            marching_cubes_indexed(
-                &vol,
-                127.5,
-                Vec3::ZERO,
-                Vec3::new(1.0, 1.0, 1.0),
-                &mut mesh,
-                &mut Vec::new(),
-                &mut SlabScratch::new(),
-            );
-            let levels = LodChain::build(mesh.welded().0, &[0.25, 0.06]).into_levels();
-            for w in levels.windows(2) {
-                pairs.push((w[1].mesh.clone(), w[0].mesh.clone()));
-            }
-        }
-        pairs
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn mesh_delta_apply_survives_truncation_flips_and_out_of_range_refs(
-        pair in 0usize..6,
-        mutation in 0usize..7,
-        at in any::<usize>(),
-        past in 0u32..3,
-    ) {
-        let (prev, next) = &decimated_pairs()[pair];
-        let exact = MeshDelta::between(prev, next);
-        let applied = exact.apply(prev);
-        prop_assert!(applied.is_some(), "an untouched delta must apply");
-        let applied = applied.unwrap();
-        prop_assert_eq!(mesh_bits(&applied), mesh_bits(next));
-
-        let mut delta = exact.clone();
-        let (nflags, nprev) = (delta.reused.len(), prev.num_vertices() as u32);
-        // (mutated?, must the result be `None`?)
-        let (mutated, refused) = match mutation {
-            0 if !delta.reused.is_empty() => {
-                delta.reused.truncate(at % delta.reused.len());
-                (true, true)
-            }
-            1 if !delta.refs.is_empty() => {
-                delta.refs.truncate(at % delta.refs.len());
-                (true, true)
-            }
-            2 if !delta.literals.is_empty() => {
-                delta.literals.truncate(at % delta.literals.len());
-                (true, true)
-            }
-            3 if !delta.indices.is_empty() => {
-                let keep = at % delta.indices.len();
-                delta.indices.truncate(keep);
-                (true, !keep.is_multiple_of(3))
-            }
-            4 if nflags > 0 => {
-                let i = at % nflags;
-                delta.reused[i] = !delta.reused[i];
-                (true, true)
-            }
-            5 if !delta.refs.is_empty() => {
-                let i = at % delta.refs.len();
-                delta.refs[i] = nprev + past;
-                (true, true)
-            }
-            6 if !delta.indices.is_empty() => {
-                let i = at % delta.indices.len();
-                delta.indices[i] = nflags as u32 + past;
-                (true, true)
-            }
-            _ => (false, false),
-        };
-        let ctx = format!("pair {pair} mutation {mutation}");
-        match delta.apply(prev) {
-            None => prop_assert!(mutated, "{}: an untouched delta was refused", ctx),
-            Some(mesh) => {
-                prop_assert!(!refused, "{}: a broken delta applied", ctx);
-                prop_assert_eq!(mesh.num_vertices(), delta.reused.len(), "{}", ctx);
-                let nv = mesh.num_vertices() as u32;
-                prop_assert!(mesh.indices().iter().all(|&i| i < nv), "{}: index out of range", ctx);
-            }
-        }
-    }
-}

@@ -22,8 +22,8 @@
 //! `ERR_BUSY` from a malformed request without string matching.
 
 use crate::protocol::{
-    encode_frame_raw, read_frame, write_frame, ChunkBody, FrameIn, FrameParams, Message, Region,
-    ServerReport, TraceEvent, ERR_BUSY,
+    encode_frame_raw, read_frame, write_frame, FrameIn, FrameParams, Message, Region, ServerReport,
+    TraceEvent, ERR_BUSY,
 };
 use oociso_march::IndexedMesh;
 use oociso_render::Framebuffer;
@@ -50,22 +50,6 @@ pub struct MeshReply {
     /// echo can be handed to
     /// [`Client::trace`] to pull the request's span tree.
     pub trace_id: u64,
-}
-
-/// One refinement step of a progressive mesh delivery, handed to the
-/// [`Client::query_mesh_progressive`] callback as each chunk arrives and is
-/// reconstructed.
-#[derive(Debug)]
-pub struct ProgressiveUpdate<'a> {
-    /// The LOD pyramid level this chunk refined the surface to.
-    pub level: u16,
-    /// Whether the server served this level from its result cache.
-    pub cache_hit: bool,
-    /// Whether the level crossed the wire as a collapse-record delta
-    /// against the previous chunk (false = full mesh).
-    pub delta: bool,
-    /// The level's complete reconstructed mesh.
-    pub mesh: &'a IndexedMesh,
 }
 
 /// A decoded framebuffer reply.
@@ -400,36 +384,6 @@ impl Client {
         })
     }
 
-    /// Query the isosurface at `iso` progressively: the
-    /// server streams the LOD pyramid coarsest-first down to level `lod`,
-    /// and `on_level` observes every reconstructed refinement as it
-    /// arrives — render each one and the surface sharpens while the
-    /// extraction finishes. Returns the final (finest delivered) level as
-    /// a [`MeshReply`]; `degraded` is set when the server stopped coarser
-    /// than requested under overload.
-    ///
-    /// No retry policy applies: once chunks have been delivered a replay
-    /// could re-observe refinements, so `ERR_BUSY` and torn connections
-    /// surface directly and the caller decides whether to re-issue.
-    pub fn query_mesh_progressive(
-        &mut self,
-        iso: f32,
-        lod: u16,
-        on_level: impl FnMut(&ProgressiveUpdate<'_>),
-    ) -> io::Result<MeshReply> {
-        write_frame(
-            &mut self.stream,
-            &Message::ProgressiveRequest {
-                iso,
-                lod,
-                backend: None,
-                trace_id: 0,
-            },
-        )
-        .map_err(map_timeout)?;
-        read_progressive_reply(&mut self.stream, lod, on_level)
-    }
-
     fn query(&mut self, request: Message) -> io::Result<MeshReply> {
         match self.roundtrip(&request)? {
             Message::MeshResponse {
@@ -642,99 +596,6 @@ impl Client {
             // a reset mid-read also counts as "hung up"
             Err(e) if e.kind() == io::ErrorKind::ConnectionReset => Ok(None),
             Err(e) => Err(map_timeout(e)),
-        }
-    }
-}
-
-/// Reassemble one progressive delivery from `r`: decode chunks until the
-/// final one, apply deltas against the previous level, and hand every
-/// reconstructed refinement to `on_level`. Factored off [`Client`] (and
-/// public) so torn-stream tests can drive it from an in-memory reader.
-///
-/// The stream is validated as it is consumed — chunk levels must strictly
-/// decrease (coarse→fine), a delta chunk needs a previous level and must
-/// apply cleanly — and any tear, error frame, or violation surfaces as a
-/// clean `Err` with no half-applied refinement ever reaching `on_level`.
-pub fn read_progressive_reply<R: io::Read>(
-    r: &mut R,
-    want_lod: u16,
-    mut on_level: impl FnMut(&ProgressiveUpdate<'_>),
-) -> io::Result<MeshReply> {
-    let mut prev: Option<(u16, IndexedMesh)> = None;
-    loop {
-        let frame = read_frame(r).map_err(map_timeout)?.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed mid-progressive-delivery",
-            )
-        })?;
-        let msg = match frame {
-            FrameIn::Ok { msg, .. } => msg,
-            FrameIn::Violation { code, detail, .. } => {
-                return Err(server_error(code, detail, None))
-            }
-        };
-        match msg {
-            Message::MeshChunk {
-                last,
-                level,
-                cache_hit,
-                active_metacells,
-                trace_id,
-                body,
-                ..
-            } => {
-                if let Some((prev_level, _)) = &prev {
-                    if level >= *prev_level {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("chunk level {level} after {prev_level}: must refine"),
-                        ));
-                    }
-                }
-                let delta = matches!(body, ChunkBody::Delta(_));
-                let mesh = match body {
-                    ChunkBody::Full(mesh) => mesh,
-                    ChunkBody::Delta(d) => {
-                        let Some((_, prev_mesh)) = &prev else {
-                            return Err(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                "delta chunk with no previous level to apply it to",
-                            ));
-                        };
-                        d.apply(prev_mesh).ok_or_else(|| {
-                            io::Error::new(io::ErrorKind::InvalidData, "inconsistent delta chunk")
-                        })?
-                    }
-                };
-                on_level(&ProgressiveUpdate {
-                    level,
-                    cache_hit,
-                    delta,
-                    mesh: &mesh,
-                });
-                if last {
-                    return Ok(MeshReply {
-                        mesh,
-                        cache_hit,
-                        active_metacells,
-                        served_lod: level,
-                        // the server signals a degraded (overload-truncated)
-                        // delivery by ending coarser than asked
-                        degraded: level > want_lod,
-                        trace_id,
-                    });
-                }
-                prev = Some((level, mesh));
-            }
-            // a structured refusal (busy, bad lod) or a trailing
-            // ERR_INTERNAL after an extraction failure mid-delivery
-            Message::Error {
-                code,
-                detail,
-                retry_after_ms,
-            } => return Err(server_error(code, detail, retry_after_ms)),
-            other => return Err(unexpected(&other)),
         }
     }
 }

@@ -50,12 +50,9 @@ pub mod server;
 
 pub use cache::{CacheStats, CachedSurface, ResultCache};
 pub use chaos::{ChaosProxy, ChaosStream, ConnFault};
-pub use client::{
-    read_progressive_reply, Client, ClientOptions, FrameReply, MeshReply, ProgressiveUpdate,
-    ServerError, TraceReply,
-};
+pub use client::{Client, ClientOptions, FrameReply, MeshReply, ServerError, TraceReply};
 pub use protocol::{
-    render_trace_events, ChunkBody, FrameParams, Message, Region, ServerReport, TraceEvent,
-    ERR_BAD_BACKEND, ERR_BAD_LOD, ERR_BUSY, MAGIC, MAX_LOD_LEVELS, VERSION,
+    render_trace_events, FrameParams, Message, Region, ServerReport, TraceEvent, ERR_BAD_BACKEND,
+    ERR_BAD_LOD, ERR_BUSY, MAGIC, MAX_LOD_LEVELS, VERSION,
 };
 pub use server::{IsoServer, ServeOptions};

@@ -24,7 +24,7 @@
 //! bit patterns, so a mesh or framebuffer survives the wire **bit-exactly**
 //! (the round-trip property every serve test leans on).
 
-use oociso_march::{IndexedMesh, MeshDelta, Vec3};
+use oociso_march::{IndexedMesh, Vec3};
 use oociso_render::FrameRegion;
 use std::cell::Cell;
 use std::io::{self, Read, Write};
@@ -74,13 +74,9 @@ pub const MSG_METRICS_RESPONSE: u16 = 12;
 pub const MSG_TRACE_REQUEST: u16 = 13;
 /// A finished request trace's span events.
 pub const MSG_TRACE_RESPONSE: u16 = 14;
-/// Ask for a progressive (coarse-to-fine) mesh delivery: the server answers
-/// with one [`MSG_MESH_CHUNK`] frame per LOD level, coarsest first.
-pub const MSG_PROGRESSIVE_REQUEST: u16 = 15;
-/// One level of a progressive mesh delivery. The final chunk of a delivery
-/// sets its `last` flag; refinement chunks may carry a collapse-record
-/// delta against the previous chunk instead of a full mesh.
-pub const MSG_MESH_CHUNK: u16 = 16;
+// Tags 15 and 16 carried the retired progressive delivery (a request
+// answered by one chunk frame per LOD level). They decode as unknown types;
+// do not reuse them, old peers may still send them.
 
 /// Error codes carried by [`Message::Error`].
 pub const ERR_UNSUPPORTED_VERSION: u16 = 1;
@@ -102,7 +98,7 @@ pub const ERR_BUSY: u16 = 7;
 /// connection stays usable).
 pub const ERR_BAD_BACKEND: u16 = 8;
 
-/// The backend byte of a mesh or progressive request that names no
+/// The backend byte of a mesh request that names no
 /// backend: `None` encodes as it, and it decodes as `None`.
 pub const BACKEND_DEFAULT: u8 = 0xFF;
 
@@ -280,66 +276,6 @@ pub enum Message {
         dropped: u64,
         events: Vec<TraceEvent>,
     },
-    /// Ask for a progressive (coarse-to-fine) mesh delivery down to LOD
-    /// pyramid level `lod` (0 = full resolution). The server streams one
-    /// [`Message::MeshChunk`] per level, coarsest first, on this
-    /// connection, in request order relative to every other reply.
-    ProgressiveRequest {
-        iso: f32,
-        /// The finest level wanted (the delivery ends there).
-        lod: u16,
-        /// Extraction backend id, or `None` when the client names none;
-        /// encoded and checked like [`Message::MeshRequest`]'s.
-        backend: Option<u8>,
-        /// Client-supplied trace id, echoed on every chunk (0 = untraced).
-        trace_id: u64,
-    },
-    /// One level of a progressive mesh delivery.
-    MeshChunk {
-        /// True on the delivery's final (finest) chunk.
-        last: bool,
-        /// The LOD pyramid level this chunk carries.
-        level: u16,
-        /// Whether this level was served from the result cache.
-        cache_hit: bool,
-        /// Extraction backend id that produced the level (always 0, MC).
-        backend: u8,
-        active_metacells: u64,
-        /// Echo of the request's trace id.
-        trace_id: u64,
-        /// The level itself — full mesh, or a delta against the previous
-        /// chunk of the same delivery.
-        body: ChunkBody,
-    },
-}
-
-/// The mesh carried by one [`Message::MeshChunk`]: either the level's
-/// complete mesh, or — when it is smaller on the wire — a bit-exact
-/// collapse-record delta ([`oociso_march::MeshDelta`]) against the mesh the
-/// previous chunk of the same delivery reconstructed.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ChunkBody {
-    /// The level's complete mesh.
-    Full(IndexedMesh),
-    /// The level encoded against the previous chunk's reconstructed mesh.
-    Delta(MeshDelta),
-}
-
-/// The collapse-record delta of `mesh` against `prev`, when there is a
-/// `prev` and the delta is smaller on the wire than the full mesh.
-fn delta_if_smaller(prev: Option<&IndexedMesh>, mesh: &IndexedMesh) -> Option<MeshDelta> {
-    prev.map(|p| MeshDelta::between(p, mesh))
-        .filter(|d| d.wire_bytes() < mesh.num_vertices() * 12 + mesh.indices().len() * 4)
-}
-
-/// Choose the cheaper wire encoding for a chunk: a collapse-record delta
-/// against `prev` when one exists and beats the full mesh, else the full
-/// mesh. The first chunk of a delivery has no `prev` and is always full.
-pub fn chunk_body_for(prev: Option<&IndexedMesh>, mesh: &IndexedMesh) -> ChunkBody {
-    match delta_if_smaller(prev, mesh) {
-        Some(delta) => ChunkBody::Delta(delta),
-        None => ChunkBody::Full(mesh.clone()),
-    }
 }
 
 /// One span event inside a [`Message::TraceResponse`] — the wire twin of
@@ -418,8 +354,6 @@ impl Message {
             Message::MetricsResponse { .. } => MSG_METRICS_RESPONSE,
             Message::TraceRequest { .. } => MSG_TRACE_REQUEST,
             Message::TraceResponse { .. } => MSG_TRACE_RESPONSE,
-            Message::ProgressiveRequest { .. } => MSG_PROGRESSIVE_REQUEST,
-            Message::MeshChunk { .. } => MSG_MESH_CHUNK,
         }
     }
 }
@@ -611,7 +545,7 @@ fn mesh_body_bytes(mesh: &IndexedMesh) -> usize {
     16 + std::mem::size_of_val(mesh.positions()) + std::mem::size_of_val(mesh.indices())
 }
 
-/// The mesh body shared by mesh responses and full chunks: vertex/index
+/// The mesh body of a mesh response: vertex/index
 /// counts followed by positions and indices.
 fn put_mesh_body(out: &mut Vec<u8>, mesh: &IndexedMesh) {
     put_u64(out, mesh.num_vertices() as u64);
@@ -635,132 +569,6 @@ fn get_mesh_body(rd: &mut Rd) -> io::Result<IndexedMesh> {
     let indices = rd.u32s(nidx)?;
     check_indices(&indices, nvert)?;
     Ok(IndexedMesh::from_parts(positions, indices))
-}
-
-/// A collapse-record delta body: counts, reuse bitmap, references into the
-/// previous chunk's mesh, literal positions, then the index buffer.
-fn put_delta_body(out: &mut Vec<u8>, delta: &MeshDelta) {
-    put_u64(out, delta.reused.len() as u64);
-    put_u64(out, delta.indices.len() as u64);
-    put_u64(out, delta.refs.len() as u64);
-    let mut bitmap = vec![0u8; delta.reused.len().div_ceil(8)];
-    for (i, &r) in delta.reused.iter().enumerate() {
-        if r {
-            bitmap[i / 8] |= 1 << (i % 8);
-        }
-    }
-    out.extend_from_slice(&bitmap);
-    put_u32s(out, &delta.refs);
-    put_vec3s(out, &delta.literals);
-    put_u32s(out, &delta.indices);
-}
-
-/// Inverse of [`put_delta_body`]. References are validated against the
-/// *previous* chunk's mesh at apply time — the decoder cannot see it.
-fn get_delta_body(rd: &mut Rd) -> io::Result<MeshDelta> {
-    // every delta vertex costs at least 4 bytes (a reused slot's reference;
-    // literals cost 12), bounding the hostile-count pre-reservation
-    let nvert = rd.len("delta vertex count", 4)?;
-    let nidx = rd.len("delta index count", 4)?;
-    if nidx % 3 != 0 {
-        return Err(malformed("index count not a triangle multiple"));
-    }
-    let nrefs = rd.len("delta ref count", 4)?;
-    if nrefs > nvert {
-        return Err(malformed("delta ref count"));
-    }
-    let bitmap = rd.take(nvert.div_ceil(8))?;
-    let reused: Vec<bool> = (0..nvert)
-        .map(|i| bitmap[i / 8] >> (i % 8) & 1 != 0)
-        .collect();
-    if reused.iter().filter(|&&r| r).count() != nrefs {
-        return Err(malformed("delta bitmap disagrees with ref count"));
-    }
-    let refs = rd.u32s(nrefs)?;
-    let literals = rd.vec3s(nvert - nrefs)?;
-    let indices = rd.u32s(nidx)?;
-    check_indices(&indices, nvert)?;
-    Ok(MeshDelta {
-        reused,
-        refs,
-        literals,
-        indices,
-    })
-}
-
-/// A chunk's mesh by reference, so the serving path can encode a cached
-/// level (or a delta it just computed) without building a [`ChunkBody`].
-enum BodyRef<'a> {
-    Full(&'a IndexedMesh),
-    Delta(&'a MeshDelta),
-}
-
-/// A mesh-chunk payload around either body kind.
-#[allow(clippy::too_many_arguments)]
-fn put_mesh_chunk(
-    out: &mut Vec<u8>,
-    last: bool,
-    level: u16,
-    cache_hit: bool,
-    backend: u8,
-    active_metacells: u64,
-    trace_id: u64,
-    body: BodyRef,
-) {
-    // fixed fields: 6 flag/level bytes + active count before the body, the
-    // trace id after it, and room for the frame's checksum trailer so
-    // sealing never regrows a mesh-sized buffer
-    out.reserve(
-        26 + match body {
-            BodyRef::Full(mesh) => mesh_body_bytes(mesh),
-            BodyRef::Delta(delta) => 24 + delta.wire_bytes(),
-        },
-    );
-    out.push(last as u8);
-    put_u16(out, level);
-    out.push(cache_hit as u8);
-    out.push(backend);
-    out.push(matches!(body, BodyRef::Delta(_)) as u8);
-    put_u64(out, active_metacells);
-    match body {
-        BodyRef::Full(mesh) => put_mesh_body(out, mesh),
-        BodyRef::Delta(delta) => put_delta_body(out, delta),
-    }
-    put_u64(out, trace_id);
-}
-
-/// Encode a complete `MeshChunk` frame from **borrowed** meshes — the
-/// progressive serve's hot path, which must not deep-clone cached LOD
-/// levels. The body is the cheaper of the full mesh and a collapse-record
-/// delta against `prev` (the mesh the previous chunk of this delivery
-/// reconstructed); the first chunk passes `prev = None` and is always full.
-#[allow(clippy::too_many_arguments)]
-pub fn encode_mesh_chunk_frame(
-    last: bool,
-    level: u16,
-    cache_hit: bool,
-    backend: u8,
-    active_metacells: u64,
-    trace_id: u64,
-    prev: Option<&IndexedMesh>,
-    mesh: &IndexedMesh,
-) -> Vec<u8> {
-    let delta = delta_if_smaller(prev, mesh);
-    let mut out = begin_frame(MAGIC, VERSION, MSG_MESH_CHUNK);
-    put_mesh_chunk(
-        &mut out,
-        last,
-        level,
-        cache_hit,
-        backend,
-        active_metacells,
-        trace_id,
-        match &delta {
-            Some(d) => BodyRef::Delta(d),
-            None => BodyRef::Full(mesh),
-        },
-    );
-    seal_frame(out)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -985,38 +793,6 @@ fn put_payload(out: &mut Vec<u8>, msg: &Message) {
                 }
             }
         }
-        Message::ProgressiveRequest {
-            iso,
-            lod,
-            backend,
-            trace_id,
-        } => {
-            put_f32(out, *iso);
-            put_u16(out, *lod);
-            out.push(backend.unwrap_or(BACKEND_DEFAULT));
-            put_u64(out, *trace_id);
-        }
-        Message::MeshChunk {
-            last,
-            level,
-            cache_hit,
-            backend,
-            active_metacells,
-            trace_id,
-            body,
-        } => put_mesh_chunk(
-            out,
-            *last,
-            *level,
-            *cache_hit,
-            *backend,
-            *active_metacells,
-            *trace_id,
-            match body {
-                ChunkBody::Full(mesh) => BodyRef::Full(mesh),
-                ChunkBody::Delta(delta) => BodyRef::Delta(delta),
-            },
-        ),
     }
 }
 
@@ -1208,38 +984,6 @@ pub fn decode_payload(msg_type: u16, payload: &[u8]) -> io::Result<Message> {
                 total_us,
                 dropped,
                 events,
-            }
-        }
-        MSG_PROGRESSIVE_REQUEST => {
-            let iso = rd.f32()?;
-            Message::ProgressiveRequest {
-                iso,
-                lod: rd.u16()?,
-                backend: get_backend(&mut rd)?,
-                trace_id: rd.u64()?,
-            }
-        }
-        MSG_MESH_CHUNK => {
-            let last = rd.u8()? != 0;
-            let level = rd.u16()?;
-            let cache_hit = rd.u8()? != 0;
-            let backend = rd.u8()?;
-            let encoding = rd.u8()?;
-            let active_metacells = rd.u64()?;
-            let body = match encoding {
-                0 => ChunkBody::Full(get_mesh_body(&mut rd)?),
-                1 => ChunkBody::Delta(get_delta_body(&mut rd)?),
-                _ => return Err(malformed("chunk encoding")),
-            };
-            let trace_id = rd.u64()?;
-            Message::MeshChunk {
-                last,
-                level,
-                cache_hit,
-                backend,
-                active_metacells,
-                trace_id,
-                body,
             }
         }
         other => return Err(malformed(&format!("unknown message type {other}"))),
@@ -1641,133 +1385,6 @@ mod tests {
                 },
             ],
         });
-        roundtrip(Message::ProgressiveRequest {
-            iso: 127.5,
-            lod: 0,
-            backend: None,
-            trace_id: 0,
-        });
-        roundtrip(Message::ProgressiveRequest {
-            iso: -2.75,
-            lod: 3,
-            backend: Some(1),
-            trace_id: u64::MAX,
-        });
-        roundtrip(Message::MeshChunk {
-            last: false,
-            level: 2,
-            cache_hit: true,
-            backend: 0,
-            active_metacells: 17,
-            trace_id: 55,
-            body: ChunkBody::Full(sample_mesh()),
-        });
-        roundtrip(Message::MeshChunk {
-            last: true,
-            level: 0,
-            cache_hit: false,
-            backend: 1,
-            active_metacells: 17,
-            trace_id: 55,
-            body: ChunkBody::Delta(MeshDelta::between(&sample_mesh(), &sample_mesh())),
-        });
-        // a delta with every slot kind: reused, literal, empty indices
-        roundtrip(Message::MeshChunk {
-            last: true,
-            level: 0,
-            cache_hit: false,
-            backend: 0,
-            active_metacells: 0,
-            trace_id: 0,
-            body: ChunkBody::Delta(MeshDelta {
-                reused: vec![true, false, true],
-                refs: vec![2, 0],
-                literals: vec![Vec3::new(1.0, -2.0, f32::MIN_POSITIVE)],
-                indices: vec![0, 1, 2],
-            }),
-        });
-    }
-
-    #[test]
-    fn borrowed_chunk_encode_matches_owned_message_encode() {
-        let coarse = sample_mesh();
-        let mut fine = sample_mesh();
-        let d = fine.push_vertex(Vec3::new(4.0, 4.0, 4.0));
-        fine.push_triangle(0, 1, d);
-        for (prev, mesh) in [(None, &coarse), (Some(&coarse), &fine)] {
-            let borrowed = encode_mesh_chunk_frame(true, 0, false, 1, 9, 77, prev, mesh);
-            let owned = encode_frame(&Message::MeshChunk {
-                last: true,
-                level: 0,
-                cache_hit: false,
-                backend: 1,
-                active_metacells: 9,
-                trace_id: 77,
-                body: chunk_body_for(prev, mesh),
-            });
-            assert_eq!(borrowed, owned);
-        }
-    }
-
-    #[test]
-    fn chunk_delta_reconstructs_the_fine_level_bit_exactly() {
-        let coarse = sample_mesh();
-        let mut fine = sample_mesh();
-        let d = fine.push_vertex(Vec3::new(4.0, 4.0, 4.0));
-        fine.push_triangle(0, 1, d);
-        // all of `coarse`'s positions recur in `fine`, so the delta encoding
-        // must win and survive the wire intact
-        let frame = encode_mesh_chunk_frame(true, 0, false, 0, 0, 0, Some(&coarse), &fine);
-        let mut cursor = &frame[..];
-        match read_frame(&mut cursor).unwrap().unwrap() {
-            FrameIn::Ok {
-                msg: Message::MeshChunk { body, .. },
-                ..
-            } => match body {
-                ChunkBody::Delta(delta) => {
-                    let rebuilt = delta.apply(&coarse).expect("wire delta applies");
-                    assert_eq!(rebuilt.positions(), fine.positions());
-                    assert_eq!(rebuilt.indices(), fine.indices());
-                }
-                ChunkBody::Full(_) => panic!("expected the delta encoding to win"),
-            },
-            other => panic!("unexpected frame: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn hostile_chunk_payloads_are_errors_not_panics() {
-        // valid chunk, then flip the encoding byte to an unknown value
-        let frame = encode_frame(&Message::MeshChunk {
-            last: true,
-            level: 0,
-            cache_hit: false,
-            backend: 0,
-            active_metacells: 0,
-            trace_id: 0,
-            body: ChunkBody::Full(sample_mesh()),
-        });
-        let payload = &frame[HEADER_BYTES..frame.len() - 4];
-        // encoding byte is at offset 5 of the payload
-        let mut bad = payload.to_vec();
-        bad[5] = 9;
-        assert!(decode_payload(MSG_MESH_CHUNK, &bad).is_err());
-        // a delta whose bitmap popcount disagrees with its ref count
-        let mut delta_payload = Vec::new();
-        delta_payload.extend_from_slice(&[1, 0, 0, 0, 0, 1]); // last, level, hit, backend, delta
-        delta_payload.extend_from_slice(&0u64.to_le_bytes()); // active
-        delta_payload.extend_from_slice(&2u64.to_le_bytes()); // nvert
-        delta_payload.extend_from_slice(&0u64.to_le_bytes()); // nidx
-        delta_payload.extend_from_slice(&2u64.to_le_bytes()); // nrefs
-        delta_payload.push(0b01); // bitmap says 1 reused, refs say 2
-        delta_payload.extend_from_slice(&[0u8; 8]); // two refs
-        delta_payload.extend_from_slice(&[0u8; 12]); // one literal
-        delta_payload.extend_from_slice(&0u64.to_le_bytes()); // trace id
-        assert!(decode_payload(MSG_MESH_CHUNK, &delta_payload).is_err());
-        // truncation at every prefix must error, never panic
-        for cut in 0..payload.len() {
-            let _ = decode_payload(MSG_MESH_CHUNK, &payload[..cut]);
-        }
     }
 
     #[test]
@@ -1964,9 +1581,10 @@ mod tests {
         assert!(read_frame(&mut &frame[..7]).is_err());
         // header promises more payload than the stream holds
         assert!(read_frame(&mut &frame[..HEADER_BYTES]).is_err());
-        // unknown message types — including 10, the retired `Region` —
-        // decode to a violation that keeps the connection, not a panic
-        for tag in [999, 10] {
+        // unknown message types — including 10, the retired `Region`, and
+        // 15/16, the retired progressive delivery — decode to a violation
+        // that keeps the connection, not a panic
+        for tag in [999, 10, 15, 16] {
             let junk = encode_frame_raw(MAGIC, VERSION, tag, b"junk");
             assert!(
                 matches!(

@@ -29,8 +29,9 @@
 //! ## Pipelining and ordering
 //!
 //! A client may pipeline any number of requests on one connection. Every
-//! request takes a slot in the connection's pending queue at dispatch, and
-//! replies are released strictly in request order — a fast cache hit
+//! request takes a slot in the connection's pending queue at dispatch and
+//! is answered by exactly one frame, and replies are released strictly in
+//! request order — a fast cache hit
 //! queued behind a slow extraction waits for it, so responses can never
 //! interleave or reorder. Dispatch (and therefore admission accounting)
 //! also happens in request order; only the *execution* of admitted misses
@@ -61,9 +62,9 @@ use crate::protocol::{
     MAX_REQUEST_PAYLOAD,
 };
 use crate::server::{
-    busy_reply, encode_chunk_run, frame_render_reply, internal_error_reply, mesh_outcome_reply,
-    request_trace_id, respond, validate_frame_request, validate_mesh_request, EncodeClock,
-    FrameAdmit, MeshAdmit, MeshOutcome, ProgressiveAdmit, Reply, SlotGuard, State,
+    busy_reply, frame_render_reply, internal_error_reply, mesh_outcome_reply, request_trace_id,
+    respond, validate_frame_request, validate_mesh_request, FrameAdmit, MeshAdmit, MeshOutcome,
+    Reply, SlotGuard, State,
 };
 use oociso_exio::poll::{Doorbell, Event, Interest, Poller};
 use oociso_obs::{Counter, Gauge, Histogram, Logger, Span, Trace, DEFAULT_TRACE_EVENTS};
@@ -212,14 +213,11 @@ impl Placement {
     }
 }
 
-/// An encoded reply frame coming back from the worker pool. A progressive
-/// serve posts several completions for one request slot; `done` marks the
-/// last one (every non-progressive job posts exactly one, done).
+/// An encoded reply frame coming back from the worker pool.
 struct Completion {
     token: u64,
     seq: u64,
     payload: OutPayload,
-    done: bool,
 }
 
 /// Everything needed to account a reply when its last byte reaches the
@@ -231,9 +229,6 @@ struct ReplyMeta {
     /// Close the connection once this reply is flushed (protocol violation
     /// with lost framing, or a shed connection's one allowed reply).
     close_after: bool,
-    /// A non-final progressive chunk: more frames of the same request
-    /// follow, so per-request accounting (drain bookkeeping) waits.
-    interim: bool,
 }
 
 /// An encoded reply plus its accounting.
@@ -242,45 +237,50 @@ struct OutPayload {
     meta: ReplyMeta,
 }
 
-/// One reply slot in a connection's in-order pending queue. One *request*
-/// owns one slot even when (progressive) it answers with several frames:
-/// ready frames stream out as they land, but the slot — and with it every
-/// later request's reply — is released only once `done`, so replies stay
-/// strictly ordered per connection.
+impl OutPayload {
+    /// A request's reply, carrying its span and trace to [`finish_reply`].
+    fn traced(bytes: Vec<u8>, root: Span, trace: Trace, trace_id: u64) -> OutPayload {
+        OutPayload {
+            bytes,
+            meta: ReplyMeta {
+                root: Some(root),
+                trace: Some(trace),
+                trace_id,
+                close_after: false,
+            },
+        }
+    }
+
+    /// An error frame answering no decoded request (a protocol violation or
+    /// a shed connection), optionally closing the connection once flushed.
+    fn untraced(bytes: Vec<u8>, close_after: bool) -> OutPayload {
+        OutPayload {
+            bytes,
+            meta: ReplyMeta {
+                root: None,
+                trace: None,
+                trace_id: 0,
+                close_after,
+            },
+        }
+    }
+}
+
+/// One reply slot in a connection's in-order pending queue: every request
+/// owns one slot and is answered by exactly one frame. A slot is released
+/// only once its frame is in hand, and only from the front of the queue, so
+/// replies stay strictly ordered per connection.
 struct Pending {
     seq: u64,
-    /// Encoded frames ready to stream, oldest first.
-    ready: VecDeque<OutPayload>,
-    /// No more frames will arrive for this slot.
-    done: bool,
+    /// The encoded reply, once the event loop or a worker produced it.
+    reply: Option<OutPayload>,
 }
 
-impl Pending {
-    /// A slot still waiting on a worker (or on further progressive chunks).
-    fn open(seq: u64) -> Pending {
-        Pending {
-            seq,
-            ready: VecDeque::new(),
-            done: false,
-        }
-    }
-
-    /// A slot answered entirely inline by one frame.
-    fn answered(seq: u64, payload: OutPayload) -> Pending {
-        Pending {
-            seq,
-            ready: VecDeque::from([payload]),
-            done: true,
-        }
-    }
-}
-
-/// What classification decided for one request: answered entirely on the
-/// event loop (one or more frames, slot done), or shipped to the worker
-/// pool — possibly after streaming a resident head of progressive chunks.
+/// What classification decided for one request: answered on the event
+/// loop, or shipped to the worker pool (which posts the reply back).
 enum Classified {
-    Inline(Vec<OutPayload>),
-    Offloaded { head: Vec<OutPayload> },
+    Inline(OutPayload),
+    Offloaded,
 }
 
 /// A reply frame being written out, with a write cursor.
@@ -329,6 +329,7 @@ enum Job<S: ScalarValue> {
         lod: u16,
         region: Option<Region>,
         slot: SlotGuard<S>,
+        resident_full: Option<Arc<CachedSurface>>,
     },
     FrameRender {
         levels: Vec<Arc<CachedSurface>>,
@@ -340,17 +341,6 @@ enum Job<S: ScalarValue> {
         params: FrameParams,
         slot: SlotGuard<S>,
         resident_full: Option<Arc<CachedSurface>>,
-    },
-    /// The extraction tail of an admitted progressive request: the resident
-    /// coarse prefix already streamed from the event loop; the worker
-    /// extracts, then posts one completion per remaining chunk (levels
-    /// `next_level` down to `lod`), delta-continuing from `prev`.
-    Progressive {
-        iso: f32,
-        lod: u16,
-        slot: SlotGuard<S>,
-        prev: Option<Arc<CachedSurface>>,
-        next_level: u16,
     },
 }
 
@@ -514,7 +504,7 @@ fn worker_loop<S: ScalarValue>(rx: Arc<Mutex<mpsc::Receiver<Envelope<S>>>>, stat
 }
 
 /// Post one completed reply frame to the owning reactor.
-fn post(mailbox: &Mailbox, token: u64, seq: u64, payload: OutPayload, done: bool) {
+fn post(mailbox: &Mailbox, token: u64, seq: u64, payload: OutPayload) {
     mailbox
         .completions
         .lock()
@@ -523,7 +513,6 @@ fn post(mailbox: &Mailbox, token: u64, seq: u64, payload: OutPayload, done: bool
             token,
             seq,
             payload,
-            done,
         });
     let _ = mailbox.doorbell.notify();
 }
@@ -538,60 +527,6 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
         trace,
         mut root,
     } = env;
-    let job = if let Job::Progressive {
-        iso,
-        lod,
-        slot,
-        prev,
-        next_level,
-    } = job
-    {
-        // a panicking extraction surfaces as a final ERR_INTERNAL chunk;
-        // the slot guard releases during unwind or on the drop below
-        let result = catch_unwind(AssertUnwindSafe(|| state.pyramid_for(iso, &trace)))
-            .unwrap_or_else(|_| Err(io::Error::other("extraction panicked")));
-        drop(slot);
-        root.field("offloaded", 1);
-        match result {
-            Err(e) => {
-                let bytes = internal_error_reply(&e).finalize_traced(state, &root);
-                post(
-                    &mailbox,
-                    token,
-                    seq,
-                    OutPayload {
-                        bytes,
-                        meta: ReplyMeta {
-                            root: Some(root),
-                            trace: Some(trace),
-                            trace_id,
-                            close_after: false,
-                            interim: false,
-                        },
-                    },
-                    true,
-                );
-            }
-            Ok(levels) => {
-                let t_enc = EncodeClock::start();
-                let run: Vec<Arc<CachedSurface>> = (lod..=next_level)
-                    .rev()
-                    .map(|l| levels[l as usize].clone())
-                    .collect();
-                let frames =
-                    encode_chunk_run(&run, next_level, false, trace_id, prev.as_ref(), true);
-                // each chunk is posted (and rung) individually so refinement
-                // starts flowing before the run is fully posted
-                for payload in chunk_payloads(frames, root, trace, trace_id, t_enc) {
-                    let done = !payload.meta.interim;
-                    post(&mailbox, token, seq, payload, done);
-                }
-            }
-        }
-        return;
-    } else {
-        job
-    };
     // a panicking extraction must not strand the reply slot: the client
     // gets ERR_INTERNAL and the connection lives on (the slot guard
     // released during unwind)
@@ -601,7 +536,8 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
             lod,
             region,
             slot,
-        } => match state.pyramid_for(iso, &trace) {
+            resident_full,
+        } => match state.pyramid_for(iso, resident_full, &trace) {
             Ok(levels) => {
                 drop(slot);
                 mesh_outcome_reply(
@@ -627,15 +563,13 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
             params,
             slot,
             resident_full,
-        } => match state.complete_frame_extract(iso, resident_full, &trace) {
+        } => match state.pyramid_for(iso, resident_full, &trace) {
             Ok(levels) => {
                 drop(slot);
                 frame_render_reply(state, &levels, false, &params, trace_id)
             }
             Err(e) => internal_error_reply(&e),
         },
-        // peeled off above; the rebinding can't narrow the type
-        Job::Progressive { .. } => unreachable!("progressive jobs handled above"),
     }))
     .unwrap_or_else(|_| internal_error_reply(&io::Error::other("extraction panicked")));
     let bytes = reply.finalize_traced(state, &root);
@@ -644,53 +578,8 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
         &mailbox,
         token,
         seq,
-        OutPayload {
-            bytes,
-            meta: ReplyMeta {
-                root: Some(root),
-                trace: Some(trace),
-                trace_id,
-                close_after: false,
-                interim: false,
-            },
-        },
-        true,
+        OutPayload::traced(bytes, root, trace, trace_id),
     );
-}
-
-/// Turn an encoded chunk run into its per-frame payloads: the request's
-/// span and trace ride the *final* chunk (one request, one accounting),
-/// earlier chunks are marked interim. `enc` was started before the run was
-/// encoded; it is annotated with the run's total bytes.
-fn chunk_payloads(
-    frames: Vec<Vec<u8>>,
-    root: Span,
-    trace: Trace,
-    trace_id: u64,
-    enc: EncodeClock,
-) -> Vec<OutPayload> {
-    let total: usize = frames.iter().map(|f| f.len()).sum();
-    enc.annotate(&root, total);
-    let n = frames.len();
-    let mut root = Some(root);
-    let mut trace = Some(trace);
-    frames
-        .into_iter()
-        .enumerate()
-        .map(|(i, bytes)| {
-            let last = i + 1 == n;
-            OutPayload {
-                bytes,
-                meta: ReplyMeta {
-                    root: if last { root.take() } else { None },
-                    trace: if last { trace.take() } else { None },
-                    trace_id,
-                    close_after: false,
-                    interim: !last,
-                },
-            }
-        })
-        .collect()
 }
 
 /// One event-loop thread.
@@ -793,8 +682,7 @@ impl<S: ScalarValue> Reactor<S> {
         for c in done {
             if let Some(conn) = self.conns.get_mut(&c.token) {
                 if let Some(p) = conn.pending.iter_mut().find(|p| p.seq == c.seq) {
-                    p.ready.push_back(c.payload);
-                    p.done |= c.done;
+                    p.reply = Some(c.payload);
                     touched.push(c.token);
                 }
             }
@@ -1046,19 +934,10 @@ impl<S: ScalarValue> Reactor<S> {
                 retry_after_ms: Some(hint),
             });
             conn.stop_reading = true;
-            conn.pending.push_back(Pending::answered(
+            conn.pending.push_back(Pending {
                 seq,
-                OutPayload {
-                    bytes,
-                    meta: ReplyMeta {
-                        root: None,
-                        trace: None,
-                        trace_id: 0,
-                        close_after: true,
-                        interim: false,
-                    },
-                },
-            ));
+                reply: Some(OutPayload::untraced(bytes, true)),
+            });
             return;
         }
 
@@ -1077,19 +956,10 @@ impl<S: ScalarValue> Reactor<S> {
                 if close {
                     conn.stop_reading = true;
                 }
-                conn.pending.push_back(Pending::answered(
+                conn.pending.push_back(Pending {
                     seq,
-                    OutPayload {
-                        bytes,
-                        meta: ReplyMeta {
-                            root: None,
-                            trace: None,
-                            trace_id: 0,
-                            close_after: close,
-                            interim: false,
-                        },
-                    },
-                ));
+                    reply: Some(OutPayload::untraced(bytes, close)),
+                });
             }
             FrameIn::Ok { msg } => {
                 let trace_id = request_trace_id(&msg);
@@ -1100,29 +970,21 @@ impl<S: ScalarValue> Reactor<S> {
                 };
                 let mut root = trace.span("request");
                 root.field("msg_type", msg.msg_type() as u64);
-                conn.pending.push_back(Pending::open(seq));
-                let verdict = self.classify(token, seq, msg, trace, root);
+                // an offloaded request's slot waits for the worker's post
+                let reply = match self.classify(token, seq, msg, trace, root) {
+                    Classified::Inline(payload) => Some(payload),
+                    Classified::Offloaded => None,
+                };
                 if let Some(conn) = self.conns.get_mut(&token) {
-                    if let Some(p) = conn.pending.iter_mut().find(|p| p.seq == seq) {
-                        match verdict {
-                            // offloaded: `head` (a progressive serve's
-                            // resident prefix) streams now, the worker
-                            // posts the rest via the mailbox
-                            Classified::Offloaded { head } => p.ready.extend(head),
-                            Classified::Inline(payloads) => {
-                                p.ready.extend(payloads);
-                                p.done = true;
-                            }
-                        }
-                    }
+                    conn.pending.push_back(Pending { seq, reply });
                 }
             }
         }
     }
 
     /// Decide one well-formed request: answer inline (cache hits, shed and
-    /// degraded verdicts, stats/ping/metrics/trace, validation errors,
-    /// fully cached progressive streams) or ship an envelope to the pool.
+    /// degraded verdicts, stats/ping/metrics/trace, validation errors) or
+    /// ship an envelope to the pool.
     fn classify(
         &mut self,
         token: u64,
@@ -1134,16 +996,7 @@ impl<S: ScalarValue> Reactor<S> {
         let state = self.state.clone();
         let inline = |reply: Reply, root: Span, trace: Trace, trace_id: u64| {
             let bytes = reply.finalize_traced(&state, &root);
-            Classified::Inline(vec![OutPayload {
-                bytes,
-                meta: ReplyMeta {
-                    root: Some(root),
-                    trace: Some(trace),
-                    trace_id,
-                    close_after: false,
-                    interim: false,
-                },
-            }])
+            Classified::Inline(OutPayload::traced(bytes, root, trace, trace_id))
         };
         match msg {
             Message::MeshRequest {
@@ -1164,13 +1017,17 @@ impl<S: ScalarValue> Reactor<S> {
                         trace,
                         trace_id,
                     ),
-                    MeshAdmit::Extract { slot } => {
+                    MeshAdmit::Extract {
+                        slot,
+                        resident_full,
+                    } => {
                         self.offload(Envelope {
                             job: Job::Mesh {
                                 iso,
                                 lod,
                                 region,
                                 slot,
+                                resident_full,
                             },
                             mailbox: self.mailbox.clone(),
                             token,
@@ -1179,71 +1036,7 @@ impl<S: ScalarValue> Reactor<S> {
                             trace,
                             root,
                         });
-                        Classified::Offloaded { head: Vec::new() }
-                    }
-                }
-            }
-            Message::ProgressiveRequest {
-                iso,
-                lod,
-                backend,
-                trace_id,
-            } => {
-                state.c.mesh_requests.inc();
-                if let Err(reply) = validate_mesh_request(&state, lod, backend) {
-                    return inline(reply, root, trace, trace_id);
-                }
-                let top = state.levels() - 1;
-                match state.admit_progressive(iso, lod, &root) {
-                    ProgressiveAdmit::Busy { retry_after_ms } => inline(
-                        Reply::Msg(busy_reply("extraction slots exhausted", retry_after_ms)),
-                        root,
-                        trace,
-                        trace_id,
-                    ),
-                    ProgressiveAdmit::Ready { levels }
-                    | ProgressiveAdmit::Degraded { resident: levels } => {
-                        let t_enc = EncodeClock::start();
-                        let frames = encode_chunk_run(&levels, top, true, trace_id, None, true);
-                        Classified::Inline(chunk_payloads(frames, root, trace, trace_id, t_enc))
-                    }
-                    ProgressiveAdmit::Extract { resident, slot } => {
-                        // stream what's already cached now; the worker picks
-                        // up delta continuity from the finest resident level
-                        let t_enc = Instant::now();
-                        let head: Vec<OutPayload> =
-                            encode_chunk_run(&resident, top, true, trace_id, None, false)
-                                .into_iter()
-                                .map(|bytes| OutPayload {
-                                    bytes,
-                                    meta: ReplyMeta {
-                                        root: None,
-                                        trace: None,
-                                        trace_id,
-                                        close_after: false,
-                                        interim: true,
-                                    },
-                                })
-                                .collect();
-                        root.annotate("encode", t_enc.elapsed(), &[("head", head.len() as u64)]);
-                        let next_level = top - resident.len() as u16;
-                        let prev = resident.last().cloned();
-                        self.offload(Envelope {
-                            job: Job::Progressive {
-                                iso,
-                                lod,
-                                slot,
-                                prev,
-                                next_level,
-                            },
-                            mailbox: self.mailbox.clone(),
-                            token,
-                            seq,
-                            trace_id,
-                            trace,
-                            root,
-                        });
-                        Classified::Offloaded { head }
+                        Classified::Offloaded
                     }
                 }
             }
@@ -1279,7 +1072,7 @@ impl<S: ScalarValue> Reactor<S> {
                             trace,
                             root,
                         });
-                        Classified::Offloaded { head: Vec::new() }
+                        Classified::Offloaded
                     }
                     FrameAdmit::Extract {
                         slot,
@@ -1299,7 +1092,7 @@ impl<S: ScalarValue> Reactor<S> {
                             trace,
                             root,
                         });
-                        Classified::Offloaded { head: Vec::new() }
+                        Classified::Offloaded
                     }
                 }
             }
@@ -1323,24 +1116,17 @@ impl<S: ScalarValue> Reactor<S> {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        // release replies in request order only: the head slot streams every
-        // frame it has ready (a progressive serve's chunks flow before its
-        // extraction finishes), but later slots stay blocked until the head
-        // is done — responses never interleave or reorder
-        while let Some(front) = conn.pending.front_mut() {
-            while let Some(payload) = front.ready.pop_front() {
-                conn.out_bytes += payload.bytes.len();
-                self.meters.outbound.add(payload.bytes.len() as i64);
-                conn.out.push_back(OutFrame {
-                    bytes: payload.bytes,
-                    off: 0,
-                    meta: payload.meta,
-                });
-            }
-            if !front.done {
-                break;
-            }
+        // release replies in request order only: a slot still waiting on its
+        // worker blocks every later one — responses never reorder
+        while let Some(payload) = conn.pending.front_mut().and_then(|p| p.reply.take()) {
             conn.pending.pop_front();
+            conn.out_bytes += payload.bytes.len();
+            self.meters.outbound.add(payload.bytes.len() as i64);
+            conn.out.push_back(OutFrame {
+                bytes: payload.bytes,
+                off: 0,
+                meta: payload.meta,
+            });
         }
         // incremental write-out
         let mut hard_close = false;
@@ -1544,9 +1330,8 @@ fn finish_reply<S: ScalarValue>(
             }
         }
     }
-    if !meta.interim && state.ctl.draining.load(Ordering::SeqCst) {
-        // this reply completed during the graceful drain (a progressive
-        // serve counts once, on its final chunk)
+    if state.ctl.draining.load(Ordering::SeqCst) {
+        // this reply completed during the graceful drain
         state.c.drained.inc();
     }
     if meta.close_after {

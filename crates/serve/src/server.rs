@@ -35,9 +35,9 @@
 
 use crate::cache::{CachedSurface, ResultCache};
 use crate::protocol::{
-    crc_time, encode_frame, encode_mesh_chunk_frame, encode_mesh_response_frame, FrameParams,
-    Message, Region, ServerReport, TraceEvent, ERR_BAD_BACKEND, ERR_BAD_LOD, ERR_BUSY,
-    ERR_INTERNAL, ERR_MALFORMED, MAX_LOD_LEVELS, VERSION,
+    crc_time, encode_frame, encode_mesh_response_frame, FrameParams, Message, Region, ServerReport,
+    TraceEvent, ERR_BAD_BACKEND, ERR_BAD_LOD, ERR_BUSY, ERR_INTERNAL, ERR_MALFORMED,
+    MAX_LOD_LEVELS, VERSION,
 };
 use oociso_cluster::{decimate_fields, LodSpec};
 use oociso_core::ClusterDatabase;
@@ -130,10 +130,14 @@ pub struct ServeOptions {
     /// already fully cached by the miss). Warm jobs run on a single
     /// background thread, **never take the last extraction slot**, are
     /// skipped when the target is already resident or no spare slot exists,
-    /// and insert behind the recency of real traffic — so warming can slow
-    /// down nothing and evict nothing a client asked for. Tracked by the
-    /// `speculative_{started,completed,cancelled,hits}_total` metrics
-    /// family. `None` (the default) disables warming.
+    /// and insert behind the recency of real traffic — so warming evicts
+    /// nothing a client asked for. It does compete for cores and disk: with
+    /// `extraction_slots: None` (the default) a warm job always wins a slot
+    /// and extracts beside real misses, so a scrub with no pause between
+    /// stops gets slower, while one that pauses gets faster
+    /// (`docs/serve.md`, "Speculative cache warming", has the sizing).
+    /// Tracked by the `speculative_{started,completed,cancelled,hits}_total`
+    /// metrics family. `None` (the default) disables warming.
     pub warm_delta: Option<f32>,
 }
 
@@ -358,7 +362,12 @@ pub(crate) enum MeshAdmit<S: ScalarValue> {
     /// Hit, degraded serve, or busy: the outcome is already in hand.
     Ready(MeshOutcome),
     /// Miss that won a slot: extraction still to run, off the event loop.
-    Extract { slot: SlotGuard<S> },
+    /// `resident_full` is the still-cached level 0 to re-decimate from, if
+    /// any (else a disk extraction is due).
+    Extract {
+        slot: SlotGuard<S>,
+        resident_full: Option<Arc<CachedSurface>>,
+    },
 }
 
 /// A frame request's admission verdict (see [`MeshAdmit`]).
@@ -373,32 +382,6 @@ pub(crate) enum FrameAdmit<S: ScalarValue> {
     Extract {
         slot: SlotGuard<S>,
         resident_full: Option<Arc<CachedSurface>>,
-    },
-}
-
-/// A progressive request's admission verdict. A progressive serve
-/// streams the pyramid **coarsest-first** down to the requested `lod`;
-/// `resident`/`levels` vectors here are always in that stream order
-/// (level `levels()-1` first), each a maximal contiguous cached prefix so
-/// refinement never skips a level mid-stream.
-pub(crate) enum ProgressiveAdmit<S: ScalarValue> {
-    /// Every level from the coarsest down to the requested one is resident:
-    /// the whole stream serves from cache (booked as one hit at `lod`,
-    /// exactly what a plain mesh request costs).
-    Ready { levels: Vec<Arc<CachedSurface>> },
-    /// Miss that lost the slot race with nothing coarse to offer.
-    Busy { retry_after_ms: u32 },
-    /// Miss at capacity, but ([`ServeOptions::degrade`]) a cached coarse
-    /// prefix exists: stream just that, the final chunk's `level` still
-    /// above the requested `lod` — how a progressive client sees
-    /// degradation.
-    Degraded { resident: Vec<Arc<CachedSurface>> },
-    /// Miss that won a slot: stream the resident coarse prefix (possibly
-    /// empty) immediately, then the rest of the pyramid from the extraction
-    /// this slot admits.
-    Extract {
-        resident: Vec<Arc<CachedSurface>>,
-        slot: SlotGuard<S>,
     },
 }
 
@@ -839,17 +822,19 @@ impl<S: ScalarValue> State<S> {
         levels
     }
 
-    /// Produce the whole pyramid for a missed request: from the resident
-    /// full mesh when possible, from a fresh extraction otherwise. Runs
-    /// outside the cache lock (concurrent first-queries of one isovalue may
-    /// each extract — both count as misses, last insert wins — but no
-    /// request ever blocks behind another's extraction).
+    /// Produce the whole pyramid for a missed mesh or frame request, as its
+    /// admission committed to: re-decimate from `resident_full` (the level 0
+    /// admission found cached) when there is one, extract from disk
+    /// otherwise. Runs outside the cache lock (concurrent first-queries of
+    /// one isovalue may each extract — both count as misses, last insert
+    /// wins — but no request ever blocks behind another's extraction). The
+    /// caller drops the slot afterwards.
     pub(crate) fn pyramid_for(
         &self,
         iso: f32,
+        resident_full: Option<Arc<CachedSurface>>,
         trace: &Trace,
     ) -> io::Result<Vec<Arc<CachedSurface>>> {
-        let resident_full = self.cache.lock().expect("cache lock").peek(iso, MC, 0);
         match resident_full {
             Some(full) => Ok(self.rebuild_from_full(iso, full, trace)),
             None => self.extract_and_insert(iso, trace),
@@ -866,7 +851,16 @@ impl<S: ScalarValue> State<S> {
     /// only an `Extract` verdict leaves for a worker.
     pub(crate) fn admit_mesh(self: &Arc<Self>, iso: f32, lod: u16, root: &Span) -> MeshAdmit<S> {
         let t = Instant::now();
-        let hit = self.cache.lock().expect("cache lock").get(iso, MC, lod);
+        let (hit, resident_full) = {
+            let mut cache = self.cache.lock().expect("cache lock");
+            let hit = cache.get(iso, MC, lod);
+            let full = if hit.is_none() {
+                cache.peek(iso, MC, 0)
+            } else {
+                None
+            };
+            (hit, full)
+        };
         root.annotate(
             "cache",
             t.elapsed(),
@@ -881,7 +875,10 @@ impl<S: ScalarValue> State<S> {
             });
         }
         match self.try_slot() {
-            Some(slot) => MeshAdmit::Extract { slot },
+            Some(slot) => MeshAdmit::Extract {
+                slot,
+                resident_full,
+            },
             None => {
                 if self.degrade {
                     let coarser =
@@ -908,76 +905,13 @@ impl<S: ScalarValue> State<S> {
         }
     }
 
-    /// The admission half of a progressive serve. Accounted as exactly
-    /// one lookup against the requested `lod` — a hit only when *every*
-    /// level from the coarsest down to `lod` is resident (all of them are
-    /// streamed, so all must be in hand; the coarser levels are touched so
-    /// a scrub-heavy workload keeps its pyramids hot). Anything less is a
-    /// miss: the resident coarse prefix streams immediately and the rest
-    /// needs a slot, degrades to prefix-only, or is shed — same ladder as
-    /// [`State::admit_mesh`].
-    pub(crate) fn admit_progressive(
-        self: &Arc<Self>,
-        iso: f32,
-        lod: u16,
-        root: &Span,
-    ) -> ProgressiveAdmit<S> {
-        let want = self.levels();
-        let t = Instant::now();
-        let (resident, full_hit) = {
-            let mut cache = self.cache.lock().expect("cache lock");
-            let mut out = Vec::new();
-            for level in (lod..want).rev() {
-                match cache.peek(iso, MC, level) {
-                    Some(s) => out.push(s),
-                    None => break,
-                }
-            }
-            let full = out.len() == (want - lod) as usize;
-            if full {
-                // the accounted lookup (also promotes a speculatively
-                // warmed entry, counting `speculative_hits`)
-                let _ = cache.get(iso, MC, lod);
-                for level in lod + 1..want {
-                    cache.touch(iso, MC, level);
-                }
-            } else {
-                cache.account(lod, false);
-            }
-            (out, full)
-        };
-        root.annotate(
-            "cache",
-            t.elapsed(),
-            &[("hit", full_hit as u64), ("lod", lod as u64)],
-        );
-        if full_hit {
-            return ProgressiveAdmit::Ready { levels: resident };
-        }
-        match self.try_slot() {
-            Some(slot) => ProgressiveAdmit::Extract { resident, slot },
-            None => {
-                if self.degrade && !resident.is_empty() {
-                    self.c.degraded.inc();
-                    let served = want - resident.len() as u16;
-                    root.annotate("degrade", Duration::ZERO, &[("served_lod", served as u64)]);
-                    return ProgressiveAdmit::Degraded { resident };
-                }
-                self.c.shed.inc();
-                ProgressiveAdmit::Busy {
-                    retry_after_ms: self.retry_hint_ms(),
-                }
-            }
-        }
-    }
-
     /// Admission for a frame request, which needs every pyramid level at
     /// `iso`. The request is accounted as exactly one lookup against level
     /// 0: a hit only when the *whole* pyramid is resident, a miss
     /// otherwise — the levels are peeked first, so a partially evicted
     /// pyramid never books a hit for a request that still has to rebuild.
     /// When level 0 survived but a coarser level was
-    /// evicted, [`State::complete_frame_extract`] re-decimates from the
+    /// evicted, [`State::pyramid_for`] re-decimates from the
     /// resident full mesh — deterministic, so byte-identical to the
     /// original levels — without touching disk. A miss that can't win a
     /// slot is shed (frames have no degraded form: per-tile LOD selection
@@ -1020,21 +954,6 @@ impl<S: ScalarValue> State<S> {
                     retry_after_ms: self.retry_hint_ms(),
                 }
             }
-        }
-    }
-
-    /// Execute the extraction a [`FrameAdmit::Extract`] verdict committed
-    /// to: re-decimate from the resident full mesh when possible, hit the
-    /// disk otherwise. The caller drops the slot afterwards.
-    pub(crate) fn complete_frame_extract(
-        &self,
-        iso: f32,
-        resident_full: Option<Arc<CachedSurface>>,
-        trace: &Trace,
-    ) -> io::Result<Vec<Arc<CachedSurface>>> {
-        match resident_full {
-            Some(full) => Ok(self.rebuild_from_full(iso, full, trace)),
-            None => self.extract_and_insert(iso, trace),
         }
     }
 }
@@ -1350,9 +1269,7 @@ impl EncodeClock {
 /// The wire trace id a request carries, if its type can carry one.
 pub(crate) fn request_trace_id(msg: &Message) -> u64 {
     match msg {
-        Message::MeshRequest { trace_id, .. }
-        | Message::FrameRequest { trace_id, .. }
-        | Message::ProgressiveRequest { trace_id, .. } => *trace_id,
+        Message::MeshRequest { trace_id, .. } | Message::FrameRequest { trace_id, .. } => *trace_id,
         _ => 0,
     }
 }
@@ -1527,47 +1444,10 @@ pub(crate) fn frame_render_reply<S: ScalarValue>(
     })
 }
 
-/// Encode one run of progressive chunk frames for `surfaces` (in stream
-/// order: the first chunk is pyramid level `top_level`, counting down one
-/// per chunk). `prev` is the previously sent surface for delta continuity
-/// into the run; within the run each chunk deltas against its predecessor.
-/// `final_run` marks the run's last chunk `last` on the wire. Shared by the
-/// event loop (resident prefix) and the worker (extracted tail) so chunk
-/// framing cannot diverge between them.
-pub(crate) fn encode_chunk_run(
-    surfaces: &[Arc<CachedSurface>],
-    top_level: u16,
-    cache_hit: bool,
-    trace_id: u64,
-    prev: Option<&Arc<CachedSurface>>,
-    final_run: bool,
-) -> Vec<Vec<u8>> {
-    let mut frames = Vec::with_capacity(surfaces.len());
-    for (i, s) in surfaces.iter().enumerate() {
-        let level = top_level - i as u16;
-        let last = final_run && i + 1 == surfaces.len();
-        let prev_mesh = match i {
-            0 => prev.map(|p| &p.mesh),
-            _ => Some(&surfaces[i - 1].mesh),
-        };
-        frames.push(encode_mesh_chunk_frame(
-            last,
-            level,
-            cache_hit,
-            MC,
-            s.active_metacells,
-            trace_id,
-            prev_mesh,
-            &s.mesh,
-        ));
-    }
-    frames
-}
-
 /// Answer a request that needs no admission — stats, ping, metrics, trace
 /// lookups, and client messages of a server-to-client type — inline on the
-/// event loop (all sub-millisecond). Mesh, frame and progressive requests
-/// go through admission in [`crate::reactor`] and never reach here.
+/// event loop (all sub-millisecond). Mesh and frame requests go through
+/// admission in [`crate::reactor`] and never reach here.
 pub(crate) fn respond<S: ScalarValue>(state: &State<S>, msg: Message) -> Reply {
     match msg {
         Message::StatsRequest => Reply::Msg(Message::StatsResponse(state.report())),

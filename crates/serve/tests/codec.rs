@@ -5,12 +5,11 @@
 //! bytes on the wire" is asserted against frames built by an independent
 //! implementation, not assumed.
 
-use oociso_march::{IndexedMesh, MeshDelta, Vec3};
+use oociso_march::{IndexedMesh, Vec3};
 use oociso_serve::protocol::{
-    chunk_body_for, decode_frame_bytes, decode_payload, encode_frame, encode_frame_raw,
-    encode_mesh_chunk_frame, encode_mesh_response_frame, read_frame, ChunkBody, FrameIn, FrameStep,
-    Message, ERR_BAD_CHECKSUM, ERR_MALFORMED, ERR_UNSUPPORTED_VERSION, HEADER_BYTES, MAGIC,
-    MAX_PAYLOAD, MSG_MESH_CHUNK, MSG_MESH_RESPONSE, VERSION,
+    decode_frame_bytes, decode_payload, encode_frame, encode_frame_raw, encode_mesh_response_frame,
+    read_frame, FrameIn, FrameStep, Message, ERR_BAD_CHECKSUM, ERR_MALFORMED,
+    ERR_UNSUPPORTED_VERSION, HEADER_BYTES, MAGIC, MAX_PAYLOAD, MSG_MESH_RESPONSE, VERSION,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -191,82 +190,6 @@ fn mesh_response_roundtrips_bit_exactly() {
     }
 }
 
-#[test]
-fn mesh_chunks_roundtrip_bit_exactly_full_and_delta() {
-    let mut rng = Rng(0x5EED_0002);
-    let (mut fulls, mut deltas) = (0, 0);
-    for round in 0..200 {
-        let prev = mesh_for_round(&mut rng, round);
-        // the finer level: every third round an unrelated mesh (the full
-        // body wins), otherwise `prev` plus a few vertices and triangles
-        // (most positions recur, so the delta wins)
-        let mesh = if round % 3 == 0 {
-            mesh_for_round(&mut rng, round + 3)
-        } else {
-            let mut mesh = prev.clone();
-            for _ in 0..1 + rng.below(5) {
-                mesh.push_vertex(rng.vec3());
-            }
-            let n = mesh.num_vertices();
-            for _ in 0..rng.below(8) {
-                let mut corner = || rng.below(n) as u32;
-                let (a, b, c) = (corner(), corner(), corner());
-                mesh.push_triangle(a, b, c);
-            }
-            mesh
-        };
-        for prev in [None, Some(&prev)] {
-            let ctx = format!("round {round} prev {}", prev.is_some());
-            let (last, level, trace) = (rng.below(2) == 1, rng.below(4) as u16, rng.next());
-            let frame = encode_mesh_chunk_frame(last, level, true, 1, 99, trace, prev, &mesh);
-            let owned = encode_frame(&Message::MeshChunk {
-                last,
-                level,
-                cache_hit: true,
-                backend: 1,
-                active_metacells: 99,
-                trace_id: trace,
-                body: chunk_body_for(prev, &mesh),
-            });
-            assert_eq!(frame, owned, "{ctx}: borrowed and owned encoders");
-            let msg = decode_both(&frame, &ctx);
-            let Message::MeshChunk {
-                last: got_last,
-                level: got_level,
-                trace_id,
-                body,
-                ..
-            } = msg
-            else {
-                panic!("{ctx}: not a chunk");
-            };
-            assert_eq!(
-                (got_last, got_level, trace_id),
-                (last, level, trace),
-                "{ctx}"
-            );
-            match body {
-                ChunkBody::Full(got) => {
-                    fulls += 1;
-                    assert_same_mesh(&got, &mesh, &ctx);
-                }
-                ChunkBody::Delta(delta) => {
-                    deltas += 1;
-                    let want = MeshDelta::between(prev.expect("a delta needs a prev"), &mesh);
-                    assert_eq!(delta.reused, want.reused, "{ctx}");
-                    assert_eq!(delta.refs, want.refs, "{ctx}");
-                    assert_eq!(bits(&delta.literals), bits(&want.literals), "{ctx}");
-                    assert_eq!(delta.indices, want.indices, "{ctx}");
-                }
-            }
-        }
-    }
-    assert!(
-        fulls > 50 && deltas > 50,
-        "both bodies exercised: {fulls} full, {deltas} delta"
-    );
-}
-
 // ---- hostile bytes --------------------------------------------------------
 
 /// A mesh-response payload whose counts claim `nvert`/`nidx` but which
@@ -291,64 +214,35 @@ fn huge_claimed_counts_in_a_short_payload_are_malformed_without_allocating() {
     for &n in &huge {
         for (nvert, nidx) in [(n, 0), (0, n), (n, n), (3, n), (n, 3)] {
             let payload = claimed_mesh_payload(nvert, nidx, 36);
-            // full chunk: 14 fixed bytes, then the same body
-            let mut chunk = vec![1, 0, 0, 1, 0, 0];
-            chunk.extend_from_slice(&payload[1..]);
-            // delta chunk: vertex / index / ref counts, all claimed huge
-            let mut delta = vec![1, 0, 0, 1, 0, 1];
-            delta.extend_from_slice(&7u64.to_le_bytes());
-            for c in [nvert, nidx, nvert] {
-                delta.extend_from_slice(&c.to_le_bytes());
-            }
-            delta.resize(delta.len() + 36, 0);
-            for (msg_type, payload) in [
-                (MSG_MESH_RESPONSE, &payload),
-                (MSG_MESH_CHUNK, &chunk),
-                (MSG_MESH_CHUNK, &delta),
-            ] {
-                let ctx = format!("type {msg_type} nvert {nvert} nidx {nidx}");
-                let frame = encode_frame_raw(MAGIC, VERSION, msg_type, payload);
-                let (step, largest) =
-                    largest_alloc_during(|| decode_frame_bytes(&frame, MAX_PAYLOAD));
-                match step {
-                    FrameStep::Frame {
-                        frame: FrameIn::Violation { code, close, .. },
-                        consumed,
-                    } => {
-                        assert_eq!(code, ERR_MALFORMED, "{ctx}");
-                        assert!(!close, "{ctx}: the frame was whole, framing survives");
-                        assert_eq!(consumed, frame.len(), "{ctx}");
-                    }
-                    other => panic!("{ctx}: {other:?}"),
+            let ctx = format!("nvert {nvert} nidx {nidx}");
+            let frame = encode_frame_raw(MAGIC, VERSION, MSG_MESH_RESPONSE, &payload);
+            let (step, largest) = largest_alloc_during(|| decode_frame_bytes(&frame, MAX_PAYLOAD));
+            match step {
+                FrameStep::Frame {
+                    frame: FrameIn::Violation { code, close, .. },
+                    consumed,
+                } => {
+                    assert_eq!(code, ERR_MALFORMED, "{ctx}");
+                    assert!(!close, "{ctx}: the frame was whole, framing survives");
+                    assert_eq!(consumed, frame.len(), "{ctx}");
                 }
-                assert!(
-                    largest <= alloc_bound(frame.len()),
-                    "{ctx}: allocated {largest} B"
-                );
+                other => panic!("{ctx}: {other:?}"),
             }
+            assert!(
+                largest <= alloc_bound(frame.len()),
+                "{ctx}: allocated {largest} B"
+            );
         }
     }
 }
 
 fn small_frames() -> Vec<(&'static str, Vec<u8>)> {
     let mut rng = Rng(0x5EED_0003);
-    let coarse = mesh_for_round(&mut rng, 7);
-    let mut fine = coarse.clone();
-    let v = fine.push_vertex(rng.vec3());
-    fine.push_triangle(0, v, 0);
-    let resp = encode_mesh_response_frame(true, 7, 1, false, 0, 42, &fine, VERSION);
-    let full = encode_mesh_chunk_frame(false, 1, true, 0, 7, 42, None, &coarse);
-    let delta = encode_mesh_chunk_frame(true, 0, true, 0, 7, 42, Some(&coarse), &fine);
-    assert_eq!(
-        delta[HEADER_BYTES + 5],
-        1,
-        "the delta encoding must have won"
-    );
-    vec![
-        ("response", resp),
-        ("full chunk", full),
-        ("delta chunk", delta),
-    ]
+    let mut mesh = mesh_for_round(&mut rng, 7);
+    let v = mesh.push_vertex(rng.vec3());
+    mesh.push_triangle(0, v, 0);
+    let resp = encode_mesh_response_frame(true, 7, 1, false, 0, 42, &mesh, VERSION);
+    vec![("response", resp)]
 }
 
 /// Flip every bit of every byte (and the whole byte) of a sealed frame. The
@@ -496,7 +390,8 @@ fn every_truncation_point_is_a_torn_stream_or_need_more_never_a_message() {
 /// from `docs/serve.md`'s layout with Python's `struct` and `zlib.crc32`,
 /// not by this crate — a peer built from an older revision produces and
 /// accepts exactly the v6 bytes. The v1 frame, the same reply in the
-/// retired first layout, is kept as input that must be refused.
+/// retired first layout, and the chunk frame of the retired progressive
+/// delivery are kept as input that must be refused.
 fn golden_mesh() -> IndexedMesh {
     let mut mesh = IndexedMesh::new();
     mesh.push_vertex(Vec3::new(0.0, 1.0, -2.5));
@@ -534,8 +429,8 @@ const GOLDEN_MESH_RESPONSE_V1: [u8; 105] = [
     0x00, 0x00, 0x00, 0x00, 0x00, 0xbd, 0xfb, 0xf5, 0x8c,
 ];
 
-/// The same mesh as a full `MeshChunk` (`last = true, level = 2,
-/// cache_hit = false, backend = 1`).
+/// The same mesh as a full chunk of the retired progressive delivery
+/// (type 16: `last = true, level = 2, cache_hit = false, backend = 1`).
 #[rustfmt::skip]
 const GOLDEN_MESH_CHUNK_V6: [u8; 118] = [
     0x4f, 0x49, 0x53, 0x4f, 0x06, 0x00, 0x10, 0x00, 0x62, 0x00, 0x00, 0x00,
@@ -559,10 +454,6 @@ fn golden_frame_bytes_are_pinned_at_v6_and_v1_is_refused() {
         encode_mesh_response_frame(true, 7, 1, true, 1, id, &mesh, VERSION),
         GOLDEN_MESH_RESPONSE_V6
     );
-    assert_eq!(
-        encode_mesh_chunk_frame(true, 2, false, 1, 7, id, None, &mesh),
-        GOLDEN_MESH_CHUNK_V6
-    );
     // and the other direction: frames this crate did not build decode to
     // exactly that mesh
     let Message::MeshResponse {
@@ -579,51 +470,52 @@ fn golden_frame_bytes_are_pinned_at_v6_and_v1_is_refused() {
     };
     assert_eq!(trace_id, id);
     assert_same_mesh(&got, &mesh, "golden response");
-    let msg = decode_both(&GOLDEN_MESH_CHUNK_V6, "golden chunk");
-    let Message::MeshChunk {
-        body: ChunkBody::Full(got),
-        last: true,
-        level: 2,
-        ..
-    } = msg
-    else {
-        panic!("golden chunk decoded to {msg:?}");
-    };
-    assert_same_mesh(&got, &mesh, "golden chunk");
     // a v1 frame is well framed but no longer spoken: both readers refuse
     // it with the version error and keep the connection
-    let refused = |frame: FrameIn| match frame {
+    assert_refused(&GOLDEN_MESH_RESPONSE_V1, ERR_UNSUPPORTED_VERSION, "v6");
+    // so is a retired progressive chunk: its type is unknown
+    assert_refused(
+        &GOLDEN_MESH_CHUNK_V6,
+        ERR_MALFORMED,
+        "unknown message type 16",
+    );
+}
+
+/// Both readers judge the whole `frame` a `code` violation whose detail
+/// mentions `needle`, and keep the connection.
+fn assert_refused(frame: &[u8], code: u16, needle: &str) {
+    let refused = |judged: FrameIn| match judged {
         FrameIn::Violation {
-            code,
+            code: got,
             detail,
             close,
         } => {
-            assert_eq!((code, close), (ERR_UNSUPPORTED_VERSION, false), "{detail}");
-            assert!(detail.contains("v6"), "{detail}");
+            assert_eq!((got, close), (code, false), "{detail}");
+            assert!(detail.contains(needle), "{detail}");
         }
-        other => panic!("v1 frame accepted: {other:?}"),
+        other => panic!("refused frame accepted: {other:?}"),
     };
-    refused(
-        read_frame(&mut &GOLDEN_MESH_RESPONSE_V1[..])
-            .unwrap()
-            .unwrap(),
-    );
-    match decode_frame_bytes(&GOLDEN_MESH_RESPONSE_V1, MAX_PAYLOAD) {
-        FrameStep::Frame { frame, consumed } => {
-            assert_eq!(consumed, GOLDEN_MESH_RESPONSE_V1.len());
-            refused(frame);
+    refused(read_frame(&mut &frame[..]).unwrap().unwrap());
+    match decode_frame_bytes(frame, MAX_PAYLOAD) {
+        FrameStep::Frame {
+            frame: judged,
+            consumed,
+        } => {
+            assert_eq!(consumed, frame.len());
+            refused(judged);
         }
-        other => panic!("v1 frame not judged: {other:?}"),
+        other => panic!("frame not judged: {other:?}"),
     }
 }
 
 /// One request of each kind, built like the response frames above with
 /// Python's `struct` and `zlib.crc32` from `docs/serve.md`'s layout: a mesh
 /// request (iso 127.5, region (0, −1.5, 2)–(9, 8.5, 28), lod 2, backend
-/// `0xFF` = none named, trace id `0x0102030405060708`), a progressive
-/// request (iso 120, lod 1, backend 0, trace id 5) and a frame request (iso
-/// 190, 640×480, azimuth 0.75, elevation 0.5, distance 2.25, 2×2 tiles,
-/// trace id 77).
+/// `0xFF` = none named, trace id `0x0102030405060708`) and a frame request
+/// (iso 190, 640×480, azimuth 0.75, elevation 0.5, distance 2.25, 2×2
+/// tiles, trace id 77). The request of the retired progressive delivery
+/// (type 15: iso 120, lod 1, backend 0, trace id 5) is kept as input that
+/// must be refused.
 #[rustfmt::skip]
 const GOLDEN_MESH_REQUEST_V6: [u8; 60] = [
     0x4f, 0x49, 0x53, 0x4f, 0x06, 0x00, 0x01, 0x00, 0x28, 0x00, 0x00, 0x00,
@@ -659,12 +551,6 @@ fn golden_request_bytes_are_pinned() {
         backend,
         trace_id: 0x0102_0304_0506_0708,
     };
-    let progressive = Message::ProgressiveRequest {
-        iso: 120.0,
-        lod: 1,
-        backend: Some(0),
-        trace_id: 5,
-    };
     let frame = Message::FrameRequest {
         iso: 190.0,
         params: FrameParams {
@@ -680,16 +566,16 @@ fn golden_request_bytes_are_pinned() {
     };
     for (name, msg, golden) in [
         ("mesh", mesh(None), &GOLDEN_MESH_REQUEST_V6[..]),
-        (
-            "progressive",
-            progressive,
-            &GOLDEN_PROGRESSIVE_REQUEST_V6[..],
-        ),
         ("frame", frame, &GOLDEN_FRAME_REQUEST_V6[..]),
     ] {
         assert_eq!(encode_frame(&msg), golden, "{name}: encoder");
         assert_eq!(decode_both(golden, name), msg, "{name}: readers");
     }
+    assert_refused(
+        &GOLDEN_PROGRESSIVE_REQUEST_V6,
+        ERR_MALFORMED,
+        "unknown message type 15",
+    );
     // an explicit 0xFF is the same bytes as naming no backend
     assert_eq!(
         encode_frame(&mesh(Some(BACKEND_DEFAULT))),
@@ -768,25 +654,10 @@ fn mesh_requests_roundtrip() {
 }
 
 #[test]
-fn progressive_and_frame_requests_roundtrip() {
+fn frame_requests_roundtrip() {
     let mut rng = Rng(0x5EED_0005);
     for round in 0..300 {
-        let (iso, lod) = (rng.float(), rng.next() as u16);
-        let (backend, trace) = (backend_for(&mut rng), trace_for(&mut rng));
-        let sent = Message::ProgressiveRequest {
-            iso,
-            lod,
-            backend,
-            trace_id: trace,
-        };
-        let want = Message::ProgressiveRequest {
-            iso,
-            lod,
-            backend: backend.filter(|&b| b != BACKEND_DEFAULT),
-            trace_id: trace,
-        };
-        assert_roundtrip(&sent, &want, &format!("round {round}"));
-
+        let (iso, trace) = (rng.float(), trace_for(&mut rng));
         let params = FrameParams {
             width: rng.next() as u32,
             height: rng.next() as u32,
@@ -831,17 +702,10 @@ fn request_frames() -> Vec<(&'static str, Vec<u8>)> {
         },
         trace_id: 77,
     };
-    let progressive = Message::ProgressiveRequest {
-        iso: 120.0,
-        lod: 1,
-        backend: Some(9),
-        trace_id: 5,
-    };
     [
         ("mesh", mesh(None, None)),
         ("mesh+region", mesh(region, Some(1))),
         ("frame", frame),
-        ("progressive", progressive),
     ]
     .into_iter()
     .map(|(name, msg)| (name, encode_frame(&msg)))

@@ -7,10 +7,7 @@
 //! responses, but the same bytes in request order.
 
 use oociso_core::{ClusterDatabase, PreprocessOptions};
-use oociso_march::IndexedMesh;
-use oociso_serve::protocol::{
-    read_frame, write_frame, FrameIn, HEADER_BYTES, MSG_MESH_CHUNK, MSG_MESH_RESPONSE, MSG_PONG,
-};
+use oociso_serve::protocol::{read_frame, write_frame, FrameIn, HEADER_BYTES};
 use oociso_serve::{
     ChaosProxy, Client, ClientOptions, ConnFault, FrameParams, IsoServer, Message, ServeOptions,
 };
@@ -615,129 +612,6 @@ fn stall_inside_response_header_retry_converges() {
     assert_eq!(reply.mesh.indices(), truth.mesh.indices());
     assert_eq!(proxy.connections(), 2, "torn attempt + converging redial");
     proxy.stop();
-    server.stop();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-fn assert_same_mesh(a: &IndexedMesh, b: &IndexedMesh, ctx: &str) {
-    assert_eq!(
-        a.positions().len(),
-        b.positions().len(),
-        "{ctx}: vertex count"
-    );
-    for (i, (x, y)) in a.positions().iter().zip(b.positions()).enumerate() {
-        assert_eq!(x.x.to_bits(), y.x.to_bits(), "{ctx}: vertex {i}.x");
-        assert_eq!(x.y.to_bits(), y.y.to_bits(), "{ctx}: vertex {i}.y");
-        assert_eq!(x.z.to_bits(), y.z.to_bits(), "{ctx}: vertex {i}.z");
-    }
-    assert_eq!(a.indices(), b.indices(), "{ctx}: indices");
-}
-
-/// Tentpole: a progressive (v6) delivery streams the LOD pyramid coarsest
-/// first — cold (one extraction feeds all chunks) and warm (all cache
-/// hits) — with every refinement bit-identical to the plain per-level
-/// query, and strict reply ordering around pipelined neighbors.
-#[test]
-fn progressive_delivery_streams_coarse_to_fine_in_order() {
-    let (dir, server) = bind(
-        "prog",
-        ServeOptions {
-            lod_ratios: vec![0.25, 0.06],
-            ..Default::default()
-        },
-    );
-    let addr = server.addr();
-    let iso = 120.0f32;
-    let mut client = Client::connect(addr).unwrap();
-
-    // cold: nothing resident, every level rides the one fresh extraction
-    let mut cold: Vec<(u16, bool, IndexedMesh)> = Vec::new();
-    let reply = client
-        .query_mesh_progressive(iso, 0, |u| {
-            cold.push((u.level, u.cache_hit, u.mesh.clone()))
-        })
-        .unwrap();
-    assert!(!reply.degraded);
-    assert_eq!(reply.served_lod, 0);
-    assert_eq!(
-        cold.iter().map(|c| c.0).collect::<Vec<_>>(),
-        vec![2, 1, 0],
-        "coarsest first, strictly refining"
-    );
-    assert!(
-        cold.iter().all(|c| !c.1),
-        "cold chunks cannot be cache hits"
-    );
-    assert_same_mesh(&cold[2].2, &reply.mesh, "final refinement is the reply");
-
-    // each streamed level is bit-identical to the plain per-level query
-    // (cache hits now: the delivery populated the pyramid)
-    for (level, _, mesh) in &cold {
-        let plain = client.query_mesh_lod(iso, None, *level).unwrap();
-        assert!(plain.cache_hit, "level {level} resident");
-        assert_same_mesh(mesh, &plain.mesh, &format!("level {level}"));
-    }
-
-    // warm: a second delivery streams entirely from cache
-    let mut warm_hits = Vec::new();
-    let again = client
-        .query_mesh_progressive(iso, 0, |u| warm_hits.push(u.cache_hit))
-        .unwrap();
-    assert_eq!(warm_hits, vec![true; 3], "warm delivery all hits");
-    assert!(again.cache_hit);
-    assert_same_mesh(&again.mesh, &reply.mesh, "warm delivery");
-
-    // strict per-connection ordering: a progressive request pipelined
-    // between two plain requests keeps all five reply frames in order
-    {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write_frame(
-            &mut stream,
-            &Message::MeshRequest {
-                iso,
-                region: None,
-                lod: 2,
-                backend: None,
-                trace_id: 0,
-            },
-        )
-        .unwrap();
-        write_frame(
-            &mut stream,
-            &Message::ProgressiveRequest {
-                iso,
-                lod: 0,
-                backend: None,
-                trace_id: 0,
-            },
-        )
-        .unwrap();
-        write_frame(
-            &mut stream,
-            &Message::Ping {
-                payload: vec![9u8; 32],
-            },
-        )
-        .unwrap();
-        let mut kinds = Vec::new();
-        for _ in 0..5 {
-            match read_frame(&mut stream).unwrap().unwrap() {
-                FrameIn::Ok { msg, .. } => kinds.push(msg.msg_type()),
-                other => panic!("violation mid-pipeline: {other:?}"),
-            }
-        }
-        assert_eq!(
-            kinds,
-            vec![
-                MSG_MESH_RESPONSE,
-                MSG_MESH_CHUNK,
-                MSG_MESH_CHUNK,
-                MSG_MESH_CHUNK,
-                MSG_PONG
-            ],
-            "replies must stay in request order around the stream"
-        );
-    }
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,14 +7,13 @@ use oociso_cluster::LodSpec;
 use oociso_core::{ClusterDatabase, PreprocessOptions};
 use oociso_march::IndexedMesh;
 use oociso_serve::protocol::{
-    encode_frame_raw, encode_payload, read_frame, write_frame, FrameIn, ERR_BAD_CHECKSUM,
-    ERR_MALFORMED, ERR_UNSUPPORTED_VERSION, HEADER_BYTES, MSG_FRAME_REQUEST, MSG_MESH_REQUEST,
-    MSG_MESH_RESPONSE, MSG_PING, MSG_PROGRESSIVE_REQUEST, MSG_STATS_REQUEST,
+    encode_frame_raw, encode_payload, ERR_BAD_CHECKSUM, ERR_MALFORMED, ERR_UNSUPPORTED_VERSION,
+    HEADER_BYTES, MSG_FRAME_REQUEST, MSG_MESH_REQUEST, MSG_MESH_RESPONSE, MSG_PING,
+    MSG_STATS_REQUEST,
 };
 use oociso_serve::{
-    read_progressive_reply, render_trace_events, ChaosStream, ChunkBody, Client, ConnFault,
-    FrameParams, IsoServer, Message, Region, ServeOptions, ERR_BAD_BACKEND, ERR_BAD_LOD, MAGIC,
-    VERSION,
+    render_trace_events, Client, FrameParams, IsoServer, Message, Region, ServeOptions,
+    ERR_BAD_BACKEND, ERR_BAD_LOD, MAGIC, VERSION,
 };
 use oociso_volume::field::{FieldExt, SphereField};
 use oociso_volume::{Dims3, Volume};
@@ -329,9 +328,12 @@ fn malformed_and_wrong_version_requests_get_structured_errors() {
         other => panic!("expected malformed error, got {other:?}"),
     }
 
-    // tag 10, the retired compositing `Region` message, with a well-formed
-    // old payload (origin, size, RGBA8 pixels, f32 depths) → ERR_MALFORMED,
-    // and the connection still answers a ping
+    // retired tags with well-formed old payloads → ERR_MALFORMED, and the
+    // connection still answers a ping after each: 10, the compositing
+    // `Region` message (origin, size, RGBA8 pixels, f32 depths); 15, the
+    // progressive request (iso, lod, backend byte, trace id); 16, one
+    // full-mesh chunk of its reply (flags, level, active count, an empty
+    // mesh, trace id)
     let mut old_region = Vec::new();
     for v in [5u64, 9, 2, 1] {
         old_region.extend_from_slice(&v.to_le_bytes());
@@ -340,20 +342,29 @@ fn malformed_and_wrong_version_requests_get_structured_errors() {
     for d in [0.5f32, f32::INFINITY] {
         old_region.extend_from_slice(&d.to_bits().to_le_bytes());
     }
-    match client
-        .roundtrip_raw(
-            oociso_serve::MAGIC,
-            oociso_serve::VERSION,
-            10,
-            &old_region,
-            false,
-        )
-        .unwrap()
-    {
-        Some(Message::Error { code, .. }) => assert_eq!(code, ERR_MALFORMED),
-        other => panic!("expected malformed error for tag 10, got {other:?}"),
+    let mut old_progressive = 120.0f32.to_bits().to_le_bytes().to_vec();
+    old_progressive.extend_from_slice(&[0, 0, 0xFF]);
+    old_progressive.extend_from_slice(&0u64.to_le_bytes());
+    let mut old_chunk = vec![1, 0, 0, 0, 0, 0];
+    for v in [7u64, 0, 0, 0] {
+        old_chunk.extend_from_slice(&v.to_le_bytes());
     }
-    client.ping(16).unwrap();
+    for (tag, payload) in [(10, old_region), (15, old_progressive), (16, old_chunk)] {
+        match client
+            .roundtrip_raw(
+                oociso_serve::MAGIC,
+                oociso_serve::VERSION,
+                tag,
+                &payload,
+                false,
+            )
+            .unwrap()
+        {
+            Some(Message::Error { code, .. }) => assert_eq!(code, ERR_MALFORMED, "tag {tag}"),
+            other => panic!("expected malformed error for tag {tag}, got {other:?}"),
+        }
+        client.ping(16).unwrap();
+    }
 
     // wrong magic: the server replies (if it can) and hangs up
     let mut bad_magic = Client::connect(addr).unwrap();
@@ -562,8 +573,8 @@ fn zero_event_loops_are_rejected_at_bind() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Only v6 is spoken: a frame of any older version — mesh, frame, stats,
-/// ping or progressive — draws `ERR_UNSUPPORTED_VERSION` naming v6, starts
+/// Only v6 is spoken: a frame of any older version — mesh, frame, stats or
+/// ping — draws `ERR_UNSUPPORTED_VERSION` naming v6, starts
 /// no extraction, and leaves the connection serving v6 queries.
 #[test]
 fn pre_v6_frames_are_refused_and_the_connection_survives() {
@@ -600,15 +611,6 @@ fn pre_v6_frames_are_refused_and_the_connection_survives() {
         ),
         (MSG_STATS_REQUEST, Vec::new()),
         (MSG_PING, vec![7; 16]),
-        (
-            MSG_PROGRESSIVE_REQUEST,
-            encode_payload(&Message::ProgressiveRequest {
-                iso,
-                lod: 0,
-                backend: None,
-                trace_id: 0,
-            }),
-        ),
     ];
     for version in 1u16..=5 {
         for (msg_type, payload) in &requests {
@@ -624,18 +626,18 @@ fn pre_v6_frames_are_refused_and_the_connection_survives() {
     }
     let s = client.stats().unwrap();
     assert_eq!(s.cache_misses, 0, "a refused frame extracts nothing: {s:?}");
-    assert_eq!(s.errors, 25, "{s:?}");
+    assert_eq!(s.errors, 20, "{s:?}");
 
-    // the same connection still serves v6: the full-resolution mesh of an
-    // in-process extraction, then a progressive delivery of the pyramid
-    let reply = client.query_mesh(iso, None).unwrap();
+    // the same connection still serves v6: the coarsest level (the miss
+    // that builds the pyramid), then the full-resolution mesh of an
+    // in-process extraction
+    let coarse = client.query_mesh_lod(iso, None, 2).unwrap();
+    assert!(!coarse.cache_hit && coarse.served_lod == 2);
+    let (chain, _) = direct.extract_lods(iso, &LodSpec::pyramid()).unwrap();
+    assert_same_mesh(&coarse.mesh, &chain.level(2).unwrap().mesh, "lod 2");
+    let reply = client.query_mesh_lod(iso, None, 0).unwrap();
+    assert!(reply.cache_hit, "the lod 2 miss cached level 0");
     assert_same_mesh(&reply.mesh, &truth, "v6 after refusals");
-    let mut levels = Vec::new();
-    let reply = client
-        .query_mesh_progressive(iso, 0, |u| levels.push(u.level))
-        .unwrap();
-    assert_eq!(levels, vec![2, 1, 0]);
-    assert_same_mesh(&reply.mesh, &truth, "progressive after refusals");
 
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
@@ -752,8 +754,8 @@ fn raw(client: &mut Client, version: u16, msg_type: u16, payload: &[u8]) -> Mess
         .expect("a reply frame")
 }
 
-/// The server extracts with MC only: a mesh or progressive request naming
-/// another backend id draws `ERR_BAD_BACKEND` on a connection that stays
+/// The server extracts with MC only: a mesh request naming another backend
+/// id draws `ERR_BAD_BACKEND` on a connection that stays
 /// usable, while MC's id 0 and `0xFF` ("none named") both get the MC mesh
 /// of an in-process extraction, stamped backend 0. The stats payload's
 /// per-backend trailer is the derived `[hits, 0, misses, 0]`.
@@ -780,73 +782,43 @@ fn only_mc_is_served_and_other_backend_ids_are_refused() {
         backend,
         trace_id: 0,
     };
-    let progressive = |backend| Message::ProgressiveRequest {
-        iso,
-        lod: 0,
-        backend,
-        trace_id: 0,
-    };
-    let shapes = |backend: Option<u8>| {
-        [
-            (MSG_MESH_REQUEST, encode_payload(&mesh_request(backend))),
-            (
-                MSG_PROGRESSIVE_REQUEST,
-                encode_payload(&progressive(backend)),
-            ),
-        ]
-    };
     let ctx = "mc only";
 
     for id in [1u8, 9] {
-        for (msg_type, payload) in shapes(Some(id)) {
-            match raw(&mut client, VERSION, msg_type, &payload) {
-                Message::Error { code, detail, .. } => {
-                    assert_eq!(
-                        code, ERR_BAD_BACKEND,
-                        "{ctx} id {id} type {msg_type}: {detail}"
-                    );
-                    assert!(detail.contains("mc"), "{detail}");
-                    assert!(
-                        detail.contains("oociso extract --backend surfacenets"),
-                        "{detail}"
-                    );
-                }
-                other => panic!("{ctx} id {id} type {msg_type}: {other:?}"),
+        let payload = encode_payload(&mesh_request(Some(id)));
+        match raw(&mut client, VERSION, MSG_MESH_REQUEST, &payload) {
+            Message::Error { code, detail, .. } => {
+                assert_eq!(code, ERR_BAD_BACKEND, "{ctx} id {id}: {detail}");
+                assert!(detail.contains("mc"), "{detail}");
+                assert!(
+                    detail.contains("oociso extract --backend surfacenets"),
+                    "{detail}"
+                );
             }
+            other => panic!("{ctx} id {id}: {other:?}"),
         }
     }
 
     // the connection survived every refusal: a plain request is the miss,
-    // then explicit 0 and 0xFF in both shapes hit the same MC surface
+    // then explicit 0 and 0xFF hit the same MC surface
     let plain = client.query_mesh(iso, None).unwrap();
     assert!(!plain.cache_hit, "{ctx}");
     assert_same_mesh(&plain.mesh, &truth, ctx);
     for id in [0u8, 0xFF] {
-        for (msg_type, payload) in shapes(Some(id)) {
-            let ctx = format!("{ctx} id {id} type {msg_type}");
-            match raw(&mut client, VERSION, msg_type, &payload) {
-                Message::MeshResponse {
-                    mesh,
-                    backend,
-                    cache_hit,
-                    ..
-                } => {
-                    assert_eq!(backend, 0, "{ctx}");
-                    assert!(cache_hit, "{ctx}");
-                    assert_same_mesh(&mesh, &truth, &ctx);
-                }
-                Message::MeshChunk {
-                    last: true,
-                    level: 0,
-                    backend,
-                    body: ChunkBody::Full(mesh),
-                    ..
-                } => {
-                    assert_eq!(backend, 0, "{ctx}");
-                    assert_same_mesh(&mesh, &truth, &ctx);
-                }
-                other => panic!("{ctx}: {other:?}"),
+        let ctx = format!("{ctx} id {id}");
+        let payload = encode_payload(&mesh_request(Some(id)));
+        match raw(&mut client, VERSION, MSG_MESH_REQUEST, &payload) {
+            Message::MeshResponse {
+                mesh,
+                backend,
+                cache_hit,
+                ..
+            } => {
+                assert_eq!(backend, 0, "{ctx}");
+                assert!(cache_hit, "{ctx}");
+                assert_same_mesh(&mesh, &truth, &ctx);
             }
+            other => panic!("{ctx}: {other:?}"),
         }
     }
 
@@ -863,7 +835,7 @@ fn only_mc_is_served_and_other_backend_ids_are_refused() {
         .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
         .collect();
     let (hits, misses) = (counters[6], counters[7]);
-    assert_eq!((hits, misses), (4, 1), "{ctx}");
+    assert_eq!((hits, misses), (2, 1), "{ctx}");
     assert_eq!(
         counters[counters.len() - 4..],
         [hits, 0, misses, 0],
@@ -967,7 +939,7 @@ fn metrics_exposition_agrees_with_stats() {
 }
 
 /// Read one complete raw reply frame (header + payload + checksum) off a
-/// progressive delivery's socket.
+/// socket.
 fn read_raw_frame(stream: &mut std::net::TcpStream) -> Vec<u8> {
     use std::io::Read;
     let mut frame = vec![0u8; HEADER_BYTES];
@@ -977,95 +949,4 @@ fn read_raw_frame(stream: &mut std::net::TcpStream) -> Vec<u8> {
     stream.read_exact(&mut body).unwrap();
     frame.extend_from_slice(&body);
     frame
-}
-
-/// Satellite: chunked-response reassembly under a torn stream. The raw
-/// bytes of one complete progressive delivery are captured, then replayed
-/// truncated at every chunk boundary (±1 byte) and a sweep of mid-frame
-/// offsets: reassembly must either complete or fail cleanly — a refinement
-/// the callback observed is always a whole, bit-correct level, never a
-/// half-applied one.
-#[test]
-fn progressive_reassembly_survives_truncation_at_every_boundary() {
-    let (dir, server, direct) = lod_fixture("prog_torn");
-    let iso = 120.0f32;
-
-    // capture one complete delivery, recording where each chunk ends
-    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-    write_frame(
-        &mut stream,
-        &Message::ProgressiveRequest {
-            iso,
-            lod: 0,
-            backend: None,
-            trace_id: 0,
-        },
-    )
-    .unwrap();
-    let mut raw: Vec<u8> = Vec::new();
-    let mut boundaries: Vec<usize> = Vec::new();
-    loop {
-        let frame = read_raw_frame(&mut stream);
-        raw.extend_from_slice(&frame);
-        boundaries.push(raw.len());
-        match read_frame(&mut &frame[..]).unwrap() {
-            Some(FrameIn::Ok {
-                msg: Message::MeshChunk { last, .. },
-                ..
-            }) => {
-                if last {
-                    break;
-                }
-            }
-            other => panic!("expected a chunk frame, got {other:?}"),
-        }
-    }
-    server.stop();
-
-    // the intact capture reassembles to the direct extraction
-    let mut expected: Vec<(u16, IndexedMesh)> = Vec::new();
-    let full = read_progressive_reply(&mut std::io::Cursor::new(&raw[..]), 0, |u| {
-        expected.push((u.level, u.mesh.clone()))
-    })
-    .unwrap();
-    assert_eq!(
-        expected.iter().map(|e| e.0).collect::<Vec<_>>(),
-        vec![2, 1, 0]
-    );
-    assert_same_mesh(&full.mesh, &direct.extract(iso).unwrap().mesh, "intact");
-
-    // every chunk boundary (and its neighbors), plus a mid-frame sweep
-    let mut cuts: Vec<usize> = boundaries
-        .iter()
-        .flat_map(|&b| [b.saturating_sub(1), b, b + 1])
-        .collect();
-    cuts.extend((0..raw.len()).step_by(611));
-    cuts.sort_unstable();
-    cuts.dedup();
-    for cut in cuts.into_iter().filter(|&c| c < raw.len()) {
-        let mut seen: Vec<(u16, IndexedMesh)> = Vec::new();
-        let mut torn = ChaosStream::new(
-            std::io::Cursor::new(&raw[..]),
-            ConnFault::TruncateResponse {
-                after_bytes: cut as u64,
-            },
-        );
-        let res = read_progressive_reply(&mut torn, 0, |u| seen.push((u.level, u.mesh.clone())));
-        assert!(
-            res.is_err(),
-            "cut at {cut}/{} bytes must surface an error",
-            raw.len()
-        );
-        // whatever arrived before the tear is a clean prefix of the true
-        // refinement sequence — complete levels only, bit-exact
-        assert!(
-            seen.len() < expected.len(),
-            "cut {cut}: delivery cannot finish"
-        );
-        for ((lvl, mesh), (want_lvl, want_mesh)) in seen.iter().zip(&expected) {
-            assert_eq!(lvl, want_lvl, "cut {cut}: refinement order");
-            assert_same_mesh(mesh, want_mesh, &format!("cut {cut} level {lvl}"));
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
