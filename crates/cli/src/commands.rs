@@ -20,7 +20,7 @@ USAGE:
   oociso render     --db DIR --iso V --out FILE.ppm [--size N] [--tiles CxR]
   oociso serve      --db DIR [--addr 127.0.0.1:7077] [--cache-mb N] [--port-file FILE]
                     [--lods R1,R2|none] [--slots N]
-                    [--max-conns N] [--degrade] [--warm-delta D]
+                    [--max-conns N] [--warm-delta D]
                     [--reactor-threads N] [--workers N] [--outbound-budget-mb N]
                     [--read-timeout-ms N] [--idle-timeout-ms N]
                     [--slow-ms N] [--trace-buffer N]
@@ -39,7 +39,7 @@ quadric-simplifies the welded mesh to 25% of its vertices; `serve` exposes
 a database over TCP (binary wire protocol, LRU result cache, LOD pyramid —
 default levels 100%/25%/6%); `query --lod N` fetches pyramid level N.
 `serve --slots N` bounds concurrent extractions (overflow answers ERR_BUSY
-with a retry hint; add `--degrade` to fall back to a cached coarser LOD);
+with a retry hint; cache hits never wait for a slot);
 `query --timeout MS --retries N` retries busy/torn requests with jittered
 exponential backoff. `extract --backend` selects the extraction kernel —
 `mc` (Marching Cubes, the default) or `surfacenets` (`sn`): same triangle
@@ -73,8 +73,8 @@ pub const COMMANDS: &[(&str, Command, &[&str])] = &[
     ("extract", extract, &["db", "iso", "backend", "obj", "topology", "decimate"]),
     ("render", render, &["db", "iso", "out", "size", "tiles"]),
     ("serve", serve, &[
-        "db", "addr", "cache-mb", "port-file", "lods", "slots", "max-conns", "degrade",
-        "warm-delta", "reactor-threads", "workers", "outbound-budget-mb",
+        "db", "addr", "cache-mb", "port-file", "lods", "slots", "max-conns", "warm-delta",
+        "reactor-threads", "workers", "outbound-budget-mb",
         "read-timeout-ms", "idle-timeout-ms", "slow-ms", "trace-buffer",
     ]),
     ("query", query, &[
@@ -370,7 +370,6 @@ pub fn serve(opts: &Options) -> Result<(), String> {
     let levels = 1 + lod_ratios.len();
     let extraction_slots: Option<u32> = opts.opt_num("slots")?;
     let max_connections: Option<u32> = opts.opt_num("max-conns")?;
-    let degrade = opts.flag("degrade");
     // `--warm-delta D` turns on speculative cache warming: after each
     // cache-miss extraction at isovalue v, idle capacity pre-extracts v±D
     let warm_delta: Option<f32> = opts.opt_num("warm-delta")?;
@@ -379,7 +378,6 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         lod_ratios,
         extraction_slots,
         max_connections,
-        degrade,
         warm_delta,
         ..Default::default()
     };
@@ -414,12 +412,11 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         "core: reactor ({reactor_threads} event loop(s), outbound budget {} MiB/conn)",
         outbound_budget >> 20
     );
-    if extraction_slots.is_some() || max_connections.is_some() || degrade {
+    if extraction_slots.is_some() || max_connections.is_some() {
         println!(
-            "admission: {} extraction slot(s), {} connection cap, degraded fallback {}",
+            "admission: {} extraction slot(s), {} connection cap",
             extraction_slots.map_or("unbounded".into(), |n| n.to_string()),
             max_connections.map_or("none".into(), |n| n.to_string()),
-            if degrade { "on" } else { "off" }
         );
     }
     if let Some(delta) = warm_delta {
@@ -506,7 +503,7 @@ fn query_iso(
         .query_mesh_traced(iso, region, lod, trace_id)
         .map_err(err)?;
     println!(
-        "isovalue {iso} (lod {lod}): {} triangles ({} vertices), {} active metacells, {} in {:.3}s{}",
+        "isovalue {iso} (lod {lod}): {} triangles ({} vertices), {} active metacells, {} in {:.3}s",
         reply.mesh.len(),
         reply.mesh.num_vertices(),
         reply.active_metacells,
@@ -516,11 +513,6 @@ fn query_iso(
             "cache miss"
         },
         t.elapsed().as_secs_f64(),
-        if reply.degraded {
-            format!(" [degraded: served lod {}]", reply.served_lod)
-        } else {
-            String::new()
-        }
     );
     if trace_id != 0 {
         let t = client.trace(trace_id).map_err(err)?;
@@ -619,8 +611,8 @@ fn print_stats(client: &mut oociso_serve::Client) -> Result<(), String> {
         println!("cache per lod (hits/misses): {}", per_level.join(", "));
     }
     println!(
-        "overload: shed={} degraded={} timed_out={} drained={} accept_backoffs={} active_conns={}",
-        s.shed, s.degraded, s.timed_out, s.drained, s.accept_backoffs, s.active_connections
+        "overload: shed={} timed_out={} drained={} accept_backoffs={} active_conns={}",
+        s.shed, s.timed_out, s.drained, s.accept_backoffs, s.active_connections
     );
     Ok(())
 }
@@ -679,7 +671,7 @@ mod tests {
             "extract --db db --iso 190 --backend surfacenets --obj s.obj --topology --decimate 0.25",
             "render --db db --iso 190 --out i.ppm --size 256 --tiles 2x2",
             "serve --db db --addr 127.0.0.1:0 --cache-mb 64 --port-file p --lods 0.25,0.06 \
-             --slots 2 --max-conns 8 --degrade --warm-delta 10 \
+             --slots 2 --max-conns 8 --warm-delta 10 \
              --reactor-threads 2 --workers 4 --outbound-budget-mb 8 --read-timeout-ms 100 \
              --idle-timeout-ms 100 --slow-ms 0 --trace-buffer 16",
             "query --addr 127.0.0.1:1 --iso 190 --stats --lod 1 --obj r.obj \
@@ -744,6 +736,11 @@ mod tests {
         assert_eq!(
             check("serve --db db --threaded"),
             Err("unknown option --threaded for serve".into())
+        );
+        // a busy miss is answered with ERR_BUSY: no degraded fallback
+        assert_eq!(
+            check("serve --db db --degrade"),
+            Err("unknown option --degrade for serve".into())
         );
         assert_eq!(
             check("extract --db db --iso 190 --no-weld"),

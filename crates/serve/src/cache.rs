@@ -157,27 +157,6 @@ impl ResultCache {
         }
     }
 
-    /// The finest **resident** level coarser than `lod` for `iso` under
-    /// `backend`, probing `lod + 1..levels` in order — the
-    /// graceful-degradation fallback. The levels skipped over are peeked
-    /// invisibly; the level returned is booked as a regular hit (it *was*
-    /// served) and refreshed in recency.
-    pub fn coarser(
-        &mut self,
-        iso: f32,
-        backend: u8,
-        lod: u16,
-        levels: u16,
-    ) -> Option<(u16, Arc<CachedSurface>)> {
-        for l in lod + 1..levels {
-            if self.peek(iso, backend, l).is_some() {
-                let hit = self.get(iso, backend, l).expect("peeked entry vanished");
-                return Some((l, hit));
-            }
-        }
-        None
-    }
-
     /// Refresh an entry's recency (most recently used) without touching any
     /// counter. No-op when absent.
     pub fn touch(&mut self, iso: f32, backend: u8, lod: u16) {
@@ -414,27 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn coarser_finds_the_finest_resident_fallback() {
-        let mut c = ResultCache::new(10_000);
-        // levels 0 and 1 absent, 2 and 3 resident
-        c.insert(1.0, 0, 2, surface(2));
-        c.insert(1.0, 0, 3, surface(1));
-        let (level, hit) = c.coarser(1.0, 0, 0, 4).expect("level 2 is resident");
-        assert_eq!(level, 2, "finest resident coarser level wins");
-        assert_eq!(hit.mesh.len(), 2);
-        // exactly one hit booked — the level served — and none for the
-        // levels probed past
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses), (1, 0));
-        assert_eq!(s.lod_hits, [0, 0, 1, 0]);
-        // nothing coarser than the coarsest resident level
-        assert!(c.coarser(1.0, 0, 3, 4).is_none());
-        // nothing resident at all for another isovalue
-        assert!(c.coarser(2.0, 0, 0, 4).is_none());
-        assert_eq!(c.stats().misses, 0, "failed probes book nothing");
-    }
-
-    #[test]
     fn peek_does_not_touch_counters_or_recency() {
         let mut c = ResultCache::new(96);
         c.insert(1.0, 0, 0, surface(1));
@@ -550,9 +508,5 @@ mod tests {
         assert_eq!(c.get(1.0, 0, 0).unwrap().mesh.len(), 4);
         assert_eq!(c.get(1.0, 1, 0).unwrap().mesh.len(), 2);
         assert!(c.get(2.0, 1, 0).is_none());
-        // degradation fallback under one id ignores the other's levels
-        c.insert(3.0, 0, 2, surface(1));
-        assert!(c.coarser(3.0, 1, 0, 4).is_none());
-        assert!(c.coarser(3.0, 0, 0, 4).is_some());
     }
 }

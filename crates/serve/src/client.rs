@@ -40,11 +40,10 @@ pub struct MeshReply {
     pub cache_hit: bool,
     /// Active metacells of the producing extraction.
     pub active_metacells: u64,
-    /// The LOD level the server actually served (equals the requested
-    /// level unless `degraded`).
+    /// The LOD level served: always the requested level.
     pub served_lod: u16,
-    /// True when the server satisfied the request from a cached coarser
-    /// level under overload instead of shedding it.
+    /// Always false: the server answers a busy miss with `ERR_BUSY`, never
+    /// with another level.
     pub degraded: bool,
     /// Echo of the trace id this request carried (0 = untraced). A nonzero
     /// echo can be handed to

@@ -173,8 +173,8 @@ pub struct ServerReport {
     /// Requests answered with [`ERR_BUSY`] by admission control (no
     /// extraction slot / connection cap reached).
     pub shed: u64,
-    /// Mesh requests satisfied from a cached coarser LOD level instead of
-    /// being shed (graceful-degradation mode).
+    /// Always 0: the server answers a busy miss with [`ERR_BUSY`], never
+    /// with another level.
     pub degraded: u64,
     /// Connections closed by a read/write deadline (slowloris defense) or
     /// the idle timeout.
@@ -223,11 +223,10 @@ pub enum Message {
     MeshResponse {
         cache_hit: bool,
         active_metacells: u64,
-        /// The LOD level actually served — equal to the requested level
-        /// unless `degraded`.
+        /// The LOD level served: always the requested level.
         served_lod: u16,
-        /// True when admission control satisfied this request from a cached
-        /// coarser level than requested instead of shedding it.
+        /// Always false from this server: a busy miss is answered with
+        /// [`ERR_BUSY`], never with another level.
         degraded: bool,
         /// Extraction backend id that produced this mesh (always 0, MC, from
         /// this server).

@@ -19,12 +19,13 @@
 //! decoded incrementally ([`crate::protocol::decode_frame_bytes`]). Each
 //! decoded request is **dispatched in arrival order**: validation, cache
 //! probes, and admission control run inline on the event loop (they cost
-//! microseconds), so shed/degrade decisions happen the instant a request
-//! arrives. Work that costs milliseconds — extraction, pyramid rebuild,
-//! rasterization, and the encode of those large replies — ships to the
-//! worker pool together with the extraction slot it won; the worker posts
-//! the encoded frame to the owning loop's completion queue and rings its
-//! [`Doorbell`].
+//! microseconds), so a shed happens the instant a request arrives, and an
+//! unfiltered mesh hit is encoded there straight from the cached mesh.
+//! Work that costs milliseconds ships to the worker pool as one of two
+//! jobs: a miss (extraction or pyramid rebuild, holding the slot it won)
+//! or a hit whose answer is expensive (a region filter, a rasterization).
+//! The worker encodes the reply, posts the frame to the owning loop's
+//! completion queue and rings its [`Doorbell`].
 //!
 //! ## Pipelining and ordering
 //!
@@ -62,9 +63,8 @@ use crate::protocol::{
     MAX_REQUEST_PAYLOAD,
 };
 use crate::server::{
-    busy_reply, frame_render_reply, internal_error_reply, mesh_outcome_reply, request_trace_id,
-    respond, validate_frame_request, validate_mesh_request, FrameAdmit, MeshAdmit, MeshOutcome,
-    Reply, SlotGuard, State,
+    busy_reply, frame_render_reply, internal_error_reply, mesh_reply, request_trace_id, respond,
+    validate_frame_request, validate_mesh_request, Admit, Reply, SlotGuard, State,
 };
 use oociso_exio::poll::{Doorbell, Event, Interest, Poller};
 use oociso_obs::{Counter, Gauge, Histogram, Logger, Span, Trace, DEFAULT_TRACE_EVENTS};
@@ -320,33 +320,53 @@ struct Conn {
     counted_live: bool,
 }
 
-/// Work shipped to the extraction/render pool. Every variant carries the
-/// request's span + trace (extraction phases land in them) and its reply
-/// slot coordinates.
-enum Job<S: ScalarValue> {
-    Mesh {
-        iso: f32,
-        lod: u16,
-        region: Option<Region>,
-        slot: SlotGuard<S>,
-        resident_full: Option<Arc<CachedSurface>>,
-    },
-    FrameRender {
-        levels: Vec<Arc<CachedSurface>>,
-        cache_hit: bool,
-        params: FrameParams,
-    },
-    FrameExtract {
-        iso: f32,
-        params: FrameParams,
-        slot: SlotGuard<S>,
-        resident_full: Option<Arc<CachedSurface>>,
-    },
+/// What a mesh or frame request asked for: answered on a worker once its
+/// surfaces are in hand.
+enum Want {
+    Mesh { lod: u16, region: Option<Region> },
+    Frame(FrameParams),
 }
 
-/// A job plus its routing and tracing envelope.
+impl Want {
+    /// The surfaces a missed request is answered from, out of the pyramid
+    /// its miss built: what its hit would have held.
+    fn pick(&self, mut pyramid: Vec<Arc<CachedSurface>>) -> Vec<Arc<CachedSurface>> {
+        match self {
+            Want::Mesh { lod, .. } => vec![pyramid.swap_remove(*lod as usize)],
+            Want::Frame(_) => pyramid,
+        }
+    }
+
+    /// Answer from `surfaces`: the one level of a mesh request, the whole
+    /// pyramid of a frame request.
+    fn reply(self, mut surfaces: Vec<Arc<CachedSurface>>, cache_hit: bool, trace_id: u64) -> Reply {
+        match self {
+            Want::Mesh { lod, region } => {
+                mesh_reply(surfaces.swap_remove(0), cache_hit, lod, region, trace_id)
+            }
+            Want::Frame(params) => frame_render_reply(&surfaces, cache_hit, &params, trace_id),
+        }
+    }
+}
+
+/// Work shipped to the extraction/render pool.
+enum Job<S: ScalarValue> {
+    /// A miss holding a slot: build the pyramid, release the slot, answer.
+    Miss {
+        iso: f32,
+        slot: SlotGuard<S>,
+        resident_full: Option<Arc<CachedSurface>>,
+    },
+    /// A hit whose answer costs milliseconds: the one level a region filter
+    /// cuts, or the pyramid a frame rasterizes.
+    Hit(Vec<Arc<CachedSurface>>),
+}
+
+/// A job plus the request it answers, its reply slot coordinates, and its
+/// span + trace (extraction phases land in them).
 struct Envelope<S: ScalarValue> {
     job: Job<S>,
+    want: Want,
     mailbox: Arc<Mailbox>,
     token: u64,
     seq: u64,
@@ -520,6 +540,7 @@ fn post(mailbox: &Mailbox, token: u64, seq: u64, payload: OutPayload) {
 fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
     let Envelope {
         job,
+        want,
         mailbox,
         token,
         seq,
@@ -531,42 +552,16 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
     // gets ERR_INTERNAL and the connection lives on (the slot guard
     // released during unwind)
     let reply = catch_unwind(AssertUnwindSafe(|| match job {
-        Job::Mesh {
+        Job::Hit(surfaces) => want.reply(surfaces, true, trace_id),
+        Job::Miss {
             iso,
-            lod,
-            region,
             slot,
             resident_full,
         } => match state.pyramid_for(iso, resident_full, &trace) {
-            Ok(levels) => {
+            Ok(pyramid) => {
                 drop(slot);
-                mesh_outcome_reply(
-                    MeshOutcome::Serve {
-                        surface: levels[lod as usize].clone(),
-                        cache_hit: false,
-                        served_lod: lod,
-                        degraded: false,
-                    },
-                    region,
-                    trace_id,
-                )
-            }
-            Err(e) => internal_error_reply(&e),
-        },
-        Job::FrameRender {
-            levels,
-            cache_hit,
-            params,
-        } => frame_render_reply(state, &levels, cache_hit, &params, trace_id),
-        Job::FrameExtract {
-            iso,
-            params,
-            slot,
-            resident_full,
-        } => match state.pyramid_for(iso, resident_full, &trace) {
-            Ok(levels) => {
-                drop(slot);
-                frame_render_reply(state, &levels, false, &params, trace_id)
+                let surfaces = want.pick(pyramid);
+                want.reply(surfaces, false, trace_id)
             }
             Err(e) => internal_error_reply(&e),
         },
@@ -982,9 +977,9 @@ impl<S: ScalarValue> Reactor<S> {
         }
     }
 
-    /// Decide one well-formed request: answer inline (cache hits, shed and
-    /// degraded verdicts, stats/ping/metrics/trace, validation errors) or
-    /// ship an envelope to the pool.
+    /// Decide one well-formed request: answer inline (unfiltered mesh
+    /// hits, sheds, stats/ping/metrics/trace, validation errors) or ship an
+    /// envelope to the pool.
     fn classify(
         &mut self,
         token: u64,
@@ -998,7 +993,7 @@ impl<S: ScalarValue> Reactor<S> {
             let bytes = reply.finalize_traced(&state, &root);
             Classified::Inline(OutPayload::traced(bytes, root, trace, trace_id))
         };
-        match msg {
+        let (iso, want, trace_id, admit) = match msg {
             Message::MeshRequest {
                 iso,
                 region,
@@ -1010,35 +1005,16 @@ impl<S: ScalarValue> Reactor<S> {
                 if let Err(reply) = validate_mesh_request(&state, lod, backend) {
                     return inline(reply, root, trace, trace_id);
                 }
-                match state.admit_mesh(iso, lod, &root) {
-                    MeshAdmit::Ready(outcome) => inline(
-                        mesh_outcome_reply(outcome, region, trace_id),
-                        root,
-                        trace,
-                        trace_id,
-                    ),
-                    MeshAdmit::Extract {
-                        slot,
-                        resident_full,
-                    } => {
-                        self.offload(Envelope {
-                            job: Job::Mesh {
-                                iso,
-                                lod,
-                                region,
-                                slot,
-                                resident_full,
-                            },
-                            mailbox: self.mailbox.clone(),
-                            token,
-                            seq,
-                            trace_id,
-                            trace,
-                            root,
-                        });
-                        Classified::Offloaded
+                let admit = match state.admit_mesh(iso, lod, &root) {
+                    // an unfiltered hit encodes straight from the cached
+                    // mesh: microseconds, so it stays on the loop
+                    Admit::Hit(surface) if region.is_none() => {
+                        let reply = mesh_reply(surface, true, lod, None, trace_id);
+                        return inline(reply, root, trace, trace_id);
                     }
-                }
+                    admit => admit.map_hit(|surface| vec![surface]),
+                };
+                (iso, Want::Mesh { lod, region }, trace_id, admit)
             }
             Message::FrameRequest {
                 iso,
@@ -1049,55 +1025,37 @@ impl<S: ScalarValue> Reactor<S> {
                 if let Some(reply) = validate_frame_request(&params) {
                     return inline(reply, root, trace, trace_id);
                 }
-                match state.admit_frame(iso, &root) {
-                    FrameAdmit::Busy { retry_after_ms } => inline(
-                        Reply::Msg(busy_reply("extraction slots exhausted", retry_after_ms)),
-                        root,
-                        trace,
-                        trace_id,
-                    ),
-                    // rasterization costs milliseconds even on a hit: off
-                    // the loop it goes, the hit accounting already booked
-                    FrameAdmit::Hit(levels) => {
-                        self.offload(Envelope {
-                            job: Job::FrameRender {
-                                levels,
-                                cache_hit: true,
-                                params,
-                            },
-                            mailbox: self.mailbox.clone(),
-                            token,
-                            seq,
-                            trace_id,
-                            trace,
-                            root,
-                        });
-                        Classified::Offloaded
-                    }
-                    FrameAdmit::Extract {
-                        slot,
-                        resident_full,
-                    } => {
-                        self.offload(Envelope {
-                            job: Job::FrameExtract {
-                                iso,
-                                params,
-                                slot,
-                                resident_full,
-                            },
-                            mailbox: self.mailbox.clone(),
-                            token,
-                            seq,
-                            trace_id,
-                            trace,
-                            root,
-                        });
-                        Classified::Offloaded
-                    }
-                }
+                let admit = state.admit_frame(iso, &root);
+                (iso, Want::Frame(params), trace_id, admit)
             }
-            other => inline(respond(&state, other), root, trace, 0),
-        }
+            other => return inline(respond(&state, other), root, trace, 0),
+        };
+        let job = match admit {
+            Admit::Busy { retry_after_ms } => {
+                let reply = Reply::Msg(busy_reply("extraction slots exhausted", retry_after_ms));
+                return inline(reply, root, trace, trace_id);
+            }
+            Admit::Hit(surfaces) => Job::Hit(surfaces),
+            Admit::Miss {
+                slot,
+                resident_full,
+            } => Job::Miss {
+                iso,
+                slot,
+                resident_full,
+            },
+        };
+        self.offload(Envelope {
+            job,
+            want,
+            mailbox: self.mailbox.clone(),
+            token,
+            seq,
+            trace_id,
+            trace,
+            root,
+        });
+        Classified::Offloaded
     }
 
     fn offload(&mut self, env: Envelope<S>) {

@@ -20,16 +20,14 @@
 //! extraction or a re-decimation) must win one of
 //! [`ServeOptions::extraction_slots`]; a miss that can't is answered with a
 //! structured [`ERR_BUSY`] carrying a retry-after hint derived from recent
-//! miss cost — or, with [`ServeOptions::degrade`] set, satisfied from a
-//! cached **coarser** LOD level and flagged `degraded` in the response.
-//! Connections beyond [`ServeOptions::max_connections`] get one `ERR_BUSY`
-//! reply and a clean close. Cache hits are always served: they cost
-//! microseconds and shedding them would gain nothing.
+//! miss cost. Connections beyond [`ServeOptions::max_connections`] get
+//! one `ERR_BUSY` reply and a clean close. Cache hits are always served:
+//! they cost microseconds and shedding them would gain nothing.
 //!
 //! Per-connection read/write deadlines bound slow or stalled peers
 //! (slowloris defense), and [`IsoServer::drain`] gives `stop()` a graceful
 //! phase: stop accepting, let in-flight requests finish under a deadline,
-//! then close. Every shed/degraded/timed-out/drained event is counted in
+//! then close. Every shed/timed-out/drained event is counted in
 //! [`ServerReport`]. See `docs/serve.md` ("Overload & failure semantics")
 //! and `docs/robustness.md`.
 
@@ -69,9 +67,6 @@ pub struct ServeOptions {
     /// [`MAX_LOD_LEVELS`]` - 1` entries). Empty (the default) serves level 0
     /// only, exactly like a v1 server.
     pub lod_ratios: Vec<f64>,
-    /// Screen-space error budget (pixels) for per-tile LOD selection in
-    /// frame mode. Only meaningful with `lod_ratios` set.
-    pub lod_tolerance_px: f32,
     /// Concurrent cache-miss extractions admitted at once (`Some(0)` sheds
     /// every miss — useful for tests and read-only replicas; `None`, the
     /// default, admits all). Cache hits are never gated: they cost
@@ -81,12 +76,6 @@ pub struct ServeOptions {
     /// the cap is answered with one structured [`ERR_BUSY`] and closed —
     /// never silently dropped. `None` (the default) admits all.
     pub max_connections: Option<u32>,
-    /// Graceful degradation: a mesh request that misses the cache but can't
-    /// win an extraction slot is served from the finest *cached coarser*
-    /// LOD level of the same isovalue — flagged `degraded` with the
-    /// `served_lod` it actually got — instead of being shed. Off by
-    /// default.
-    pub degrade: bool,
     /// Mid-frame socket read deadline: a peer that starts a frame and then
     /// stalls (slowloris) is disconnected and counted `timed_out`. Default
     /// 30 s; `None` waits forever (the pre-v3 behavior).
@@ -146,10 +135,8 @@ impl Default for ServeOptions {
         ServeOptions {
             cache_bytes: 256 << 20,
             lod_ratios: Vec::new(),
-            lod_tolerance_px: 1.0,
             extraction_slots: None,
             max_connections: None,
-            degrade: false,
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
             idle_timeout: None,
@@ -202,7 +189,6 @@ pub(crate) struct Counters {
     pub(crate) errors: Counter,
     pub(crate) bytes_out: Counter,
     pub(crate) shed: Counter,
-    pub(crate) degraded: Counter,
     pub(crate) timed_out: Counter,
     pub(crate) drained: Counter,
     pub(crate) accept_backoffs: Counter,
@@ -225,7 +211,6 @@ impl Counters {
             errors: reg.counter("errors_total"),
             bytes_out: reg.counter("bytes_out_total"),
             shed: reg.counter("shed_total"),
-            degraded: reg.counter("degraded_total"),
             timed_out: reg.counter("timed_out_total"),
             drained: reg.counter("drained_total"),
             accept_backoffs: reg.counter("accept_backoffs_total"),
@@ -266,12 +251,10 @@ pub(crate) struct WarmQueue {
 pub(crate) struct State<S: ScalarValue> {
     db: ClusterDatabase<S>,
     lods: LodSpec,
-    lod_tolerance_px: f32,
     cache: Mutex<ResultCache>,
     pub(crate) ctl: Arc<Control>,
     extraction_slots: Option<u32>,
     pub(crate) max_connections: Option<u32>,
-    degrade: bool,
     pub(crate) read_timeout: Option<Duration>,
     pub(crate) write_timeout: Option<Duration>,
     pub(crate) idle_timeout: Option<Duration>,
@@ -297,10 +280,10 @@ pub(crate) struct State<S: ScalarValue> {
     inflight_miss: AtomicU64,
     /// Smoothed wall-clock of recent **full** cache-miss extractions, in ms
     /// — the source of the `ERR_BUSY` retry-after hint. Cheap work that
-    /// costs a fraction of a real miss (pyramid re-decimations, degraded
-    /// coarse serves, warm extractions) is deliberately excluded: letting
-    /// it sample the EWMA drags the hint far below honest extraction cost
-    /// and invites retry stampedes.
+    /// costs a fraction of a real miss (pyramid re-decimations, warm
+    /// extractions) is deliberately excluded: letting it sample the EWMA
+    /// drags the hint far below honest extraction cost and invites retry
+    /// stampedes.
     miss_cost_ms: AtomicU64,
     /// Speculative-warming queue; `None` when warming is disabled.
     warm: Option<Arc<WarmQueue>>,
@@ -342,47 +325,39 @@ pub(crate) fn clamp_retry_hint(miss_cost_ms: u64) -> u32 {
     miss_cost_ms.clamp(RETRY_HINT_FLOOR_MS, RETRY_HINT_CEIL_MS) as u32
 }
 
-/// What admission control decided for one mesh request.
-pub(crate) enum MeshOutcome {
-    Serve {
-        surface: Arc<CachedSurface>,
-        cache_hit: bool,
-        served_lod: u16,
-        degraded: bool,
-    },
+/// One mesh or frame request's admission verdict. `H` is what a hit
+/// holds: the one level a mesh request asked for, or the whole pyramid for
+/// a frame request.
+pub(crate) enum Admit<S: ScalarValue, H> {
+    Hit(H),
+    /// No extraction slot free: shed with a retry hint.
     Busy {
         retry_after_ms: u32,
     },
-}
-
-/// A mesh request's admission verdict with the *work* still unexecuted —
-/// what the event loop dispatches on. A worker completes an `Extract`
-/// through [`State::pyramid_for`].
-pub(crate) enum MeshAdmit<S: ScalarValue> {
-    /// Hit, degraded serve, or busy: the outcome is already in hand.
-    Ready(MeshOutcome),
-    /// Miss that won a slot: extraction still to run, off the event loop.
-    /// `resident_full` is the still-cached level 0 to re-decimate from, if
-    /// any (else a disk extraction is due).
-    Extract {
+    /// A miss holding a slot, its pyramid still to build off the event loop
+    /// through [`State::pyramid_for`]. `resident_full` is the still-cached
+    /// level 0 to re-decimate from, if any (else a disk extraction is due).
+    Miss {
         slot: SlotGuard<S>,
         resident_full: Option<Arc<CachedSurface>>,
     },
 }
 
-/// A frame request's admission verdict (see [`MeshAdmit`]).
-pub(crate) enum FrameAdmit<S: ScalarValue> {
-    /// The whole pyramid is resident (booked as one hit, levels touched).
-    Hit(Vec<Arc<CachedSurface>>),
-    Busy {
-        retry_after_ms: u32,
-    },
-    /// Miss holding a slot; `resident_full` is the still-cached level 0 to
-    /// re-decimate from, if any (else a disk extraction is due).
-    Extract {
-        slot: SlotGuard<S>,
-        resident_full: Option<Arc<CachedSurface>>,
-    },
+impl<S: ScalarValue, H> Admit<S, H> {
+    /// The same verdict with the hit's surfaces in another shape.
+    pub(crate) fn map_hit<T>(self, f: impl FnOnce(H) -> T) -> Admit<S, T> {
+        match self {
+            Admit::Hit(h) => Admit::Hit(f(h)),
+            Admit::Busy { retry_after_ms } => Admit::Busy { retry_after_ms },
+            Admit::Miss {
+                slot,
+                resident_full,
+            } => Admit::Miss {
+                slot,
+                resident_full,
+            },
+        }
+    }
 }
 
 impl<S: ScalarValue> State<S> {
@@ -423,12 +398,10 @@ impl<S: ScalarValue> State<S> {
             lods: LodSpec {
                 ratios: opts.lod_ratios.clone(),
             },
-            lod_tolerance_px: opts.lod_tolerance_px,
             cache: Mutex::new(ResultCache::new(opts.cache_bytes)),
             ctl,
             extraction_slots: opts.extraction_slots,
             max_connections: opts.max_connections,
-            degrade: opts.degrade,
             read_timeout: opts.read_timeout,
             write_timeout: opts.write_timeout,
             idle_timeout: opts.idle_timeout,
@@ -469,7 +442,8 @@ impl<S: ScalarValue> State<S> {
             lod_hits: cache.lod_hits,
             lod_misses: cache.lod_misses,
             shed: self.c.shed.get(),
-            degraded: self.c.degraded.get(),
+            // the wire keeps the field; nothing is served degraded
+            degraded: 0,
             timed_out: self.c.timed_out.get(),
             drained: self.c.drained.get(),
             accept_backoffs: self.c.accept_backoffs.get(),
@@ -557,7 +531,7 @@ impl<S: ScalarValue> State<S> {
     }
 
     /// Try to win one cache-miss slot. `None` means at capacity (the caller
-    /// sheds or degrades); the returned guard releases the slot on drop.
+    /// sheds); the returned guard releases the slot on drop.
     fn try_slot(self: &Arc<Self>) -> Option<SlotGuard<S>> {
         match self.extraction_slots {
             None => Some(SlotGuard {
@@ -799,10 +773,10 @@ impl<S: ScalarValue> State<S> {
                 sp.annotate("decimate", wall, &decimate_fields(level, stats));
             });
         // NOT a `note_miss_cost` sample: a re-decimation costs a fraction
-        // of a disk-backed extraction, and during degraded storms rebuilds
-        // dominate the miss stream — sampling them would drag the
-        // `ERR_BUSY` retry hint far below honest extraction cost and
-        // invite retry stampedes.
+        // of a disk-backed extraction, and when only coarse levels were
+        // evicted rebuilds dominate the miss stream — sampling them would
+        // drag the `ERR_BUSY` retry hint far below honest extraction cost
+        // and invite retry stampedes.
         self.rebuild_latency_us.record_duration(sp.finish());
         let mut cache = self.cache.lock().expect("cache lock");
         cache.touch(iso, MC, 0);
@@ -841,15 +815,16 @@ impl<S: ScalarValue> State<S> {
         }
     }
 
-    /// Admission for level `lod` of the surface at `iso`. A cache hit is
-    /// always served (one accounted lookup against `lod`). A miss must win
-    /// an extraction slot; at capacity the request degrades to the finest
-    /// cached coarser level (when [`ServeOptions::degrade`] is set and one
-    /// is resident — booked as a hit on the level actually served) or is
-    /// shed with a retry hint. Everything here is cheap (mutexed lookups
-    /// and atomics, no extraction), so it runs inline on the event loop;
-    /// only an `Extract` verdict leaves for a worker.
-    pub(crate) fn admit_mesh(self: &Arc<Self>, iso: f32, lod: u16, root: &Span) -> MeshAdmit<S> {
+    /// Admission for level `lod` of the surface at `iso`: a hit (one
+    /// accounted lookup against `lod`) or the miss tail of
+    /// [`State::miss_or_busy`]. Everything here is cheap (mutexed lookups
+    /// and atomics, no extraction), so it runs inline on the event loop.
+    pub(crate) fn admit_mesh(
+        self: &Arc<Self>,
+        iso: f32,
+        lod: u16,
+        root: &Span,
+    ) -> Admit<S, Arc<CachedSurface>> {
         let t = Instant::now();
         let (hit, resident_full) = {
             let mut cache = self.cache.lock().expect("cache lock");
@@ -866,42 +841,9 @@ impl<S: ScalarValue> State<S> {
             t.elapsed(),
             &[("hit", hit.is_some() as u64), ("lod", lod as u64)],
         );
-        if let Some(hit) = hit {
-            return MeshAdmit::Ready(MeshOutcome::Serve {
-                surface: hit,
-                cache_hit: true,
-                served_lod: lod,
-                degraded: false,
-            });
-        }
-        match self.try_slot() {
-            Some(slot) => MeshAdmit::Extract {
-                slot,
-                resident_full,
-            },
-            None => {
-                if self.degrade {
-                    let coarser =
-                        self.cache
-                            .lock()
-                            .expect("cache lock")
-                            .coarser(iso, MC, lod, self.levels());
-                    if let Some((level, surface)) = coarser {
-                        self.c.degraded.inc();
-                        root.annotate("degrade", Duration::ZERO, &[("served_lod", level as u64)]);
-                        return MeshAdmit::Ready(MeshOutcome::Serve {
-                            surface,
-                            cache_hit: true,
-                            served_lod: level,
-                            degraded: true,
-                        });
-                    }
-                }
-                self.c.shed.inc();
-                MeshAdmit::Ready(MeshOutcome::Busy {
-                    retry_after_ms: self.retry_hint_ms(),
-                })
-            }
+        match hit {
+            Some(hit) => Admit::Hit(hit),
+            None => self.miss_or_busy(resident_full),
         }
     }
 
@@ -913,10 +855,12 @@ impl<S: ScalarValue> State<S> {
     /// When level 0 survived but a coarser level was
     /// evicted, [`State::pyramid_for`] re-decimates from the
     /// resident full mesh — deterministic, so byte-identical to the
-    /// original levels — without touching disk. A miss that can't win a
-    /// slot is shed (frames have no degraded form: per-tile LOD selection
-    /// needs the whole pyramid).
-    pub(crate) fn admit_frame(self: &Arc<Self>, iso: f32, root: &Span) -> FrameAdmit<S> {
+    /// original levels — without touching disk.
+    pub(crate) fn admit_frame(
+        self: &Arc<Self>,
+        iso: f32,
+        root: &Span,
+    ) -> Admit<S, Vec<Arc<CachedSurface>>> {
         let want = self.levels() as usize;
         let t = Instant::now();
         let resident_full = {
@@ -937,20 +881,26 @@ impl<S: ScalarValue> State<S> {
                     cache.touch(iso, MC, lod as u16);
                 }
                 root.annotate("cache", t.elapsed(), &[("hit", 1)]);
-                return FrameAdmit::Hit(levels);
+                return Admit::Hit(levels);
             }
             cache.account(0, false);
             levels.into_iter().next() // level 0, if it was resident
         };
         root.annotate("cache", t.elapsed(), &[("hit", 0)]);
+        self.miss_or_busy(resident_full)
+    }
+
+    /// The tail every missed request shares: win a slot and leave as a
+    /// `Miss`, or count a shed and answer `Busy` with the retry hint.
+    fn miss_or_busy<H>(self: &Arc<Self>, resident_full: Option<Arc<CachedSurface>>) -> Admit<S, H> {
         match self.try_slot() {
-            Some(slot) => FrameAdmit::Extract {
+            Some(slot) => Admit::Miss {
                 slot,
                 resident_full,
             },
             None => {
                 self.c.shed.inc();
-                FrameAdmit::Busy {
+                Admit::Busy {
                     retry_after_ms: self.retry_hint_ms(),
                 }
             }
@@ -1194,8 +1144,7 @@ pub(crate) enum Reply {
     Surface {
         surface: Arc<CachedSurface>,
         cache_hit: bool,
-        served_lod: u16,
-        degraded: bool,
+        lod: u16,
         trace_id: u64,
     },
 }
@@ -1212,14 +1161,13 @@ impl Reply {
             Reply::Surface {
                 surface,
                 cache_hit,
-                served_lod,
-                degraded,
+                lod,
                 trace_id,
             } => encode_mesh_response_frame(
                 cache_hit,
                 surface.active_metacells,
-                served_lod,
-                degraded,
+                lod,
+                false,
                 MC,
                 trace_id,
                 &surface.mesh,
@@ -1352,52 +1300,46 @@ pub(crate) fn internal_error_reply(e: &io::Error) -> Reply {
     })
 }
 
-/// Turn a decided mesh outcome into its reply — hits on the event loop and
-/// misses on a worker funnel through here, so region filtering, the
-/// borrowed-mesh encode path, and the trace-id echo cannot diverge.
-pub(crate) fn mesh_outcome_reply(
-    outcome: MeshOutcome,
+/// Level `lod` of a surface as a mesh reply: straight from the shared
+/// cached mesh without a region (a borrowed encode, microseconds), or
+/// filtered to the region (milliseconds, so only ever on a worker).
+pub(crate) fn mesh_reply(
+    surface: Arc<CachedSurface>,
+    cache_hit: bool,
+    lod: u16,
     region: Option<Region>,
     trace_id: u64,
 ) -> Reply {
-    match outcome {
-        // no region: serialize straight from the shared cached mesh
-        MeshOutcome::Serve {
+    match region {
+        None => Reply::Surface {
             surface,
             cache_hit,
-            served_lod,
-            degraded,
-        } => match region {
-            None => Reply::Surface {
-                surface,
-                cache_hit,
-                served_lod,
-                degraded,
-                trace_id,
-            },
-            Some(r) => {
-                let (lo, hi) = r.corners();
-                Reply::Msg(Message::MeshResponse {
-                    cache_hit,
-                    active_metacells: surface.active_metacells,
-                    served_lod,
-                    degraded,
-                    backend: MC,
-                    trace_id,
-                    mesh: surface.mesh.filter_region(lo, hi),
-                })
-            }
+            lod,
+            trace_id,
         },
-        MeshOutcome::Busy { retry_after_ms } => {
-            Reply::Msg(busy_reply("extraction slots exhausted", retry_after_ms))
+        Some(r) => {
+            let (lo, hi) = r.corners();
+            Reply::Msg(Message::MeshResponse {
+                cache_hit,
+                active_metacells: surface.active_metacells,
+                served_lod: lod,
+                degraded: false,
+                backend: MC,
+                trace_id,
+                mesh: surface.mesh.filter_region(lo, hi),
+            })
         }
     }
 }
 
+/// Screen-space error budget (pixels) for per-tile LOD selection in frame
+/// mode: a tile takes the coarsest level whose projected error stays under
+/// it.
+const LOD_TOLERANCE_PX: f32 = 1.0;
+
 /// Rasterize an admitted frame request from its resident pyramid (on a
 /// worker, never the event loop).
-pub(crate) fn frame_render_reply<S: ScalarValue>(
-    state: &State<S>,
+pub(crate) fn frame_render_reply(
     levels: &[Arc<CachedSurface>],
     cache_hit: bool,
     params: &FrameParams,
@@ -1418,7 +1360,7 @@ pub(crate) fn frame_render_reply<S: ScalarValue>(
         // rasterizes its full framebuffer once, tiles then cut their
         // region from their level's buffer
         let errors: Vec<f64> = levels.iter().map(|l| l.world_error).collect();
-        let picks = select_tile_levels(&tiles, &camera, &bounds, &errors, state.lod_tolerance_px);
+        let picks = select_tile_levels(&tiles, &camera, &bounds, &errors, LOD_TOLERANCE_PX);
         let mut buffers: Vec<Option<Framebuffer>> = Vec::new();
         buffers.resize_with(levels.len(), || None);
         for (t, &level) in picks.iter().enumerate() {
@@ -1501,8 +1443,8 @@ mod tests {
     }
 
     // the satellite-1 contract: pyramid re-decimations record their own
-    // histogram but never sample the miss-cost EWMA — a degraded storm of
-    // cheap rebuilds must not drag the ERR_BUSY retry hint below honest
+    // histogram but never sample the miss-cost EWMA — a storm of cheap
+    // rebuilds must not drag the ERR_BUSY retry hint below honest
     // extraction cost
     #[test]
     fn rebuilds_do_not_feed_the_retry_hint() {

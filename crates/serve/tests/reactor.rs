@@ -9,7 +9,8 @@
 use oociso_core::{ClusterDatabase, PreprocessOptions};
 use oociso_serve::protocol::{read_frame, write_frame, FrameIn, HEADER_BYTES};
 use oociso_serve::{
-    ChaosProxy, Client, ClientOptions, ConnFault, FrameParams, IsoServer, Message, ServeOptions,
+    ChaosProxy, Client, ClientOptions, ConnFault, FrameParams, IsoServer, Message, Region,
+    ServeOptions,
 };
 use oociso_volume::field::{FieldExt, SphereField};
 use oociso_volume::{Dims3, Volume};
@@ -215,6 +216,50 @@ fn metric(server: &IsoServer, name: &str) -> i64 {
         .lines()
         .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
         .unwrap_or_else(|| panic!("no metric row `{name}`"))
+}
+
+/// `reactor_jobs_offloaded_total` as a client reads it over the wire.
+fn offloaded(client: &mut Client) -> u64 {
+    let text = client.metrics().unwrap();
+    let row = text
+        .lines()
+        .find_map(|l| l.strip_prefix("reactor_jobs_offloaded_total "));
+    row.expect("offloaded counter row").parse().unwrap()
+}
+
+/// A region-filtered cache hit costs milliseconds (the filter and an owned
+/// encode), so it leaves the event loop as one worker job; an unfiltered
+/// hit encodes straight from the cached mesh on the loop. The filtered
+/// reply is the unfiltered one cut to the region.
+#[test]
+fn region_filtered_hits_leave_the_event_loop() {
+    let (dir, server) = bind("region_hit", ServeOptions::default());
+    let mut client = Client::connect(server.addr()).unwrap();
+    let miss = client.query_mesh(120.0, None).unwrap();
+    assert!(!miss.cache_hit);
+    let before = offloaded(&mut client);
+    let whole = client.query_mesh(120.0, None).unwrap();
+    assert!(whole.cache_hit);
+    assert_eq!(offloaded(&mut client), before, "an unfiltered hit stays");
+    // one octant of the sphere's bounds
+    let b = whole.mesh.bounds();
+    let mid = (b.lo + b.hi) * 0.5;
+    let region = Region {
+        lo: [b.lo.x, b.lo.y, b.lo.z],
+        hi: [mid.x, mid.y, mid.z],
+    };
+    let cut = client.query_mesh(120.0, Some(region)).unwrap();
+    assert!(cut.cache_hit);
+    assert_eq!(
+        offloaded(&mut client),
+        before + 1,
+        "one region hit, one job"
+    );
+    let (lo, hi) = region.corners();
+    assert_eq!(cut.mesh, whole.mesh.filter_region(lo, hi));
+    assert!(!cut.mesh.is_empty() && cut.mesh.len() < whole.mesh.len());
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Clients that connect together must not share one event loop: whichever

@@ -2,9 +2,8 @@
 //! transport, and shutdown-under-load.
 //!
 //! The invariant every test here enforces is the strong one: a client may
-//! see a bit-correct result, an honest structured `ERR_BUSY` with a retry
-//! hint, or a response *flagged* as a degraded LOD — but never a wrong
-//! mesh, and never a wedged server. Fault schedules are seeded
+//! see a bit-correct result or an honest structured `ERR_BUSY` with a retry
+//! hint — but never a wrong mesh, and never a wedged server. Fault schedules are seeded
 //! (`FaultPlan`) or scripted per connection (`ChaosProxy`), so every
 //! failure either reproduces deterministically or is asserted through
 //! counters that reconcile exactly with what the clients observed.
@@ -138,7 +137,7 @@ fn storm_with_two_slots_scenario(loops: Loops) {
                     let which = (t + i) % isovalues.len();
                     match client.query_mesh(isovalues[which], None) {
                         Ok(reply) => {
-                            assert!(!reply.degraded, "no degradation configured");
+                            assert!(!reply.degraded, "a reply is never degraded");
                             assert_same_mesh(&reply.mesh, &truth[which], "storm");
                             ok.fetch_add(1, Ordering::Relaxed);
                         }
@@ -227,18 +226,18 @@ fn zero_slots_shed_every_miss_with_retry_hint_reactor() {
     zero_slots_scenario(Loops::Two);
 }
 
-/// Graceful degradation: a miss that cannot win the (single, occupied)
-/// extraction slot is served from the cached coarser LOD of the same
-/// isovalue — flagged `degraded`, with the `served_lod` it actually got,
-/// and bit-identical to what that level serves normally.
+/// A coarser view now: a miss that cannot win the (single, occupied)
+/// extraction slot is shed with `ERR_BUSY`, and the client that pipelined
+/// `lod + 1` behind it gets the cached coarser level as a plain hit —
+/// unflagged, at the level it asked for, bit-identical to what that level
+/// serves normally.
 fn degraded_fallback_scenario(loops: Loops) {
-    let (dir, mut served, direct) = build_db(&format!("chaos_degrade_{}", loops.suffix()));
+    let (dir, mut served, direct) = build_db(&format!("chaos_busy_coarser_{}", loops.suffix()));
     // slow extraction (~0.5 s) so another request reliably arrives while
     // the only slot is held
     throttle_db(&dir, &mut served, 1.0);
     // budget one byte under the full-resolution mesh: level 0 passes
-    // through uncached while the coarse pyramid levels stay resident —
-    // the exact state graceful degradation exists for
+    // through uncached while the coarse pyramid levels stay resident
     let full = direct.extract(120.0).unwrap().mesh;
     let full_bytes =
         (std::mem::size_of_val(full.positions()) + std::mem::size_of_val(full.indices())) as u64;
@@ -249,7 +248,6 @@ fn degraded_fallback_scenario(loops: Loops) {
             cache_bytes: full_bytes - 1,
             lod_ratios: vec![0.25, 0.06],
             extraction_slots: Some(1),
-            degrade: true,
             ..Default::default()
         }),
     )
@@ -266,6 +264,13 @@ fn degraded_fallback_scenario(loops: Loops) {
     assert!(lod1.cache_hit, "coarse levels are resident");
     assert!(!lod1.mesh.is_empty());
 
+    let at = |lod| Message::MeshRequest {
+        iso: 120.0,
+        region: None,
+        lod,
+        backend: None,
+        trace_id: 0,
+    };
     std::thread::scope(|scope| {
         // occupy the only slot with a slow extraction of another isovalue
         let slot_holder = scope.spawn(move || {
@@ -274,18 +279,40 @@ fn degraded_fallback_scenario(loops: Loops) {
         });
         std::thread::sleep(Duration::from_millis(100));
         // full resolution of 120.0 misses (uncached) and can't extract:
-        // served the resident lod-1 mesh, honestly flagged
-        let degraded = client.query_mesh(120.0, None).unwrap();
-        assert!(degraded.degraded, "reply must be flagged");
-        assert_eq!(degraded.served_lod, 1, "finest resident coarser level");
-        assert!(degraded.cache_hit);
-        assert_same_mesh(&degraded.mesh, &lod1.mesh, "degraded");
+        // shed with a hint; the pipelined lod 1 is a plain cache hit
+        let replies = client.pipeline(&[at(0), at(1)]).unwrap();
+        match &replies[0] {
+            Message::Error {
+                code,
+                retry_after_ms,
+                ..
+            } => {
+                assert_eq!(*code, ERR_BUSY);
+                assert!(retry_after_ms.is_some_and(|h| (25..=10_000).contains(&h)));
+            }
+            other => panic!("lod 0 must be shed, got {other:?}"),
+        }
+        match &replies[1] {
+            Message::MeshResponse {
+                cache_hit,
+                served_lod,
+                degraded,
+                mesh,
+                ..
+            } => {
+                assert!(*cache_hit);
+                assert!(!*degraded, "a hit is never flagged");
+                assert_eq!(*served_lod, 1, "the level asked for");
+                assert_same_mesh(mesh, &lod1.mesh, "pipelined lod 1");
+            }
+            other => panic!("lod 1 must be a cache hit, got {other:?}"),
+        }
         let held = slot_holder.join().unwrap();
         assert!(!held.degraded, "the slot holder extracted normally");
     });
     let report = server.stop();
-    assert_eq!(report.degraded, 1);
-    assert_eq!(report.shed, 0, "degradation prevented the shed");
+    assert_eq!(report.shed, 1, "the busy lod 0 was shed");
+    assert_eq!(report.degraded, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
