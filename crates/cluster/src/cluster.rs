@@ -18,8 +18,10 @@ use oociso_metacell::{
 use oociso_obs::{Span, Trace};
 use oociso_render::{rasterize_mesh, Camera, Framebuffer, TileLayout};
 use oociso_volume::{ScalarValue, Volume};
+use std::collections::BTreeMap;
 use std::io::{self, Read, Seek, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Options for building a cluster dataset.
@@ -130,11 +132,13 @@ pub struct ClusterExtraction {
     /// Per-node deferred seam quads for the SurfaceNets backend (empty for
     /// MC) — resolved by [`ClusterExtraction::into_merged`].
     pub seams: Vec<Vec<SeamQuad>>,
-    /// Per-node weld candidates of an MC extraction: the ascending ids of
-    /// each node mesh's vertices that may have a twin in another node's
-    /// mesh ([`MeshWelder::finish_seams`]) — all the cross-node merge looks
-    /// up. Empty for SurfaceNets.
-    pub weld_candidates: Vec<Vec<u32>>,
+    /// Per-node finished seam welders of an MC extraction: each holds its
+    /// node mesh's weld table and seam list ([`MeshWelder::seams`], the
+    /// ascending ids of the vertices that may have a twin in another node's
+    /// mesh — all the cross-node merge looks up). The merge continues node
+    /// 0's welder, so its table is never rebuilt. Empty welders for
+    /// SurfaceNets.
+    pub welders: Vec<MeshWelder>,
     /// Per-node and aggregate measurements.
     pub report: QueryReport,
     /// LOD pyramid [`ClusterExtraction::into_lod_chain`] will build from the
@@ -168,18 +172,19 @@ impl ClusterExtraction {
     /// Consume the extraction into the merged mesh plus the report. MC node
     /// meshes join through one deterministic [`MeshWelder`] so vertices fuse
     /// across node seams and the full-database mesh is watertight wherever
-    /// the surface is closed: node 0's welded mesh is adopted as the output
-    /// as-is, and every further node's is joined onto it by its weld
-    /// candidates and an index remap — byte-identical to re-welding the
-    /// concatenated node meshes, without hashing anything but the seam set.
-    /// The merge stage's [`WeldStats`] land in [`QueryReport::merge_weld`].
+    /// the surface is closed: node 0's welded mesh is the output as-is and
+    /// its finished welder goes on (its table already holds node 0's seams),
+    /// and every further node's mesh is joined onto it by its seam list and
+    /// an index remap — byte-identical to re-welding the concatenated node
+    /// meshes, hashing nothing but the other nodes' seams. The merge stage's
+    /// [`WeldStats`] land in [`QueryReport::merge_weld`].
     /// The split return lets callers keep the report without cloning it.
     pub fn into_merged(self) -> (IndexedMesh, QueryReport) {
         let ClusterExtraction {
             meshes,
             cells,
             seams,
-            weld_candidates,
+            welders,
             mut report,
             lods: _,
             backend,
@@ -212,16 +217,16 @@ impl ClusterExtraction {
             report.total_wall += report.merge_weld_wall;
             return (out, report);
         }
-        let mut nodes = meshes.into_iter().zip(weld_candidates);
-        let (mut out, seed) = nodes.next().unwrap_or_default();
+        let mut nodes = meshes.into_iter().zip(welders);
+        let (mut out, mut welder) = nodes.next().unwrap_or_default();
         if nodes.len() == 0 {
             // single welded node: already seam-free, nothing to join
             return (out, report);
         }
         let mut sp = trace.span("merge_weld");
-        let mut welder = MeshWelder::adopt(&out, seed);
-        for (m, candidates) in nodes {
-            welder.append_welded(&mut out, &m, &candidates);
+        welder.begin_stage(&out);
+        for (m, node_welder) in nodes {
+            welder.append_welded(&mut out, &m, node_welder.seams());
         }
         report.merge_weld = welder.finish(&out);
         for (name, value) in weld_fields(&report.merge_weld) {
@@ -414,6 +419,70 @@ fn write_stores<S: ScalarValue, W: WriteAt>(
         sinks[stripe].write_all_at(&record, offset)?;
     }
     Ok((trees, stats))
+}
+
+/// One node's extraction result: its mesh (plus SurfaceNets' cell table and
+/// seam quads), its finished seam welder (empty for SurfaceNets) and its
+/// report row.
+type NodeOutput = (BlockOutput, MeshWelder, NodeReport);
+
+/// A node mesh under construction. Each worker triangulates a record into
+/// its own part buffer and then offers the part here, under the node's
+/// lock: the part joins the node mesh at once if it is the next in
+/// sequence order (followed by every stashed successor that is now in
+/// order), and waits in the stash otherwise. With one worker nothing is
+/// ever stashed; with more, the stash holds only the parts that finished
+/// ahead of their turn.
+struct Assembly {
+    /// Sequence number of the next part to join.
+    next: u64,
+    /// The node output so far.
+    out: BlockOutput,
+    /// MC's seam welder; `None` for SurfaceNets, whose parts concatenate.
+    welder: Option<MeshWelder>,
+    /// Parts that finished ahead of their turn, by sequence number.
+    stash: BTreeMap<u64, BlockOutput>,
+    /// Summed time spent joining parts.
+    busy: Duration,
+}
+
+impl Assembly {
+    fn new(weld: bool) -> Assembly {
+        Assembly {
+            next: 0,
+            out: BlockOutput::default(),
+            welder: weld.then(MeshWelder::new),
+            stash: BTreeMap::new(),
+            busy: Duration::ZERO,
+        }
+    }
+
+    /// Offer part `seq`: join it and its stashed successors if it is next,
+    /// else move it into the stash, leaving `part` a fresh buffer.
+    fn offer(&mut self, seq: u64, part: &mut BlockOutput) {
+        if seq != self.next {
+            self.stash.insert(seq, std::mem::take(part));
+            return;
+        }
+        let t = Instant::now();
+        self.join(part);
+        while let Some(mut stashed) = self.stash.remove(&self.next) {
+            self.join(&mut stashed);
+        }
+        self.busy += t.elapsed();
+    }
+
+    /// Append the next part: welded on its candidates (MC) or concatenated
+    /// (SurfaceNets, whose vertex order is the order of its cell table).
+    fn join(&mut self, part: &mut BlockOutput) {
+        match &mut self.welder {
+            Some(w) => w.append_seams(&mut self.out.mesh, &part.mesh, &part.weld_candidates),
+            None => self.out.mesh.merge(std::mem::take(&mut part.mesh)),
+        }
+        self.out.cells.append(&mut part.cells);
+        self.out.seams.append(&mut part.seams);
+        self.next += 1;
+    }
 }
 
 /// The store offset one past the last byte a node's index addresses.
@@ -639,7 +708,7 @@ impl<S: ScalarValue> Cluster<S> {
         let mut sp_extract = opts.trace.span("extract");
         sp_extract.field("iso_millis", (iso as f64 * 1e3) as u64);
         sp_extract.field("nodes", self.nodes as u64);
-        let results: Vec<io::Result<(BlockOutput, NodeReport)>> = std::thread::scope(|scope| {
+        let results: Vec<io::Result<NodeOutput>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.nodes)
                 .map(|i| {
                     let mut nspan = sp_extract.child("node");
@@ -655,14 +724,14 @@ impl<S: ScalarValue> Cluster<S> {
         let mut meshes = Vec::with_capacity(self.nodes);
         let mut cells = Vec::with_capacity(self.nodes);
         let mut seams = Vec::with_capacity(self.nodes);
-        let mut weld_candidates = Vec::with_capacity(self.nodes);
+        let mut welders = Vec::with_capacity(self.nodes);
         let mut nodes = Vec::with_capacity(self.nodes);
         for r in results {
-            let (out, report) = r?;
+            let (out, welder, report) = r?;
             meshes.push(out.mesh);
             cells.push(out.cells);
             seams.push(out.seams);
-            weld_candidates.push(out.weld_candidates);
+            welders.push(welder);
             nodes.push(report);
         }
         let report = QueryReport {
@@ -677,47 +746,12 @@ impl<S: ScalarValue> Cluster<S> {
             meshes,
             cells,
             seams,
-            weld_candidates,
+            welders,
             report,
             lods: opts.lods.clone(),
             backend,
             trace: opts.trace.clone(),
         })
-    }
-
-    /// Fold the per-record parts into one node output, in sequence order.
-    /// With welding (MC), each part joins through one deterministic
-    /// [`MeshWelder`] as it merges, looking up only the vertices the kernel
-    /// named as weld candidates — by the welder's split invariance this is
-    /// byte-identical to concatenating everything first and re-welding the
-    /// whole node mesh, without that full-mesh pass. The node mesh's own
-    /// candidates go on in the output for the cross-node merge; the merge
-    /// loop's wall lands in `weld_wall` when welding ran. SurfaceNets parts
-    /// concatenate: their vertex order is the order of their cell table.
-    fn merge_parts(
-        parts: Vec<(BlockOutput, McStats)>,
-        weld: bool,
-    ) -> (BlockOutput, McStats, WeldStats, Duration) {
-        let t = Instant::now();
-        let mut mc = McStats::default();
-        let total: usize = parts.iter().map(|(o, _)| o.mesh.len()).sum();
-        let mut out = BlockOutput::with_capacity(total);
-        let mut welder = weld.then(MeshWelder::new);
-        for (part, stats) in parts {
-            mc.merge(&stats);
-            match &mut welder {
-                Some(w) => w.append_seams(&mut out.mesh, &part.mesh, &part.weld_candidates),
-                None => out.mesh.merge(part.mesh),
-            }
-            out.cells.extend(part.cells);
-            out.seams.extend(part.seams);
-        }
-        let Some(welder) = welder else {
-            return (out, mc, WeldStats::default(), Duration::ZERO);
-        };
-        let (weld_stats, candidates) = welder.finish_seams(&out.mesh);
-        out.weld_candidates = candidates;
-        (out, mc, weld_stats, t.elapsed())
     }
 
     /// One node's extraction work, run on the node's thread: the paper's
@@ -726,9 +760,10 @@ impl<S: ScalarValue> Cluster<S> {
     /// decoded from disk — while `workers` consumers triangulate records as
     /// they arrive, each reusing one decode buffer and one slab scratch.
     /// Every record carries its emission sequence number and becomes its own
-    /// mesh part; parts merge in sequence order, so the output is
-    /// bit-identical for any worker count, and per-record granularity
-    /// load-balances dense metacells for free.
+    /// mesh part, which the worker that made it joins into the node mesh
+    /// ([`Assembly`]) as soon as the part's turn comes — parts join in
+    /// sequence order, so the output is bit-identical for any worker count,
+    /// and per-record granularity load-balances dense metacells for free.
     fn node_extract(
         &self,
         node: usize,
@@ -736,8 +771,7 @@ impl<S: ScalarValue> Cluster<S> {
         workers: usize,
         backend: Backend,
         mut span: Span,
-    ) -> io::Result<(BlockOutput, NodeReport)> {
-        type Part = (u64, BlockOutput, McStats);
+    ) -> io::Result<NodeOutput> {
         /// Closes the queue when dropped. Every pipeline thread holds one, so
         /// an unwinding producer or a worker that met a corrupt record
         /// releases everyone else — workers drain and exit, a blocked
@@ -764,6 +798,7 @@ impl<S: ScalarValue> Cluster<S> {
             span.annotate("execute_plan", elapsed, &[]);
             return Ok((
                 BlockOutput::default(),
+                MeshWelder::new(),
                 NodeReport {
                     node,
                     workers: 0,
@@ -787,34 +822,40 @@ impl<S: ScalarValue> Cluster<S> {
         let queue: BoundedQueue<(u64, u64, Vec<u8>)> =
             BoundedQueue::weighted(QUEUE_RECORDS as u64 * full_cells);
         let backend_impl = backend.instance::<S>();
+        // Welding fuses duplicated MC seam vertices; SurfaceNets vertices
+        // are globally unique by cell ownership, so its parts concatenate.
+        let assembly = Mutex::new(Assembly::new(backend == Backend::Mc));
         let sp_pipe = span.child("pipeline");
         let (exec, amc_retrieval, outs) = std::thread::scope(|scope| {
             let queue = &queue;
+            let assembly = &assembly;
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    scope.spawn(move || -> io::Result<(Vec<Part>, Duration)> {
+                    scope.spawn(move || -> io::Result<(McStats, Duration)> {
                         let _close = CloseOnDrop(queue);
-                        let mut parts: Vec<Part> = Vec::new();
+                        let mut mc = McStats::default();
                         let mut busy = Duration::ZERO;
                         let mut scratch = BackendScratch::new();
                         let mut scalars: Vec<S> = Vec::new();
+                        let mut part = BlockOutput::default();
                         while let Some((seq, offset, rec)) = queue.pop() {
                             let t = Instant::now();
-                            let mut out = BlockOutput::default();
-                            let mc = self.triangulate_record(
+                            part.clear();
+                            mc.merge(&self.triangulate_record(
                                 node,
                                 backend_impl,
                                 offset,
                                 &rec,
                                 iso,
-                                &mut out,
+                                &mut part,
                                 &mut scratch,
                                 &mut scalars,
-                            )?;
+                            )?);
                             busy += t.elapsed();
-                            parts.push((seq, out, mc));
+                            let mut assembly = assembly.lock().expect("assembly poisoned");
+                            assembly.offer(seq, &mut part);
                         }
-                        Ok((parts, busy))
+                        Ok((mc, busy))
                     })
                 })
                 .collect();
@@ -839,7 +880,7 @@ impl<S: ScalarValue> Cluster<S> {
                 exec_fields(&mut sp_exec, exec);
             }
             let amc_retrieval = sp_exec.finish();
-            let outs: Vec<io::Result<(Vec<Part>, Duration)>> = handles
+            let outs: Vec<io::Result<(McStats, Duration)>> = handles
                 .into_iter()
                 .map(|h| h.join().expect("extraction worker panicked"))
                 .collect();
@@ -848,39 +889,49 @@ impl<S: ScalarValue> Cluster<S> {
         let exec = exec?;
         let outs = outs.into_iter().collect::<io::Result<Vec<_>>>()?;
 
-        // Sequence-ordered merge restores the plan's emission order exactly.
         let mut triangulation_busy = Duration::ZERO;
-        let mut parts: Vec<Part> = Vec::new();
-        for (w, (p, busy)) in outs.into_iter().enumerate() {
+        let mut mc = McStats::default();
+        for (w, (stats, busy)) in outs.into_iter().enumerate() {
             sp_pipe.annotate("triangulate", busy, &[("worker", w as u64)]);
             triangulation_busy += busy;
-            parts.extend(p);
+            mc.merge(&stats);
         }
-        parts.sort_unstable_by_key(|&(seq, _, _)| seq);
-        let parts: Vec<(BlockOutput, McStats)> =
-            parts.into_iter().map(|(_, o, mc)| (o, mc)).collect();
-        // Welding fuses duplicated MC seam vertices; SurfaceNets vertices
-        // are globally unique by cell ownership, so there is nothing to weld.
-        let weld = backend == Backend::Mc;
-        let (out, mc, weld_stats, weld_wall) = Self::merge_parts(parts, weld);
+        let Assembly {
+            next,
+            out,
+            welder,
+            stash,
+            busy: join_busy,
+        } = assembly.into_inner().expect("assembly poisoned");
+        debug_assert!(next == exec.records_emitted && stash.is_empty());
+        // the joins ran on the workers, inside the pipeline span: weld_wall
+        // is their summed busy time, already part of extraction_wall
+        let (welder, weld_stats, weld_wall) = match welder {
+            Some(welder) => {
+                let stats = welder.stats(&out.mesh);
+                sp_pipe.annotate("weld", join_busy, &weld_fields(&stats));
+                (welder, stats, join_busy)
+            }
+            None => (MeshWelder::new(), WeldStats::default(), Duration::ZERO),
+        };
         let qstats = queue.stats();
         let waits = queue.waits();
         sp_pipe.annotate(
             "queue_wait",
             waits.push_wait,
-            &[("pop_wait_us", waits.pop_wait.as_micros() as u64)],
+            &[
+                ("pop_wait_us", waits.pop_wait.as_micros() as u64),
+                ("push_wakes", qstats.push_wakes),
+                ("pop_wakes", qstats.pop_wakes),
+            ],
         );
-        if weld {
-            sp_pipe.annotate("weld", weld_wall, &weld_fields(&weld_stats));
-        }
-        // weld_wall is reported separately (and summed back in wall_total),
-        // so keep it out of the pipeline wall
-        let extraction_wall = sp_pipe.finish().saturating_sub(weld_wall);
+        let extraction_wall = sp_pipe.finish();
         span.field("active_metacells", exec.records_emitted);
         span.field("triangles", mc.triangles);
 
         Ok((
             out,
+            welder,
             NodeReport {
                 node,
                 workers,
@@ -1078,7 +1129,7 @@ mod tests {
             // spawns exactly the requested pool
             let e = c.extract_with_workers(128.0, workers).unwrap();
             assert_eq!(e.report.nodes[0].workers, workers, "workers={workers}");
-            // per-record parts merged by sequence number → the triangle
+            // per-record parts joined in sequence order → the triangle
             // stream is bit-identical, not just multiset-equal
             assert_same_triangle_stream(
                 &e.merged_soup(),
@@ -1165,15 +1216,93 @@ mod tests {
                 assert!(e.report.total_weld().degenerate_dropped > 0, "{ctx}");
                 let first = first.get_or_insert_with(|| e.clone());
                 assert_eq!(e.meshes, first.meshes, "{ctx}");
-                assert_eq!(e.weld_candidates, first.weld_candidates, "{ctx}");
-                for (m, candidates) in e.meshes.iter().zip(&e.weld_candidates) {
-                    assert!(candidates.windows(2).all(|w| w[0] < w[1]), "{ctx}");
-                    assert!(candidates.len() < m.num_vertices(), "{ctx}: seam set only");
+                let seams = |e: &ClusterExtraction| -> Vec<Vec<u32>> {
+                    e.welders.iter().map(|w| w.seams().to_vec()).collect()
+                };
+                assert_eq!(seams(&e), seams(first), "{ctx}");
+                for (m, w) in e.meshes.iter().zip(&e.welders) {
+                    assert!(w.seams().windows(2).all(|w| w[0] < w[1]), "{ctx}");
+                    assert!(w.seams().len() < m.num_vertices(), "{ctx}: seam set only");
                 }
                 assert_merge_equals_reweld(e, &ctx);
             }
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    /// Every active metacell of `test_volume` at iso 128 as an MC part, in
+    /// scan order.
+    fn mc_parts() -> Vec<BlockOutput> {
+        let vol = test_volume();
+        let layout = MetacellLayout::new(vol.dims(), 9);
+        let (built, _) = scan_volume(&vol, &layout);
+        let mc = Backend::Mc.instance::<u8>();
+        let mut scratch = BackendScratch::new();
+        let part = |b: &oociso_metacell::BuiltMetacell<u8>| {
+            let (origin, _) = layout.vertex_box(b.record.id);
+            let domain = BlockDomain {
+                origin,
+                volume_dims: layout.volume_dims(),
+            };
+            let mut out = BlockOutput::default();
+            mc.extract_block(
+                &b.record.to_volume(),
+                128.0,
+                &domain,
+                &mut out,
+                &mut scratch,
+            );
+            out
+        };
+        let parts = built.iter().map(part);
+        parts.filter(|p| !p.mesh.is_empty()).collect()
+    }
+
+    #[test]
+    fn assembly_joins_shuffled_parts_in_sequence_order() {
+        let parts = mc_parts();
+        assert!(parts.len() > 8, "fixture drifted");
+        let mut in_order = Assembly::new(true);
+        for (seq, p) in parts.iter().enumerate() {
+            in_order.offer(seq as u64, &mut p.clone());
+            assert!(in_order.stash.is_empty(), "an in-order part was stashed");
+        }
+        // a fixed Fisher–Yates shuffle of the arrival order
+        let mut order: Vec<usize> = (0..parts.len()).collect();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for i in (1..order.len()).rev() {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            order.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        let mut shuffled = Assembly::new(true);
+        let mut peak_stash = 0;
+        for &seq in &order {
+            let mut part = parts[seq].clone();
+            shuffled.offer(seq as u64, &mut part);
+            peak_stash = peak_stash.max(shuffled.stash.len());
+        }
+        assert!(peak_stash > 0, "the shuffle never arrived out of order");
+        assert!(shuffled.stash.is_empty(), "parts left in the stash");
+        assert_eq!(shuffled.next, parts.len() as u64);
+        let bits = |m: &IndexedMesh| -> Vec<[u32; 3]> {
+            let p = m.positions().iter();
+            p.map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
+                .collect()
+        };
+        let (got, want) = (&shuffled.out.mesh, &in_order.out.mesh);
+        assert_eq!(bits(got), bits(want));
+        assert_eq!(got.indices(), want.indices());
+        let (a, b) = (shuffled.welder.unwrap(), in_order.welder.unwrap());
+        assert_eq!(a.seams(), b.seams());
+        assert_eq!(a.stats(got), b.stats(want));
+        // and both are the weld of the concatenated parts
+        let mut concat = IndexedMesh::new();
+        for p in &parts {
+            concat.merge(p.mesh.clone());
+        }
+        assert_eq!(bits(&concat.welded().0), bits(want));
     }
 
     #[test]
@@ -1196,7 +1325,7 @@ mod tests {
         // node never *precedes* a busy one in a real query; rotate one there
         let mut rotated = e;
         rotated.meshes.rotate_right(1);
-        rotated.weld_candidates.rotate_right(1);
+        rotated.welders.rotate_right(1);
         rotated.report.nodes.rotate_right(1);
         assert!(rotated.meshes[0].is_empty());
         assert_merge_equals_reweld(rotated, "empty node first");
@@ -1281,8 +1410,9 @@ mod tests {
             n += 32;
         };
         let np = plain.report.nodes[0];
-        // triangulation alone: one worker's busy time on the unthrottled run
-        let triangulation = np.triangulation_busy;
+        // triangulation alone: one worker's busy time on the unthrottled run,
+        // triangulating records and joining the parts into the node mesh
+        let triangulation = np.triangulation_busy + np.weld_wall;
         let bytes_per_sec = np.exec.bytes_read as f64 / (2.0 * triangulation.as_secs_f64());
         let throttle = || throttled_store(&dir, 0, Duration::from_micros(200), bytes_per_sec);
 
@@ -1701,11 +1831,11 @@ mod tests {
         assert_eq!(trace.sum("execute_plan"), sum(|n| n.amc_retrieval));
         assert_eq!(trace.sum("triangulate"), sum(|n| n.triangulation_busy));
         assert_eq!(trace.sum("weld"), sum(|n| n.weld_wall));
-        // extraction_wall is the pipeline span minus the weld it covers
-        assert_eq!(
-            trace.sum("pipeline"),
-            sum(|n| n.extraction_wall + n.weld_wall)
-        );
+        // extraction_wall is the whole pipeline span, the joins inside it
+        assert_eq!(trace.sum("pipeline"), sum(|n| n.extraction_wall));
+        for n in &nodes {
+            assert!(n.weld_wall <= n.extraction_wall, "{n:?}");
+        }
         assert_eq!(trace.sum("extract"), e.report.total_wall);
 
         let (chain, report) = e.into_lod_chain();
@@ -1739,6 +1869,11 @@ mod tests {
         }
         let hashed = report.total_weld().hashed_vertices;
         assert!(0 < hashed && hashed < report.total_weld().input_vertices);
+        // the queue_wait annotation carries the wakes each side was issued
+        for fields in fields_of("queue_wait") {
+            let names: Vec<&str> = fields.iter().map(|f| f.0).collect();
+            assert_eq!(names, ["pop_wait_us", "push_wakes", "pop_wakes"]);
+        }
         let tree = trace.render_tree();
         assert!(tree.starts_with("extract "), "unexpected tree:\n{tree}");
         assert!(tree.contains("execute_plan"));

@@ -30,15 +30,16 @@ pub struct NodeReport {
     /// until the plan finished executing. This includes time blocked on
     /// queue backpressure and runs concurrently with triangulation.
     pub amc_retrieval: Duration,
-    /// Measured wall-clock of the whole extraction pipeline (retrieval and
-    /// triangulation, overlapped): from pipeline start until the last worker
-    /// part is merged, without the node weld.
+    /// Measured wall-clock of the whole extraction pipeline (retrieval,
+    /// triangulation and the node weld, overlapped): from pipeline start
+    /// until the last part has joined the node mesh.
     pub extraction_wall: Duration,
     /// Producer time actually retrieving/decoding records — `amc_retrieval`
     /// minus time blocked pushing into a full queue.
     pub retrieval_busy: Duration,
     /// Summed worker time spent triangulating (CPU-busy, so with `w` workers
-    /// this can exceed `extraction_wall` by up to `w×`).
+    /// this can exceed `extraction_wall` by up to `w×`). The time the same
+    /// workers spend joining parts into the node mesh is `weld_wall`.
     pub triangulation_busy: Duration,
     /// High-water mark of records queued between the phases.
     pub peak_queue_records: u64,
@@ -54,7 +55,11 @@ pub struct NodeReport {
     /// Metacell-seam weld counters for this node's mesh (zeroed for
     /// SurfaceNets, which never welds).
     pub weld: WeldStats,
-    /// Measured wall-clock of the node's seam weld (zero for SurfaceNets).
+    /// Summed time the workers spent joining parts into the node mesh — the
+    /// node's seam weld (zero for SurfaceNets). A busy-time sum like
+    /// `triangulation_busy`, but the joins hold the node's assembly lock, so
+    /// they never overlap one another: it fits inside `extraction_wall`,
+    /// which already counts it.
     pub weld_wall: Duration,
     /// Measured wall-clock time rasterizing locally (zero if not rendering).
     pub rendering: Duration,
@@ -63,23 +68,25 @@ pub struct NodeReport {
 }
 
 impl NodeReport {
-    /// Measured total for this node: the overlapped pipeline wall plus the
-    /// node weld and local rendering.
+    /// Measured total for this node: the overlapped pipeline wall (node
+    /// weld included) plus local rendering.
     pub fn wall_total(&self) -> Duration {
-        self.extraction_wall + self.weld_wall + self.rendering
+        self.extraction_wall + self.rendering
     }
 
-    /// Per-worker triangulation time (`triangulation_busy / workers`): the
-    /// wall-clock phase (ii) would take alone, so the overlap metrics below
-    /// measure *pipelining* and don't credit plain multi-worker parallelism
-    /// (which `triangulation_busy`, a CPU-time sum, would inflate `workers`×).
+    /// Per-worker phase (ii) time (`(triangulation_busy + weld_wall) /
+    /// workers`): the wall-clock the workers' share of the pipeline —
+    /// triangulating records and joining the parts — would take alone, so
+    /// the overlap metrics below measure *pipelining* and don't credit plain
+    /// multi-worker parallelism (which the busy sums would inflate
+    /// `workers`×).
     fn triangulation_phase(&self) -> Duration {
-        self.triangulation_busy / self.workers.max(1) as u32
+        (self.triangulation_busy + self.weld_wall) / self.workers.max(1) as u32
     }
 
     /// Wall-clock the pipeline saved versus running its phases back-to-back:
-    /// `(retrieval_busy + triangulation_busy/workers) − extraction_wall`
-    /// (≈ zero when nothing overlapped).
+    /// `(retrieval_busy + (triangulation_busy + weld_wall)/workers) −
+    /// extraction_wall` (≈ zero when nothing overlapped).
     pub fn overlap_saved(&self) -> Duration {
         (self.retrieval_busy + self.triangulation_phase()).saturating_sub(self.extraction_wall)
     }
@@ -259,7 +266,9 @@ impl QueryReport {
     }
 
     /// Wall-clock the weld adds to the query: the slowest node's weld (the
-    /// node welds overlap one another) plus the serial merge stage.
+    /// node welds overlap one another; each node's joins are serialized by
+    /// its assembly lock, so its `weld_wall` is wall-clock inside its
+    /// pipeline) plus the serial merge stage. Each join is counted once.
     pub fn weld_critical_path(&self) -> Duration {
         let slowest = self.nodes.iter().map(|n| n.weld_wall).max();
         self.merge_weld_wall + slowest.unwrap_or(Duration::ZERO)
@@ -374,6 +383,16 @@ mod tests {
         assert_eq!(n.wall_total(), Duration::from_millis(117));
         assert_eq!(n.overlap_saved(), Duration::from_millis(50));
         assert!((n.overlap_fraction() - 50.0 / 60.0).abs() < 1e-9);
+        // the same 60 ms of worker time split into triangulating and
+        // joining parts: the joins ran inside the pipeline, so the wall
+        // counts them once and the overlap is unchanged
+        let joined = NodeReport {
+            triangulation_busy: Duration::from_millis(40),
+            weld_wall: Duration::from_millis(20),
+            ..n
+        };
+        assert_eq!(joined.wall_total(), n.wall_total());
+        assert_eq!(joined.overlap_saved(), n.overlap_saved());
 
         // fully serial: nothing hidden
         let serial = NodeReport {

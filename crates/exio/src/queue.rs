@@ -19,6 +19,14 @@
 //!   budget still flows instead of deadlocking). The pipeline weights records
 //!   by their planner cell estimate, so the bound caps queued *work* — a few
 //!   dense metacells fill the budget that many sparse ones would share.
+//!
+//! Wakes are batched: a push wakes a consumer only if one is blocked, and a
+//! pop wakes a blocked producer only once the queue has drained to half its
+//! bound (half the weight budget, or half the item capacity), so a producer
+//! that blocks on a full queue sleeps until it can push a batch instead of
+//! being woken for every single slot. A queue emptied by a pop is always at
+//! or below half, so a producer blocked behind an over-budget item is woken
+//! by the pop that empties the queue and never stranded.
 
 use oociso_obs::Histogram;
 use std::collections::VecDeque;
@@ -40,6 +48,12 @@ pub struct QueueStats {
     pub peak_bytes: u64,
     /// Most work weight ever queued at once.
     pub peak_weight: u64,
+    /// Wakes issued to blocked producers (by pops reaching the half bound,
+    /// and one per blocked producer at close).
+    pub push_wakes: u64,
+    /// Wakes issued to blocked consumers (by pushes, and one per blocked
+    /// consumer at close).
+    pub pop_wakes: u64,
 }
 
 /// Wait-time totals, tracked separately from [`QueueStats`] so they can keep
@@ -58,6 +72,12 @@ struct Inner<T> {
     bytes: u64,
     weight: u64,
     closed: bool,
+    /// Producers / consumers blocked in `push` / `pop` and not yet woken:
+    /// a waiter counts itself in before it sleeps, its waker counts it out.
+    /// A spurious wakeup can leave one stale count behind, which costs at
+    /// most one needless wake, never a missed one.
+    blocked_pushers: u64,
+    blocked_poppers: u64,
     stats: QueueStats,
     waits: QueueWaits,
 }
@@ -89,6 +109,8 @@ impl<T> BoundedQueue<T> {
                 bytes: 0,
                 weight: 0,
                 closed: false,
+                blocked_pushers: 0,
+                blocked_poppers: 0,
                 stats: QueueStats::default(),
                 waits: QueueWaits::default(),
             }),
@@ -143,6 +165,7 @@ impl<T> BoundedQueue<T> {
         };
         while full(&inner) && !inner.closed {
             let t = Instant::now();
+            inner.blocked_pushers += 1;
             inner = self.not_full.wait(inner).expect("queue poisoned");
             let waited = t.elapsed();
             inner.waits.push_wait += waited;
@@ -160,8 +183,15 @@ impl<T> BoundedQueue<T> {
         inner.stats.peak_items = inner.stats.peak_items.max(inner.items.len() as u64);
         inner.stats.peak_bytes = inner.stats.peak_bytes.max(inner.bytes);
         inner.stats.peak_weight = inner.stats.peak_weight.max(inner.weight);
+        let wake = inner.blocked_poppers > 0;
+        if wake {
+            inner.blocked_poppers -= 1;
+            inner.stats.pop_wakes += 1;
+        }
         drop(inner);
-        self.not_empty.notify_one();
+        if wake {
+            self.not_empty.notify_one();
+        }
         Ok(())
     }
 
@@ -171,6 +201,7 @@ impl<T> BoundedQueue<T> {
         let mut inner = self.inner.lock().expect("queue poisoned");
         while inner.items.is_empty() && !inner.closed {
             let t = Instant::now();
+            inner.blocked_poppers += 1;
             inner = self.not_empty.wait(inner).expect("queue poisoned");
             let waited = t.elapsed();
             inner.waits.pop_wait += waited;
@@ -180,11 +211,27 @@ impl<T> BoundedQueue<T> {
             Some((item, bytes, weight)) => {
                 inner.bytes -= bytes;
                 inner.weight -= weight;
+                let wake = inner.blocked_pushers > 0 && self.at_half(&inner);
+                if wake {
+                    inner.blocked_pushers -= 1;
+                    inner.stats.push_wakes += 1;
+                }
                 drop(inner);
-                self.not_full.notify_one();
+                if wake {
+                    self.not_full.notify_one();
+                }
                 Some(item)
             }
             None => None, // closed and drained
+        }
+    }
+
+    /// Whether the queue has drained to half its bound — the point at which
+    /// a pop wakes a blocked producer.
+    fn at_half(&self, inner: &Inner<T>) -> bool {
+        match self.max_weight {
+            Some(max) => inner.weight <= max / 2,
+            None => inner.items.len() <= self.capacity / 2,
         }
     }
 
@@ -193,12 +240,14 @@ impl<T> BoundedQueue<T> {
     pub fn close(&self) {
         let mut inner = self.inner.lock().expect("queue poisoned");
         inner.closed = true;
+        inner.stats.push_wakes += std::mem::take(&mut inner.blocked_pushers);
+        inner.stats.pop_wakes += std::mem::take(&mut inner.blocked_poppers);
         drop(inner);
         self.not_full.notify_all();
         self.not_empty.notify_all();
     }
 
-    /// Lifetime accounting (push totals and high-water marks).
+    /// Lifetime accounting (push totals, high-water marks, wakes issued).
     pub fn stats(&self) -> QueueStats {
         self.inner.lock().expect("queue poisoned").stats
     }
@@ -385,6 +434,104 @@ mod tests {
             after > before,
             "blocked push should record a wait sample ({before} -> {after})"
         );
+    }
+
+    /// Push `n` items of `weight` through `q` while one consumer pops them
+    /// one at a time; returns what it got, in order.
+    fn stream_through(q: &BoundedQueue<u64>, n: u64, weight: u64) -> Vec<u64> {
+        std::thread::scope(|scope| {
+            let consumer = scope.spawn(|| {
+                let mut got = Vec::new();
+                while let Some(v) = q.pop() {
+                    got.push(v);
+                }
+                got
+            });
+            for i in 0..n {
+                q.push(i, 1, weight).unwrap();
+            }
+            q.close();
+            consumer.join().unwrap()
+        })
+    }
+
+    #[test]
+    fn producer_blocked_on_a_weighted_queue_is_always_woken() {
+        // one-at-a-time pops of light items: the producer waits for the
+        // half-bound wake and every item still arrives
+        let q: BoundedQueue<u64> = BoundedQueue::weighted(100);
+        assert_eq!(
+            stream_through(&q, 2_000, 10),
+            (0..2_000).collect::<Vec<_>>()
+        );
+        assert!(q.stats().peak_weight <= 100);
+        // items heavier than half the budget: at most one fits beside
+        // another, so the producer is woken only by the pop that empties
+        // the queue — and must be, every time
+        let q: BoundedQueue<u64> = BoundedQueue::weighted(100);
+        assert_eq!(stream_through(&q, 500, 60), (0..500).collect::<Vec<_>>());
+        assert_eq!(q.stats().peak_items, 1);
+        // an item over the whole budget behind one that fills it
+        let q: BoundedQueue<u64> = BoundedQueue::weighted(10);
+        q.push(0, 1, 10).unwrap();
+        std::thread::scope(|scope| {
+            let h = scope.spawn(|| q.push(1, 1, 1_000));
+            while q.inner.lock().unwrap().blocked_pushers == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(q.pop(), Some(0), "the pop that empties the queue wakes it");
+            h.join().unwrap().unwrap();
+            assert_eq!(q.pop(), Some(1));
+        });
+    }
+
+    #[test]
+    fn close_wakes_a_producer_blocked_on_a_weighted_queue() {
+        let q: BoundedQueue<u64> = BoundedQueue::weighted(100);
+        q.push(0, 1, 90).unwrap();
+        std::thread::scope(|scope| {
+            let h = scope.spawn(|| q.push(1, 1, 90));
+            while q.inner.lock().unwrap().blocked_pushers == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            q.close();
+            assert_eq!(h.join().unwrap(), Err(1));
+        });
+        let s = q.stats();
+        assert_eq!(s.push_wakes, 1, "close wakes its one blocked producer");
+        assert_eq!(s.pushed_items, 1);
+    }
+
+    #[test]
+    fn a_full_queue_run_wakes_the_producer_per_batch_not_per_pop() {
+        // the producer outruns a consumer that pops one item at a time, so
+        // it spends the run blocked on a full queue; under the half-bound
+        // rule each wake lets it refill half the budget
+        let q: BoundedQueue<u64> = BoundedQueue::weighted(64);
+        let n = 20_000u64;
+        std::thread::scope(|scope| {
+            let consumer = scope.spawn(|| {
+                let mut got = 0u64;
+                while let Some(v) = q.pop() {
+                    assert_eq!(v, got);
+                    got += 1;
+                    std::hint::black_box((0..200u64).sum::<u64>());
+                }
+                got
+            });
+            for i in 0..n {
+                q.push(i, 1, 1).unwrap();
+            }
+            q.close();
+            assert_eq!(consumer.join().unwrap(), n);
+        });
+        let s = q.stats();
+        assert!(
+            s.push_wakes * 8 < n,
+            "{} producer wakes for {n} pops: not batched",
+            s.push_wakes
+        );
+        assert!(s.pop_wakes <= n);
     }
 
     #[test]

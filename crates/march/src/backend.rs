@@ -227,12 +227,12 @@ pub struct BlockOutput {
 }
 
 impl BlockOutput {
-    /// Fresh output with mesh capacity for ~`tris` triangles.
-    pub fn with_capacity(tris: usize) -> BlockOutput {
-        BlockOutput {
-            mesh: IndexedMesh::with_capacity(tris),
-            ..Default::default()
-        }
+    /// Empty every member, keeping the allocations for the next block.
+    pub fn clear(&mut self) {
+        self.mesh.clear();
+        self.cells.clear();
+        self.seams.clear();
+        self.weld_candidates.clear();
     }
 }
 

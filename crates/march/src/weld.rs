@@ -19,18 +19,21 @@
 //! The slab kernel knows which of its vertices can — a crossing whose
 //! lattice edge lies on a block face, or one that quantizes onto an endpoint
 //! of its edge ([`crate::mc::marching_cubes_indexed`]) — and hands their ids
-//! on as the part's *candidates*; they are about a quarter of a welded
-//! isosurface's vertices. [`MeshWelder::append_seams`] looks up candidates
+//! on as the part's *candidates*; on smooth fields they are somewhat under
+//! half of the parts' vertices (44 % on the 160×160×150 sweep of
+//! `docs/perf.md`). [`MeshWelder::append_seams`] looks up candidates
 //! only and gives every other vertex a fresh output id at its first use,
 //! which is exactly what the table would have answered for a key nobody
 //! shares — so the output is byte-identical to the all-vertices join.
 //! [`MeshWelder::append`] is that same routine with every vertex a
 //! candidate, for meshes of unknown origin. The welder carries the candidate
-//! ids of its *output* forward ([`MeshWelder::finish_seams`]), so welded
-//! meshes join each other without being re-welded:
-//! [`MeshWelder::append_welded`] scans a welded part's vertices once
-//! (candidate → look up, else push) and remaps its indices — no triangle of
-//! a welded part can collapse, because keys are unique within it.
+//! ids of its *output* forward ([`MeshWelder::seams`]), so welded meshes
+//! join each other without being re-welded: [`MeshWelder::append_welded`]
+//! scans a welded part's vertices once (candidate → look up, else push) and
+//! remaps its indices — no triangle of a welded part can collapse, because
+//! keys are unique within it. A join of welded meshes continues the welder
+//! that built the first of them ([`MeshWelder::begin_stage`]), whose table
+//! already holds that mesh's seams.
 //!
 //! Quantized welding can collapse a triangle whose crossings coincide (an
 //! isosurface passing exactly through a cell corner emits several crossings
@@ -129,10 +132,11 @@ const NONE: u32 = u32::MAX;
 ///
 /// One welder serves one output mesh: create it alongside an (empty) output,
 /// append every part in order, then [`MeshWelder::finish`] for the stats.
+/// Cloning copies the table, so a clone continues the same output.
 /// Vertices the input never references from a kept triangle are not copied
 /// to the output, so a welded mesh has no orphan vertices and its vertices
 /// are in first-use order.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct MeshWelder {
     /// Quantized position → output vertex index (first occurrence wins).
     /// Holds candidates only: a vertex placed without a lookup is never
@@ -150,24 +154,17 @@ impl MeshWelder {
         Self::default()
     }
 
-    /// A welder whose output so far is `out`, a welded mesh adopted as-is
-    /// with its `candidates` (as [`MeshWelder::finish_seams`] returned
-    /// them): only those enter the table, nothing is copied.
-    pub fn adopt(out: &IndexedMesh, candidates: Vec<u32>) -> Self {
-        let mut welder = MeshWelder::new();
-        welder.ids.reserve(candidates.len());
-        for &v in &candidates {
-            let twin = welder.ids.insert(weld_key(out.positions()[v as usize]), v);
-            debug_assert!(twin.is_none(), "adopted mesh is not welded");
-        }
-        welder.stats = WeldStats {
+    /// Start a new stage of counters on the same output: from here on the
+    /// stats read as if `out` — this welder's output so far — had been
+    /// appended as one welded part. Its seams stay in the table, so nothing
+    /// is re-hashed; a cross-node merge continues the first node's welder
+    /// this way and reports only the join's own work.
+    pub fn begin_stage(&mut self, out: &IndexedMesh) {
+        self.stats = WeldStats {
             input_vertices: out.num_vertices() as u64,
             input_triangles: out.len() as u64,
-            hashed_vertices: candidates.len() as u64,
             ..Default::default()
         };
-        welder.seams = candidates;
-        welder
     }
 
     /// The output id of candidate position `p`: its key's representative,
@@ -268,23 +265,25 @@ impl MeshWelder {
         self.stats.input_triangles += part.len() as u64;
     }
 
-    /// Finish the join and report its counters. `out` must be the output
-    /// mesh this welder's appends produced (every vertex of it is one the
-    /// weld emitted).
-    pub fn finish(self, out: &IndexedMesh) -> WeldStats {
-        self.finish_seams(out).0
-    }
-
-    /// [`MeshWelder::finish`] plus the output's candidate list: the
-    /// ascending ids of the `out` vertices that may still share a key with
-    /// a vertex of a mesh welded elsewhere — what
-    /// [`MeshWelder::append_welded`] and [`MeshWelder::adopt`] take.
-    pub fn finish_seams(self, out: &IndexedMesh) -> (WeldStats, Vec<u32>) {
-        let stats = WeldStats {
+    /// The counters so far. `out` must be the output mesh this welder's
+    /// appends produced (every vertex of it is one the weld emitted).
+    pub fn stats(&self, out: &IndexedMesh) -> WeldStats {
+        WeldStats {
             output_vertices: out.num_vertices() as u64,
             ..self.stats
-        };
-        (stats, self.seams)
+        }
+    }
+
+    /// Finish the join and report its counters ([`MeshWelder::stats`]).
+    pub fn finish(self, out: &IndexedMesh) -> WeldStats {
+        self.stats(out)
+    }
+
+    /// The output's candidate list: the ascending ids of the output
+    /// vertices that may still share a key with a vertex of a mesh welded
+    /// elsewhere — what [`MeshWelder::append_welded`] takes.
+    pub fn seams(&self) -> &[u32] {
+        &self.seams
     }
 }
 
@@ -349,9 +348,9 @@ mod tests {
         let mut w = MeshWelder::new();
         w.append_seams(&mut seam, &a, &[0, 1]);
         w.append_seams(&mut seam, &b, &[1, 2]);
-        let (seam_stats, seams) = w.finish_seams(&seam);
+        assert_eq!(w.seams(), [0, 1], "the output's candidates, as output ids");
+        let seam_stats = w.finish(&seam);
         assert_eq!(seam, general);
-        assert_eq!(seams, [0, 1], "the output's candidates, as output ids");
         assert_eq!(seam_stats.hashed_vertices, 4);
         assert_eq!(
             WeldStats {
@@ -365,7 +364,8 @@ mod tests {
     #[test]
     fn welded_meshes_join_by_remap_exactly_as_by_rewelding() {
         // two welded quads sharing the x = 1 edge, plus an empty mesh in
-        // front: adopt + append_welded ≡ welding the concatenation
+        // front: continuing the first mesh's welder with append_welded ≡
+        // welding the concatenation
         let quad = |x: f32| {
             let mut m = IndexedMesh::new();
             let a = m.push_vertex(Vec3::new(x, 0.0, 0.0));
@@ -389,16 +389,24 @@ mod tests {
             let (expect, expect_stats) = concat.welded();
 
             let mut parts = parts.into_iter();
-            let (mut out, seed) = parts.next().unwrap();
-            let mut w = MeshWelder::adopt(&out, seed);
+            // the first mesh as its own weld produced it: its seams hashed
+            let (first, first_candidates) = parts.next().unwrap();
+            let mut out = IndexedMesh::new();
+            let mut w = MeshWelder::new();
+            w.append_seams(&mut out, &first, &first_candidates);
+            assert_eq!(out, first, "a welded mesh welds to itself");
+            w.begin_stage(&out);
             for (m, candidates) in parts {
                 w.append_welded(&mut out, &m, &candidates);
             }
-            let (stats, seams) = w.finish_seams(&out);
+            assert_eq!(w.seams(), [1, 3], "right's twins resolved onto left's");
+            let stats = w.finish(&out);
             assert_eq!(out, expect, "lead_empty={lead_empty}");
             assert_eq!(out.num_vertices(), 6);
-            assert_eq!(seams, [1, 3], "right's twins resolved onto left's");
-            assert_eq!(stats.hashed_vertices, 4);
+            // the stage hashes what the first mesh's weld had not: right's
+            // seams, and left's when left comes second
+            let hashed = if lead_empty { 4 } else { 2 };
+            assert_eq!(stats.hashed_vertices, hashed);
             assert_eq!(
                 WeldStats {
                     hashed_vertices: expect_stats.hashed_vertices,

@@ -351,15 +351,15 @@ proptest! {
             prop_assert!(candidates.iter().all(|&c| (c as usize) < part.num_vertices()));
             w.append_seams(&mut seam, part, candidates);
         }
-        let (seam_stats, seams) = w.finish_seams(&seam);
+        prop_assert!(w.seams().windows(2).all(|w| w[0] < w[1]));
+        let seam_stats = w.finish(&seam);
         prop_assert_eq!(mesh_bits(&seam), mesh_bits(&general));
         prop_assert_eq!(sans_hashed(seam_stats), sans_hashed(general_stats));
         prop_assert!(seam_stats.hashed_vertices <= general_stats.hashed_vertices);
-        prop_assert!(seams.windows(2).all(|w| w[0] < w[1]));
 
         // welded meshes join by remap exactly as by re-welding: deal the
-        // parts round-robin onto `nodes` welders, then adopt the first node
-        // mesh and remap the others onto it
+        // parts round-robin onto `nodes` welders, then continue the first
+        // node's welder and remap the other node meshes onto its mesh
         let mut node_meshes = Vec::new();
         for n in 0..nodes {
             let mut mesh = IndexedMesh::new();
@@ -367,8 +367,7 @@ proptest! {
             for (part, candidates) in parts.iter().skip(n).step_by(nodes) {
                 w.append_seams(&mut mesh, part, candidates);
             }
-            let (_, candidates) = w.finish_seams(&mesh);
-            node_meshes.push((mesh, candidates));
+            node_meshes.push((mesh, w));
         }
         let mut concat = IndexedMesh::new();
         for (mesh, _) in &node_meshes {
@@ -376,10 +375,10 @@ proptest! {
         }
         let (rewelded, rewelded_stats) = concat.welded();
         let mut node_meshes = node_meshes.into_iter();
-        let (mut joined, seed_candidates) = node_meshes.next().unwrap();
-        let mut w = MeshWelder::adopt(&joined, seed_candidates);
-        for (mesh, candidates) in node_meshes {
-            w.append_welded(&mut joined, &mesh, &candidates);
+        let (mut joined, mut w) = node_meshes.next().unwrap();
+        w.begin_stage(&joined);
+        for (mesh, node_welder) in node_meshes {
+            w.append_welded(&mut joined, &mesh, node_welder.seams());
         }
         prop_assert_eq!(mesh_bits(&joined), mesh_bits(&rewelded));
         prop_assert_eq!(sans_hashed(w.finish(&joined)), sans_hashed(rewelded_stats));
