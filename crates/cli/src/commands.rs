@@ -54,10 +54,11 @@ the journal `query --trace` reads from. `serve` runs `--reactor-threads N`
 event loops (default 2) with request pipelining and bounded per-client
 outbound queues (`--outbound-budget-mb`); `--workers N` sizes their
 extraction pool. `serve --warm-delta D` speculatively pre-extracts v±D
-after each cache-miss at v: a scrub that pauses between stops hits the
-warmed cache instead of extracting, but warm extractions never take the
-last `--slots` slot and, without `--slots`, compete with real misses — a
-scrub with no pause between stops gets slower (docs/serve.md).
+after each cache-miss at v, on the worker that served the miss once its
+reply is sent: a scrub that pauses between stops hits the warmed cache,
+and one that does not joins the warm build of its next stop instead of
+extracting it again. Warm builds never take the last `--slots` slot, but
+they share cores and disk with real misses (docs/serve.md).
 ";
 
 /// A subcommand's entry point.
@@ -371,7 +372,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
     let extraction_slots: Option<u32> = opts.opt_num("slots")?;
     let max_connections: Option<u32> = opts.opt_num("max-conns")?;
     // `--warm-delta D` turns on speculative cache warming: after each
-    // cache-miss extraction at isovalue v, idle capacity pre-extracts v±D
+    // cache-miss extraction at isovalue v, a spare slot pre-extracts v±D
     let warm_delta: Option<f32> = opts.opt_num("warm-delta")?;
     let mut serve_opts = oociso_serve::ServeOptions {
         cache_bytes: cache_mb << 20,

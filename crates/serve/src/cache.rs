@@ -183,7 +183,8 @@ impl ResultCache {
         let surface = Arc::new(surface);
         let bytes = surface.bytes();
         if let Some(i) = self.entries.iter().position(|(k, ..)| *k == key) {
-            // concurrent miss on the same isovalue: keep the newer result
+            // a pyramid re-extracted after its level 0 was evicted meets
+            // the coarse levels that outlived it: keep the newer result
             let (_, old, _) = self.entries.remove(i);
             self.resident_bytes -= old.bytes();
         }
@@ -209,8 +210,8 @@ impl ResultCache {
     /// real request touched. A speculative insert never evicts real
     /// traffic to make room — when the spare budget cannot hold it even
     /// after evicting colder speculative entries, the new entry itself is
-    /// dropped. An already-resident result for the key is kept untouched
-    /// (real traffic may have raced the warmer and its entry is fresher in
+    /// dropped — the caller can tell by peeking the key. An already-resident
+    /// result for the key is kept untouched (a real entry is fresher in
     /// every sense).
     pub fn insert_speculative(
         &mut self,

@@ -25,7 +25,8 @@
 //! jobs: a miss (extraction or pyramid rebuild, holding the slot it won)
 //! or a hit whose answer is expensive (a region filter, a rasterization).
 //! The worker encodes the reply, posts the frame to the owning loop's
-//! completion queue and rings its [`Doorbell`].
+//! completion queue and rings its [`Doorbell`]; a worker whose miss
+//! extracted from disk then warms its scrub neighbors, when warming is on.
 //!
 //! ## Pipelining and ordering
 //!
@@ -351,12 +352,9 @@ impl Want {
 
 /// Work shipped to the extraction/render pool.
 enum Job<S: ScalarValue> {
-    /// A miss holding a slot: build the pyramid, release the slot, answer.
-    Miss {
-        iso: f32,
-        slot: SlotGuard<S>,
-        resident_full: Option<Arc<CachedSurface>>,
-    },
+    /// A miss holding a slot: produce the pyramid, release the slot,
+    /// answer, then warm the scrub neighbors if it extracted from disk.
+    Miss { iso: f32, slot: SlotGuard<S> },
     /// A hit whose answer costs milliseconds: the one level a region filter
     /// cuts, or the pyramid a frame rasterizes.
     Hit(Vec<Arc<CachedSurface>>),
@@ -366,6 +364,9 @@ enum Job<S: ScalarValue> {
 /// span + trace (extraction phases land in them).
 struct Envelope<S: ScalarValue> {
     job: Job<S>,
+    /// When the event loop queued it: the wait for a free worker is the
+    /// request's `pool_wait`.
+    queued: Instant,
     want: Want,
     mailbox: Arc<Mailbox>,
     token: u64,
@@ -540,6 +541,7 @@ fn post(mailbox: &Mailbox, token: u64, seq: u64, payload: OutPayload) {
 fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
     let Envelope {
         job,
+        queued,
         want,
         mailbox,
         token,
@@ -548,18 +550,17 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
         trace,
         mut root,
     } = env;
+    root.annotate("pool_wait", queued.elapsed(), &[]);
+    let mut warm_from = None;
     // a panicking extraction must not strand the reply slot: the client
     // gets ERR_INTERNAL and the connection lives on (the slot guard
     // released during unwind)
     let reply = catch_unwind(AssertUnwindSafe(|| match job {
         Job::Hit(surfaces) => want.reply(surfaces, true, trace_id),
-        Job::Miss {
-            iso,
-            slot,
-            resident_full,
-        } => match state.pyramid_for(iso, resident_full, &trace) {
-            Ok(pyramid) => {
+        Job::Miss { iso, slot } => match state.pyramid_for(iso, &root, &trace) {
+            Ok((pyramid, extracted)) => {
                 drop(slot);
+                warm_from = extracted.then_some(iso);
                 let surfaces = want.pick(pyramid);
                 want.reply(surfaces, false, trace_id)
             }
@@ -575,6 +576,10 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
         seq,
         OutPayload::traced(bytes, root, trace, trace_id),
     );
+    // the reply is on its way and the slot free: warming rides this worker
+    if let Some(iso) = warm_from {
+        let _ = catch_unwind(AssertUnwindSafe(|| state.warm_neighbors(iso)));
+    }
 }
 
 /// One event-loop thread.
@@ -1036,17 +1041,11 @@ impl<S: ScalarValue> Reactor<S> {
                 return inline(reply, root, trace, trace_id);
             }
             Admit::Hit(surfaces) => Job::Hit(surfaces),
-            Admit::Miss {
-                slot,
-                resident_full,
-            } => Job::Miss {
-                iso,
-                slot,
-                resident_full,
-            },
+            Admit::Miss(slot) => Job::Miss { iso, slot },
         };
         self.offload(Envelope {
             job,
+            queued: Instant::now(),
             want,
             mailbox: self.mailbox.clone(),
             token,

@@ -39,15 +39,15 @@ use crate::protocol::{
 };
 use oociso_cluster::{decimate_fields, LodSpec};
 use oociso_core::ClusterDatabase;
-use oociso_march::{Backend, LodChain};
+use oociso_march::{Backend, LodChain, LodLevel};
 use oociso_obs::{Counter, Histogram, Logger, Registry, Span, Trace, TraceJournal};
 use oociso_render::{rasterize_mesh, select_tile_levels, Camera, Framebuffer, TileLayout};
 use oociso_volume::ScalarValue;
-use std::collections::VecDeque;
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -114,19 +114,20 @@ pub struct ServeOptions {
     /// Default 8 MiB.
     pub outbound_budget: usize,
     /// Speculative cache warming for interactive isovalue scrubs: after a
-    /// cache-miss extraction at isovalue `v` completes, enqueue low-priority
-    /// warm jobs for `v - δ` and `v + δ` (the pyramid of `v` itself is
-    /// already fully cached by the miss). Warm jobs run on a single
-    /// background thread, **never take the last extraction slot**, are
-    /// skipped when the target is already resident or no spare slot exists,
-    /// and insert behind the recency of real traffic — so warming evicts
-    /// nothing a client asked for. It does compete for cores and disk: with
-    /// `extraction_slots: None` (the default) a warm job always wins a slot
-    /// and extracts beside real misses, so a scrub with no pause between
-    /// stops gets slower, while one that pauses gets faster
-    /// (`docs/serve.md`, "Speculative cache warming", has the sizing).
-    /// Tracked by the `speculative_{started,completed,cancelled,hits}_total`
-    /// metrics family. `None` (the default) disables warming.
+    /// real cache miss at isovalue `v` extracted from disk, the worker that
+    /// served it posts its reply, drops its slot, and then builds the
+    /// pyramids of `v - δ` and `v + δ` itself, one after the other. Each is
+    /// a single-flight build with no waiter: skipped when the target is
+    /// already resident or in flight, run only on a **spare** extraction
+    /// slot (never the last one), and inserted behind the recency of real
+    /// traffic, so warming evicts nothing a client asked for. A real
+    /// request for a neighbor still being warmed waits for that build
+    /// instead of extracting it again, and its levels then go in at real
+    /// recency. Warm builds still compete for cores and disk with real
+    /// misses (`docs/serve.md`, "Speculative cache warming", has the
+    /// sizing). Tracked by the
+    /// `speculative_{started,completed,cancelled,hits}_total` metrics
+    /// family. `None` (the default) disables warming.
     pub warm_delta: Option<f32>,
 }
 
@@ -162,9 +163,9 @@ pub(crate) struct Control {
     /// Connections currently admitted (the admission-cap gauge and what
     /// drain waits on).
     pub(crate) live: AtomicU64,
-    /// Out-of-band wakeups (the event loops' doorbells, the warmer's
-    /// condvar), rung whenever a flag above flips so a parked thread
-    /// notices immediately instead of at its next tick.
+    /// Out-of-band wakeups (the event loops' doorbells), rung whenever a
+    /// flag above flips so a parked loop notices immediately instead of at
+    /// its next tick.
     pub(crate) wakers: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
 }
 
@@ -192,13 +193,17 @@ pub(crate) struct Counters {
     pub(crate) timed_out: Counter,
     pub(crate) drained: Counter,
     pub(crate) accept_backoffs: Counter,
-    /// Warm jobs that actually began an extraction.
+    /// Warm flights that actually began a build.
     pub(crate) spec_started: Counter,
-    /// Warm extractions whose pyramid landed in the cache.
+    /// Warm builds whose whole pyramid landed in the cache.
     pub(crate) spec_completed: Counter,
-    /// Warm jobs dropped without completing: target already resident, no
-    /// spare slot, queue overflow, or a failed extraction.
+    /// Warm jobs dropped without completing: target already resident or in
+    /// flight, no spare slot, a failed build, or a level larger than the
+    /// spare budget.
     pub(crate) spec_cancelled: Counter,
+    /// Real requests that joined a warm flight. Not registered: it is
+    /// folded into `speculative_hits_total` beside the cache's own count.
+    pub(crate) spec_joined: Counter,
 }
 
 impl Counters {
@@ -217,34 +222,125 @@ impl Counters {
             spec_started: reg.counter("speculative_started_total"),
             spec_completed: reg.counter("speculative_completed_total"),
             spec_cancelled: reg.counter("speculative_cancelled_total"),
+            spec_joined: Counter::new(),
         }
     }
 }
 
-/// Cap on queued warm jobs: a fast scrub can outrun the warmer, and stale
-/// neighbors of isovalues the user has already scrubbed past are worthless —
-/// overflow drops the *oldest* job (counted `speculative_cancelled_total`).
-const WARM_QUEUE_CAP: usize = 64;
+/// A pyramid build's outcome, shared with every request that waited on
+/// it (the error as kind and text: `io::Error` is not `Clone`).
+type FlightResult = Result<Vec<Arc<CachedSurface>>, (io::ErrorKind, String)>;
 
-/// How long the warmer tolerates slot contention before cancelling a job:
-/// up to [`WARM_DEFER_ATTEMPTS`] polls, [`WARM_DEFER_INTERVAL`] apart
-/// (~1 s total). The common transient — the miss that scheduled the job
-/// still draining its own slot — clears within one or two polls; a slot
-/// pool that stays full for the whole window is real load, and warming
-/// yields to it.
-const WARM_DEFER_ATTEMPTS: u32 = 50;
-const WARM_DEFER_INTERVAL: Duration = Duration::from_millis(20);
+/// One pyramid build in progress, keyed in [`State::flights`] by isovalue
+/// bits. A request that misses on it waits here instead of extracting.
+struct Flight {
+    state: Mutex<FlightState>,
+    done: Condvar,
+}
 
-/// The speculative-warming work queue: isovalue neighbors enqueued after
-/// real cache misses, drained by the single `oociso-warm` thread whenever it
-/// can win a *spare* (never the last) extraction slot.
-pub(crate) struct WarmQueue {
-    /// Scrub-neighbor distance δ.
-    delta: f32,
-    /// Pending isovalue bit patterns, oldest first.
-    jobs: Mutex<VecDeque<u32>>,
-    /// Rung on push and on drain/shutdown so the warmer parks cheaply.
-    cv: Condvar,
+struct FlightState {
+    /// Set once, when the leader publishes.
+    result: Option<FlightResult>,
+    /// A warm flight no real request has joined: its levels go in behind
+    /// real recency. The first real joiner clears it under the table lock,
+    /// so the leader reads the final value when it inserts.
+    speculative: bool,
+}
+
+/// What [`State::claim`] found for an isovalue.
+enum Claim<'a, S: ScalarValue> {
+    /// A build is in flight; `warm` when this real request just turned a
+    /// warm one real.
+    Join { flight: Arc<Flight>, warm: bool },
+    /// Every level is resident.
+    Resident(Vec<Arc<CachedSurface>>),
+    /// The caller builds it, from `full` when level 0 is resident.
+    Lead {
+        leader: Leader<'a, S>,
+        full: Option<Arc<CachedSurface>>,
+    },
+}
+
+/// The leader's hold on its flight: dropped unpublished (an unwinding
+/// panic), it publishes an error, so no waiter is ever left parked.
+struct Leader<'a, S: ScalarValue> {
+    state: &'a State<S>,
+    iso: f32,
+    flight: Arc<Flight>,
+    published: bool,
+}
+
+/// A built pyramid not yet inserted: the resident level 0 it was
+/// re-decimated from, if any, then the levels made fresh.
+struct Built {
+    reused: Option<Arc<CachedSurface>>,
+    fresh: Vec<CachedSurface>,
+}
+
+impl Built {
+    fn new(
+        reused: Option<Arc<CachedSurface>>,
+        fresh: Vec<LodLevel>,
+        active_metacells: u64,
+    ) -> Built {
+        let fresh = fresh
+            .into_iter()
+            .map(|level| CachedSurface {
+                mesh: level.mesh,
+                active_metacells,
+                world_error: level.cumulative_error.sqrt(),
+            })
+            .collect();
+        Built { reused, fresh }
+    }
+}
+
+impl<S: ScalarValue> Leader<'_, S> {
+    /// Insert `built` (behind real recency while the flight is still
+    /// speculative), hand the outcome to every waiter and retire the
+    /// flight, all under the table lock: a request that finds the flight
+    /// finds it unpublished, one that does not finds the levels resident.
+    /// Also returns whether every level is resident afterwards (a
+    /// speculative level over the spare budget is dropped).
+    fn publish(&mut self, built: io::Result<Built>) -> io::Result<(Vec<Arc<CachedSurface>>, bool)> {
+        self.published = true;
+        // poison-tolerant: `Drop` runs this while unwinding, and each
+        // update under these locks is a single step
+        let mut flights = self
+            .state
+            .flights
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let mut fs = self
+            .flight
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let (result, landed) = match built {
+            Ok(built) => {
+                let (levels, landed) = self.state.insert_pyramid(self.iso, built, fs.speculative);
+                (Ok(levels), landed)
+            }
+            Err(e) => (Err((e.kind(), e.to_string())), false),
+        };
+        fs.result = Some(result.clone());
+        flights.remove(&self.iso.to_bits());
+        self.flight.done.notify_all();
+        Ok((unshare(result)?, landed))
+    }
+}
+
+impl<S: ScalarValue> Drop for Leader<'_, S> {
+    fn drop(&mut self) {
+        if !self.published {
+            let _ = self.publish(Err(io::Error::other("pyramid build panicked")));
+        }
+    }
+}
+
+/// A flight's outcome as one request's own result.
+fn unshare(result: FlightResult) -> io::Result<Vec<Arc<CachedSurface>>> {
+    result.map_err(|(kind, text)| io::Error::new(kind, text))
 }
 
 /// Shared state behind every connection.
@@ -285,8 +381,11 @@ pub(crate) struct State<S: ScalarValue> {
     /// drags the hint far below honest extraction cost and invites retry
     /// stampedes.
     miss_cost_ms: AtomicU64,
-    /// Speculative-warming queue; `None` when warming is disabled.
-    warm: Option<Arc<WarmQueue>>,
+    /// The pyramid builds in progress, by isovalue bits: the one producer
+    /// of every missed pyramid ([`State::pyramid_for`], [`State::warm`]).
+    flights: Mutex<HashMap<u32, Arc<Flight>>>,
+    /// Scrub-neighbor distance δ of speculative warming; `None` disables it.
+    warm_delta: Option<f32>,
 }
 
 /// RAII extraction-slot lease: decrements the in-flight gauge on drop, so a
@@ -334,13 +433,9 @@ pub(crate) enum Admit<S: ScalarValue, H> {
     Busy {
         retry_after_ms: u32,
     },
-    /// A miss holding a slot, its pyramid still to build off the event loop
-    /// through [`State::pyramid_for`]. `resident_full` is the still-cached
-    /// level 0 to re-decimate from, if any (else a disk extraction is due).
-    Miss {
-        slot: SlotGuard<S>,
-        resident_full: Option<Arc<CachedSurface>>,
-    },
+    /// A miss holding a slot, its pyramid still to produce off the event
+    /// loop through [`State::pyramid_for`].
+    Miss(SlotGuard<S>),
 }
 
 impl<S: ScalarValue, H> Admit<S, H> {
@@ -349,13 +444,7 @@ impl<S: ScalarValue, H> Admit<S, H> {
         match self {
             Admit::Hit(h) => Admit::Hit(f(h)),
             Admit::Busy { retry_after_ms } => Admit::Busy { retry_after_ms },
-            Admit::Miss {
-                slot,
-                resident_full,
-            } => Admit::Miss {
-                slot,
-                resident_full,
-            },
+            Admit::Miss(slot) => Admit::Miss(slot),
         }
     }
 }
@@ -377,22 +466,6 @@ impl<S: ScalarValue> State<S> {
         let request_latency_us = metrics.histogram("request_latency_us");
         let extract_latency_us = metrics.histogram("extract_latency_us");
         let rebuild_latency_us = metrics.histogram("rebuild_latency_us");
-        let warm = opts.warm_delta.map(|delta| {
-            Arc::new(WarmQueue {
-                delta,
-                jobs: Mutex::new(VecDeque::new()),
-                cv: Condvar::new(),
-            })
-        });
-        if let Some(q) = &warm {
-            // drain/shutdown must wake a parked warmer immediately, not at
-            // its next poll tick
-            let q = q.clone();
-            ctl.wakers
-                .lock()
-                .expect("wakers lock")
-                .push(Box::new(move || q.cv.notify_all()));
-        }
         Arc::new(State {
             db,
             lods: LodSpec {
@@ -416,7 +489,8 @@ impl<S: ScalarValue> State<S> {
             slow_ms: opts.slow_ms,
             inflight_miss: AtomicU64::new(0),
             miss_cost_ms: AtomicU64::new(0),
-            warm,
+            flights: Mutex::new(HashMap::new()),
+            warm_delta: opts.warm_delta,
         })
     }
 
@@ -469,10 +543,13 @@ impl<S: ScalarValue> State<S> {
             ("cache_hits_total", cache.hits),
             ("cache_misses_total", cache.misses),
             ("cache_evictions_total", cache.evictions),
-            // owned by the cache (promotion happens inside `get`), exposed
-            // here next to its speculative_{started,completed,cancelled}
-            // registry siblings
-            ("speculative_hits_total", cache.speculative_hits),
+            // owned by the cache (promotion happens inside `get`), plus the
+            // real requests that joined a warm flight, exposed here next to
+            // its speculative_{started,completed,cancelled} registry siblings
+            (
+                "speculative_hits_total",
+                cache.speculative_hits + self.c.spec_joined.get(),
+            ),
         ] {
             out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
         }
@@ -530,25 +607,27 @@ impl<S: ScalarValue> State<S> {
         }
     }
 
-    /// Try to win one cache-miss slot. `None` means at capacity (the caller
-    /// sheds); the returned guard releases the slot on drop.
-    fn try_slot(self: &Arc<Self>) -> Option<SlotGuard<S>> {
-        match self.extraction_slots {
-            None => Some(SlotGuard {
-                state: self.clone(),
-                counted: false,
-            }),
-            Some(max) => self
-                .inflight_miss
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                    (n < max as u64).then_some(n + 1)
-                })
-                .ok()
-                .map(|_| SlotGuard {
-                    state: self.clone(),
-                    counted: true,
-                }),
-        }
+    /// Try to win one cache-miss slot, leaving `reserved` of them free: a
+    /// real miss reserves none, a warm build one, so warming never takes
+    /// the last slot (and a one- or zero-slot server never warms).
+    /// Unlimited slots (`extraction_slots: None`) have no last slot to
+    /// protect. `None` means at capacity; the guard releases on drop.
+    fn try_slot(self: &Arc<Self>, reserved: u32) -> Option<SlotGuard<S>> {
+        let counted = match self.extraction_slots {
+            None => false,
+            Some(max) => {
+                self.inflight_miss
+                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                        (n + (reserved as u64) < max as u64).then_some(n + 1)
+                    })
+                    .ok()?;
+                true
+            }
+        };
+        Some(SlotGuard {
+            state: self.clone(),
+            counted,
+        })
     }
 
     /// Fold one observed cache-miss wall-clock into the smoothed cost the
@@ -565,121 +644,6 @@ impl<S: ScalarValue> State<S> {
     /// conservative floor.
     pub(crate) fn retry_hint_ms(&self) -> u32 {
         clamp_retry_hint(self.miss_cost_ms.load(Ordering::Relaxed))
-    }
-
-    /// Try to win a **spare** extraction slot for speculative work: like
-    /// [`State::try_slot`], but never the last one — a warm job must leave
-    /// at least one slot free for a real request, so with one slot (or
-    /// zero) configured warming simply never runs. Unlimited slots
-    /// (`extraction_slots: None`) have no "last slot" to protect.
-    pub(crate) fn try_warm_slot(self: &Arc<Self>) -> Option<SlotGuard<S>> {
-        match self.extraction_slots {
-            None => Some(SlotGuard {
-                state: self.clone(),
-                counted: false,
-            }),
-            Some(max) => self
-                .inflight_miss
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                    (n + 1 < max as u64).then_some(n + 1)
-                })
-                .ok()
-                .map(|_| SlotGuard {
-                    state: self.clone(),
-                    counted: true,
-                }),
-        }
-    }
-
-    /// Enqueue warm jobs for the scrub neighbors `iso ± δ` after a real
-    /// cache miss at `iso` completed. Deduplicates against the pending
-    /// queue; overflow drops the oldest job (a stale neighbor of an
-    /// isovalue the user already scrubbed past), counted cancelled. No-op
-    /// when warming is disabled.
-    fn schedule_warm(&self, iso: f32) {
-        let Some(q) = &self.warm else { return };
-        let mut jobs = q.jobs.lock().expect("warm queue lock");
-        for neighbor in [iso - q.delta, iso + q.delta] {
-            if !neighbor.is_finite() {
-                continue;
-            }
-            let key = neighbor.to_bits();
-            if jobs.contains(&key) {
-                continue;
-            }
-            if jobs.len() >= WARM_QUEUE_CAP {
-                jobs.pop_front();
-                self.c.spec_cancelled.inc();
-            }
-            jobs.push_back(key);
-        }
-        drop(jobs);
-        q.cv.notify_one();
-    }
-
-    /// Run one dequeued warm job: skip (counted cancelled) when the target
-    /// pyramid is already resident, and report `false` — job not consumed —
-    /// when no spare slot can be won right now. The caller decides whether
-    /// to defer or give up on contention; a real request wanting the
-    /// capacity always outranks warming.
-    pub(crate) fn warm_one(self: &Arc<Self>, iso_bits: u32) -> bool {
-        let iso = f32::from_bits(iso_bits);
-        if self
-            .cache
-            .lock()
-            .expect("cache lock")
-            .peek(iso, MC, 0)
-            .is_some()
-        {
-            self.c.spec_cancelled.inc();
-            return true;
-        }
-        let Some(slot) = self.try_warm_slot() else {
-            return false;
-        };
-        self.c.spec_started.inc();
-        let trace = Trace::detached();
-        match self.warm_extract(iso, &trace) {
-            Ok(()) => self.c.spec_completed.inc(),
-            Err(e) => {
-                self.c.spec_cancelled.inc();
-                self.logger.warn(
-                    "serve",
-                    "warm_failed",
-                    "speculative extraction failed",
-                    &[("iso", iso.to_string()), ("error", e.to_string())],
-                );
-            }
-        }
-        drop(slot);
-        true
-    }
-
-    /// The speculative twin of [`State::extract_and_insert`]: extract the
-    /// full pyramid and insert every level **speculatively** (behind the
-    /// recency of real traffic, never evicting it). Deliberately feeds
-    /// neither the miss-cost EWMA nor `extract_latency_us` — those describe
-    /// what a *client-visible* miss costs — and never schedules further
-    /// warming (no speculative cascades).
-    fn warm_extract(&self, iso: f32, trace: &Trace) -> io::Result<()> {
-        let (chain, report) = self
-            .db
-            .extract_lods_opts(iso, &self.extract_options(trace))?;
-        let active_metacells = report.total_active_metacells();
-        let mut cache = self.cache.lock().expect("cache lock");
-        for (i, level) in chain.into_levels().into_iter().enumerate() {
-            cache.insert_speculative(
-                iso,
-                MC,
-                i as u16,
-                CachedSurface {
-                    mesh: level.mesh,
-                    active_metacells,
-                    world_error: level.cumulative_error.sqrt(),
-                },
-            );
-        }
-        Ok(())
     }
 
     /// Feed the extraction-phase histograms from the span durations the
@@ -714,58 +678,87 @@ impl<S: ScalarValue> State<S> {
         }
     }
 
-    /// Extract the full pyramid for `iso` and insert every level, returning
-    /// the levels in order. Runs outside the cache lock. The extraction's
-    /// span tree lands in `trace`.
-    fn extract_and_insert(&self, iso: f32, trace: &Trace) -> io::Result<Vec<Arc<CachedSurface>>> {
+    /// Find who produces the pyramid at `iso`: a flight already building
+    /// it, the cache holding every level, or — neither — a new flight the
+    /// caller leads. A real caller (`speculative == false`) that joins a
+    /// warm flight turns it real.
+    fn claim(&self, iso: f32, speculative: bool) -> Claim<'_, S> {
+        let key = iso.to_bits();
+        let mut flights = self.flights.lock().expect("flights lock");
+        if let Some(flight) = flights.get(&key) {
+            let mut fs = flight.state.lock().expect("flight lock");
+            let warm = !speculative && std::mem::take(&mut fs.speculative);
+            return Claim::Join {
+                flight: flight.clone(),
+                warm,
+            };
+        }
+        // every level resident: a build finished since admission (its
+        // inserts are as recent as they get), or there is nothing to warm
+        let full = {
+            let cache = self.cache.lock().expect("cache lock");
+            let levels: Vec<_> = (0..self.levels())
+                .map_while(|lod| cache.peek(iso, MC, lod))
+                .collect();
+            if levels.len() == self.levels() as usize {
+                return Claim::Resident(levels);
+            }
+            levels.into_iter().next()
+        };
+        let flight = Arc::new(Flight {
+            state: Mutex::new(FlightState {
+                result: None,
+                speculative,
+            }),
+            done: Condvar::new(),
+        });
+        flights.insert(key, flight.clone());
+        Claim::Lead {
+            leader: Leader {
+                state: self,
+                iso,
+                flight,
+                published: false,
+            },
+            full,
+        }
+    }
+
+    /// Build the pyramid at `iso`: re-decimate from a resident level 0
+    /// (`full`), or extract it from disk. Only a real disk extraction
+    /// samples the miss-cost EWMA and `extract_latency_us`: they describe
+    /// what a client-visible miss costs.
+    fn build(
+        &self,
+        iso: f32,
+        full: Option<Arc<CachedSurface>>,
+        trace: &Trace,
+        speculative: bool,
+    ) -> io::Result<Built> {
+        if let Some(full) = full {
+            return Ok(self.rebuild_from_full(full, trace));
+        }
         let t0 = Instant::now();
         let (chain, report) = self
             .db
             .extract_lods_opts(iso, &self.extract_options(trace))?;
-        let wall = t0.elapsed();
-        self.extract_latency_us.record_duration(wall);
-        self.record_phases(trace);
-        self.note_miss_cost(wall);
+        if !speculative {
+            let wall = t0.elapsed();
+            self.extract_latency_us.record_duration(wall);
+            self.record_phases(trace);
+            self.note_miss_cost(wall);
+        }
         let active_metacells = report.total_active_metacells();
-        let levels = {
-            let mut cache = self.cache.lock().expect("cache lock");
-            chain
-                .into_levels()
-                .into_iter()
-                .enumerate()
-                .map(|(i, level)| {
-                    cache.insert(
-                        iso,
-                        MC,
-                        i as u16,
-                        CachedSurface {
-                            mesh: level.mesh,
-                            active_metacells,
-                            world_error: level.cumulative_error.sqrt(),
-                        },
-                    )
-                })
-                .collect()
-        };
-        // a real miss at `iso` is the scrub signal: warm its neighbors
-        // (outside the cache lock; a no-op when warming is off)
-        self.schedule_warm(iso);
-        Ok(levels)
+        Ok(Built::new(None, chain.into_levels(), active_metacells))
     }
 
-    /// Re-decimate the pyramid from an already-resident full-resolution
-    /// mesh and insert the rebuilt coarse levels — the no-disk path when
-    /// only they were evicted. It walks the one ladder,
-    /// [`LodChain::coarse_levels`], that built the original levels, so the
-    /// rebuilt ones are byte-identical to them; it decimates **by
-    /// reference**, so the full mesh is never cloned and its cache entry is
-    /// reused as level 0 untouched.
-    fn rebuild_from_full(
-        &self,
-        iso: f32,
-        full: Arc<CachedSurface>,
-        trace: &Trace,
-    ) -> Vec<Arc<CachedSurface>> {
+    /// Re-decimate the coarse levels from an already-resident
+    /// full-resolution mesh — the no-disk path when only they were
+    /// evicted. It walks the one ladder, [`LodChain::coarse_levels`], that
+    /// built the original levels, so the rebuilt ones are byte-identical to
+    /// them; it decimates **by reference**, so the full mesh is never
+    /// cloned and its cache entry is reused as level 0 untouched.
+    fn rebuild_from_full(&self, full: Arc<CachedSurface>, trace: &Trace) -> Built {
         let mut sp = trace.span("rebuild");
         sp.field("levels", self.lods.ratios.len() as u64);
         let coarse =
@@ -778,41 +771,125 @@ impl<S: ScalarValue> State<S> {
         // drag the `ERR_BUSY` retry hint far below honest extraction cost
         // and invite retry stampedes.
         self.rebuild_latency_us.record_duration(sp.finish());
-        let mut cache = self.cache.lock().expect("cache lock");
-        cache.touch(iso, MC, 0);
-        let mut levels = vec![full.clone()];
-        for (i, level) in coarse.into_iter().enumerate() {
-            levels.push(cache.insert(
-                iso,
-                MC,
-                (i + 1) as u16,
-                CachedSurface {
-                    mesh: level.mesh,
-                    active_metacells: full.active_metacells,
-                    world_error: level.cumulative_error.sqrt(),
-                },
-            ));
-        }
-        levels
+        let active_metacells = full.active_metacells;
+        Built::new(Some(full), coarse, active_metacells)
     }
 
-    /// Produce the whole pyramid for a missed mesh or frame request, as its
-    /// admission committed to: re-decimate from `resident_full` (the level 0
-    /// admission found cached) when there is one, extract from disk
-    /// otherwise. Runs outside the cache lock (concurrent first-queries of
-    /// one isovalue may each extract — both count as misses, last insert
-    /// wins — but no request ever blocks behind another's extraction). The
-    /// caller drops the slot afterwards.
+    /// Insert a built pyramid at `iso`, every fresh level real or (for a
+    /// warm flight no real request joined) behind real recency. Returns the
+    /// levels in order and whether all of them are resident afterwards.
+    fn insert_pyramid(
+        &self,
+        iso: f32,
+        built: Built,
+        speculative: bool,
+    ) -> (Vec<Arc<CachedSurface>>, bool) {
+        let mut cache = self.cache.lock().expect("cache lock");
+        let mut levels = Vec::with_capacity(self.levels() as usize);
+        if let Some(full) = built.reused {
+            if !speculative {
+                cache.touch(iso, MC, 0);
+            }
+            levels.push(full);
+        }
+        for surface in built.fresh {
+            let lod = levels.len() as u16;
+            levels.push(if speculative {
+                cache.insert_speculative(iso, MC, lod, surface)
+            } else {
+                cache.insert(iso, MC, lod, surface)
+            });
+        }
+        let landed = levels.iter().zip(0..).all(|(level, lod)| {
+            cache
+                .peek(iso, MC, lod)
+                .is_some_and(|resident| Arc::ptr_eq(&resident, level))
+        });
+        (levels, landed)
+    }
+
+    /// Produce the whole pyramid for a missed mesh or frame request, as the
+    /// one single-flight producer: wait for a build of `iso` already in
+    /// flight (annotated `flight_wait` on `root`), take the levels if a
+    /// build finished since admission, or else lead — re-decimate from a
+    /// resident level 0, or extract from disk — and insert. The extraction
+    /// runs outside every lock; its spans land in `trace`. Also returns
+    /// whether this request extracted from disk: the scrub signal warming
+    /// follows. The caller drops the slot afterwards.
     pub(crate) fn pyramid_for(
         &self,
         iso: f32,
-        resident_full: Option<Arc<CachedSurface>>,
+        root: &Span,
         trace: &Trace,
-    ) -> io::Result<Vec<Arc<CachedSurface>>> {
-        match resident_full {
-            Some(full) => Ok(self.rebuild_from_full(iso, full, trace)),
-            None => self.extract_and_insert(iso, trace),
+    ) -> io::Result<(Vec<Arc<CachedSurface>>, bool)> {
+        match self.claim(iso, false) {
+            Claim::Resident(levels) => Ok((levels, false)),
+            Claim::Join { flight, warm } => {
+                let t = Instant::now();
+                if warm {
+                    self.c.spec_joined.inc();
+                }
+                let fs = flight.state.lock().expect("flight lock");
+                let fs = flight.done.wait_while(fs, |fs| fs.result.is_none());
+                let result = fs.expect("flight lock").result.clone().expect("published");
+                root.annotate("flight_wait", t.elapsed(), &[("speculative", warm as u64)]);
+                Ok((unshare(result)?, false))
+            }
+            Claim::Lead { mut leader, full } => {
+                let extracted = full.is_none();
+                let built = self.build(iso, full, trace, false);
+                let (levels, _) = leader.publish(built)?;
+                Ok((levels, extracted))
+            }
         }
+    }
+
+    /// Warm the scrub neighbors `iso ± δ` after a real disk miss at `iso`,
+    /// inline on the worker that served it, once its reply is posted and
+    /// its slot dropped. Nothing is warmed while the server drains, or
+    /// when warming is off.
+    pub(crate) fn warm_neighbors(self: &Arc<Self>, iso: f32) {
+        let Some(delta) = self.warm_delta else { return };
+        for neighbor in [iso - delta, iso + delta] {
+            // a hard stop always starts as a drain
+            if self.ctl.draining.load(Ordering::SeqCst) {
+                return;
+            }
+            if neighbor.is_finite() {
+                self.warm(neighbor);
+            }
+        }
+    }
+
+    /// One warm build: a flight with no waiter on a spare slot, inserted
+    /// behind real recency. Skipped (counted cancelled) when no spare slot
+    /// is free or the pyramid is already resident or in flight. It never
+    /// warms further (no speculative cascades).
+    fn warm(self: &Arc<Self>, iso: f32) {
+        let Some(slot) = self.try_slot(1) else {
+            self.c.spec_cancelled.inc();
+            return;
+        };
+        let Claim::Lead { mut leader, full } = self.claim(iso, true) else {
+            self.c.spec_cancelled.inc();
+            return;
+        };
+        self.c.spec_started.inc();
+        let built = self.build(iso, full, &Trace::detached(), true);
+        match leader.publish(built) {
+            Ok((_, true)) => self.c.spec_completed.inc(),
+            Ok((_, false)) => self.c.spec_cancelled.inc(),
+            Err(e) => {
+                self.c.spec_cancelled.inc();
+                self.logger.warn(
+                    "serve",
+                    "warm_failed",
+                    "speculative extraction failed",
+                    &[("iso", iso.to_string()), ("error", e.to_string())],
+                );
+            }
+        }
+        drop(slot);
     }
 
     /// Admission for level `lod` of the surface at `iso`: a hit (one
@@ -826,16 +903,7 @@ impl<S: ScalarValue> State<S> {
         root: &Span,
     ) -> Admit<S, Arc<CachedSurface>> {
         let t = Instant::now();
-        let (hit, resident_full) = {
-            let mut cache = self.cache.lock().expect("cache lock");
-            let hit = cache.get(iso, MC, lod);
-            let full = if hit.is_none() {
-                cache.peek(iso, MC, 0)
-            } else {
-                None
-            };
-            (hit, full)
-        };
+        let hit = self.cache.lock().expect("cache lock").get(iso, MC, lod);
         root.annotate(
             "cache",
             t.elapsed(),
@@ -843,7 +911,7 @@ impl<S: ScalarValue> State<S> {
         );
         match hit {
             Some(hit) => Admit::Hit(hit),
-            None => self.miss_or_busy(resident_full),
+            None => self.miss_or_busy(),
         }
     }
 
@@ -852,10 +920,10 @@ impl<S: ScalarValue> State<S> {
     /// 0: a hit only when the *whole* pyramid is resident, a miss
     /// otherwise — the levels are peeked first, so a partially evicted
     /// pyramid never books a hit for a request that still has to rebuild.
-    /// When level 0 survived but a coarser level was
-    /// evicted, [`State::pyramid_for`] re-decimates from the
-    /// resident full mesh — deterministic, so byte-identical to the
-    /// original levels — without touching disk.
+    /// When level 0 survived but a coarser level was evicted,
+    /// [`State::pyramid_for`] re-decimates from the resident full mesh —
+    /// deterministic, so byte-identical to the original levels — without
+    /// touching disk.
     pub(crate) fn admit_frame(
         self: &Arc<Self>,
         iso: f32,
@@ -863,15 +931,11 @@ impl<S: ScalarValue> State<S> {
     ) -> Admit<S, Vec<Arc<CachedSurface>>> {
         let want = self.levels() as usize;
         let t = Instant::now();
-        let resident_full = {
+        {
             let mut cache = self.cache.lock().expect("cache lock");
-            let mut levels = Vec::with_capacity(want);
-            for lod in 0..want {
-                match cache.peek(iso, MC, lod as u16) {
-                    Some(l) => levels.push(l),
-                    None => break,
-                }
-            }
+            let levels: Vec<_> = (0..want as u16)
+                .map_while(|lod| cache.peek(iso, MC, lod))
+                .collect();
             if levels.len() == want {
                 cache.account(0, true);
                 // the request used every level: refresh them all, or the
@@ -884,20 +948,16 @@ impl<S: ScalarValue> State<S> {
                 return Admit::Hit(levels);
             }
             cache.account(0, false);
-            levels.into_iter().next() // level 0, if it was resident
-        };
+        }
         root.annotate("cache", t.elapsed(), &[("hit", 0)]);
-        self.miss_or_busy(resident_full)
+        self.miss_or_busy()
     }
 
     /// The tail every missed request shares: win a slot and leave as a
     /// `Miss`, or count a shed and answer `Busy` with the retry hint.
-    fn miss_or_busy<H>(self: &Arc<Self>, resident_full: Option<Arc<CachedSurface>>) -> Admit<S, H> {
-        match self.try_slot() {
-            Some(slot) => Admit::Miss {
-                slot,
-                resident_full,
-            },
+    fn miss_or_busy<H>(self: &Arc<Self>) -> Admit<S, H> {
+        match self.try_slot(0) {
+            Some(slot) => Admit::Miss(slot),
             None => {
                 self.c.shed.inc();
                 Admit::Busy {
@@ -918,9 +978,6 @@ pub struct IsoServer {
     ctl: Arc<Control>,
     /// Joins every event loop and worker once they exit.
     core: Option<JoinHandle<()>>,
-    /// The speculative-warming thread, when warming is enabled (exits on
-    /// drain/shutdown; joined so its extraction finishes before teardown).
-    warmer: Option<JoinHandle<()>>,
     report: Arc<dyn Fn() -> ServerReport + Send + Sync>,
     metrics: Arc<dyn Fn() -> String + Send + Sync>,
     logger: Logger,
@@ -988,7 +1045,6 @@ impl IsoServer {
         let ctl = state.ctl.clone();
         let report_state = state.clone();
         let metrics_state = state.clone();
-        let warm_state = state.warm.is_some().then(|| state.clone());
         #[cfg(unix)]
         let core = crate::reactor::spawn(
             listener,
@@ -1005,19 +1061,10 @@ impl IsoServer {
             io::ErrorKind::Unsupported,
             "the serving core runs on poll(2): unix targets only",
         ));
-        let warmer = match warm_state {
-            Some(state) => Some(
-                std::thread::Builder::new()
-                    .name("oociso-warm".to_string())
-                    .spawn(move || warmer_loop(state))?,
-            ),
-            None => None,
-        };
         Ok(IsoServer {
             addr,
             ctl,
             core: Some(core),
-            warmer,
             report: Arc::new(move || report_state.report()),
             metrics: Arc::new(move || metrics_state.metrics_text()),
             logger: opts.logger,
@@ -1072,9 +1119,6 @@ impl IsoServer {
         if let Some(h) = self.core.take() {
             let _ = h.join();
         }
-        if let Some(h) = self.warmer.take() {
-            let _ = h.join();
-        }
         (self.report)()
     }
 
@@ -1082,53 +1126,6 @@ impl IsoServer {
     pub fn park(self) -> ! {
         loop {
             std::thread::park();
-        }
-    }
-}
-
-/// The speculative-warming thread: park on the warm queue, drain it one
-/// job at a time, exit on drain/shutdown. Single-threaded by design — warm
-/// work is strictly lower priority than everything else, so one spare-slot
-/// consumer is the whole budget (the timed wait is only a backstop; the
-/// queue's condvar is rung on push and registered as a [`Control`] waker).
-fn warmer_loop<S: ScalarValue>(state: Arc<State<S>>) {
-    let q = state.warm.clone().expect("warmer spawned without a queue");
-    loop {
-        let job = {
-            let mut jobs = q.jobs.lock().expect("warm queue lock");
-            loop {
-                if state.ctl.shutdown.load(Ordering::SeqCst)
-                    || state.ctl.draining.load(Ordering::SeqCst)
-                {
-                    return;
-                }
-                if let Some(job) = jobs.pop_front() {
-                    break job;
-                }
-                let (guard, _) =
-                    q.cv.wait_timeout(jobs, Duration::from_millis(100))
-                        .expect("warm queue lock");
-                jobs = guard;
-            }
-        };
-        // A spare slot is often *transiently* unavailable — most commonly
-        // because the very miss that scheduled this job still holds its
-        // admission slot while its reply drains. Defer briefly instead of
-        // cancelling on first contact; only sustained contention (real
-        // traffic genuinely wanting the capacity) cancels the job.
-        let mut deferrals = 0u32;
-        while !state.warm_one(job) {
-            deferrals += 1;
-            if deferrals >= WARM_DEFER_ATTEMPTS {
-                state.c.spec_cancelled.inc();
-                break;
-            }
-            if state.ctl.shutdown.load(Ordering::SeqCst)
-                || state.ctl.draining.load(Ordering::SeqCst)
-            {
-                return;
-            }
-            std::thread::sleep(WARM_DEFER_INTERVAL);
         }
     }
 }
@@ -1442,10 +1439,17 @@ mod tests {
         State::new(db, &opts)
     }
 
-    // the satellite-1 contract: pyramid re-decimations record their own
-    // histogram but never sample the miss-cost EWMA — a storm of cheap
-    // rebuilds must not drag the ERR_BUSY retry hint below honest
-    // extraction cost
+    /// A real miss at `iso` through the one producer, as a worker runs it.
+    fn miss(state: &State<u8>, iso: f32) -> (Vec<Arc<CachedSurface>>, bool) {
+        let trace = Trace::detached();
+        state
+            .pyramid_for(iso, &trace.span("request"), &trace)
+            .unwrap()
+    }
+
+    // pyramid re-decimations record their own histogram but never sample
+    // the miss-cost EWMA — a storm of cheap rebuilds must not drag the
+    // ERR_BUSY retry hint below honest extraction cost
     #[test]
     fn rebuilds_do_not_feed_the_retry_hint() {
         let state = test_state(
@@ -1455,16 +1459,16 @@ mod tests {
                 ..Default::default()
             },
         );
-        let trace = Trace::detached();
-        let levels = state.extract_and_insert(110.0, &trace).unwrap();
+        let (levels, extracted) = miss(&state, 110.0);
+        assert!(extracted, "a cold miss extracts from disk");
         assert!(
             state.miss_cost_ms.load(Ordering::Relaxed) > 0,
             "a real miss must sample the EWMA"
         );
         // pin the EWMA at a sentinel, run a rebuild, assert it is untouched
         state.miss_cost_ms.store(5000, Ordering::Relaxed);
-        let rebuilt = state.rebuild_from_full(110.0, levels[0].clone(), &trace);
-        assert_eq!(rebuilt.len(), 2);
+        let rebuilt = state.rebuild_from_full(levels[0].clone(), &Trace::detached());
+        assert_eq!(rebuilt.fresh.len(), 1);
         assert_eq!(
             state.miss_cost_ms.load(Ordering::Relaxed),
             5000,
@@ -1490,14 +1494,15 @@ mod tests {
             },
             64,
         );
-        let trace = Trace::detached();
-        let missed = state.extract_and_insert(110.0, &trace).unwrap();
+        let (missed, _) = miss(&state, 110.0);
         assert_eq!(missed.len(), 3);
         assert!(
             missed[0].mesh.len() >= 2 * oociso_march::decimate::MIN_TILE_FACES,
             "level 0 must be big enough to tile"
         );
-        let rebuilt = state.rebuild_from_full(110.0, missed[0].clone(), &trace);
+        let built = state.rebuild_from_full(missed[0].clone(), &Trace::detached());
+        let (rebuilt, landed) = state.insert_pyramid(110.0, built, false);
+        assert!(landed);
         assert_eq!(rebuilt.len(), missed.len());
         assert!(Arc::ptr_eq(&rebuilt[0], &missed[0]), "level 0 is reused");
         for (lod, (a, b)) in missed.iter().zip(&rebuilt).enumerate().skip(1) {
@@ -1510,10 +1515,9 @@ mod tests {
         }
     }
 
-    // the satellite-3 contract: an extraction whose result is too big to
-    // cache (pass-through) still feeds the miss-cost EWMA and the
-    // extract-latency histogram — the costliest extractions are exactly the
-    // ones the retry hint must see
+    // an extraction whose result is too big to cache (pass-through) still
+    // feeds the miss-cost EWMA and the extract-latency histogram — the
+    // costliest extractions are exactly the ones the retry hint must see
     #[test]
     fn oversized_pass_through_extractions_still_feed_the_hint() {
         let state = test_state(
@@ -1523,8 +1527,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let trace = Trace::detached();
-        let levels = state.extract_and_insert(110.0, &trace).unwrap();
+        let (levels, _) = miss(&state, 110.0);
         assert!(!levels[0].mesh.is_empty(), "the sphere must triangulate");
         let cache = state.cache.lock().unwrap().stats();
         assert_eq!(
@@ -1542,7 +1545,7 @@ mod tests {
         );
     }
 
-    // warm admission: a warm job may take a spare slot but never the last
+    // warm admission: a warm build may take a spare slot but never the last
     // one, so a single-slot server simply never warms
     #[test]
     fn warm_slot_never_takes_the_last_one() {
@@ -1550,15 +1553,18 @@ mod tests {
             "warm_slot",
             ServeOptions {
                 extraction_slots: Some(2),
+                warm_delta: Some(4.0),
                 ..Default::default()
             },
         );
-        let spare = state.try_warm_slot().expect("one spare slot available");
+        let spare = state.try_slot(1).expect("one spare slot available");
         assert!(
-            state.try_warm_slot().is_none(),
+            state.try_slot(1).is_none(),
             "the last slot is reserved for real traffic"
         );
-        let real = state.try_slot().expect("a real request wins the last slot");
+        let real = state
+            .try_slot(0)
+            .expect("a real request wins the last slot");
         drop(real);
         drop(spare);
 
@@ -1566,16 +1572,20 @@ mod tests {
             "warm_slot_single",
             ServeOptions {
                 extraction_slots: Some(1),
+                warm_delta: Some(4.0),
                 ..Default::default()
             },
         );
-        assert!(single.try_warm_slot().is_none(), "one slot: never warm");
-        assert!(single.try_slot().is_some(), "…but real traffic is served");
+        assert!(single.try_slot(1).is_none(), "one slot: never warm");
+        single.warm_neighbors(110.0);
+        assert_eq!(single.c.spec_cancelled.get(), 2, "both neighbors skipped");
+        assert_eq!(single.c.spec_started.get(), 0);
+        assert!(single.try_slot(0).is_some(), "…but real traffic is served");
     }
 
     // the warming pipeline end to end at the State level: a real miss
-    // enqueues its scrub neighbors, running a job warms the neighbor's
-    // pyramid speculatively, a later real query promotes it (counting
+    // extracts (the warm trigger), warming its neighbors builds their
+    // pyramids speculatively, a later real query promotes one (counting
     // speculative_hits), and none of it samples client-visible miss
     // economics
     #[test]
@@ -1588,37 +1598,130 @@ mod tests {
                 ..Default::default()
             },
         );
-        let trace = Trace::detached();
-        state.extract_and_insert(110.0, &trace).unwrap();
-        let queued: Vec<u32> = {
-            let q = state.warm.as_ref().unwrap();
-            q.jobs.lock().unwrap().iter().copied().collect()
-        };
-        assert_eq!(
-            queued,
-            vec![106.0f32.to_bits(), 114.0f32.to_bits()],
-            "a miss at v enqueues v-δ and v+δ"
-        );
-        // run one job by hand (no warmer thread in State-only tests), with
-        // the EWMA pinned to prove warming never samples it
+        let (_, extracted) = miss(&state, 110.0);
+        assert!(extracted, "a disk miss is the warm trigger");
+        // the EWMA pinned, to prove warming never samples it
         state.miss_cost_ms.store(5000, Ordering::Relaxed);
-        state.warm_one(114.0f32.to_bits());
-        assert_eq!(state.c.spec_started.get(), 1);
-        assert_eq!(state.c.spec_completed.get(), 1);
+        state.warm_neighbors(110.0);
+        assert_eq!(state.c.spec_started.get(), 2, "v-δ and v+δ");
+        assert_eq!(state.c.spec_completed.get(), 2);
         assert_eq!(state.miss_cost_ms.load(Ordering::Relaxed), 5000);
         assert_eq!(
             state.extract_latency_us.snapshot().count,
             1,
             "only the real miss samples extract_latency_us"
         );
-        // the warmed pyramid is resident; the first real query promotes it
+        assert!(state.flights.lock().unwrap().is_empty(), "flights retired");
+        // the warmed pyramids are resident; the first real query promotes
+        for iso in [106.0, 114.0] {
+            for lod in 0..2 {
+                assert!(state.cache.lock().unwrap().peek(iso, MC, lod).is_some());
+            }
+        }
         let hit = state.cache.lock().unwrap().get(114.0, MC, 0);
         assert!(hit.is_some(), "warmed level must be resident");
         assert_eq!(state.cache.lock().unwrap().stats().speculative_hits, 1);
         // re-warming a resident isovalue is skipped, counted cancelled
-        state.warm_one(114.0f32.to_bits());
+        state.warm(114.0);
         assert_eq!(state.c.spec_cancelled.get(), 1);
-        assert_eq!(state.c.spec_started.get(), 1, "a skip never starts");
+        assert_eq!(state.c.spec_started.get(), 2, "a skip never starts");
+    }
+
+    // a warm build whose level is larger than the whole budget is dropped
+    // by the speculative insert: it did not land, so it is cancelled, not
+    // completed
+    #[test]
+    fn warm_build_over_budget_is_cancelled_not_completed() {
+        let state = test_state(
+            "warm_budget",
+            ServeOptions {
+                warm_delta: Some(4.0),
+                cache_bytes: 64,
+                ..Default::default()
+            },
+        );
+        state.warm(114.0);
+        assert_eq!(state.c.spec_started.get(), 1);
+        assert_eq!(state.c.spec_completed.get(), 0, "nothing landed");
+        assert_eq!(state.c.spec_cancelled.get(), 1);
+        assert!(state.cache.lock().unwrap().peek(114.0, MC, 0).is_none());
+    }
+
+    /// A real request parked on a flight, on its own thread.
+    type Joiner = std::thread::JoinHandle<io::Result<Vec<Arc<CachedSurface>>>>;
+
+    /// Lead a warm flight at `iso` by hand and park a real request on it.
+    fn real_request_joins_warm_flight(
+        state: &Arc<State<u8>>,
+        iso: f32,
+    ) -> (Leader<'_, u8>, Joiner) {
+        let Claim::Lead { leader, full: None } = state.claim(iso, true) else {
+            panic!("a cold isovalue is led");
+        };
+        let joiner = {
+            let state = state.clone();
+            std::thread::spawn(move || {
+                let trace = Trace::detached();
+                state
+                    .pyramid_for(iso, &trace.span("request"), &trace)
+                    .map(|(levels, extracted)| {
+                        assert!(!extracted, "a joiner never extracts");
+                        levels
+                    })
+            })
+        };
+        // joining turns the flight real
+        while leader.flight.state.lock().unwrap().speculative {
+            std::thread::yield_now();
+        }
+        (leader, joiner)
+    }
+
+    // a real request that joins a warm flight waits for it instead of
+    // extracting, gets its levels at real recency, and counts one
+    // speculative hit
+    #[test]
+    fn a_real_join_turns_a_warm_flight_real() {
+        let state = test_state(
+            "warm_join",
+            ServeOptions {
+                warm_delta: Some(4.0),
+                ..Default::default()
+            },
+        );
+        let (mut leader, joiner) = real_request_joins_warm_flight(&state, 114.0);
+        let built = state.build(114.0, None, &Trace::detached(), true);
+        let (levels, landed) = leader.publish(built).unwrap();
+        assert!(landed);
+        let joined = joiner.join().unwrap().unwrap();
+        assert!(Arc::ptr_eq(&joined[0], &levels[0]), "the leader's levels");
+        assert_eq!(state.extract_latency_us.snapshot().count, 0);
+        assert_eq!(state.c.spec_joined.get(), 1);
+        let text = state.metrics_text();
+        assert!(text.contains("\nspeculative_hits_total 1\n"), "{text}");
+        // inserted as real: a later lookup is no second speculative hit
+        assert!(state.cache.lock().unwrap().get(114.0, MC, 0).is_some());
+        assert_eq!(state.cache.lock().unwrap().stats().speculative_hits, 0);
+    }
+
+    // a leader that never publishes (a panic unwinding through it) wakes
+    // every waiter with an error and retires the flight: nothing wedges
+    // and nothing is cached
+    #[test]
+    fn an_abandoned_flight_wakes_its_waiters_with_an_error() {
+        let state = test_state("flight_abandoned", ServeOptions::default());
+        let (leader, joiner) = real_request_joins_warm_flight(&state, 114.0);
+        drop(leader);
+        let e = joiner
+            .join()
+            .unwrap()
+            .expect_err("the build never finished");
+        assert!(e.to_string().contains("panicked"), "{e}");
+        assert!(state.flights.lock().unwrap().is_empty(), "flight retired");
+        assert!(state.cache.lock().unwrap().peek(114.0, MC, 0).is_none());
+        // the next request leads afresh
+        let (levels, extracted) = miss(&state, 114.0);
+        assert!(extracted && !levels[0].mesh.is_empty());
     }
 
     // the cold-start contract: with no miss samples the EWMA reads 0, and a

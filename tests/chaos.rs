@@ -12,19 +12,24 @@ mod common;
 
 use common::tmpdir;
 use oociso::core::{ClusterDatabase, PreprocessOptions};
-use oociso::exio::{DiskFarm, FaultPlan, FaultyDevice, MemDevice, RecordStore, ThrottledDevice};
+use oociso::exio::{
+    BlockDevice, DiskFarm, FaultPlan, FaultyDevice, IoStats, MemDevice, RecordStore,
+    ThrottledDevice,
+};
 use oociso::march::IndexedMesh;
+use oociso::render::{rasterize_mesh, Camera, Framebuffer};
 use oociso::serve::protocol::{
     self, encode_frame, read_frame_limited, FrameIn, ERR_INTERNAL, MAX_REQUEST_PAYLOAD,
 };
 use oociso::serve::{
-    ChaosProxy, Client, ClientOptions, ConnFault, IsoServer, Message, ServeOptions, ServerError,
-    ERR_BUSY,
+    ChaosProxy, Client, ClientOptions, ConnFault, FrameParams, FrameReply, IsoServer, MeshReply,
+    Message, ServeOptions, ServerError, ERR_BUSY,
 };
 use oociso::volume::field::{FieldExt, SphereField};
 use oociso::volume::{Dims3, Volume};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn test_volume() -> Volume<u8> {
@@ -782,6 +787,197 @@ fn warmed_scrub_hits_speculative_entries_without_shedding() {
 #[test]
 fn warmed_scrub_hits_speculative_entries_without_shedding_reactor() {
     warmed_scrub_scenario(Loops::Two);
+}
+
+/// The herd's requests: even members ask for `lod 0` as a mesh, odd ones
+/// for a frame of the same surface.
+const HERD: usize = 8;
+
+fn herd_frame() -> FrameParams {
+    FrameParams {
+        width: 64,
+        height: 64,
+        azimuth: 0.7,
+        elevation: 0.4,
+        distance: 2.5,
+        tile_cols: 2,
+        tile_rows: 2,
+    }
+}
+
+/// Fire `HERD` clients at once at isovalue `iso` on `addr`; returns each
+/// member's outcome, `Ok` holding a mesh reply and `Err` a frame reply.
+fn fire_herd(
+    addr: std::net::SocketAddr,
+    iso: f32,
+) -> Vec<std::io::Result<Result<MeshReply, FrameReply>>> {
+    let barrier = Barrier::new(HERD);
+    std::thread::scope(|scope| {
+        let members: Vec<_> = (0..HERD)
+            .map(|i| {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let opts = ClientOptions {
+                        request_timeout: Some(Duration::from_secs(20)),
+                        ..Default::default()
+                    };
+                    let mut client = Client::connect_with(addr, opts).unwrap();
+                    barrier.wait();
+                    if i % 2 == 0 {
+                        client.query_mesh(iso, None).map(Ok)
+                    } else {
+                        client.query_frame(iso, herd_frame()).map(Err)
+                    }
+                })
+            })
+            .collect();
+        members.into_iter().map(|m| m.join().unwrap()).collect()
+    })
+}
+
+/// The herd's server: 4 workers, unlimited slots.
+fn herd_server(served: ClusterDatabase<u8>, loops: Loops) -> IsoServer {
+    IsoServer::bind(
+        served,
+        ("127.0.0.1", 0),
+        loops.options(ServeOptions {
+            reactor_workers: 4,
+            ..Default::default()
+        }),
+    )
+    .unwrap()
+}
+
+/// Single flight: a herd of clients on one cold isovalue costs one
+/// extraction. Every member waits for the first one's build (or, reaching
+/// a worker after it finished, takes the resident levels), and every reply
+/// is bit-identical to an in-process extraction.
+fn cold_herd_scenario(loops: Loops) {
+    let (dir, mut served, direct) = build_db(&format!("chaos_herd_{}", loops.suffix()));
+    // ~0.5 s per extraction: the whole herd arrives while the first build runs
+    throttle_db(&dir, &mut served, 1.0);
+    let server = herd_server(served, loops);
+    let iso = 120.0f32;
+    let truth = direct.extract(iso).unwrap().mesh;
+    let params = herd_frame();
+    let mut frame_truth = Framebuffer::new(params.width as usize, params.height as usize);
+    let camera = Camera::orbiting(
+        &truth.bounds(),
+        params.azimuth,
+        params.elevation,
+        params.distance,
+    );
+    rasterize_mesh(&truth, &camera, [0.9, 0.78, 0.5], &mut frame_truth);
+
+    for (i, reply) in fire_herd(server.addr(), iso).into_iter().enumerate() {
+        match reply.unwrap_or_else(|e| panic!("herd member {i} failed: {e}")) {
+            Ok(mesh) => assert_same_mesh(&mesh.mesh, &truth, &format!("herd member {i}")),
+            Err(frame) => assert_eq!(frame.framebuffer, frame_truth, "herd member {i}"),
+        }
+    }
+    let m = server.metrics();
+    assert_eq!(
+        metric_value(&m, "extract_latency_us_count"),
+        1,
+        "the herd must cost one extraction:\n{m}"
+    );
+    let report = server.stop();
+    assert_eq!((report.errors, report.shed), (0, 0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cold_herd_extracts_once() {
+    cold_herd_scenario(Loops::One);
+}
+
+#[test]
+fn cold_herd_extracts_once_reactor() {
+    cold_herd_scenario(Loops::Two);
+}
+
+/// A store that fails every read (after a short delay, so the herd
+/// overlaps the failing build) until `healed` is set.
+struct HealableStore {
+    faulty: FaultyDevice<MemDevice>,
+    healed: Arc<AtomicBool>,
+}
+
+impl BlockDevice for HealableStore {
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+        if self.healed.load(Ordering::SeqCst) {
+            self.faulty.inner().read_at(offset, buf)
+        } else {
+            self.faulty.read_at(offset, buf)
+        }
+    }
+
+    fn len(&self) -> u64 {
+        self.faulty.len()
+    }
+
+    fn stats(&self) -> &IoStats {
+        self.faulty.stats()
+    }
+
+    fn block_bytes(&self) -> u64 {
+        self.faulty.block_bytes()
+    }
+}
+
+/// The herd's fault twin: a build that fails hands every waiter the
+/// structured `ERR_INTERNAL` (none hangs), and the failed flight leaves
+/// nothing behind — once the disk heals, the next request extracts fresh.
+fn cold_herd_fault_scenario(loops: Loops) {
+    let (dir, mut served, direct) = build_db(&format!("chaos_herdfault_{}", loops.suffix()));
+    let bricks = std::fs::read(DiskFarm::new(&dir, 1).store_path(0)).unwrap();
+    let healed = Arc::new(AtomicBool::new(false));
+    served.replace_store(
+        0,
+        RecordStore::from_device(Box::new(HealableStore {
+            faulty: FaultyDevice::new(
+                MemDevice::new(bricks),
+                FaultPlan {
+                    error_rate: 1.0,
+                    delay_rate: 1.0,
+                    delay: Duration::from_millis(100),
+                    ..FaultPlan::default()
+                },
+            ),
+            healed: healed.clone(),
+        })),
+    );
+    let server = herd_server(served, loops);
+    let iso = 120.0f32;
+    for (i, reply) in fire_herd(server.addr(), iso).into_iter().enumerate() {
+        let e = reply.expect_err("every herd member sees the fault");
+        let se = ServerError::from_io(&e)
+            .unwrap_or_else(|| panic!("herd member {i}: unstructured failure {e}"));
+        assert_eq!(se.code, ERR_INTERNAL, "herd member {i}: {}", se.detail);
+        assert!(se.detail.contains("injected fault"), "{}", se.detail);
+    }
+
+    healed.store(true, Ordering::SeqCst);
+    let mut client = Client::connect(server.addr()).unwrap();
+    let reply = client.query_mesh(iso, None).unwrap();
+    assert!(!reply.cache_hit, "a failed build is never cached");
+    assert_same_mesh(&reply.mesh, &direct.extract(iso).unwrap().mesh, "healed");
+    let m = client.metrics().unwrap();
+    assert_eq!(metric_value(&m, "extract_latency_us_count"), 1, "{m}");
+    let report = server.stop();
+    assert_eq!(report.errors, HERD as u64);
+    assert_eq!(report.shed, 0, "a fault is not overload");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cold_herd_fault_wakes_every_waiter_and_caches_nothing() {
+    cold_herd_fault_scenario(Loops::One);
+}
+
+#[test]
+fn cold_herd_fault_wakes_every_waiter_and_caches_nothing_reactor() {
+    cold_herd_fault_scenario(Loops::Two);
 }
 
 /// Regression: a busy reply hinting `retry_after_ms: 0` (or carrying no
