@@ -28,9 +28,10 @@ mod common;
 use oociso::cluster::ExtractOptions;
 use oociso::core::{ClusterDatabase, PreprocessOptions};
 use oociso::march::{
-    analyze_mesh_connectivity, decimate_to_error, decimate_to_ratio, IndexedMesh, Triangle, Vec3,
+    analyze_mesh_connectivity, decimate_to_error, decimate_to_ratio, DecimateStats, IndexedMesh,
+    LodChain, Triangle, Vec3,
 };
-use oociso::volume::{Dims3, Volume};
+use oociso::volume::{Dims3, RmProxy, Volume};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -494,4 +495,248 @@ fn open_unwelded_mesh_keeps_every_seam_vertex() {
         dec.num_vertices() < mesh.num_vertices(),
         "{stats:?}: nothing was simplified"
     );
+}
+
+// ---------------------------------------------------------------------
+// recorded bytes
+// ---------------------------------------------------------------------
+
+/// One recorded pyramid level: counts, the FNV-1a of positions then
+/// indices, and every [`DecimateStats`] field (`max_error` by its bits).
+struct Recorded {
+    vertices: usize,
+    triangles: usize,
+    fnv: u64,
+    stats: DecimateStats,
+}
+
+/// FNV-1a (64-bit, one step per 32-bit word) over the position bit
+/// patterns followed by the indices — the benchmark harness's mesh digest.
+fn fnv(mesh: &IndexedMesh) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut step = |word: u32| h = (h ^ word as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    for p in mesh.positions() {
+        step(p.x.to_bits());
+        step(p.y.to_bits());
+        step(p.z.to_bits());
+    }
+    mesh.indices().iter().copied().for_each(&mut step);
+    h
+}
+
+/// The welded mesh of `vol` at `iso`, preprocessed into two nodes.
+fn welded(name: &str, vol: &Volume<u8>, iso: f32) -> IndexedMesh {
+    let dir = common::tmpdir(&format!("dec_golden_{name}"));
+    let db = ClusterDatabase::preprocess(
+        vol,
+        &dir,
+        &PreprocessOptions {
+            nodes: 2,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let mesh = db.extract(iso).unwrap().mesh;
+    std::fs::remove_dir_all(&dir).ok();
+    mesh
+}
+
+/// The serving pyramid (25 % then 6 %) over four welded surfaces — tiled
+/// and single-tile passes, closed and open inputs — must reproduce the
+/// bytes and counters recorded before the decimator's internals last
+/// changed. Any edit to the decimator that moves one output byte, one
+/// collapse or one rejection fails here; a deliberate change of output has
+/// to re-record the table and say why.
+#[test]
+fn decimated_levels_are_the_recorded_bytes() {
+    let surfaces = [
+        (
+            "rm_64x64x60_iso190",
+            welded(
+                "rm",
+                &RmProxy::with_seed(0x524D_2006).volume(250, Dims3::new(64, 64, 60)),
+                190.0,
+            ),
+        ),
+        (
+            "torus_64_iso128.5",
+            welded("torus", &common::torus_vol(Dims3::cube(64)), 128.5),
+        ),
+        (
+            "noise_40_iso128.5",
+            welded("noise", &common::noise_vol(Dims3::cube(40)), 128.5),
+        ),
+        (
+            "clipped_gyroid_65_iso128.5",
+            welded(
+                "gyroid65",
+                &common::clipped_gyroid_vol(Dims3::cube(65)),
+                128.5,
+            ),
+        ),
+    ];
+    let mut actual = String::new();
+    let mut levels = Vec::new();
+    for (name, mesh) in &surfaces {
+        for (i, level) in LodChain::coarse_levels(mesh, &[0.25, 0.06], |_, _, _| {})
+            .into_iter()
+            .enumerate()
+        {
+            let s = &level.stats;
+            actual += &format!(
+                "    // {name} level {}\n    rec({}, {}, {:#018x}, [{}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}], {:#018x}, {}),\n",
+                i + 1,
+                level.mesh.num_vertices(),
+                level.mesh.len(),
+                fnv(&level.mesh),
+                s.input_vertices,
+                s.input_triangles,
+                s.output_vertices,
+                s.output_triangles,
+                s.collapses,
+                s.finish_collapses,
+                s.tiles,
+                s.passes,
+                s.rejected_link,
+                s.rejected_flip,
+                s.rejected_error,
+                s.pinned_vertices,
+                s.max_error.to_bits(),
+                s.reached_target,
+            );
+            levels.push((format!("{name} level {}", i + 1), level));
+        }
+    }
+    let recorded = recorded_levels();
+    assert_eq!(levels.len(), recorded.len(), "actual table:\n{actual}");
+    for ((ctx, level), want) in levels.iter().zip(&recorded) {
+        assert_eq!(
+            level.mesh.num_vertices(),
+            want.vertices,
+            "{ctx}; actual table:\n{actual}"
+        );
+        assert_eq!(
+            level.mesh.len(),
+            want.triangles,
+            "{ctx}; actual table:\n{actual}"
+        );
+        assert_eq!(fnv(&level.mesh), want.fnv, "{ctx}; actual table:\n{actual}");
+        assert_eq!(level.stats, want.stats, "{ctx}; actual table:\n{actual}");
+    }
+}
+
+/// A [`Recorded`] level from its table row: the twelve integer stats in
+/// field order, then `max_error`'s bits and `reached_target`.
+fn rec(
+    vertices: usize,
+    triangles: usize,
+    fnv: u64,
+    n: [u64; 12],
+    max_error: u64,
+    reached_target: bool,
+) -> Recorded {
+    Recorded {
+        vertices,
+        triangles,
+        fnv,
+        stats: DecimateStats {
+            input_vertices: n[0],
+            input_triangles: n[1],
+            output_vertices: n[2],
+            output_triangles: n[3],
+            collapses: n[4],
+            finish_collapses: n[5],
+            tiles: n[6],
+            passes: n[7],
+            rejected_link: n[8],
+            rejected_flip: n[9],
+            rejected_error: n[10],
+            pinned_vertices: n[11],
+            max_error: f64::from_bits(max_error),
+            reached_target,
+        },
+    }
+}
+
+fn recorded_levels() -> Vec<Recorded> {
+    vec![
+        // rm_64x64x60_iso190 level 1
+        rec(
+            4289,
+            6010,
+            0x9f5f3790d047e8af,
+            [
+                17154, 31740, 4289, 6010, 12865, 3917, 7, 67, 1655, 282, 0, 946,
+            ],
+            0x4003baefbe988000,
+            true,
+        ),
+        // rm_64x64x60_iso190 level 2
+        rec(
+            2124,
+            1680,
+            0x5c8a2e9217a25223,
+            [4289, 6010, 2124, 1680, 2165, 2165, 1, 24, 24912, 7, 0, 946],
+            0x412b5c5fdcd67f80,
+            false,
+        ),
+        // torus_64_iso128.5 level 1
+        rec(
+            1946,
+            3892,
+            0xbd16361b834166e2,
+            [7784, 15568, 1946, 3892, 5838, 1331, 3, 35, 0, 690, 0, 0],
+            0x3faa31e15d400000,
+            true,
+        ),
+        // torus_64_iso128.5 level 2
+        rec(
+            468,
+            936,
+            0x26ac9f75b6b0fef7,
+            [1946, 3892, 468, 936, 1478, 1478, 1, 7, 0, 10, 0, 0],
+            0x3fe5e6ca3c8dc000,
+            true,
+        ),
+        // noise_40_iso128.5 level 1
+        rec(
+            3665,
+            5944,
+            0x957d27f5d4286962,
+            [
+                14658, 27930, 3665, 5944, 10993, 3924, 6, 59, 340, 203, 0, 1410,
+            ],
+            0x3ffdfb5a94d98000,
+            true,
+        ),
+        // noise_40_iso128.5 level 2
+        rec(
+            1553,
+            1720,
+            0x6140788ec7bb873d,
+            [
+                3665, 5944, 1553, 1720, 2112, 2112, 1, 10, 2343, 108, 0, 1410,
+            ],
+            0x40d7a056c5eb22a0,
+            false,
+        ),
+        // clipped_gyroid_65_iso128.5 level 1
+        rec(
+            3075,
+            6166,
+            0x19f57577cc35b2ff,
+            [12300, 24616, 3075, 6166, 9225, 2643, 6, 57, 3, 429, 0, 0],
+            0x3fb0ecb0de7e0000,
+            true,
+        ),
+        // clipped_gyroid_65_iso128.5 level 2
+        rec(
+            738,
+            1492,
+            0x04e46a1abc03997a,
+            [3075, 6166, 738, 1492, 2337, 2337, 1, 10, 0, 31, 0, 0],
+            0x3ff70eee3f7c0000,
+            true,
+        ),
+    ]
 }
