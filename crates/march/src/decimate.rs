@@ -31,7 +31,11 @@
 //! collapsible (unpinned) vertices is left. The tiles are then merged, every
 //! vertex carrying its accumulated quadric (a seam vertex's summed over its
 //! tiles), and a global finishing phase of the same passes does the rest —
-//! seams included — down to the exact target.
+//! seams included — down to the exact target. The merge carries the tiles'
+//! state rather than rebuilding it: each tile hands over, in global ids, its
+//! incidence lists, its pins and its priced edges, which are already the
+//! global ones for every interior vertex, so only the seam vertices' edges
+//! are counted and priced again.
 //!
 //! Simplification for a *serving* pipeline has two extra obligations the
 //! textbook algorithm does not:
@@ -306,20 +310,42 @@ fn v3(p: Vec3) -> [f64; 3] {
     [p.x as f64, p.y as f64, p.z as f64]
 }
 
-/// Reusable per-collapse scratch: every buffer the collapse guards and the
-/// apply step need, allocated once and recycled across the walk. After the
-/// first few collapses warm the capacities, the hot loop allocates nothing.
+/// Reusable per-collapse scratch: every buffer the collapse guards, the
+/// apply step and the re-pricing need, allocated once and recycled across
+/// the walk. After the first few collapses warm the capacities, the hot
+/// loop allocates nothing.
 #[derive(Default)]
 struct Scratch {
     /// Faces sharing the candidate edge (die with the collapse).
     shared: Vec<u32>,
     /// Opposite corners of the shared faces (link-condition right-hand side).
     opposite: Vec<u32>,
-    /// Vertices adjacent to endpoint `a` / endpoint `b`.
-    na: Vec<u32>,
-    nb: Vec<u32>,
-    /// Snapshot of `b`'s surviving incident faces during the merge.
-    fb: Vec<u32>,
+    /// Vertices adjacent to both endpoints (link-condition left-hand side).
+    common: Vec<u32>,
+    /// Per vertex: the last stamp that marked it (see [`Scratch::stamp`]).
+    mark: Vec<u32>,
+    /// The highest stamp handed out.
+    epoch: u32,
+}
+
+impl Scratch {
+    fn new(vertices: usize) -> Scratch {
+        Scratch {
+            mark: vec![0; vertices],
+            ..Default::default()
+        }
+    }
+
+    /// A fresh stamp `e`: no vertex's mark is `e` or `e + 1` yet, so one
+    /// gather can mark "seen" with `e` and "seen twice" with `e + 1`.
+    fn stamp(&mut self) -> u32 {
+        if self.epoch >= u32::MAX - 2 {
+            self.mark.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 2;
+        self.epoch - 1
+    }
 }
 
 /// The in-progress decimation state over index-stable working arrays.
@@ -330,7 +356,8 @@ struct Decimator {
     faces: Vec<[u32; 3]>,
     alive: Vec<bool>,
     /// Per-vertex incident alive-face lists (may briefly hold dead ids;
-    /// filtered on read).
+    /// filtered on read). A face holding a vertex at two corners is listed
+    /// twice.
     vertex_faces: Vec<Vec<u32>>,
     /// Boundary/non-manifold vertices — pinned.
     pinned: Vec<bool>,
@@ -378,6 +405,41 @@ fn plane_quadrics(positions: &[Vec3], faces: &[[u32; 3]]) -> Vec<Quadric> {
     quadrics
 }
 
+/// The edges at `v` with their face multiplicities, into `ring` as
+/// `(other end, count)`: every edge at `v`, or with `lower_only` those whose
+/// other end is above `v`. `list` is `v`'s alive incidence; a face holding
+/// `v` at two corners is listed twice but counted once, edge by edge, as
+/// the whole mesh's edge list would count it.
+fn edges_at(
+    v: u32,
+    list: &[u32],
+    faces: &[[u32; 3]],
+    lower_only: bool,
+    ring: &mut Vec<(u32, u32)>,
+) {
+    ring.clear();
+    for (i, &f) in list.iter().enumerate() {
+        let tri = faces[f as usize];
+        if tri.iter().filter(|&&c| c == v).count() > 1 && list[..i].contains(&f) {
+            continue;
+        }
+        for k in 0..3 {
+            let (x, y) = (tri[k], tri[(k + 1) % 3]);
+            if x == y || (x != v && y != v) {
+                continue;
+            }
+            let w = if x == v { y } else { x };
+            if lower_only && w < v {
+                continue;
+            }
+            match ring.iter_mut().find(|e| e.0 == w) {
+                Some(e) => e.1 += 1,
+                None => ring.push((w, 1)),
+            }
+        }
+    }
+}
+
 impl Decimator {
     /// Working state over `faces` (corners index `positions`), each vertex
     /// starting from its accumulated quadric. `seam` pins vertices on top
@@ -391,73 +453,114 @@ impl Decimator {
         opts: DecimateOptions,
     ) -> Decimator {
         let nv = positions.len();
-        let mut vertex_faces: Vec<Vec<u32>> = vec![Vec::new(); nv];
+        let mut corners = vec![0u32; nv];
+        for f in &faces {
+            for &c in f {
+                corners[c as usize] += 1;
+            }
+        }
+        let mut vertex_faces: Vec<Vec<u32>> = corners
+            .into_iter()
+            .map(|n| Vec::with_capacity(n as usize))
+            .collect();
         for (fi, f) in faces.iter().enumerate() {
             for &c in f {
                 vertex_faces[c as usize].push(fi as u32);
             }
         }
-
-        // Edge face-multiplicity: anything but exactly 2 incident faces pins
-        // both endpoints (surface boundary, or a non-manifold spine the
-        // decimator must not make worse). Count over sorted undirected edges.
-        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(faces.len() * 3);
-        for f in &faces {
-            for i in 0..3 {
-                let (a, b) = (f[i], f[(i + 1) % 3]);
-                if a != b {
-                    edges.push(if a < b { (a, b) } else { (b, a) });
-                }
-            }
-        }
-        edges.sort_unstable();
-        let mut pinned = vec![false; nv];
-        let mut uniq_edges: Vec<(u32, u32)> = Vec::new();
-        let mut i = 0;
-        while i < edges.len() {
-            let mut j = i + 1;
-            while j < edges.len() && edges[j] == edges[i] {
-                j += 1;
-            }
-            if j - i != 2 {
-                pinned[edges[i].0 as usize] = true;
-                pinned[edges[i].1 as usize] = true;
-            }
-            uniq_edges.push(edges[i]);
-            i = j;
-        }
-        let pinned_count = pinned.iter().filter(|&&p| p).count() as u64;
-        for (p, &s) in pinned.iter_mut().zip(seam) {
-            *p |= s;
-        }
-
-        // A vertex is alive iff some face references it; orphans never
-        // counted (they are dropped by output compaction regardless).
-        let alive_vertices = vertex_faces.iter().filter(|l| !l.is_empty()).count();
-
-        let mut dec = Decimator {
+        let alive = vec![true; faces.len()];
+        let mut dec = Decimator::from_parts(
             positions,
             quadrics,
-            alive: vec![true; faces.len()],
             faces,
+            alive,
+            vertex_faces,
+            vec![false; nv],
+            opts,
+        );
+        // each edge is counted and priced once, at its lower endpoint
+        let edges = dec.pin_edges(0..nv as u32, true, |_, _| true);
+        for (p, &s) in dec.pinned.iter_mut().zip(seam) {
+            *p |= s;
+        }
+        dec.price_edges(&edges);
+        dec
+    }
+
+    /// The state over already-built incidence lists and pins, with nothing
+    /// priced yet. A vertex is alive iff some alive face references it;
+    /// orphans never count (output compaction drops them regardless).
+    fn from_parts(
+        positions: Vec<Vec3>,
+        quadrics: Vec<Quadric>,
+        faces: Vec<[u32; 3]>,
+        alive: Vec<bool>,
+        vertex_faces: Vec<Vec<u32>>,
+        pinned: Vec<bool>,
+        opts: DecimateOptions,
+    ) -> Decimator {
+        let nv = positions.len();
+        let alive_vertices = vertex_faces.iter().filter(|l| !l.is_empty()).count();
+        Decimator {
+            positions,
+            quadrics,
+            faces,
+            alive,
             vertex_faces,
             pinned,
             priced: Vec::new(),
             touched: vec![0; nv],
             pass: 0,
             alive_vertices,
-            stats: DecimateStats {
-                pinned_vertices: pinned_count,
-                ..Default::default()
-            },
+            stats: DecimateStats::default(),
             opts,
-            scratch: Scratch::default(),
-        };
-        dec.priced = uniq_edges
-            .into_iter()
-            .filter_map(|(a, b)| dec.price(a, b))
+            scratch: Scratch::new(nv),
+        }
+    }
+
+    /// Edge face-multiplicity: anything but exactly 2 incident faces pins
+    /// both endpoints (surface boundary, or a non-manifold spine the
+    /// decimator must not make worse). Counts the edges at each of
+    /// `vertices` (`lower_only` as in [`edges_at`]), pins, sets the stats'
+    /// pin count, and returns the counted edges `keep(v, w)` accepts as
+    /// `(lower, upper)`, to be priced once every pin is known.
+    fn pin_edges(
+        &mut self,
+        vertices: impl Iterator<Item = u32>,
+        lower_only: bool,
+        keep: impl Fn(u32, u32) -> bool,
+    ) -> Vec<(u32, u32)> {
+        let mut edges = Vec::new();
+        let mut ring = Vec::new();
+        for v in vertices {
+            edges_at(
+                v,
+                &self.vertex_faces[v as usize],
+                &self.faces,
+                lower_only,
+                &mut ring,
+            );
+            for &(w, n) in &ring {
+                if n != 2 {
+                    self.pinned[v as usize] = true;
+                    self.pinned[w as usize] = true;
+                }
+                if keep(v, w) {
+                    edges.push((v.min(w), v.max(w)));
+                }
+            }
+        }
+        self.stats.pinned_vertices = self.pinned.iter().filter(|&&p| p).count() as u64;
+        edges
+    }
+
+    /// Add every priceable edge of `edges` to the priced list.
+    fn price_edges(&mut self, edges: &[(u32, u32)]) {
+        let priced: Vec<Collapse> = edges
+            .iter()
+            .filter_map(|&(a, b)| self.price(a, b))
             .collect();
-        dec
+        self.priced.extend(priced);
     }
 
     /// Price edge `(a, b)`, `a < b`: `None` when an endpoint is pinned —
@@ -498,20 +601,26 @@ impl Decimator {
         list.retain(|&f| self.alive[f as usize]);
     }
 
-    /// The link condition plus geometric guards for collapsing `(a, b)` to
-    /// `pos`. Returns `None` when legal, or the rejection counter to bump.
-    /// Allocation-free on the hot path: every buffer lives in [`Scratch`].
-    fn check_collapse(&mut self, a: u32, b: u32, pos: Vec3) -> Option<Rejection> {
+    /// Collapse `(a, b)` to `pos` — `b` merges into `a` — if the link
+    /// condition and the geometric guards allow it; otherwise return the
+    /// rejection counter to bump. The apply step reuses the compacted lists
+    /// and shared faces the guards built. Allocation-free on the hot path:
+    /// every buffer lives in [`Scratch`].
+    fn try_collapse(&mut self, a: u32, b: u32, pos: Vec3) -> Option<Rejection> {
         self.compact_faces(a);
         self.compact_faces(b);
         let mut s = std::mem::take(&mut self.scratch);
-        let result = self.check_collapse_with(a, b, pos, &mut s);
+        let rejected = self.check_collapse(a, b, pos, &mut s);
+        if rejected.is_none() {
+            self.apply_collapse(a, b, pos, &s.shared);
+        }
         self.scratch = s;
-        result
+        rejected
     }
 
-    fn check_collapse_with(&self, a: u32, b: u32, pos: Vec3, s: &mut Scratch) -> Option<Rejection> {
-        // compacted lists borrow immutably for the whole guard section
+    /// The guards of [`Decimator::try_collapse`] over `a`'s and `b`'s
+    /// compacted lists; leaves the faces sharing the edge in `s.shared`.
+    fn check_collapse(&self, a: u32, b: u32, pos: Vec3, s: &mut Scratch) -> Option<Rejection> {
         let fa = &self.vertex_faces[a as usize];
         let fb = &self.vertex_faces[b as usize];
         // faces sharing the edge (they die with the collapse)
@@ -534,8 +643,27 @@ impl Decimator {
             }
         }
         s.opposite.sort_unstable();
-        self.common_neighbors_into(fa, fb, a, b, s);
-        if s.na != s.opposite {
+        // common neighbours: stamp `a`'s ring with `e`, then collect each
+        // stamped vertex of `b`'s ring once, re-stamping it `e + 1`
+        let e = s.stamp();
+        for &f in fa {
+            for c in self.faces[f as usize] {
+                if c != a && c != b {
+                    s.mark[c as usize] = e;
+                }
+            }
+        }
+        s.common.clear();
+        for &f in fb {
+            for c in self.faces[f as usize] {
+                if c != a && c != b && s.mark[c as usize] == e {
+                    s.mark[c as usize] = e + 1;
+                    s.common.push(c);
+                }
+            }
+        }
+        s.common.sort_unstable();
+        if s.common != s.opposite {
             return Some(Rejection::Link);
         }
         // normal-flip / degeneration guard over every surviving face
@@ -559,29 +687,6 @@ impl Decimator {
         None
     }
 
-    /// Vertices adjacent to both `a` and `b` (via any alive face), excluding
-    /// the endpoints themselves. The sorted, deduped result lands in `s.na`.
-    fn common_neighbors_into(&self, fa: &[u32], fb: &[u32], a: u32, b: u32, s: &mut Scratch) {
-        s.na.clear();
-        s.na.extend(
-            fa.iter()
-                .flat_map(|&f| self.faces[f as usize])
-                .filter(|&c| c != a && c != b),
-        );
-        s.na.sort_unstable();
-        s.na.dedup();
-        s.nb.clear();
-        s.nb.extend(
-            fb.iter()
-                .flat_map(|&f| self.faces[f as usize])
-                .filter(|&c| c != a && c != b),
-        );
-        s.nb.sort_unstable();
-        s.nb.dedup();
-        let nb = &s.nb;
-        s.na.retain(|v| nb.binary_search(v).is_ok());
-    }
-
     /// Unnormalized face normal (and its squared length) with `override_`
     /// optionally substituting one corner's position.
     fn face_normal(&self, tri: [u32; 3], override_: Option<(u32, Vec3)>) -> (Vec3, f64) {
@@ -598,26 +703,15 @@ impl Decimator {
         (n, len2)
     }
 
-    /// Apply the collapse `(a, b) → pos`: `b` merges into `a`.
-    fn apply_collapse(&mut self, a: u32, b: u32, pos: Vec3) {
-        self.compact_faces(a);
-        self.compact_faces(b);
-        let mut s = std::mem::take(&mut self.scratch);
-        {
-            let fa = &self.vertex_faces[a as usize];
-            let fb = &self.vertex_faces[b as usize];
-            s.shared.clear();
-            s.shared
-                .extend(fa.iter().copied().filter(|f| fb.contains(f)));
-            s.fb.clear();
-            s.fb.extend_from_slice(fb);
-        }
-        for &f in &s.shared {
+    /// Apply the checked collapse `(a, b) → pos`: the `shared` faces die,
+    /// `b`'s other faces move to `a`.
+    fn apply_collapse(&mut self, a: u32, b: u32, pos: Vec3, shared: &[u32]) {
+        for &f in shared {
             self.alive[f as usize] = false;
         }
-        // rewrite b's surviving faces to reference a
-        for &f in &s.fb {
-            if s.shared.contains(&f) {
+        let fb = std::mem::take(&mut self.vertex_faces[b as usize]);
+        for &f in &fb {
+            if shared.contains(&f) {
                 continue;
             }
             for c in self.faces[f as usize].iter_mut() {
@@ -627,12 +721,10 @@ impl Decimator {
             }
             self.vertex_faces[a as usize].push(f);
         }
-        self.vertex_faces[b as usize].clear();
         self.positions[a as usize] = pos;
         let qb = self.quadrics[b as usize];
         self.quadrics[a as usize].add(&qb);
         self.alive_vertices -= 1;
-        self.scratch = s;
     }
 
     /// Collapse in error-ordered passes (see the module docs) until `target`
@@ -695,7 +787,7 @@ impl Decimator {
             if self.touched[a] == self.pass || self.touched[b] == self.pass {
                 continue;
             }
-            match self.check_collapse(c.a, c.b, c.pos) {
+            match self.try_collapse(c.a, c.b, c.pos) {
                 Some(Rejection::Link) => {
                     self.stats.rejected_link += 1;
                     continue;
@@ -706,7 +798,6 @@ impl Decimator {
                 }
                 None => {}
             }
-            self.apply_collapse(c.a, c.b, c.pos);
             self.touched[a] = self.pass;
             self.touched[b] = self.pass;
             kept.push(c.a);
@@ -723,14 +814,20 @@ impl Decimator {
         let (pass, touched) = (self.pass, &self.touched);
         self.priced
             .retain(|c| touched[c.a as usize] != pass && touched[c.b as usize] != pass);
+        let mut s = std::mem::take(&mut self.scratch);
         for &a in kept {
             self.compact_faces(a);
+            // the ring, each neighbour once (stamped), in no order
+            let e = s.stamp();
             ring.clear();
             for &f in &self.vertex_faces[a as usize] {
-                ring.extend(self.faces[f as usize].iter().filter(|&&c| c != a));
+                for c in self.faces[f as usize] {
+                    if c != a && s.mark[c as usize] != e {
+                        s.mark[c as usize] = e;
+                        ring.push(c);
+                    }
+                }
             }
-            ring.sort_unstable();
-            ring.dedup();
             for &x in ring.iter() {
                 // an edge between two kept vertices is priced from its lower end
                 if self.touched[x as usize] == pass && x < a {
@@ -741,6 +838,7 @@ impl Decimator {
                 }
             }
         }
+        self.scratch = s;
     }
 
     /// Compact the surviving faces into a fresh mesh, remapping vertices
@@ -850,7 +948,8 @@ impl Tiling {
     }
 }
 
-/// One tile after the parallel phase, in tile-local vertex indices.
+/// One tile after the parallel phase, everything in global ids, per local
+/// vertex where not said otherwise.
 struct TileOut {
     /// Global id of each local vertex.
     vertices: Vec<u32>,
@@ -859,12 +958,18 @@ struct TileOut {
     /// Parallel to the tile's entry in [`Tiling::faces`].
     faces: Vec<[u32; 3]>,
     alive: Vec<bool>,
+    /// Each vertex's alive faces.
+    vertex_faces: Vec<Vec<u32>>,
+    /// Seam and multiplicity pins; for an interior vertex, the latter alone.
+    pinned: Vec<bool>,
+    /// The tile's priced edges left over, each `a < b` in global ids.
+    priced: Vec<Collapse>,
     stats: DecimateStats,
 }
 
 /// Decimate tile `t`'s interior down to `SLACK × ratio` of it, its seam
-/// vertices pinned. `local` is an all-`u32::MAX` global→local scratch map,
-/// left that way on return.
+/// vertices pinned, and hand its state over in global ids. `local` is an
+/// all-`u32::MAX` global→local scratch map, left that way on return.
 fn decimate_tile(
     positions: &[Vec3],
     faces: &[[u32; 3]],
@@ -875,7 +980,8 @@ fn decimate_tile(
     local: &mut [u32],
 ) -> TileOut {
     let mut vertices: Vec<u32> = Vec::new();
-    let tile_faces: Vec<[u32; 3]> = tiling.faces[t]
+    let face_ids = &tiling.faces[t];
+    let tile_faces: Vec<[u32; 3]> = face_ids
         .iter()
         .map(|&f| {
             faces[f as usize].map(|c| {
@@ -911,42 +1017,88 @@ fn decimate_tile(
         _ => fixed + ((vertices.len() - fixed) as f64 * ratio * SLACK).ceil() as usize,
     };
     dec.simplify(target);
+
+    // Local ids follow first use, not global order, so an edge's ends may
+    // swap. Its price does not change — except that the fallback tries the
+    // lower end first — so a swapped edge is priced again from its global
+    // lower end.
+    let priced = dec
+        .priced
+        .iter()
+        .map(|c| {
+            let (a, b) = (vertices[c.a as usize], vertices[c.b as usize]);
+            match a < b {
+                true => Collapse { a, b, ..*c },
+                false => Collapse {
+                    a: b,
+                    b: a,
+                    ..dec
+                        .price(c.b, c.a)
+                        .expect("a priced edge has no pinned end")
+                },
+            }
+        })
+        .collect();
     let Decimator {
         positions,
         quadrics,
         faces,
         alive,
+        mut vertex_faces,
+        pinned,
         stats,
         ..
     } = dec;
+    for list in &mut vertex_faces {
+        list.retain(|&f| alive[f as usize]);
+        for f in list.iter_mut() {
+            *f = face_ids[*f as usize];
+        }
+    }
     TileOut {
+        faces: faces
+            .into_iter()
+            .map(|f| f.map(|c| vertices[c as usize]))
+            .collect(),
         vertices,
         positions,
         quadrics,
-        faces,
         alive,
+        vertex_faces,
+        pinned,
+        priced,
         stats,
     }
 }
 
 /// The parallel phase: decimate every tile's interior on `threads` scoped
-/// threads, then merge the tiles back into `positions`/`faces` (dead faces
-/// dropped, input face order kept) in tile order. Returns each vertex's
-/// carried quadric and the phase's counters.
+/// threads, then merge the tiles, in tile order, into the finishing
+/// phase's state. Returns it and the phase's counters.
+///
+/// The merge carries what the tiles know instead of rebuilding it: an
+/// interior vertex has all of its faces in its tile, so its incidence, its
+/// multiplicity pin and every edge between two interior vertices (priced
+/// from the same quadrics and positions the merge writes) are already the
+/// global ones. Pins do not change during the tile phase either: a face on
+/// a pinned edge has only one unpinned corner, so it never dies, and the
+/// link condition keeps every manifold edge manifold. Only the seam
+/// vertices are left: their lists are the concatenation of their tiles',
+/// and their edges are counted and priced here. Dead faces stay tombstoned;
+/// [`Decimator::into_mesh`] skips them in input order.
 fn tile_phase(
-    positions: &mut [Vec3],
-    faces: &mut Vec<[u32; 3]>,
+    positions: Vec<Vec3>,
+    mut faces: Vec<[u32; 3]>,
     ratio: f64,
     opts: &DecimateOptions,
     tiles: usize,
     threads: usize,
-) -> (Vec<Quadric>, DecimateStats) {
-    let tiling = Tiling::new(positions, faces, tiles);
+) -> (Decimator, DecimateStats) {
+    let tiling = Tiling::new(&positions, &faces, tiles);
     let mut outs: Vec<Option<TileOut>> = (0..tiles).map(|_| None).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
         let (positions, faces, tiling, next): (&[Vec3], &[[u32; 3]], _, _) =
-            (positions, faces, &tiling, &next);
+            (&positions, &faces, &tiling, &next);
         let workers: Vec<_> = (0..threads.clamp(1, tiles))
             .map(|_| {
                 s.spawn(move || {
@@ -971,22 +1123,36 @@ fn tile_phase(
         }
     });
 
-    let mut quadrics = vec![Quadric::default(); positions.len()];
+    let nv = positions.len();
+    let mut positions = positions;
+    let mut quadrics = vec![Quadric::default(); nv];
     let mut alive = vec![true; faces.len()];
+    let mut vertex_faces: Vec<Vec<u32>> = vec![Vec::new(); nv];
+    let mut pinned = vec![false; nv];
+    let mut priced: Vec<Collapse> = Vec::new();
     let mut stats = DecimateStats {
         tiles: tiles as u64,
         ..Default::default()
     };
-    for (tile_faces, out) in tiling.faces.iter().zip(outs) {
-        let out = out.expect("every tile was decimated");
+    for (t, (tile_faces, out)) in tiling.faces.iter().zip(outs).enumerate() {
+        let mut out = out.expect("every tile was decimated");
         for (l, &g) in out.vertices.iter().enumerate() {
-            positions[g as usize] = out.positions[l];
-            quadrics[g as usize].add(&out.quadrics[l]);
+            let g = g as usize;
+            positions[g] = out.positions[l];
+            quadrics[g].add(&out.quadrics[l]);
+            let list = std::mem::take(&mut out.vertex_faces[l]);
+            if tiling.owner[g] == t as u32 {
+                vertex_faces[g] = list;
+                pinned[g] = out.pinned[l];
+            } else {
+                vertex_faces[g].extend_from_slice(&list);
+            }
         }
         for (l, &f) in tile_faces.iter().enumerate() {
             alive[f as usize] = out.alive[l];
-            faces[f as usize] = out.faces[l].map(|c| out.vertices[c as usize]);
+            faces[f as usize] = out.faces[l];
         }
+        priced.append(&mut out.priced);
         stats.collapses += out.stats.collapses;
         stats.passes += out.stats.passes;
         stats.rejected_link += out.stats.rejected_link;
@@ -994,9 +1160,22 @@ fn tile_phase(
         stats.rejected_error += out.stats.rejected_error;
         stats.max_error = stats.max_error.max(out.stats.max_error);
     }
-    let mut alive = alive.into_iter();
-    faces.retain(|_| alive.next().expect("one flag per face"));
-    (quadrics, stats)
+    let mut dec = Decimator::from_parts(
+        positions,
+        quadrics,
+        faces,
+        alive,
+        vertex_faces,
+        pinned,
+        *opts,
+    );
+    dec.priced = priced;
+    let owner = &tiling.owner;
+    let seams = (0..nv as u32).filter(|&v| owner[v as usize] == SEAM);
+    // an edge between two seam vertices is priced from its lower end
+    let edges = dec.pin_edges(seams, false, |v, w| owner[w as usize] != SEAM || v < w);
+    dec.price_edges(&edges);
+    (dec, stats)
 }
 
 /// Decimate `mesh` under `opts`: tile interiors in parallel, then the
@@ -1019,6 +1198,36 @@ pub fn decimate(mesh: &IndexedMesh, opts: &DecimateOptions) -> (IndexedMesh, Dec
     decimate_tiled(mesh, opts, tiles, threads)
 }
 
+/// The finishing phase's starting state: the carried tile state when the
+/// mesh tiles, else the whole mesh built from scratch; and the tile phase's
+/// counters.
+fn finish_state(
+    mesh: &IndexedMesh,
+    opts: &DecimateOptions,
+    tiles: usize,
+    threads: usize,
+) -> (Decimator, DecimateStats) {
+    let positions = mesh.positions().to_vec();
+    let faces: Vec<[u32; 3]> = mesh
+        .indices()
+        .chunks_exact(3)
+        .map(|t| [t[0], t[1], t[2]])
+        .collect();
+    let ratio = opts.target_vertices as f64 / mesh.num_vertices() as f64;
+    // a target within SLACK of the input leaves the tiles nothing to do
+    if tiles > 1 && ratio * SLACK < 1.0 {
+        return tile_phase(positions, faces, ratio, opts, tiles, threads);
+    }
+    let quadrics = plane_quadrics(&positions, &faces);
+    (
+        Decimator::new(positions, faces, quadrics, &[], *opts),
+        DecimateStats {
+            tiles: 1,
+            ..Default::default()
+        },
+    )
+}
+
 /// [`decimate`] with the tile and thread counts given. `tiles` decides the
 /// output; `threads` only how fast it comes.
 fn decimate_tiled(
@@ -1027,27 +1236,7 @@ fn decimate_tiled(
     tiles: usize,
     threads: usize,
 ) -> (IndexedMesh, DecimateStats) {
-    let mut positions = mesh.positions().to_vec();
-    let mut faces: Vec<[u32; 3]> = mesh
-        .indices()
-        .chunks_exact(3)
-        .map(|t| [t[0], t[1], t[2]])
-        .collect();
-    let ratio = opts.target_vertices as f64 / mesh.num_vertices() as f64;
-    // a target within SLACK of the input leaves the tiles nothing to do
-    let (quadrics, tiled) = if tiles > 1 && ratio * SLACK < 1.0 {
-        tile_phase(&mut positions, &mut faces, ratio, opts, tiles, threads)
-    } else {
-        let quadrics = plane_quadrics(&positions, &faces);
-        (
-            quadrics,
-            DecimateStats {
-                tiles: 1,
-                ..Default::default()
-            },
-        )
-    };
-    let mut dec = Decimator::new(positions, faces, quadrics, &[], *opts);
+    let (mut dec, tiled) = finish_state(mesh, opts, tiles, threads);
     dec.simplify(opts.target_vertices);
     let (out, finish) = dec.into_mesh();
     let stats = DecimateStats {
@@ -1546,6 +1735,106 @@ mod tests {
         }
         // the public entry takes the host's thread count and nothing else
         assert_eq!(decimate(&mesh, &opts), (one, one_stats));
+    }
+
+    /// Two wavy 64 × 64 grid sheets, 20 apart, each with its centre pulled
+    /// halfway to the other so that both share that one vertex: a
+    /// non-manifold vertex whose edges all have two faces, inside both
+    /// sheets, with the tile cuts through it.
+    fn touching_sheets() -> IndexedMesh {
+        let n = 64u32;
+        let mut mesh = IndexedMesh::new();
+        let mut ids = Vec::new();
+        for sheet in 0..2 {
+            for y in 0..=n {
+                for x in 0..=n {
+                    let id = if sheet == 1 && (x, y) == (n / 2, n / 2) {
+                        ids[((n / 2) * (n + 1) + n / 2) as usize]
+                    } else {
+                        let (fx, fy) = (x as f32, y as f32);
+                        let z = match (x, y) == (n / 2, n / 2) {
+                            true => 10.0,
+                            false => 20.0 * sheet as f32 + (0.3 * fx).sin() * (0.2 * fy).cos(),
+                        };
+                        mesh.push_vertex(Vec3::new(fx, fy, z))
+                    };
+                    ids.push(id);
+                }
+            }
+        }
+        for sheet in 0..2 {
+            let id = |x: u32, y: u32| ids[(sheet * (n + 1) * (n + 1) + y * (n + 1) + x) as usize];
+            for y in 0..n {
+                for x in 0..n {
+                    mesh.push_triangle(id(x, y), id(x + 1, y), id(x + 1, y + 1));
+                    mesh.push_triangle(id(x, y), id(x + 1, y + 1), id(x, y + 1));
+                }
+            }
+        }
+        mesh
+    }
+
+    /// The finishing phase starts from the tiles' carried state instead of
+    /// rebuilding it; that state must be exactly what [`Decimator::new`]
+    /// builds over the merged mesh: the same pins, alive vertices and
+    /// incidence, and the same priced edges to the bit.
+    #[test]
+    fn carried_finish_state_equals_a_rebuilt_one() {
+        let mut meshes: Vec<(String, IndexedMesh)> = (0..4)
+            .map(|f| (format!("zoo {f}"), zoo_mesh(f, 128.5)))
+            .collect();
+        meshes.push(("touching sheets".into(), touching_sheets()));
+        let key = |c: &Collapse| {
+            let p = [c.pos.x.to_bits(), c.pos.y.to_bits(), c.pos.z.to_bits()];
+            (c.a, c.b, c.error.to_bits(), p)
+        };
+        for (name, mesh) in &meshes {
+            for ratio in [0.25, 0.06] {
+                let ctx = format!("{name} ratio {ratio}");
+                let opts = to_target((mesh.num_vertices() as f64 * ratio).ceil() as usize);
+                let tiles = (mesh.len() / MIN_TILE_FACES).clamp(1, TILES);
+                assert!(tiles >= 2, "{ctx}: {tiles} tile");
+                let (carried, tiled) = finish_state(mesh, &opts, tiles, 2);
+                assert!(tiled.collapses > 0, "{ctx}");
+                // the merged mesh with its dead faces dropped, input order kept
+                let mut rank = vec![u32::MAX; carried.faces.len()];
+                let mut faces = Vec::new();
+                for (f, tri) in carried.faces.iter().enumerate() {
+                    if carried.alive[f] {
+                        rank[f] = faces.len() as u32;
+                        faces.push(*tri);
+                    }
+                }
+                let rebuilt = Decimator::new(
+                    carried.positions.clone(),
+                    faces,
+                    carried.quadrics.clone(),
+                    &[],
+                    opts,
+                );
+                assert_eq!(carried.pinned, rebuilt.pinned, "{ctx}");
+                assert_eq!(carried.stats, rebuilt.stats, "{ctx}");
+                assert_eq!(carried.alive_vertices, rebuilt.alive_vertices, "{ctx}");
+                for (v, (c, r)) in carried
+                    .vertex_faces
+                    .iter()
+                    .zip(&rebuilt.vertex_faces)
+                    .enumerate()
+                {
+                    let mut c: Vec<u32> = c.iter().map(|&f| rank[f as usize]).collect();
+                    let mut r = r.clone();
+                    c.sort_unstable();
+                    r.sort_unstable();
+                    assert_eq!(c, r, "{ctx}: vertex {v}'s incidence");
+                }
+                let mut c: Vec<_> = carried.priced.iter().map(key).collect();
+                let mut r: Vec<_> = rebuilt.priced.iter().map(key).collect();
+                c.sort_unstable();
+                r.sort_unstable();
+                assert_eq!(c.len(), r.len(), "{ctx}: priced edges");
+                assert!(c == r, "{ctx}: priced edges differ");
+            }
+        }
     }
 
     proptest! {
