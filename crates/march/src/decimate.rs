@@ -1784,6 +1784,18 @@ mod tests {
             .map(|f| (format!("zoo {f}"), zoo_mesh(f, 128.5)))
             .collect();
         meshes.push(("touching sheets".into(), touching_sheets()));
+        // vertex ids against first-use order: a tile's local ids then run
+        // opposite to the global ones, and every carried edge swaps its ends
+        let zoo = zoo_mesh(2, 128.5);
+        let mut reversed = IndexedMesh::new();
+        for &p in zoo.positions().iter().rev() {
+            reversed.push_vertex(p);
+        }
+        let last = zoo.num_vertices() as u32 - 1;
+        for t in zoo.indices().chunks_exact(3) {
+            reversed.push_triangle(last - t[0], last - t[1], last - t[2]);
+        }
+        meshes.push(("zoo 2 reversed".into(), reversed));
         let key = |c: &Collapse| {
             let p = [c.pos.x.to_bits(), c.pos.y.to_bits(), c.pos.z.to_bits()];
             (c.a, c.b, c.error.to_bits(), p)
