@@ -556,11 +556,12 @@ impl Decimator {
 
     /// Add every priceable edge of `edges` to the priced list.
     fn price_edges(&mut self, edges: &[(u32, u32)]) {
-        let priced: Vec<Collapse> = edges
-            .iter()
-            .filter_map(|&(a, b)| self.price(a, b))
-            .collect();
-        self.priced.extend(priced);
+        self.priced.reserve(edges.len());
+        for &(a, b) in edges {
+            if let Some(c) = self.price(a, b) {
+                self.priced.push(c);
+            }
+        }
     }
 
     /// Price edge `(a, b)`, `a < b`: `None` when an endpoint is pinned —
@@ -1072,8 +1073,9 @@ fn decimate_tile(
 }
 
 /// The parallel phase: decimate every tile's interior on `threads` scoped
-/// threads, then merge the tiles, in tile order, into the finishing
-/// phase's state. Returns it and the phase's counters.
+/// threads while the calling thread merges the finished tiles, in tile
+/// order, into the finishing phase's state; a tile's output is freed as
+/// soon as it is merged. Returns the state and the phase's counters.
 ///
 /// The merge carries what the tiles know instead of rebuilding it: an
 /// interior vertex has all of its faces in its tile, so its incidence, its
@@ -1086,45 +1088,17 @@ fn decimate_tile(
 /// and their edges are counted and priced here. Dead faces stay tombstoned;
 /// [`Decimator::into_mesh`] skips them in input order.
 fn tile_phase(
-    positions: Vec<Vec3>,
-    mut faces: Vec<[u32; 3]>,
+    mesh: &IndexedMesh,
     ratio: f64,
     opts: &DecimateOptions,
     tiles: usize,
     threads: usize,
 ) -> (Decimator, DecimateStats) {
-    let tiling = Tiling::new(&positions, &faces, tiles);
-    let mut outs: Vec<Option<TileOut>> = (0..tiles).map(|_| None).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        let (positions, faces, tiling, next): (&[Vec3], &[[u32; 3]], _, _) =
-            (&positions, &faces, &tiling, &next);
-        let workers: Vec<_> = (0..threads.clamp(1, tiles))
-            .map(|_| {
-                s.spawn(move || {
-                    let mut local = vec![u32::MAX; positions.len()];
-                    let mut done = Vec::new();
-                    loop {
-                        let t = next.fetch_add(1, AtomicOrdering::Relaxed);
-                        if t >= tiles {
-                            return done;
-                        }
-                        let out =
-                            decimate_tile(positions, faces, tiling, t, ratio, opts, &mut local);
-                        done.push((t, out));
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            for (t, out) in w.join().expect("tile worker panicked") {
-                outs[t] = Some(out);
-            }
-        }
-    });
-
-    let nv = positions.len();
-    let mut positions = positions;
+    let input = mesh.indices().as_chunks::<3>().0;
+    let tiling = Tiling::new(mesh.positions(), input, tiles);
+    let nv = mesh.num_vertices();
+    let mut positions = mesh.positions().to_vec();
+    let mut faces = input.to_vec();
     let mut quadrics = vec![Quadric::default(); nv];
     let mut alive = vec![true; faces.len()];
     let mut vertex_faces: Vec<Vec<u32>> = vec![Vec::new(); nv];
@@ -1134,32 +1108,62 @@ fn tile_phase(
         tiles: tiles as u64,
         ..Default::default()
     };
-    for (t, (tile_faces, out)) in tiling.faces.iter().zip(outs).enumerate() {
-        let mut out = out.expect("every tile was decimated");
-        for (l, &g) in out.vertices.iter().enumerate() {
-            let g = g as usize;
-            positions[g] = out.positions[l];
-            quadrics[g].add(&out.quadrics[l]);
-            let list = std::mem::take(&mut out.vertex_faces[l]);
-            if tiling.owner[g] == t as u32 {
-                vertex_faces[g] = list;
-                pinned[g] = out.pinned[l];
-            } else {
-                vertex_faces[g].extend_from_slice(&list);
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        let (finished, done) = std::sync::mpsc::channel();
+        for _ in 0..threads.clamp(1, tiles) {
+            let (finished, tiling, next) = (finished.clone(), &tiling, &next);
+            s.spawn(move || {
+                let mut local = vec![u32::MAX; nv];
+                loop {
+                    let t = next.fetch_add(1, AtomicOrdering::Relaxed);
+                    if t >= tiles {
+                        return;
+                    }
+                    let out =
+                        decimate_tile(mesh.positions(), input, tiling, t, ratio, opts, &mut local);
+                    if finished.send((t, out)).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+        drop(finished);
+        // merge in tile order, each tile as soon as it and every tile before
+        // it are done; the channel closes when the workers have all left
+        let mut waiting: Vec<Option<TileOut>> = (0..tiles).map(|_| None).collect();
+        let mut t = 0;
+        for (i, out) in done {
+            waiting[i] = Some(out);
+            while let Some(mut out) = waiting.get_mut(t).and_then(Option::take) {
+                for (l, &g) in out.vertices.iter().enumerate() {
+                    let g = g as usize;
+                    positions[g] = out.positions[l];
+                    quadrics[g].add(&out.quadrics[l]);
+                    let list = std::mem::take(&mut out.vertex_faces[l]);
+                    if tiling.owner[g] == t as u32 {
+                        vertex_faces[g] = list;
+                        pinned[g] = out.pinned[l];
+                    } else {
+                        vertex_faces[g].extend_from_slice(&list);
+                    }
+                }
+                for (l, &f) in tiling.faces[t].iter().enumerate() {
+                    alive[f as usize] = out.alive[l];
+                    faces[f as usize] = out.faces[l];
+                }
+                priced.append(&mut out.priced);
+                stats.collapses += out.stats.collapses;
+                stats.passes += out.stats.passes;
+                stats.rejected_link += out.stats.rejected_link;
+                stats.rejected_flip += out.stats.rejected_flip;
+                stats.rejected_error += out.stats.rejected_error;
+                stats.max_error = stats.max_error.max(out.stats.max_error);
+                t += 1;
             }
         }
-        for (l, &f) in tile_faces.iter().enumerate() {
-            alive[f as usize] = out.alive[l];
-            faces[f as usize] = out.faces[l];
-        }
-        priced.append(&mut out.priced);
-        stats.collapses += out.stats.collapses;
-        stats.passes += out.stats.passes;
-        stats.rejected_link += out.stats.rejected_link;
-        stats.rejected_flip += out.stats.rejected_flip;
-        stats.rejected_error += out.stats.rejected_error;
-        stats.max_error = stats.max_error.max(out.stats.max_error);
-    }
+    });
+
     let mut dec = Decimator::from_parts(
         positions,
         quadrics,
@@ -1207,17 +1211,13 @@ fn finish_state(
     tiles: usize,
     threads: usize,
 ) -> (Decimator, DecimateStats) {
-    let positions = mesh.positions().to_vec();
-    let faces: Vec<[u32; 3]> = mesh
-        .indices()
-        .chunks_exact(3)
-        .map(|t| [t[0], t[1], t[2]])
-        .collect();
     let ratio = opts.target_vertices as f64 / mesh.num_vertices() as f64;
     // a target within SLACK of the input leaves the tiles nothing to do
     if tiles > 1 && ratio * SLACK < 1.0 {
-        return tile_phase(positions, faces, ratio, opts, tiles, threads);
+        return tile_phase(mesh, ratio, opts, tiles, threads);
     }
+    let positions = mesh.positions().to_vec();
+    let faces = mesh.indices().as_chunks::<3>().0.to_vec();
     let quadrics = plane_quadrics(&positions, &faces);
     (
         Decimator::new(positions, faces, quadrics, &[], *opts),
