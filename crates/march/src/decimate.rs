@@ -1072,10 +1072,64 @@ fn decimate_tile(
     }
 }
 
-/// The parallel phase: decimate every tile's interior on `threads` scoped
-/// threads while the calling thread merges the finished tiles, in tile
-/// order, into the finishing phase's state; a tile's output is freed as
-/// soon as it is merged. Returns the state and the phase's counters.
+/// The finishing phase's state as the tiles are merged into it. Tiles merge
+/// in tile order, each as soon as it and every tile before it are done, and
+/// a tile's output is freed once merged.
+struct Merge<'a> {
+    tiling: &'a Tiling,
+    /// Finished tiles whose turn has not come yet.
+    waiting: Vec<Option<TileOut>>,
+    /// The next tile to merge.
+    next: usize,
+    positions: Vec<Vec3>,
+    quadrics: Vec<Quadric>,
+    faces: Vec<[u32; 3]>,
+    alive: Vec<bool>,
+    vertex_faces: Vec<Vec<u32>>,
+    pinned: Vec<bool>,
+    priced: Vec<Collapse>,
+    stats: DecimateStats,
+}
+
+impl Merge<'_> {
+    /// Take tile `t`'s output and merge every tile whose turn has come.
+    fn add(&mut self, t: usize, out: TileOut) {
+        self.waiting[t] = Some(out);
+        while let Some(mut out) = self.waiting.get_mut(self.next).and_then(Option::take) {
+            let t = self.next;
+            for (l, &g) in out.vertices.iter().enumerate() {
+                let g = g as usize;
+                self.positions[g] = out.positions[l];
+                self.quadrics[g].add(&out.quadrics[l]);
+                let list = std::mem::take(&mut out.vertex_faces[l]);
+                if self.tiling.owner[g] == t as u32 {
+                    self.vertex_faces[g] = list;
+                    self.pinned[g] = out.pinned[l];
+                } else {
+                    self.vertex_faces[g].extend_from_slice(&list);
+                }
+            }
+            for (l, &f) in self.tiling.faces[t].iter().enumerate() {
+                self.alive[f as usize] = out.alive[l];
+                self.faces[f as usize] = out.faces[l];
+            }
+            self.priced.append(&mut out.priced);
+            let stats = &mut self.stats;
+            stats.collapses += out.stats.collapses;
+            stats.passes += out.stats.passes;
+            stats.rejected_link += out.stats.rejected_link;
+            stats.rejected_flip += out.stats.rejected_flip;
+            stats.rejected_error += out.stats.rejected_error;
+            stats.max_error = stats.max_error.max(out.stats.max_error);
+            self.next += 1;
+        }
+    }
+}
+
+/// The parallel phase: decimate every tile's interior on `threads` threads,
+/// the calling one included, which also merges the finished tiles into the
+/// finishing phase's state between its own. Returns the state and the
+/// phase's counters.
 ///
 /// The merge carries what the tiles know instead of rebuilding it: an
 /// interior vertex has all of its faces in its tile, so its incidence, its
@@ -1097,73 +1151,65 @@ fn tile_phase(
     let input = mesh.indices().as_chunks::<3>().0;
     let tiling = Tiling::new(mesh.positions(), input, tiles);
     let nv = mesh.num_vertices();
-    let mut positions = mesh.positions().to_vec();
-    let mut faces = input.to_vec();
-    let mut quadrics = vec![Quadric::default(); nv];
-    let mut alive = vec![true; faces.len()];
-    let mut vertex_faces: Vec<Vec<u32>> = vec![Vec::new(); nv];
-    let mut pinned = vec![false; nv];
-    let mut priced: Vec<Collapse> = Vec::new();
-    let mut stats = DecimateStats {
-        tiles: tiles as u64,
-        ..Default::default()
+    let mut merge = Merge {
+        tiling: &tiling,
+        waiting: (0..tiles).map(|_| None).collect(),
+        next: 0,
+        positions: mesh.positions().to_vec(),
+        quadrics: vec![Quadric::default(); nv],
+        faces: input.to_vec(),
+        alive: vec![true; input.len()],
+        vertex_faces: vec![Vec::new(); nv],
+        pinned: vec![false; nv],
+        priced: Vec::new(),
+        stats: DecimateStats {
+            tiles: tiles as u64,
+            ..Default::default()
+        },
     };
     let next = AtomicUsize::new(0);
+    let claim = || Some(next.fetch_add(1, AtomicOrdering::Relaxed)).filter(|&t| t < tiles);
+    let decimate = |t: usize, local: &mut [u32]| {
+        decimate_tile(mesh.positions(), input, &tiling, t, ratio, opts, local)
+    };
     std::thread::scope(|s| {
         let (finished, done) = std::sync::mpsc::channel();
-        for _ in 0..threads.clamp(1, tiles) {
-            let (finished, tiling, next) = (finished.clone(), &tiling, &next);
+        for _ in 1..threads.clamp(1, tiles) {
+            let finished = finished.clone();
             s.spawn(move || {
                 let mut local = vec![u32::MAX; nv];
-                loop {
-                    let t = next.fetch_add(1, AtomicOrdering::Relaxed);
-                    if t >= tiles {
-                        return;
-                    }
-                    let out =
-                        decimate_tile(mesh.positions(), input, tiling, t, ratio, opts, &mut local);
-                    if finished.send((t, out)).is_err() {
+                while let Some(t) = claim() {
+                    if finished.send((t, decimate(t, &mut local))).is_err() {
                         return;
                     }
                 }
             });
         }
         drop(finished);
-        // merge in tile order, each tile as soon as it and every tile before
-        // it are done; the channel closes when the workers have all left
-        let mut waiting: Vec<Option<TileOut>> = (0..tiles).map(|_| None).collect();
-        let mut t = 0;
-        for (i, out) in done {
-            waiting[i] = Some(out);
-            while let Some(mut out) = waiting.get_mut(t).and_then(Option::take) {
-                for (l, &g) in out.vertices.iter().enumerate() {
-                    let g = g as usize;
-                    positions[g] = out.positions[l];
-                    quadrics[g].add(&out.quadrics[l]);
-                    let list = std::mem::take(&mut out.vertex_faces[l]);
-                    if tiling.owner[g] == t as u32 {
-                        vertex_faces[g] = list;
-                        pinned[g] = out.pinned[l];
-                    } else {
-                        vertex_faces[g].extend_from_slice(&list);
-                    }
-                }
-                for (l, &f) in tiling.faces[t].iter().enumerate() {
-                    alive[f as usize] = out.alive[l];
-                    faces[f as usize] = out.faces[l];
-                }
-                priced.append(&mut out.priced);
-                stats.collapses += out.stats.collapses;
-                stats.passes += out.stats.passes;
-                stats.rejected_link += out.stats.rejected_link;
-                stats.rejected_flip += out.stats.rejected_flip;
-                stats.rejected_error += out.stats.rejected_error;
-                stats.max_error = stats.max_error.max(out.stats.max_error);
-                t += 1;
+        let mut local = vec![u32::MAX; nv];
+        while let Some(t) = claim() {
+            merge.add(t, decimate(t, &mut local));
+            for (t, out) in done.try_iter() {
+                merge.add(t, out);
             }
+        }
+        // the channel closes once every helper has left
+        for (t, out) in done {
+            merge.add(t, out);
         }
     });
 
+    let Merge {
+        positions,
+        quadrics,
+        faces,
+        alive,
+        vertex_faces,
+        pinned,
+        priced,
+        stats,
+        ..
+    } = merge;
     let mut dec = Decimator::from_parts(
         positions,
         quadrics,
