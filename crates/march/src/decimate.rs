@@ -1842,6 +1842,19 @@ mod tests {
             reversed.push_triangle(last - t[0], last - t[1], last - t[2]);
         }
         meshes.push(("zoo 2 reversed".into(), reversed));
+        // faces with a repeated corner, listed twice in that corner's
+        // incidence and counted once, edge by edge: on an edge no other face
+        // has, counted once it has the two faces that leave it unpinned
+        let mut degenerate = zoo_mesh(3, 128.5);
+        let tris: Vec<[u32; 3]> = degenerate.indices().as_chunks::<3>().0.to_vec();
+        for i in (0..tris.len()).step_by(37) {
+            let (t, far) = (tris[i], tris[(i + tris.len() / 2) % tris.len()]);
+            match i % 2 {
+                0 => degenerate.push_triangle(t[0], t[0], far[0]),
+                _ => degenerate.push_triangle(t[1], t[1], t[1]),
+            }
+        }
+        meshes.push(("zoo 3 with degenerate faces".into(), degenerate));
         let key = |c: &Collapse| {
             let p = [c.pos.x.to_bits(), c.pos.y.to_bits(), c.pos.z.to_bits()];
             (c.a, c.b, c.error.to_bits(), p)
@@ -1863,12 +1876,44 @@ mod tests {
                         faces.push(*tri);
                     }
                 }
+                // the definitions, counted over every face's edges: a pin
+                // ends an edge without exactly two faces, and every other
+                // edge with no pinned end is priced
+                let mut count: HashMap<(u32, u32), u32> = HashMap::new();
+                for t in &faces {
+                    for i in 0..3 {
+                        let (a, b) = (t[i], t[(i + 1) % 3]);
+                        if a != b {
+                            *count.entry((a.min(b), a.max(b))).or_default() += 1;
+                        }
+                    }
+                }
+                let mut pins = vec![false; mesh.num_vertices()];
+                for (&(a, b), &n) in &count {
+                    if n != 2 {
+                        pins[a as usize] = true;
+                        pins[b as usize] = true;
+                    }
+                }
+                let mut unpinned: Vec<(u32, u32)> = count
+                    .into_keys()
+                    .filter(|&(a, b)| !pins[a as usize] && !pins[b as usize])
+                    .collect();
+                unpinned.sort_unstable();
                 let rebuilt = Decimator::new(
                     carried.positions.clone(),
                     faces,
                     carried.quadrics.clone(),
                     &[],
                     opts,
+                );
+                assert_eq!(carried.pinned, pins, "{ctx}: pins");
+                let mut edges: Vec<(u32, u32)> =
+                    carried.priced.iter().map(|c| (c.a, c.b)).collect();
+                edges.sort_unstable();
+                assert!(
+                    edges == unpinned,
+                    "{ctx}: priced edges are not the unpinned ones"
                 );
                 assert_eq!(carried.pinned, rebuilt.pinned, "{ctx}");
                 assert_eq!(carried.stats, rebuilt.stats, "{ctx}");
