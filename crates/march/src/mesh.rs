@@ -2,8 +2,11 @@
 
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
 
-/// A 3-component `f32` vector.
+/// A 3-component `f32` vector. `#[repr(C)]`: three `f32`s in field
+/// order with no padding, so a `&[Vec3]` is a `&[f32]` of thrice the length
+/// (the serve layer writes cached positions to the wire in place).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[repr(C)]
 pub struct Vec3 {
     pub x: f32,
     pub y: f32,

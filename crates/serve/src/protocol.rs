@@ -24,10 +24,14 @@
 //! bit patterns, so a mesh or framebuffer survives the wire **bit-exactly**
 //! (the round-trip property every serve test leans on).
 
+use crate::cache::CachedSurface;
+use oociso_exio::crc::Crc32;
 use oociso_march::{IndexedMesh, Vec3};
 use oociso_render::FrameRegion;
+use std::borrow::Cow;
 use std::cell::Cell;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Frame magic: `"OISO"` read as a little-endian u32.
@@ -511,7 +515,10 @@ fn read_region(rd: &mut Rd) -> io::Result<FrameRegion> {
     })
 }
 
-/// Append `vals` little-endian as one slab (one resize, one pass).
+/// Append `vals` little-endian as one slab (one resize, one pass): the
+/// portable slab encoder, for a target whose own bytes are not the wire's,
+/// and the oracle of [`wire_bytes`].
+#[cfg(any(test, not(target_endian = "little")))]
 fn put_u32s(out: &mut Vec<u8>, vals: &[u32]) {
     let at = out.len();
     out.resize(at + std::mem::size_of_val(vals), 0);
@@ -520,7 +527,9 @@ fn put_u32s(out: &mut Vec<u8>, vals: &[u32]) {
     }
 }
 
-/// Append positions as one slab of little-endian `f32` bit patterns.
+/// Append positions as one slab of little-endian `f32` bit patterns (see
+/// [`put_u32s`]).
+#[cfg(any(test, not(target_endian = "little")))]
 fn put_vec3s(out: &mut Vec<u8>, ps: &[Vec3]) {
     let at = out.len();
     out.resize(at + std::mem::size_of_val(ps), 0);
@@ -531,6 +540,34 @@ fn put_vec3s(out: &mut Vec<u8>, ps: &[Vec3]) {
     }
 }
 
+/// The element types of a mesh body slab: `u32` indices and `Vec3`
+/// positions (three `f32`s, `#[repr(C)]`). Neither has padding, and every
+/// byte of either is some bit pattern of a `u32`/`f32`.
+#[cfg(target_endian = "little")]
+trait SlabElem: Copy {}
+#[cfg(target_endian = "little")]
+impl SlabElem for u32 {}
+#[cfg(target_endian = "little")]
+impl SlabElem for Vec3 {}
+
+// `wire_bytes` relies on this: 12 bytes is three `f32`s and no padding
+const _: () = assert!(std::mem::size_of::<Vec3>() == 12);
+
+/// `vals` as its wire bytes, viewed in place: on a little-endian target a
+/// `u32`'s or `f32`'s memory is its `to_le_bytes()`, so this is exactly
+/// what [`put_u32s`] / [`put_vec3s`] would write, without the copy.
+#[cfg(target_endian = "little")]
+fn wire_bytes<T: SlabElem>(vals: &[T]) -> &[u8] {
+    // SAFETY: `T` is `u32` or `Vec3` (`SlabElem` is private and implemented
+    // for nothing else). Neither has padding — `Vec3` is `#[repr(C)]` over
+    // three `f32`s and the assertion above pins its size at 12 — so every
+    // one of the `size_of_val(vals)` bytes starting at `vals.as_ptr()` is
+    // initialized and inside the one allocation `vals` points into. `u8`
+    // has alignment 1. The returned slice borrows `vals`, so nothing can
+    // write or free those bytes while it is alive.
+    unsafe { std::slice::from_raw_parts(vals.as_ptr().cast::<u8>(), std::mem::size_of_val(vals)) }
+}
+
 /// Reject an index buffer that points past `nvert` vertices (one max-scan).
 fn check_indices(indices: &[u32], nvert: usize) -> io::Result<()> {
     match indices.iter().copied().max() {
@@ -539,25 +576,31 @@ fn check_indices(indices: &[u32], nvert: usize) -> io::Result<()> {
     }
 }
 
-/// Encoded size of [`put_mesh_body`]'s output.
-fn mesh_body_bytes(mesh: &IndexedMesh) -> usize {
-    16 + std::mem::size_of_val(mesh.positions()) + std::mem::size_of_val(mesh.indices())
+/// The two body slabs of a mesh response, positions then indices, as wire
+/// bytes: the mesh's own arrays viewed in place on a little-endian target,
+/// encoded by the slab loops on any other.
+fn body_slabs(mesh: &IndexedMesh) -> [Cow<'_, [u8]>; 2] {
+    #[cfg(target_endian = "little")]
+    {
+        [
+            Cow::Borrowed(wire_bytes(mesh.positions())),
+            Cow::Borrowed(wire_bytes(mesh.indices())),
+        ]
+    }
+    #[cfg(not(target_endian = "little"))]
+    {
+        let (mut positions, mut indices) = (Vec::new(), Vec::new());
+        put_vec3s(&mut positions, mesh.positions());
+        put_u32s(&mut indices, mesh.indices());
+        [Cow::Owned(positions), Cow::Owned(indices)]
+    }
 }
 
-/// The mesh body of a mesh response: vertex/index
-/// counts followed by positions and indices.
-fn put_mesh_body(out: &mut Vec<u8>, mesh: &IndexedMesh) {
-    put_u64(out, mesh.num_vertices() as u64);
-    put_u64(out, mesh.indices().len() as u64);
-    put_vec3s(out, mesh.positions());
-    put_u32s(out, mesh.indices());
-}
-
-/// Inverse of [`put_mesh_body`], and the only place a mesh comes off the
-/// wire: both counts are bounded by the unread bytes before anything is
-/// allocated, the two slabs are moved in bulk, and the index buffer is
-/// validated (triangle multiple, every index in range) before the mesh is
-/// assembled.
+/// Inverse of the mesh body ([`mesh_envelope`]'s counts and
+/// [`body_slabs`]), and the only place a mesh comes off the wire: both
+/// counts are bounded by the unread bytes before anything is allocated,
+/// the two slabs are moved in bulk, and the index buffer is validated
+/// (triangle multiple, every index in range) before the mesh is assembled.
 fn get_mesh_body(rd: &mut Rd) -> io::Result<IndexedMesh> {
     let nvert = rd.len("vertex count", 12)?;
     let nidx = rd.len("index count", 4)?;
@@ -570,34 +613,109 @@ fn get_mesh_body(rd: &mut Rd) -> io::Result<IndexedMesh> {
     Ok(IndexedMesh::from_parts(positions, indices))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn put_mesh_response(
-    out: &mut Vec<u8>,
-    cache_hit: bool,
-    active_metacells: u64,
-    served_lod: u16,
-    degraded: bool,
-    backend: u8,
-    trace_id: u64,
-    mesh: &IndexedMesh,
-) {
-    // fixed fields: 1 (cache_hit) + 8 (active count) before the body, 12
-    // after it, and room for the frame's checksum trailer so sealing never
-    // regrows a mesh-sized buffer
-    out.reserve(25 + mesh_body_bytes(mesh));
-    out.push(cache_hit as u8);
-    put_u64(out, active_metacells);
-    put_mesh_body(out, mesh);
-    put_u16(out, served_lod);
-    out.push(degraded as u8);
-    out.push(backend);
-    put_u64(out, trace_id);
+/// The fields of a mesh response around its mesh (see
+/// [`Message::MeshResponse`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct MeshFields {
+    pub(crate) cache_hit: bool,
+    pub(crate) active_metacells: u64,
+    pub(crate) served_lod: u16,
+    pub(crate) degraded: bool,
+    pub(crate) backend: u8,
+    pub(crate) trace_id: u64,
 }
 
-/// Encode a complete `MeshResponse` frame from a **borrowed** mesh — the
-/// server's cache-hit hot path, which must not deep-clone a
-/// hundreds-of-MB cached mesh just to hand `Message` an owned copy for
-/// serialization. `version` must be [`VERSION`], the only one spoken.
+/// Bytes of a mesh response frame before its positions: the frame header,
+/// `cache_hit`, `active_metacells` and the vertex and index counts.
+const MESH_HEAD_BYTES: usize = HEADER_BYTES + 1 + 8 + 8 + 8;
+/// Bytes of its payload after the indices: `served_lod`, `degraded`,
+/// `backend` and `trace_id`.
+const MESH_SUFFIX_BYTES: usize = 2 + 1 + 1 + 8;
+/// The frame's last bytes: the suffix, then the CRC-32 trailer.
+const MESH_TAIL_BYTES: usize = MESH_SUFFIX_BYTES + 4;
+
+/// `parts` laid end to end in an `N`-byte array they fill exactly.
+fn packed<const N: usize>(parts: &[&[u8]]) -> [u8; N] {
+    let mut out = [0u8; N];
+    let mut at = 0;
+    for part in parts {
+        out[at..at + part.len()].copy_from_slice(part);
+        at += part.len();
+    }
+    assert_eq!(at, N, "parts must fill the array");
+    out
+}
+
+/// The mesh response layout — its only copy. The head is the frame header
+/// (payload length included) and the fields before the body; the suffix is
+/// the fields after it. The body between them is [`body_slabs`].
+fn mesh_envelope(
+    f: &MeshFields,
+    mesh: &IndexedMesh,
+) -> ([u8; MESH_HEAD_BYTES], [u8; MESH_SUFFIX_BYTES]) {
+    let body = std::mem::size_of_val(mesh.positions()) + std::mem::size_of_val(mesh.indices());
+    let payload = (MESH_HEAD_BYTES - HEADER_BYTES + body + MESH_SUFFIX_BYTES) as u64;
+    let head = packed(&[
+        &MAGIC.to_le_bytes(),
+        &VERSION.to_le_bytes(),
+        &MSG_MESH_RESPONSE.to_le_bytes(),
+        &payload.to_le_bytes(),
+        &[f.cache_hit as u8],
+        &f.active_metacells.to_le_bytes(),
+        &(mesh.num_vertices() as u64).to_le_bytes(),
+        &(mesh.indices().len() as u64).to_le_bytes(),
+    ]);
+    let suffix = packed(&[
+        &f.served_lod.to_le_bytes(),
+        &[f.degraded as u8, f.backend],
+        &f.trace_id.to_le_bytes(),
+    ]);
+    (head, suffix)
+}
+
+/// Append a mesh response's payload to `out` (a frame under assembly, or a
+/// bare payload): the envelope's fields around the two body slabs.
+fn put_mesh_response(out: &mut Vec<u8>, f: &MeshFields, mesh: &IndexedMesh) {
+    let (head, suffix) = mesh_envelope(f, mesh);
+    let body = body_slabs(mesh);
+    // room for the frame's checksum trailer too, so sealing never regrows
+    // a mesh-sized buffer
+    out.reserve(MESH_HEAD_BYTES - HEADER_BYTES + body[0].len() + body[1].len() + MESH_TAIL_BYTES);
+    out.extend_from_slice(&head[HEADER_BYTES..]);
+    for slab in &body {
+        out.extend_from_slice(slab);
+    }
+    out.extend_from_slice(&suffix);
+}
+
+/// A mesh response frame in its four parts: head ‖ positions ‖ indices ‖
+/// tail. Only the head and the tail (suffix + CRC-32) are built; the body
+/// is [`body_slabs`].
+struct MeshParts<'m> {
+    head: [u8; MESH_HEAD_BYTES],
+    body: [Cow<'m, [u8]>; 2],
+    tail: [u8; MESH_TAIL_BYTES],
+}
+
+impl<'m> MeshParts<'m> {
+    fn new(f: &MeshFields, mesh: &'m IndexedMesh) -> Self {
+        let (head, suffix) = mesh_envelope(f, mesh);
+        let body = body_slabs(mesh);
+        let crc = timed_crc(&[&head[HEADER_BYTES..], &body[0], &body[1], &suffix]);
+        let tail = packed(&[&suffix, &crc.to_le_bytes()]);
+        MeshParts { head, body, tail }
+    }
+
+    fn concat(&self) -> Vec<u8> {
+        let [positions, indices] = &self.body;
+        [&self.head[..], positions, indices, &self.tail].concat()
+    }
+}
+
+/// Encode a complete `MeshResponse` frame from a **borrowed** mesh, as one
+/// owned buffer: the concatenation of the parts the server writes in place
+/// ([`Frame`]), so the two never differ by a byte. `version` must be
+/// [`VERSION`], the only one spoken.
 #[allow(clippy::too_many_arguments)]
 pub fn encode_mesh_response_frame(
     cache_hit: bool,
@@ -610,18 +728,85 @@ pub fn encode_mesh_response_frame(
     version: u16,
 ) -> Vec<u8> {
     assert_eq!(version, VERSION, "only protocol v{VERSION} is spoken");
-    let mut out = begin_frame(MAGIC, VERSION, MSG_MESH_RESPONSE);
-    put_mesh_response(
-        &mut out,
+    let fields = MeshFields {
         cache_hit,
         active_metacells,
         served_lod,
         degraded,
         backend,
         trace_id,
-        mesh,
-    );
-    seal_frame(out)
+    };
+    MeshParts::new(&fields, mesh).concat()
+}
+
+/// An encoded reply frame, as the event loop queues and writes it.
+pub(crate) enum Frame {
+    /// The whole frame in one buffer.
+    Owned(Vec<u8>),
+    /// A whole-level mesh response: the head and tail built for this reply
+    /// around the level's own two arrays, written in place from the shared
+    /// cache entry. The `Arc` keeps the level alive until the last byte is
+    /// written, even after the cache evicts it.
+    #[cfg(target_endian = "little")]
+    Level {
+        head: [u8; MESH_HEAD_BYTES],
+        level: Arc<CachedSurface>,
+        tail: [u8; MESH_TAIL_BYTES],
+    },
+}
+
+impl Frame {
+    /// The mesh response carrying the whole of `level`; the CRC is computed
+    /// here, once.
+    pub(crate) fn level(f: MeshFields, level: Arc<CachedSurface>) -> Frame {
+        #[cfg(target_endian = "little")]
+        {
+            let (head, tail) = {
+                let parts = MeshParts::new(&f, &level.mesh);
+                (parts.head, parts.tail)
+            };
+            Frame::Level { head, level, tail }
+        }
+        #[cfg(not(target_endian = "little"))]
+        Frame::Owned(MeshParts::new(&f, &level.mesh).concat())
+    }
+
+    /// The frame's bytes as up to four parts, in write order.
+    fn parts(&self) -> [&[u8]; 4] {
+        match self {
+            Frame::Owned(bytes) => [bytes, &[], &[], &[]],
+            #[cfg(target_endian = "little")]
+            Frame::Level { head, level, tail } => [
+                head,
+                wire_bytes(level.mesh.positions()),
+                wire_bytes(level.mesh.indices()),
+                tail,
+            ],
+        }
+    }
+
+    /// Total frame length in bytes.
+    pub(crate) fn len(&self) -> usize {
+        self.parts().iter().map(|p| p.len()).sum()
+    }
+
+    /// One vectored write of what follows the first `off` bytes (`off`
+    /// below [`Frame::len`]). Returns how many bytes `w` accepted, which
+    /// may end anywhere, inside a part or on a boundary.
+    pub(crate) fn write_from(&self, w: &mut impl Write, mut off: usize) -> io::Result<usize> {
+        let mut rest = [IoSlice::new(&[]); 4];
+        let mut n = 0;
+        for part in self.parts() {
+            if off >= part.len() {
+                off -= part.len();
+                continue;
+            }
+            rest[n] = IoSlice::new(&part[off..]);
+            off = 0;
+            n += 1;
+        }
+        w.write_vectored(&rest[..n])
+    }
 }
 
 /// Serialize a [`ServerReport`]: the 11 base counters, the per-LOD-level
@@ -721,12 +906,14 @@ fn put_payload(out: &mut Vec<u8>, msg: &Message) {
             mesh,
         } => put_mesh_response(
             out,
-            *cache_hit,
-            *active_metacells,
-            *served_lod,
-            *degraded,
-            *backend,
-            *trace_id,
+            &MeshFields {
+                cache_hit: *cache_hit,
+                active_metacells: *active_metacells,
+                served_lod: *served_lod,
+                degraded: *degraded,
+                backend: *backend,
+                trace_id: *trace_id,
+            },
             mesh,
         ),
         Message::FrameResponse {
@@ -1008,11 +1195,21 @@ fn begin_frame(magic: u32, version: u16, msg_type: u16) -> Vec<u8> {
 fn seal_frame(mut out: Vec<u8>) -> Vec<u8> {
     let len = (out.len() - HEADER_BYTES) as u64;
     out[8..HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
-    let t_crc = Instant::now();
-    let crc = crc32(&out[HEADER_BYTES..]);
-    CRC_TIME.with(|t| t.set(t.get() + t_crc.elapsed()));
+    let crc = timed_crc(&[&out[HEADER_BYTES..]]);
     put_u32(&mut out, crc);
     out
+}
+
+/// CRC-32 of `parts` laid end to end, its time added to the calling
+/// thread's [`crc_time`] clock.
+fn timed_crc(parts: &[&[u8]]) -> u32 {
+    let t_crc = Instant::now();
+    let mut crc = Crc32::new();
+    for part in parts {
+        crc.update(part);
+    }
+    CRC_TIME.with(|t| t.set(t.get() + t_crc.elapsed()));
+    crc.finish()
 }
 
 thread_local! {
@@ -1428,6 +1625,182 @@ mod tests {
             mesh: mesh.clone(),
         });
         assert_eq!(borrowed, owned);
+    }
+
+    /// A socket that takes at most `k` bytes per call, gathered across the
+    /// slices of a vectored write.
+    struct Trickle {
+        k: usize,
+        out: Vec<u8>,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut left = self.k;
+            for buf in bufs {
+                let n = buf.len().min(left);
+                self.out.extend_from_slice(&buf[..n]);
+                left -= n;
+            }
+            Ok(self.k - left)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A socket with std's default `write_vectored`: only the first
+    /// non-empty slice is written, whole.
+    struct FirstSlice(Vec<u8>);
+
+    impl Write for FirstSlice {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Write all of `frame` through `w` from a moving cursor, as the event
+    /// loop does; returns the number of write calls.
+    fn write_out(frame: &Frame, w: &mut impl Write) -> usize {
+        let (mut off, mut calls) = (0, 0);
+        while off < frame.len() {
+            let n = frame.write_from(w, off).unwrap();
+            assert!(n > 0, "a write that takes bytes never returns 0");
+            off += n;
+            calls += 1;
+        }
+        assert_eq!(off, frame.len());
+        calls
+    }
+
+    /// Levels 0 and 2 of the 64³ torus zoo field's (0.25, 0.06) pyramid.
+    fn torus_levels() -> (IndexedMesh, IndexedMesh) {
+        use oociso_core::{ClusterDatabase, PreprocessOptions};
+        use oociso_march::LodChain;
+        use oociso_volume::field::{FieldExt, TorusField};
+        use oociso_volume::Dims3;
+        let vol: oociso_volume::Volume<u8> = TorusField {
+            major: 0.3,
+            minor: 0.12,
+            level: 128.0,
+            slope: 300.0,
+        }
+        .sample(Dims3::cube(64));
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("oociso_protocol_torus_{}", std::process::id()));
+        let db = ClusterDatabase::preprocess(&vol, &dir, &PreprocessOptions::default()).unwrap();
+        let full = db.extract(128.5).unwrap().mesh;
+        std::fs::remove_dir_all(&dir).ok();
+        let chain = LodChain::build(full, &[0.25, 0.06]);
+        let levels = chain.levels();
+        (levels[0].mesh.clone(), levels[2].mesh.clone())
+    }
+
+    // the borrowed frame, written in any split a socket may take, is the
+    // owned encoder's bytes: per-call limits that end inside the head, the
+    // body slabs and the tail, and std's first-slice-only vectored write
+    #[test]
+    fn borrowed_frame_survives_every_partial_write() {
+        let (l0, l2) = torus_levels();
+        assert!(!l2.is_empty() && l2.len() < l0.len());
+        let one = {
+            let mut m = IndexedMesh::new();
+            let a = m.push_vertex(Vec3::new(0.5, -0.0, f32::MIN_POSITIVE));
+            let b = m.push_vertex(Vec3::new(1.0, f32::NAN, 2.0));
+            let c = m.push_vertex(Vec3::new(f32::INFINITY, 3.0, -7.25));
+            m.push_triangle(a, b, c);
+            m
+        };
+        let meshes = [
+            ("empty", IndexedMesh::new(), 0u16),
+            ("one triangle", one, 0),
+            ("torus lod 0", l0, 0),
+            ("torus lod 2", l2, 2),
+        ];
+        for (name, mesh, lod) in meshes {
+            let owned =
+                encode_mesh_response_frame(true, 9, lod, false, 0, 0xC0FFEE, &mesh, VERSION);
+            let level = Arc::new(CachedSurface {
+                mesh,
+                active_metacells: 9,
+                world_error: 0.0,
+            });
+            let fields = MeshFields {
+                cache_hit: true,
+                active_metacells: 9,
+                served_lod: lod,
+                degraded: false,
+                backend: 0,
+                trace_id: 0xC0FFEE,
+            };
+            let frame = Frame::level(fields, level);
+            assert_eq!(frame.len(), owned.len(), "{name}");
+            for k in [1, 3, 13, 4096] {
+                let mut w = Trickle { k, out: Vec::new() };
+                let calls = write_out(&frame, &mut w);
+                assert_eq!(calls, owned.len().div_ceil(k), "{name}, k = {k}");
+                assert!(w.out == owned, "{name}, k = {k}: bytes differ");
+            }
+            let mut w = FirstSlice(Vec::new());
+            write_out(&frame, &mut w);
+            assert!(w.0 == owned, "{name}, first slice only: bytes differ");
+        }
+    }
+
+    // the contract of `wire_bytes`, the one `unsafe` site here: the view of
+    // a slab is byte for byte what the safe slab encoder writes, for every
+    // kind of `f32` bit pattern and for empty slabs
+    #[cfg(target_endian = "little")]
+    #[test]
+    fn wire_bytes_view_equals_the_slab_encoder() {
+        let specials = [
+            0.0,
+            -0.0,
+            1.5,
+            -3.25e7,
+            f32::MIN_POSITIVE,
+            f32::MIN_POSITIVE / 4.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(0xFFC0_0001),
+            f32::MAX,
+        ];
+        let mut positions: Vec<Vec3> = specials
+            .iter()
+            .map(|&x| Vec3::new(x, -x, x * 0.5))
+            .collect();
+        positions.extend((0..1000u32).map(|i| {
+            let f = |s: u32| f32::from_bits(i.wrapping_mul(0x9E37_79B9).rotate_left(s));
+            Vec3::new(f(0), f(11), f(22))
+        }));
+        let indices: Vec<u32> = (0..3001u32)
+            .map(|i| i.wrapping_mul(0x85EB_CA6B) ^ (i << 7))
+            .collect();
+        for n in [0, 1, 2, 7, positions.len()] {
+            let mut slab = Vec::new();
+            put_vec3s(&mut slab, &positions[..n]);
+            assert_eq!(wire_bytes(&positions[..n]), &slab[..], "{n} positions");
+        }
+        for n in [0, 1, 3, indices.len()] {
+            let mut slab = Vec::new();
+            put_u32s(&mut slab, &indices[..n]);
+            assert_eq!(wire_bytes(&indices[..n]), &slab[..], "{n} indices");
+        }
+        // a view of a slab that starts mid-array
+        let mut slab = Vec::new();
+        put_vec3s(&mut slab, &positions[5..]);
+        assert_eq!(wire_bytes(&positions[5..]), &slab[..]);
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //! decoded request is **dispatched in arrival order**: validation, cache
 //! probes, and admission control run inline on the event loop (they cost
 //! microseconds), so a shed happens the instant a request arrives, and an
-//! unfiltered mesh hit is encoded there straight from the cached mesh.
+//! unfiltered mesh hit is answered there: its frame is the cached level
+//! itself between a head and a tail built for the reply.
 //! Work that costs milliseconds ships to the worker pool as one of two
 //! jobs: a miss (extraction or pyramid rebuild, holding the slot it won)
 //! or a hit whose answer is expensive (a region filter, a rasterization).
@@ -42,7 +43,10 @@
 //! ## Backpressure
 //!
 //! Completed replies enter a per-connection outbound queue written out
-//! incrementally as the socket accepts bytes. When queued-but-unsent bytes
+//! incrementally as the socket accepts bytes, one vectored write at a time
+//! across a frame's parts. A queued whole-level reply pins its cached level
+//! (an `Arc`), so an eviction never tears it and it holds no copy; the
+//! queue still counts its full length. When queued-but-unsent bytes
 //! exceed [`crate::server::ServeOptions::outbound_budget`], the loop stops
 //! *reading* that connection (drops its read interest) until the queue
 //! drains below half the budget — a client that pipelines requests but
@@ -60,8 +64,8 @@
 
 use crate::cache::CachedSurface;
 use crate::protocol::{
-    decode_frame_bytes, encode_frame, FrameIn, FrameParams, FrameStep, Message, Region, ERR_BUSY,
-    MAX_REQUEST_PAYLOAD,
+    decode_frame_bytes, encode_frame, Frame, FrameIn, FrameParams, FrameStep, Message, Region,
+    ERR_BUSY, MAX_REQUEST_PAYLOAD,
 };
 use crate::server::{
     busy_reply, frame_render_reply, internal_error_reply, mesh_reply, request_trace_id, respond,
@@ -71,7 +75,7 @@ use oociso_exio::poll::{Doorbell, Event, Interest, Poller};
 use oociso_obs::{Counter, Gauge, Histogram, Logger, Span, Trace, DEFAULT_TRACE_EVENTS};
 use oociso_volume::ScalarValue;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -224,6 +228,9 @@ struct Completion {
 /// Everything needed to account a reply when its last byte reaches the
 /// kernel ([`finish_reply`]).
 struct ReplyMeta {
+    /// When the reply was posted: encoded on the loop, or handed back by a
+    /// worker. Its `out_queue` phase runs from here to the first write.
+    posted: Instant,
     root: Option<Span>,
     trace: Option<Trace>,
     trace_id: u64,
@@ -234,16 +241,17 @@ struct ReplyMeta {
 
 /// An encoded reply plus its accounting.
 struct OutPayload {
-    bytes: Vec<u8>,
+    frame: Frame,
     meta: ReplyMeta,
 }
 
 impl OutPayload {
     /// A request's reply, carrying its span and trace to [`finish_reply`].
-    fn traced(bytes: Vec<u8>, root: Span, trace: Trace, trace_id: u64) -> OutPayload {
+    fn traced(frame: Frame, root: Span, trace: Trace, trace_id: u64) -> OutPayload {
         OutPayload {
-            bytes,
+            frame,
             meta: ReplyMeta {
+                posted: Instant::now(),
                 root: Some(root),
                 trace: Some(trace),
                 trace_id,
@@ -256,8 +264,9 @@ impl OutPayload {
     /// a shed connection), optionally closing the connection once flushed.
     fn untraced(bytes: Vec<u8>, close_after: bool) -> OutPayload {
         OutPayload {
-            bytes,
+            frame: Frame::Owned(bytes),
             meta: ReplyMeta {
+                posted: Instant::now(),
                 root: None,
                 trace: None,
                 trace_id: 0,
@@ -279,15 +288,24 @@ struct Pending {
 
 /// What classification decided for one request: answered on the event
 /// loop, or shipped to the worker pool (which posts the reply back).
+// one transient value per dispatched request, moved straight into its
+// pending slot — boxing the inline frame would only add an allocation
+#[allow(clippy::large_enum_variant)]
 enum Classified {
     Inline(OutPayload),
     Offloaded,
 }
 
-/// A reply frame being written out, with a write cursor.
+/// A reply frame being written out, with a write cursor across its parts.
 struct OutFrame {
-    bytes: Vec<u8>,
+    frame: Frame,
+    /// [`Frame::len`], the bytes this frame adds to the backpressure count.
+    len: usize,
     off: usize,
+    /// When the first of its bytes reached the kernel.
+    first_write: Option<Instant>,
+    /// Writes that accepted some of its bytes.
+    writes: u64,
     meta: ReplyMeta,
 }
 
@@ -568,13 +586,13 @@ fn run_job<S: ScalarValue>(env: Envelope<S>, state: &Arc<State<S>>) {
         },
     }))
     .unwrap_or_else(|_| internal_error_reply(&io::Error::other("extraction panicked")));
-    let bytes = reply.finalize_traced(state, &root);
+    let frame = reply.finalize_traced(state, &root);
     root.field("offloaded", 1);
     post(
         &mailbox,
         token,
         seq,
-        OutPayload::traced(bytes, root, trace, trace_id),
+        OutPayload::traced(frame, root, trace, trace_id),
     );
     // the reply is on its way and the slot free: warming rides this worker
     if let Some(iso) = warm_from {
@@ -995,8 +1013,8 @@ impl<S: ScalarValue> Reactor<S> {
     ) -> Classified {
         let state = self.state.clone();
         let inline = |reply: Reply, root: Span, trace: Trace, trace_id: u64| {
-            let bytes = reply.finalize_traced(&state, &root);
-            Classified::Inline(OutPayload::traced(bytes, root, trace, trace_id))
+            let frame = reply.finalize_traced(&state, &root);
+            Classified::Inline(OutPayload::traced(frame, root, trace, trace_id))
         };
         let (iso, want, trace_id, admit) = match msg {
             Message::MeshRequest {
@@ -1011,8 +1029,9 @@ impl<S: ScalarValue> Reactor<S> {
                     return inline(reply, root, trace, trace_id);
                 }
                 let admit = match state.admit_mesh(iso, lod, &root) {
-                    // an unfiltered hit encodes straight from the cached
-                    // mesh: microseconds, so it stays on the loop
+                    // an unfiltered hit is written straight from the cached
+                    // mesh (only head, tail and CRC are built), so it stays
+                    // on the loop
                     Admit::Hit(surface) if region.is_none() => {
                         let reply = mesh_reply(surface, true, lod, None, trace_id);
                         return inline(reply, root, trace, trace_id);
@@ -1077,30 +1096,38 @@ impl<S: ScalarValue> Reactor<S> {
         // worker blocks every later one — responses never reorder
         while let Some(payload) = conn.pending.front_mut().and_then(|p| p.reply.take()) {
             conn.pending.pop_front();
-            conn.out_bytes += payload.bytes.len();
-            self.meters.outbound.add(payload.bytes.len() as i64);
+            let len = payload.frame.len();
+            conn.out_bytes += len;
+            self.meters.outbound.add(len as i64);
             conn.out.push_back(OutFrame {
-                bytes: payload.bytes,
+                frame: payload.frame,
+                len,
                 off: 0,
+                first_write: None,
+                writes: 0,
                 meta: payload.meta,
             });
         }
-        // incremental write-out
+        // incremental write-out, one vectored write per call across the
+        // parts the front frame has left
         let mut hard_close = false;
         while let Some(front) = conn.out.front_mut() {
-            match conn.stream.write(&front.bytes[front.off..]) {
+            let before = Instant::now();
+            match front.frame.write_from(&mut conn.stream, front.off) {
                 Ok(0) => {
                     hard_close = true;
                     break;
                 }
                 Ok(n) => {
+                    front.first_write.get_or_insert(before);
+                    front.writes += 1;
                     front.off += n;
                     conn.out_bytes -= n;
                     self.meters.outbound.add(-(n as i64));
                     conn.last_write_progress = Instant::now();
-                    if front.off == front.bytes.len() {
+                    if front.off == front.len {
                         let f = conn.out.pop_front().expect("checked front");
-                        finish_reply(&state, f.bytes.len(), f.meta, conn);
+                        finish_reply(&state, f, conn);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -1256,16 +1283,39 @@ impl<S: ScalarValue> Reactor<S> {
     }
 }
 
-/// Account one fully written reply — byte counters, latency histogram,
-/// journals, slow-query log, drain bookkeeping.
-fn finish_reply<S: ScalarValue>(
-    state: &Arc<State<S>>,
-    frame_len: usize,
-    meta: ReplyMeta,
-    conn: &mut Conn,
-) {
-    state.c.bytes_out.add(frame_len as u64);
-    conn.idle_since = Instant::now();
+/// Account one fully written reply — its `out_queue` and `socket_write`
+/// phases, byte counters, latency histogram, journals, slow-query log,
+/// drain bookkeeping.
+fn finish_reply<S: ScalarValue>(state: &Arc<State<S>>, sent: OutFrame, conn: &mut Conn) {
+    let OutFrame {
+        len,
+        first_write,
+        writes,
+        meta,
+        ..
+    } = sent;
+    let now = Instant::now();
+    state.c.bytes_out.add(len as u64);
+    conn.idle_since = now;
+    if let (Some(root), Some(trace)) = (&meta.root, &meta.trace) {
+        // every frame is at least a header long, so some write took a byte
+        let first = first_write.unwrap_or(now);
+        let at = |t: Instant| t.saturating_duration_since(trace.epoch());
+        trace.record_complete(
+            "out_queue",
+            root.id(),
+            at(meta.posted),
+            first.saturating_duration_since(meta.posted),
+            &[],
+        );
+        trace.record_complete(
+            "socket_write",
+            root.id(),
+            at(first),
+            now.saturating_duration_since(first),
+            &[("bytes", len as u64), ("writes", writes)],
+        );
+    }
     if let Some(root) = meta.root {
         let total = root.finish();
         state.request_latency_us.record_duration(total);

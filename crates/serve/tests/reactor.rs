@@ -7,7 +7,9 @@
 //! responses, but the same bytes in request order.
 
 use oociso_core::{ClusterDatabase, PreprocessOptions};
-use oociso_serve::protocol::{read_frame, write_frame, FrameIn, HEADER_BYTES};
+use oociso_serve::protocol::{
+    encode_mesh_response_frame, read_frame, write_frame, FrameIn, TraceEvent, HEADER_BYTES, VERSION,
+};
 use oociso_serve::{
     ChaosProxy, Client, ClientOptions, ConnFault, FrameParams, IsoServer, Message, Region,
     ServeOptions,
@@ -657,6 +659,173 @@ fn stall_inside_response_header_retry_converges() {
     assert_eq!(reply.mesh.indices(), truth.mesh.indices());
     assert_eq!(proxy.connections(), 2, "torn attempt + converging redial");
     proxy.stop();
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A hit's reply holds its cached level, not a copy of it: with 48 `lod 0`
+/// replies queued behind a client that does not read (its receive buffer
+/// clamped, the outbound queue over budget), another isovalue's miss evicts
+/// that level from a cache too small for both. The queued replies still
+/// read back byte-identical to the original level's owned encode, in
+/// order, and the server keeps serving — the level comes back as a miss.
+#[test]
+fn queued_hit_outlives_its_eviction_byte_identical() {
+    let (iso_a, iso_b) = (120.0f32, 100.0f32);
+    let dir = tmpdir("evict_queued");
+    let vol: Volume<u8> = SphereField::centered(0.32, 128.0).sample(Dims3::cube(64));
+    let served = ClusterDatabase::preprocess(&vol, &dir, &PreprocessOptions::default()).unwrap();
+    // a budget that holds either level alone but not both
+    let bytes = |iso: f32| {
+        let m = served.extract(iso).unwrap().mesh;
+        (std::mem::size_of_val(m.positions()) + std::mem::size_of_val(m.indices())) as u64
+    };
+    let (a, b) = (bytes(iso_a), bytes(iso_b));
+    let server = IsoServer::bind(
+        served,
+        ("127.0.0.1", 0),
+        ServeOptions {
+            cache_bytes: a.max(b) + a.min(b) / 2,
+            outbound_budget: 64 * 1024,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let mut other = Client::connect(addr).unwrap();
+    let level = other.query_mesh(iso_a, None).unwrap();
+    assert!(!level.cache_hit);
+
+    // pipeline the hits in one write and read nothing
+    let requests = 48u64;
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    clamp_rcvbuf(&stalled, 32 * 1024);
+    let mut burst = Vec::new();
+    for id in 1..=requests {
+        burst.extend(oociso_serve::protocol::encode_frame(
+            &Message::MeshRequest {
+                iso: iso_a,
+                region: None,
+                lod: 0,
+                backend: None,
+                trace_id: id,
+            },
+        ));
+    }
+    stalled.write_all(&burst).unwrap();
+    let t0 = Instant::now();
+    while server.report().mesh_requests < 1 + requests
+        || metric(&server, "outbound_queue_bytes") == 0
+    {
+        assert!(t0.elapsed() < Duration::from_secs(10), "hits never queued");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        server.report().cache_hits,
+        requests,
+        "every queued reply a hit"
+    );
+
+    // another isovalue's miss evicts the level while its replies wait
+    assert!(!other.query_mesh(iso_b, None).unwrap().cache_hit);
+    assert!(
+        server.report().cache_evictions >= 1,
+        "the level was evicted"
+    );
+    assert!(
+        metric(&server, "outbound_queue_bytes") > 0,
+        "the replies drained before the eviction: nothing was tested"
+    );
+
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    for id in 1..=requests {
+        let want = encode_mesh_response_frame(
+            true,
+            level.active_metacells,
+            0,
+            false,
+            0,
+            id,
+            &level.mesh,
+            VERSION,
+        );
+        let mut got = vec![0u8; want.len()];
+        stalled.read_exact(&mut got).unwrap();
+        assert!(
+            got == want,
+            "queued reply {id} differs from the level's encode"
+        );
+    }
+    // the server keeps serving: the evicted level is a miss again, the
+    // same mesh, and the stalled connection is still usable
+    let again = other.query_mesh(iso_a, None).unwrap();
+    assert!(!again.cache_hit, "the level was not evicted");
+    assert_eq!(again.mesh, level.mesh);
+    write_frame(&mut stalled, &Message::Ping { payload: vec![1] }).unwrap();
+    assert!(matches!(
+        read_frame(&mut stalled).unwrap(),
+        Some(FrameIn::Ok {
+            msg: Message::Pong { .. }
+        })
+    ));
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The reactor names the two phases after `encode`: `out_queue` (reply
+/// posted → first byte written) and `socket_write` (first byte → last byte
+/// in the kernel). A traced hit's `socket_write` and `encode` both count
+/// the whole frame's bytes.
+#[test]
+fn traced_hit_names_out_queue_and_socket_write() {
+    let (dir, server) = bind("phases", ServeOptions::default());
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.query_mesh(120.0, None).unwrap();
+    let hit = client.query_mesh_traced(120.0, None, 0, 0x5EED).unwrap();
+    assert!(hit.cache_hit);
+    let frame_len = encode_mesh_response_frame(
+        true,
+        hit.active_metacells,
+        0,
+        false,
+        0,
+        0x5EED,
+        &hit.mesh,
+        VERSION,
+    )
+    .len() as u64;
+    let trace = client.trace(0x5EED).unwrap();
+    assert!(trace.found);
+    let root = trace
+        .events
+        .iter()
+        .find(|e| e.name == "request")
+        .expect("request root");
+    let phase = |name: &str| {
+        let e = trace
+            .events
+            .iter()
+            .find(|e| e.name == name)
+            .unwrap_or_else(|| panic!("no `{name}` span"));
+        assert_eq!(e.parent, root.id, "`{name}` hangs off the request root");
+        e
+    };
+    let field = |e: &TraceEvent, key: &str| {
+        e.fields
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|&(_, v)| v)
+            .unwrap_or_else(|| panic!("`{}` has no `{key}`", e.name))
+    };
+    let write = phase("socket_write");
+    assert_eq!(field(write, "bytes"), frame_len);
+    assert!(field(write, "writes") >= 1);
+    assert_eq!(field(phase("encode"), "bytes"), frame_len);
+    let queued = phase("out_queue");
+    assert!(queued.start_us + queued.dur_us <= write.start_us + 1);
+    assert!(write.start_us + write.dur_us <= root.start_us + root.dur_us + 1);
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
 }
