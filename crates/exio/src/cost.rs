@@ -79,19 +79,6 @@ impl IoCostModel {
         Duration::from_secs_f64(seek + calls + xfer)
     }
 
-    /// Modeled time to transfer `bytes` purely sequentially (one seek).
-    pub fn sequential_time(&self, bytes: u64) -> Duration {
-        self.modeled_time(&IoSnapshot {
-            read_calls: 1,
-            seeks: 1,
-            forward_skips: 0,
-            skip_bytes: 0,
-            sequential_reads: 0,
-            bytes_read: bytes,
-            blocks_read: bytes.div_ceil(self.block_bytes),
-        })
-    }
-
     /// The minimum number of block transfers needed to read `bytes` of
     /// output — the `T/B` term of the paper's I/O-optimality bound.
     pub fn optimal_blocks(&self, bytes: u64) -> u64 {

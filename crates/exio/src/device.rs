@@ -102,11 +102,6 @@ impl FileDevice {
         self.forward_window = window;
         self
     }
-
-    /// Clone a handle to the shared stats (e.g. to keep after dropping the device).
-    pub fn stats_handle(&self) -> Arc<IoStats> {
-        Arc::clone(&self.stats)
-    }
 }
 
 impl BlockDevice for FileDevice {

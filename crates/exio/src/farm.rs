@@ -68,16 +68,6 @@ impl DiskFarm {
             .collect()
     }
 
-    /// Open a single node's store.
-    pub fn open_store(&self, node: usize, mmap: bool) -> io::Result<RecordStore> {
-        let p = self.store_path(node);
-        if mmap {
-            RecordStore::open_mmap(&p)
-        } else {
-            RecordStore::open(&p)
-        }
-    }
-
     /// Total bytes across all node stores.
     pub fn total_bytes(&self) -> io::Result<u64> {
         let mut total = 0;

@@ -19,11 +19,6 @@ pub struct Span {
 }
 
 impl Span {
-    /// The empty span at a position.
-    pub fn empty_at(offset: u64) -> Self {
-        Span { offset, len: 0 }
-    }
-
     /// End offset (exclusive).
     #[inline]
     pub fn end(&self) -> u64 {

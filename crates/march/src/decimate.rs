@@ -274,14 +274,6 @@ pub struct DecimateStats {
 }
 
 impl DecimateStats {
-    /// Surviving fraction of the input vertex count.
-    pub fn vertex_ratio(&self) -> f64 {
-        if self.input_vertices == 0 {
-            return 1.0;
-        }
-        self.output_vertices as f64 / self.input_vertices as f64
-    }
-
     /// World-space length of the worst applied collapse (`√max_error`).
     pub fn world_error(&self) -> f64 {
         self.max_error.sqrt()
@@ -1422,12 +1414,6 @@ impl LodChain {
             });
         }
         levels
-    }
-
-    /// Wrap an already-built level list (level 0 first). Used when levels
-    /// cross process boundaries (the serving cache).
-    pub fn from_levels(levels: Vec<LodLevel>) -> LodChain {
-        LodChain { levels }
     }
 
     /// Number of levels (≥ 1 for any built chain; 0 only for `default()`).

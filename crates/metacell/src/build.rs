@@ -4,8 +4,7 @@
 //! dropping those whose vertices all share one value (≈50% savings on the RM
 //! dataset). Two entry points:
 //!
-//! * [`scan_volume`] — over an in-memory volume (tests, small steps), with a
-//!   rayon-parallel variant [`scan_volume_par`];
+//! * [`scan_volume`] — over an in-memory volume (tests, small steps);
 //! * [`scan_reader`] — over a raw volume file streamed in z-slabs of `k`
 //!   layers with one overlapping layer, so only `O(nx·ny·k)` samples are ever
 //!   resident: true out-of-core preprocessing.
@@ -15,7 +14,6 @@ use crate::layout::MetacellLayout;
 use crate::record::MetacellRecord;
 use oociso_volume::io::RawVolumeReader;
 use oociso_volume::{Dims3, ScalarValue, Volume};
-use rayon::prelude::*;
 use std::io;
 
 /// One surviving metacell: its interval plus its record.
@@ -107,32 +105,6 @@ pub fn scan_volume<S: ScalarValue>(
             kept.push(built);
         }
     }
-    (kept, stats)
-}
-
-/// Rayon-parallel variant of [`scan_volume`] (parallel over metacell IDs;
-/// output order and stats identical to the sequential scan).
-pub fn scan_volume_par<S: ScalarValue>(
-    vol: &Volume<S>,
-    layout: &MetacellLayout,
-) -> (Vec<BuiltMetacell<S>>, PreprocessStats) {
-    assert_eq!(vol.dims(), layout.volume_dims(), "layout/volume mismatch");
-    let ids: Vec<u32> = layout.ids().collect();
-    let kept: Vec<BuiltMetacell<S>> = ids
-        .par_iter()
-        .filter_map(|&id| {
-            let built = build_one(vol, layout, id);
-            (!built.interval.is_constant()).then_some(built)
-        })
-        .collect();
-    let mut stats = PreprocessStats {
-        total_metacells: layout.num_metacells(),
-        raw_bytes: vol.dims().raw_bytes::<S>() as u64,
-        kept_metacells: kept.len(),
-        culled_metacells: layout.num_metacells() - kept.len(),
-        ..Default::default()
-    };
-    stats.kept_bytes = kept.iter().map(|b| b.record.raw_len() as u64).sum();
     (kept, stats)
 }
 
@@ -232,21 +204,6 @@ mod tests {
             assert!(b.interval.min_key < b.interval.max_key);
             assert_eq!(b.interval.min_key, b.record.vmin.key());
             assert_eq!(b.interval.max_key, b.record.vmax().key());
-        }
-    }
-
-    #[test]
-    fn par_scan_matches_sequential() {
-        let dims = Dims3::new(25, 25, 25);
-        let vol = sphere_volume(dims);
-        let layout = MetacellLayout::new(dims, 9);
-        let (seq, s1) = scan_volume(&vol, &layout);
-        let (par, s2) = scan_volume_par(&vol, &layout);
-        assert_eq!(s1, s2);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(par.iter()) {
-            assert_eq!(a.interval, b.interval);
-            assert_eq!(a.record, b.record);
         }
     }
 

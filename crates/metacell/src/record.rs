@@ -235,11 +235,6 @@ impl<S: ScalarValue> MetacellRecord<S> {
     pub fn to_volume(&self) -> Volume<S> {
         Volume::from_vec(self.dims, self.scalars.clone())
     }
-
-    /// Reconstruct the local volume without cloning the payload.
-    pub fn into_volume(self) -> Volume<S> {
-        Volume::from_vec(self.dims, self.scalars)
-    }
 }
 
 #[cfg(test)]

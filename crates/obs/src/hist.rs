@@ -90,11 +90,8 @@ impl Histogram {
     }
 
     /// Record one observation. Relaxed atomics only — no locks, no
-    /// allocation. Compiled out under the `no-obs` feature.
+    /// allocation.
     pub fn record(&self, v: u64) {
-        if cfg!(feature = "no-obs") {
-            return;
-        }
         let c = &self.0;
         c.buckets[bucket_index(v)].fetch_add(1, Relaxed);
         c.count.fetch_add(1, Relaxed);

@@ -16,9 +16,9 @@
 //! * [`log`] — structured operational events ([`LogEvent`]) through a
 //!   pluggable [`LogSink`] (stderr in production, [`CaptureSink`] in tests).
 //!
-//! Compiling with the `no-obs` feature turns every *recording* path into a
-//! no-op while keeping measured return values (span durations) exact — the
-//! `metrics_overhead` bench group uses it as the uninstrumented baseline.
+//! Instrumentation is always compiled in. What a change to a recording path
+//! costs is measured end to end: alternating pairs of gated benchmark runs
+//! (`oociso-benchmark driver`) with and without the change.
 //!
 //! Metric names, span names, and exposition format are cataloged in
 //! `docs/observability.md`.
@@ -35,8 +35,3 @@ pub use trace::{
     render_events, FinishedTrace, Span, SpanEvent, Trace, TraceJournal, DEFAULT_TRACE_EVENTS,
     NO_PARENT,
 };
-
-/// Whether this build records observability data (`false` under the
-/// `no-obs` feature). Benchmarks use it to label instrumented vs baseline
-/// runs of the same binary.
-pub const RECORDING: bool = !cfg!(feature = "no-obs");

@@ -27,11 +27,8 @@ impl Counter {
         self.add(1);
     }
 
-    /// Increment by `n`. Compiled out under the `no-obs` feature.
+    /// Increment by `n`.
     pub fn add(&self, n: u64) {
-        if cfg!(feature = "no-obs") {
-            return;
-        }
         self.0.fetch_add(n, Relaxed);
     }
 
@@ -51,19 +48,13 @@ impl Gauge {
         Gauge::default()
     }
 
-    /// Set the value. Compiled out under the `no-obs` feature.
+    /// Set the value.
     pub fn set(&self, v: i64) {
-        if cfg!(feature = "no-obs") {
-            return;
-        }
         self.0.store(v, Relaxed);
     }
 
     /// Add a (possibly negative) delta.
     pub fn add(&self, d: i64) {
-        if cfg!(feature = "no-obs") {
-            return;
-        }
         self.0.fetch_add(d, Relaxed);
     }
 

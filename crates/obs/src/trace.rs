@@ -10,8 +10,8 @@
 //!
 //! `finish()` returns the measured duration *whether or not the event was
 //! recorded*: timing-derived report fields (see `oociso-cluster`'s
-//! `NodeReport`) read that return value, so they stay exact under the
-//! `no-obs` feature and when a full trace drops events.
+//! `NodeReport`) read that return value, so they stay exact when a full
+//! trace drops events.
 //!
 //! The [`TraceJournal`] is the ring buffer behind the server's recent-trace
 //! and slow-query logs: pushing a finished trace clones its events out, so
@@ -143,9 +143,6 @@ impl Trace {
     }
 
     fn push(&self, ev: SpanEvent) {
-        if cfg!(feature = "no-obs") {
-            return;
-        }
         let mut events = self.inner.events.lock().unwrap();
         if events.len() >= self.inner.cap {
             self.inner.dropped.fetch_add(1, Relaxed);
@@ -267,9 +264,8 @@ impl Span {
     }
 
     /// Finish the span, recording its event, and return the measured
-    /// duration. The return value is computed even when recording is
-    /// disabled (`no-obs`) or the trace buffer is full — derived timing
-    /// views rely on that.
+    /// duration. The return value is computed even when the trace buffer
+    /// is full — derived timing views rely on that.
     pub fn finish(mut self) -> Duration {
         self.finish_inner()
     }

@@ -22,8 +22,8 @@
 //! `ERR_BUSY` from a malformed request without string matching.
 
 use crate::protocol::{
-    encode_frame_raw, read_frame, write_frame, FrameIn, FrameParams, Message, Region, ServerReport,
-    TraceEvent, ERR_BUSY,
+    encode_frame_raw, read_frame, read_raw_frame, write_frame, FrameIn, FrameParams, Message,
+    Region, ServerReport, TraceEvent, ERR_BUSY, MAX_PAYLOAD,
 };
 use oociso_march::IndexedMesh;
 use oociso_render::Framebuffer;
@@ -160,21 +160,14 @@ fn torn(e: &io::Error) -> bool {
 }
 
 /// Read one complete reply frame off the wire, undecoded: header +
-/// payload + checksum, exactly as the server sent it.
+/// payload + checksum, exactly as the server sent it. A poisoned header is
+/// an error, checked before any payload byte is buffered.
 fn read_raw_reply(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
-    use std::io::Read;
-    let mut header = [0u8; crate::protocol::HEADER_BYTES];
-    stream.read_exact(&mut header).map_err(map_timeout)?;
-    let len = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-    let mut frame = header.to_vec();
-    let rest = usize::try_from(len)
-        .ok()
-        .and_then(|n| n.checked_add(4))
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "absurd frame length"))?;
-    let mut body = vec![0u8; rest];
-    stream.read_exact(&mut body).map_err(map_timeout)?;
-    frame.extend_from_slice(&body);
-    Ok(frame)
+    match read_raw_frame(stream, MAX_PAYLOAD).map_err(map_timeout)? {
+        Ok(frame) => Ok(frame),
+        Err(FrameIn::Violation { code, detail, .. }) => Err(server_error(code, detail, None)),
+        Err(FrameIn::Ok { msg }) => Err(unexpected(&msg)),
+    }
 }
 
 /// Socket-timeout expiry surfaces as `WouldBlock` on Unix; normalize to

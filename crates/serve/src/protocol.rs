@@ -1369,6 +1369,26 @@ pub fn read_frame_limited(r: &mut impl Read, max_payload: u64) -> io::Result<Opt
     Ok(Some(decode_body(&h, &payload, u32::from_le_bytes(crc))))
 }
 
+/// Read one whole frame off `r` undecoded — header, payload and checksum,
+/// exactly as sent — for callers that compare reply bytes. The header gets
+/// [`read_frame_limited`]'s checks before any payload byte is buffered: a
+/// bad magic or an oversized length claim is `Ok(Err(violation))`, never an
+/// allocation on the header's say-so. Version and checksum are left to
+/// whoever decodes the bytes.
+#[allow(clippy::result_large_err)] // as `parse_header`
+pub fn read_raw_frame(r: &mut impl Read, max_payload: u64) -> io::Result<Result<Vec<u8>, FrameIn>> {
+    let mut header = [0u8; HEADER_BYTES];
+    r.read_exact(&mut header)?;
+    let h = match parse_header(&header, max_payload) {
+        Ok(h) => h,
+        Err(violation) => return Ok(Err(violation)),
+    };
+    let mut frame = vec![0u8; HEADER_BYTES + h.len + 4];
+    frame[..HEADER_BYTES].copy_from_slice(&header);
+    r.read_exact(&mut frame[HEADER_BYTES..])?;
+    Ok(Ok(frame))
+}
+
 /// One step of buffer-based incremental frame decoding — the nonblocking
 /// reactor's counterpart to [`read_frame_limited`], sharing its exact
 /// violation semantics (same codes, same close-the-connection decisions).
@@ -2095,6 +2115,29 @@ mod tests {
                 ..
             }
         ));
+        // the blocking reader and the raw-bytes reader refuse both poisoned
+        // headers alike, from the header alone: a claim of 2^40 bytes
+        // (within u64, above MAX_PAYLOAD) is refused before any allocation
+        let mut tera = encode_frame_raw(MAGIC, VERSION, MSG_PING, b"");
+        tera[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        for (what, frame, want) in [
+            ("bad magic", &bad[..], ERR_BAD_MAGIC),
+            ("u64::MAX length", &huge[..HEADER_BYTES], ERR_MALFORMED),
+            ("2^40 length", &tera[..HEADER_BYTES], ERR_MALFORMED),
+        ] {
+            match read_frame_limited(&mut &frame[..], MAX_PAYLOAD) {
+                Ok(Some(FrameIn::Violation {
+                    code, close: true, ..
+                })) => assert_eq!(code, want, "{what}: blocking reader"),
+                other => panic!("{what}: blocking reader gave {other:?}"),
+            }
+            match read_raw_frame(&mut &frame[..], MAX_PAYLOAD) {
+                Ok(Err(FrameIn::Violation {
+                    code, close: true, ..
+                })) => assert_eq!(code, want, "{what}: raw reader"),
+                other => panic!("{what}: raw reader gave {other:?}"),
+            }
+        }
         // future version: full frame consumed, connection survives
         let fut = encode_frame_raw(MAGIC, VERSION + 10, MSG_PING, b"");
         match decode_frame_bytes(&fut, MAX_REQUEST_PAYLOAD) {

@@ -7,13 +7,13 @@ use oociso_cluster::LodSpec;
 use oociso_core::{ClusterDatabase, PreprocessOptions};
 use oociso_march::IndexedMesh;
 use oociso_serve::protocol::{
-    encode_frame_raw, encode_payload, ERR_BAD_CHECKSUM, ERR_MALFORMED, ERR_UNSUPPORTED_VERSION,
-    HEADER_BYTES, MSG_FRAME_REQUEST, MSG_MESH_REQUEST, MSG_MESH_RESPONSE, MSG_PING,
-    MSG_STATS_REQUEST,
+    encode_frame_raw, encode_payload, read_frame, read_raw_frame, ERR_BAD_CHECKSUM, ERR_BAD_MAGIC,
+    ERR_MALFORMED, ERR_UNSUPPORTED_VERSION, HEADER_BYTES, MAX_PAYLOAD, MSG_FRAME_REQUEST,
+    MSG_MESH_REQUEST, MSG_MESH_RESPONSE, MSG_PING, MSG_STATS_REQUEST,
 };
 use oociso_serve::{
     render_trace_events, Client, FrameParams, IsoServer, Message, Region, ServeOptions,
-    ERR_BAD_BACKEND, ERR_BAD_LOD, MAGIC, VERSION,
+    ServerError, ERR_BAD_BACKEND, ERR_BAD_LOD, MAGIC, VERSION,
 };
 use oociso_volume::field::{FieldExt, SphereField};
 use oociso_volume::{Dims3, Volume};
@@ -829,7 +829,7 @@ fn only_mc_is_served_and_other_backend_ids_are_refused() {
         &encode_frame_raw(MAGIC, VERSION, MSG_STATS_REQUEST, &[]),
     )
     .unwrap();
-    let frame = read_raw_frame(&mut stream);
+    let frame = read_raw_frame(&mut stream, MAX_PAYLOAD).unwrap().unwrap();
     let counters: Vec<u64> = frame[HEADER_BYTES..frame.len() - 4]
         .chunks_exact(8)
         .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
@@ -938,15 +938,47 @@ fn metrics_exposition_agrees_with_stats() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Read one complete raw reply frame (header + payload + checksum) off a
-/// socket.
-fn read_raw_frame(stream: &mut std::net::TcpStream) -> Vec<u8> {
-    use std::io::Read;
-    let mut frame = vec![0u8; HEADER_BYTES];
-    stream.read_exact(&mut frame).unwrap();
-    let len = u64::from_le_bytes(frame[8..16].try_into().unwrap()) as usize;
-    let mut body = vec![0u8; len + 4];
-    stream.read_exact(&mut body).unwrap();
-    frame.extend_from_slice(&body);
-    frame
+/// A one-shot peer that reads one request and answers it with `reply`,
+/// then holds the connection open until the client hangs up.
+fn poisoned_peer(reply: Vec<u8>) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    use std::io::{Read, Write};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        read_frame(&mut stream).unwrap().expect("a request");
+        stream.write_all(&reply).unwrap();
+        // wait for the client to give up rather than closing first, so a
+        // reader that believed the header would block here, not see EOF
+        let _ = stream.read(&mut [0u8; 1]);
+    });
+    (addr, peer)
+}
+
+#[test]
+fn pipeline_raw_refuses_a_poisoned_reply_header() {
+    let mut huge = encode_frame_raw(MAGIC, VERSION, MSG_PING, b"");
+    huge[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    let bad_magic = encode_frame_raw(0xDEAD_BEEF, VERSION, MSG_PING, b"x");
+    for (what, reply, want) in [
+        (
+            "2^40-byte claim",
+            huge[..HEADER_BYTES].to_vec(),
+            ERR_MALFORMED,
+        ),
+        ("bad magic", bad_magic, ERR_BAD_MAGIC),
+    ] {
+        let (addr, peer) = poisoned_peer(reply);
+        let mut client = Client::connect(addr).unwrap();
+        let ping = Message::Ping {
+            payload: b"p".to_vec(),
+        };
+        let err = client
+            .pipeline_raw(std::slice::from_ref(&ping))
+            .expect_err(what);
+        let server = ServerError::from_io(&err).unwrap_or_else(|| panic!("{what}: {err}"));
+        assert_eq!(server.code, want, "{what}: {err}");
+        drop(client);
+        peer.join().unwrap();
+    }
 }

@@ -122,12 +122,6 @@ impl<S: ScalarValue> Volume<S> {
         &self.data
     }
 
-    /// Mutable access to the underlying samples.
-    #[inline]
-    pub fn data_mut(&mut self) -> &mut [S] {
-        &mut self.data
-    }
-
     /// Consume into the raw sample vector.
     pub fn into_vec(self) -> Vec<S> {
         self.data

@@ -238,11 +238,6 @@ impl RmProxy {
         assert!(scale >= 1);
         Dims3::new(256 * scale, 256 * scale, 240 * scale)
     }
-
-    /// A smaller grid for unit tests (64×64×60, same 16:16:15 aspect).
-    pub fn test_dims() -> Dims3 {
-        Dims3::new(64, 64, 60)
-    }
 }
 
 #[cfg(test)]
