@@ -10,7 +10,7 @@
 
 use oociso_bench::data_dir;
 use oociso_bench::{bench_dims, bench_step, rm_volume, secs, TextTable};
-use oociso_cluster::{Cluster, ClusterBuildOptions, SimulatedTimeModel};
+use oociso_cluster::{Cluster, PreprocessOptions, SimulatedTimeModel};
 
 fn main() {
     let dims = bench_dims();
@@ -36,16 +36,12 @@ fn main() {
     for k in [5usize, 9, 17] {
         let dir = data_dir().join(format!("ablation-k{k}"));
         std::fs::remove_dir_all(&dir).ok();
-        let (cluster, stats) = Cluster::build(
-            &vol,
-            &dir,
-            1,
-            &ClusterBuildOptions {
-                metacell_k: k,
-                mmap: true,
-            },
-        )
-        .expect("build");
+        let opts = PreprocessOptions {
+            metacell_k: k,
+            nodes: 1,
+            mmap: true,
+        };
+        let (cluster, stats) = Cluster::build(&vol, &dir, &opts).expect("build");
         let e = cluster.extract(110.0).expect("extract");
         let n = &e.report.nodes[0];
         table.row(vec![

@@ -4,11 +4,11 @@
 //! steps (the paper: 1.6 MB for all 270 steps of the full dataset).
 //!
 //! Run: `cargo run --release -p oociso-bench --bin table8`
-//! Env: `OOCISO_TV_DIMS` (default `128x128x120`) — per-step grid for the
-//! 16-step series; smaller than the single-step tables because 16 full steps
-//! are preprocessed.
+//! The per-step grid is `OOCISO_DIMS` halved per axis (the `256x256x240`
+//! default gives `128x128x120`): smaller than the single-step tables because
+//! 16 full steps are preprocessed.
 
-use oociso_bench::{bench_seed, data_dir, secs, TextTable};
+use oociso_bench::{bench_dims, bench_seed, data_dir, secs, TextTable};
 use oociso_cluster::SimulatedTimeModel;
 use oociso_core::{PreprocessOptions, TimeVaryingDatabase};
 use oociso_volume::{Dims3, RmProxy};
@@ -17,14 +17,10 @@ const STEPS: std::ops::RangeInclusive<u32> = 180..=195;
 const ISO: f32 = 70.0;
 const NODES: usize = 4;
 
+/// The per-step grid: the single-step tables' grid halved per axis.
 fn tv_dims() -> Dims3 {
-    match std::env::var("OOCISO_TV_DIMS") {
-        Ok(s) => {
-            let p: Vec<usize> = s.split(['x', 'X']).map(|v| v.parse().unwrap()).collect();
-            Dims3::new(p[0], p[1], p[2])
-        }
-        Err(_) => Dims3::new(128, 128, 120),
-    }
+    let d = bench_dims();
+    Dims3::new(d.nx / 2, d.ny / 2, d.nz / 2)
 }
 
 fn main() {

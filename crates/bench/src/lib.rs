@@ -13,13 +13,14 @@
 //!
 //! * `OOCISO_DIMS`   — volume dimensions as `NXxNYxNZ` (default `256x256x240`,
 //!   the paper's own down-sampled demo size; the full dataset is
-//!   2048×2048×1920 — set it if you have the hours and the disk).
+//!   2048×2048×1920 — set it if you have the hours and the disk). `table8`
+//!   preprocesses 16 time steps at half this grid per axis.
 //! * `OOCISO_SEED`   — RM proxy seed (default `0x524D2006`).
 //! * `OOCISO_STEP`   — default time step for single-step tables (default 250,
 //!   matching the paper's Figure 4 demo).
 //! * `OOCISO_DATA`   — cache directory (default `target/oociso-bench-data`).
 
-use oociso_cluster::{Cluster, ClusterBuildOptions};
+use oociso_cluster::{Cluster, PreprocessOptions};
 use oociso_volume::{Dims3, RmProxy, Volume};
 use std::path::PathBuf;
 
@@ -82,16 +83,12 @@ pub fn cached_cluster(step: u32, dims: Dims3, nodes: usize) -> (Cluster<u8>, boo
         return (c, false);
     }
     let vol = rm_volume(step, dims);
-    let (c, stats) = Cluster::build(
-        &vol,
-        &dir,
+    let opts = PreprocessOptions {
+        metacell_k: 9,
         nodes,
-        &ClusterBuildOptions {
-            metacell_k: 9,
-            mmap: true,
-        },
-    )
-    .expect("cluster build");
+        mmap: true,
+    };
+    let (c, stats) = Cluster::build(&vol, &dir, &opts).expect("cluster build");
     eprintln!(
         "[build] p={nodes}: {} metacells kept ({} culled, {:.1}% of raw size)",
         stats.kept_metacells,

@@ -12,31 +12,33 @@ use oociso_march::{
     DecimateStats, ExtractionBackend, IndexedMesh, LodChain, MeshWelder, SeamQuad, TriangleSoup,
     Vec3, SN_SMOOTH_PASSES,
 };
-use oociso_metacell::{
-    scan_volume, MetacellInterval, MetacellLayout, MetacellRecord, PreprocessStats,
-};
+use oociso_metacell::{MetacellInterval, MetacellLayout, MetacellRecord, PreprocessStats};
 use oociso_obs::{Span, Trace};
 use oociso_render::{rasterize_mesh, Camera, Framebuffer, TileLayout};
-use oociso_volume::{ScalarValue, Volume};
+use oociso_volume::{Dims3, ScalarValue, Volume};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Options for building a cluster dataset.
+/// Preprocessing options.
 #[derive(Clone, Copy, Debug)]
-pub struct ClusterBuildOptions {
-    /// Metacell vertices per axis (paper: 9).
+pub struct PreprocessOptions {
+    /// Metacell vertices per axis (the paper uses 9 → 734-byte raw u8
+    /// records; stored packed).
     pub metacell_k: usize,
-    /// Open the brick stores memory-mapped.
+    /// Number of cluster nodes / disk stripes (1 = serial, the default).
+    pub nodes: usize,
+    /// Memory-map the brick stores for reading.
     pub mmap: bool,
 }
 
-impl Default for ClusterBuildOptions {
+impl Default for PreprocessOptions {
     fn default() -> Self {
-        ClusterBuildOptions {
+        PreprocessOptions {
             metacell_k: 9,
+            nodes: 1,
             mmap: false,
         }
     }
@@ -324,14 +326,14 @@ fn index_path(dir: &Path, node: usize) -> PathBuf {
     dir.join(format!("node{node:03}.index"))
 }
 
-/// Where pass 1 of the out-of-core build spills its encoded records.
+/// Where pass 1 of the build spills its encoded records.
 fn spill_path(dir: &Path) -> PathBuf {
     dir.join("preprocess.spill")
 }
 
-/// The spill file of the out-of-core build: every kept record, encoded once,
-/// in scan order. Removed when dropped — after a successful build and on
-/// every error path alike.
+/// The spill file of the build: every kept record, encoded once, in scan
+/// order. Removed when dropped — after a successful build and on every
+/// error path alike.
 struct Spill {
     path: PathBuf,
     file: std::fs::File,
@@ -356,13 +358,14 @@ impl Drop for Spill {
     }
 }
 
-/// The out-of-core build up to its index files: one scan of the volume file
-/// and two sequential passes over a spill, peak memory one z-slab plus a
-/// length per kept record.
+/// The build up to its index files: one scan of the volume's z-slabs and
+/// two sequential passes over a spill, peak memory one z-slab plus a length
+/// per kept record.
 ///
-/// 1. Scan z-slabs, computing each metacell's `(vmin, vmax)` interval
-///    (constant metacells culled), encoding each kept record once and
-///    appending it to a spill file in `dir`.
+/// 1. Scan the z-slabs `read_slab(z0, count)` returns, computing each
+///    metacell's `(vmin, vmax)` interval (constant metacells culled),
+///    encoding each kept record once and appending it to a spill file in
+///    `dir`.
 /// 2. Build the striped trees with a *dry-run* sink that only assigns each
 ///    record its destination `(stripe, offset)` from the spilled lengths.
 /// 3. Create the stores at their final sizes (`create_stores`, given each
@@ -370,21 +373,21 @@ impl Drop for Spill {
 ///    at its placement.
 ///
 /// Generic over the store sinks so failing devices can exercise the error
-/// path; any write failure surfaces as `Err`, and the spill is gone either
-/// way.
+/// path; any read or write failure surfaces as `Err`, and the spill is gone
+/// either way.
 fn write_stores<S: ScalarValue, W: WriteAt>(
-    volume_path: &Path,
+    dims: Dims3,
+    read_slab: impl FnMut(usize, usize) -> io::Result<Volume<S>>,
     dir: &Path,
     nodes: usize,
     k: usize,
     create_stores: impl FnOnce(&[u64]) -> io::Result<Vec<W>>,
 ) -> io::Result<(Vec<CompactIntervalTree>, PreprocessStats)> {
-    let mut reader = oociso_volume::io::RawVolumeReader::<S>::open(volume_path)?;
     let spill = Spill::create(dir)?;
     let mut intervals: Vec<MetacellInterval> = Vec::new();
     let mut lengths: Vec<u32> = Vec::new();
     let mut out = io::BufWriter::new(&spill.file);
-    let mut stats = oociso_metacell::scan_reader(&mut reader, k, |built| {
+    let mut stats = oociso_metacell::scan_slabs(dims, k, read_slab, |built| {
         let record = built.record.encode();
         out.write_all(&record)?;
         intervals.push(built.interval);
@@ -492,35 +495,21 @@ fn index_end(tree: &CompactIntervalTree) -> u64 {
 }
 
 impl<S: ScalarValue> Cluster<S> {
-    /// Preprocess `vol` into `dir` for `nodes` nodes: scan metacells, cull
-    /// constants, stripe bricks round-robin across per-node stores (each
-    /// record encoded once, as its brick is written), build and persist
-    /// per-node compact interval trees.
+    /// Preprocess `vol` into `dir` for `opts.nodes` nodes: the build of
+    /// [`Cluster::build_from_file`], with its z-slabs copied out of `vol`
+    /// one at a time.
     pub fn build(
         vol: &Volume<S>,
         dir: &Path,
-        nodes: usize,
-        opts: &ClusterBuildOptions,
+        opts: &PreprocessOptions,
     ) -> io::Result<(Self, PreprocessStats)> {
-        assert!(nodes > 0);
-        let layout = MetacellLayout::new(vol.dims(), opts.metacell_k);
-        let (built, mut stats) = scan_volume(vol, &layout);
-        let intervals: Vec<MetacellInterval> = built.iter().map(|b| b.interval).collect();
-
-        let farm = DiskFarm::new(dir, nodes);
-        let mut writers = farm.create_writers()?;
-        let trees = CompactIntervalTree::build_striped(&intervals, nodes, &mut |stripe, iv| {
-            let idx = built
-                .binary_search_by_key(&iv.id, |b| b.interval.id)
-                .expect("interval id from this build");
-            let record = built[idx].record.encode();
-            stats.stored_bytes += record.len() as u64;
-            writers[stripe].append(&record)
-        })?;
-        for w in writers {
-            w.finish()?;
-        }
-        Self::finish_build(dir, layout, trees, opts.mmap).map(|c| (c, stats))
+        let dims = vol.dims();
+        Self::build_slabs(
+            dims,
+            |z0, count| Ok(vol.extract_box((0, 0, z0), (dims.nx, dims.ny, z0 + count))),
+            dir,
+            opts,
+        )
     }
 
     /// Preprocess a raw volume **file** into `dir` without ever holding the
@@ -535,25 +524,37 @@ impl<S: ScalarValue> Cluster<S> {
     pub fn build_from_file(
         volume_path: &Path,
         dir: &Path,
-        nodes: usize,
-        opts: &ClusterBuildOptions,
+        opts: &PreprocessOptions,
     ) -> io::Result<(Self, PreprocessStats)> {
+        let mut reader = oociso_volume::io::RawVolumeReader::<S>::open(volume_path)?;
+        let dims = reader.dims();
+        Self::build_slabs(dims, |z0, count| reader.read_slab(z0, count), dir, opts)
+    }
+
+    /// The one build: scan metacells slab by slab, cull constants, stripe
+    /// bricks round-robin across per-node stores (each record encoded once),
+    /// build and persist per-node compact interval trees.
+    fn build_slabs(
+        dims: Dims3,
+        read_slab: impl FnMut(usize, usize) -> io::Result<Volume<S>>,
+        dir: &Path,
+        opts: &PreprocessOptions,
+    ) -> io::Result<(Self, PreprocessStats)> {
+        let nodes = opts.nodes;
         assert!(nodes > 0);
-        let dims = oociso_volume::io::RawVolumeReader::<S>::open(volume_path)?.dims();
-        let layout = MetacellLayout::new(dims, opts.metacell_k);
         std::fs::create_dir_all(dir)?;
         let farm = DiskFarm::new(dir, nodes);
-        let (trees, stats) =
-            write_stores::<S, _>(volume_path, dir, nodes, opts.metacell_k, |lens| {
-                lens.iter()
-                    .enumerate()
-                    .map(|(i, &len)| {
-                        let f = std::fs::File::create(farm.store_path(i))?;
-                        f.set_len(len)?;
-                        Ok(f)
-                    })
-                    .collect()
-            })?;
+        let (trees, stats) = write_stores(dims, read_slab, dir, nodes, opts.metacell_k, |lens| {
+            lens.iter()
+                .enumerate()
+                .map(|(i, &len)| {
+                    let f = std::fs::File::create(farm.store_path(i))?;
+                    f.set_len(len)?;
+                    Ok(f)
+                })
+                .collect()
+        })?;
+        let layout = MetacellLayout::new(dims, opts.metacell_k);
         Self::finish_build(dir, layout, trees, opts.mmap).map(|c| (c, stats))
     }
 
@@ -1077,6 +1078,13 @@ mod tests {
         SphereField::centered(0.32, 128.0).sample(Dims3::new(33, 33, 33))
     }
 
+    fn opts(nodes: usize) -> PreprocessOptions {
+        PreprocessOptions {
+            nodes,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn parallel_matches_serial_triangles() {
         let vol = test_volume();
@@ -1091,13 +1099,13 @@ mod tests {
         );
 
         let d1 = tmpdir("p1");
-        let (c1, stats1) = Cluster::build(&vol, &d1, 1, &ClusterBuildOptions::default()).unwrap();
+        let (c1, stats1) = Cluster::build(&vol, &d1, &opts(1)).unwrap();
         let e1 = c1.extract(128.0).unwrap();
         assert_eq!(e1.report.total_triangles() as usize, truth.len());
         assert!(stats1.kept_metacells > 0);
 
         let d4 = tmpdir("p4");
-        let (c4, stats4) = Cluster::build(&vol, &d4, 4, &ClusterBuildOptions::default()).unwrap();
+        let (c4, stats4) = Cluster::build(&vol, &d4, &opts(4)).unwrap();
         let e4 = c4.extract(128.0).unwrap();
         assert_eq!(e4.report.total_triangles() as usize, truth.len());
         assert_eq!(stats1.kept_metacells, stats4.kept_metacells);
@@ -1120,7 +1128,7 @@ mod tests {
     fn worker_count_does_not_change_output() {
         let vol = test_volume();
         let dir = tmpdir("workers");
-        let (c, _) = Cluster::build(&vol, &dir, 1, &ClusterBuildOptions::default()).unwrap();
+        let (c, _) = Cluster::build(&vol, &dir, &opts(1)).unwrap();
         let base = c.extract_with_workers(128.0, 1).unwrap();
         assert_eq!(base.report.nodes[0].workers, 1);
         let base_soup = base.merged_soup();
@@ -1153,7 +1161,7 @@ mod tests {
         // iso 250 cannot activate any metacell
         let vol = test_volume();
         let dir = tmpdir("empty_iso");
-        let (c, _) = Cluster::build(&vol, &dir, 2, &ClusterBuildOptions::default()).unwrap();
+        let (c, _) = Cluster::build(&vol, &dir, &opts(2)).unwrap();
         let e = c.extract_with_workers(250.0, 4).unwrap();
         assert!(e.merged_soup().is_empty());
         assert_eq!(e.report.total_triangles(), 0);
@@ -1207,8 +1215,7 @@ mod tests {
         let vol = test_volume();
         for nodes in 1..=4 {
             let dir = tmpdir(&format!("remap{nodes}"));
-            let (c, _) =
-                Cluster::build(&vol, &dir, nodes, &ClusterBuildOptions::default()).unwrap();
+            let (c, _) = Cluster::build(&vol, &dir, &opts(nodes)).unwrap();
             let mut first: Option<ClusterExtraction> = None;
             for workers in [1, 2, 3] {
                 let ctx = format!("{nodes} nodes, {workers} workers");
@@ -1235,7 +1242,7 @@ mod tests {
     fn mc_parts() -> Vec<BlockOutput> {
         let vol = test_volume();
         let layout = MetacellLayout::new(vol.dims(), 9);
-        let (built, _) = scan_volume(&vol, &layout);
+        let (built, _) = oociso_metacell::scan_volume(&vol, &layout);
         let mc = Backend::Mc.instance::<u8>();
         let mut scratch = BackendScratch::new();
         let part = |b: &oociso_metacell::BuiltMetacell<u8>| {
@@ -1315,7 +1322,7 @@ mod tests {
             (200.0 - 30.0 * r).max(0.0) as u8
         });
         let dir = tmpdir("emptynode");
-        let (c, _) = Cluster::build(&vol, &dir, 3, &ClusterBuildOptions::default()).unwrap();
+        let (c, _) = Cluster::build(&vol, &dir, &opts(3)).unwrap();
         let e = c.extract(1.0).unwrap();
         let active: Vec<bool> = e.meshes.iter().map(|m| !m.is_empty()).collect();
         assert_eq!(active, [true, true, false], "fixture drifted");
@@ -1346,7 +1353,7 @@ mod tests {
             &mut truth,
         );
         let dir = tmpdir("exact");
-        let (c, _) = Cluster::build(&vol, &dir, 3, &ClusterBuildOptions::default()).unwrap();
+        let (c, _) = Cluster::build(&vol, &dir, &opts(3)).unwrap();
         let e = c.extract(128.0).unwrap();
         // the integer isovalue on u8 samples puts some crossings exactly on
         // cell corners; those triangles collapse under quantization and the
@@ -1402,7 +1409,7 @@ mod tests {
                 amplitude: 70.0,
             }
             .sample(Dims3::cube(n));
-            let (c, _) = Cluster::build(&vol, &dir, 1, &ClusterBuildOptions::default()).unwrap();
+            let (c, _) = Cluster::build(&vol, &dir, &opts(1)).unwrap();
             let plain = c.extract_with_workers(128.0, 1).unwrap(); // also warms the store
             if plain.report.nodes[0].triangulation_busy >= Duration::from_millis(40) || n >= 257 {
                 break (c, plain);
@@ -1474,7 +1481,7 @@ mod tests {
         // pipeline must close the queue, reap its workers, and surface Err.
         let vol = test_volume();
         let dir = tmpdir("trunc");
-        let (mut c, _) = Cluster::build(&vol, &dir, 1, &ClusterBuildOptions::default()).unwrap();
+        let (mut c, _) = Cluster::build(&vol, &dir, &opts(1)).unwrap();
         // keep only a sliver: any planned read must run past EOF
         let full = std::fs::read(DiskFarm::new(&dir, 1).store_path(0)).unwrap();
         let sliver = full[..4].to_vec();
@@ -1498,8 +1505,7 @@ mod tests {
     fn one_node_with_root_brick(
         dir: &Path,
     ) -> (CompactIntervalTree, oociso_itree::BrickEntry, Vec<u64>) {
-        let (c, _) =
-            Cluster::build(&test_volume(), dir, 1, &ClusterBuildOptions::default()).unwrap();
+        let (c, _) = Cluster::build(&test_volume(), dir, &opts(1)).unwrap();
         let tree = c.trees()[0].clone();
         drop(c);
         let store = std::fs::read(DiskFarm::new(dir, 1).store_path(0)).unwrap();
@@ -1601,8 +1607,7 @@ mod tests {
         // the store bytes and the index end, instead of the first query
         // failing with a bare read past the end of the device
         let dir = tmpdir("truncated_store");
-        let (c, _) =
-            Cluster::build(&test_volume(), &dir, 2, &ClusterBuildOptions::default()).unwrap();
+        let (c, _) = Cluster::build(&test_volume(), &dir, &opts(2)).unwrap();
         let len = c.store_bytes(1);
         drop(c);
         let f = std::fs::File::options()
@@ -1668,14 +1673,14 @@ mod tests {
         }
 
         let vol = test_volume();
-        let vol_path = tmpdir("fullvol.vol");
-        oociso_volume::io::write_volume(&vol_path, &vol).unwrap();
+        let dims = vol.dims();
         let dir = tmpdir("fulldisk");
         std::fs::create_dir_all(&dir).unwrap();
         let disk = FullDisk {
             writes: std::cell::Cell::new(0),
         };
-        let err = write_stores::<u8, _>(&vol_path, &dir, 1, 9, |lens| {
+        let read_slab = |z0, count| Ok(vol.extract_box((0, 0, z0), (dims.nx, dims.ny, z0 + count)));
+        let err = write_stores::<u8, _>(dims, read_slab, &dir, 1, 9, |lens| {
             assert!(lens[0] > 0, "need records to pass the fuse");
             Ok(vec![&disk])
         })
@@ -1686,8 +1691,19 @@ mod tests {
             !spill_path(&dir).exists(),
             "the spill outlived a failed build"
         );
-        std::fs::remove_file(&vol_path).ok();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every file of `dir`, by name, with its bytes.
+    fn dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).unwrap())
+            })
+            .collect()
     }
 
     #[test]
@@ -1696,46 +1712,62 @@ mod tests {
         let vol_path = tmpdir("ooc.vol");
         oociso_volume::io::write_volume(&vol_path, &vol).unwrap();
 
-        let d_mem = tmpdir("ooc_mem");
-        let d_file = tmpdir("ooc_file");
-        let opts = ClusterBuildOptions::default();
-        let (c_mem, s_mem) = Cluster::build(&vol, &d_mem, 3, &opts).unwrap();
-        let (c_file, s_file) =
-            Cluster::<u8>::build_from_file(&vol_path, &d_file, 3, &opts).unwrap();
-        assert!(
-            !spill_path(&d_file).exists(),
-            "the spill outlived the build"
-        );
-        assert_eq!(s_mem, s_file);
-        assert!(0 < s_file.stored_bytes && s_file.stored_bytes < s_file.kept_bytes);
-        let stores: u64 = (0..3).map(|i| c_file.store_bytes(i)).sum();
-        assert_eq!(stores, s_file.stored_bytes);
-        // store files byte-identical
-        for i in 0..3 {
-            let a = std::fs::read(d_mem.join(format!("node{i:03}.bricks"))).unwrap();
-            let b = std::fs::read(d_file.join(format!("node{i:03}.bricks"))).unwrap();
-            assert_eq!(a, b, "node {i} store differs");
-        }
-        // queries agree
-        for iso in [80.0, 128.0, 180.0] {
-            let em = c_mem.extract(iso).unwrap();
-            let ef = c_file.extract(iso).unwrap();
-            assert_eq!(em.report.total_triangles(), ef.report.total_triangles());
-            assert_eq!(
-                em.report.total_active_metacells(),
-                ef.report.total_active_metacells()
+        for (nodes, metacell_k) in [(1, 5), (1, 9), (3, 5), (3, 9)] {
+            let ctx = format!("nodes {nodes}, k {metacell_k}");
+            let d_mem = tmpdir(&format!("ooc_mem_{nodes}_{metacell_k}"));
+            let d_file = tmpdir(&format!("ooc_file_{nodes}_{metacell_k}"));
+            let opts = PreprocessOptions {
+                metacell_k,
+                nodes,
+                mmap: false,
+            };
+            let (c_mem, s_mem) = Cluster::build(&vol, &d_mem, &opts).unwrap();
+            let (c_file, s_file) =
+                Cluster::<u8>::build_from_file(&vol_path, &d_file, &opts).unwrap();
+            assert_eq!(s_mem, s_file, "{ctx}");
+            assert!(
+                0 < s_file.stored_bytes && s_file.stored_bytes < s_file.kept_bytes,
+                "{ctx}"
             );
+            let stores: u64 = (0..nodes).map(|i| c_file.store_bytes(i)).sum();
+            assert_eq!(stores, s_file.stored_bytes, "{ctx}");
+            // every file byte-identical: bricks, indexes, cluster.meta, and
+            // no spill left behind in either directory
+            let (mem, file) = (dir_files(&d_mem), dir_files(&d_file));
+            let names: Vec<&String> = file.keys().collect();
+            assert_eq!(names.len(), 2 * nodes + 1, "{ctx}: {names:?}");
+            assert!(!spill_path(&d_mem).exists(), "{ctx}: in-memory spill left");
+            assert!(!spill_path(&d_file).exists(), "{ctx}: file spill left");
+            assert_eq!(mem.keys().collect::<Vec<_>>(), names, "{ctx}");
+            for (name, bytes) in &file {
+                assert!(mem[name] == *bytes, "{ctx}: {name} differs");
+            }
+            // queries agree
+            for iso in [80.0, 128.0, 180.0] {
+                let em = c_mem.extract(iso).unwrap();
+                let ef = c_file.extract(iso).unwrap();
+                assert_eq!(
+                    em.report.total_triangles(),
+                    ef.report.total_triangles(),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    em.report.total_active_metacells(),
+                    ef.report.total_active_metacells(),
+                    "{ctx}"
+                );
+            }
+            std::fs::remove_dir_all(&d_mem).ok();
+            std::fs::remove_dir_all(&d_file).ok();
         }
         std::fs::remove_file(&vol_path).ok();
-        std::fs::remove_dir_all(&d_mem).ok();
-        std::fs::remove_dir_all(&d_file).ok();
     }
 
     #[test]
     fn reopen_preserves_queries() {
         let vol = test_volume();
         let dir = tmpdir("reopen");
-        let (c, _) = Cluster::build(&vol, &dir, 2, &ClusterBuildOptions::default()).unwrap();
+        let (c, _) = Cluster::build(&vol, &dir, &opts(2)).unwrap();
         let before = c.extract(100.0).unwrap();
         drop(c);
         let c2 = Cluster::<u8>::open(&dir, true).unwrap();
@@ -1755,7 +1787,7 @@ mod tests {
     fn wrong_scalar_rejected_on_open() {
         let vol = test_volume();
         let dir = tmpdir("scalar");
-        let (_c, _) = Cluster::build(&vol, &dir, 1, &ClusterBuildOptions::default()).unwrap();
+        let (_c, _) = Cluster::build(&vol, &dir, &opts(1)).unwrap();
         assert!(Cluster::<u16>::open(&dir, false).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1764,7 +1796,7 @@ mod tests {
     fn balance_across_nodes() {
         let vol = test_volume();
         let dir = tmpdir("balance");
-        let (c, _) = Cluster::build(&vol, &dir, 4, &ClusterBuildOptions::default()).unwrap();
+        let (c, _) = Cluster::build(&vol, &dir, &opts(4)).unwrap();
         for iso in [60.0, 100.0, 128.0, 160.0, 200.0] {
             let dist = c.distribution(iso).unwrap();
             let total: u64 = dist.iter().map(|d| d.0).sum();
@@ -1785,7 +1817,7 @@ mod tests {
     fn report_phases_populated() {
         let vol = test_volume();
         let dir = tmpdir("phases");
-        let (c, _) = Cluster::build(&vol, &dir, 2, &ClusterBuildOptions::default()).unwrap();
+        let (c, _) = Cluster::build(&vol, &dir, &opts(2)).unwrap();
         let e = c.extract(128.0).unwrap();
         for n in &e.report.nodes {
             assert!(n.bytes_read > 0);
@@ -1809,7 +1841,7 @@ mod tests {
         // approximately.
         let vol = test_volume();
         let dir = tmpdir("trace_equiv");
-        let (c, _) = Cluster::build(&vol, &dir, 2, &ClusterBuildOptions::default()).unwrap();
+        let (c, _) = Cluster::build(&vol, &dir, &opts(2)).unwrap();
         let trace = Trace::new(42, 4096);
         let e = c
             .extract_with_options(
@@ -1886,7 +1918,7 @@ mod tests {
     fn render_composites_all_nodes() {
         let vol = test_volume();
         let dir = tmpdir("render");
-        let (c, _) = Cluster::build(&vol, &dir, 4, &ClusterBuildOptions::default()).unwrap();
+        let (c, _) = Cluster::build(&vol, &dir, &opts(4)).unwrap();
         let e0 = c.extract(128.0).unwrap();
         let soup = e0.merged_soup();
         let bounds = soup.bounds();

@@ -27,7 +27,7 @@ pub mod model;
 pub mod timing;
 
 pub use cluster::{
-    decimate_fields, Cluster, ClusterBuildOptions, ClusterExtraction, ExtractOptions, LodSpec,
+    decimate_fields, Cluster, ClusterExtraction, ExtractOptions, LodSpec, PreprocessOptions,
     QUEUE_RECORDS,
 };
 pub use model::SimulatedTimeModel;

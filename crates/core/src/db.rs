@@ -1,43 +1,12 @@
 //! The single-volume database: one to `p` simulated cluster nodes.
 
-use oociso_cluster::{Cluster, ClusterBuildOptions, ClusterExtraction, QueryReport};
+use oociso_cluster::{Cluster, ClusterExtraction, PreprocessOptions, QueryReport};
 use oociso_march::IndexedMesh;
 use oociso_metacell::PreprocessStats;
 use oociso_render::{Camera, Framebuffer, TileLayout};
 use oociso_volume::{ScalarValue, Volume};
 use std::io;
 use std::path::Path;
-
-/// Preprocessing options.
-#[derive(Clone, Copy, Debug)]
-pub struct PreprocessOptions {
-    /// Metacell vertices per axis (the paper uses 9 → 734-byte raw u8
-    /// records; stored packed).
-    pub metacell_k: usize,
-    /// Number of cluster nodes / disk stripes (1 = serial, the default).
-    pub nodes: usize,
-    /// Memory-map the brick stores for reading.
-    pub mmap: bool,
-}
-
-impl Default for PreprocessOptions {
-    fn default() -> Self {
-        PreprocessOptions {
-            metacell_k: 9,
-            nodes: 1,
-            mmap: false,
-        }
-    }
-}
-
-impl PreprocessOptions {
-    fn cluster_opts(&self) -> ClusterBuildOptions {
-        ClusterBuildOptions {
-            metacell_k: self.metacell_k,
-            mmap: self.mmap,
-        }
-    }
-}
 
 /// The result of an extraction: the surface plus the per-phase report.
 #[derive(Clone, Debug)]
@@ -61,9 +30,10 @@ pub struct ClusterDatabase<S: ScalarValue> {
 }
 
 impl<S: ScalarValue> ClusterDatabase<S> {
-    /// Preprocess an in-memory volume into `dir`.
+    /// Preprocess an in-memory volume into `dir`: the out-of-core build of
+    /// [`ClusterDatabase::preprocess_file`], its z-slabs copied out of `vol`.
     pub fn preprocess(vol: &Volume<S>, dir: &Path, opts: &PreprocessOptions) -> io::Result<Self> {
-        let (cluster, stats) = Cluster::build(vol, dir, opts.nodes, &opts.cluster_opts())?;
+        let (cluster, stats) = Cluster::build(vol, dir, opts)?;
         Ok(ClusterDatabase {
             cluster,
             preprocess_stats: Some(stats),
@@ -77,8 +47,7 @@ impl<S: ScalarValue> ClusterDatabase<S> {
         dir: &Path,
         opts: &PreprocessOptions,
     ) -> io::Result<Self> {
-        let (cluster, stats) =
-            Cluster::build_from_file(volume_path, dir, opts.nodes, &opts.cluster_opts())?;
+        let (cluster, stats) = Cluster::build_from_file(volume_path, dir, opts)?;
         Ok(ClusterDatabase {
             cluster,
             preprocess_stats: Some(stats),

@@ -26,9 +26,10 @@
 pub mod db;
 pub mod tv;
 
-pub use db::{ClusterDatabase, ExtractResult, PreprocessOptions};
+pub use db::{ClusterDatabase, ExtractResult};
 pub use oociso_cluster::{
-    ExtractOptions, LodReport, LodSpec, NodeReport, QueryReport, SimulatedTimeModel,
+    ExtractOptions, LodReport, LodSpec, NodeReport, PreprocessOptions, QueryReport,
+    SimulatedTimeModel,
 };
 pub use oociso_march::LodChain;
 pub use tv::TimeVaryingDatabase;

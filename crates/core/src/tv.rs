@@ -6,8 +6,8 @@
 //! step indexes are held in memory (for the paper's 270-step RM dataset that
 //! is 1.6 MB total), while the metacell data stays on the per-node disks.
 
-use crate::db::{ExtractResult, PreprocessOptions};
-use oociso_cluster::{Cluster, ClusterBuildOptions};
+use crate::db::ExtractResult;
+use oociso_cluster::{Cluster, PreprocessOptions};
 use oociso_volume::{ScalarValue, Volume};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -35,14 +35,10 @@ impl<S: ScalarValue> TimeVaryingDatabase<S> {
     ) -> io::Result<Self> {
         assert!(num_steps > 0);
         std::fs::create_dir_all(root)?;
-        let copts = ClusterBuildOptions {
-            metacell_k: opts.metacell_k,
-            mmap: opts.mmap,
-        };
         let mut steps = Vec::with_capacity(num_steps);
         for s in 0..num_steps {
             let vol = gen(s);
-            let (cluster, _) = Cluster::build(&vol, &step_dir(root, s), opts.nodes, &copts)?;
+            let (cluster, _) = Cluster::build(&vol, &step_dir(root, s), opts)?;
             steps.push(cluster);
         }
         std::fs::write(root.join(TV_META), format!("steps={num_steps}\n"))?;

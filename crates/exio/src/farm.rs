@@ -2,10 +2,10 @@
 //!
 //! The paper's parallel scheme assumes "a multiprocessor environment in which
 //! each node has access to its own local disk". A [`DiskFarm`] materializes
-//! that as `p` record-store files in a directory, created together during
+//! that as `p` record-store files in a directory, written together during
 //! preprocessing (when bricks are striped) and opened together at query time.
 
-use crate::store::{RecordStore, RecordStoreWriter};
+use crate::store::RecordStore;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -46,14 +46,6 @@ impl DiskFarm {
         node_store_path(&self.dir, node)
     }
 
-    /// Create writers for every node store (truncating any existing files).
-    pub fn create_writers(&self) -> io::Result<Vec<RecordStoreWriter>> {
-        std::fs::create_dir_all(&self.dir)?;
-        (0..self.nodes)
-            .map(|i| RecordStoreWriter::create(&self.store_path(i)))
-            .collect()
-    }
-
     /// Open every node store for reading.
     pub fn open_stores(&self, mmap: bool) -> io::Result<Vec<RecordStore>> {
         (0..self.nodes)
@@ -92,13 +84,9 @@ mod tests {
     fn farm_creates_p_stores() {
         let dir = tmpdir("create");
         let farm = DiskFarm::new(&dir, 4);
-        let mut writers = farm.create_writers().unwrap();
-        assert_eq!(writers.len(), 4);
-        for (i, w) in writers.iter_mut().enumerate() {
-            w.append(&[i as u8; 16]).unwrap();
-        }
-        for w in writers {
-            w.finish().unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        for i in 0..4 {
+            std::fs::write(farm.store_path(i), [i as u8; 16]).unwrap();
         }
         assert_eq!(farm.total_bytes().unwrap(), 64);
         let stores = farm.open_stores(false).unwrap();
@@ -129,10 +117,9 @@ mod tests {
     fn mmap_open_works() {
         let dir = tmpdir("mmap");
         let farm = DiskFarm::new(&dir, 2);
-        let writers = farm.create_writers().unwrap();
-        for mut w in writers {
-            w.append(b"abcdef").unwrap();
-            w.finish().unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        for i in 0..2 {
+            std::fs::write(farm.store_path(i), b"abcdef").unwrap();
         }
         let stores = farm.open_stores(true).unwrap();
         assert_eq!(

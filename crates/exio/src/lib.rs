@@ -11,9 +11,9 @@
 //!   seeks vs sequential continuation, bytes and block transfers, so any
 //!   experiment can report both measured wall-clock and *modeled* disk time
 //!   under the paper's disk constants ([`cost::IoCostModel::paper_disk`]).
-//! * **Record stores** — [`store::RecordStoreWriter`]/[`store::RecordStore`]:
-//!   append-only byte-record files addressed by `(offset, len)` ranges, the
-//!   layout beneath the compact interval tree's bricks.
+//! * **Record stores** — [`store::RecordStore`]: byte-record files addressed
+//!   by `(offset, len)` ranges, the layout beneath the compact interval
+//!   tree's bricks, written once through [`write_at::WriteAt`].
 //! * **Disk farms** — [`farm::DiskFarm`]: `p` independent stores standing in
 //!   for the per-node local disks of the cluster.
 //! * **Pipelining** — [`queue::BoundedQueue`]: the bounded, byte-accounted
@@ -23,8 +23,9 @@
 //! * **Fault injection** — [`faulty::FaultyDevice`]: deterministic seeded
 //!   error/delay schedules on the read path, the disk half of the chaos
 //!   test harness.
-//! * **Positioned writes** — [`write_at::WriteAt`]: the portable write-side
-//!   abstraction beneath out-of-core preprocessing.
+//! * **Positioned writes** — [`write_at::WriteAt`]: the one write-side
+//!   abstraction beneath preprocessing, which places every record at its
+//!   span.
 //! * **Integrity** — [`crc::crc32`]/[`crc::Crc32`]: the workspace's one
 //!   CRC-32 (sliced tables, carry-less multiply where the CPU has it), the
 //!   serve layer's frame checksum.
@@ -52,6 +53,6 @@ pub use farm::DiskFarm;
 pub use faulty::{FaultPlan, FaultyDevice};
 pub use queue::{BoundedQueue, QueueStats, QueueWaits};
 pub use stats::{IoSnapshot, IoStats};
-pub use store::{RecordStore, RecordStoreWriter, Span};
+pub use store::{RecordStore, Span};
 pub use throttle::ThrottledDevice;
 pub use write_at::WriteAt;

@@ -9,24 +9,21 @@
 //! high-water mark, and blocked time is tracked on both sides so overlap
 //! efficiency is measurable.
 //!
-//! Two bounding modes:
-//!
-//! * [`BoundedQueue::new`] — classic item-count bound: at most `capacity`
-//!   items queued, whatever their weight.
-//! * [`BoundedQueue::weighted`] — admission by total queued weight: a push
-//!   blocks while the queue's weight budget is spent, except that one item is
-//!   always admitted into an empty queue (so an item heavier than the whole
-//!   budget still flows instead of deadlocking). The pipeline weights records
-//!   by their planner cell estimate, so the bound caps queued *work* — a few
-//!   dense metacells fill the budget that many sparse ones would share.
+//! One bound, [`BoundedQueue::weighted`]: admission by total queued weight.
+//! A push blocks while the queue's weight budget is spent, except that one
+//! item is always admitted into an empty queue (so an item heavier than the
+//! whole budget still flows instead of deadlocking). The pipeline weights
+//! records by their planner cell estimate, so the bound caps queued *work* —
+//! a few dense metacells fill the budget that many sparse ones would share.
+//! With unit weights the bound is an item count.
 //!
 //! Wakes are batched: a push wakes a consumer only if one is blocked, and a
 //! pop wakes a blocked producer only once the queue has drained to half its
-//! bound (half the weight budget, or half the item capacity), so a producer
-//! that blocks on a full queue sleeps until it can push a batch instead of
-//! being woken for every single slot. A queue emptied by a pop is always at
-//! or below half, so a producer blocked behind an over-budget item is woken
-//! by the pop that empties the queue and never stranded.
+//! weight budget, so a producer that blocks on a full queue sleeps until it
+//! can push a batch instead of being woken for every single slot. A queue
+//! emptied by a pop is always at or below half, so a producer blocked behind
+//! an over-budget item is woken by the pop that empties the queue and never
+//! stranded.
 
 use oociso_obs::Histogram;
 use std::collections::VecDeque;
@@ -82,19 +79,17 @@ struct Inner<T> {
     waits: QueueWaits,
 }
 
-/// A blocking MPMC queue bounded by item count or queued weight, with byte
-/// and weight accounting.
+/// A blocking MPMC queue bounded by queued weight, with byte and weight
+/// accounting.
 ///
 /// Producers [`push`](BoundedQueue::push) until [`close`](BoundedQueue::close);
 /// consumers [`pop`](BoundedQueue::pop) until it returns `None` (queue drained
-/// *and* closed). Use `usize::MAX` as the capacity for an effectively
-/// unbounded queue (accounting still applies).
+/// *and* closed).
 pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     not_full: Condvar,
     not_empty: Condvar,
-    capacity: usize,
-    max_weight: Option<u64>,
+    max_weight: u64,
     // process-wide wait histograms, resolved once per queue so the blocked
     // paths record lock-free
     push_wait_us: Histogram,
@@ -102,7 +97,11 @@ pub struct BoundedQueue<T> {
 }
 
 impl<T> BoundedQueue<T> {
-    fn with_bounds(capacity: usize, max_weight: Option<u64>) -> Self {
+    /// Queue bounded by total queued *weight*: a push blocks while admitting
+    /// its item would take the queued weight past `max_weight` (at least 1)
+    /// — unless the queue is empty, in which case the item is admitted
+    /// regardless, so one over-budget item can never deadlock the pipeline.
+    pub fn weighted(max_weight: u64) -> Self {
         BoundedQueue {
             inner: Mutex::new(Inner {
                 items: VecDeque::new(),
@@ -116,52 +115,24 @@ impl<T> BoundedQueue<T> {
             }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
-            capacity: capacity.max(1),
-            max_weight,
+            max_weight: max_weight.max(1),
             push_wait_us: oociso_obs::global().histogram("queue_push_wait_us"),
             pop_wait_us: oociso_obs::global().histogram("queue_pop_wait_us"),
         }
     }
 
-    /// Queue holding at most `capacity` items (at least 1), regardless of
-    /// their weight.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_bounds(capacity, None)
-    }
-
-    /// Queue bounded by total queued *weight* instead of item count: a push
-    /// blocks while admitting its item would take the queued weight past
-    /// `max_weight` (at least 1) — unless the queue is empty, in which case
-    /// the item is admitted regardless, so one over-budget item can never
-    /// deadlock the pipeline.
-    pub fn weighted(max_weight: u64) -> Self {
-        Self::with_bounds(usize::MAX, Some(max_weight.max(1)))
-    }
-
-    /// Item capacity (`usize::MAX` for weight-bounded queues).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Weight budget, when weight-bounded.
-    pub fn max_weight(&self) -> Option<u64> {
+    /// Weight budget.
+    pub fn max_weight(&self) -> u64 {
         self.max_weight
     }
 
     /// Push an item carrying `bytes` of payload and `weight` units of work,
-    /// blocking while the queue is full (by item count, or by weight for
-    /// [`weighted`](BoundedQueue::weighted) queues). Returns the item back if
-    /// the queue was closed.
+    /// blocking while the queue's weight budget is spent. Returns the item
+    /// back if the queue was closed.
     pub fn push(&self, item: T, bytes: u64, weight: u64) -> Result<(), T> {
         let mut inner = self.inner.lock().expect("queue poisoned");
         let full = |inner: &Inner<T>| {
-            inner.items.len() >= self.capacity
-                || match self.max_weight {
-                    Some(max) => {
-                        !inner.items.is_empty() && inner.weight.saturating_add(weight) > max
-                    }
-                    None => false,
-                }
+            !inner.items.is_empty() && inner.weight.saturating_add(weight) > self.max_weight
         };
         while full(&inner) && !inner.closed {
             let t = Instant::now();
@@ -211,7 +182,8 @@ impl<T> BoundedQueue<T> {
             Some((item, bytes, weight)) => {
                 inner.bytes -= bytes;
                 inner.weight -= weight;
-                let wake = inner.blocked_pushers > 0 && self.at_half(&inner);
+                // drained to half the budget: wake a blocked producer
+                let wake = inner.blocked_pushers > 0 && inner.weight <= self.max_weight / 2;
                 if wake {
                     inner.blocked_pushers -= 1;
                     inner.stats.push_wakes += 1;
@@ -223,15 +195,6 @@ impl<T> BoundedQueue<T> {
                 Some(item)
             }
             None => None, // closed and drained
-        }
-    }
-
-    /// Whether the queue has drained to half its bound — the point at which
-    /// a pop wakes a blocked producer.
-    fn at_half(&self, inner: &Inner<T>) -> bool {
-        match self.max_weight {
-            Some(max) => inner.weight <= max / 2,
-            None => inner.items.len() <= self.capacity / 2,
         }
     }
 
@@ -265,7 +228,7 @@ mod tests {
 
     #[test]
     fn fifo_order_and_accounting() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(16);
+        let q: BoundedQueue<u32> = BoundedQueue::weighted(65);
         for i in 0..10u32 {
             q.push(i, (i + 1) as u64, (i + 2) as u64).unwrap();
         }
@@ -285,7 +248,7 @@ mod tests {
 
     #[test]
     fn capacity_bounds_peak() {
-        let q: BoundedQueue<usize> = BoundedQueue::new(3);
+        let q: BoundedQueue<usize> = BoundedQueue::weighted(3);
         std::thread::scope(|scope| {
             let consumer = scope.spawn(|| {
                 let mut got = Vec::new();
@@ -370,7 +333,7 @@ mod tests {
 
     #[test]
     fn push_after_close_returns_item() {
-        let q: BoundedQueue<&str> = BoundedQueue::new(2);
+        let q: BoundedQueue<&str> = BoundedQueue::weighted(2);
         q.close();
         assert_eq!(q.push("late", 4, 1), Err("late"));
         assert_eq!(q.pop(), None);
@@ -378,7 +341,7 @@ mod tests {
 
     #[test]
     fn close_unblocks_full_producer() {
-        let q: BoundedQueue<u8> = BoundedQueue::new(1);
+        let q: BoundedQueue<u8> = BoundedQueue::weighted(1);
         q.push(1, 1, 1).unwrap();
         std::thread::scope(|scope| {
             let h = scope.spawn(|| q.push(2, 1, 1)); // blocks: queue full
@@ -391,7 +354,7 @@ mod tests {
 
     #[test]
     fn multiple_consumers_partition_items() {
-        let q: BoundedQueue<u64> = BoundedQueue::new(4);
+        let q: BoundedQueue<u64> = BoundedQueue::weighted(4);
         let sum = AtomicU64::new(0);
         let count = AtomicU64::new(0);
         std::thread::scope(|scope| {
@@ -418,7 +381,7 @@ mod tests {
             .histogram("queue_push_wait_us")
             .snapshot()
             .count;
-        let q: BoundedQueue<u8> = BoundedQueue::new(1);
+        let q: BoundedQueue<u8> = BoundedQueue::weighted(1);
         q.push(1, 1, 1).unwrap();
         std::thread::scope(|scope| {
             let h = scope.spawn(|| q.push(2, 1, 1)); // blocks: queue full
@@ -536,8 +499,8 @@ mod tests {
 
     #[test]
     fn zero_capacity_clamped_to_one() {
-        let q: BoundedQueue<u8> = BoundedQueue::new(0);
-        assert_eq!(q.capacity(), 1);
+        let q: BoundedQueue<u8> = BoundedQueue::weighted(0);
+        assert_eq!(q.max_weight(), 1);
         q.push(7, 1, 1).unwrap();
         q.close();
         assert_eq!(q.pop(), Some(7));

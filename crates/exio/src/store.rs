@@ -1,15 +1,14 @@
-//! Append-only record stores.
+//! Record stores.
 //!
 //! The compact interval tree lays metacells out as *bricks*: runs of
-//! variable-length records stored contiguously, addressed by byte spans. A
-//! [`RecordStoreWriter`] appends records during preprocessing and returns
-//! their spans; a [`RecordStore`] serves ranged reads at query time through
-//! any [`BlockDevice`] backend.
+//! variable-length records stored contiguously, addressed by byte spans.
+//! Preprocessing writes each record at its span through
+//! [`WriteAt`](crate::WriteAt); a [`RecordStore`] serves ranged reads at
+//! query time through any [`BlockDevice`] backend.
 
 use crate::device::{BlockDevice, FileDevice, MemDevice};
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
 /// A byte range inside a store: `[offset, offset + len)`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -53,49 +52,6 @@ impl Span {
             offset: self.offset,
             len: self.len + next.len,
         })
-    }
-}
-
-/// Sequential writer producing a record store file.
-pub struct RecordStoreWriter {
-    out: BufWriter<File>,
-    path: PathBuf,
-    cursor: u64,
-}
-
-impl RecordStoreWriter {
-    /// Create (truncate) the store file at `path`.
-    pub fn create(path: &Path) -> io::Result<Self> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        Ok(RecordStoreWriter {
-            out: BufWriter::with_capacity(1 << 20, File::create(path)?),
-            path: path.to_path_buf(),
-            cursor: 0,
-        })
-    }
-
-    /// Append one record; returns its span.
-    pub fn append(&mut self, record: &[u8]) -> io::Result<Span> {
-        let span = Span {
-            offset: self.cursor,
-            len: record.len() as u64,
-        };
-        self.out.write_all(record)?;
-        self.cursor += record.len() as u64;
-        Ok(span)
-    }
-
-    /// Bytes written so far.
-    pub fn position(&self) -> u64 {
-        self.cursor
-    }
-
-    /// Flush and close, returning the file path.
-    pub fn finish(mut self) -> io::Result<PathBuf> {
-        self.out.flush()?;
-        Ok(self.path)
     }
 }
 
@@ -161,6 +117,7 @@ impl RecordStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -191,35 +148,16 @@ mod tests {
     #[test]
     fn write_read_roundtrip() {
         let p = tmp("rt.store");
-        let mut w = RecordStoreWriter::create(&p).unwrap();
-        let s1 = w.append(b"hello").unwrap();
-        let s2 = w.append(b"world!!").unwrap();
-        let s3 = w.append(b"").unwrap();
-        assert_eq!(w.position(), 12);
-        w.finish().unwrap();
+        std::fs::write(&p, b"helloworld!!").unwrap();
+        let s1 = Span { offset: 0, len: 5 };
+        let s2 = Span { offset: 5, len: 7 };
+        let s3 = Span { offset: 12, len: 0 };
 
         let store = RecordStore::open(&p).unwrap();
         assert_eq!(store.read_span(s1).unwrap(), b"hello");
         assert_eq!(store.read_span(s2).unwrap(), b"world!!");
         assert_eq!(store.read_span(s3).unwrap(), b"");
         assert_eq!(store.len(), 12);
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn spans_are_contiguous() {
-        let p = tmp("contig.store");
-        let mut w = RecordStoreWriter::create(&p).unwrap();
-        let mut prev: Option<Span> = None;
-        for i in 0..20u8 {
-            let rec = vec![i; (i as usize % 5) + 1];
-            let s = w.append(&rec).unwrap();
-            if let Some(pv) = prev {
-                assert!(pv.abuts(&s));
-            }
-            prev = Some(s);
-        }
-        w.finish().unwrap();
         std::fs::remove_file(&p).ok();
     }
 
@@ -236,9 +174,11 @@ mod tests {
     #[test]
     fn mmap_backend_equivalent() {
         let p = tmp("mm.store");
-        let mut w = RecordStoreWriter::create(&p).unwrap();
-        let s = w.append(&vec![9u8; 1000]).unwrap();
-        w.finish().unwrap();
+        std::fs::write(&p, vec![9u8; 1000]).unwrap();
+        let s = Span {
+            offset: 0,
+            len: 1000,
+        };
         let a = RecordStore::open(&p).unwrap().read_span(s).unwrap();
         let b = RecordStore::open_mmap(&p).unwrap().read_span(s).unwrap();
         assert_eq!(a, b);

@@ -1,7 +1,8 @@
 //! Positioned writes behind a portable abstraction.
 //!
-//! The out-of-core preprocessing path writes each record at a pre-assigned
-//! offset (pass 2 of [`build_from_file`]). Routing those writes through
+//! Preprocessing writes each record at a pre-assigned offset (the last pass
+//! of the cluster build, whether its slabs come from a file or from memory:
+//! [`build_from_file`]). Routing those writes through
 //! [`WriteAt`] keeps platform specifics (`pwrite` on unix, seek+write
 //! elsewhere) out of the callers and lets tests substitute failing devices to
 //! exercise error paths that real disks only hit when full.

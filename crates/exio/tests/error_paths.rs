@@ -22,7 +22,7 @@ fn producer_error_midstream_unblocks_consumers() {
             ..FaultPlan::default()
         },
     );
-    let queue: BoundedQueue<Vec<u8>> = BoundedQueue::new(2);
+    let queue: BoundedQueue<Vec<u8>> = BoundedQueue::weighted(2);
     let consumed = AtomicU64::new(0);
     let producer_result = std::thread::scope(|scope| {
         let mut consumers = Vec::new();
@@ -69,7 +69,7 @@ fn producer_error_midstream_unblocks_consumers() {
 /// the item instead of wedging.
 #[test]
 fn consumer_side_close_unblocks_full_producer() {
-    let queue: BoundedQueue<u32> = BoundedQueue::new(1);
+    let queue: BoundedQueue<u32> = BoundedQueue::weighted(1);
     queue.push(0, 4, 1).unwrap();
     std::thread::scope(|scope| {
         let blocked = scope.spawn(|| queue.push(1, 4, 1));

@@ -2,12 +2,14 @@
 //!
 //! The paper's preprocessing "scans the data once and creates the metacells",
 //! dropping those whose vertices all share one value (≈50% savings on the RM
-//! dataset). Two entry points:
+//! dataset). One scan loop, [`scan_slabs`], walks z-slabs of `k` layers
+//! with one overlapping layer, so only `O(nx·ny·k)` samples are ever resident
+//! whatever the slab source: true out-of-core preprocessing. Two wrappers
+//! name the sources:
 //!
-//! * [`scan_volume`] — over an in-memory volume (tests, small steps);
-//! * [`scan_reader`] — over a raw volume file streamed in z-slabs of `k`
-//!   layers with one overlapping layer, so only `O(nx·ny·k)` samples are ever
-//!   resident: true out-of-core preprocessing.
+//! * [`scan_reader`] — slabs streamed from a raw volume file;
+//! * [`scan_volume`] — slabs copied out of an in-memory volume, the kept
+//!   metacells collected into a `Vec` (tests, span-space tools).
 
 use crate::interval::MetacellInterval;
 use crate::layout::MetacellLayout;
@@ -73,54 +75,54 @@ impl PreprocessStats {
     }
 }
 
-fn build_one<S: ScalarValue>(
-    vol: &Volume<S>,
-    layout: &MetacellLayout,
-    id: u32,
-) -> BuiltMetacell<S> {
-    let record = MetacellRecord::from_volume(vol, layout, id);
-    let interval = MetacellInterval::new(id, record.vmin.key(), record.vmax().key());
-    BuiltMetacell { interval, record }
-}
-
-/// Scan an in-memory volume; returns surviving metacells in ID order plus stats.
+/// Scan an in-memory volume; returns surviving metacells in ID order plus
+/// stats. The same slab scan as [`scan_reader`], over slabs copied out of
+/// `vol`.
 pub fn scan_volume<S: ScalarValue>(
     vol: &Volume<S>,
     layout: &MetacellLayout,
 ) -> (Vec<BuiltMetacell<S>>, PreprocessStats) {
-    assert_eq!(vol.dims(), layout.volume_dims(), "layout/volume mismatch");
+    let dims = vol.dims();
+    assert_eq!(dims, layout.volume_dims(), "layout/volume mismatch");
     let mut kept = Vec::new();
-    let mut stats = PreprocessStats {
-        total_metacells: layout.num_metacells(),
-        raw_bytes: vol.dims().raw_bytes::<S>() as u64,
-        ..Default::default()
-    };
-    for id in layout.ids() {
-        let built = build_one(vol, layout, id);
-        if built.interval.is_constant() {
-            stats.culled_metacells += 1;
-        } else {
-            stats.kept_bytes += built.record.raw_len() as u64;
-            stats.kept_metacells += 1;
-            kept.push(built);
-        }
-    }
+    let read_slab = |z0, count| Ok(vol.extract_box((0, 0, z0), (dims.nx, dims.ny, z0 + count)));
+    let stats = scan_slabs(dims, layout.k(), read_slab, |built| {
+        kept.push(built);
+        Ok(())
+    })
+    .expect("an in-memory scan has no I/O to fail");
     (kept, stats)
 }
 
-/// Out-of-core scan over a raw volume file: z-slabs of `k` layers with one
-/// layer of overlap are streamed through `sink` one metacell at a time.
-/// Constant metacells are culled before reaching the sink. Returns stats.
-///
-/// The sink is fallible: a sink that writes records to disk (the second
-/// preprocessing pass) surfaces a full disk or closed file as `Err` from this
-/// function instead of having to panic mid-stream.
+/// Out-of-core scan over a raw volume file: [`scan_slabs`] over the file's
+/// z-slabs.
 pub fn scan_reader<S: ScalarValue>(
     reader: &mut RawVolumeReader<S>,
     k: usize,
+    sink: impl FnMut(BuiltMetacell<S>) -> io::Result<()>,
+) -> io::Result<PreprocessStats> {
+    scan_slabs(
+        reader.dims(),
+        k,
+        |z0, count| reader.read_slab(z0, count),
+        sink,
+    )
+}
+
+/// The preprocessing scan: z-slabs of `k` layers with one layer of overlap,
+/// `read_slab(z0, count)` returning layers `z0..z0 + count` of a volume of
+/// `dims`, are streamed through `sink` one metacell at a time, in ID order.
+/// Constant metacells are culled before reaching the sink. Returns stats.
+///
+/// Both the slab source and the sink are fallible: a failed read, or a sink
+/// that writes records to disk hitting a full disk or closed file, surfaces
+/// as `Err` from this function instead of having to panic mid-stream.
+pub fn scan_slabs<S: ScalarValue>(
+    dims: Dims3,
+    k: usize,
+    mut read_slab: impl FnMut(usize, usize) -> io::Result<Volume<S>>,
     mut sink: impl FnMut(BuiltMetacell<S>) -> io::Result<()>,
 ) -> io::Result<PreprocessStats> {
-    let dims = reader.dims();
     let layout = MetacellLayout::new(dims, k);
     let grid = layout.grid();
     let span = k - 1;
@@ -132,9 +134,9 @@ pub fn scan_reader<S: ScalarValue>(
     for mz in 0..grid.nz {
         let z0 = mz * span;
         let z1 = (z0 + k).min(dims.nz);
-        let slab = reader.read_slab(z0, z1 - z0)?;
-        // The slab is a volume of dims (nx, ny, z1-z0); reuse the in-memory
-        // builder on a single-metacell-layer layout shifted into slab space.
+        let slab = read_slab(z0, z1 - z0)?;
+        // The slab is a volume of dims (nx, ny, z1-z0); build each record on
+        // a single-metacell-layer layout shifted into slab space.
         let slab_layout = MetacellLayout::new(Dims3::new(dims.nx, dims.ny, z1 - z0), k);
         debug_assert_eq!(slab_layout.grid().nx, grid.nx);
         debug_assert_eq!(slab_layout.grid().nz, 1);

@@ -18,15 +18,15 @@
 //!   metacell is 734 bytes raw, about a third of that packed);
 //! * [`interval::MetacellInterval`] — the `(vmin, vmax)` interval fed to the
 //!   indexing structures;
-//! * [`build`] — the preprocessing scan (in-memory volumes or streamed
-//!   z-slabs), with constant-metacell culling and statistics.
+//! * [`build`] — the preprocessing scan (one z-slab loop over a file or an
+//!   in-memory volume), with constant-metacell culling and statistics.
 
 pub mod build;
 pub mod interval;
 pub mod layout;
 pub mod record;
 
-pub use build::{scan_reader, scan_volume, BuiltMetacell, PreprocessStats};
+pub use build::{scan_reader, scan_slabs, scan_volume, BuiltMetacell, PreprocessStats};
 pub use interval::MetacellInterval;
 pub use layout::MetacellLayout;
 pub use record::MetacellRecord;

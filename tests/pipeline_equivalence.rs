@@ -7,7 +7,7 @@
 mod common;
 
 use common::{tmpdir, truth};
-use oociso::cluster::{Cluster, ClusterBuildOptions, ExtractOptions, QUEUE_RECORDS};
+use oociso::cluster::{Cluster, ExtractOptions, QUEUE_RECORDS};
 use oociso::core::{ClusterDatabase, PreprocessOptions};
 use oociso::march::{Backend, IndexedMesh, Vec3};
 use oociso::volume::{Dims3, RmProxy, Volume};
@@ -169,7 +169,7 @@ fn extract(cluster: &Cluster<u8>, iso: f32, workers: usize, backend: Backend) ->
 /// that same deterministic merge.
 fn check_worker_counts_agree(name: &str, vol: &Volume<u8>, iso: f32) {
     let dir = tmpdir(&format!("sb_{name}_{}", (iso * 10.0) as i32));
-    let (cluster, _) = Cluster::build(vol, &dir, 1, &ClusterBuildOptions::default()).unwrap();
+    let (cluster, _) = Cluster::build(vol, &dir, &PreprocessOptions::default()).unwrap();
     for backend in Backend::ALL {
         let base = extract(&cluster, iso, 1, backend);
         for workers in [2usize, 3, 8] {
@@ -193,7 +193,7 @@ fn weighted_admission_caps_queued_work_on_dense_metacells() {
     let vol: Volume<u8> = common::gyroid_vol(Dims3::cube(33));
     let iso = 127.5f32;
     let dir = tmpdir("dense_admission");
-    let (cluster, _) = Cluster::build(&vol, &dir, 1, &ClusterBuildOptions::default()).unwrap();
+    let (cluster, _) = Cluster::build(&vol, &dir, &PreprocessOptions::default()).unwrap();
     for backend in Backend::ALL {
         let base = extract(&cluster, iso, 1, backend);
         let e = cluster

@@ -18,7 +18,7 @@
 mod common;
 
 use common::{tmpdir, truth};
-use oociso::cluster::{Cluster, ClusterBuildOptions, ExtractOptions};
+use oociso::cluster::{Cluster, ExtractOptions};
 use oociso::core::{ClusterDatabase, PreprocessOptions};
 use oociso::march::{
     analyze, analyze_mesh, analyze_mesh_connectivity, canonical_triangles, Backend, IndexedMesh,
@@ -57,9 +57,9 @@ fn check_watertight_everywhere(
         let (cluster, _) = Cluster::build(
             vol,
             &dir,
-            3,
-            &ClusterBuildOptions {
+            &PreprocessOptions {
                 metacell_k,
+                nodes: 3,
                 mmap: false,
             },
         )
