@@ -9,8 +9,8 @@ use oociso_march::mc::McStats;
 use oociso_march::weld::WeldStats;
 use oociso_march::{
     smooth_surface_nets, stitch_seams, Backend, BackendScratch, BlockDomain, BlockOutput,
-    DecimateStats, ExtractionBackend, IndexedMesh, LodChain, MeshWelder, SeamQuad, TriangleSoup,
-    Vec3, SN_SMOOTH_PASSES,
+    DecimateStats, ExtractionBackend, IndexedMesh, LodChain, MeshWelder, SeamQuad, Vec3,
+    SN_SMOOTH_PASSES,
 };
 use oociso_metacell::{MetacellInterval, MetacellLayout, MetacellRecord, PreprocessStats};
 use oociso_obs::{Span, Trace};
@@ -86,16 +86,14 @@ pub struct ExtractOptions {
     /// Per-node worker count (`None` → cores ÷ nodes, see
     /// [`Cluster::extract`]).
     pub workers: Option<usize>,
-    /// LOD pyramid to build from the merged welded mesh — consumed by
-    /// [`ClusterExtraction::into_lod_chain`]; empty (the default) skips
-    /// decimation entirely.
-    pub lods: LodSpec,
     /// Extraction kernel. [`Backend::Mc`] (default) triangulates per cell
     /// and welds vertices across metacell and node seams, so the merged
     /// surface is watertight wherever the isosurface is closed;
     /// [`Backend::SurfaceNets`] emits one vertex per active cell with
     /// deferred seam quads stitched during [`ClusterExtraction::into_merged`]
     /// — vertices are globally unique by construction, so it never welds.
+    /// [`join_part`] and [`merge_nodes`] are the only code that tells the two
+    /// apart.
     pub backend: Backend,
     /// Request trace the extraction records its phase spans into
     /// (`extract` → per-node `node` → `pipeline` with `execute_plan`,
@@ -112,101 +110,101 @@ impl Default for ExtractOptions {
     fn default() -> Self {
         ExtractOptions {
             workers: None,
-            lods: LodSpec::none(),
             backend: Backend::Mc,
             trace: Trace::detached(),
         }
     }
 }
 
-/// The result of one parallel extraction: per-node indexed meshes plus the
-/// per-phase report.
-#[derive(Clone, Debug)]
-pub struct ClusterExtraction {
-    /// One indexed mesh per node (local geometry, already in global
-    /// coordinates). An MC node mesh is fully welded — one vertex per
-    /// distinct quantized position across all of the node's metacells.
-    pub meshes: Vec<IndexedMesh>,
-    /// Per-node vertex→cell tables for the SurfaceNets backend (parallel to
-    /// each node mesh's vertices; empty for MC). The cell key is the global
-    /// identity of the vertex — what the seam stitch joins on.
-    pub cells: Vec<Vec<u64>>,
-    /// Per-node deferred seam quads for the SurfaceNets backend (empty for
-    /// MC) — resolved by [`ClusterExtraction::into_merged`].
-    pub seams: Vec<Vec<SeamQuad>>,
-    /// Per-node finished seam welders of an MC extraction: each holds its
-    /// node mesh's weld table and seam list ([`MeshWelder::seams`], the
-    /// ascending ids of the vertices that may have a twin in another node's
-    /// mesh — all the cross-node merge looks up). The merge continues node
-    /// 0's welder, so its table is never rebuilt. Empty welders for
-    /// SurfaceNets.
-    pub welders: Vec<MeshWelder>,
-    /// Per-node and aggregate measurements.
-    pub report: QueryReport,
-    /// LOD pyramid [`ClusterExtraction::into_lod_chain`] will build from the
-    /// merged mesh (set from [`ExtractOptions::lods`]).
-    pub lods: LodSpec,
-    /// The kernel that produced this extraction.
-    pub backend: Backend,
-    /// The request trace the extraction recorded into (from
-    /// [`ExtractOptions::trace`]); the merge and LOD stages append their
-    /// spans here too.
-    pub trace: Trace,
+/// One node's extraction output: everything its parts joined into (the
+/// mesh, plus SurfaceNets' cell table and seam quads) and the finished
+/// welder that joined them, whose table and seam list
+/// ([`MeshWelder::seams`]) are what the cross-node merge looks up.
+#[derive(Clone, Debug, Default)]
+struct NodeOutput {
+    out: BlockOutput,
+    welder: MeshWelder,
 }
 
-impl ClusterExtraction {
-    /// Merge all node meshes into one soup (for export or soup-consuming
-    /// callers). Triangles are materialized straight into one pre-reserved
-    /// soup — no per-node intermediate soups, no cloning.
-    ///
-    /// For the SurfaceNets backend the soup holds only the node-local
-    /// geometry — the deferred seam quads between nodes (and the smoothing
-    /// passes) only materialize in [`ClusterExtraction::into_merged`].
-    pub fn merged_soup(&self) -> TriangleSoup {
-        let total: usize = self.meshes.iter().map(IndexedMesh::len).sum();
-        let mut out = TriangleSoup::with_capacity(total);
-        for m in &self.meshes {
-            m.append_to_soup(&mut out);
-        }
-        out
+/// The node join, one of the two places the kernel is decided (the other
+/// is [`merge_nodes`]): append the next part to the node output. An MC part
+/// welds onto the node mesh on its weld candidates. A SurfaceNets part,
+/// whose vertices are globally unique by cell ownership, is concatenated
+/// through the welder with no lookup, so its vertices keep the order of its
+/// cell table and the welder counts them in and out unmerged.
+fn join_part(backend: Backend, node: &mut NodeOutput, part: &mut BlockOutput) {
+    let NodeOutput { out, welder } = node;
+    match backend {
+        Backend::Mc => welder.append_seams(&mut out.mesh, &part.mesh, &part.weld_candidates),
+        Backend::SurfaceNets => welder.append_welded(&mut out.mesh, &part.mesh, &[]),
     }
+    out.cells.append(&mut part.cells);
+    out.seams.append(&mut part.seams);
+}
 
-    /// Consume the extraction into the merged mesh plus the report. MC node
-    /// meshes join through one deterministic [`MeshWelder`] so vertices fuse
-    /// across node seams and the full-database mesh is watertight wherever
-    /// the surface is closed: node 0's welded mesh is the output as-is and
-    /// its finished welder goes on (its table already holds node 0's seams),
-    /// and every further node's mesh is joined onto it by its seam list and
-    /// an index remap — byte-identical to re-welding the concatenated node
-    /// meshes, hashing nothing but the other nodes' seams. The merge stage's
-    /// [`WeldStats`] land in [`QueryReport::merge_weld`].
-    /// The split return lets callers keep the report without cloning it.
-    pub fn into_merged(self) -> (IndexedMesh, QueryReport) {
-        let ClusterExtraction {
-            meshes,
-            cells,
-            seams,
-            welders,
-            mut report,
-            lods: _,
-            backend,
-            trace,
-        } = self;
-        if backend == Backend::SurfaceNets {
-            // SurfaceNets merge: concatenate node meshes (vertices are
-            // globally unique by cell ownership — nothing to weld), resolve
-            // the deferred seam quads against the concatenated vertex→cell
-            // table, then run the bounded smoothing passes over the stitched
-            // surface so smoothing reaches across node seams.
-            let sp = trace.span("stitch");
-            let total: usize = meshes.iter().map(IndexedMesh::len).sum();
-            let mut out = IndexedMesh::with_capacity(total);
-            let mut all_cells: Vec<u64> = Vec::with_capacity(cells.iter().map(Vec::len).sum());
-            for (m, c) in meshes.into_iter().zip(cells) {
-                out.merge(m);
-                all_cells.extend(c);
+/// The cross-node merge, the other place the kernel is decided (the first
+/// is [`join_part`]), recording its counters and wall into `report` and its
+/// span into `trace`.
+///
+/// MC node meshes join through one deterministic [`MeshWelder`] so vertices
+/// fuse across node seams: node 0's welded mesh is the output as-is and its
+/// finished welder goes on (its table already holds node 0's seams), and
+/// every further node's mesh is joined onto it by its seam list and an
+/// index remap — byte-identical to re-welding the concatenated node meshes,
+/// hashing nothing but the other nodes' seams. The stage's [`WeldStats`]
+/// land in [`QueryReport::merge_weld`].
+///
+/// SurfaceNets node meshes concatenate (vertices are globally unique by
+/// cell ownership — nothing to weld); the deferred seam quads resolve
+/// against the concatenated vertex→cell table, then the bounded smoothing
+/// passes run over the stitched surface so smoothing reaches across node
+/// seams.
+fn merge_nodes(
+    backend: Backend,
+    nodes: Vec<NodeOutput>,
+    report: &mut QueryReport,
+    trace: &Trace,
+) -> IndexedMesh {
+    match backend {
+        Backend::Mc => {
+            let mut nodes = nodes.into_iter();
+            let NodeOutput {
+                out: first,
+                mut welder,
+            } = nodes.next().unwrap_or_default();
+            let mut out = first.mesh;
+            if nodes.len() == 0 {
+                // single welded node: already seam-free, nothing to join
+                return out;
             }
-            let mut all_seams: Vec<SeamQuad> = seams.into_iter().flatten().collect();
+            let mut sp = trace.span("merge_weld");
+            welder.begin_stage(&out);
+            for node in nodes {
+                welder.append_welded(&mut out, &node.out.mesh, node.welder.seams());
+            }
+            report.merge_weld = welder.finish(&out);
+            for (name, value) in weld_fields(&report.merge_weld) {
+                sp.field(name, value);
+            }
+            report.merge_weld_wall = sp.finish();
+            // the merge weld is part of producing this result: fold it into
+            // the end-to-end wall so downstream ratios (e.g. weld cost vs
+            // total) compare like with like
+            report.total_wall += report.merge_weld_wall;
+            out
+        }
+        Backend::SurfaceNets => {
+            let sp = trace.span("stitch");
+            let total: usize = nodes.iter().map(|n| n.out.mesh.len()).sum();
+            let mut out = IndexedMesh::with_capacity(total);
+            let cells = nodes.iter().map(|n| n.out.cells.len()).sum();
+            let mut all_cells: Vec<u64> = Vec::with_capacity(cells);
+            let mut all_seams: Vec<SeamQuad> = Vec::new();
+            for node in nodes {
+                out.merge(node.out.mesh);
+                all_cells.extend(node.out.cells);
+                all_seams.extend(node.out.seams);
+            }
             report.stitch_triangles = stitch_seams(&mut out, &all_cells, &mut all_seams);
             smooth_surface_nets(
                 &mut out,
@@ -217,45 +215,66 @@ impl ClusterExtraction {
             );
             report.merge_weld_wall = sp.finish();
             report.total_wall += report.merge_weld_wall;
-            return (out, report);
+            out
         }
-        let mut nodes = meshes.into_iter().zip(welders);
-        let (mut out, mut welder) = nodes.next().unwrap_or_default();
-        if nodes.len() == 0 {
-            // single welded node: already seam-free, nothing to join
-            return (out, report);
-        }
-        let mut sp = trace.span("merge_weld");
-        welder.begin_stage(&out);
-        for (m, node_welder) in nodes {
-            welder.append_welded(&mut out, &m, node_welder.seams());
-        }
-        report.merge_weld = welder.finish(&out);
-        for (name, value) in weld_fields(&report.merge_weld) {
-            sp.field(name, value);
-        }
-        report.merge_weld_wall = sp.finish();
-        // the merge weld is part of producing this result: fold it into the
-        // end-to-end wall so downstream ratios (e.g. weld cost vs total)
-        // compare like with like
-        report.total_wall += report.merge_weld_wall;
-        (out, report)
+    }
+}
+
+/// The result of one parallel extraction: each node's output — its mesh,
+/// read through [`ClusterExtraction::node_meshes`], and what the merge
+/// needs to join it to the others — plus the per-phase report.
+#[derive(Clone, Debug)]
+pub struct ClusterExtraction {
+    /// One output per node, in node order.
+    nodes: Vec<NodeOutput>,
+    /// Per-node and aggregate measurements.
+    pub report: QueryReport,
+    /// The kernel that produced this extraction.
+    backend: Backend,
+    /// The request trace the extraction recorded into (from
+    /// [`ExtractOptions::trace`]); the merge and LOD stages append their
+    /// spans here too.
+    trace: Trace,
+}
+
+impl ClusterExtraction {
+    /// Each node's mesh, in node order: its local geometry, already in
+    /// global coordinates. An MC node mesh is fully welded — one vertex per
+    /// distinct quantized position across all of the node's metacells. A
+    /// SurfaceNets node mesh lacks the seam quads between nodes and the
+    /// smoothing, which only [`ClusterExtraction::into_merged`] applies.
+    pub fn node_meshes(&self) -> impl ExactSizeIterator<Item = &IndexedMesh> {
+        self.nodes.iter().map(|n| &n.out.mesh)
+    }
+
+    /// Consume the extraction into the merged mesh plus the report: the
+    /// node meshes joined by [`merge_nodes`], watertight wherever the
+    /// surface is closed. The split return lets callers keep the report
+    /// without cloning it.
+    pub fn into_merged(self) -> (IndexedMesh, QueryReport) {
+        let ClusterExtraction {
+            nodes,
+            mut report,
+            backend,
+            trace,
+        } = self;
+        let mesh = merge_nodes(backend, nodes, &mut report, &trace);
+        (mesh, report)
     }
 
     /// Consume the extraction into the full LOD pyramid plus the report:
-    /// merge (welding node seams as [`ClusterExtraction::into_merged`]
-    /// does), then build one decimated level per ratio of the requested
-    /// [`LodSpec`] — **post-weld**, so every level simplifies the watertight
-    /// global mesh rather than per-node fragments. Per-level
+    /// merge (as [`ClusterExtraction::into_merged`] does), then build one
+    /// decimated level per vertex ratio of `ratios` (strictly decreasing,
+    /// see [`LodSpec::ratios`]) — **post-merge**, so every level simplifies
+    /// the watertight global mesh rather than per-node fragments. Per-level
     /// [`oociso_march::DecimateStats`] land in [`QueryReport::lod_levels`]
-    /// and the decimation wall in [`QueryReport::lod_wall`]. An empty spec
-    /// yields a 1-level chain (full resolution only).
-    pub fn into_lod_chain(self) -> (LodChain, QueryReport) {
-        let ratios = self.lods.ratios.clone();
+    /// and the decimation wall in [`QueryReport::lod_wall`]. No ratios
+    /// yield a 1-level chain (full resolution only).
+    pub fn into_lod_chain(self, ratios: &[f64]) -> (LodChain, QueryReport) {
         let trace = self.trace.clone();
         let (mesh, mut report) = self.into_merged();
         let sp = trace.span("lod");
-        let chain = LodChain::build_observed(mesh, &ratios, |level, wall, stats| {
+        let chain = LodChain::build_observed(mesh, ratios, |level, wall, stats| {
             sp.annotate("decimate", wall, &decimate_fields(level, stats));
         });
         report.lod_wall = sp.finish();
@@ -424,14 +443,9 @@ fn write_stores<S: ScalarValue, W: WriteAt>(
     Ok((trees, stats))
 }
 
-/// One node's extraction result: its mesh (plus SurfaceNets' cell table and
-/// seam quads), its finished seam welder (empty for SurfaceNets) and its
-/// report row.
-type NodeOutput = (BlockOutput, MeshWelder, NodeReport);
-
-/// A node mesh under construction. Each worker triangulates a record into
-/// its own part buffer and then offers the part here, under the node's
-/// lock: the part joins the node mesh at once if it is the next in
+/// A node output under construction. Each worker triangulates a record
+/// into its own part buffer and then offers the part here, under the node's
+/// lock: the part joins the node output at once if it is the next in
 /// sequence order (followed by every stashed successor that is now in
 /// order), and waits in the stash otherwise. With one worker nothing is
 /// ever stashed; with more, the stash holds only the parts that finished
@@ -439,10 +453,10 @@ type NodeOutput = (BlockOutput, MeshWelder, NodeReport);
 struct Assembly {
     /// Sequence number of the next part to join.
     next: u64,
+    /// The kernel the parts came from, for [`join_part`].
+    backend: Backend,
     /// The node output so far.
-    out: BlockOutput,
-    /// MC's seam welder; `None` for SurfaceNets, whose parts concatenate.
-    welder: Option<MeshWelder>,
+    node: NodeOutput,
     /// Parts that finished ahead of their turn, by sequence number.
     stash: BTreeMap<u64, BlockOutput>,
     /// Summed time spent joining parts.
@@ -450,11 +464,11 @@ struct Assembly {
 }
 
 impl Assembly {
-    fn new(weld: bool) -> Assembly {
+    fn new(backend: Backend) -> Assembly {
         Assembly {
             next: 0,
-            out: BlockOutput::default(),
-            welder: weld.then(MeshWelder::new),
+            backend,
+            node: NodeOutput::default(),
             stash: BTreeMap::new(),
             busy: Duration::ZERO,
         }
@@ -475,15 +489,9 @@ impl Assembly {
         self.busy += t.elapsed();
     }
 
-    /// Append the next part: welded on its candidates (MC) or concatenated
-    /// (SurfaceNets, whose vertex order is the order of its cell table).
+    /// Append the next part.
     fn join(&mut self, part: &mut BlockOutput) {
-        match &mut self.welder {
-            Some(w) => w.append_seams(&mut self.out.mesh, &part.mesh, &part.weld_candidates),
-            None => self.out.mesh.merge(std::mem::take(&mut part.mesh)),
-        }
-        self.out.cells.append(&mut part.cells);
-        self.out.seams.append(&mut part.seams);
+        join_part(self.backend, &mut self.node, part);
         self.next += 1;
     }
 }
@@ -683,19 +691,7 @@ impl<S: ScalarValue> Cluster<S> {
         self.extract_with_options(iso, &ExtractOptions::default())
     }
 
-    /// [`Cluster::extract`] with an explicit per-node worker count.
-    pub fn extract_with_workers(&self, iso: f32, workers: usize) -> io::Result<ClusterExtraction> {
-        self.extract_with_options(
-            iso,
-            &ExtractOptions {
-                workers: Some(workers),
-                ..Default::default()
-            },
-        )
-    }
-
-    /// [`Cluster::extract`] with explicit options (workers, kernel, LOD
-    /// pyramid, trace).
+    /// [`Cluster::extract`] with explicit options (workers, kernel, trace).
     pub fn extract_with_options(
         &self,
         iso: f32,
@@ -709,7 +705,7 @@ impl<S: ScalarValue> Cluster<S> {
         let mut sp_extract = opts.trace.span("extract");
         sp_extract.field("iso_millis", (iso as f64 * 1e3) as u64);
         sp_extract.field("nodes", self.nodes as u64);
-        let results: Vec<io::Result<NodeOutput>> = std::thread::scope(|scope| {
+        let results: Vec<io::Result<(NodeOutput, NodeReport)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.nodes)
                 .map(|i| {
                     let mut nspan = sp_extract.child("node");
@@ -722,35 +718,23 @@ impl<S: ScalarValue> Cluster<S> {
                 .map(|h| h.join().expect("node thread panicked"))
                 .collect()
         });
-        let mut meshes = Vec::with_capacity(self.nodes);
-        let mut cells = Vec::with_capacity(self.nodes);
-        let mut seams = Vec::with_capacity(self.nodes);
-        let mut welders = Vec::with_capacity(self.nodes);
-        let mut nodes = Vec::with_capacity(self.nodes);
-        for r in results {
-            let (out, welder, report) = r?;
-            meshes.push(out.mesh);
-            cells.push(out.cells);
-            seams.push(out.seams);
-            welders.push(welder);
-            nodes.push(report);
-        }
+        let (outputs, reports) = results
+            .into_iter()
+            .collect::<io::Result<Vec<_>>>()?
+            .into_iter()
+            .unzip();
         let report = QueryReport {
             isovalue: iso,
-            nodes,
+            nodes: reports,
             composite_wire_bytes: 0,
             composite_wall: Duration::ZERO,
             total_wall: sp_extract.finish(),
             ..Default::default()
         };
         Ok(ClusterExtraction {
-            meshes,
-            cells,
-            seams,
-            welders,
+            nodes: outputs,
             report,
-            lods: opts.lods.clone(),
-            backend,
+            backend: opts.backend,
             trace: opts.trace.clone(),
         })
     }
@@ -761,7 +745,7 @@ impl<S: ScalarValue> Cluster<S> {
     /// decoded from disk — while `workers` consumers triangulate records as
     /// they arrive, each reusing one decode buffer and one slab scratch.
     /// Every record carries its emission sequence number and becomes its own
-    /// mesh part, which the worker that made it joins into the node mesh
+    /// mesh part, which the worker that made it joins into the node output
     /// ([`Assembly`]) as soon as the part's turn comes — parts join in
     /// sequence order, so the output is bit-identical for any worker count,
     /// and per-record granularity load-balances dense metacells for free.
@@ -772,7 +756,7 @@ impl<S: ScalarValue> Cluster<S> {
         workers: usize,
         backend: Backend,
         mut span: Span,
-    ) -> io::Result<NodeOutput> {
+    ) -> io::Result<(NodeOutput, NodeReport)> {
         /// Closes the queue when dropped. Every pipeline thread holds one, so
         /// an unwinding producer or a worker that met a corrupt record
         /// releases everyone else — workers drain and exit, a blocked
@@ -798,8 +782,7 @@ impl<S: ScalarValue> Cluster<S> {
             let elapsed = t0.elapsed();
             span.annotate("execute_plan", elapsed, &[]);
             return Ok((
-                BlockOutput::default(),
-                MeshWelder::new(),
+                NodeOutput::default(),
                 NodeReport {
                     node,
                     workers: 0,
@@ -823,9 +806,7 @@ impl<S: ScalarValue> Cluster<S> {
         let queue: BoundedQueue<(u64, u64, Vec<u8>)> =
             BoundedQueue::weighted(QUEUE_RECORDS as u64 * full_cells);
         let backend_impl = backend.instance::<S>();
-        // Welding fuses duplicated MC seam vertices; SurfaceNets vertices
-        // are globally unique by cell ownership, so its parts concatenate.
-        let assembly = Mutex::new(Assembly::new(backend == Backend::Mc));
+        let assembly = Mutex::new(Assembly::new(backend));
         let sp_pipe = span.child("pipeline");
         let (exec, amc_retrieval, outs) = std::thread::scope(|scope| {
             let queue = &queue;
@@ -899,22 +880,16 @@ impl<S: ScalarValue> Cluster<S> {
         }
         let Assembly {
             next,
-            out,
-            welder,
+            node: output,
             stash,
-            busy: join_busy,
+            busy: weld_wall,
+            ..
         } = assembly.into_inner().expect("assembly poisoned");
         debug_assert!(next == exec.records_emitted && stash.is_empty());
         // the joins ran on the workers, inside the pipeline span: weld_wall
         // is their summed busy time, already part of extraction_wall
-        let (welder, weld_stats, weld_wall) = match welder {
-            Some(welder) => {
-                let stats = welder.stats(&out.mesh);
-                sp_pipe.annotate("weld", join_busy, &weld_fields(&stats));
-                (welder, stats, join_busy)
-            }
-            None => (MeshWelder::new(), WeldStats::default(), Duration::ZERO),
-        };
+        let weld_stats = output.welder.stats(&output.out.mesh);
+        sp_pipe.annotate("weld", weld_wall, &weld_fields(&weld_stats));
         let qstats = queue.stats();
         let waits = queue.waits();
         sp_pipe.annotate(
@@ -931,8 +906,7 @@ impl<S: ScalarValue> Cluster<S> {
         span.field("triangles", mc.triangles);
 
         Ok((
-            out,
-            welder,
+            output,
             NodeReport {
                 node,
                 workers,
@@ -1017,8 +991,7 @@ impl<S: ScalarValue> Cluster<S> {
         // Per-node local rendering (one thread per node, own framebuffer).
         let frames: Vec<(Framebuffer, Duration)> = std::thread::scope(|scope| {
             let handles: Vec<_> = extraction
-                .meshes
-                .iter()
+                .node_meshes()
                 .map(|mesh| {
                     scope.spawn(move || {
                         let mut fb = Framebuffer::new(tiles.width, tiles.height);
@@ -1047,23 +1020,13 @@ impl<S: ScalarValue> Cluster<S> {
         extraction.report.total_wall = t_total.elapsed();
         Ok((wall, extraction))
     }
-
-    /// Per-node `(active_metacells, triangles)` distribution for an isovalue —
-    /// the rows of Tables 6 and 7.
-    pub fn distribution(&self, iso: f32) -> io::Result<Vec<(u64, u64)>> {
-        let e = self.extract(iso)?;
-        Ok(e.report
-            .nodes
-            .iter()
-            .map(|n| (n.active_metacells, n.triangles))
-            .collect())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use oociso_march::mc::marching_cubes;
+    use oociso_march::TriangleSoup;
     use oociso_render::rasterize_soup;
     use oociso_volume::field::{FieldExt, SphereField};
     use oociso_volume::Dims3;
@@ -1083,6 +1046,23 @@ mod tests {
             nodes,
             ..Default::default()
         }
+    }
+
+    /// Extraction options with `n` workers per node.
+    fn with_workers(n: usize) -> ExtractOptions {
+        ExtractOptions {
+            workers: Some(n),
+            ..Default::default()
+        }
+    }
+
+    /// The node meshes' triangles, node after node, as one soup.
+    fn node_soup(e: &ClusterExtraction) -> TriangleSoup {
+        let mut out = TriangleSoup::new();
+        for m in e.node_meshes() {
+            m.append_to_soup(&mut out);
+        }
+        out
     }
 
     #[test]
@@ -1129,21 +1109,19 @@ mod tests {
         let vol = test_volume();
         let dir = tmpdir("workers");
         let (c, _) = Cluster::build(&vol, &dir, &opts(1)).unwrap();
-        let base = c.extract_with_workers(128.0, 1).unwrap();
+        let base = c.extract_with_options(128.0, &with_workers(1)).unwrap();
         assert_eq!(base.report.nodes[0].workers, 1);
-        let base_soup = base.merged_soup();
+        let base_soup = node_soup(&base);
         assert!(!base_soup.is_empty());
         for workers in [2, 3, 8] {
             // spawns exactly the requested pool
-            let e = c.extract_with_workers(128.0, workers).unwrap();
+            let e = c
+                .extract_with_options(128.0, &with_workers(workers))
+                .unwrap();
             assert_eq!(e.report.nodes[0].workers, workers, "workers={workers}");
             // per-record parts joined in sequence order → the triangle
             // stream is bit-identical, not just multiset-equal
-            assert_same_triangle_stream(
-                &e.merged_soup(),
-                &base_soup,
-                &format!("workers={workers}"),
-            );
+            assert_same_triangle_stream(&node_soup(&e), &base_soup, &format!("workers={workers}"));
             assert_eq!(e.report.total_triangles(), base.report.total_triangles());
             let n = &e.report.nodes[0];
             assert!(n.peak_queue_bytes > 0);
@@ -1162,8 +1140,8 @@ mod tests {
         let vol = test_volume();
         let dir = tmpdir("empty_iso");
         let (c, _) = Cluster::build(&vol, &dir, &opts(2)).unwrap();
-        let e = c.extract_with_workers(250.0, 4).unwrap();
-        assert!(e.merged_soup().is_empty());
+        let e = c.extract_with_options(250.0, &with_workers(4)).unwrap();
+        assert!(node_soup(&e).is_empty());
         assert_eq!(e.report.total_triangles(), 0);
         assert_eq!(e.report.total_active_metacells(), 0);
         for n in &e.report.nodes {
@@ -1183,11 +1161,11 @@ mod tests {
     /// byte (`==` on floats would let `-0.0` pass for `0.0`), counters too.
     fn assert_merge_equals_reweld(e: ClusterExtraction, ctx: &str) {
         let mut concat = IndexedMesh::new();
-        for m in &e.meshes {
+        for m in e.node_meshes() {
             concat.merge(m.clone());
         }
         let (expect, expect_stats) = concat.welded();
-        let joined = e.meshes.len() > 1;
+        let joined = e.node_meshes().len() > 1;
         let (mesh, report) = e.into_merged();
         let bits = |m: &IndexedMesh| -> Vec<[u32; 3]> {
             let p = m.positions().iter();
@@ -1219,17 +1197,22 @@ mod tests {
             let mut first: Option<ClusterExtraction> = None;
             for workers in [1, 2, 3] {
                 let ctx = format!("{nodes} nodes, {workers} workers");
-                let e = c.extract_with_workers(128.0, workers).unwrap();
+                let e = c
+                    .extract_with_options(128.0, &with_workers(workers))
+                    .unwrap();
                 assert!(e.report.total_weld().degenerate_dropped > 0, "{ctx}");
                 let first = first.get_or_insert_with(|| e.clone());
-                assert_eq!(e.meshes, first.meshes, "{ctx}");
+                assert!(e.node_meshes().eq(first.node_meshes()), "{ctx}");
                 let seams = |e: &ClusterExtraction| -> Vec<Vec<u32>> {
-                    e.welders.iter().map(|w| w.seams().to_vec()).collect()
+                    e.nodes.iter().map(|n| n.welder.seams().to_vec()).collect()
                 };
                 assert_eq!(seams(&e), seams(first), "{ctx}");
-                for (m, w) in e.meshes.iter().zip(&e.welders) {
+                for NodeOutput { out, welder: w } in &e.nodes {
                     assert!(w.seams().windows(2).all(|w| w[0] < w[1]), "{ctx}");
-                    assert!(w.seams().len() < m.num_vertices(), "{ctx}: seam set only");
+                    assert!(
+                        w.seams().len() < out.mesh.num_vertices(),
+                        "{ctx}: seam set only"
+                    );
                 }
                 assert_merge_equals_reweld(e, &ctx);
             }
@@ -1269,7 +1252,7 @@ mod tests {
     fn assembly_joins_shuffled_parts_in_sequence_order() {
         let parts = mc_parts();
         assert!(parts.len() > 8, "fixture drifted");
-        let mut in_order = Assembly::new(true);
+        let mut in_order = Assembly::new(Backend::Mc);
         for (seq, p) in parts.iter().enumerate() {
             in_order.offer(seq as u64, &mut p.clone());
             assert!(in_order.stash.is_empty(), "an in-order part was stashed");
@@ -1283,7 +1266,7 @@ mod tests {
                 .wrapping_add(1_442_695_040_888_963_407);
             order.swap(i, (state >> 33) as usize % (i + 1));
         }
-        let mut shuffled = Assembly::new(true);
+        let mut shuffled = Assembly::new(Backend::Mc);
         let mut peak_stash = 0;
         for &seq in &order {
             let mut part = parts[seq].clone();
@@ -1298,10 +1281,10 @@ mod tests {
             p.map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
                 .collect()
         };
-        let (got, want) = (&shuffled.out.mesh, &in_order.out.mesh);
+        let (got, want) = (&shuffled.node.out.mesh, &in_order.node.out.mesh);
         assert_eq!(bits(got), bits(want));
         assert_eq!(got.indices(), want.indices());
-        let (a, b) = (shuffled.welder.unwrap(), in_order.welder.unwrap());
+        let (a, b) = (&shuffled.node.welder, &in_order.node.welder);
         assert_eq!(a.seams(), b.seams());
         assert_eq!(a.stats(got), b.stats(want));
         // and both are the weld of the concatenated parts
@@ -1324,17 +1307,16 @@ mod tests {
         let dir = tmpdir("emptynode");
         let (c, _) = Cluster::build(&vol, &dir, &opts(3)).unwrap();
         let e = c.extract(1.0).unwrap();
-        let active: Vec<bool> = e.meshes.iter().map(|m| !m.is_empty()).collect();
+        let active: Vec<bool> = e.node_meshes().map(|m| !m.is_empty()).collect();
         assert_eq!(active, [true, true, false], "fixture drifted");
         assert!(e.clone().into_merged().1.merge_weld.vertices_merged() > 0);
         assert_merge_equals_reweld(e.clone(), "empty node last");
         // the round-robin deal starts every brick at node 0, so an empty
         // node never *precedes* a busy one in a real query; rotate one there
         let mut rotated = e;
-        rotated.meshes.rotate_right(1);
-        rotated.welders.rotate_right(1);
+        rotated.nodes.rotate_right(1);
         rotated.report.nodes.rotate_right(1);
-        assert!(rotated.meshes[0].is_empty());
+        assert!(rotated.nodes[0].out.mesh.is_empty());
         assert_merge_equals_reweld(rotated, "empty node first");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1363,9 +1345,9 @@ mod tests {
             oociso_march::split_collapsed(oociso_march::canonical_triangles(&truth));
         assert!(collapsed > 0, "iso 128 should collapse corner crossings");
         assert_eq!(e.report.total_weld().degenerate_dropped, collapsed as u64);
-        assert_eq!(kept, oociso_march::canonical_triangles(&e.merged_soup()));
+        assert_eq!(kept, oociso_march::canonical_triangles(&node_soup(&e)));
         // per-node meshes really are indexed: shared crossings deduplicated
-        for m in &e.meshes {
+        for m in e.node_meshes() {
             assert!(m.num_vertices() < 3 * m.len(), "no dedup in node mesh");
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -1410,7 +1392,7 @@ mod tests {
             }
             .sample(Dims3::cube(n));
             let (c, _) = Cluster::build(&vol, &dir, &opts(1)).unwrap();
-            let plain = c.extract_with_workers(128.0, 1).unwrap(); // also warms the store
+            let plain = c.extract_with_options(128.0, &with_workers(1)).unwrap(); // also warms the store
             if plain.report.nodes[0].triangulation_busy >= Duration::from_millis(40) || n >= 257 {
                 break (c, plain);
             }
@@ -1436,10 +1418,10 @@ mod tests {
         // smaller one makes the producer block mid-refill and shrinks the
         // single-core overlap window to the bound.
         c.replace_store(0, throttle()); // fresh device, fresh I/O counters
-        let streamed = c.extract_with_workers(128.0, 1).unwrap();
+        let streamed = c.extract_with_options(128.0, &with_workers(1)).unwrap();
 
         // throttling must not change the geometry
-        assert_same_triangle_stream(&streamed.merged_soup(), &plain.merged_soup(), "throttled");
+        assert_same_triangle_stream(&node_soup(&streamed), &node_soup(&plain), "throttled");
 
         let ns = &streamed.report.nodes[0];
         let serial = retrieval + triangulation;
@@ -1486,14 +1468,16 @@ mod tests {
         let full = std::fs::read(DiskFarm::new(&dir, 1).store_path(0)).unwrap();
         let sliver = full[..4].to_vec();
         c.replace_store(0, RecordStore::in_memory(sliver));
-        let err = c.extract_with_workers(128.0, 3).unwrap_err();
+        let err = c.extract_with_options(128.0, &with_workers(3)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Extract at `iso` on 3 workers, expecting `Err` of `kind`.
     fn extract_err(c: &Cluster<u8>, iso: f32, kind: io::ErrorKind, what: &str) -> String {
-        let err = c.extract_with_workers(iso, 3).expect_err(what);
+        let err = c
+            .extract_with_options(iso, &with_workers(3))
+            .expect_err(what);
         assert_eq!(err.kind(), kind, "{what}: {err}");
         err.to_string()
     }
@@ -1798,12 +1782,13 @@ mod tests {
         let dir = tmpdir("balance");
         let (c, _) = Cluster::build(&vol, &dir, &opts(4)).unwrap();
         for iso in [60.0, 100.0, 128.0, 160.0, 200.0] {
-            let dist = c.distribution(iso).unwrap();
-            let total: u64 = dist.iter().map(|d| d.0).sum();
+            let nodes = c.extract(iso).unwrap().report.nodes;
+            let dist: Vec<u64> = nodes.iter().map(|n| n.active_metacells).collect();
+            let total: u64 = dist.iter().sum();
             if total < 16 {
                 continue;
             }
-            let max = dist.iter().map(|d| d.0).max().unwrap();
+            let max = *dist.iter().max().unwrap();
             let mean = total as f64 / dist.len() as f64;
             assert!(
                 max as f64 / mean < 1.75,
@@ -1848,7 +1833,6 @@ mod tests {
                 128.0,
                 &ExtractOptions {
                     workers: Some(2),
-                    lods: LodSpec::pyramid(),
                     trace: trace.clone(),
                     ..Default::default()
                 },
@@ -1870,7 +1854,7 @@ mod tests {
         }
         assert_eq!(trace.sum("extract"), e.report.total_wall);
 
-        let (chain, report) = e.into_lod_chain();
+        let (chain, report) = e.into_lod_chain(&LodSpec::pyramid().ratios);
         assert_eq!(trace.sum("merge_weld"), report.merge_weld_wall);
         assert_eq!(trace.sum("lod"), report.lod_wall);
         assert_eq!(
@@ -1920,7 +1904,7 @@ mod tests {
         let dir = tmpdir("render");
         let (c, _) = Cluster::build(&vol, &dir, &opts(4)).unwrap();
         let e0 = c.extract(128.0).unwrap();
-        let soup = e0.merged_soup();
+        let soup = node_soup(&e0);
         let bounds = soup.bounds();
         let camera = Camera::orbiting(&bounds, 0.6, 0.5, 2.5);
         let tiles = TileLayout::paper_wall(128, 128);

@@ -82,44 +82,23 @@ impl<S: ScalarValue> ClusterDatabase<S> {
         Ok(ExtractResult { mesh, report })
     }
 
-    /// Extract without merging: per-node meshes plus report (what the
-    /// rendering path and the balance tables consume).
-    pub fn extract_per_node(&self, iso: f32) -> io::Result<ClusterExtraction> {
-        self.cluster.extract(iso)
-    }
-
-    /// Extract the isosurface at `iso` and build the LOD pyramid described
-    /// by `lods` from the merged **welded** mesh: level 0 is the full
+    /// Extract the isosurface at `iso` under `opts` and build the LOD
+    /// pyramid described by `lods` from the merged mesh: level 0 is the full
     /// watertight surface, each further level is quadric edge-collapse
     /// decimated to its vertex ratio. Per-level stats ride in
     /// [`QueryReport::lod_levels`]. This is what the query server caches
-    /// and serves per level.
+    /// and serves per level, with its request trace in `opts`: the
+    /// extraction's span tree (`extract`/`node`/`pipeline`/... plus the
+    /// `merge_weld`/`stitch` and `lod` roots) lands there. A SurfaceNets
+    /// pyramid builds from the seam-stitched, smoothed mesh.
     pub fn extract_lods(
         &self,
         iso: f32,
         lods: &oociso_cluster::LodSpec,
-    ) -> io::Result<(oociso_march::LodChain, QueryReport)> {
-        let opts = oociso_cluster::ExtractOptions {
-            lods: lods.clone(),
-            ..Default::default()
-        };
-        self.extract_lods_opts(iso, &opts)
-    }
-
-    /// [`ClusterDatabase::extract_lods`] under full extraction options —
-    /// how the query server threads its per-request trace into the
-    /// pipeline. A SurfaceNets pyramid builds from the seam-stitched,
-    /// smoothed mesh (vertex-unique by cell ownership, so no weld pass runs
-    /// first). The extraction's span tree
-    /// (`extract`/`node`/`pipeline`/... plus the `merge_weld`/`stitch` and
-    /// `lod` roots) lands in `opts.trace`.
-    pub fn extract_lods_opts(
-        &self,
-        iso: f32,
         opts: &oociso_cluster::ExtractOptions,
     ) -> io::Result<(oociso_march::LodChain, QueryReport)> {
         let e = self.cluster.extract_with_options(iso, opts)?;
-        Ok(e.into_lod_chain())
+        Ok(e.into_lod_chain(&lods.ratios))
     }
 
     /// Full pipeline: extract, render per node, sort-last composite.
@@ -139,7 +118,7 @@ impl<S: ScalarValue> ClusterDatabase<S> {
         self.preprocess_stats.as_ref()
     }
 
-    /// The underlying cluster (index access, distributions).
+    /// The underlying cluster (index access, per-node extraction).
     pub fn cluster(&self) -> &Cluster<S> {
         &self.cluster
     }

@@ -668,16 +668,6 @@ impl<S: ScalarValue> State<S> {
         }
     }
 
-    /// What every cache fill extracts: the server's pyramid with the
-    /// default (MC) kernel, spans landing in `trace`.
-    fn extract_options(&self, trace: &Trace) -> oociso_cluster::ExtractOptions {
-        oociso_cluster::ExtractOptions {
-            lods: self.lods.clone(),
-            trace: trace.clone(),
-            ..Default::default()
-        }
-    }
-
     /// Find who produces the pyramid at `iso`: a flight already building
     /// it, the cache holding every level, or — neither — a new flight the
     /// caller leads. A real caller (`speculative == false`) that joins a
@@ -739,9 +729,12 @@ impl<S: ScalarValue> State<S> {
             return Ok(self.rebuild_from_full(full, trace));
         }
         let t0 = Instant::now();
-        let (chain, report) = self
-            .db
-            .extract_lods_opts(iso, &self.extract_options(trace))?;
+        // the default (MC) kernel, spans landing in `trace`
+        let opts = oociso_cluster::ExtractOptions {
+            trace: trace.clone(),
+            ..Default::default()
+        };
+        let (chain, report) = self.db.extract_lods(iso, &self.lods, &opts)?;
         if !speculative {
             let wall = t0.elapsed();
             self.extract_latency_us.record_duration(wall);

@@ -3,7 +3,7 @@
 //! cache must be visibly doing its job, and protocol abuse must produce
 //! structured errors without wedging the server.
 
-use oociso_cluster::LodSpec;
+use oociso_cluster::{ExtractOptions, LodSpec};
 use oociso_core::{ClusterDatabase, PreprocessOptions};
 use oociso_march::IndexedMesh;
 use oociso_serve::protocol::{
@@ -458,7 +458,9 @@ fn lod_pyramid_roundtrips_bit_exact_with_exact_per_level_accounting() {
     let iso = 127.5f32;
 
     // ground truth: the same post-weld pyramid the server builds
-    let (chain, _report) = direct.extract_lods(iso, &LodSpec::pyramid()).unwrap();
+    let (chain, _report) = direct
+        .extract_lods(iso, &LodSpec::pyramid(), &ExtractOptions::default())
+        .unwrap();
     assert_eq!(chain.len(), 3);
 
     let mut client = Client::connect(addr).unwrap();
@@ -633,7 +635,9 @@ fn pre_v6_frames_are_refused_and_the_connection_survives() {
     // in-process extraction
     let coarse = client.query_mesh_lod(iso, None, 2).unwrap();
     assert!(!coarse.cache_hit && coarse.served_lod == 2);
-    let (chain, _) = direct.extract_lods(iso, &LodSpec::pyramid()).unwrap();
+    let (chain, _) = direct
+        .extract_lods(iso, &LodSpec::pyramid(), &ExtractOptions::default())
+        .unwrap();
     assert_same_mesh(&coarse.mesh, &chain.level(2).unwrap().mesh, "lod 2");
     let reply = client.query_mesh_lod(iso, None, 0).unwrap();
     assert!(reply.cache_hit, "the lod 2 miss cached level 0");
@@ -651,7 +655,9 @@ fn frame_requests_select_lods_by_screen_space_error() {
     // cached per-level meshes
     let (dir, server, direct) = lod_fixture("lodframe");
     let iso = 127.5f32;
-    let (chain, _) = direct.extract_lods(iso, &LodSpec::pyramid()).unwrap();
+    let (chain, _) = direct
+        .extract_lods(iso, &LodSpec::pyramid(), &ExtractOptions::default())
+        .unwrap();
 
     let mut client = Client::connect(server.addr()).unwrap();
     let params = FrameParams {

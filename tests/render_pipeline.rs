@@ -73,10 +73,10 @@ fn composite_bit_identical_across_simulated_and_tcp_transports() {
 
     // (a) the pipeline's wall is the composite of the per-node buffers
     let buffers: Vec<Framebuffer> = db
-        .extract_per_node(128.0)
+        .cluster()
+        .extract(128.0)
         .unwrap()
-        .meshes
-        .iter()
+        .node_meshes()
         .map(|mesh| {
             let mut fb = Framebuffer::new(96, 96);
             rasterize_mesh(mesh, &camera, color, &mut fb);
@@ -164,10 +164,9 @@ fn occlusion_resolved_across_nodes() {
         },
     )
     .unwrap();
-    let e = db.extract_per_node(128.0).unwrap();
+    let e = db.cluster().extract(128.0).unwrap();
     let bounds = e
-        .meshes
-        .iter()
+        .node_meshes()
         .filter(|m| !m.is_empty()) // an empty node's Aabb::empty() corners are ±INF
         .map(|m| m.bounds())
         .fold(oociso::march::Aabb::empty(), |mut acc, b| {
@@ -181,7 +180,7 @@ fn occlusion_resolved_across_nodes() {
         rasterize_mesh(mesh, &camera, [1.0, 1.0, 1.0], &mut fb);
         fb
     };
-    let buffers: Vec<Framebuffer> = e.meshes.iter().map(render_one).collect();
+    let buffers: Vec<Framebuffer> = e.node_meshes().map(render_one).collect();
     let layout = TileLayout::new(1, 1, 128, 128);
     let (forward, _) = layout.composite(&buffers);
     let reversed: Vec<Framebuffer> = buffers.iter().rev().cloned().collect();

@@ -69,7 +69,11 @@ fn check_watertight_everywhere(
         let mut decimated_baseline: Option<IndexedMesh> = None;
         for workers in [1usize, 2, 8] {
             let ctx = format!("{name} iso={iso} k={metacell_k} workers={workers}");
-            let e = cluster.extract_with_workers(iso, workers).unwrap();
+            let opts = ExtractOptions {
+                workers: Some(workers),
+                ..Default::default()
+            };
+            let e = cluster.extract_with_options(iso, &opts).unwrap();
             let (mesh, report) = e.into_merged();
             // the strong form of watertight: closed by *raw index
             // connectivity*, not just after analysis-time welding
