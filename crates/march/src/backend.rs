@@ -1,15 +1,18 @@
-//! The pluggable extraction-kernel seam.
+//! The extraction-kernel seam.
 //!
 //! The cluster pipeline decodes active metacell records into dense
-//! sub-volumes and hands each one to an [`ExtractionBackend`] — the only
-//! contract a kernel must satisfy to ride the extraction stack (streaming
-//! pipeline, deterministic merge, weld, LOD pyramid). Two backends ship
-//! today: the slab-sliding Marching Cubes kernel
-//! ([`crate::mc::marching_cubes_indexed`]) and Kitware-style SurfaceNets
-//! ([`crate::surface_nets`]); dual contouring or sharp-feature variants slot
-//! in behind the same trait with no further plumbing. The server extracts
-//! with MC only; SurfaceNets is a library and offline (`oociso extract
-//! --backend surfacenets`) backend.
+//! sub-volumes and hands each one to an [`ExtractionBackend`]: the block
+//! contract below is what a kernel must satisfy to ride the streaming
+//! pipeline. Two backends ship today: the slab-sliding Marching Cubes
+//! kernel ([`crate::mc::marching_cubes_indexed`]) and Kitware-style
+//! SurfaceNets ([`crate::surface_nets`]). What the extraction does with a
+//! kernel's parts is decided in two functions of `oociso-cluster`'s
+//! `cluster/merge.rs`, and a new kernel adds an arm to each: `join_part`
+//! joins each part into its node's output (MC welds on its candidates,
+//! SurfaceNets concatenates) and `merge_nodes` joins the node outputs (MC
+//! remap-welds the node meshes, SurfaceNets stitches its seam quads and
+//! smooths). The server extracts with MC only; SurfaceNets is a library
+//! and offline (`oociso extract --backend surfacenets`) backend.
 //!
 //! # The block contract
 //!
@@ -257,9 +260,6 @@ impl BackendScratch {
 /// One extraction kernel. `extract_block` appends the block's geometry to
 /// `out` — see the module docs for the exact cross-block contract.
 pub trait ExtractionBackend<S: ScalarValue>: Sync {
-    /// Which [`Backend`] this kernel is.
-    fn kind(&self) -> Backend;
-
     /// Extract `vol`'s cells at `iso`, appending to `out`.
     fn extract_block(
         &self,
@@ -275,10 +275,6 @@ pub trait ExtractionBackend<S: ScalarValue>: Sync {
 pub struct McBackend;
 
 impl<S: ScalarValue> ExtractionBackend<S> for McBackend {
-    fn kind(&self) -> Backend {
-        Backend::Mc
-    }
-
     fn extract_block(
         &self,
         vol: &Volume<S>,
@@ -304,10 +300,6 @@ impl<S: ScalarValue> ExtractionBackend<S> for McBackend {
 pub struct SurfaceNetsBackend;
 
 impl<S: ScalarValue> ExtractionBackend<S> for SurfaceNetsBackend {
-    fn kind(&self) -> Backend {
-        Backend::SurfaceNets
-    }
-
     fn extract_block(
         &self,
         vol: &Volume<S>,

@@ -159,6 +159,17 @@ fn torn(e: &io::Error) -> bool {
     )
 }
 
+/// Read one reply off the wire: the message, or the server's
+/// protocol-violation frame as its typed error. `Ok(None)` means the server
+/// closed the connection instead of replying.
+fn read_reply(stream: &mut TcpStream) -> io::Result<Option<Message>> {
+    match read_frame(stream).map_err(map_timeout)? {
+        None => Ok(None),
+        Some(FrameIn::Ok { msg, .. }) => Ok(Some(msg)),
+        Some(FrameIn::Violation { code, detail, .. }) => Err(server_error(code, detail, None)),
+    }
+}
+
 /// Read one complete reply frame off the wire, undecoded: header +
 /// payload + checksum, exactly as the server sent it. A poisoned header is
 /// an error, checked before any payload byte is buffered.
@@ -292,14 +303,9 @@ impl Client {
     /// One raw request/response exchange, no retry.
     fn exchange(&mut self, msg: &Message) -> io::Result<Message> {
         write_frame(&mut self.stream, msg).map_err(map_timeout)?;
-        match read_frame(&mut self.stream).map_err(map_timeout)? {
-            None => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            )),
-            Some(FrameIn::Ok { msg: reply, .. }) => Ok(reply),
-            Some(FrameIn::Violation { code, detail, .. }) => Err(server_error(code, detail, None)),
-        }
+        read_reply(&mut self.stream)?.ok_or_else(|| {
+            io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
+        })
     }
 
     /// One request/response exchange under the retry policy: `ERR_BUSY`
@@ -338,6 +344,26 @@ impl Client {
         }
     }
 
+    /// [`Client::roundtrip`] for a request with one expected reply type:
+    /// `expect` returns that reply's value, or hands any other message
+    /// back. An error frame becomes the server's typed error, anything else
+    /// an unexpected-type error.
+    fn request<T>(
+        &mut self,
+        msg: &Message,
+        expect: impl FnOnce(Message) -> Result<T, Message>,
+    ) -> io::Result<T> {
+        match expect(self.roundtrip(msg)?) {
+            Ok(value) => Ok(value),
+            Err(Message::Error {
+                code,
+                detail,
+                retry_after_ms,
+            }) => Err(server_error(code, detail, retry_after_ms)),
+            Err(other) => Err(unexpected(&other)),
+        }
+    }
+
     /// Query the isosurface at `iso`, optionally restricted to a region
     /// (full resolution — LOD level 0).
     pub fn query_mesh(&mut self, iso: f32, region: Option<Region>) -> io::Result<MeshReply> {
@@ -367,17 +393,14 @@ impl Client {
         lod: u16,
         trace_id: u64,
     ) -> io::Result<MeshReply> {
-        self.query(Message::MeshRequest {
+        let request = Message::MeshRequest {
             iso,
             region,
             lod,
             backend: None,
             trace_id,
-        })
-    }
-
-    fn query(&mut self, request: Message) -> io::Result<MeshReply> {
-        match self.roundtrip(&request)? {
+        };
+        self.request(&request, |reply| match reply {
             Message::MeshResponse {
                 cache_hit,
                 active_metacells,
@@ -394,23 +417,19 @@ impl Client {
                 degraded,
                 trace_id,
             }),
-            Message::Error {
-                code,
-                detail,
-                retry_after_ms,
-            } => Err(server_error(code, detail, retry_after_ms)),
-            other => Err(unexpected(&other)),
-        }
+            other => Err(other),
+        })
     }
 
     /// Query a rendered frame of the isosurface at `iso` and reassemble the
     /// tiles into one framebuffer.
     pub fn query_frame(&mut self, iso: f32, params: FrameParams) -> io::Result<FrameReply> {
-        match self.roundtrip(&Message::FrameRequest {
+        let request = Message::FrameRequest {
             iso,
             params,
             trace_id: 0,
-        })? {
+        };
+        self.request(&request, |reply| match reply {
             Message::FrameResponse {
                 cache_hit,
                 width,
@@ -429,47 +448,32 @@ impl Client {
                     trace_id,
                 })
             }
-            Message::Error {
-                code,
-                detail,
-                retry_after_ms,
-            } => Err(server_error(code, detail, retry_after_ms)),
-            other => Err(unexpected(&other)),
-        }
+            other => Err(other),
+        })
     }
 
     /// Fetch the server's counters.
     pub fn stats(&mut self) -> io::Result<ServerReport> {
-        match self.roundtrip(&Message::StatsRequest)? {
+        self.request(&Message::StatsRequest, |reply| match reply {
             Message::StatsResponse(report) => Ok(report),
-            Message::Error {
-                code,
-                detail,
-                retry_after_ms,
-            } => Err(server_error(code, detail, retry_after_ms)),
-            other => Err(unexpected(&other)),
-        }
+            other => Err(other),
+        })
     }
 
     /// Fetch the server's metrics registry exposition (Prometheus text
     /// format).
     pub fn metrics(&mut self) -> io::Result<String> {
-        match self.roundtrip(&Message::MetricsRequest)? {
+        self.request(&Message::MetricsRequest, |reply| match reply {
             Message::MetricsResponse { text } => Ok(text),
-            Message::Error {
-                code,
-                detail,
-                retry_after_ms,
-            } => Err(server_error(code, detail, retry_after_ms)),
-            other => Err(unexpected(&other)),
-        }
+            other => Err(other),
+        })
     }
 
     /// Fetch a finished request trace from the server's journal. Id 0 asks
     /// for the most recent trace; `found` is false when the journal no
     /// longer holds the id.
     pub fn trace(&mut self, id: u64) -> io::Result<TraceReply> {
-        match self.roundtrip(&Message::TraceRequest { id })? {
+        self.request(&Message::TraceRequest { id }, |reply| match reply {
             Message::TraceResponse {
                 found,
                 id,
@@ -483,13 +487,8 @@ impl Client {
                 dropped,
                 events,
             }),
-            Message::Error {
-                code,
-                detail,
-                retry_after_ms,
-            } => Err(server_error(code, detail, retry_after_ms)),
-            other => Err(unexpected(&other)),
-        }
+            other => Err(other),
+        })
     }
 
     /// Round-trip a payload of `bytes` zeros through the server's echo,
@@ -497,25 +496,20 @@ impl Client {
     pub fn ping(&mut self, bytes: usize) -> io::Result<Duration> {
         let payload = vec![0u8; bytes];
         let t0 = Instant::now();
-        match self.roundtrip(&Message::Ping {
+        let ping = Message::Ping {
             payload: payload.clone(),
-        })? {
-            Message::Pong { payload: echoed } => {
-                if echoed != payload {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "pong payload differs from ping",
-                    ));
-                }
-                Ok(t0.elapsed())
-            }
-            Message::Error {
-                code,
-                detail,
-                retry_after_ms,
-            } => Err(server_error(code, detail, retry_after_ms)),
-            other => Err(unexpected(&other)),
+        };
+        let echoed = self.request(&ping, |reply| match reply {
+            Message::Pong { payload } => Ok(payload),
+            other => Err(other),
+        })?;
+        if echoed != payload {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "pong payload differs from ping",
+            ));
         }
+        Ok(t0.elapsed())
     }
 
     /// Write every request back-to-back on this connection, then read the
@@ -530,18 +524,10 @@ impl Client {
         }
         let mut replies = Vec::with_capacity(requests.len());
         for _ in requests {
-            match read_frame(&mut self.stream).map_err(map_timeout)? {
-                None => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "server closed mid-pipeline",
-                    ))
-                }
-                Some(FrameIn::Ok { msg: reply, .. }) => replies.push(reply),
-                Some(FrameIn::Violation { code, detail, .. }) => {
-                    return Err(server_error(code, detail, None))
-                }
-            }
+            let reply = read_reply(&mut self.stream)?.ok_or_else(|| {
+                io::Error::new(io::ErrorKind::UnexpectedEof, "server closed mid-pipeline")
+            })?;
+            replies.push(reply);
         }
         Ok(replies)
     }
@@ -579,15 +565,10 @@ impl Client {
         }
         self.stream.write_all(&frame)?;
         self.stream.flush()?;
-        match read_frame(&mut self.stream) {
-            Ok(None) => Ok(None),
-            Ok(Some(FrameIn::Ok { msg: reply, .. })) => Ok(Some(reply)),
-            Ok(Some(FrameIn::Violation { code, detail, .. })) => {
-                Err(server_error(code, detail, None))
-            }
+        match read_reply(&mut self.stream) {
             // a reset mid-read also counts as "hung up"
             Err(e) if e.kind() == io::ErrorKind::ConnectionReset => Ok(None),
-            Err(e) => Err(map_timeout(e)),
+            reply => reply,
         }
     }
 }
