@@ -1,12 +1,5 @@
-//! The cluster: build, open, and query, one file per phase.
-//!
-//! * `build` — the preprocessing options, the one store writer and
-//!   [`Cluster`]'s build/open;
-//! * `extract` — the node pipeline (plan → produce → work → assemble) and
-//!   the render-and-composite path;
-//! * `merge` — [`ClusterExtraction`], the per-node outputs, and the two
-//!   functions where the extraction kernel is decided: the node join and
-//!   the cross-node merge.
+//! The cluster: build, open and query, one file per phase (listed in the
+//! crate docs).
 
 mod build;
 mod extract;

@@ -56,7 +56,7 @@ impl Default for ExtractOptions {
     fn default() -> Self {
         ExtractOptions {
             workers: None,
-            backend: Backend::Mc,
+            backend: Backend::default(),
             trace: Trace::detached(),
         }
     }
@@ -184,15 +184,13 @@ impl<S: ScalarValue> Cluster<S> {
         let report = QueryReport {
             isovalue: iso,
             nodes: reports,
-            composite_wire_bytes: 0,
-            composite_wall: Duration::ZERO,
             total_wall: sp_extract.finish(),
             ..Default::default()
         };
         Ok(ClusterExtraction {
             nodes: outputs,
             report,
-            backend: opts.backend,
+            backend,
             trace: opts.trace.clone(),
         })
     }

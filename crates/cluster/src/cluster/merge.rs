@@ -21,11 +21,6 @@ pub struct LodSpec {
 }
 
 impl LodSpec {
-    /// No extra levels (full resolution only).
-    pub fn none() -> LodSpec {
-        LodSpec::default()
-    }
-
     /// The serving default: 100 % / 25 % / 6 %.
     pub fn pyramid() -> LodSpec {
         LodSpec {

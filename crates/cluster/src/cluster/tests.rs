@@ -1,5 +1,4 @@
-//! The cluster's tests: build, extract and merge, one phase after the
-//! other.
+//! The cluster's tests, build through merge.
 
 use super::build::{index_path, spill_path, write_stores};
 use super::extract::Assembly;

@@ -8,10 +8,17 @@
 //!
 //! This crate reproduces that architecture with OS threads as nodes:
 //!
-//! * [`cluster::Cluster`] — build (stripe + index per node), open, and query;
-//!   each node runs in its own thread against its own store file, streaming
-//!   records through a bounded queue ([`cluster::QUEUE_RECORDS`]) into its
-//!   triangulation workers so the paper's phases (i) and (ii) overlap.
+//! * [`cluster`] — [`Cluster`] and one file per phase of its work:
+//!   - `cluster/build.rs`: preprocessing (stripe + index per node) and
+//!     open;
+//!   - `cluster/extract.rs`: the query. Each node runs in its own thread
+//!     against its own store file, streaming records through a bounded
+//!     queue ([`QUEUE_RECORDS`]) into its triangulation workers so the
+//!     paper's phases (i) and (ii) overlap, and joins their parts into one
+//!     output per node;
+//!   - `cluster/merge.rs`: [`ClusterExtraction`], the node outputs merged
+//!     into one mesh or LOD pyramid. Its node join and cross-node merge are
+//!     the only code that tells the extraction kernels apart.
 //! * [`timing`] — per-node, per-phase reports: Active MetaCell (AMC) retrieval
 //!   I/O, triangulation, rendering — the three metrics of Tables 2–5.
 //! * [`model`] — the simulated-time composition: measured CPU phases combined

@@ -52,14 +52,16 @@ pub struct NodeReport {
     /// Plan-execution counters: bulk/prefix actions, rejected records, and
     /// the read stream's shape (`read_calls` in `runs`, `bytes_read`).
     pub exec: ExecStats,
-    /// Metacell-seam weld counters for this node's mesh (zeroed for
-    /// SurfaceNets, which never welds).
+    /// Counters of the node join, which welds MC's metacell seams. A
+    /// SurfaceNets node is concatenated through the same welder, so its
+    /// counters read every vertex in and out with nothing hashed, merged or
+    /// dropped.
     pub weld: WeldStats,
     /// Summed time the workers spent joining parts into the node mesh — the
-    /// node's seam weld (zero for SurfaceNets). A busy-time sum like
-    /// `triangulation_busy`, but the joins hold the node's assembly lock, so
-    /// they never overlap one another: it fits inside `extraction_wall`,
-    /// which already counts it.
+    /// node's seam weld (MC) or concatenation (SurfaceNets). A busy-time
+    /// sum like `triangulation_busy`, but the joins hold the node's assembly
+    /// lock, so they never overlap one another: it fits inside
+    /// `extraction_wall`, which already counts it.
     pub weld_wall: Duration,
     /// Measured wall-clock time rasterizing locally (zero if not rendering).
     pub rendering: Duration,

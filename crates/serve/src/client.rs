@@ -121,10 +121,10 @@ fn server_error(code: u16, detail: String, retry_after_ms: Option<u32>) -> io::E
     })
 }
 
-fn unexpected(msg: &Message) -> io::Error {
+fn unexpected(msg_type: u16) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
-        format!("unexpected response type {}", msg.msg_type()),
+        format!("unexpected response type {msg_type}"),
     )
 }
 
@@ -177,7 +177,7 @@ fn read_raw_reply(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
     match read_raw_frame(stream, MAX_PAYLOAD).map_err(map_timeout)? {
         Ok(frame) => Ok(frame),
         Err(FrameIn::Violation { code, detail, .. }) => Err(server_error(code, detail, None)),
-        Err(FrameIn::Ok { msg }) => Err(unexpected(&msg)),
+        Err(FrameIn::Ok { msg }) => Err(unexpected(msg.msg_type())),
     }
 }
 
@@ -345,23 +345,25 @@ impl Client {
     }
 
     /// [`Client::roundtrip`] for a request with one expected reply type:
-    /// `expect` returns that reply's value, or hands any other message
-    /// back. An error frame becomes the server's typed error, anything else
-    /// an unexpected-type error.
+    /// `expect` returns that reply's value, `None` for any other message.
+    /// An error frame becomes the server's typed error, any other
+    /// unexpected reply an unexpected-type error.
     fn request<T>(
         &mut self,
         msg: &Message,
-        expect: impl FnOnce(Message) -> Result<T, Message>,
+        expect: impl FnOnce(Message) -> Option<T>,
     ) -> io::Result<T> {
-        match expect(self.roundtrip(msg)?) {
-            Ok(value) => Ok(value),
-            Err(Message::Error {
-                code,
-                detail,
-                retry_after_ms,
-            }) => Err(server_error(code, detail, retry_after_ms)),
-            Err(other) => Err(unexpected(&other)),
+        let reply = self.roundtrip(msg)?;
+        if let Message::Error {
+            code,
+            detail,
+            retry_after_ms,
+        } = reply
+        {
+            return Err(server_error(code, detail, retry_after_ms));
         }
+        let msg_type = reply.msg_type();
+        expect(reply).ok_or_else(|| unexpected(msg_type))
     }
 
     /// Query the isosurface at `iso`, optionally restricted to a region
@@ -409,7 +411,7 @@ impl Client {
                 trace_id,
                 mesh,
                 ..
-            } => Ok(MeshReply {
+            } => Some(MeshReply {
                 mesh,
                 cache_hit,
                 active_metacells,
@@ -417,7 +419,7 @@ impl Client {
                 degraded,
                 trace_id,
             }),
-            other => Err(other),
+            _ => None,
         })
     }
 
@@ -441,22 +443,22 @@ impl Client {
                 for r in &regions {
                     r.merge_into(&mut fb, (0, 0));
                 }
-                Ok(FrameReply {
+                Some(FrameReply {
                     framebuffer: fb,
                     cache_hit,
                     regions,
                     trace_id,
                 })
             }
-            other => Err(other),
+            _ => None,
         })
     }
 
     /// Fetch the server's counters.
     pub fn stats(&mut self) -> io::Result<ServerReport> {
         self.request(&Message::StatsRequest, |reply| match reply {
-            Message::StatsResponse(report) => Ok(report),
-            other => Err(other),
+            Message::StatsResponse(report) => Some(report),
+            _ => None,
         })
     }
 
@@ -464,8 +466,8 @@ impl Client {
     /// format).
     pub fn metrics(&mut self) -> io::Result<String> {
         self.request(&Message::MetricsRequest, |reply| match reply {
-            Message::MetricsResponse { text } => Ok(text),
-            other => Err(other),
+            Message::MetricsResponse { text } => Some(text),
+            _ => None,
         })
     }
 
@@ -480,14 +482,14 @@ impl Client {
                 total_us,
                 dropped,
                 events,
-            } => Ok(TraceReply {
+            } => Some(TraceReply {
                 found,
                 id,
                 total_us,
                 dropped,
                 events,
             }),
-            other => Err(other),
+            _ => None,
         })
     }
 
@@ -500,8 +502,8 @@ impl Client {
             payload: payload.clone(),
         };
         let echoed = self.request(&ping, |reply| match reply {
-            Message::Pong { payload } => Ok(payload),
-            other => Err(other),
+            Message::Pong { payload } => Some(payload),
+            _ => None,
         })?;
         if echoed != payload {
             return Err(io::Error::new(

@@ -8,8 +8,9 @@
 //! lookup/insert, never across an extraction).
 //!
 //! With [`ServeOptions::lod_ratios`] configured the server builds the LOD
-//! pyramid once per cache-missed isovalue (post-weld, via
-//! `ClusterDatabase::extract_lods`), caches every level separately, serves
+//! pyramid once per cache-missed isovalue (from the merged, welded mesh,
+//! via [`oociso_core::ClusterDatabase::extract_lods`], which records into
+//! the request's trace), caches every level separately, serves
 //! mesh requests at their requested `lod`, and picks per-tile levels for
 //! frame requests by projected screen-space error.
 //!

@@ -2,14 +2,15 @@
 //! exactly the geometry a direct in-memory marching-cubes pass produces,
 //! for every node count — and the streaming retrieval→triangulation
 //! pipeline must be *bit-identical* across worker counts, for every
-//! extraction backend.
+//! extraction backend; a SurfaceNets surface must have the same triangles
+//! and connectivity for every node count.
 
 mod common;
 
 use common::{tmpdir, truth};
 use oociso::cluster::{Cluster, ExtractOptions, QUEUE_RECORDS};
 use oociso::core::{ClusterDatabase, PreprocessOptions};
-use oociso::march::{Backend, IndexedMesh, Vec3};
+use oociso::march::{analyze_mesh_connectivity, Backend, IndexedMesh, Vec3};
 use oociso::volume::{Dims3, RmProxy, Volume};
 use proptest::prelude::*;
 
@@ -53,6 +54,14 @@ fn database_extraction_equals_direct_marching_cubes() {
 fn every_node_count_yields_identical_geometry() {
     let vol = RmProxy::with_seed(23).volume(210, Dims3::new(40, 40, 38));
     let (reference, collapsed) = split_collapsed(canon(&truth(&vol, 110.0)));
+    // SurfaceNets has no direct reference: every node count must give the
+    // 1-node surface's triangles and connectivity (the vertex order, and so
+    // the bytes, follow the node deal)
+    let sn = ExtractOptions {
+        backend: Backend::SurfaceNets,
+        ..Default::default()
+    };
+    let mut sn_reference = None;
     for nodes in [1usize, 2, 3, 4, 8] {
         let dir = tmpdir(&format!("p{nodes}"));
         let db = ClusterDatabase::preprocess(
@@ -75,6 +84,12 @@ fn every_node_count_yields_identical_geometry() {
             collapsed as u64,
             "p={nodes}: collapse count must be independent of striping"
         );
+        let mesh = db.extract_with_options(110.0, &sn).unwrap().mesh;
+        let got = (canon(&mesh.to_soup()), analyze_mesh_connectivity(&mesh));
+        assert!(!got.0.is_empty(), "p={nodes}: empty SurfaceNets surface");
+        let want = sn_reference.get_or_insert_with(|| got.clone());
+        assert!(got.0 == want.0, "p={nodes}: SurfaceNets triangles differ");
+        assert_eq!(got.1, want.1, "p={nodes}: SurfaceNets connectivity");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
