@@ -496,22 +496,22 @@ impl Client {
     /// Round-trip a payload of `bytes` zeros through the server's echo,
     /// returning the measured wall-clock.
     pub fn ping(&mut self, bytes: usize) -> io::Result<Duration> {
-        let payload = vec![0u8; bytes];
-        let t0 = Instant::now();
         let ping = Message::Ping {
-            payload: payload.clone(),
+            payload: vec![0u8; bytes],
         };
+        let t0 = Instant::now();
         let echoed = self.request(&ping, |reply| match reply {
             Message::Pong { payload } => Some(payload),
             _ => None,
         })?;
-        if echoed != payload {
+        let elapsed = t0.elapsed();
+        if !matches!(&ping, Message::Ping { payload } if *payload == echoed) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "pong payload differs from ping",
             ));
         }
-        Ok(t0.elapsed())
+        Ok(elapsed)
     }
 
     /// Write every request back-to-back on this connection, then read the

@@ -18,7 +18,9 @@
 //! structured [`Message::Error`] instead of misparsing it. The checksum
 //! closes the loop on torn or corrupted writes: a payload that does
 //! not hash to its trailer is rejected as [`ERR_BAD_CHECKSUM`] before any
-//! field of it is interpreted.
+//! field of it is judged or returned. (A mesh response's two counts are
+//! read first, but only to size the vectors its slabs are read into, and
+//! only once they fill the capped payload length exactly.)
 //!
 //! All integers and floats are little-endian; `f32`s are moved as their IEEE
 //! bit patterns, so a mesh or framebuffer survives the wire **bit-exactly**
@@ -410,26 +412,6 @@ impl<'a> Rd<'a> {
         Ok(f32::from_bits(self.u32()?))
     }
 
-    /// `n` little-endian `u32`s as one slab: the bounds check happens once
-    /// in [`Rd::take`], so the allocation never exceeds the bytes received.
-    fn u32s(&mut self, n: usize) -> io::Result<Vec<u32>> {
-        let slab = self.take(n.checked_mul(4).ok_or_else(|| malformed("array length"))?)?;
-        Ok(slab
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    /// `n` positions (3 × little-endian `f32` bit patterns) as one slab.
-    fn vec3s(&mut self, n: usize) -> io::Result<Vec<Vec3>> {
-        let slab = self.take(n.checked_mul(12).ok_or_else(|| malformed("array length"))?)?;
-        let f = |c: &[u8]| f32::from_le_bytes(c.try_into().unwrap());
-        Ok(slab
-            .chunks_exact(12)
-            .map(|c| Vec3::new(f(&c[0..4]), f(&c[4..8]), f(&c[8..12])))
-            .collect())
-    }
-
     /// Read an element count, requiring the `elem_bytes` each element needs
     /// at minimum to still fit in the unread payload — so a hostile count
     /// can never drive a pre-reservation larger than the bytes actually
@@ -543,14 +525,37 @@ fn put_vec3s(out: &mut Vec<u8>, ps: &[Vec3]) {
 /// The element types of a mesh body slab: `u32` indices and `Vec3`
 /// positions (three `f32`s, `#[repr(C)]`). Neither has padding, and every
 /// byte of either is some bit pattern of a `u32`/`f32`.
-#[cfg(target_endian = "little")]
-trait SlabElem: Copy {}
-#[cfg(target_endian = "little")]
-impl SlabElem for u32 {}
-#[cfg(target_endian = "little")]
-impl SlabElem for Vec3 {}
+trait SlabElem: Copy {
+    /// What a slab is filled with before it is read into.
+    #[cfg(target_endian = "little")]
+    const ZERO: Self;
+    /// One element from its `size_of::<Self>()` little-endian wire bytes:
+    /// the portable slab decoder.
+    #[cfg(not(target_endian = "little"))]
+    fn from_wire(bytes: &[u8]) -> Self;
+}
 
-// `wire_bytes` relies on this: 12 bytes is three `f32`s and no padding
+impl SlabElem for u32 {
+    #[cfg(target_endian = "little")]
+    const ZERO: u32 = 0;
+    #[cfg(not(target_endian = "little"))]
+    fn from_wire(bytes: &[u8]) -> u32 {
+        u32::from_le_bytes(bytes.try_into().unwrap())
+    }
+}
+
+impl SlabElem for Vec3 {
+    #[cfg(target_endian = "little")]
+    const ZERO: Vec3 = Vec3::ZERO;
+    #[cfg(not(target_endian = "little"))]
+    fn from_wire(bytes: &[u8]) -> Vec3 {
+        let f = |at: usize| f32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        Vec3::new(f(0), f(4), f(8))
+    }
+}
+
+// `wire_bytes` and `wire_bytes_mut` rely on this: 12 bytes is three `f32`s
+// and no padding
 const _: () = assert!(std::mem::size_of::<Vec3>() == 12);
 
 /// `vals` as its wire bytes, viewed in place: on a little-endian target a
@@ -566,6 +571,64 @@ fn wire_bytes<T: SlabElem>(vals: &[T]) -> &[u8] {
     // has alignment 1. The returned slice borrows `vals`, so nothing can
     // write or free those bytes while it is alive.
     unsafe { std::slice::from_raw_parts(vals.as_ptr().cast::<u8>(), std::mem::size_of_val(vals)) }
+}
+
+/// `vals` as wire bytes to be written, viewed in place: the mutable twin of
+/// [`wire_bytes`]. Whatever bytes are written through the view, each
+/// element then holds the value the portable decoder would read from them.
+#[cfg(target_endian = "little")]
+fn wire_bytes_mut<T: SlabElem>(vals: &mut [T]) -> &mut [u8] {
+    // SAFETY: as in `wire_bytes`, the `size_of_val(vals)` bytes starting at
+    // `vals.as_mut_ptr()` are initialized, free of padding and inside the
+    // one allocation `vals` points into, and `u8` has alignment 1. Every
+    // bit pattern of those bytes is a valid `u32` or three valid `f32`s, so
+    // no write through the view can leave an invalid `T` behind. The view
+    // borrows `vals` mutably, so it is the only access while it is alive.
+    unsafe {
+        std::slice::from_raw_parts_mut(vals.as_mut_ptr().cast::<u8>(), std::mem::size_of_val(vals))
+    }
+}
+
+/// Bytes of a slab zero-filled ahead of the read that overwrites them: a
+/// step small enough to stay in cache from the fill to the read.
+#[cfg(target_endian = "little")]
+const SLAB_STEP_BYTES: usize = 256 << 10;
+
+/// `n` slab elements read off `r` into a fresh vector: straight into the
+/// vector's bytes on a little-endian target ([`wire_bytes_mut`]), through
+/// a byte buffer and the portable decoder on any other. The caller has
+/// bounded `n` by the bytes the frame carries.
+fn read_slab<T: SlabElem>(r: &mut impl Read, n: usize) -> io::Result<Vec<T>> {
+    #[cfg(target_endian = "little")]
+    {
+        // the vector is filled a step at a time, just ahead of the bytes
+        // read into it: memory is committed as the bytes arrive, never
+        // on the counts' say-so alone
+        let step = SLAB_STEP_BYTES / std::mem::size_of::<T>();
+        let mut vals = Vec::with_capacity(n);
+        while vals.len() < n {
+            let at = vals.len();
+            vals.resize(n.min(at + step), T::ZERO);
+            r.read_exact(wire_bytes_mut(&mut vals[at..]))?;
+        }
+        Ok(vals)
+    }
+    #[cfg(not(target_endian = "little"))]
+    {
+        let size = std::mem::size_of::<T>();
+        let mut bytes = vec![0u8; n * size];
+        r.read_exact(&mut bytes)?;
+        Ok(bytes.chunks_exact(size).map(T::from_wire).collect())
+    }
+}
+
+/// Reject an index count that is not a whole number of triangles.
+fn check_triangle_multiple(nidx: usize) -> io::Result<()> {
+    if nidx.is_multiple_of(3) {
+        Ok(())
+    } else {
+        Err(malformed("index count not a triangle multiple"))
+    }
 }
 
 /// Reject an index buffer that points past `nvert` vertices (one max-scan).
@@ -597,20 +660,34 @@ fn body_slabs(mesh: &IndexedMesh) -> [Cow<'_, [u8]>; 2] {
 }
 
 /// Inverse of the mesh body ([`mesh_envelope`]'s counts and
-/// [`body_slabs`]), and the only place a mesh comes off the wire: both
-/// counts are bounded by the unread bytes before anything is allocated,
-/// the two slabs are moved in bulk, and the index buffer is validated
+/// [`body_slabs`]) inside a payload already in hand: both counts are
+/// bounded by the unread bytes before anything is allocated, the two slabs
+/// are moved in bulk by [`read_slab`], and the index buffer is validated
 /// (triangle multiple, every index in range) before the mesh is assembled.
+/// A reply read off a stream skips the payload buffer and reads its slabs
+/// with the same [`read_slab`] ([`read_mesh_in_place`]).
 fn get_mesh_body(rd: &mut Rd) -> io::Result<IndexedMesh> {
     let nvert = rd.len("vertex count", 12)?;
     let nidx = rd.len("index count", 4)?;
-    if nidx % 3 != 0 {
-        return Err(malformed("index count not a triangle multiple"));
-    }
-    let positions = rd.vec3s(nvert)?;
-    let indices = rd.u32s(nidx)?;
+    check_triangle_multiple(nidx)?;
+    let positions = read_slab(&mut rd.take(12 * nvert)?, nvert)?;
+    let indices = read_slab(&mut rd.take(4 * nidx)?, nidx)?;
     check_indices(&indices, nvert)?;
     Ok(IndexedMesh::from_parts(positions, indices))
+}
+
+/// A mesh response from its decoded mesh and the payload fields around it:
+/// `before` holds `cache_hit` and `active_metacells`, `after` the suffix.
+fn mesh_response(before: &mut Rd, mesh: IndexedMesh, after: &mut Rd) -> io::Result<Message> {
+    Ok(Message::MeshResponse {
+        cache_hit: before.u8()? != 0,
+        active_metacells: before.u64()?,
+        served_lod: after.u16()?,
+        degraded: after.u8()? != 0,
+        backend: after.u8()?,
+        trace_id: after.u64()?,
+        mesh,
+    })
 }
 
 /// The fields of a mesh response around its mesh (see
@@ -625,9 +702,12 @@ pub(crate) struct MeshFields {
     pub(crate) trace_id: u64,
 }
 
-/// Bytes of a mesh response frame before its positions: the frame header,
-/// `cache_hit`, `active_metacells` and the vertex and index counts.
-const MESH_HEAD_BYTES: usize = HEADER_BYTES + 1 + 8 + 8 + 8;
+/// Bytes of a mesh response payload before its positions: `cache_hit`,
+/// `active_metacells` and the vertex and index counts.
+const MESH_FIELDS_BYTES: usize = 1 + 8 + 8 + 8;
+/// Bytes of a mesh response frame before its positions: the frame header
+/// and the [`MESH_FIELDS_BYTES`].
+const MESH_HEAD_BYTES: usize = HEADER_BYTES + MESH_FIELDS_BYTES;
 /// Bytes of its payload after the indices: `served_lod`, `degraded`,
 /// `backend` and `trace_id`.
 const MESH_SUFFIX_BYTES: usize = 2 + 1 + 1 + 8;
@@ -654,7 +734,7 @@ fn mesh_envelope(
     mesh: &IndexedMesh,
 ) -> ([u8; MESH_HEAD_BYTES], [u8; MESH_SUFFIX_BYTES]) {
     let body = std::mem::size_of_val(mesh.positions()) + std::mem::size_of_val(mesh.indices());
-    let payload = (MESH_HEAD_BYTES - HEADER_BYTES + body + MESH_SUFFIX_BYTES) as u64;
+    let payload = (MESH_FIELDS_BYTES + body + MESH_SUFFIX_BYTES) as u64;
     let head = packed(&[
         &MAGIC.to_le_bytes(),
         &VERSION.to_le_bytes(),
@@ -680,7 +760,7 @@ fn put_mesh_response(out: &mut Vec<u8>, f: &MeshFields, mesh: &IndexedMesh) {
     let body = body_slabs(mesh);
     // room for the frame's checksum trailer too, so sealing never regrows
     // a mesh-sized buffer
-    out.reserve(MESH_HEAD_BYTES - HEADER_BYTES + body[0].len() + body[1].len() + MESH_TAIL_BYTES);
+    out.reserve(MESH_FIELDS_BYTES + body[0].len() + body[1].len() + MESH_TAIL_BYTES);
     out.extend_from_slice(&head[HEADER_BYTES..]);
     for slab in &body {
         out.extend_from_slice(slab);
@@ -1035,18 +1115,9 @@ pub fn decode_payload(msg_type: u16, payload: &[u8]) -> io::Result<Message> {
             payload: rd.take(payload.len())?.to_vec(),
         },
         MSG_MESH_RESPONSE => {
-            let cache_hit = rd.u8()? != 0;
-            let active_metacells = rd.u64()?;
+            let mut before = Rd::new(rd.take(1 + 8)?);
             let mesh = get_mesh_body(&mut rd)?;
-            Message::MeshResponse {
-                cache_hit,
-                active_metacells,
-                served_lod: rd.u16()?,
-                degraded: rd.u8()? != 0,
-                backend: rd.u8()?,
-                trace_id: rd.u64()?,
-                mesh,
-            }
+            mesh_response(&mut before, mesh, &mut rd)?
         }
         MSG_FRAME_RESPONSE => {
             let cache_hit = rd.u8()? != 0;
@@ -1315,16 +1386,20 @@ fn parse_header(h: &[u8; HEADER_BYTES], max_payload: u64) -> Result<Header, Fram
     })
 }
 
+/// A violation of a frame that was read whole: framing survives.
+fn violation(code: u16, detail: String) -> FrameIn {
+    FrameIn::Violation {
+        code,
+        detail,
+        close: false,
+    }
+}
+
 /// Judge a frame whose payload and trailer are fully in hand. The version
 /// check comes only now, after the frame has been drained, so the
 /// connection stays framed and usable for the error reply; the checksum is
 /// verified before any payload field is interpreted.
 fn decode_body(h: &Header, payload: &[u8], crc: u32) -> FrameIn {
-    let violation = |code, detail| FrameIn::Violation {
-        code,
-        detail,
-        close: false,
-    };
     if h.version != VERSION {
         return violation(
             ERR_UNSUPPORTED_VERSION,
@@ -1347,26 +1422,115 @@ fn decode_body(h: &Header, payload: &[u8], crc: u32) -> FrameIn {
 /// against `min(max_payload, MAX_PAYLOAD)` **before** any payload
 /// allocation, so a reader of small messages (the server reading requests)
 /// never commits memory on a hostile header's say-so.
+///
+/// A v6 mesh response whose two counts fill its length exactly is read in
+/// place ([`read_mesh_in_place`]): no payload buffer, each slab read
+/// straight into the mesh's vectors. Every other frame, a mesh response
+/// whose counts do not fit included, is read whole and judged by
+/// [`decode_body`]; the verdict is the same either way.
 pub fn read_frame_limited(r: &mut impl Read, max_payload: u64) -> io::Result<Option<FrameIn>> {
     let mut header = [0u8; HEADER_BYTES];
     // EOF before any header byte = peer closed between frames
     let mut got = 0;
     while got < HEADER_BYTES {
-        match r.read(&mut header[got..])? {
-            0 if got == 0 => return Ok(None),
-            0 => return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "torn header")),
-            n => got += n,
+        match r.read(&mut header[got..]) {
+            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) => return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "torn header")),
+            Ok(n) => got += n,
+            // a signal is not a failure: retry, as `read_exact` does
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
     let h = match parse_header(&header, max_payload) {
         Ok(h) => h,
         Err(violation) => return Ok(Some(violation)),
     };
+    let mut fields = [0u8; MESH_FIELDS_BYTES];
+    let prefix: &[u8] =
+        if h.version == VERSION && h.msg_type == MSG_MESH_RESPONSE && h.len >= MESH_FIELDS_BYTES {
+            r.read_exact(&mut fields)?;
+            if let Some((nvert, nidx)) = filling_counts(&fields, h.len) {
+                return read_mesh_in_place(r, &fields, nvert, nidx).map(Some);
+            }
+            &fields
+        } else {
+            &[]
+        };
     let mut payload = vec![0u8; h.len];
-    r.read_exact(&mut payload)?;
+    payload[..prefix.len()].copy_from_slice(prefix);
+    r.read_exact(&mut payload[prefix.len()..])?;
     let mut crc = [0u8; 4];
     r.read_exact(&mut crc)?;
     Ok(Some(decode_body(&h, &payload, u32::from_le_bytes(crc))))
+}
+
+/// The vertex and index counts in a mesh response's leading `fields`, if
+/// its two slabs and suffix fill a `len`-byte payload exactly. Checked
+/// arithmetic: no hostile count can wrap around into a match, and a match
+/// sizes the slabs within `len`, which the header check has capped.
+fn filling_counts(fields: &[u8; MESH_FIELDS_BYTES], len: usize) -> Option<(usize, usize)> {
+    let count = |at: usize| u64::from_le_bytes(fields[at..at + 8].try_into().unwrap());
+    // behind `cache_hit` (1 byte) and `active_metacells` (8)
+    let (nvert, nidx) = (count(1 + 8), count(1 + 8 + 8));
+    let total = nvert
+        .checked_mul(12)?
+        .checked_add(nidx.checked_mul(4)?)?
+        .checked_add((MESH_FIELDS_BYTES + MESH_SUFFIX_BYTES) as u64)?;
+    (total == len as u64).then_some((nvert as usize, nidx as usize))
+}
+
+/// A reader that folds every byte it hands out into a running CRC-32.
+struct CrcReader<R> {
+    inner: R,
+    crc: Crc32,
+}
+
+impl<R: Read> Read for CrcReader<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.crc.update(&buf[..n]);
+        Ok(n)
+    }
+}
+
+/// The rest of a v6 mesh response whose counts fill its length, after its
+/// leading `fields`: each slab is read straight into its vector
+/// ([`read_slab`]), the CRC is folded over fields ‖ slabs ‖ suffix as they
+/// arrive, and the frame is judged in [`decode_body`]'s order — checksum,
+/// then triangle multiple, then index range — so the verdict, its code and
+/// its detail are what the buffered path returns for the same bytes.
+fn read_mesh_in_place(
+    r: &mut impl Read,
+    fields: &[u8; MESH_FIELDS_BYTES],
+    nvert: usize,
+    nidx: usize,
+) -> io::Result<FrameIn> {
+    let mut slabs = CrcReader {
+        inner: &mut *r,
+        crc: Crc32::new(),
+    };
+    slabs.crc.update(fields);
+    let positions = read_slab(&mut slabs, nvert)?;
+    let indices = read_slab(&mut slabs, nidx)?;
+    let mut crc = slabs.crc;
+    let mut tail = [0u8; MESH_TAIL_BYTES];
+    r.read_exact(&mut tail)?;
+    let (suffix, trailer) = tail.split_at(MESH_SUFFIX_BYTES);
+    crc.update(suffix);
+    if crc.finish() != u32::from_le_bytes(trailer.try_into().unwrap()) {
+        return Ok(violation(
+            ERR_BAD_CHECKSUM,
+            "payload checksum mismatch".to_string(),
+        ));
+    }
+    let checked = check_triangle_multiple(nidx).and_then(|()| check_indices(&indices, nvert));
+    if let Err(e) = checked {
+        return Ok(violation(ERR_MALFORMED, e.to_string()));
+    }
+    let mesh = IndexedMesh::from_parts(positions, indices);
+    let msg = mesh_response(&mut Rd::new(&fields[..1 + 8]), mesh, &mut Rd::new(suffix))?;
+    Ok(FrameIn::Ok { msg })
 }
 
 /// Read one whole frame off `r` undecoded — header, payload and checksum,
@@ -1821,6 +1985,133 @@ mod tests {
         let mut slab = Vec::new();
         put_vec3s(&mut slab, &positions[5..]);
         assert_eq!(wire_bytes(&positions[5..]), &slab[..]);
+    }
+
+    // the slab reader inverts the slab encoder bit for bit, from a slice
+    // as from a stream that hands out a few bytes per call
+    #[test]
+    fn slab_reader_inverts_the_slab_encoder() {
+        let positions: Vec<Vec3> = (0..1000u32)
+            .map(|i| {
+                let f = |s: u32| f32::from_bits(i.wrapping_mul(0x9E37_79B9).rotate_left(s));
+                Vec3::new(f(0), f(11), f(22))
+            })
+            .collect();
+        let indices: Vec<u32> = (0..3001u32).map(|i| i.wrapping_mul(0x85EB_CA6B)).collect();
+        let bits = |ps: &[Vec3]| -> Vec<[u32; 3]> {
+            ps.iter()
+                .map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
+                .collect()
+        };
+        for n in [0, 1, 7, positions.len()] {
+            let mut slab = Vec::new();
+            put_vec3s(&mut slab, &positions[..n]);
+            let got: Vec<Vec3> = read_slab(&mut &slab[..], n).unwrap();
+            assert_eq!(bits(&got), bits(&positions[..n]), "{n} positions");
+            let got: Vec<Vec3> = read_slab(&mut Stutter::new(&slab, 5, &[]), n).unwrap();
+            assert_eq!(
+                bits(&got),
+                bits(&positions[..n]),
+                "{n} positions, 5 B a read"
+            );
+        }
+        for n in [0, 1, 3, indices.len()] {
+            let mut slab = Vec::new();
+            put_u32s(&mut slab, &indices[..n]);
+            let got: Vec<u32> = read_slab(&mut &slab[..], n).unwrap();
+            assert_eq!(got, &indices[..n], "{n} indices");
+        }
+        // a slab cut short is a torn stream
+        let mut slab = Vec::new();
+        put_u32s(&mut slab, &indices[..4]);
+        let err = read_slab::<u32>(&mut &slab[..15], 4).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A stream that hands out at most `k` bytes per read and fails with
+    /// `Interrupted` once at each offset in `signals`: a read stops short
+    /// of the next signal, and the read after it is interrupted.
+    struct Stutter<'a> {
+        bytes: &'a [u8],
+        at: usize,
+        k: usize,
+        signals: Vec<usize>,
+    }
+
+    impl<'a> Stutter<'a> {
+        fn new(bytes: &'a [u8], k: usize, signals: &[usize]) -> Self {
+            Stutter {
+                bytes,
+                at: 0,
+                k,
+                signals: signals.to_vec(),
+            }
+        }
+    }
+
+    impl Read for Stutter<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if let Some(i) = self.signals.iter().position(|&s| s == self.at) {
+                self.signals.remove(i);
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let next = self.signals.iter().filter(|&&s| s > self.at).min();
+            let n = buf
+                .len()
+                .min(self.k)
+                .min(self.bytes.len() - self.at)
+                .min(next.map_or(usize::MAX, |s| s - self.at));
+            buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    // a signal during a read is retried, never a failed request: before the
+    // first header byte, inside the header, and inside a mesh reply's slabs
+    #[test]
+    fn interrupted_reads_are_retried() {
+        let ping = Message::Ping {
+            payload: b"echo".to_vec(),
+        };
+        let mesh = Message::MeshResponse {
+            cache_hit: true,
+            active_metacells: 3,
+            served_lod: 0,
+            degraded: false,
+            backend: 0,
+            trace_id: 11,
+            mesh: sample_mesh(),
+        };
+        for msg in [ping, mesh] {
+            let frame = encode_frame(&msg);
+            for k in [1, 7, frame.len()] {
+                let signals: Vec<usize> = [0, 5, HEADER_BYTES + 30, frame.len() - 2]
+                    .into_iter()
+                    .filter(|&s| s < frame.len())
+                    .collect();
+                let mut r = Stutter::new(&frame, k, &signals);
+                match read_frame(&mut r).unwrap().unwrap() {
+                    FrameIn::Ok { msg: got } => assert_eq!(got, msg, "{k} B a read"),
+                    FrameIn::Violation { detail, .. } => panic!("{k} B a read: {detail}"),
+                }
+                assert_eq!(r.at, frame.len(), "{k} B a read: frame drained");
+                assert!(r.signals.is_empty(), "{k} B a read: every signal seen");
+            }
+        }
+        // a signal, then the peer's close, is still a clean end of stream
+        let mut r = Stutter::new(&[], 1, &[0]);
+        assert!(read_frame(&mut r).unwrap().is_none());
+        assert!(r.signals.is_empty());
+        // any other error still fails the read
+        struct Broken;
+        impl Read for Broken {
+            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::ConnectionReset.into())
+            }
+        }
+        let err = read_frame(&mut Broken).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
     }
 
     #[test]

@@ -32,6 +32,14 @@ unsafe impl GlobalAlloc for Watching {
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
+    // forwarded, not left to the default (`alloc`, then zero every byte):
+    // `System`'s zeroed memory is committed as it is touched, as in a
+    // program without this gauge
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let _ = LARGEST.try_with(|m| m.set(m.get().max(layout.size())));
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         // SAFETY: `ptr` came from `System.alloc` above with this layout.
         unsafe { System.dealloc(ptr, layout) }
@@ -380,6 +388,229 @@ fn every_truncation_point_is_a_torn_stream_or_need_more_never_a_message() {
             }
         }
     }
+}
+
+// ---- the in-place mesh reader ---------------------------------------------
+
+/// A mesh-response payload whose counts claim `nvert`/`nidx`, carrying the
+/// given slabs whatever their length (reply fields `cache_hit = true,
+/// active_metacells = 7, served_lod = 1, degraded = false, backend = 0,
+/// trace_id = 42`).
+fn mesh_payload(nvert: u64, nidx: u64, positions: &[Vec3], indices: &[u32]) -> Vec<u8> {
+    let mut p = vec![1u8];
+    p.extend_from_slice(&7u64.to_le_bytes());
+    p.extend_from_slice(&nvert.to_le_bytes());
+    p.extend_from_slice(&nidx.to_le_bytes());
+    for v in positions {
+        for c in [v.x, v.y, v.z] {
+            p.extend_from_slice(&c.to_le_bytes());
+        }
+    }
+    for i in indices {
+        p.extend_from_slice(&i.to_le_bytes());
+    }
+    p.extend_from_slice(&1u16.to_le_bytes());
+    p.extend_from_slice(&[0, 0]);
+    p.extend_from_slice(&42u64.to_le_bytes());
+    p
+}
+
+/// `read_frame` reads a v6 mesh reply whose counts fill its length straight
+/// into the mesh's vectors, and every other frame through a payload buffer.
+/// On each frame here, well formed or not, it gives the incremental
+/// decoder's verdict (code, detail, `close`, bytes consumed), and the good
+/// frame written right behind it on the same stream is still read.
+#[test]
+fn the_in_place_mesh_reader_agrees_with_the_buffered_decoder() {
+    let ps = [
+        Vec3::new(0.0, 1.0, -2.5),
+        Vec3::new(-0.0, f32::NAN, 1e-3),
+        Vec3::new(7.0, f32::INFINITY, 9.0),
+    ];
+    let tri = [0, 1, 2, 2, 1, 0];
+    let frame =
+        |version, payload: &[u8]| encode_frame_raw(MAGIC, version, MSG_MESH_RESPONSE, payload);
+    let mut bad_crc = frame(VERSION, &mesh_payload(3, 6, &ps, &tri));
+    *bad_crc.last_mut().unwrap() ^= 0x20;
+    // 12 · (3 + 2^62) wraps to 36 in u64: only checked arithmetic tells it
+    // from the 3 vertices the payload carries
+    let wrapping = 3 + (1u64 << 62);
+    let cases = [
+        (
+            "bad checksum",
+            bad_crc,
+            Some((ERR_BAD_CHECKSUM, "checksum")),
+        ),
+        (
+            "index count not a triangle multiple",
+            frame(VERSION, &mesh_payload(3, 4, &ps, &tri[..4])),
+            Some((ERR_MALFORMED, "triangle multiple")),
+        ),
+        (
+            "index out of range",
+            frame(VERSION, &mesh_payload(3, 3, &ps, &[0, 1, 3])),
+            Some((ERR_MALFORMED, "index out of range")),
+        ),
+        (
+            "counts over-fill the length",
+            frame(VERSION, &mesh_payload(4, 6, &ps, &tri)),
+            Some((ERR_MALFORMED, "index out of range")),
+        ),
+        (
+            "counts under-fill the length",
+            frame(VERSION, &mesh_payload(3, 3, &ps, &tri)),
+            Some((ERR_MALFORMED, "trailing bytes")),
+        ),
+        (
+            "vertex count whose byte size wraps",
+            frame(VERSION, &mesh_payload(wrapping, 6, &ps, &tri)),
+            Some((ERR_MALFORMED, "vertex count")),
+        ),
+        (
+            "version 5",
+            frame(5, &mesh_payload(3, 6, &ps, &tri)),
+            Some((ERR_UNSUPPORTED_VERSION, "only v6")),
+        ),
+        (
+            "empty mesh",
+            frame(VERSION, &mesh_payload(0, 0, &[], &[])),
+            None,
+        ),
+    ];
+    let good_mesh = IndexedMesh::from_parts(ps.to_vec(), tri.to_vec());
+    let good = encode_mesh_response_frame(false, 9, 0, false, 0, 5, &good_mesh, VERSION);
+    for (name, bad, want) in cases {
+        let stream = [&bad[..], &good[..]].concat();
+        let mut cursor = &stream[..];
+        let blocking = read_frame(&mut cursor).unwrap().unwrap();
+        let blocking_consumed = stream.len() - cursor.len();
+        let FrameStep::Frame {
+            frame: incremental,
+            consumed,
+        } = decode_frame_bytes(&stream, MAX_PAYLOAD)
+        else {
+            panic!("{name}: the incremental decoder wants more");
+        };
+        assert_eq!(blocking_consumed, bad.len(), "{name}: blocking reader");
+        assert_eq!(consumed, bad.len(), "{name}: incremental decoder");
+        // a NaN never equals itself, so the two verdicts compare as text
+        assert_eq!(
+            format!("{blocking:?}"),
+            format!("{incremental:?}"),
+            "{name}"
+        );
+        match (blocking, want) {
+            (
+                FrameIn::Violation {
+                    code,
+                    detail,
+                    close,
+                },
+                Some((want, needle)),
+            ) => {
+                assert_eq!((code, close), (want, false), "{name}: {detail}");
+                assert!(detail.contains(needle), "{name}: {detail}");
+            }
+            (FrameIn::Ok { msg }, None) => {
+                let Message::MeshResponse { mesh, trace_id, .. } = msg else {
+                    panic!("{name}: {msg:?}");
+                };
+                assert!(mesh.is_empty() && trace_id == 42, "{name}");
+            }
+            (got, want) => panic!("{name}: got {got:?}, want {want:?}"),
+        }
+        let FrameIn::Ok {
+            msg: Message::MeshResponse { mesh, .. },
+        } = read_frame(&mut cursor).unwrap().unwrap()
+        else {
+            panic!("{name}: the frame behind it was not read");
+        };
+        assert_same_mesh(&mesh, &good_mesh, name);
+        assert!(cursor.is_empty(), "{name}: stream not drained");
+    }
+}
+
+/// A ≈ 2 MB mesh reply comes off a stream with no allocation larger than
+/// its larger slab: each slab is read into its own vector, and no buffer
+/// of the payload's size exists on the way.
+#[test]
+fn a_mesh_reply_is_read_without_a_payload_sized_buffer() {
+    let mut rng = Rng(0x5EED_0009);
+    let nvert = 120_000;
+    let positions: Vec<Vec3> = (0..nvert).map(|_| rng.vec3()).collect();
+    let indices: Vec<u32> = (0..3 * 60_000).map(|_| rng.below(nvert) as u32).collect();
+    let mesh = IndexedMesh::from_parts(positions, indices);
+    let frame = encode_mesh_response_frame(true, 1, 0, false, 0, 3, &mesh, VERSION);
+    assert!(frame.len() > 2_000_000);
+    let (read, largest) = largest_alloc_during(|| read_frame(&mut &frame[..]));
+    let slab = 12 * nvert;
+    assert!(
+        largest <= slab,
+        "allocated {largest} B for a {} B frame whose larger slab is {slab} B",
+        frame.len()
+    );
+    let Some(FrameIn::Ok {
+        msg: Message::MeshResponse { mesh: got, .. },
+    }) = read.unwrap()
+    else {
+        panic!("the reply was not read");
+    };
+    assert_same_mesh(&got, &mesh, "2 MB reply");
+}
+
+/// Resident set size of this process, in bytes (Linux).
+#[cfg(target_os = "linux")]
+fn resident_bytes() -> usize {
+    let statm = std::fs::read_to_string("/proc/self/statm").unwrap();
+    let pages: usize = statm.split_whitespace().nth(1).unwrap().parse().unwrap();
+    pages * 4096
+}
+
+/// A stream that sends `head`, then, on the next read, notes the resident
+/// set size and ends: the peer went away before the slabs it announced.
+#[cfg(target_os = "linux")]
+struct AnnounceThenHangUp<'a> {
+    head: &'a [u8],
+    rss_at_hangup: Option<usize>,
+}
+
+#[cfg(target_os = "linux")]
+impl std::io::Read for AnnounceThenHangUp<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.head.is_empty() {
+            self.rss_at_hangup.get_or_insert_with(resident_bytes);
+            return Ok(0);
+        }
+        std::io::Read::read(&mut self.head, buf)
+    }
+}
+
+/// The counts of a mesh reply size its vectors, but memory is committed
+/// only as the slabs' bytes arrive: a 41-byte head announcing 240 MB of
+/// positions commits a fraction of it before the first slab byte.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_mesh_reply_commits_memory_only_as_its_bytes_arrive() {
+    let nvert = 20_000_000u64;
+    let payload_len = 25 + 12 * nvert + 12;
+    let mut head = Vec::new();
+    head.extend_from_slice(&MAGIC.to_le_bytes());
+    head.extend_from_slice(&VERSION.to_le_bytes());
+    head.extend_from_slice(&MSG_MESH_RESPONSE.to_le_bytes());
+    head.extend_from_slice(&payload_len.to_le_bytes());
+    head.extend_from_slice(&claimed_mesh_payload(nvert, 0, 0));
+    let before = resident_bytes();
+    let mut stream = AnnounceThenHangUp {
+        head: &head,
+        rss_at_hangup: None,
+    };
+    let err = read_frame(&mut stream).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    let grown = stream.rss_at_hangup.unwrap().saturating_sub(before);
+    assert!(
+        grown < 64 << 20,
+        "{grown} B committed for a reply that sent none of its 240 MB"
+    );
 }
 
 // ---- the bytes themselves -------------------------------------------------
