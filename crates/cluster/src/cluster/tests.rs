@@ -10,11 +10,10 @@ use oociso_exio::{DiskFarm, RecordStore};
 use oociso_itree::{persist, CompactIntervalTree};
 use oociso_march::mc::marching_cubes;
 use oociso_march::weld::WeldStats;
-use oociso_march::TriangleSoup;
 use oociso_march::{Backend, BackendScratch, BlockDomain, BlockOutput, IndexedMesh, Vec3};
 use oociso_metacell::{MetacellLayout, MetacellRecord};
 use oociso_obs::Trace;
-use oociso_render::rasterize_soup;
+use oociso_render::rasterize_mesh;
 use oociso_render::{Camera, Framebuffer, TileLayout};
 use oociso_volume::field::{FieldExt, SphereField};
 use oociso_volume::Dims3;
@@ -49,11 +48,11 @@ fn with_workers(n: usize) -> ExtractOptions {
     }
 }
 
-/// The node meshes' triangles, node after node, as one soup.
-fn node_soup(e: &ClusterExtraction) -> TriangleSoup {
-    let mut out = TriangleSoup::new();
+/// The node meshes, node after node, concatenated without a weld.
+fn node_mesh(e: &ClusterExtraction) -> IndexedMesh {
+    let mut out = IndexedMesh::new();
     for m in e.node_meshes() {
-        m.append_to_soup(&mut out);
+        out.merge(m.clone());
     }
     out
 }
@@ -62,7 +61,7 @@ fn node_soup(e: &ClusterExtraction) -> TriangleSoup {
 fn parallel_matches_serial_triangles() {
     let vol = test_volume();
     // ground truth: whole-volume marching cubes
-    let mut truth = TriangleSoup::new();
+    let mut truth = IndexedMesh::new();
     marching_cubes(
         &vol,
         128.0,
@@ -90,9 +89,9 @@ fn parallel_matches_serial_triangles() {
     std::fs::remove_dir_all(&d4).ok();
 }
 
-fn assert_same_triangle_stream(a: &TriangleSoup, b: &TriangleSoup, ctx: &str) {
+fn assert_same_triangle_stream(a: &IndexedMesh, b: &IndexedMesh, ctx: &str) {
     assert_eq!(a.len(), b.len(), "{ctx}: triangle count");
-    for (x, y) in a.triangles().iter().zip(b.triangles()) {
+    for (x, y) in a.triangles().zip(b.triangles()) {
         assert_eq!(x, y, "{ctx}: triangle stream diverged");
     }
 }
@@ -104,8 +103,8 @@ fn worker_count_does_not_change_output() {
     let (c, _) = Cluster::build(&vol, &dir, &opts(1)).unwrap();
     let base = c.extract_with_options(128.0, &with_workers(1)).unwrap();
     assert_eq!(base.report.nodes[0].workers, 1);
-    let base_soup = node_soup(&base);
-    assert!(!base_soup.is_empty());
+    let base_mesh = node_mesh(&base);
+    assert!(!base_mesh.is_empty());
     for workers in [2, 3, 8] {
         // spawns exactly the requested pool
         let e = c
@@ -114,7 +113,7 @@ fn worker_count_does_not_change_output() {
         assert_eq!(e.report.nodes[0].workers, workers, "workers={workers}");
         // per-record parts joined in sequence order → the triangle
         // stream is bit-identical, not just multiset-equal
-        assert_same_triangle_stream(&node_soup(&e), &base_soup, &format!("workers={workers}"));
+        assert_same_triangle_stream(&node_mesh(&e), &base_mesh, &format!("workers={workers}"));
         assert_eq!(e.report.total_triangles(), base.report.total_triangles());
         let n = &e.report.nodes[0];
         assert!(n.peak_queue_bytes > 0);
@@ -134,7 +133,7 @@ fn zero_active_isovalue_reports_zero_workers() {
     let dir = tmpdir("empty_iso");
     let (c, _) = Cluster::build(&vol, &dir, &opts(2)).unwrap();
     let e = c.extract_with_options(250.0, &with_workers(4)).unwrap();
-    assert!(node_soup(&e).is_empty());
+    assert!(node_mesh(&e).is_empty());
     assert_eq!(e.report.total_triangles(), 0);
     assert_eq!(e.report.total_active_metacells(), 0);
     for n in &e.report.nodes {
@@ -319,7 +318,7 @@ fn extraction_matches_reference_kernel_exactly() {
     // cluster path (slab kernel over decoded metacell records) vs the
     // monolithic reference kernel: identical canonical triangle multiset
     let vol = test_volume();
-    let mut truth = TriangleSoup::new();
+    let mut truth = IndexedMesh::new();
     marching_cubes(
         &vol,
         128.0,
@@ -334,11 +333,10 @@ fn extraction_matches_reference_kernel_exactly() {
     // cell corners; those triangles collapse under quantization and the
     // node welds drop them, so the extracted multiset must equal truth
     // minus exactly the collapsed triangles
-    let (kept, collapsed) =
-        oociso_march::split_collapsed(oociso_march::canonical_triangles(&truth));
+    let (kept, collapsed) = oociso_march::split_collapsed(truth.canonical_triangles());
     assert!(collapsed > 0, "iso 128 should collapse corner crossings");
     assert_eq!(e.report.total_weld().degenerate_dropped, collapsed as u64);
-    assert_eq!(kept, oociso_march::canonical_triangles(&node_soup(&e)));
+    assert_eq!(kept, node_mesh(&e).canonical_triangles());
     // per-node meshes really are indexed: shared crossings deduplicated
     for m in e.node_meshes() {
         assert!(m.num_vertices() < 3 * m.len(), "no dedup in node mesh");
@@ -409,7 +407,7 @@ fn streaming_overlaps_retrieval_with_triangulation() {
     let streamed = c.extract_with_options(128.0, &with_workers(1)).unwrap();
 
     // throttling must not change the geometry
-    assert_same_triangle_stream(&node_soup(&streamed), &node_soup(&plain), "throttled");
+    assert_same_triangle_stream(&node_mesh(&streamed), &node_mesh(&plain), "throttled");
 
     let ns = &streamed.report.nodes[0];
     let serial = retrieval + triangulation;
@@ -889,8 +887,8 @@ fn render_composites_all_nodes() {
     let dir = tmpdir("render");
     let (c, _) = Cluster::build(&vol, &dir, &opts(4)).unwrap();
     let e0 = c.extract(128.0).unwrap();
-    let soup = node_soup(&e0);
-    let bounds = soup.bounds();
+    let mesh = node_mesh(&e0);
+    let bounds = mesh.bounds();
     let camera = Camera::orbiting(&bounds, 0.6, 0.5, 2.5);
     let tiles = TileLayout::paper_wall(128, 128);
     let (wall, e) = c
@@ -902,9 +900,9 @@ fn render_composites_all_nodes() {
         assert!(n.rendering > Duration::ZERO);
     }
 
-    // the composited wall must equal rendering the merged soup directly
+    // the composited wall must equal rendering the merged mesh directly
     let mut reference = Framebuffer::new(128, 128);
-    rasterize_soup(&soup, &camera, [0.9, 0.85, 0.6], &mut reference);
+    rasterize_mesh(&mesh, &camera, [0.9, 0.85, 0.6], &mut reference);
     let mut diff = 0usize;
     for y in 0..128 {
         for x in 0..128 {

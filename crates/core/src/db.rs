@@ -15,7 +15,6 @@ pub struct ExtractResult {
     /// Marching Cubes vertices are **welded across metacell and node
     /// seams**, so wherever the isosurface is closed the mesh is watertight
     /// (`oociso_march::topology::analyze_mesh` reports zero boundary edges).
-    /// Call [`IndexedMesh::to_soup`] for an unindexed triangle list.
     pub mesh: IndexedMesh,
     /// Phase timings, I/O counters, per-node rows.
     pub report: QueryReport,

@@ -6,14 +6,14 @@
 //! metric: every vertex accumulates the squared-distance quadric of its
 //! incident face planes, every interior edge is priced at the quadric error
 //! of its optimal merged position, and the cheapest collapses are applied in
-//! **error-ordered passes** until a vertex target or an error bound is
-//! reached.
+//! **error-ordered passes** until a vertex target is reached or the guards
+//! allow no further collapse.
 //!
 //! A pass takes the `alive − target` cheapest priced edges (all of them when
 //! there is no vertex target), sorts them by `(error, a, b)` and walks them
-//! in that order, stopping at the target or at the error bound. It skips an
-//! edge when either endpoint was already an endpoint of a collapse applied in
-//! the same pass. An edge's price depends only on its two endpoints'
+//! in that order, stopping at the target. It skips an edge when either
+//! endpoint was already an endpoint of a collapse applied in the same pass.
+//! An edge's price depends only on its two endpoints'
 //! quadrics and positions, so these endpoint locks keep every price a pass
 //! walks exact, and the guards below read the live mesh. Between passes only
 //! the edges around the vertices the last pass kept are re-priced. A pass
@@ -209,26 +209,6 @@ impl Quadric {
     }
 }
 
-/// Stopping rules for one decimation pass.
-#[derive(Clone, Copy, Debug)]
-pub struct DecimateOptions {
-    /// Stop once the surviving vertex count reaches this target
-    /// (0 = no vertex target).
-    pub target_vertices: usize,
-    /// Reject any collapse whose quadric error exceeds this bound
-    /// (`f64::INFINITY` = no bound).
-    pub max_error: f64,
-}
-
-impl Default for DecimateOptions {
-    fn default() -> Self {
-        DecimateOptions {
-            target_vertices: 0,
-            max_error: f64::INFINITY,
-        }
-    }
-}
-
 /// Counters describing one decimation pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DecimateStats {
@@ -258,8 +238,6 @@ pub struct DecimateStats {
     /// Collapse checks rejected because a surviving face would flip or
     /// collapse.
     pub rejected_flip: u64,
-    /// Passes stopped by [`DecimateOptions::max_error`].
-    pub rejected_error: u64,
     /// Vertices pinned because they lie on a boundary or non-manifold edge
     /// of the input (never collapsed, never moved). Tile seams are not
     /// counted: they are pinned in the parallel phase only.
@@ -267,9 +245,9 @@ pub struct DecimateStats {
     /// Largest quadric error of any applied collapse (a squared world-space
     /// distance; `sqrt` of it is the pass's world-error gauge).
     pub max_error: f64,
-    /// True when the pass stopped at [`DecimateOptions::target_vertices`];
-    /// false when the finishing phase ran out of collapses first (every
-    /// priced edge rejected by a guard or the error bound).
+    /// True when the pass stopped at its vertex target; false when the
+    /// finishing phase ran out of collapses first (every priced edge
+    /// rejected by a guard).
     pub reached_target: bool,
 }
 
@@ -362,7 +340,6 @@ struct Decimator {
     pass: u32,
     alive_vertices: usize,
     stats: DecimateStats,
-    opts: DecimateOptions,
     scratch: Scratch,
 }
 
@@ -442,7 +419,6 @@ impl Decimator {
         faces: Vec<[u32; 3]>,
         quadrics: Vec<Quadric>,
         seam: &[bool],
-        opts: DecimateOptions,
     ) -> Decimator {
         let nv = positions.len();
         let mut corners = vec![0u32; nv];
@@ -468,7 +444,6 @@ impl Decimator {
             alive,
             vertex_faces,
             vec![false; nv],
-            opts,
         );
         // each edge is counted and priced once, at its lower endpoint
         let edges = dec.pin_edges(0..nv as u32, true, |_, _| true);
@@ -489,7 +464,6 @@ impl Decimator {
         alive: Vec<bool>,
         vertex_faces: Vec<Vec<u32>>,
         pinned: Vec<bool>,
-        opts: DecimateOptions,
     ) -> Decimator {
         let nv = positions.len();
         let alive_vertices = vertex_faces.iter().filter(|l| !l.is_empty()).count();
@@ -505,7 +479,6 @@ impl Decimator {
             pass: 0,
             alive_vertices,
             stats: DecimateStats::default(),
-            opts,
             scratch: Scratch::new(nv),
         }
     }
@@ -721,8 +694,8 @@ impl Decimator {
     }
 
     /// Collapse in error-ordered passes (see the module docs) until `target`
-    /// alive vertices remain (0 = no target), the error bound stops
-    /// progress, or no priced edge is legal any more.
+    /// alive vertices remain (0 = no target) or no priced edge is legal any
+    /// more.
     fn simplify(&mut self, target: usize) {
         let mut window = 1;
         let mut kept: Vec<u32> = Vec::new();
@@ -745,10 +718,10 @@ impl Decimator {
                 self.priced.select_nth_unstable_by(k - 1, by_cost);
             }
             self.priced[..k].sort_unstable_by(by_cost);
-            let error_stop = self.walk(k, target, &mut kept);
+            self.walk(k, target, &mut kept);
             if kept.is_empty() {
-                if error_stop || k == len {
-                    return; // no priced edge is both legal and within the bound
+                if k == len {
+                    return; // no priced edge is legal
                 }
                 window *= 4;
                 continue;
@@ -760,9 +733,8 @@ impl Decimator {
 
     /// One pass over the `k` cheapest priced edges, sorted at the front of
     /// `priced`: apply every legal one whose endpoints are unlocked, until
-    /// `target` or the error bound. The kept vertex of each applied
-    /// collapse lands in `kept`. Returns whether the error bound stopped it.
-    fn walk(&mut self, k: usize, target: usize, kept: &mut Vec<u32>) -> bool {
+    /// `target`. The kept vertex of each applied collapse lands in `kept`.
+    fn walk(&mut self, k: usize, target: usize, kept: &mut Vec<u32>) {
         self.pass += 1;
         self.stats.passes += 1;
         kept.clear();
@@ -771,11 +743,6 @@ impl Decimator {
                 break;
             }
             let c = self.priced[i];
-            if c.error > self.opts.max_error {
-                // sorted: every later edge in this pass costs at least as much
-                self.stats.rejected_error += 1;
-                return true;
-            }
             let (a, b) = (c.a as usize, c.b as usize);
             if self.touched[a] == self.pass || self.touched[b] == self.pass {
                 continue;
@@ -797,7 +764,6 @@ impl Decimator {
             self.stats.collapses += 1;
             self.stats.max_error = self.stats.max_error.max(c.error);
         }
-        false
     }
 
     /// After a pass: drop every priced edge touching a vertex the pass
@@ -960,16 +926,17 @@ struct TileOut {
     stats: DecimateStats,
 }
 
-/// Decimate tile `t`'s interior down to `SLACK × ratio` of it, its seam
-/// vertices pinned, and hand its state over in global ids. `local` is an
-/// all-`u32::MAX` global→local scratch map, left that way on return.
+/// Decimate tile `t`'s interior down to `SLACK × ratio` of it (as far as
+/// the guards allow when `target_vertices` is 0), its seam vertices pinned,
+/// and hand its state over in global ids. `local` is an all-`u32::MAX`
+/// global→local scratch map, left that way on return.
 fn decimate_tile(
     positions: &[Vec3],
     faces: &[[u32; 3]],
     tiling: &Tiling,
     t: usize,
     ratio: f64,
-    opts: &DecimateOptions,
+    target_vertices: usize,
     local: &mut [u32],
 ) -> TileOut {
     let mut vertices: Vec<u32> = Vec::new();
@@ -1000,12 +967,12 @@ fn decimate_tile(
         .collect();
     let tile_positions: Vec<Vec3> = vertices.iter().map(|&g| positions[g as usize]).collect();
     let quadrics = plane_quadrics(&tile_positions, &tile_faces);
-    let mut dec = Decimator::new(tile_positions, tile_faces, quadrics, &seam, *opts);
+    let mut dec = Decimator::new(tile_positions, tile_faces, quadrics, &seam);
     // the ratio applies to the vertices the tile may collapse: seam and
     // boundary vertices all survive, and charging them to the budget would
     // drive a boundary-heavy tile far deeper than the finishing phase would
     let fixed = dec.pinned.iter().filter(|&&p| p).count();
-    let target = match opts.target_vertices {
+    let target = match target_vertices {
         0 => 0,
         _ => fixed + ((vertices.len() - fixed) as f64 * ratio * SLACK).ceil() as usize,
     };
@@ -1111,7 +1078,6 @@ impl Merge<'_> {
             stats.passes += out.stats.passes;
             stats.rejected_link += out.stats.rejected_link;
             stats.rejected_flip += out.stats.rejected_flip;
-            stats.rejected_error += out.stats.rejected_error;
             stats.max_error = stats.max_error.max(out.stats.max_error);
             self.next += 1;
         }
@@ -1136,7 +1102,7 @@ impl Merge<'_> {
 fn tile_phase(
     mesh: &IndexedMesh,
     ratio: f64,
-    opts: &DecimateOptions,
+    target_vertices: usize,
     tiles: usize,
     threads: usize,
 ) -> (Decimator, DecimateStats) {
@@ -1162,7 +1128,15 @@ fn tile_phase(
     let next = AtomicUsize::new(0);
     let claim = || Some(next.fetch_add(1, AtomicOrdering::Relaxed)).filter(|&t| t < tiles);
     let decimate = |t: usize, local: &mut [u32]| {
-        decimate_tile(mesh.positions(), input, &tiling, t, ratio, opts, local)
+        decimate_tile(
+            mesh.positions(),
+            input,
+            &tiling,
+            t,
+            ratio,
+            target_vertices,
+            local,
+        )
     };
     std::thread::scope(|s| {
         let (finished, done) = std::sync::mpsc::channel();
@@ -1202,15 +1176,7 @@ fn tile_phase(
         stats,
         ..
     } = merge;
-    let mut dec = Decimator::from_parts(
-        positions,
-        quadrics,
-        faces,
-        alive,
-        vertex_faces,
-        pinned,
-        *opts,
-    );
+    let mut dec = Decimator::from_parts(positions, quadrics, faces, alive, vertex_faces, pinned);
     dec.priced = priced;
     let owner = &tiling.owner;
     let seams = (0..nv as u32).filter(|&v| owner[v as usize] == SEAM);
@@ -1220,24 +1186,24 @@ fn tile_phase(
     (dec, stats)
 }
 
-/// Decimate `mesh` under `opts`: tile interiors in parallel, then the
-/// global finishing phase (see the module docs). Deterministic: equal meshes
-/// (and options) always yield byte-identical outputs, whatever the
-/// thread count.
-pub fn decimate(mesh: &IndexedMesh, opts: &DecimateOptions) -> (IndexedMesh, DecimateStats) {
+/// Decimate `mesh` until `target_vertices` vertices survive (0: as far as
+/// the guards allow): tile interiors in parallel, then the global finishing
+/// phase (see the module docs). Deterministic: equal meshes (and targets)
+/// always yield byte-identical outputs, whatever the thread count.
+pub fn decimate(mesh: &IndexedMesh, target_vertices: usize) -> (IndexedMesh, DecimateStats) {
     if mesh.is_empty() {
         return (
             IndexedMesh::new(),
             DecimateStats {
                 input_vertices: mesh.num_vertices() as u64,
-                reached_target: opts.target_vertices >= mesh.num_vertices(),
+                reached_target: target_vertices >= mesh.num_vertices(),
                 ..Default::default()
             },
         );
     }
     let tiles = (mesh.len() / MIN_TILE_FACES).clamp(1, TILES);
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    decimate_tiled(mesh, opts, tiles, threads)
+    decimate_tiled(mesh, target_vertices, tiles, threads)
 }
 
 /// The finishing phase's starting state: the carried tile state when the
@@ -1245,20 +1211,20 @@ pub fn decimate(mesh: &IndexedMesh, opts: &DecimateOptions) -> (IndexedMesh, Dec
 /// counters.
 fn finish_state(
     mesh: &IndexedMesh,
-    opts: &DecimateOptions,
+    target_vertices: usize,
     tiles: usize,
     threads: usize,
 ) -> (Decimator, DecimateStats) {
-    let ratio = opts.target_vertices as f64 / mesh.num_vertices() as f64;
+    let ratio = target_vertices as f64 / mesh.num_vertices() as f64;
     // a target within SLACK of the input leaves the tiles nothing to do
     if tiles > 1 && ratio * SLACK < 1.0 {
-        return tile_phase(mesh, ratio, opts, tiles, threads);
+        return tile_phase(mesh, ratio, target_vertices, tiles, threads);
     }
     let positions = mesh.positions().to_vec();
     let faces = mesh.indices().as_chunks::<3>().0.to_vec();
     let quadrics = plane_quadrics(&positions, &faces);
     (
-        Decimator::new(positions, faces, quadrics, &[], *opts),
+        Decimator::new(positions, faces, quadrics, &[]),
         DecimateStats {
             tiles: 1,
             ..Default::default()
@@ -1270,12 +1236,12 @@ fn finish_state(
 /// output; `threads` only how fast it comes.
 fn decimate_tiled(
     mesh: &IndexedMesh,
-    opts: &DecimateOptions,
+    target_vertices: usize,
     tiles: usize,
     threads: usize,
 ) -> (IndexedMesh, DecimateStats) {
-    let (mut dec, tiled) = finish_state(mesh, opts, tiles, threads);
-    dec.simplify(opts.target_vertices);
+    let (mut dec, tiled) = finish_state(mesh, target_vertices, tiles, threads);
+    dec.simplify(target_vertices);
     let (out, finish) = dec.into_mesh();
     let stats = DecimateStats {
         input_vertices: mesh.num_vertices() as u64,
@@ -1286,7 +1252,6 @@ fn decimate_tiled(
         passes: tiled.passes + finish.passes,
         rejected_link: tiled.rejected_link + finish.rejected_link,
         rejected_flip: tiled.rejected_flip + finish.rejected_flip,
-        rejected_error: tiled.rejected_error + finish.rejected_error,
         max_error: tiled.max_error.max(finish.max_error),
         ..finish
     };
@@ -1297,26 +1262,7 @@ fn decimate_tiled(
 /// `[0, 1]`; guards may stop earlier — see [`DecimateStats::reached_target`]).
 pub fn decimate_to_ratio(mesh: &IndexedMesh, ratio: f64) -> (IndexedMesh, DecimateStats) {
     let ratio = ratio.clamp(0.0, 1.0);
-    let target = (mesh.num_vertices() as f64 * ratio).ceil() as usize;
-    decimate(
-        mesh,
-        &DecimateOptions {
-            target_vertices: target,
-            max_error: f64::INFINITY,
-        },
-    )
-}
-
-/// Decimate as far as possible without any collapse exceeding `max_error`
-/// (a squared world-space distance).
-pub fn decimate_to_error(mesh: &IndexedMesh, max_error: f64) -> (IndexedMesh, DecimateStats) {
-    decimate(
-        mesh,
-        &DecimateOptions {
-            target_vertices: 0,
-            max_error,
-        },
-    )
+    decimate(mesh, (mesh.num_vertices() as f64 * ratio).ceil() as usize)
 }
 
 /// One level of a LOD pyramid.
@@ -1398,13 +1344,7 @@ impl LodChain {
                 .last()
                 .map_or((full, 0.0), |l| (&l.mesh, l.cumulative_error));
             let t = std::time::Instant::now();
-            let (mesh, stats) = decimate(
-                prev_mesh,
-                &DecimateOptions {
-                    target_vertices: (base_vertices as f64 * ratio).ceil() as usize,
-                    max_error: f64::INFINITY,
-                },
-            );
+            let (mesh, stats) = decimate(prev_mesh, (base_vertices as f64 * ratio).ceil() as usize);
             observe(i + 1, t.elapsed(), &stats);
             levels.push(LodLevel {
                 target_ratio: ratio,
@@ -1553,20 +1493,6 @@ mod tests {
     }
 
     #[test]
-    fn error_bound_mode_respects_the_bound() {
-        let mesh = sphere_mesh(16);
-        let (out, stats) = decimate_to_error(&mesh, 1e-4);
-        assert!(stats.max_error <= 1e-4, "{stats:?}");
-        assert!(out.num_vertices() < mesh.num_vertices());
-        assert!(topo(&out).is_closed_manifold());
-        // zero budget: nothing may collapse
-        let (same, zstats) = decimate_to_error(&mesh, 0.0);
-        // (collapses of error exactly 0.0 are allowed — coplanar regions)
-        assert!(zstats.max_error <= 0.0);
-        assert!(same.num_vertices() <= mesh.num_vertices());
-    }
-
-    #[test]
     fn empty_and_tiny_meshes_are_handled() {
         let (out, stats) = decimate_to_ratio(&IndexedMesh::new(), 0.1);
         assert!(out.is_empty());
@@ -1670,13 +1596,6 @@ mod tests {
         mesh.welded().0
     }
 
-    fn to_target(target: usize) -> DecimateOptions {
-        DecimateOptions {
-            target_vertices: target,
-            max_error: f64::INFINITY,
-        }
-    }
-
     /// Distance from `p` to triangle `(a, b, c)` (Ericson's closest point).
     fn dist_point_tri(p: Vec3, [a, b, c]: [Vec3; 3]) -> f32 {
         let (ab, ac, ap) = (b - a, c - a, p - a);
@@ -1755,18 +1674,18 @@ mod tests {
     #[test]
     fn tiled_output_is_identical_for_any_thread_count() {
         let mesh = zoo_mesh(2, 128.5);
-        let opts = to_target((mesh.num_vertices() as f64 * 0.25).ceil() as usize);
+        let target = (mesh.num_vertices() as f64 * 0.25).ceil() as usize;
         let tiles = (mesh.len() / MIN_TILE_FACES).clamp(1, TILES);
-        let (one, one_stats) = decimate_tiled(&mesh, &opts, tiles, 1);
+        let (one, one_stats) = decimate_tiled(&mesh, target, tiles, 1);
         assert!(one_stats.tiles >= 2, "{one_stats:?}");
         assert!(0 < one_stats.finish_collapses && one_stats.finish_collapses < one_stats.collapses);
         for threads in [2, 3, 8] {
-            let (out, stats) = decimate_tiled(&mesh, &opts, tiles, threads);
+            let (out, stats) = decimate_tiled(&mesh, target, tiles, threads);
             assert_eq!(out, one, "threads={threads}: decimated bytes differ");
             assert_eq!(stats, one_stats, "threads={threads}");
         }
         // the public entry takes the host's thread count and nothing else
-        assert_eq!(decimate(&mesh, &opts), (one, one_stats));
+        assert_eq!(decimate(&mesh, target), (one, one_stats));
     }
 
     /// Two wavy 64 × 64 grid sheets, 20 apart, each with its centre pulled
@@ -1848,10 +1767,10 @@ mod tests {
         for (name, mesh) in &meshes {
             for ratio in [0.25, 0.06] {
                 let ctx = format!("{name} ratio {ratio}");
-                let opts = to_target((mesh.num_vertices() as f64 * ratio).ceil() as usize);
+                let target = (mesh.num_vertices() as f64 * ratio).ceil() as usize;
                 let tiles = (mesh.len() / MIN_TILE_FACES).clamp(1, TILES);
                 assert!(tiles >= 2, "{ctx}: {tiles} tile");
-                let (carried, tiled) = finish_state(mesh, &opts, tiles, 2);
+                let (carried, tiled) = finish_state(mesh, target, tiles, 2);
                 assert!(tiled.collapses > 0, "{ctx}");
                 // the merged mesh with its dead faces dropped, input order kept
                 let mut rank = vec![u32::MAX; carried.faces.len()];
@@ -1891,7 +1810,6 @@ mod tests {
                     faces,
                     carried.quadrics.clone(),
                     &[],
-                    opts,
                 );
                 assert_eq!(carried.pinned, pins, "{ctx}: pins");
                 let mut edges: Vec<(u32, u32)> =
@@ -1941,7 +1859,7 @@ mod tests {
             for ratio in [0.25f64, 0.06] {
                 let ctx = format!("field {field} iso {iso_step}.5 ratio {ratio}");
                 let target = (base.num_vertices() as f64 * ratio).ceil() as usize;
-                let (out, stats) = decimate_tiled(&input, &to_target(target), TILES, 2);
+                let (out, stats) = decimate_tiled(&input, target, TILES, 2);
                 prop_assert!(stats.tiles >= 2, "{ctx}: {stats:?}");
 
                 // topology: closed manifolds stay so, χ and boundary kept
@@ -1973,7 +1891,7 @@ mod tests {
                 // of the diagonal means the budget tore the mesh apart (the
                 // open fields near their pinned floor at 6 %): the last
                 // forced collapse is then arbitrary, not a quality measure.
-                let (_, single) = decimate_tiled(&input, &to_target(target), 1, 1);
+                let (_, single) = decimate_tiled(&input, target, 1, 1);
                 if single.reached_target && single.world_error() < 0.05 * diag {
                     prop_assert!(
                         stats.world_error() <= 1.10 * single.world_error(),

@@ -1,14 +1,13 @@
 //! Indexed triangle meshes: shared vertices + `u32` triangle indices.
 //!
-//! A [`crate::TriangleSoup`] stores 3 full [`Vec3`]s (36 bytes) per triangle
-//! and interpolates every shared edge crossing up to 4 times. An
-//! [`IndexedMesh`] stores each crossing **once** (isosurface meshes average
-//! ≈ 0.5 vertices per triangle, so ~18 bytes/triangle) and is what the
-//! slab-sliding kernel ([`crate::mc::marching_cubes_indexed`]) emits.
-//! [`IndexedMesh::to_soup`] is the thin conversion kept for existing
-//! soup-consuming callers.
+//! An [`IndexedMesh`] stores each edge crossing **once** (isosurface meshes
+//! average ≈ 0.5 vertices per triangle, so ~18 bytes/triangle) and is what
+//! the slab-sliding kernel ([`crate::mc::marching_cubes_indexed`]) emits. It
+//! is the one mesh type of the workspace: the reference kernels append to it
+//! too, three fresh vertices per triangle, so [`IndexedMesh::triangles`]
+//! replays their triangle stream exactly.
 
-use crate::mesh::{weld_key, Aabb, CanonVertex, Triangle, TriangleSoup, Vec3};
+use crate::mesh::{weld_key, Aabb, CanonVertex, Triangle, Vec3};
 use crate::weld::{MeshWelder, WeldStats};
 
 /// A triangle mesh with deduplicated vertices.
@@ -101,6 +100,16 @@ impl IndexedMesh {
         self.indices.extend_from_slice(&[a, b, c]);
     }
 
+    /// Append `t` with three fresh vertices of its own, shared with no
+    /// other triangle — how the reference kernels emit, so the mesh's
+    /// [`IndexedMesh::triangles`] is their stream, unwelded.
+    #[inline]
+    pub(crate) fn push_fresh_triangle(&mut self, t: Triangle) {
+        let a = self.positions.len() as u32;
+        self.positions.extend_from_slice(&t.v);
+        self.indices.extend_from_slice(&[a, a + 1, a + 2]);
+    }
+
     /// Materialize triangle `i`.
     #[inline]
     pub fn triangle(&self, i: usize) -> Triangle {
@@ -170,10 +179,11 @@ impl IndexedMesh {
         (out, stats)
     }
 
-    /// Canonical triangle multiset of this mesh — same quantization and
-    /// ordering rule as [`crate::mesh::canonical_triangles`], without
-    /// materializing a soup. Two meshes describe the same surface iff their
-    /// canonical multisets are equal.
+    /// Canonical triangle multiset of this mesh: each triangle's vertices
+    /// quantized by [`crate::mesh::weld_key`] and sorted, then the triangle
+    /// list sorted. Two meshes describe the same surface iff their canonical
+    /// multisets are equal — the comparator behind every kernel-equivalence
+    /// test in the workspace.
     pub fn canonical_triangles(&self) -> Vec<[CanonVertex; 3]> {
         let keys: Vec<CanonVertex> = self.positions.iter().map(|&p| weld_key(p)).collect();
         let mut out: Vec<[CanonVertex; 3]> = self
@@ -250,25 +260,9 @@ impl IndexedMesh {
         })
     }
 
-    /// Append every triangle to `soup` (exact soup the reference kernel
-    /// would have produced, when the mesh came from the slab kernel).
-    pub fn append_to_soup(&self, soup: &mut TriangleSoup) {
-        soup.reserve(self.len());
-        for t in self.triangles() {
-            soup.push(t);
-        }
-    }
-
-    /// Convert to an unindexed soup.
-    pub fn to_soup(&self) -> TriangleSoup {
-        let mut soup = TriangleSoup::with_capacity(self.len());
-        self.append_to_soup(&mut soup);
-        soup
-    }
-
-    /// Export as a Wavefront OBJ file with **welded** vertices — unlike
-    /// [`TriangleSoup::write_obj`], the file is ~3× smaller and viewers see
-    /// true shared-vertex connectivity.
+    /// Export as a Wavefront OBJ file: one `v` line per vertex, one `f` line
+    /// per triangle, so a welded mesh's file shows viewers its shared-vertex
+    /// connectivity.
     pub fn write_obj(&self, path: &std::path::Path) -> std::io::Result<()> {
         use std::io::Write;
         if let Some(parent) = path.parent() {
@@ -312,10 +306,9 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert_eq!(m.num_vertices(), 4);
         assert!((m.area() - 1.0).abs() < 1e-6);
-        let soup = m.to_soup();
-        assert_eq!(soup.len(), 2);
-        assert!((soup.area() - 1.0).abs() < 1e-6);
-        assert_eq!(soup.triangles()[0].v[1], Vec3::new(1.0, 0.0, 0.0));
+        let tris: Vec<Triangle> = m.triangles().collect();
+        assert_eq!(tris.len(), 2);
+        assert_eq!(tris[0].v[1], Vec3::new(1.0, 0.0, 0.0));
         let b = m.bounds();
         assert_eq!(b.lo, Vec3::ZERO);
         assert_eq!(b.hi, Vec3::new(1.0, 1.0, 0.0));

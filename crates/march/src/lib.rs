@@ -17,10 +17,12 @@
 //!   simpler, unambiguous variant used as a cross-check and in the extraction
 //!   ablation.
 //! * [`mesh`] — minimal triangle/vector types shared with the renderer.
-//! * [`indexed`] — shared-vertex [`IndexedMesh`] output plus the slab-sliding
-//!   kernel [`mc::marching_cubes_indexed`] that emits it: the production hot
-//!   path (each sample classified once, each crossing interpolated once),
-//!   equivalence-tested against the reference [`mc::marching_cubes`].
+//! * [`indexed`] — [`IndexedMesh`], the one mesh type every kernel appends
+//!   to. The slab-sliding kernel [`mc::marching_cubes_indexed`] is the
+//!   production hot path (each sample classified once, each crossing
+//!   interpolated once, vertices shared), equivalence-tested against the
+//!   reference [`mc::marching_cubes`], which gives every triangle fresh
+//!   vertices.
 //! * [`weld`] — the deterministic hash join ([`MeshWelder`]) that fuses
 //!   duplicated seam vertices when independently extracted sub-meshes
 //!   (metacells, cluster nodes) merge, making the result watertight;
@@ -53,16 +55,13 @@ pub use backend::{
     pack_cell, unpack_cell, Backend, BackendScratch, BlockDomain, BlockOutput, ExtractionBackend,
     SeamQuad,
 };
-pub use decimate::{
-    decimate, decimate_to_error, decimate_to_ratio, DecimateOptions, DecimateStats, LodChain,
-    LodLevel, Quadric,
-};
+pub use decimate::{decimate, decimate_to_ratio, DecimateStats, LodChain, LodLevel, Quadric};
 pub use indexed::IndexedMesh;
 pub use mc::{count_active_cells, marching_cubes, marching_cubes_indexed, McStats, SlabScratch};
-pub use mesh::{canonical_triangles, split_collapsed, Aabb, Triangle, TriangleSoup, Vec3};
+pub use mesh::{split_collapsed, Aabb, Triangle, Vec3};
 pub use mt::{march_tet, marching_tetrahedra};
 pub use surface_nets::{
     smooth_surface_nets, stitch_seams, surface_nets, SnScratch, SN_SMOOTH_PASSES,
 };
-pub use topology::{analyze, analyze_mesh, analyze_mesh_connectivity, TopologyReport};
+pub use topology::{analyze_mesh, analyze_mesh_connectivity, TopologyReport};
 pub use weld::{MeshWelder, WeldStats};

@@ -4,9 +4,9 @@
 //! edge-crossing interpolation:
 //!
 //! * [`marching_cubes`] — the straightforward reference kernel: per-cell
-//!   bounds-checked corner gathers, every crossing re-interpolated, output an
-//!   unindexed [`TriangleSoup`]. Retained as the equivalence oracle and
-//!   baseline.
+//!   bounds-checked corner gathers, every crossing re-interpolated, each
+//!   triangle appended with three fresh (unshared) vertices. Retained as the
+//!   equivalence oracle and baseline.
 //! * [`marching_cubes_indexed`] — the slab-sliding production kernel: walks
 //!   z-slabs over raw row slices, classifies every sample **once** into
 //!   per-row sign bitmasks (the pre-pass that also skips inactive rows and,
@@ -18,7 +18,7 @@
 //! triangle multisets over the synthetic field zoo.
 
 use crate::indexed::IndexedMesh;
-use crate::mesh::{same_weld_key, Triangle, TriangleSoup, Vec3};
+use crate::mesh::{same_weld_key, Triangle, Vec3};
 use crate::tables::{tables, EdgeAxis, CORNERS, EDGES, EDGE_CANON};
 use oociso_volume::{Dims3, ScalarValue, Volume};
 
@@ -42,7 +42,9 @@ impl McStats {
     }
 }
 
-/// Extract the isosurface of `vol` at `iso` into `soup`.
+/// Extract the isosurface of `vol` at `iso`, appending each triangle to
+/// `mesh` with three fresh vertices of its own (no vertex is shared, so
+/// [`IndexedMesh::triangles`] is the kernel's exact triangle stream).
 ///
 /// `origin` is the world position of vertex `(0,0,0)` and `scale` the world
 /// extent of one cell per axis — a metacell passes its own vertex-box corner
@@ -50,14 +52,14 @@ impl McStats {
 ///
 /// Vertices on shared cell edges are interpolated in a canonical corner order
 /// (lexicographic grid position), so adjacent cells — and adjacent metacells —
-/// produce bit-identical positions: the soup is watertight wherever the
-/// isosurface does not exit the sampled region.
+/// produce bit-identical positions: the surface is watertight (once welded)
+/// wherever the isosurface does not exit the sampled region.
 pub fn marching_cubes<S: ScalarValue>(
     vol: &Volume<S>,
     iso: f32,
     origin: Vec3,
     scale: Vec3,
-    soup: &mut TriangleSoup,
+    mesh: &mut IndexedMesh,
 ) -> McStats {
     let dims = vol.dims();
     let mut stats = McStats::default();
@@ -91,7 +93,7 @@ pub fn marching_cubes<S: ScalarValue>(
                         let tri = Triangle {
                             v: [v0, edge_points[w[0] as usize], edge_points[w[1] as usize]],
                         };
-                        soup.push(tri);
+                        mesh.push_fresh_triangle(tri);
                         stats.triangles += 1;
                     }
                 }
@@ -587,12 +589,12 @@ mod tests {
     use oociso_volume::Dims3;
     use std::collections::HashMap;
 
-    fn sphere_soup(n: usize, radius: f32) -> (TriangleSoup, McStats) {
+    fn sphere_mesh(n: usize, radius: f32) -> (IndexedMesh, McStats) {
         let f = SphereField::centered(radius, 128.0);
         let vol: Volume<f32> = f.sample(Dims3::cube(n));
-        let mut soup = TriangleSoup::new();
-        let stats = marching_cubes(&vol, 128.0, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut soup);
-        (soup, stats)
+        let mut mesh = IndexedMesh::new();
+        let stats = marching_cubes(&vol, 128.0, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut mesh);
+        (mesh, stats)
     }
 
     type VKey = (i64, i64, i64);
@@ -609,12 +611,12 @@ mod tests {
 
     #[test]
     fn sphere_surface_is_closed() {
-        let (soup, stats) = sphere_soup(24, 0.3);
+        let (mesh, stats) = sphere_mesh(24, 0.3);
         assert!(stats.triangles > 100);
-        assert_eq!(stats.triangles as usize, soup.len());
+        assert_eq!(stats.triangles as usize, mesh.len());
         // every undirected edge must be shared by exactly two triangles
         let mut edge_count: HashMap<(VKey, VKey), u32> = HashMap::new();
-        for t in soup.triangles() {
+        for t in mesh.triangles() {
             for i in 0..3 {
                 let a = key(t.v[i]);
                 let b = key(t.v[(i + 1) % 3]);
@@ -632,10 +634,10 @@ mod tests {
         // radius 0.3 of the unit cube sampled on a 48³ grid: world radius in
         // grid units is 0.3 * 47
         let n = 48;
-        let (soup, _) = sphere_soup(n, 0.3);
+        let (mesh, _) = sphere_mesh(n, 0.3);
         let r = 0.3 * (n as f32 - 1.0);
         let analytic = 4.0 * std::f32::consts::PI * r * r;
-        let measured = soup.area() as f32;
+        let measured = mesh.area() as f32;
         let rel = (measured - analytic).abs() / analytic;
         assert!(
             rel < 0.05,
@@ -645,10 +647,10 @@ mod tests {
 
     #[test]
     fn euler_characteristic_of_sphere() {
-        let (soup, _) = sphere_soup(20, 0.28);
+        let (mesh, _) = sphere_mesh(20, 0.28);
         let mut verts = std::collections::HashSet::new();
         let mut edges = std::collections::HashSet::new();
-        for t in soup.triangles() {
+        for t in mesh.triangles() {
             for i in 0..3 {
                 verts.insert(key(t.v[i]));
                 let a = key(t.v[i]);
@@ -658,7 +660,7 @@ mod tests {
         }
         let v = verts.len() as i64;
         let e = edges.len() as i64;
-        let f = soup.len() as i64;
+        let f = mesh.len() as i64;
         assert_eq!(v - e + f, 2, "V={v} E={e} F={f}");
     }
 
@@ -666,16 +668,16 @@ mod tests {
     fn normals_point_toward_higher_values() {
         // SphereField: higher inside. Inside is ≥ iso; normals must point
         // inward (toward the center).
-        let (soup, _) = sphere_soup(24, 0.3);
+        let (mesh, _) = sphere_mesh(24, 0.3);
         let center = Vec3::new(11.5, 11.5, 11.5);
         let mut agree = 0usize;
-        for t in soup.triangles() {
+        for t in mesh.triangles() {
             let to_high = center - t.centroid();
             if t.normal().dot(to_high) > 0.0 {
                 agree += 1;
             }
         }
-        let frac = agree as f64 / soup.len() as f64;
+        let frac = agree as f64 / mesh.len() as f64;
         assert!(frac > 0.99, "only {frac:.3} of normals point to high side");
     }
 
@@ -686,7 +688,7 @@ mod tests {
         let f = SphereField::centered(0.35, 100.0);
         let dims = Dims3::new(17, 17, 17);
         let vol: Volume<u8> = f.sample(dims);
-        let mut whole = TriangleSoup::new();
+        let mut whole = IndexedMesh::new();
         marching_cubes(
             &vol,
             100.0,
@@ -696,7 +698,7 @@ mod tests {
         );
 
         let layout = oociso_metacell::MetacellLayout::new(dims, 9);
-        let mut parts = TriangleSoup::new();
+        let mut parts = IndexedMesh::new();
         for id in layout.ids() {
             let ((x0, y0, z0), (x1, y1, z1)) = layout.vertex_box(id);
             let sub = vol.extract_box((x0, y0, z0), (x1, y1, z1));
@@ -709,15 +711,15 @@ mod tests {
             );
         }
         assert_eq!(whole.len(), parts.len());
-        assert_eq!(canon(&whole), canon(&parts));
+        assert_eq!(whole.canonical_triangles(), parts.canonical_triangles());
     }
 
     #[test]
     fn count_matches_generation() {
         let f = SphereField::centered(0.3, 128.0);
         let vol: Volume<u8> = f.sample(Dims3::cube(16));
-        let mut soup = TriangleSoup::new();
-        let stats = marching_cubes(&vol, 128.0, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut soup);
+        let mut mesh = IndexedMesh::new();
+        let stats = marching_cubes(&vol, 128.0, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut mesh);
         assert_eq!(stats.active_cells, count_active_cells(&vol, 128.0));
         assert_eq!(stats.cells_visited, 15 * 15 * 15);
     }
@@ -725,19 +727,17 @@ mod tests {
     #[test]
     fn flat_field_yields_nothing() {
         let vol = Volume::<u8>::filled(Dims3::cube(8), 10);
-        let mut soup = TriangleSoup::new();
-        let stats = marching_cubes(&vol, 128.0, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut soup);
+        let mut mesh = IndexedMesh::new();
+        let stats = marching_cubes(&vol, 128.0, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut mesh);
         assert_eq!(stats.triangles, 0);
         assert_eq!(stats.active_cells, 0);
-        assert!(soup.is_empty());
+        assert!(mesh.is_empty());
     }
-
-    use crate::mesh::canonical_triangles as canon;
 
     fn assert_slab_equals_reference<S: ScalarValue>(vol: &Volume<S>, iso: f32) {
         let origin = Vec3::new(3.0, -2.0, 5.0);
         let scale = Vec3::new(1.0, 1.0, 1.0);
-        let mut reference = TriangleSoup::new();
+        let mut reference = IndexedMesh::new();
         let ref_stats = marching_cubes(vol, iso, origin, scale, &mut reference);
         let mut mesh = IndexedMesh::new();
         let mut scratch = SlabScratch::new();
@@ -751,7 +751,7 @@ mod tests {
             &mut scratch,
         );
         assert_eq!(ref_stats, slab_stats);
-        assert_eq!(canon(&reference), canon(&mesh.to_soup()));
+        assert_eq!(reference.canonical_triangles(), mesh.canonical_triangles());
     }
 
     #[test]
@@ -808,7 +808,7 @@ mod tests {
             let vol: Volume<u8> = f.sample(Dims3::cube(n));
             let origin = Vec3::ZERO;
             let scale = Vec3::new(1.0, 1.0, 1.0);
-            let mut reference = TriangleSoup::new();
+            let mut reference = IndexedMesh::new();
             marching_cubes(&vol, 128.0, origin, scale, &mut reference);
             let mut mesh = IndexedMesh::new();
             marching_cubes_indexed(
@@ -820,18 +820,22 @@ mod tests {
                 &mut Vec::new(),
                 &mut scratch,
             );
-            assert_eq!(canon(&reference), canon(&mesh.to_soup()), "n={n}");
+            assert_eq!(
+                reference.canonical_triangles(),
+                mesh.canonical_triangles(),
+                "n={n}"
+            );
         }
     }
 
     #[test]
     fn slab_kernel_appends_across_metacells() {
         // per-metacell extraction appending into ONE mesh must equal the
-        // monolithic reference soup, exactly like the soup-based test above
+        // monolithic reference mesh, exactly like the mesh-based test above
         let f = SphereField::centered(0.35, 100.0);
         let dims = Dims3::new(17, 17, 17);
         let vol: Volume<u8> = f.sample(dims);
-        let mut whole = TriangleSoup::new();
+        let mut whole = IndexedMesh::new();
         marching_cubes(
             &vol,
             100.0,
@@ -856,7 +860,7 @@ mod tests {
                 &mut scratch,
             );
         }
-        assert_eq!(canon(&whole), canon(&mesh.to_soup()));
+        assert_eq!(whole.canonical_triangles(), mesh.canonical_triangles());
     }
 
     #[test]
@@ -881,12 +885,8 @@ mod tests {
 
     #[test]
     fn no_degenerate_triangles_on_generic_field() {
-        let (soup, _) = sphere_soup(16, 0.31);
-        let degenerate = soup
-            .triangles()
-            .iter()
-            .filter(|t| t.is_degenerate())
-            .count();
+        let (mesh, _) = sphere_mesh(16, 0.31);
+        let degenerate = mesh.triangles().filter(|t| t.is_degenerate()).count();
         // sphere positioned off-lattice: no crossings exactly at corners
         assert_eq!(degenerate, 0);
     }

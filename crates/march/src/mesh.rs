@@ -170,104 +170,6 @@ impl Aabb {
     }
 }
 
-/// A bag of triangles (positions only; normals derived per face).
-#[derive(Clone, Debug, Default)]
-pub struct TriangleSoup {
-    tris: Vec<Triangle>,
-}
-
-impl TriangleSoup {
-    /// Empty soup.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Preallocate.
-    pub fn with_capacity(n: usize) -> Self {
-        TriangleSoup {
-            tris: Vec::with_capacity(n),
-        }
-    }
-
-    /// Append one triangle.
-    #[inline]
-    pub fn push(&mut self, t: Triangle) {
-        self.tris.push(t);
-    }
-
-    /// Number of triangles.
-    pub fn len(&self) -> usize {
-        self.tris.len()
-    }
-
-    /// Whether the soup holds no triangles.
-    pub fn is_empty(&self) -> bool {
-        self.tris.is_empty()
-    }
-
-    /// Triangle slice.
-    pub fn triangles(&self) -> &[Triangle] {
-        &self.tris
-    }
-
-    /// Total surface area.
-    pub fn area(&self) -> f64 {
-        self.tris.iter().map(|t| t.area() as f64).sum()
-    }
-
-    /// Bounding box of all vertices.
-    pub fn bounds(&self) -> Aabb {
-        let mut b = Aabb::empty();
-        for t in &self.tris {
-            for &v in &t.v {
-                b.grow(v);
-            }
-        }
-        b
-    }
-
-    /// Reserve room for `n` more triangles.
-    pub fn reserve(&mut self, n: usize) {
-        self.tris.reserve(n);
-    }
-
-    /// Absorb another soup.
-    pub fn append(&mut self, mut other: TriangleSoup) {
-        self.tris.append(&mut other.tris);
-    }
-
-    /// Copy all of `other`'s triangles in, without consuming it — lets
-    /// callers merge many soups with one up-front [`TriangleSoup::reserve`]
-    /// instead of cloning each part first.
-    pub fn extend_from(&mut self, other: &TriangleSoup) {
-        self.tris.extend_from_slice(&other.tris);
-    }
-}
-
-impl TriangleSoup {
-    /// Export as a Wavefront OBJ file (positions only, per-face normals are
-    /// implicit). Vertices are written per triangle without welding — simple
-    /// and loss-free; viewers handle it fine for meshes of this size.
-    pub fn write_obj(&self, path: &std::path::Path) -> std::io::Result<()> {
-        use std::io::Write;
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-        writeln!(out, "# oociso isosurface: {} triangles", self.len())?;
-        for t in &self.tris {
-            for v in &t.v {
-                writeln!(out, "v {} {} {}", v.x, v.y, v.z)?;
-            }
-        }
-        for i in 0..self.tris.len() {
-            let b = 3 * i + 1;
-            writeln!(out, "f {} {} {}", b, b + 1, b + 2)?;
-        }
-        out.flush()
-    }
-}
-
 /// Quantized vertex key used by [`weld_key`]: 2^20 steps per unit, exact for
 /// grid-scale isosurface coordinates.
 pub type CanonVertex = (i64, i64, i64);
@@ -275,9 +177,10 @@ pub type CanonVertex = (i64, i64, i64);
 /// Quantization factor behind [`weld_key`] (2^20 per unit).
 const WELD_SCALE: f32 = 1_048_576.0;
 
-/// The workspace's single vertex quantization rule: used by topology welding
-/// ([`crate::topology::analyze`]) and by [`canonical_triangles`], so "same
-/// welded vertex" and "same canonical triangle" can never diverge.
+/// The workspace's single vertex quantization rule: used by welding
+/// ([`crate::weld::MeshWelder`]), by topology analysis and by
+/// [`crate::IndexedMesh::canonical_triangles`], so "same welded vertex" and
+/// "same canonical triangle" can never diverge.
 #[inline]
 pub fn weld_key(v: Vec3) -> CanonVertex {
     (
@@ -298,24 +201,6 @@ pub(crate) fn same_weld_key(a: Vec3, b: Vec3) -> bool {
     d.dot(d) < 4.0 && weld_key(a) == weld_key(b)
 }
 
-/// Canonical triangle multiset of a soup: each triangle's vertices quantized
-/// and sorted, then the triangle list sorted. Two extractions produce the
-/// same surface iff their canonical multisets are equal — this is the
-/// comparator behind every kernel-equivalence test in the workspace.
-pub fn canonical_triangles(soup: &TriangleSoup) -> Vec<[CanonVertex; 3]> {
-    let mut out: Vec<[CanonVertex; 3]> = soup
-        .triangles()
-        .iter()
-        .map(|t| {
-            let mut ks = [weld_key(t.v[0]), weld_key(t.v[1]), weld_key(t.v[2])];
-            ks.sort_unstable();
-            ks
-        })
-        .collect();
-    out.sort_unstable();
-    out
-}
-
 /// Partition a canonical multiset into `(kept, collapsed)`: `collapsed`
 /// counts the triangles whose quantized corners are not all distinct (keys
 /// are sorted, so duplicates are adjacent). This is, by construction, the
@@ -332,17 +217,10 @@ pub fn split_collapsed(canon: Vec<[CanonVertex; 3]>) -> (Vec<[CanonVertex; 3]>, 
     (kept, collapsed)
 }
 
-impl FromIterator<Triangle> for TriangleSoup {
-    fn from_iter<I: IntoIterator<Item = Triangle>>(iter: I) -> Self {
-        TriangleSoup {
-            tris: iter.into_iter().collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IndexedMesh;
 
     #[test]
     fn vector_algebra() {
@@ -403,9 +281,9 @@ mod tests {
 
     #[test]
     fn soup_accounting() {
-        let mut s = TriangleSoup::new();
+        let mut s = IndexedMesh::new();
         assert!(s.is_empty());
-        s.push(Triangle {
+        s.push_fresh_triangle(Triangle {
             v: [
                 Vec3::ZERO,
                 Vec3::new(2.0, 0.0, 0.0),
@@ -417,24 +295,24 @@ mod tests {
         let b = s.bounds();
         assert_eq!(b.lo, Vec3::ZERO);
         assert_eq!(b.hi, Vec3::new(2.0, 2.0, 0.0));
-        let mut s2 = TriangleSoup::new();
-        s2.extend_from(&s); // borrow-based merge: s stays usable
-        s2.append(s);
+        let mut s2 = IndexedMesh::new();
+        s2.merge(s.clone()); // s stays usable
+        s2.merge(s);
         assert_eq!(s2.len(), 2);
-        assert_eq!(s2.triangles()[0], s2.triangles()[1]);
+        assert_eq!(s2.triangle(0), s2.triangle(1));
     }
 
     #[test]
     fn obj_export_well_formed() {
-        let mut s = TriangleSoup::new();
-        s.push(Triangle {
+        let mut s = IndexedMesh::new();
+        s.push_fresh_triangle(Triangle {
             v: [
                 Vec3::ZERO,
                 Vec3::new(1.0, 0.0, 0.0),
                 Vec3::new(0.0, 1.0, 0.0),
             ],
         });
-        s.push(Triangle {
+        s.push_fresh_triangle(Triangle {
             v: [
                 Vec3::new(1.0, 0.0, 0.0),
                 Vec3::new(1.0, 1.0, 0.0),

@@ -8,7 +8,8 @@
 //! resulting mesh is watertight. MT emits more, smaller triangles than MC —
 //! quantified by the extraction ablation bench.
 
-use crate::mesh::{Triangle, TriangleSoup, Vec3};
+use crate::indexed::IndexedMesh;
+use crate::mesh::{Triangle, Vec3};
 use crate::tables::CORNERS;
 use oociso_volume::{ScalarValue, Volume};
 
@@ -24,13 +25,14 @@ const TETS: [[usize; 4]; 6] = [
 ];
 
 /// Extract the isosurface with marching tetrahedra; same conventions as
-/// [`crate::marching_cubes`] (normals point toward the `≥ iso` side).
+/// [`crate::marching_cubes`] (normals point toward the `≥ iso` side, three
+/// fresh vertices per triangle appended to `mesh`).
 pub fn marching_tetrahedra<S: ScalarValue>(
     vol: &Volume<S>,
     iso: f32,
     origin: Vec3,
     scale: Vec3,
-    soup: &mut TriangleSoup,
+    mesh: &mut IndexedMesh,
 ) -> u64 {
     let dims = vol.dims();
     let mut triangles = 0u64;
@@ -63,7 +65,7 @@ pub fn marching_tetrahedra<S: ScalarValue>(
                         [pos[tet[0]], pos[tet[1]], pos[tet[2]], pos[tet[3]]],
                         [vals[tet[0]], vals[tet[1]], vals[tet[2]], vals[tet[3]]],
                         iso,
-                        soup,
+                        mesh,
                     );
                 }
             }
@@ -91,14 +93,15 @@ fn interp(pa: Vec3, va: f32, pb: Vec3, vb: f32, iso: f32) -> Vec3 {
     pa + (pb - pa) * t
 }
 
-/// Emit 0–2 triangles for one explicit tetrahedron; returns the count.
+/// Append 0–2 triangles for one explicit tetrahedron to `mesh`, three fresh
+/// vertices each; returns the count.
 ///
 /// This is the primitive beneath both the structured marching-tetrahedra
 /// pass and the unstructured-mesh extraction ([`crate::unstructured`]).
 /// Crossing points are canonicalized by position, so tets sharing a face —
 /// within one mesh or across cluster boundaries — produce bit-identical
 /// vertices.
-pub fn march_tet(p: [Vec3; 4], v: [f32; 4], iso: f32, soup: &mut TriangleSoup) -> u64 {
+pub fn march_tet(p: [Vec3; 4], v: [f32; 4], iso: f32, mesh: &mut IndexedMesh) -> u64 {
     let mut inside: u8 = 0;
     for (i, &vi) in v.iter().enumerate() {
         if vi < iso {
@@ -118,7 +121,7 @@ pub fn march_tet(p: [Vec3; 4], v: [f32; 4], iso: f32, soup: &mut TriangleSoup) -
         if tri.raw_normal().dot(away) < 0.0 {
             tri.v.swap(1, 2);
         }
-        soup.push(tri);
+        mesh.push_fresh_triangle(tri);
         1
     };
 
@@ -174,11 +177,11 @@ mod tests {
     fn sphere_watertight_under_mt() {
         let f = SphereField::centered(0.3, 128.0);
         let vol: Volume<f32> = f.sample(Dims3::cube(20));
-        let mut soup = TriangleSoup::new();
-        marching_tetrahedra(&vol, 128.0, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut soup);
-        assert!(soup.len() > 100);
+        let mut mesh = IndexedMesh::new();
+        marching_tetrahedra(&vol, 128.0, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut mesh);
+        assert!(mesh.len() > 100);
         let mut edge_count: HashMap<_, u32> = HashMap::new();
-        for t in soup.triangles() {
+        for t in mesh.triangles() {
             if t.is_degenerate() {
                 continue; // MT can emit zero-area slivers at exact crossings
             }
@@ -197,26 +200,26 @@ mod tests {
     fn mt_area_matches_mc_area() {
         let f = SphereField::centered(0.32, 100.0);
         let vol: Volume<f32> = f.sample(Dims3::cube(24));
-        let mut mc_soup = TriangleSoup::new();
+        let mut mc_mesh = IndexedMesh::new();
         marching_cubes(
             &vol,
             100.0,
             Vec3::ZERO,
             Vec3::new(1.0, 1.0, 1.0),
-            &mut mc_soup,
+            &mut mc_mesh,
         );
-        let mut mt_soup = TriangleSoup::new();
+        let mut mt_mesh = IndexedMesh::new();
         marching_tetrahedra(
             &vol,
             100.0,
             Vec3::ZERO,
             Vec3::new(1.0, 1.0, 1.0),
-            &mut mt_soup,
+            &mut mt_mesh,
         );
-        let rel = (mc_soup.area() - mt_soup.area()).abs() / mc_soup.area();
-        assert!(rel < 0.03, "MC {} vs MT {}", mc_soup.area(), mt_soup.area());
+        let rel = (mc_mesh.area() - mt_mesh.area()).abs() / mc_mesh.area();
+        assert!(rel < 0.03, "MC {} vs MT {}", mc_mesh.area(), mt_mesh.area());
         // MT refines: more triangles for the same surface
-        assert!(mt_soup.len() > mc_soup.len());
+        assert!(mt_mesh.len() > mc_mesh.len());
     }
 
     #[test]
@@ -224,8 +227,8 @@ mod tests {
         let f = SphereField::centered(0.3, 128.0);
         let n = 20;
         let vol: Volume<f32> = f.sample(Dims3::cube(n));
-        let mut soup = TriangleSoup::new();
-        marching_tetrahedra(&vol, 128.0, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut soup);
+        let mut mesh = IndexedMesh::new();
+        marching_tetrahedra(&vol, 128.0, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut mesh);
         let center = Vec3::new(
             (n - 1) as f32 / 2.0,
             (n - 1) as f32 / 2.0,
@@ -233,7 +236,7 @@ mod tests {
         );
         let mut agree = 0usize;
         let mut total = 0usize;
-        for t in soup.triangles() {
+        for t in mesh.triangles() {
             if t.is_degenerate() {
                 continue;
             }
@@ -251,8 +254,8 @@ mod tests {
     #[test]
     fn constant_volume_emits_nothing() {
         let vol = Volume::<u8>::filled(Dims3::cube(6), 3);
-        let mut soup = TriangleSoup::new();
-        let n = marching_tetrahedra(&vol, 100.0, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut soup);
+        let mut mesh = IndexedMesh::new();
+        let n = marching_tetrahedra(&vol, 100.0, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut mesh);
         assert_eq!(n, 0);
     }
 }

@@ -531,8 +531,8 @@ mod tests {
             // quads around the same crossing edges, and every vertex is
             // computed from the same samples at the same world transform
             assert_eq!(
-                crate::mesh::canonical_triangles(&mesh.to_soup()),
-                crate::mesh::canonical_triangles(&whole.to_soup()),
+                mesh.canonical_triangles(),
+                whole.canonical_triangles(),
                 "k={k} dims={dims:?}"
             );
 

@@ -1,16 +1,16 @@
 //! Mesh topology analysis: welding, components, Euler characteristic.
 //!
 //! Tools a downstream user needs to *verify* an extracted isosurface: weld
-//! the triangle soup into an indexed mesh, count connected components,
+//! its vertices by quantized position, count connected components,
 //! classify boundary vs interior edges, and compute the Euler characteristic
 //! (2 per sphere-like closed component). The test suites use these to check
 //! whole-pipeline watertightness.
 
 use crate::indexed::IndexedMesh;
-use crate::mesh::{weld_key, TriangleSoup};
+use crate::mesh::weld_key;
 use std::collections::HashMap;
 
-/// Summary topology report for a triangle soup.
+/// Summary topology report for a triangle mesh.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TopologyReport {
     /// Welded (position-unique) vertices.
@@ -74,35 +74,6 @@ impl UnionFind {
     }
 }
 
-/// Analyze a triangle soup: weld vertices, count edges/faces/components.
-/// Degenerate (zero-area) triangles are ignored.
-pub fn analyze(soup: &TriangleSoup) -> TopologyReport {
-    let mut vert_id: HashMap<(i64, i64, i64), u32> = HashMap::new();
-    let mut edge_count: HashMap<(u32, u32), u32> = HashMap::new();
-    let mut faces = 0usize;
-    let mut tri_ids: Vec<[u32; 3]> = Vec::new();
-    for t in soup.triangles() {
-        if t.is_degenerate() {
-            continue;
-        }
-        faces += 1;
-        let mut ids = [0u32; 3];
-        for (k, &v) in t.v.iter().enumerate() {
-            let next = vert_id.len() as u32;
-            ids[k] = *vert_id.entry(weld_key(v)).or_insert(next);
-        }
-        for i in 0..3 {
-            let (a, b) = (ids[i], ids[(i + 1) % 3]);
-            let e = if a < b { (a, b) } else { (b, a) };
-            if a != b {
-                *edge_count.entry(e).or_insert(0) += 1;
-            }
-        }
-        tri_ids.push(ids);
-    }
-    finish_report(vert_id.len(), &edge_count, faces, &tri_ids)
-}
-
 /// Shared core of the two mesh analyzers: walk non-degenerate triangles,
 /// map each corner to a dense id through `resolve` (which assigns ids
 /// lazily, so vertices that are unreferenced — or referenced only by
@@ -139,10 +110,11 @@ fn analyze_mesh_resolved(
     finish_report(num_ids as usize, &edge_count, faces, &tri_ids)
 }
 
-/// [`analyze`] for an [`IndexedMesh`] — identical report (same [`weld_key`]
-/// rule, same degenerate-triangle handling), but welding hashes each shared
-/// position once instead of every triangle corner, so no 3×-larger soup ever
-/// has to be materialized.
+/// Analyze a mesh as a surface: weld its vertices by [`weld_key`], then
+/// count edges, faces and components. Degenerate (zero-area) triangles are
+/// ignored. Each stored position is hashed once, so the report is the same
+/// however the mesh shares its vertices — a welded mesh and its unwelded
+/// triangle stream read alike.
 pub fn analyze_mesh(mesh: &IndexedMesh) -> TopologyReport {
     let keys: Vec<(i64, i64, i64)> = mesh.positions().iter().map(|&p| weld_key(p)).collect();
     let mut pos_id: Vec<u32> = vec![u32::MAX; keys.len()];
@@ -209,17 +181,17 @@ mod tests {
     use oociso_volume::field::{AnalyticField, FieldExt, SphereField, TorusField};
     use oociso_volume::{Dims3, Volume};
 
-    fn extract(f: &impl AnalyticField, level: f32, n: usize) -> TriangleSoup {
+    fn extract(f: &impl AnalyticField, level: f32, n: usize) -> IndexedMesh {
         let vol: Volume<f32> = f.sample(Dims3::cube(n));
-        let mut soup = TriangleSoup::new();
-        marching_cubes(&vol, level, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut soup);
-        soup
+        let mut mesh = IndexedMesh::new();
+        marching_cubes(&vol, level, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut mesh);
+        mesh
     }
 
     #[test]
     fn sphere_topology() {
-        let soup = extract(&SphereField::centered(0.3, 128.0), 128.0, 24);
-        let r = analyze(&soup);
+        let mesh = extract(&SphereField::centered(0.3, 128.0), 128.0, 24);
+        let r = analyze_mesh(&mesh);
         assert!(r.is_closed());
         assert_eq!(r.components, 1);
         assert_eq!(r.euler_characteristic(), 2, "{r:?}");
@@ -233,8 +205,8 @@ mod tests {
             level: 128.0,
             slope: 400.0,
         };
-        let soup = extract(&f, 128.0, 40);
-        let r = analyze(&soup);
+        let mesh = extract(&f, 128.0, 40);
+        let r = analyze_mesh(&mesh);
         assert!(r.is_closed());
         assert_eq!(r.components, 1);
         assert_eq!(r.euler_characteristic(), 0, "genus-1: {r:?}");
@@ -257,8 +229,8 @@ mod tests {
             };
             a.eval(x, y, z).max(b.eval(x, y, z))
         };
-        let soup = extract(&f, 128.0, 32);
-        let r = analyze(&soup);
+        let mesh = extract(&f, 128.0, 32);
+        let r = analyze_mesh(&mesh);
         assert_eq!(r.components, 2, "{r:?}");
         assert!(r.is_closed());
         assert_eq!(r.euler_characteristic(), 4, "two spheres: {r:?}");
@@ -268,8 +240,8 @@ mod tests {
     fn open_surface_has_boundary() {
         // a plane through the volume exits at the sides: boundary edges > 0
         let f = |_x: f32, _y: f32, z: f32| z * 255.0;
-        let soup = extract(&f, 128.0, 12);
-        let r = analyze(&soup);
+        let mesh = extract(&f, 128.0, 12);
+        let r = analyze_mesh(&mesh);
         assert!(!r.is_closed());
         assert!(r.boundary_edges > 0);
         assert_eq!(r.components, 1);
@@ -277,18 +249,18 @@ mod tests {
 
     #[test]
     fn degenerate_triangles_ignored() {
-        let mut soup = TriangleSoup::new();
-        soup.push(Triangle {
+        let mut mesh = IndexedMesh::new();
+        mesh.push_fresh_triangle(Triangle {
             v: [Vec3::ZERO, Vec3::ZERO, Vec3::new(1.0, 0.0, 0.0)],
         });
-        let r = analyze(&soup);
+        let r = analyze_mesh(&mesh);
         assert_eq!(r.faces, 0);
         assert_eq!(r.vertices, 0);
     }
 
     #[test]
     fn empty_soup() {
-        let r = analyze(&TriangleSoup::new());
+        let r = analyze_mesh(&IndexedMesh::new());
         assert_eq!(r.vertices, 0);
         assert_eq!(r.components, 0);
         assert!(r.is_closed());
@@ -304,6 +276,13 @@ mod tests {
             level: 128.0,
             slope: 400.0,
         };
+        // the oracle's unwelded stream, its welded copy and the slab
+        // kernel's shared-vertex mesh are one surface
+        let unwelded = extract(&f, 128.0, 28);
+        assert!(!unwelded.is_empty());
+        let r = analyze_mesh(&unwelded);
+        assert_eq!(r, analyze_mesh(&unwelded.welded().0));
+        assert!(r.is_closed_manifold(), "{r:?}");
         let vol: Volume<f32> = f.sample(Dims3::cube(28));
         let mut mesh = IndexedMesh::new();
         let mut scratch = SlabScratch::new();
@@ -316,8 +295,7 @@ mod tests {
             &mut Vec::new(),
             &mut scratch,
         );
-        assert!(!mesh.is_empty());
-        assert_eq!(analyze_mesh(&mesh), analyze(&mesh.to_soup()));
+        assert_eq!(analyze_mesh(&mesh), r);
     }
 
     #[test]
@@ -345,7 +323,6 @@ mod tests {
         assert_eq!(r.boundary_edges, 4, "only the quad outline is boundary");
         assert_eq!(r.non_manifold_edges, 0);
         assert!(!r.is_closed());
-        assert_eq!(r, analyze(&quad.to_soup()));
 
         // raw index connectivity sees what welding has not yet repaired: two
         // disconnected triangles, the seam edge duplicated into two boundary
@@ -386,7 +363,7 @@ mod tests {
     #[test]
     fn analyze_mesh_welds_across_merge_seams() {
         // two copies of the same quad merged without re-welding: analyze_mesh
-        // must fuse the duplicated positions like soup welding does
+        // must fuse the duplicated positions as a re-weld does
         let mut a = IndexedMesh::new();
         let v0 = a.push_vertex(Vec3::ZERO);
         let v1 = a.push_vertex(Vec3::new(1.0, 0.0, 0.0));
@@ -398,6 +375,6 @@ mod tests {
         let r = analyze_mesh(&a);
         assert_eq!(r.vertices, 3);
         assert_eq!(r.faces, 2);
-        assert_eq!(r, analyze(&a.to_soup()));
+        assert_eq!(r, analyze_mesh(&a.welded().0));
     }
 }

@@ -7,12 +7,14 @@
 //! metacells, and this module triangulates whatever clusters a query
 //! retrieves.
 
-use crate::mesh::{TriangleSoup, Vec3};
+use crate::indexed::IndexedMesh;
+use crate::mesh::Vec3;
 use crate::mt::march_tet;
 use oociso_volume::tetmesh::{TetCluster, TetMesh};
 
-/// Triangulate one cluster at `iso`; returns the triangle count.
-pub fn extract_cluster(cluster: &TetCluster, iso: f32, soup: &mut TriangleSoup) -> u64 {
+/// Triangulate one cluster at `iso` into `out` (unwelded, as
+/// [`march_tet`] emits); returns the triangle count.
+pub fn extract_cluster(cluster: &TetCluster, iso: f32, out: &mut IndexedMesh) -> u64 {
     let mut triangles = 0;
     for tet in &cluster.tets {
         let mut p = [Vec3::ZERO; 4];
@@ -22,14 +24,14 @@ pub fn extract_cluster(cluster: &TetCluster, iso: f32, soup: &mut TriangleSoup) 
             p[k] = Vec3::new(vert.pos[0], vert.pos[1], vert.pos[2]);
             v[k] = vert.value;
         }
-        triangles += march_tet(p, v, iso, soup);
+        triangles += march_tet(p, v, iso, out);
     }
     triangles
 }
 
 /// Reference path: triangulate a whole mesh directly (no clustering/index) —
 /// the oracle the indexed pipeline is validated against.
-pub fn extract_mesh(mesh: &TetMesh, iso: f32, soup: &mut TriangleSoup) -> u64 {
+pub fn extract_mesh(mesh: &TetMesh, iso: f32, out: &mut IndexedMesh) -> u64 {
     let mut triangles = 0;
     for i in 0..mesh.num_tets() {
         let tet = mesh.tet(i);
@@ -40,7 +42,7 @@ pub fn extract_mesh(mesh: &TetMesh, iso: f32, soup: &mut TriangleSoup) -> u64 {
             p[k] = Vec3::new(vert.pos[0], vert.pos[1], vert.pos[2]);
             v[k] = vert.value;
         }
-        triangles += march_tet(p, v, iso, soup);
+        triangles += march_tet(p, v, iso, out);
     }
     triangles
 }
@@ -68,9 +70,9 @@ mod tests {
     #[test]
     fn clustered_extraction_equals_whole_mesh() {
         let mesh = sphere_mesh();
-        let mut whole = TriangleSoup::new();
+        let mut whole = IndexedMesh::new();
         let n_whole = extract_mesh(&mesh, 100.0, &mut whole);
-        let mut parts = TriangleSoup::new();
+        let mut parts = IndexedMesh::new();
         let mut n_parts = 0;
         for c in mesh.clusters(48) {
             n_parts += extract_cluster(&c, 100.0, &mut parts);
@@ -84,8 +86,8 @@ mod tests {
     #[test]
     fn culling_constant_clusters_loses_nothing() {
         let mesh = sphere_mesh();
-        let mut all = TriangleSoup::new();
-        let mut kept = TriangleSoup::new();
+        let mut all = IndexedMesh::new();
+        let mut kept = IndexedMesh::new();
         let mut culled = 0;
         for c in mesh.clusters(24) {
             extract_cluster(&c, 100.0, &mut all);
@@ -105,7 +107,7 @@ mod tests {
         for iso in [60.0f32, 100.0, 140.0] {
             let key = iso.key_for_test();
             for c in mesh.clusters(24) {
-                let mut s = TriangleSoup::new();
+                let mut s = IndexedMesh::new();
                 let produced = extract_cluster(&c, iso, &mut s) > 0;
                 if produced {
                     let (lo, hi) = c.value_interval().unwrap();

@@ -2,7 +2,7 @@
 //! random single-cell volumes, plus complementarity and edge-incidence
 //! invariants on random multi-cell fields.
 
-use oociso_march::{marching_cubes, marching_tetrahedra, TriangleSoup, Vec3};
+use oociso_march::{marching_cubes, marching_tetrahedra, IndexedMesh, Vec3};
 use oociso_volume::{Dims3, Volume};
 use proptest::prelude::*;
 
@@ -33,9 +33,9 @@ proptest! {
     fn single_cell_triangles_lie_on_cube_edges(values in any::<[u8; 8]>(), iso in 1u32..255) {
         let iso = iso as f32 - 0.5; // avoid exact vertex hits
         let vol = single_cell(values);
-        let mut soup = TriangleSoup::new();
-        marching_cubes(&vol, iso, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut soup);
-        for t in soup.triangles() {
+        let mut mesh = IndexedMesh::new();
+        marching_cubes(&vol, iso, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut mesh);
+        for t in mesh.triangles() {
             for v in &t.v {
                 // every vertex lies on a cube edge: two coordinates integral
                 let frac = |x: f32| x.fract().abs() > 1e-6 && (1.0 - x.fract()).abs() > 1e-6;
@@ -59,15 +59,14 @@ proptest! {
         let vol = single_cell(values);
         let inv_values: Vec<u8> = vol.data().iter().map(|&v| 255 - v).collect();
         let inv = Volume::from_vec(Dims3::cube(2), inv_values);
-        let mut a = TriangleSoup::new();
+        let mut a = IndexedMesh::new();
         marching_cubes(&vol, iso_f, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut a);
-        let mut b = TriangleSoup::new();
+        let mut b = IndexedMesh::new();
         marching_cubes(&inv, 255.0 - iso_f, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut b);
-        let points = |s: &TriangleSoup| {
+        let points = |s: &IndexedMesh| {
             let mut v: Vec<(i64, i64, i64)> = s
                 .triangles()
-                .iter()
-                .flat_map(|t| t.v.iter())
+                .flat_map(|t| t.v)
                 .map(|p| {
                     let q = 1_048_576.0;
                     ((p.x * q).round() as i64, (p.y * q).round() as i64, (p.z * q).round() as i64)
@@ -98,8 +97,8 @@ proptest! {
             (oociso_volume::noise::splitmix64(
                 seed ^ ((x + 31 * y + 977 * z) as u64)) & 0xff) as u8
         });
-        let mut soup = TriangleSoup::new();
-        marching_cubes(&vol, 127.5, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut soup);
+        let mut mesh = IndexedMesh::new();
+        marching_cubes(&vol, 127.5, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut mesh);
         let q = 1_048_576.0;
         let key = |v: Vec3| {
             ((v.x * q).round() as i64, (v.y * q).round() as i64, (v.z * q).round() as i64)
@@ -109,7 +108,7 @@ proptest! {
             k.0 == 0 || k.1 == 0 || k.2 == 0 || k.0 == hi || k.1 == hi || k.2 == hi
         };
         let mut edges = std::collections::HashMap::new();
-        for t in soup.triangles() {
+        for t in mesh.triangles() {
             for i in 0..3 {
                 let a = key(t.v[i]);
                 let b = key(t.v[(i + 1) % 3]);
@@ -134,9 +133,9 @@ proptest! {
             (oociso_volume::noise::splitmix64(
                 seed ^ ((x + 17 * y + 389 * z) as u64)) & 0xff) as u8
         });
-        let mut mc = TriangleSoup::new();
+        let mut mc = IndexedMesh::new();
         marching_cubes(&vol, 127.5, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut mc);
-        let mut mt = TriangleSoup::new();
+        let mut mt = IndexedMesh::new();
         marching_tetrahedra(&vol, 127.5, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut mt);
         prop_assert_eq!(mc.is_empty(), mt.is_empty());
         if !mc.is_empty() {
@@ -150,11 +149,9 @@ proptest! {
 // Slab kernel ⇔ reference kernel equivalence over the field zoo.
 // ---------------------------------------------------------------------------
 
-use oociso_march::{marching_cubes_indexed, IndexedMesh, SlabScratch};
+use oociso_march::{marching_cubes_indexed, SlabScratch};
 use oociso_volume::field::{FieldExt, GyroidField, NoiseField, SphereField};
 use oociso_volume::ScalarValue;
-
-use oociso_march::canonical_triangles as canon;
 
 /// One volume of the zoo, quantized to scalar type `S`.
 fn zoo_volume<S: ScalarValue>(kind: usize, seed: u64, dims: Dims3) -> Volume<S> {
@@ -177,12 +174,11 @@ fn zoo_volume<S: ScalarValue>(kind: usize, seed: u64, dims: Dims3) -> Volume<S> 
     }
 }
 
-/// Assert the slab kernel, the reference kernel, and the IndexedMesh → soup
-/// round-trip all agree on `vol`.
+/// Assert the slab kernel and the reference kernel agree on `vol`.
 fn assert_kernels_equivalent<S: ScalarValue>(vol: &Volume<S>, iso: f32) -> Result<(), String> {
     let origin = Vec3::new(-4.0, 7.0, 1.0);
     let scale = Vec3::new(1.0, 1.0, 1.0);
-    let mut reference = TriangleSoup::new();
+    let mut reference = IndexedMesh::new();
     let ref_stats = marching_cubes(vol, iso, origin, scale, &mut reference);
     let mut mesh = IndexedMesh::new();
     let mut scratch = SlabScratch::new();
@@ -198,12 +194,8 @@ fn assert_kernels_equivalent<S: ScalarValue>(vol: &Volume<S>, iso: f32) -> Resul
     if ref_stats != slab_stats {
         return Err(format!("stats differ: {ref_stats:?} vs {slab_stats:?}"));
     }
-    let roundtrip = mesh.to_soup();
-    if roundtrip.len() != mesh.len() {
-        return Err("IndexedMesh::to_soup changed triangle count".into());
-    }
-    let a = canon(&reference);
-    let b = canon(&roundtrip);
+    let a = reference.canonical_triangles();
+    let b = mesh.canonical_triangles();
     if a != b {
         return Err(format!(
             "canonical triangle multisets differ: {} vs {} triangles, first diff at {:?}",
@@ -430,4 +422,62 @@ fn sample_valued_isovalues_do_exercise_snaps_and_drops() {
     assert!(stats.degenerate_dropped > 0, "{stats:?}");
     assert!(stats.vertices_merged() > 0, "{stats:?}");
     assert!(0 < stats.hashed_vertices && stats.hashed_vertices < stats.input_vertices);
+}
+
+// ---------------------------------------------------------------------------
+// The oracle's exact triangle stream, pinned.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over the `f32` bits of every corner of every triangle, in
+/// emission order, then the triangle count.
+fn stream_digest(tris: impl Iterator<Item = oociso_march::Triangle>) -> (usize, u64) {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bits: u64, bytes: usize| {
+        for b in &bits.to_le_bytes()[..bytes] {
+            h = (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut n = 0usize;
+    for t in tris {
+        for p in t.v {
+            for c in [p.x, p.y, p.z] {
+                eat(c.to_bits() as u64, 4);
+            }
+        }
+        n += 1;
+    }
+    eat(n as u64, 8);
+    (n, h)
+}
+
+#[test]
+fn reference_kernel_triangle_stream_is_pinned() {
+    // every equivalence suite trusts `marching_cubes`: its stream (positions
+    // bit for bit, in emission order) is pinned over the zoo at a
+    // half-integer isovalue and at one the samples take
+    const PINNED: [(usize, u64); 6] = [
+        (3752, 16565772897438691479),
+        (3752, 10124353443476068724),
+        (44560, 3996513409255671815),
+        (44560, 12115868934729738548),
+        (11767, 9451982809587617842),
+        (11767, 15567365993508103512),
+    ];
+    let mut got = Vec::new();
+    for kind in 0..3 {
+        let vol: Volume<u8> = zoo_volume(kind, 7, Dims3::new(33, 29, 31));
+        for iso in [127.5f32, 128.0] {
+            if iso.fract() == 0.0 {
+                assert!(
+                    vol.data().contains(&(iso as u8)),
+                    "zoo {kind}: no sample at {iso}"
+                );
+            }
+            let mut mesh = IndexedMesh::new();
+            let origin = Vec3::new(-4.0, 7.0, 1.0);
+            marching_cubes(&vol, iso, origin, Vec3::new(1.0, 0.5, 2.0), &mut mesh);
+            got.push(stream_digest(mesh.triangles()));
+        }
+    }
+    assert_eq!(got, PINNED);
 }

@@ -32,4 +32,4 @@ pub use composite::{z_merge, FrameRegion, TileLayout};
 pub use framebuffer::Framebuffer;
 pub use lod::{screen_space_error, select_tile_levels};
 pub use math::Mat4;
-pub use raster::{rasterize_mesh, rasterize_soup, RasterStats};
+pub use raster::{rasterize_mesh, RasterStats};

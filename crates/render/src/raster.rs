@@ -2,7 +2,7 @@
 
 use crate::camera::{ndc_to_screen, Camera};
 use crate::framebuffer::Framebuffer;
-use oociso_march::{IndexedMesh, Triangle, TriangleSoup, Vec3};
+use oociso_march::{IndexedMesh, Triangle, Vec3};
 
 /// Counters from a rasterization pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -15,37 +15,16 @@ pub struct RasterStats {
     pub fragments_shaded: u64,
 }
 
-/// Rasterize a triangle soup into `fb` with two-sided Lambert shading.
+/// Rasterize a mesh into `fb` with two-sided Lambert shading, triangle by
+/// triangle in mesh order, each materialized from the shared vertex buffer
+/// on the fly.
 ///
 /// Triangles with any vertex behind the near plane are rejected rather than
 /// clipped — the viz cameras of the examples and benches always keep the
 /// volume fully in front of the camera, matching the paper's setup where the
 /// dataset sits on a display wall well inside the frustum.
-pub fn rasterize_soup(
-    soup: &TriangleSoup,
-    camera: &Camera,
-    base_color: [f32; 3],
-    fb: &mut Framebuffer,
-) -> RasterStats {
-    rasterize_triangles(soup.triangles().iter().copied(), camera, base_color, fb)
-}
-
-/// Rasterize an indexed mesh (same pipeline as [`rasterize_soup`], but
-/// triangles are materialized from the shared vertex buffer on the fly — the
-/// extraction path never has to expand to an unindexed soup just to render).
 pub fn rasterize_mesh(
     mesh: &IndexedMesh,
-    camera: &Camera,
-    base_color: [f32; 3],
-    fb: &mut Framebuffer,
-) -> RasterStats {
-    rasterize_triangles(mesh.triangles(), camera, base_color, fb)
-}
-
-/// The shared pipeline behind both entry points: set up the view-projection
-/// and headlight once, then rasterize every triangle the iterator yields.
-fn rasterize_triangles(
-    tris: impl Iterator<Item = Triangle>,
     camera: &Camera,
     base_color: [f32; 3],
     fb: &mut Framebuffer,
@@ -54,7 +33,7 @@ fn rasterize_triangles(
     let vp = camera.view_projection(aspect);
     let light = (camera.eye - camera.target).normalized(); // headlight
     let mut stats = RasterStats::default();
-    for tri in tris {
+    for tri in mesh.triangles() {
         stats.triangles_in += 1;
         stats.fragments_shaded += rasterize_one(&tri, &vp, light, base_color, fb, &mut stats);
     }
@@ -154,16 +133,15 @@ mod tests {
     use super::*;
     use oociso_march::Aabb;
 
-    fn quad_soup(z: f32, half: f32) -> TriangleSoup {
-        // two triangles forming a square in the plane z = `z`
-        let a = Vec3::new(-half, -half, z);
-        let b = Vec3::new(half, -half, z);
-        let c = Vec3::new(half, half, z);
-        let d = Vec3::new(-half, half, z);
-        let mut s = TriangleSoup::new();
-        s.push(Triangle { v: [a, b, c] });
-        s.push(Triangle { v: [a, c, d] });
-        s
+    /// `quad_mesh`'s two triangles, each with three vertices of its own.
+    fn quad_unwelded(z: f32, half: f32) -> IndexedMesh {
+        let welded = quad_mesh(z, half);
+        let mut m = IndexedMesh::new();
+        for t in welded.triangles() {
+            let [a, b, c] = t.v.map(|p| m.push_vertex(p));
+            m.push_triangle(a, b, c);
+        }
+        m
     }
 
     fn quad_mesh(z: f32, half: f32) -> IndexedMesh {
@@ -194,8 +172,8 @@ mod tests {
     #[test]
     fn quad_covers_center() {
         let mut fb = Framebuffer::new(64, 64);
-        let stats = rasterize_soup(
-            &quad_soup(0.0, 1.0),
+        let stats = rasterize_mesh(
+            &quad_mesh(0.0, 1.0),
             &front_camera(),
             [1.0, 0.0, 0.0],
             &mut fb,
@@ -212,16 +190,20 @@ mod tests {
 
     #[test]
     fn mesh_and_soup_rasterize_identically() {
+        // how a mesh shares its vertices never changes a pixel
         let cam = front_camera();
-        let mut fb_soup = Framebuffer::new(64, 64);
-        let s_soup = rasterize_soup(&quad_soup(0.3, 1.1), &cam, [0.9, 0.4, 0.2], &mut fb_soup);
-        let mut fb_mesh = Framebuffer::new(64, 64);
-        let s_mesh = rasterize_mesh(&quad_mesh(0.3, 1.1), &cam, [0.9, 0.4, 0.2], &mut fb_mesh);
-        assert_eq!(s_soup, s_mesh);
+        let unwelded = quad_unwelded(0.3, 1.1);
+        let (welded, _) = unwelded.welded();
+        assert_eq!((unwelded.num_vertices(), welded.num_vertices()), (6, 4));
+        let mut fb_unwelded = Framebuffer::new(64, 64);
+        let s_unwelded = rasterize_mesh(&unwelded, &cam, [0.9, 0.4, 0.2], &mut fb_unwelded);
+        let mut fb_welded = Framebuffer::new(64, 64);
+        let s_welded = rasterize_mesh(&welded, &cam, [0.9, 0.4, 0.2], &mut fb_welded);
+        assert_eq!(s_unwelded, s_welded);
         for y in 0..64 {
             for x in 0..64 {
-                assert_eq!(fb_soup.color_at(x, y), fb_mesh.color_at(x, y));
-                assert_eq!(fb_soup.depth_at(x, y), fb_mesh.depth_at(x, y));
+                assert_eq!(fb_unwelded.color_at(x, y), fb_welded.color_at(x, y));
+                assert_eq!(fb_unwelded.depth_at(x, y), fb_welded.depth_at(x, y));
             }
         }
     }
@@ -230,13 +212,13 @@ mod tests {
     fn nearer_surface_wins() {
         let mut fb = Framebuffer::new(32, 32);
         let cam = front_camera();
-        rasterize_soup(&quad_soup(0.0, 1.0), &cam, [1.0, 0.0, 0.0], &mut fb);
+        rasterize_mesh(&quad_mesh(0.0, 1.0), &cam, [1.0, 0.0, 0.0], &mut fb);
         // nearer quad (z = 1 is closer to the camera at z = 5)
-        rasterize_soup(&quad_soup(1.0, 1.0), &cam, [0.0, 1.0, 0.0], &mut fb);
+        rasterize_mesh(&quad_mesh(1.0, 1.0), &cam, [0.0, 1.0, 0.0], &mut fb);
         let c = fb.color_at(16, 16);
         assert!(c[1] > 0 && c[0] == 0, "near quad must win: {c:?}");
         // drawing the far quad again must not overwrite
-        rasterize_soup(&quad_soup(0.0, 1.0), &cam, [1.0, 0.0, 0.0], &mut fb);
+        rasterize_mesh(&quad_mesh(0.0, 1.0), &cam, [1.0, 0.0, 0.0], &mut fb);
         let c = fb.color_at(16, 16);
         assert!(c[1] > 0 && c[0] == 0, "z-test must reject far quad: {c:?}");
     }
@@ -244,8 +226,8 @@ mod tests {
     #[test]
     fn behind_camera_rejected() {
         let mut fb = Framebuffer::new(16, 16);
-        let stats = rasterize_soup(
-            &quad_soup(10.0, 1.0),
+        let stats = rasterize_mesh(
+            &quad_mesh(10.0, 1.0),
             &front_camera(),
             [1.0, 1.0, 1.0],
             &mut fb,
@@ -258,8 +240,8 @@ mod tests {
     fn adjacent_triangles_leave_no_cracks() {
         // the shared diagonal of the quad must not produce uncovered pixels
         let mut fb = Framebuffer::new(128, 128);
-        rasterize_soup(
-            &quad_soup(0.0, 1.2),
+        rasterize_mesh(
+            &quad_mesh(0.0, 1.2),
             &front_camera(),
             [1.0, 1.0, 1.0],
             &mut fb,
@@ -284,26 +266,18 @@ mod tests {
         // a triangle tilted away from the light is darker than a facing one
         let cam = front_camera();
         let mut fb1 = Framebuffer::new(32, 32);
-        rasterize_soup(&quad_soup(0.0, 1.0), &cam, [1.0, 1.0, 1.0], &mut fb1);
+        rasterize_mesh(&quad_mesh(0.0, 1.0), &cam, [1.0, 1.0, 1.0], &mut fb1);
         let facing = fb1.color_at(16, 16)[0];
 
-        let mut tilted = TriangleSoup::new();
-        tilted.push(Triangle {
-            v: [
-                Vec3::new(-1.0, -1.0, -0.9),
-                Vec3::new(1.0, -1.0, 0.9),
-                Vec3::new(1.0, 1.0, 0.9),
-            ],
-        });
-        tilted.push(Triangle {
-            v: [
-                Vec3::new(-1.0, -1.0, -0.9),
-                Vec3::new(1.0, 1.0, 0.9),
-                Vec3::new(-1.0, 1.0, -0.9),
-            ],
-        });
+        let mut tilted = IndexedMesh::new();
+        let a = tilted.push_vertex(Vec3::new(-1.0, -1.0, -0.9));
+        let b = tilted.push_vertex(Vec3::new(1.0, -1.0, 0.9));
+        let c = tilted.push_vertex(Vec3::new(1.0, 1.0, 0.9));
+        let d = tilted.push_vertex(Vec3::new(-1.0, 1.0, -0.9));
+        tilted.push_triangle(a, b, c);
+        tilted.push_triangle(a, c, d);
         let mut fb2 = Framebuffer::new(32, 32);
-        rasterize_soup(&tilted, &cam, [1.0, 1.0, 1.0], &mut fb2);
+        rasterize_mesh(&tilted, &cam, [1.0, 1.0, 1.0], &mut fb2);
         let slanted = fb2.color_at(16, 16)[0];
         assert!(
             facing > slanted,

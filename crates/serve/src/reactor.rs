@@ -1168,59 +1168,23 @@ impl<S: ScalarValue> Reactor<S> {
         }
     }
 
-    /// Enforce per-connection deadlines: mid-frame read stalls (the read
-    /// timeout), write stalls (the write timeout), idle connections, and
-    /// over-cap connections that never sent their first frame.
+    /// Close every connection whose [`deadline`] has passed, adding to
+    /// `timed_out` for the expiries that count.
     fn sweep_deadlines(&mut self) {
         let now = Instant::now();
-        let state = self.state.clone();
-        let mut doomed: Vec<u64> = Vec::new();
-        for (&token, conn) in &self.conns {
-            if conn.shed {
-                let cap = state
-                    .read_timeout
-                    .unwrap_or(SHED_DEADLINE)
-                    .min(SHED_DEADLINE);
-                if conn.pending.is_empty() && now.duration_since(conn.accepted_at) >= cap {
-                    doomed.push(token); // never presented a frame: no counter
-                }
-                continue;
+        let doomed: Vec<(u64, bool)> = self
+            .conns
+            .iter()
+            .filter_map(|(&token, conn)| match deadline(conn, &self.state) {
+                Some((at, counted)) if at <= now => Some((token, counted)),
+                _ => None,
+            })
+            .collect();
+        for (token, counted) in doomed {
+            if counted {
+                self.state.c.timed_out.inc();
             }
-            // a started-but-unfinished frame counts against the read
-            // deadline (slowloris); waiting pipelined work does not
-            if !conn.read_buf.is_empty() && !conn.stop_reading && !conn.paused {
-                if let Some(rt) = state.read_timeout {
-                    if now.duration_since(conn.last_read_progress) >= rt {
-                        state.c.timed_out.inc();
-                        doomed.push(token);
-                        continue;
-                    }
-                }
-            }
-            if !conn.out.is_empty() {
-                if let Some(wt) = state.write_timeout {
-                    if now.duration_since(conn.last_write_progress) >= wt {
-                        // the peer stopped draining mid-reply: counted and
-                        // cut — a partially written frame is never followed
-                        // by another byte
-                        state.c.timed_out.inc();
-                        doomed.push(token);
-                        continue;
-                    }
-                }
-            }
-            if conn.pending.is_empty() && conn.out.is_empty() && conn.read_buf.is_empty() {
-                if let Some(idle) = state.idle_timeout {
-                    if now.duration_since(conn.idle_since) >= idle {
-                        state.c.timed_out.inc();
-                        doomed.push(token);
-                        continue;
-                    }
-                }
-            }
-        }
-        for t in doomed {
-            self.close(t);
+            self.close(token);
         }
     }
 
@@ -1228,43 +1192,15 @@ impl<S: ScalarValue> Reactor<S> {
     /// enforcement or the listener needs watching again.
     fn next_deadline(&self) -> Duration {
         let now = Instant::now();
-        let state = &self.state;
-        let mut min = IDLE_POLL;
-        let mut consider = |deadline: Instant| {
-            let left = deadline.saturating_duration_since(now);
-            if left < min {
-                min = left;
-            }
-        };
-        if let Some(t) = self.rearm_at {
-            consider(t);
-        }
-        for conn in self.conns.values() {
-            if conn.shed {
-                let cap = state
-                    .read_timeout
-                    .unwrap_or(SHED_DEADLINE)
-                    .min(SHED_DEADLINE);
-                consider(conn.accepted_at + cap);
-                continue;
-            }
-            if !conn.read_buf.is_empty() && !conn.stop_reading && !conn.paused {
-                if let Some(rt) = state.read_timeout {
-                    consider(conn.last_read_progress + rt);
-                }
-            }
-            if !conn.out.is_empty() {
-                if let Some(wt) = state.write_timeout {
-                    consider(conn.last_write_progress + wt);
-                }
-            }
-            if conn.pending.is_empty() && conn.out.is_empty() && conn.read_buf.is_empty() {
-                if let Some(idle) = state.idle_timeout {
-                    consider(conn.idle_since + idle);
-                }
-            }
-        }
-        min
+        self.rearm_at
+            .into_iter()
+            .chain(
+                self.conns
+                    .values()
+                    .filter_map(|conn| deadline(conn, &self.state).map(|(at, _)| at)),
+            )
+            .map(|at| at.saturating_duration_since(now))
+            .fold(IDLE_POLL, Duration::min)
     }
 
     fn close(&mut self, token: u64) {
@@ -1281,6 +1217,42 @@ impl<S: ScalarValue> Reactor<S> {
             }
         }
     }
+}
+
+/// When `conn` must be closed unless it makes progress first, and whether
+/// that expiry counts toward `timed_out`: the earliest of a mid-frame read
+/// stall (the read timeout), a stalled write (the write timeout) and an
+/// idle gap between requests, all counted; or, for an over-cap connection,
+/// the shed cap on presenting its first frame, not counted. `None`: no
+/// deadline runs. The wait sleeps toward this and the sweep enforces it, so
+/// the two cannot disagree.
+fn deadline<S: ScalarValue>(conn: &Conn, state: &State<S>) -> Option<(Instant, bool)> {
+    if conn.shed {
+        let cap = state
+            .read_timeout
+            .unwrap_or(SHED_DEADLINE)
+            .min(SHED_DEADLINE);
+        return conn
+            .pending
+            .is_empty()
+            .then(|| (conn.accepted_at + cap, false));
+    }
+    // a started-but-unfinished frame counts against the read deadline
+    // (slowloris); waiting pipelined work does not
+    let reading = !conn.read_buf.is_empty() && !conn.stop_reading && !conn.paused;
+    // a peer that stops draining mid-reply is cut: a partially written
+    // frame is never followed by another byte
+    let writing = !conn.out.is_empty();
+    let idle = conn.pending.is_empty() && conn.out.is_empty() && conn.read_buf.is_empty();
+    [
+        (reading, conn.last_read_progress, state.read_timeout),
+        (writing, conn.last_write_progress, state.write_timeout),
+        (idle, conn.idle_since, state.idle_timeout),
+    ]
+    .into_iter()
+    .filter_map(|(on, since, limit)| since.checked_add(limit.filter(|_| on)?))
+    .min()
+    .map(|at| (at, true))
 }
 
 /// Account one fully written reply — its `out_queue` and `socket_write`

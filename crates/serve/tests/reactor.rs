@@ -829,3 +829,92 @@ fn traced_hit_names_out_queue_and_socket_write() {
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Read `stream` until the server closes it (EOF or reset), returning how
+/// long that took; fails if it stays open for `limit`.
+fn wait_for_close(stream: &mut TcpStream, limit: Duration) -> Duration {
+    let t0 = Instant::now();
+    stream.set_read_timeout(Some(limit)).unwrap();
+    let mut buf = [0u8; 4096];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => return t0.elapsed(),
+            Ok(_) => assert!(t0.elapsed() < limit, "still open after {limit:?}"),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                panic!("still open after {limit:?}")
+            }
+            Err(_) => return t0.elapsed(), // a reset closes it too
+        }
+    }
+}
+
+/// A connection that goes quiet between requests for the idle timeout is
+/// closed, and the close counts as a timeout.
+#[test]
+fn idle_connection_is_closed_and_counted() {
+    let (dir, server) = bind(
+        "idle",
+        ServeOptions {
+            idle_timeout: Some(Duration::from_millis(150)),
+            ..Default::default()
+        },
+    );
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    write_frame(
+        &mut stream,
+        &Message::Ping {
+            payload: vec![7; 16],
+        },
+    )
+    .unwrap();
+    match read_frame(&mut stream).unwrap().unwrap() {
+        FrameIn::Ok {
+            msg: Message::Pong { payload },
+        } => assert_eq!(payload, vec![7; 16]),
+        other => panic!("expected a pong, got {other:?}"),
+    }
+    let waited = wait_for_close(&mut stream, Duration::from_secs(10));
+    assert!(
+        waited >= Duration::from_millis(100),
+        "closed after {waited:?}"
+    );
+    assert_eq!(server.report().timed_out, 1);
+    // the server keeps serving
+    Client::connect(server.addr()).unwrap().ping(16).unwrap();
+    assert_eq!(server.stop().timed_out, 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An over-cap peer that never sends its first frame is closed once the
+/// read timeout runs out (it caps the shed deadline), without counting a
+/// timeout or a shed, and the admitted client is served throughout.
+#[test]
+fn silent_over_cap_peer_is_closed_within_the_cap() {
+    let (dir, server) = bind(
+        "silent_shed",
+        ServeOptions {
+            max_connections: Some(1),
+            read_timeout: Some(Duration::from_millis(200)),
+            ..Default::default()
+        },
+    );
+    let mut admitted = Client::connect(server.addr()).unwrap();
+    // once this completes the admitted connection is live: the cap is full
+    admitted.ping(16).unwrap();
+    let mut silent = TcpStream::connect(server.addr()).unwrap();
+    let waited = wait_for_close(&mut silent, Duration::from_secs(10));
+    assert!(
+        waited < Duration::from_millis(1500),
+        "closed after {waited:?}: the 200 ms read timeout should cap it"
+    );
+    admitted.ping(16).unwrap();
+    let report = server.stop();
+    assert_eq!(report.timed_out, 0, "an uncounted close");
+    assert_eq!(report.shed, 0, "no frame was presented to shed");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -7,7 +7,7 @@
 use oociso::exio::{RecordStore, Span};
 use oociso::itree::{CompactIntervalTree, RecordFormat};
 use oociso::march::unstructured::extract_cluster;
-use oociso::march::{analyze, TriangleSoup};
+use oociso::march::{analyze_mesh, IndexedMesh};
 use oociso::metacell::MetacellInterval;
 use oociso::volume::tetmesh::{TetCluster, TetMesh};
 use oociso::volume::{Dims3, RmProxy, ScalarValue};
@@ -77,21 +77,21 @@ fn main() -> std::io::Result<()> {
     );
 
     let iso = 150.0;
-    let mut soup = TriangleSoup::new();
+    let mut surface = IndexedMesh::new();
     let plan = tree.plan(f32::query_key(iso));
     let stats = oociso::itree::execute_plan(&plan, &store, &ClusterFormat, |_, rec| {
         let (cluster, _) = TetCluster::decode(rec);
-        extract_cluster(&cluster, iso, &mut soup);
+        extract_cluster(&cluster, iso, &mut surface);
     })?;
     println!(
         "isovalue {iso}: {} active clusters, {} triangles ({:.1} MB of {:.1} MB read)",
         stats.records_emitted,
-        soup.len(),
+        surface.len(),
         stats.bytes_read as f64 / 1e6,
         store.len() as f64 / 1e6
     );
 
-    let report = analyze(&soup);
+    let report = analyze_mesh(&surface);
     println!(
         "topology: {} vertices, {} edges, {} faces, {} components, closed = {}",
         report.vertices,
@@ -102,7 +102,7 @@ fn main() -> std::io::Result<()> {
     );
 
     let out = std::env::temp_dir().join("oociso-unstructured.obj");
-    soup.write_obj(&out)?;
+    surface.write_obj(&out)?;
     println!("exported -> {}", out.display());
     Ok(())
 }

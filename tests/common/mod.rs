@@ -7,9 +7,7 @@
 //! it.
 #![allow(dead_code)]
 
-use oociso::march::{
-    marching_cubes, marching_cubes_indexed, IndexedMesh, SlabScratch, TriangleSoup, Vec3,
-};
+use oociso::march::{marching_cubes, marching_cubes_indexed, IndexedMesh, SlabScratch, Vec3};
 use oociso::metacell::MetacellLayout;
 use oociso::volume::field::{
     AnalyticField, FieldExt, GyroidField, NoiseField, SphereField, TorusField,
@@ -24,11 +22,12 @@ pub fn tmpdir(name: &str) -> PathBuf {
     p
 }
 
-/// Ground truth: direct in-memory marching cubes over the whole volume.
-pub fn truth(vol: &Volume<u8>, iso: f32) -> TriangleSoup {
-    let mut soup = TriangleSoup::new();
-    marching_cubes(vol, iso, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut soup);
-    soup
+/// Ground truth: direct in-memory marching cubes over the whole volume, the
+/// reference kernel's triangle stream (unwelded: three vertices a triangle).
+pub fn truth(vol: &Volume<u8>, iso: f32) -> IndexedMesh {
+    let mut mesh = IndexedMesh::new();
+    marching_cubes(vol, iso, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut mesh);
+    mesh
 }
 
 /// An unwelded surface: every 9³-vertex metacell of `vol` extracted on its

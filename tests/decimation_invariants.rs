@@ -28,8 +28,8 @@ mod common;
 use oociso::cluster::ExtractOptions;
 use oociso::core::{ClusterDatabase, PreprocessOptions};
 use oociso::march::{
-    analyze_mesh_connectivity, decimate_to_error, decimate_to_ratio, DecimateStats, IndexedMesh,
-    LodChain, Triangle, Vec3,
+    analyze_mesh_connectivity, decimate_to_ratio, DecimateStats, IndexedMesh, LodChain, Triangle,
+    Vec3,
 };
 use oociso::volume::{Dims3, RmProxy, Volume};
 use proptest::prelude::*;
@@ -289,35 +289,6 @@ fn decimation_is_bit_identical_across_worker_counts() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// `decimate_to_error` honors its bound: no applied collapse exceeds it and
-/// the surface stays within the gauge of the original.
-#[test]
-fn error_bound_mode_is_respected_on_the_zoo() {
-    for (name, vol) in &common::zoo() {
-        let dir = common::tmpdir(&format!("dec_err_{name}"));
-        let db = ClusterDatabase::preprocess(
-            vol,
-            &dir,
-            &PreprocessOptions {
-                nodes: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mesh = db.extract(128.5).unwrap().mesh;
-        std::fs::remove_dir_all(&dir).ok();
-        let bound = 0.01f64; // squared world distance
-        let (dec, stats) = decimate_to_error(&mesh, bound);
-        assert!(stats.max_error <= bound, "{name}: {stats:?}");
-        assert!(
-            stats.output_vertices < stats.input_vertices,
-            "{name}: a hot bound should still find cheap collapses"
-        );
-        let dev = max_deviation(&dec, &mesh, 300) as f64;
-        assert!(dev <= stats.world_error().max(1e-3), "{name}: dev {dev}");
-    }
 }
 
 /// The acceptance bar: on the 65³ (ball-clipped, hence closed) gyroid,
@@ -584,7 +555,7 @@ fn decimated_levels_are_the_recorded_bytes() {
         {
             let s = &level.stats;
             actual += &format!(
-                "    // {name} level {}\n    rec({}, {}, {:#018x}, [{}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}], {:#018x}, {}),\n",
+                "    // {name} level {}\n    rec({}, {}, {:#018x}, [{}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}], {:#018x}, {}),\n",
                 i + 1,
                 level.mesh.num_vertices(),
                 level.mesh.len(),
@@ -599,7 +570,6 @@ fn decimated_levels_are_the_recorded_bytes() {
                 s.passes,
                 s.rejected_link,
                 s.rejected_flip,
-                s.rejected_error,
                 s.pinned_vertices,
                 s.max_error.to_bits(),
                 s.reached_target,
@@ -625,13 +595,13 @@ fn decimated_levels_are_the_recorded_bytes() {
     }
 }
 
-/// A [`Recorded`] level from its table row: the twelve integer stats in
+/// A [`Recorded`] level from its table row: the eleven integer stats in
 /// field order, then `max_error`'s bits and `reached_target`.
 fn rec(
     vertices: usize,
     triangles: usize,
     fnv: u64,
-    n: [u64; 12],
+    n: [u64; 11],
     max_error: u64,
     reached_target: bool,
 ) -> Recorded {
@@ -650,8 +620,7 @@ fn rec(
             passes: n[7],
             rejected_link: n[8],
             rejected_flip: n[9],
-            rejected_error: n[10],
-            pinned_vertices: n[11],
+            pinned_vertices: n[10],
             max_error: f64::from_bits(max_error),
             reached_target,
         },
@@ -665,9 +634,7 @@ fn recorded_levels() -> Vec<Recorded> {
             4289,
             6010,
             0x9f5f3790d047e8af,
-            [
-                17154, 31740, 4289, 6010, 12865, 3917, 7, 67, 1655, 282, 0, 946,
-            ],
+            [17154, 31740, 4289, 6010, 12865, 3917, 7, 67, 1655, 282, 946],
             0x4003baefbe988000,
             true,
         ),
@@ -676,7 +643,7 @@ fn recorded_levels() -> Vec<Recorded> {
             2124,
             1680,
             0x5c8a2e9217a25223,
-            [4289, 6010, 2124, 1680, 2165, 2165, 1, 24, 24912, 7, 0, 946],
+            [4289, 6010, 2124, 1680, 2165, 2165, 1, 24, 24912, 7, 946],
             0x412b5c5fdcd67f80,
             false,
         ),
@@ -685,7 +652,7 @@ fn recorded_levels() -> Vec<Recorded> {
             1946,
             3892,
             0xbd16361b834166e2,
-            [7784, 15568, 1946, 3892, 5838, 1331, 3, 35, 0, 690, 0, 0],
+            [7784, 15568, 1946, 3892, 5838, 1331, 3, 35, 0, 690, 0],
             0x3faa31e15d400000,
             true,
         ),
@@ -694,7 +661,7 @@ fn recorded_levels() -> Vec<Recorded> {
             468,
             936,
             0x26ac9f75b6b0fef7,
-            [1946, 3892, 468, 936, 1478, 1478, 1, 7, 0, 10, 0, 0],
+            [1946, 3892, 468, 936, 1478, 1478, 1, 7, 0, 10, 0],
             0x3fe5e6ca3c8dc000,
             true,
         ),
@@ -703,9 +670,7 @@ fn recorded_levels() -> Vec<Recorded> {
             3665,
             5944,
             0x957d27f5d4286962,
-            [
-                14658, 27930, 3665, 5944, 10993, 3924, 6, 59, 340, 203, 0, 1410,
-            ],
+            [14658, 27930, 3665, 5944, 10993, 3924, 6, 59, 340, 203, 1410],
             0x3ffdfb5a94d98000,
             true,
         ),
@@ -714,9 +679,7 @@ fn recorded_levels() -> Vec<Recorded> {
             1553,
             1720,
             0x6140788ec7bb873d,
-            [
-                3665, 5944, 1553, 1720, 2112, 2112, 1, 10, 2343, 108, 0, 1410,
-            ],
+            [3665, 5944, 1553, 1720, 2112, 2112, 1, 10, 2343, 108, 1410],
             0x40d7a056c5eb22a0,
             false,
         ),
@@ -725,7 +688,7 @@ fn recorded_levels() -> Vec<Recorded> {
             3075,
             6166,
             0x19f57577cc35b2ff,
-            [12300, 24616, 3075, 6166, 9225, 2643, 6, 57, 3, 429, 0, 0],
+            [12300, 24616, 3075, 6166, 9225, 2643, 6, 57, 3, 429, 0],
             0x3fb0ecb0de7e0000,
             true,
         ),
@@ -734,7 +697,7 @@ fn recorded_levels() -> Vec<Recorded> {
             738,
             1492,
             0x04e46a1abc03997a,
-            [3075, 6166, 738, 1492, 2337, 2337, 1, 10, 0, 31, 0, 0],
+            [3075, 6166, 738, 1492, 2337, 2337, 1, 10, 0, 31, 0],
             0x3ff70eee3f7c0000,
             true,
         ),

@@ -133,7 +133,7 @@ proptest! {
         p in 1usize..4,
     ) {
         use oociso::core::{ClusterDatabase, PreprocessOptions};
-        use oociso::march::{marching_cubes, TriangleSoup, Vec3};
+        use oociso::march::{marching_cubes, IndexedMesh, Vec3};
         use oociso::volume::{Dims3, Volume};
         use oociso::volume::noise;
 
@@ -141,7 +141,7 @@ proptest! {
         let vol = Volume::<u8>::generate(dims, |x, y, z| {
             (noise::fbm(seed, x as f32 * 0.23, y as f32 * 0.23, z as f32 * 0.23, 3) * 255.0) as u8
         });
-        let mut truth = TriangleSoup::new();
+        let mut truth = IndexedMesh::new();
         marching_cubes(&vol, iso, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &mut truth);
 
         let mut dir = std::env::temp_dir();

@@ -14,7 +14,6 @@ use oociso::march::{analyze_mesh_connectivity, Backend, IndexedMesh, Vec3};
 use oociso::volume::{Dims3, RmProxy, Volume};
 use proptest::prelude::*;
 
-use oociso::march::canonical_triangles as canon;
 use oociso::march::split_collapsed;
 
 #[test]
@@ -35,9 +34,9 @@ fn database_extraction_equals_direct_marching_cubes() {
         // the integer isovalue lands some crossings exactly on cell corners
         // of the u8 lattice; the weld drops those collapsed triangles and
         // must account for every one of them
-        let (kept, collapsed) = split_collapsed(canon(&reference));
+        let (kept, collapsed) = split_collapsed(reference.canonical_triangles());
         assert_eq!(
-            canon(&got.mesh.to_soup()),
+            got.mesh.canonical_triangles(),
             kept,
             "{name}: database extraction must equal direct MC minus collapses"
         );
@@ -53,7 +52,7 @@ fn database_extraction_equals_direct_marching_cubes() {
 #[test]
 fn every_node_count_yields_identical_geometry() {
     let vol = RmProxy::with_seed(23).volume(210, Dims3::new(40, 40, 38));
-    let (reference, collapsed) = split_collapsed(canon(&truth(&vol, 110.0)));
+    let (reference, collapsed) = split_collapsed(truth(&vol, 110.0).canonical_triangles());
     // SurfaceNets has no direct reference: every node count must give the
     // 1-node surface's triangles and connectivity (the vertex order, and so
     // the bytes, follow the node deal)
@@ -75,7 +74,7 @@ fn every_node_count_yields_identical_geometry() {
         .unwrap();
         let got = db.extract(110.0).unwrap();
         assert_eq!(
-            canon(&got.mesh.to_soup()),
+            got.mesh.canonical_triangles(),
             reference,
             "p={nodes}: geometry must be independent of striping"
         );
@@ -85,7 +84,7 @@ fn every_node_count_yields_identical_geometry() {
             "p={nodes}: collapse count must be independent of striping"
         );
         let mesh = db.extract_with_options(110.0, &sn).unwrap().mesh;
-        let got = (canon(&mesh.to_soup()), analyze_mesh_connectivity(&mesh));
+        let got = (mesh.canonical_triangles(), analyze_mesh_connectivity(&mesh));
         assert!(!got.0.is_empty(), "p={nodes}: empty SurfaceNets surface");
         let want = sn_reference.get_or_insert_with(|| got.clone());
         assert!(got.0 == want.0, "p={nodes}: SurfaceNets triangles differ");

@@ -6,7 +6,7 @@
 use oociso::exio::{RecordStore, Span};
 use oociso::itree::{CompactIntervalTree, RecordFormat};
 use oociso::march::unstructured::{extract_cluster, extract_mesh};
-use oociso::march::TriangleSoup;
+use oociso::march::IndexedMesh;
 use oociso::metacell::MetacellInterval;
 use oociso::volume::field::{FieldExt, SphereField};
 use oociso::volume::tetmesh::{TetCluster, TetMesh};
@@ -74,10 +74,10 @@ fn indexed_unstructured_extraction_matches_direct() {
     assert!(culled > 0, "far-field clusters should be culled");
 
     for iso in [80.0f32, 120.0, 160.0] {
-        let mut direct = TriangleSoup::new();
+        let mut direct = IndexedMesh::new();
         extract_mesh(&mesh, iso, &mut direct);
 
-        let mut indexed = TriangleSoup::new();
+        let mut indexed = IndexedMesh::new();
         let plan = tree.plan(f32::query_key(iso));
         oociso::itree::execute_plan(&plan, &store, &format, |_id, rec| {
             let (cluster, used) = TetCluster::decode(rec);
@@ -114,9 +114,9 @@ fn unstructured_query_reads_less_than_full_mesh() {
 fn unstructured_surface_is_closed() {
     let vol: Volume<f32> = SphereField::centered(0.3, 120.0).sample(Dims3::cube(16));
     let mesh = TetMesh::from_volume(&vol);
-    let mut soup = TriangleSoup::new();
-    extract_mesh(&mesh, 120.0, &mut soup);
-    let report = oociso::march::analyze(&soup);
+    let mut surface = IndexedMesh::new();
+    extract_mesh(&mesh, 120.0, &mut surface);
+    let report = oociso::march::analyze_mesh(&surface);
     assert!(report.is_closed(), "{report:?}");
     assert_eq!(report.components, 1);
     assert_eq!(report.euler_characteristic(), 2);

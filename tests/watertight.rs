@@ -20,9 +20,7 @@ mod common;
 use common::{tmpdir, truth};
 use oociso::cluster::{Cluster, ExtractOptions};
 use oociso::core::{ClusterDatabase, PreprocessOptions};
-use oociso::march::{
-    analyze, analyze_mesh, analyze_mesh_connectivity, canonical_triangles, Backend, IndexedMesh,
-};
+use oociso::march::{analyze_mesh, analyze_mesh_connectivity, Backend, IndexedMesh};
 use oociso::volume::field::{FieldExt, GyroidField, SphereField};
 use oociso::volume::{Dims3, Volume};
 use proptest::prelude::*;
@@ -42,7 +40,7 @@ fn check_watertight_everywhere(
     expect_components: usize,
     sn_matches_reference: bool,
 ) {
-    let reference = analyze(&truth(vol, iso));
+    let reference = analyze_mesh(&truth(vol, iso));
     assert!(
         reference.is_closed(),
         "{name}: ground truth must be closed, got {reference:?}"
@@ -207,7 +205,7 @@ proptest! {
     ) {
         let iso = iso_step as f32 + 0.5;
         let vol: Volume<u8> = common::clipped_gyroid_vol(Dims3::cube(dim));
-        let reference = analyze(&truth(&vol, iso));
+        let reference = analyze_mesh(&truth(&vol, iso));
         // the clipped gyroid's genus (and component count) depends on dim and
         // iso; take the component count from ground truth and let
         // check_watertight_everywhere verify the full report matches
@@ -263,12 +261,12 @@ fn welding_closes_node_seams_that_unwelded_merge_leaves_open() {
     // … while `analyze_mesh` (which welds internally) agrees the *surface*
     // is the same: the unwelded mesh is open only by representation
     assert_eq!(analyze_mesh(&unwelded), wt);
-    assert_eq!(analyze(&reference), wt);
+    assert_eq!(analyze_mesh(&reference), wt);
 
     // welding is topology-only: the canonical triangle multiset of direct MC
     assert_eq!(
         welded.mesh.canonical_triangles(),
-        canonical_triangles(&reference)
+        reference.canonical_triangles()
     );
     assert_eq!(welded.report.total_weld().degenerate_dropped, 0);
     std::fs::remove_dir_all(&dir).ok();
@@ -297,13 +295,13 @@ fn welding_is_topology_only_across_the_field_zoo() {
             let ctx = format!("{name} iso={iso}");
             assert_eq!(
                 welded.mesh.canonical_triangles(),
-                canonical_triangles(&reference),
+                reference.canonical_triangles(),
                 "{ctx}: weld moved geometry"
             );
             assert_eq!(welded.report.total_weld().degenerate_dropped, 0, "{ctx}");
             assert_eq!(
                 analyze_mesh(&welded.mesh),
-                analyze(&reference),
+                analyze_mesh(&reference),
                 "{ctx}: weld changed topology"
             );
         }
@@ -355,8 +353,7 @@ fn corner_crossings_collapse_and_are_dropped_with_a_counter() {
     assert_eq!(welded.report.total_triangles(), reference.len() as u64);
 
     // the kept multiset is exactly the reference minus its collapsed entries
-    let (kept, collapsed) =
-        oociso::march::split_collapsed(oociso::march::canonical_triangles(&reference));
+    let (kept, collapsed) = oociso::march::split_collapsed(reference.canonical_triangles());
     assert_eq!(collapsed as u64, dropped);
     assert_eq!(welded.mesh.canonical_triangles(), kept);
 
